@@ -203,16 +203,31 @@ def random_tt(dims, ranks, seed=0):
     return TensorTrain(cores)
 
 
+def update_left_overlap(e, cx, cy, ledger=None, op_class="inner"):
+    """Extend a left overlap transfer ``(rank_x, rank_y)`` by one site."""
+    t = np.tensordot(e, cx, axes=([0], [0]))
+    charge(ledger, op_class, tensordot_flops(e.shape, cx.shape, cx.shape[0]))
+    out = np.tensordot(t, cy, axes=([0, 1], [0, 1]))
+    charge(ledger, op_class, tensordot_flops(t.shape, cy.shape, cy.shape[0] * cy.shape[1]))
+    return out
+
+
+def update_right_overlap(e, cx, cy, ledger=None, op_class="inner"):
+    """Extend a right overlap transfer ``(rank_x, rank_y)`` by one site."""
+    t = np.tensordot(cx, e, axes=([2], [0]))
+    charge(ledger, op_class, tensordot_flops(cx.shape, e.shape, e.shape[0]))
+    out = np.tensordot(t, cy, axes=([1, 2], [1, 2]))
+    charge(ledger, op_class, tensordot_flops(t.shape, cy.shape, cy.shape[1] * cy.shape[2]))
+    return out
+
+
 def inner(x, y, ledger=None, op_class="inner"):
     """Euclidean inner product of two trains via transfer contractions."""
     if x.dims != y.dims:
         raise ValueError(f"dimension mismatch: {x.dims} vs {y.dims}")
     e = np.ones((1, 1))
     for cx, cy in zip(x.cores, y.cores):
-        t = np.tensordot(e, cx, axes=([0], [0]))
-        charge(ledger, op_class, tensordot_flops(e.shape, cx.shape, cx.shape[0]))
-        e = np.tensordot(t, cy, axes=([0, 1], [0, 1]))
-        charge(ledger, op_class, tensordot_flops(t.shape, cy.shape, cy.shape[0] * cy.shape[1]))
+        e = update_left_overlap(e, cx, cy, ledger, op_class)
     return float(e[0, 0])
 
 

@@ -6,20 +6,29 @@ Each global iteration runs four steps:
 2. solve one local eigenproblem per site (one-site) or per neighboring
    pair (two-site), all independent and therefore parallel; each task
    runs on a private cost ledger that is merged back under a logical
-   worker tag, so results and recorded flops never depend on scheduling;
+   worker tag, so results and recorded flops never depend on scheduling.
+   The operator environments the tasks read are built once per
+   iteration over the family's shared cores (one left sweep and one
+   right sweep, two tasks) instead of from scratch in every task;
 3. form the coarse problem over the span of the previous iterate plus
    all locally updated members, and minimize the Rayleigh quotient in
    that span (a whitened dense eigenproblem of size at most d+1, with
    an optional Krylov path whose operator applications use the
-   structured sum representations instead of the assembled matrix);
+   structured sum representations instead of the assembled matrix).
+   Every member differs from the family's shared cores only on a short
+   window, so the overlap and reduced operator matrices are assembled
+   by one left-to-right sweep per matrix row that starts from the shared
+   left environment at the row's window and closes each column against a
+   right environment reused across rows: O(d^2) environment updates per
+   iteration rather than O(d^3) for pairwise inner products;
 4. compress the coarse minimizer back to the working ranks: the
    one-site sum is an exact train of doubled ranks that is rounded,
    the two-site sum is a chain that is fitted by alternating least
    squares (with a pairwise add-and-round fallback).
 
-The iterate stays left-orthogonal between iterations and the energy is
-the Rayleigh quotient of the compressed state, so the recorded energy
-sequence reflects what the method actually keeps.
+The iterate is kept left-orthogonal and at unit norm between iterations,
+and the energy is the Rayleigh quotient of the compressed state, so the
+recorded energy sequence reflects what the method actually keeps.
 """
 
 from __future__ import annotations
@@ -34,8 +43,19 @@ import numpy as np
 
 from .dmrg import _solve_1site, _solve_2site, split_and_shift
 from .eigen import dense_lowest_eig, dense_sym_svd, lanczos_lowest
-from .ledger import CostLedger, tensordot_flops
-from .mpo import left_env, mpo_inner, rayleigh_quotient, right_env
+from .ledger import CostLedger, charge, tensordot_flops
+
+# left_env, right_env and inner are not called here; bench/tracer.py wraps them
+# by name in this module's namespace, so they stay bound.
+from .mpo import (  # noqa: F401
+    boundary_env,
+    left_env,
+    mpo_inner,
+    rayleigh_quotient,
+    right_env,
+    update_left_env,
+    update_right_env,
+)
 from .sums import (
     OneSiteSumFamily,
     TwoSiteChain,
@@ -43,7 +63,16 @@ from .sums import (
     pad_ranks,
     tt_chain_operator_inner,
 )
-from .tt import inner, orthogonal_family, orthogonalize, round_tt, tt_add, tt_scale
+from .tt import (  # noqa: F401
+    inner,
+    orthogonal_family,
+    orthogonalize,
+    round_tt,
+    tt_add,
+    tt_scale,
+    update_left_overlap,
+    update_right_overlap,
+)
 
 
 @dataclass
@@ -89,7 +118,7 @@ class CoarseProblem:
     """Assembled second-level problem over the member span."""
 
     s_hat: np.ndarray
-    a_hat: np.ndarray | None
+    a_hat: np.ndarray
     sigma: np.ndarray
     basis: np.ndarray
     eps: float
@@ -183,25 +212,103 @@ def _run_tasks(tasks, workers):
         return [f.result() for f in futures]
 
 
-def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=None,
-                 seed=0, workers=1, ledger=None):
-    """Step 2: independent local eigensolves over a read-only family.
+@dataclass
+class SharedEnvs:
+    """Transfers of an orthogonal family's shared cores against themselves.
 
-    Returns ``(updates, results, task ledgers are merged into ledger)``
-    where one-site updates are center cores and two-site updates are
-    merged pair blocks already truncated to ``max_rank``.
+    Entry ``j`` of ``left`` covers sites ``< j`` over ``family.left``
+    (``j < d``); entry ``j`` of ``right`` covers sites ``>= j`` over
+    ``family.right`` (``j >= 1``; entry 0 is None).  Every entry is a
+    pair ``(overlap, operator)``: the plain transfer of shape
+    ``(rank, rank)`` and the operator environment of shape ``(rank,
+    operator bond, rank)``.
+    """
+
+    left: list
+    right: list
+
+
+def _boundary():
+    return np.ones((1, 1)), boundary_env()
+
+
+def _extend_left(env, bra, op_core, ket, ledger, op_class):
+    s, a = env
+    return (
+        update_left_overlap(s, bra, ket, ledger, op_class),
+        update_left_env(a, bra, op_core, ket, ledger, op_class),
+    )
+
+
+def _extend_right(env, bra, op_core, ket, ledger, op_class):
+    s, a = env
+    return (
+        update_right_overlap(s, bra, ket, ledger, op_class),
+        update_right_env(a, bra, op_core, ket, ledger, op_class),
+    )
+
+
+def _close(left, right, ledger):
+    # <bra|ket> and <bra|A|ket> from a left and a right transfer at one cut
+    out = tuple(float(np.vdot(x, y)) for x, y in zip(left, right))
+    charge(ledger, "coarse", 2.0 * sum(x.size for x in left))
+    return out
+
+
+def shared_envs(family, op, workers=1, ledger=None):
+    """Build the family's L-L and R-R transfers, one task per direction.
+
+    The task ledgers are merged under the worker tags ``env:left`` and
+    ``env:right``.  The operator environments are extended site by site
+    exactly as :func:`~ttdmrg.mpo.left_env` / :func:`~ttdmrg.mpo.right_env`
+    build them for one configuration, so they are bitwise equal to the
+    from-scratch ones.
     """
     d = family.d
+
+    def left_task():
+        led = CostLedger()
+        envs = [_boundary()]
+        for s in range(d - 1):
+            core = family.left[s]
+            envs.append(_extend_left(envs[-1], core, op.cores[s], core, led, "env_build"))
+        return envs, led
+
+    def right_task():
+        led = CostLedger()
+        envs = [None] * d + [_boundary()]
+        for s in range(d - 1, 0, -1):
+            core = family.right[s]
+            envs[s] = _extend_right(envs[s + 1], core, op.cores[s], core, led, "env_build")
+        return envs, led
+
+    (left, led_l), (right, led_r) = _run_tasks([left_task, right_task], workers)
+    if ledger is not None:
+        ledger.merge(led_l, worker="env:left")
+        ledger.merge(led_r, worker="env:right")
+    return SharedEnvs(left, right)
+
+
+def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=None,
+                 seed=0, workers=1, ledger=None, envs=None):
+    """Step 2: independent local eigensolves over a read-only family.
+
+    Returns ``(updates, results)`` where one-site updates are center
+    cores and two-site updates are merged pair blocks already truncated
+    to ``max_rank``.  Task ``i`` reads its operator environments from the
+    family's shared environments ``envs`` (built by :func:`shared_envs`
+    when not given) and its ledger is merged under ``solve:i``.
+    """
+    d = family.d
+    if envs is None:
+        envs = shared_envs(family, op, workers, ledger)
 
     def solve_site(i):
         def task():
             led = CostLedger()
-            cfg = family.config(i)
-            env_l = left_env(cfg, op, cfg, i, led)
-            env_r = right_env(cfg, op, cfg, i + 1, led)
             core, res = _solve_1site(
-                env_l, op.cores[i], env_r, family.centers[i], eig_tol,
-                eig_max_iter, seed, led,
+                envs.left[i][1], op.cores[i], envs.right[i + 1][1], family.centers[i],
+                eig_tol, eig_max_iter, seed, led,
             )
             return core, res, led
         return task
@@ -209,9 +316,6 @@ def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=Non
     def solve_pair(i):
         def task():
             led = CostLedger()
-            cfg = family.config(i)
-            env_l = left_env(cfg, op, cfg, i, led)
-            env_r = right_env(cfg, op, cfg, i + 2, led)
             v0 = np.tensordot(family.centers[i], family.right[i + 1], axes=([2], [0]))
             led.charge(
                 "matvec",
@@ -219,8 +323,8 @@ def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=Non
                                 family.right[i + 1].shape[0]),
             )
             block, res = _solve_2site(
-                env_l, op.cores[i], op.cores[i + 1], env_r, v0, eig_tol,
-                eig_max_iter, seed, led,
+                envs.left[i][1], op.cores[i], op.cores[i + 1], envs.right[i + 2][1], v0,
+                eig_tol, eig_max_iter, seed, led,
             )
             left, right, _ = split_and_shift(block, "LR", max_rank, 0.0, led)
             merged = np.tensordot(left, right, axes=([2], [0]))
@@ -242,33 +346,113 @@ def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=Non
     return updates, results
 
 
-def assemble_coarse(members, op, eps=1e-10, workers=1, ledger=None, with_a=True):
-    """Step 3 assembly: overlap and reduced operator matrices over the
-    member trains, one task per (i, j) entry with i <= j."""
-    m = len(members)
-    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+def _window(member, family):
+    """Sites ``[a, b]`` outside which ``member`` holds the family's shared
+    cores (``family.left`` before ``a``, ``family.right`` after ``b``),
+    found by core identity; the whole train when there is no family or
+    the member is not built from it."""
+    d = member.d
+    if family is None or family.d != d:
+        return 0, d - 1
+    a = 0
+    while a < d and member.cores[a] is family.left[a]:
+        a += 1
+    b = d - 1
+    while b > 0 and member.cores[b] is family.right[b]:
+        b -= 1
+    return min(a, b), b
 
-    def entry(i, j):
+
+def assemble_coarse(members, op, eps=1e-10, workers=1, ledger=None, family=None, envs=None):
+    """Step 3 assembly: overlap and reduced operator matrices over the
+    member trains.
+
+    Each member is read as its window ``[a, b]`` (see :func:`_window`)
+    plus the shared cores of ``family``.  Row ``k`` is one task, tagged
+    ``gram{k}``: it starts from the shared left environment at ``a_k``,
+    advances one site at a time with member ``k`` as bra and
+    ``family.left`` as ket, and fills its diagonal and every column ``l``
+    after ``k`` in window-start order (ties by index).  A column whose
+    window starts past ``b_k`` is closed against its own right
+    environment (``family.right`` as bra, member ``l`` as ket), built
+    once from the shared right environment and charged to ``gram{l}``;
+    an overlapping column is
+    contracted across both windows and closed against the shared right
+    environment.  That is O(d^2) environment updates for members with
+    short windows.  Without ``family`` every window is the whole train
+    and each entry is a full contraction, which is exact for arbitrary
+    trains.  ``envs`` are the family's :func:`shared_envs`, built here
+    when not given.
+    """
+    m = len(members)
+    d = members[0].d
+    if family is not None and envs is None:
+        envs = shared_envs(family, op, workers, ledger)
+    if envs is None:
+        # whole-train windows only read the two boundary transfers
+        envs = SharedEnvs([_boundary()], [None] * d + [_boundary()])
+    win = [_window(x, family) for x in members]
+    order = sorted(range(m), key=lambda l: (win[l][0], l))
+    cols = {k: order[pos:] for pos, k in enumerate(order)}
+    closed = sorted({l for k in range(m) for l in cols[k] if win[l][0] > win[k][1]})
+
+    def column_env(l):
         def task():
             led = CostLedger()
-            s = inner(members[i], members[j], led, op_class="coarse")
-            a = mpo_inner(members[i], op, members[j], led, op_class="coarse") if with_a else 0.0
-            return s, a, led
+            a, b = win[l]
+            env = envs.right[b + 1]
+            for s in range(b, a - 1, -1):
+                env = _extend_right(
+                    env, family.right[s], op.cores[s], members[l].cores[s], led, "coarse"
+                )
+            return env, led
         return task
 
-    out = _run_tasks([entry(i, j) for i, j in pairs], workers)
+    def row(k):
+        def task():
+            led = CostLedger()
+            bra = members[k].cores
+            a, b = win[k]
+            env, site = envs.left[a], a
+            vals = []
+            for l in cols[k]:
+                al, bl = win[l]
+                while site < al:
+                    env = _extend_left(
+                        env, bra[site], op.cores[site], family.left[site], led, "coarse"
+                    )
+                    site += 1
+                if al > b:
+                    vals.append(_close(env, column_envs[l], led))
+                    continue
+                ket = members[l].cores
+                end = max(b, bl)
+                e = env
+                for s in range(al, end + 1):
+                    e = _extend_left(e, bra[s], op.cores[s], ket[s], led, "coarse")
+                vals.append(_close(e, envs.right[end + 1], led))
+            return vals, led
+        return task
+
+    column_envs = {}
+    for l, (env, led) in zip(closed, _run_tasks([column_env(l) for l in closed], workers)):
+        column_envs[l] = env
+        if ledger is not None:
+            ledger.merge(led, worker=f"gram{l}")
+
     s_hat = np.zeros((m, m))
     a_hat = np.zeros((m, m))
-    for (i, j), (s, a, led) in zip(pairs, out):
-        s_hat[i, j] = s_hat[j, i] = s
-        a_hat[i, j] = a_hat[j, i] = a
+    for k, (vals, led) in enumerate(_run_tasks([row(k) for k in range(m)], workers)):
+        for l, (s, a) in zip(cols[k], vals):
+            s_hat[k, l] = s_hat[l, k] = s
+            a_hat[k, l] = a_hat[l, k] = a
         if ledger is not None:
-            ledger.merge(led, worker=f"gram{i}.{j}")
+            ledger.merge(led, worker=f"gram{k}")
 
     sigma, basis = dense_sym_svd(s_hat, ledger=ledger)
     smax = sigma[0] if len(sigma) else 0.0
     p = int(np.sum(sigma > eps * smax)) if smax > 0 else 0
-    return CoarseProblem(s_hat, a_hat if with_a else None, sigma, basis, eps, p)
+    return CoarseProblem(s_hat, a_hat, sigma, basis, eps, p)
 
 
 def solve_coarse(cp, ledger=None):
@@ -353,7 +537,8 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
     Returns
     -------
     state, trace : TensorTrain, TwoLevelTrace
-        The final left-orthogonal iterate and per-iteration records.
+        The final left-orthogonal, unit-norm iterate and per-iteration
+        records.
     """
     if config is None:
         config = TwoLevelConfig()
@@ -367,6 +552,7 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
 
     one_site = config.mode == "one-site"
     state = orthogonalize(init, d - 1, ledger)
+    state = tt_scale(state, 1.0 / state.norm())
     trace = TwoLevelTrace()
     energy = rayleigh_quotient(state, op, ledger)
     prev_coeffs = None
@@ -378,10 +564,11 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
 
     for it in range(1, config.max_iters + 1):
         family = orthogonal_family(state, ledger)
+        envs = shared_envs(family, op, config.workers, ledger)
         updates, results = local_solves(
             family, op, config.mode, eig_tol=config.eig_tol,
             eig_max_iter=config.eig_max_iter, max_rank=config.max_rank,
-            seed=config.seed, workers=config.workers, ledger=ledger,
+            seed=config.seed, workers=config.workers, ledger=ledger, envs=envs,
         )
 
         if one_site:
@@ -395,7 +582,8 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
             members += [chain.member_train(i, ledger) for i in range(d - 1)]
 
         cp = assemble_coarse(
-            members, op, eps=config.coarse_eps, workers=config.workers, ledger=ledger
+            members, op, eps=config.coarse_eps, workers=config.workers, ledger=ledger,
+            family=family, envs=envs,
         )
         if config.structured_coarse:
             if one_site:
@@ -434,8 +622,10 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
                 family, updates, sol.coeffs, config.max_rank, config.fit_tol,
                 config.max_fit_iters, config.seed + it, ledger,
             )
-        if state.norm() == 0.0:
+        norm = state.norm()
+        if norm == 0.0:
             raise ValueError("compressed iterate vanished; coarse span degenerate")
+        state = tt_scale(state, 1.0 / norm)
 
         prev_energy = energy
         energy = rayleigh_quotient(state, op, ledger)

@@ -102,7 +102,9 @@ def test_local_solves_ledger_has_one_tag_per_task():
     family = orthogonal_family(make_state((2,) * d, 2, seed=8))
     led = CostLedger()
     local_solves(family, op, "one-site", eig_tol=1e-10, seed=0, workers=3, ledger=led)
-    assert sorted(led.per_worker_flops) == [f"solve:{i}" for i in range(d)]
+    assert sorted(led.per_worker_flops) == sorted(
+        [f"solve:{i}" for i in range(d)] + ["env:left", "env:right"]
+    )
     assert all(v > 0 for v in led.per_worker_flops.values())
     assert led.max_worker_flops() < led.total_flops()
 
@@ -125,8 +127,98 @@ def test_gram_and_reduced_operator_match_dense():
             a_ref = vecs[i] @ h @ vecs[j]
             assert abs(cp.s_hat[i, j] - s_ref) <= 1e-10 * max(1.0, abs(s_ref))
             assert abs(cp.a_hat[i, j] - a_ref) <= 1e-10 * max(1.0, abs(a_ref))
-    tags = [t for t in led.per_worker_flops if t.startswith("gram")]
-    assert len(tags) == m * (m + 1) // 2
+    assert set(led.per_worker_flops) == {f"gram{k}" for k in range(m)}
+
+
+def random_members(family, mode, seed):
+    # Span members with random replacement cores or blocks: generic entries,
+    # the same windows and shared cores as the solver's members.
+    rng = np.random.default_rng(seed)
+    if mode == "one-site":
+        updates = [rng.standard_normal(c.shape) for c in family.centers]
+        return one_site_members(family, updates)
+    updates = [
+        rng.standard_normal(family.centers[i].shape[:2] + family.right[i + 1].shape[1:])
+        for i in range(family.d - 1)
+    ]
+    return two_site_members(family, updates)
+
+
+def assert_matches_pairwise(cp, members, op):
+    s_ref, a_ref = oracles.pairwise_coarse(members, op)
+    assert np.max(np.abs(cp.s_hat - s_ref)) <= 1e-12 * np.max(np.abs(s_ref))
+    assert np.max(np.abs(cp.a_hat - a_ref)) <= 1e-12 * np.max(np.abs(a_ref))
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, 9])
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+@pytest.mark.parametrize("model", ["random", "heisenberg"])
+def test_row_sweep_assembly_matches_pairwise_oracle(d, mode, model):
+    op = random_symmetric_mpo(d, seed=d) if model == "random" else heisenberg_chain(d)
+    family = orthogonal_family(make_state(op.dims, 3, seed=d + 1))
+    members = random_members(family, mode, seed=d + 2)
+    assert_matches_pairwise(assemble_coarse(members, op, family=family), members, op)
+
+    # Rescaling acts on each member's center core, inside its window.
+    scales = np.linspace(0.3, 7.0, len(members))
+    scaled = [tt_scale(x, a) for x, a in zip(members, scales)]
+    assert_matches_pairwise(assemble_coarse(scaled, op, family=family), scaled, op)
+
+    # Members not built from the family: copied cores and an ungauged
+    # rescaling (core 0) widen their windows up to the whole train.
+    foreign = [TensorTrain([c.copy() for c in members[-1].cores])]
+    foreign.append(tt_scale(TensorTrain(members[1].cores), 2.5))
+    foreign.append(family.config(d - 1))
+    mixed = members + foreign
+    assert_matches_pairwise(assemble_coarse(mixed, op, family=family), mixed, op)
+
+
+def test_row_sweep_assembly_is_worker_invariant():
+    d = 7
+    op = heisenberg_chain(d)
+    family = orthogonal_family(make_state(op.dims, 3, seed=30))
+    for mode in ("one-site", "two-site"):
+        members = random_members(family, mode, seed=31)
+        runs = []
+        for workers in (1, 3):
+            led = CostLedger()
+            cp = assemble_coarse(members, op, workers=workers, ledger=led, family=family)
+            runs.append((cp, led.report()))
+        (cp1, r1), (cp3, r3) = runs
+        assert np.array_equal(cp1.s_hat, cp3.s_hat)
+        assert np.array_equal(cp1.a_hat, cp3.a_hat)
+        assert r1 == r3
+        assert set(r1["per_worker_flops"]) == (
+            {f"gram{k}" for k in range(len(members))} | {"env:left", "env:right"}
+        )
+
+
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_coarse_assembly_flops_grow_quadratically(mode):
+    def coarse_flops(d):
+        op = ising_chain(d)
+        family = orthogonal_family(make_state(op.dims, 4, seed=32))
+        members = random_members(family, mode, seed=33)
+        led = CostLedger()
+        assemble_coarse(members, op, ledger=led, family=family)
+        return led.per_class_flops["coarse"]
+
+    # Pairwise assembly is cubic in d (a ratio near 8 here); row sweeps
+    # are quadratic (near 4).
+    assert coarse_flops(16) / coarse_flops(8) < 6
+
+
+def test_local_solve_environments_grow_linearly():
+    def env_flops(d):
+        op = ising_chain(d)
+        family = orthogonal_family(make_state(op.dims, 4, seed=34))
+        led = CostLedger()
+        local_solves(family, op, "one-site", eig_max_iter=2, ledger=led)
+        return led.per_class_flops["env_build"]
+
+    # Bulk sites all have the same shapes, so equal steps in d add equal work.
+    f8, f16, f24 = env_flops(8), env_flops(16), env_flops(24)
+    assert f24 - f16 == f16 - f8 > 0
 
 
 def test_overlap_matrix_symmetric_and_psd():
@@ -304,6 +396,21 @@ def test_run_two_level_reaches_dense_ground_state(mode):
     assert trace.records[-1].energy_error <= 1e-9 * abs(e_ref)
     assert led.total_flops() > 0
     assert led.cost_per_processor() < led.total_flops()
+
+
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_raw_random_start_converges_beyond_dense_sizes(mode):
+    # random_tt norms grow geometrically with d; an iterate left at that
+    # scale made the coarse cut keep only the previous iterate, so the
+    # energy froze and the run reported convergence after one iteration.
+    d = 24
+    op = ising_chain(d)
+    e_ref = oracles.ising_free_fermion_energy(d, 1.0, 1.0)
+    cfg = TwoLevelConfig(mode=mode, max_rank=8, energy_tol=1e-6)
+    state, trace = run_two_level(random_tt(op.dims, 2, 0), op, cfg)
+    assert trace.converged
+    assert abs(trace.records[-1].energy - e_ref) <= 1e-5 * abs(e_ref)
+    assert abs(state.norm() - 1.0) <= 1e-12
 
 
 def test_run_two_level_heisenberg():
