@@ -236,34 +236,35 @@ def _energy_cost_series(trace):
     return [(r.energy, r.cost_per_processor) for r in trace.records]
 
 
+def run_solver(cfg, op, ledger, reference=None):
+    """Run ``cfg.algorithm`` on ``op`` from the seeded random start;
+    returns ``(state, trace)``."""
+    init = random_tt(op.dims, cfg.init_rank, seed=cfg.seed)
+    mode = "one-site" if cfg.algorithm.endswith("1") else "two-site"
+    if cfg.algorithm.startswith("dmrg"):
+        sweep = SweepConfig(
+            mode=mode, max_rank=cfg.max_rank, svd_tol=cfg.svd_tol, eig_tol=cfg.eig_tol,
+            energy_tol=cfg.energy_tol, max_half_sweeps=cfg.max_iters, seed=cfg.seed,
+        )
+        return run_dmrg(init, op, sweep, ledger)
+    two = TwoLevelConfig(
+        mode=mode, max_rank=cfg.max_rank, eig_tol=cfg.eig_tol, energy_tol=cfg.energy_tol,
+        max_iters=cfg.max_iters, coarse_eps=cfg.coarse_eps,
+        structured_coarse=cfg.structured_coarse, round_tol=cfg.svd_tol,
+        fallback_compression=cfg.fallback_compression, workers=cfg.workers, seed=cfg.seed,
+    )
+    return run_two_level(init, op, two, ledger, reference_energy=reference)
+
+
 def run_experiment(cfg):
     """Execute one configuration; returns the summary dict."""
     op = build_operator(cfg)
     ref = reference_energy(cfg, op)
-    init = random_tt(op.dims, cfg.init_rank, seed=cfg.seed)
     ledger = CostLedger()
-
-    if cfg.algorithm in ("dmrg1", "dmrg2"):
-        sweep = SweepConfig(
-            mode="one-site" if cfg.algorithm == "dmrg1" else "two-site",
-            max_rank=cfg.max_rank, svd_tol=cfg.svd_tol, eig_tol=cfg.eig_tol,
-            energy_tol=cfg.energy_tol, max_half_sweeps=cfg.max_iters, seed=cfg.seed,
-        )
-        state, trace = run_dmrg(init, op, sweep, ledger)
-        iterations = len(trace.half_sweep_energies)
-        final_energy = trace.half_sweep_energies[-1]
-    else:
-        two = TwoLevelConfig(
-            mode="one-site" if cfg.algorithm == "a2dmrg1" else "two-site",
-            max_rank=cfg.max_rank, eig_tol=cfg.eig_tol, energy_tol=cfg.energy_tol,
-            max_iters=cfg.max_iters, coarse_eps=cfg.coarse_eps,
-            structured_coarse=cfg.structured_coarse, round_tol=cfg.svd_tol,
-            fallback_compression=cfg.fallback_compression, workers=cfg.workers,
-            seed=cfg.seed,
-        )
-        state, trace = run_two_level(init, op, two, ledger, reference_energy=ref)
-        iterations = len(trace.records)
-        final_energy = trace.records[-1].energy
+    state, trace = run_solver(cfg, op, ledger, ref)
+    series = _energy_cost_series(trace)
+    iterations = len(series)
+    final_energy = series[-1][0]
 
     summary = {
         "algorithm": cfg.algorithm,
@@ -335,25 +336,7 @@ def compare_experiments(cfg_a, cfg_b):
 
     series = []
     for cfg in (cfg_a, cfg_b):
-        ledger = CostLedger()
-        init = random_tt(op.dims, cfg.init_rank, seed=cfg.seed)
-        if cfg.algorithm in ("dmrg1", "dmrg2"):
-            sweep = SweepConfig(
-                mode="one-site" if cfg.algorithm == "dmrg1" else "two-site",
-                max_rank=cfg.max_rank, svd_tol=cfg.svd_tol, eig_tol=cfg.eig_tol,
-                energy_tol=cfg.energy_tol, max_half_sweeps=cfg.max_iters, seed=cfg.seed,
-            )
-            _, trace = run_dmrg(init, op, sweep, ledger)
-        else:
-            two = TwoLevelConfig(
-                mode="one-site" if cfg.algorithm == "a2dmrg1" else "two-site",
-                max_rank=cfg.max_rank, eig_tol=cfg.eig_tol, energy_tol=cfg.energy_tol,
-                max_iters=cfg.max_iters, coarse_eps=cfg.coarse_eps,
-                structured_coarse=cfg.structured_coarse, round_tol=cfg.svd_tol,
-                fallback_compression=cfg.fallback_compression, workers=cfg.workers,
-                seed=cfg.seed,
-            )
-            _, trace = run_two_level(init, op, two, ledger)
+        _, trace = run_solver(cfg, op, CostLedger())
         series.append(_energy_cost_series(trace))
 
     if ref is not None:

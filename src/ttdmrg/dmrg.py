@@ -22,7 +22,7 @@ from io import StringIO
 import numpy as np
 
 from .eigen import lanczos_lowest
-from .ledger import svd_flops
+from .ledger import contract, svd_flops
 from .mpo import (
     all_right_envs,
     boundary_env,
@@ -126,16 +126,9 @@ class SweepTrace:
         return buf.getvalue()
 
 
-def _solve_1site(env_l, op_core, env_r, v0, tol, max_iter, seed, ledger):
-    matvec, dim, shape = local_matvec_1site(env_l, op_core, env_r, ledger)
-    res = lanczos_lowest(
-        matvec, dim, v0=v0.ravel(), tol=tol, max_iter=max_iter, seed=seed, ledger=ledger
-    )
-    return res.eigenvector.reshape(shape), res
-
-
-def _solve_2site(env_l, op_core_a, op_core_b, env_r, v0, tol, max_iter, seed, ledger):
-    matvec, dim, shape = local_matvec_2site(env_l, op_core_a, op_core_b, env_r, ledger)
+def _solve(local, v0, tol, max_iter, seed, ledger):
+    # local: the (matvec, dim, shape) of mpo.local_matvec_1site / _2site
+    matvec, dim, shape = local
     res = lanczos_lowest(
         matvec, dim, v0=v0.ravel(), tol=tol, max_iter=max_iter, seed=seed, ledger=ledger
     )
@@ -154,7 +147,8 @@ def micro_step_1site(state, op, tol=1e-8, max_iter=None, seed=0, ledger=None):
         raise ValueError("state must be site-orthogonal around the active site")
     env_l = left_env(state, op, state, i, ledger)
     env_r = right_env(state, op, state, i + 1, ledger)
-    return _solve_1site(env_l, op.cores[i], env_r, state.cores[i], tol, max_iter, seed, ledger)
+    local = local_matvec_1site(env_l, op.cores[i], env_r, ledger)
+    return _solve(local, state.cores[i], tol, max_iter, seed, ledger)
 
 
 def micro_step_2site(state, op, tol=1e-8, max_iter=None, seed=0, ledger=None):
@@ -170,10 +164,9 @@ def micro_step_2site(state, op, tol=1e-8, max_iter=None, seed=0, ledger=None):
         raise ValueError("two-site step needs a right neighbor")
     env_l = left_env(state, op, state, i, ledger)
     env_r = right_env(state, op, state, i + 2, ledger)
-    v0 = np.tensordot(state.cores[i], state.cores[i + 1], axes=([2], [0]))
-    return _solve_2site(
-        env_l, op.cores[i], op.cores[i + 1], env_r, v0, tol, max_iter, seed, ledger
-    )
+    local = local_matvec_2site(env_l, op.cores[i], op.cores[i + 1], env_r, ledger)
+    v0 = contract(None, "matvec", state.cores[i], state.cores[i + 1], ((2,), (0,)))
+    return _solve(local, v0, tol, max_iter, seed, ledger)
 
 
 def split_and_shift(block, direction, max_rank=None, svd_tol=0.0, ledger=None):
@@ -218,7 +211,7 @@ def _shift_center_right(cores, i, ledger):
     r0, n, r1 = cores[i].shape
     q, rmat = qr_fixed(cores[i].reshape(r0 * n, r1))
     cores[i] = q.reshape(r0, n, q.shape[1])
-    cores[i + 1] = np.tensordot(rmat, cores[i + 1], axes=([1], [0]))
+    cores[i + 1] = contract(None, "matmul", rmat, cores[i + 1], ((1,), (0,)))
     if ledger is not None:
         ledger.charge("qr", 4.0 * (r0 * n) * r1 * r1)
 
@@ -228,7 +221,7 @@ def _shift_center_left(cores, i, ledger):
     r0, n, r1 = cores[i].shape
     q, rmat = qr_fixed(cores[i].reshape(r0, n * r1).T)
     cores[i] = q.T.reshape(q.shape[1], n, r1)
-    cores[i - 1] = np.tensordot(cores[i - 1], rmat.T, axes=([2], [0]))
+    cores[i - 1] = contract(None, "matmul", cores[i - 1], rmat.T, ((2,), (0,)))
     if ledger is not None:
         ledger.charge("qr", 4.0 * (n * r1) * r0 * r0)
 
@@ -290,17 +283,18 @@ def run_dmrg(init, op, config=None, ledger=None):
 
         for i in sites:
             if one_site:
-                core, res = _solve_1site(
-                    left_envs[i],
-                    op.cores[i],
-                    right_envs[i + 1],
-                    cores[i],
-                    config.eig_tol,
-                    config.eig_max_iter,
-                    config.seed,
-                    ledger,
+                local = local_matvec_1site(left_envs[i], op.cores[i], right_envs[i + 1], ledger)
+                v0 = cores[i]
+            else:
+                local = local_matvec_2site(
+                    left_envs[i], op.cores[i], op.cores[i + 1], right_envs[i + 2], ledger
                 )
-                cores[i] = core
+                v0 = contract(None, "matvec", cores[i], cores[i + 1], ((2,), (0,)))
+            update, res = _solve(
+                local, v0, config.eig_tol, config.eig_max_iter, config.seed, ledger
+            )
+            if one_site:
+                cores[i] = update
                 discarded = 0.0
                 if going_right:
                     _shift_center_right(cores, i, ledger)
@@ -313,21 +307,9 @@ def run_dmrg(init, op, config=None, ledger=None):
                         right_envs[i + 1], cores[i], op.cores[i], cores[i], ledger
                     )
             else:
-                v0 = np.tensordot(cores[i], cores[i + 1], axes=([2], [0]))
-                block, res = _solve_2site(
-                    left_envs[i],
-                    op.cores[i],
-                    op.cores[i + 1],
-                    right_envs[i + 2],
-                    v0,
-                    config.eig_tol,
-                    config.eig_max_iter,
-                    config.seed,
-                    ledger,
-                )
                 direction = "LR" if going_right else "RL"
                 left, right, discarded = split_and_shift(
-                    block, direction, config.max_rank, config.svd_tol, ledger
+                    update, direction, config.max_rank, config.svd_tol, ledger
                 )
                 cores[i] = left
                 cores[i + 1] = right

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import get_lapack_funcs
 
 from .ledger import charge, eigh_flops
 
@@ -20,10 +20,22 @@ class LanczosResult:
     residual_norm: float
 
 
+# The driver pair scipy.linalg.eigh_tridiagonal runs for select="i",
+# resolved once: ?stebz (bisection) for the eigenvalue, ?stein (inverse
+# iteration) for its vector.
+_STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
+
+
 def _tridiag_lowest(alphas, betas):
+    """Lowest eigenpair of the symmetric tridiagonal matrix with diagonal
+    ``alphas`` and off-diagonal ``betas`` (float arrays)."""
     if len(alphas) == 1:
-        return alphas[0], np.ones(1)
-    w, v = scipy.linalg.eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
+        return float(alphas[0]), np.ones(1)
+    m, w, iblock, isplit, info = _STEBZ(alphas, betas, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info == 0:
+        v, info = _STEIN(alphas, betas, w[:m], iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal eigensolve failed (info={info})")
     return w[0], v[:, 0]
 
 
@@ -43,6 +55,10 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
     one extra application used to recompute the returned ``residual_norm``
     is not counted.  Since the first Ritz value equals the Rayleigh quotient
     of ``v0``, the returned eigenvalue never exceeds it.
+
+    The Krylov basis lives in the rows of one array, allocated once per call
+    with ``min(max_iter + 1, 32)`` rows and doubled when full, and is shared
+    by the restarts.
     """
     if dim < 1:
         raise ValueError("operator dimension must be positive")
@@ -74,42 +90,52 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
             return best
         return theta, vec
 
+    rows = min(max_iter + 1, 32)
+    basis = np.empty((rows, dim))
+    alphas = np.empty(rows)
+    betas = np.empty(rows)
     for attempt in range(4):
         v = start if (attempt == 0 and start is not None) else rng.standard_normal(dim)
-        v = v / np.linalg.norm(v)
-        basis = [v]
-        alphas, betas = [], []
+        basis[0] = v / np.linalg.norm(v)
+        k = 1  # basis rows in use; alphas[:k - 1] and betas[:k - 1] are set
         broke = False
         while total < max_iter:
-            w = matvec(basis[-1])
+            q = basis[k - 1]
+            w = matvec(q)
             total += 1
-            a = float(w @ basis[-1])
-            alphas.append(a)
-            w = w - a * basis[-1]
-            if betas:
-                w = w - betas[-1] * basis[-2]
-            vmat = np.asarray(basis).T
-            w = w - vmat @ (vmat.T @ w)
-            charge(ledger, "matvec", 4.0 * vmat.size + 6.0 * dim)
+            a = float(w @ q)
+            alphas[k - 1] = a
+            w = w - a * q
+            if k > 1:
+                w = w - betas[k - 2] * basis[k - 2]
+            vk = basis[:k]
+            w = w - vk.T @ (vk @ w)
+            charge(ledger, "matvec", 4.0 * vk.size + 6.0 * dim)
             b = float(np.linalg.norm(w))
-            theta, s = _tridiag_lowest(alphas, betas)
+            theta, s = _tridiag_lowest(alphas[:k], betas[: k - 1])
             if b * abs(s[-1]) <= tol * max(1.0, abs(theta)):
-                theta, vec = pick(theta, vmat @ s)
+                theta, vec = pick(theta, vk.T @ s)
                 return finish(theta, vec, total)
             if b <= 1e-13:
                 # exact invariant subspace that misses the tolerance: keep
                 # the candidate and restart from a random direction
                 if best is None or theta < best[0]:
-                    best = (theta, vmat @ s)
+                    best = (theta, vk.T @ s)
                 broke = True
                 break
-            betas.append(b)
-            basis.append(w / b)
+            betas[k - 1] = b
+            if k == len(basis):
+                rows = min(2 * k, max_iter + 1)
+                basis = np.resize(basis, (rows, dim))  # keeps the k rows in front
+                alphas, betas = np.resize(alphas, rows), np.resize(betas, rows)
+            np.divide(w, b, out=basis[k])
+            k += 1
         if not broke:
             # iteration budget exhausted
-            if alphas:
-                theta, s = _tridiag_lowest(alphas, betas[: len(alphas) - 1])
-                theta, vec = pick(theta, np.asarray(basis).T[:, : len(alphas)] @ s)
+            n = k - 1
+            if n:
+                theta, s = _tridiag_lowest(alphas[:n], betas[: n - 1])
+                theta, vec = pick(theta, basis[:n].T @ s)
             else:
                 theta, vec = best
             return finish(theta, vec, total)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ledger import charge, tensordot_flops
+from .ledger import charge, contract, tensordot_flops
 from .tt import TensorTrain, _check_dense_size
 
 
@@ -114,40 +114,16 @@ def boundary_env():
 
 def update_left_env(env, bra_core, op_core, ket_core, ledger=None, op_class="env_update"):
     """Extend a left environment by one site."""
-    t = np.tensordot(env, bra_core, axes=([0], [0]))
-    charge(ledger, op_class, tensordot_flops(env.shape, bra_core.shape, bra_core.shape[0]))
-    u = np.tensordot(t, op_core, axes=([0, 2], [0, 1]))
-    charge(
-        ledger,
-        op_class,
-        tensordot_flops(t.shape, op_core.shape, op_core.shape[0] * op_core.shape[1]),
-    )
-    e = np.tensordot(u, ket_core, axes=([0, 2], [0, 1]))
-    charge(
-        ledger,
-        op_class,
-        tensordot_flops(u.shape, ket_core.shape, ket_core.shape[0] * ket_core.shape[1]),
-    )
-    return e
+    t = contract(ledger, op_class, env, bra_core, ((0,), (0,)))
+    u = contract(ledger, op_class, t, op_core, ((0, 2), (0, 1)))
+    return contract(ledger, op_class, u, ket_core, ((0, 2), (0, 1)))
 
 
 def update_right_env(env, bra_core, op_core, ket_core, ledger=None, op_class="env_update"):
     """Extend a right environment by one site."""
-    t = np.tensordot(bra_core, env, axes=([2], [0]))
-    charge(ledger, op_class, tensordot_flops(bra_core.shape, env.shape, env.shape[0]))
-    u = np.tensordot(t, op_core, axes=([1, 2], [1, 3]))
-    charge(
-        ledger,
-        op_class,
-        tensordot_flops(t.shape, op_core.shape, op_core.shape[1] * op_core.shape[3]),
-    )
-    e = np.tensordot(u, ket_core, axes=([3, 1], [1, 2]))
-    charge(
-        ledger,
-        op_class,
-        tensordot_flops(u.shape, ket_core.shape, ket_core.shape[1] * ket_core.shape[2]),
-    )
-    return e
+    t = contract(ledger, op_class, bra_core, env, ((2,), (0,)))
+    u = contract(ledger, op_class, t, op_core, ((1, 2), (1, 3)))
+    return contract(ledger, op_class, u, ket_core, ((3, 1), (1, 2)))
 
 
 def left_env(bra, op, ket, j, ledger=None, op_class="env_build"):
@@ -204,47 +180,25 @@ def rayleigh_quotient(x, op, ledger=None, op_class="inner"):
 
 def apply_local_1site(env_left, op_core, env_right, v, ledger=None, op_class="matvec"):
     """Apply the projected operator at one site to a core-shaped array."""
-    t = np.tensordot(env_left, v, axes=([2], [0]))
-    charge(ledger, op_class, tensordot_flops(env_left.shape, v.shape, v.shape[0]))
-    u = np.tensordot(t, op_core, axes=([1, 2], [0, 2]))
-    charge(
-        ledger,
-        op_class,
-        tensordot_flops(t.shape, op_core.shape, op_core.shape[0] * op_core.shape[2]),
-    )
-    w = np.tensordot(u, env_right, axes=([1, 3], [2, 1]))
-    charge(
-        ledger,
-        op_class,
-        tensordot_flops(u.shape, env_right.shape, env_right.shape[1] * env_right.shape[2]),
-    )
-    return w
+    t = contract(ledger, op_class, env_left, v, ((2,), (0,)))
+    t = contract(ledger, op_class, t, op_core, ((1, 2), (0, 2)))
+    return contract(ledger, op_class, t, env_right, ((1, 3), (2, 1)))
 
 
 def apply_local_2site(env_left, op_core1, op_core2, env_right, v, ledger=None, op_class="matvec"):
     """Apply the projected operator on a pair of adjacent sites to a block
     of shape ``(rank, n1, n2, rank')``."""
-    t = np.tensordot(env_left, v, axes=([2], [0]))
-    charge(ledger, op_class, tensordot_flops(env_left.shape, v.shape, v.shape[0]))
-    t = np.tensordot(t, op_core1, axes=([1, 2], [0, 2]))
-    charge(
-        ledger,
-        op_class,
-        tensordot_flops(t.shape, op_core1.shape, op_core1.shape[0] * op_core1.shape[2]),
-    )
-    t = np.tensordot(t, op_core2, axes=([4, 1], [0, 2]))
-    charge(
-        ledger,
-        op_class,
-        tensordot_flops(t.shape, op_core2.shape, op_core2.shape[0] * op_core2.shape[2]),
-    )
-    w = np.tensordot(t, env_right, axes=([1, 4], [2, 1]))
-    charge(
-        ledger,
-        op_class,
-        tensordot_flops(t.shape, env_right.shape, env_right.shape[1] * env_right.shape[2]),
-    )
-    return w
+    t = contract(ledger, op_class, env_left, v, ((2,), (0,)))
+    # The two operator contractions are charged at their output shapes, as
+    # the ledger has always counted them; that is exact only where the
+    # operator bonds on both sides of a site agree.
+    t = contract(None, op_class, t, op_core1, ((1, 2), (0, 2)))
+    k = op_core1.shape[0] * op_core1.shape[2]
+    charge(ledger, op_class, tensordot_flops(t.shape, op_core1.shape, k))
+    t = contract(None, op_class, t, op_core2, ((4, 1), (0, 2)))
+    k = op_core2.shape[0] * op_core2.shape[2]
+    charge(ledger, op_class, tensordot_flops(t.shape, op_core2.shape, k))
+    return contract(ledger, op_class, t, env_right, ((1, 4), (2, 1)))
 
 
 def local_matvec_1site(env_left, op_core, env_right, ledger=None, op_class="matvec"):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ledger import charge, qr_flops
+from .ledger import charge, contract, qr_flops
 from .tt import TensorTrain, clip_ranks, lq_fixed, orthogonalize, qr_fixed
 
 
@@ -329,7 +329,7 @@ def fit_chain(chain, init, max_fit_iters=20, fit_tol=1e-8, ledger=None, op_class
                 q, rmat = qr_fixed(b.reshape(r0 * n, r1))
                 charge(ledger, "qr", qr_flops(r0 * n, r1))
                 cores[i] = q.reshape(r0, n, q.shape[1])
-                cores[i + 1] = np.tensordot(rmat, cores[i + 1], axes=([1], [0]))
+                cores[i + 1] = contract(None, "matmul", rmat, cores[i + 1], ((1,), (0,)))
                 lmsg = _lstep(lmsg, chain.blocks[i], cores[i], ledger, op_class)
         fit_sq = float(np.sum(cores[d - 1] ** 2))
         prev, residual = residual, float(np.sqrt(max(target_sq - fit_sq, 0.0)))
@@ -351,7 +351,7 @@ def fit_chain(chain, init, max_fit_iters=20, fit_tol=1e-8, ledger=None, op_class
                 lmat, q = lq_fixed(b.reshape(r0, n * r1))
                 charge(ledger, "qr", qr_flops(n * r1, r0))
                 cores[i] = q.reshape(q.shape[0], n, r1)
-                cores[i - 1] = np.tensordot(cores[i - 1], lmat, axes=([2], [0]))
+                cores[i - 1] = contract(None, "matmul", cores[i - 1], lmat, ((2,), (0,)))
                 rmsg = _rstep(rmsg, chain.blocks[i - 1], cores[i], ledger, op_class)
         fit_sq = float(np.sum(cores[0] ** 2))
         prev, residual = residual, float(np.sqrt(max(target_sq - fit_sq, 0.0)))

@@ -23,7 +23,7 @@ import os
 
 import numpy as np
 
-from .ledger import charge, qr_flops, svd_flops, tensordot_flops
+from .ledger import charge, contract, qr_flops, svd_flops, tensordot_flops
 
 DEFAULT_DENSE_CAP = 1 << 20
 DENSE_CAP_ENV = "TTDMRG_DENSE_CAP"
@@ -148,7 +148,7 @@ class TensorTrain:
         _check_dense_size(numel, cap)
         t = self.cores[0][0]
         for c in self.cores[1:]:
-            t = np.tensordot(t, c, axes=([t.ndim - 1], [0]))
+            t = contract(None, "matmul", t, c, ((-1,), (0,)))
         return np.ascontiguousarray(t[..., 0])
 
     def norm(self):
@@ -205,20 +205,14 @@ def random_tt(dims, ranks, seed=0):
 
 def update_left_overlap(e, cx, cy, ledger=None, op_class="inner"):
     """Extend a left overlap transfer ``(rank_x, rank_y)`` by one site."""
-    t = np.tensordot(e, cx, axes=([0], [0]))
-    charge(ledger, op_class, tensordot_flops(e.shape, cx.shape, cx.shape[0]))
-    out = np.tensordot(t, cy, axes=([0, 1], [0, 1]))
-    charge(ledger, op_class, tensordot_flops(t.shape, cy.shape, cy.shape[0] * cy.shape[1]))
-    return out
+    t = contract(ledger, op_class, e, cx, ((0,), (0,)))
+    return contract(ledger, op_class, t, cy, ((0, 1), (0, 1)))
 
 
 def update_right_overlap(e, cx, cy, ledger=None, op_class="inner"):
     """Extend a right overlap transfer ``(rank_x, rank_y)`` by one site."""
-    t = np.tensordot(cx, e, axes=([2], [0]))
-    charge(ledger, op_class, tensordot_flops(cx.shape, e.shape, e.shape[0]))
-    out = np.tensordot(t, cy, axes=([1, 2], [1, 2]))
-    charge(ledger, op_class, tensordot_flops(t.shape, cy.shape, cy.shape[1] * cy.shape[2]))
-    return out
+    t = contract(ledger, op_class, cx, e, ((2,), (0,)))
+    return contract(ledger, op_class, t, cy, ((1, 2), (1, 2)))
 
 
 def inner(x, y, ledger=None, op_class="inner"):
@@ -277,15 +271,13 @@ def orthogonalize(tt, center, ledger=None):
         q, rr = qr_fixed(cores[j].reshape(r * n, r2))
         charge(ledger, "qr", qr_flops(r * n, r2))
         cores[j] = q.reshape(r, n, q.shape[1])
-        cores[j + 1] = np.tensordot(rr, cores[j + 1], axes=([1], [0]))
-        charge(ledger, "matmul", tensordot_flops(rr.shape, (r2,) + cores[j + 1].shape[1:], r2))
+        cores[j + 1] = contract(ledger, "matmul", rr, cores[j + 1], ((1,), (0,)))
     for j in range(d - 1, center, -1):
         r, n, r2 = cores[j].shape
         l, q = lq_fixed(cores[j].reshape(r, n * r2))
         charge(ledger, "qr", qr_flops(n * r2, r))
         cores[j] = q.reshape(q.shape[0], n, r2)
-        cores[j - 1] = np.tensordot(cores[j - 1], l, axes=([2], [0]))
-        charge(ledger, "matmul", tensordot_flops(cores[j - 1].shape[:2] + (r,), l.shape, r))
+        cores[j - 1] = contract(ledger, "matmul", cores[j - 1], l, ((2,), (0,)))
     return TensorTrain(cores, center=center)
 
 
@@ -327,7 +319,9 @@ def round_tt(tt, max_ranks=None, tol=0.0, ledger=None):
         k = _rank_keep(s, caps[j], tol)
         cores[j] = u[:, :k].reshape(r, n, k)
         carry = s[:k, None] * vt[:k]
-        cores[j + 1] = np.tensordot(carry, cores[j + 1], axes=([1], [0]))
+        cores[j + 1] = contract(None, "matmul", carry, cores[j + 1], ((1,), (0,)))
+        # Charged as a (k, k) x (k, n*r3) product although ``carry`` is
+        # (k, r2); the count is kept as recorded so ledgers stay comparable.
         charge(ledger, "matmul", tensordot_flops(carry.shape, cores[j + 1].shape, r2))
     return TensorTrain(cores, center=d - 1)
 
@@ -393,6 +387,5 @@ def orthogonal_family(tt, ledger=None):
                 "round or orthogonalize the input first"
             )
         right[j] = q.reshape(r, n, r2)
-        centers[j - 1] = np.tensordot(tt.cores[j - 1], l, axes=([2], [0]))
-        charge(ledger, "matmul", tensordot_flops(tt.cores[j - 1].shape, l.shape, r))
+        centers[j - 1] = contract(ledger, "matmul", tt.cores[j - 1], l, ((2,), (0,)))
     return OrthogonalFamily(tt.cores, centers, right)

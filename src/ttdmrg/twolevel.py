@@ -41,15 +41,17 @@ from io import StringIO
 
 import numpy as np
 
-from .dmrg import _solve_1site, _solve_2site, split_and_shift
+from .dmrg import _solve, split_and_shift
 from .eigen import dense_lowest_eig, dense_sym_svd, lanczos_lowest
-from .ledger import CostLedger, charge, tensordot_flops
+from .ledger import CostLedger, charge, contract
 
 # left_env, right_env and inner are not called here; bench/tracer.py wraps them
 # by name in this module's namespace, so they stay bound.
 from .mpo import (  # noqa: F401
     boundary_env,
     left_env,
+    local_matvec_1site,
+    local_matvec_2site,
     mpo_inner,
     rayleigh_quotient,
     right_env,
@@ -306,30 +308,21 @@ def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=Non
     def solve_site(i):
         def task():
             led = CostLedger()
-            core, res = _solve_1site(
-                envs.left[i][1], op.cores[i], envs.right[i + 1][1], family.centers[i],
-                eig_tol, eig_max_iter, seed, led,
-            )
+            local = local_matvec_1site(envs.left[i][1], op.cores[i], envs.right[i + 1][1], led)
+            core, res = _solve(local, family.centers[i], eig_tol, eig_max_iter, seed, led)
             return core, res, led
         return task
 
     def solve_pair(i):
         def task():
             led = CostLedger()
-            v0 = np.tensordot(family.centers[i], family.right[i + 1], axes=([2], [0]))
-            led.charge(
-                "matvec",
-                tensordot_flops(family.centers[i].shape, family.right[i + 1].shape,
-                                family.right[i + 1].shape[0]),
+            v0 = contract(led, "matvec", family.centers[i], family.right[i + 1], ((2,), (0,)))
+            local = local_matvec_2site(
+                envs.left[i][1], op.cores[i], op.cores[i + 1], envs.right[i + 2][1], led
             )
-            block, res = _solve_2site(
-                envs.left[i][1], op.cores[i], op.cores[i + 1], envs.right[i + 2][1], v0,
-                eig_tol, eig_max_iter, seed, led,
-            )
+            block, res = _solve(local, v0, eig_tol, eig_max_iter, seed, led)
             left, right, _ = split_and_shift(block, "LR", max_rank, 0.0, led)
-            merged = np.tensordot(left, right, axes=([2], [0]))
-            led.charge("matvec", tensordot_flops(left.shape, right.shape, right.shape[0]))
-            return merged, res, led
+            return contract(led, "matvec", left, right, ((2,), (0,))), res, led
         return task
 
     if mode == "one-site":

@@ -5,11 +5,16 @@ the library's contraction routines, so agreement is meaningful.  The one
 exception is :func:`pairwise_coarse`, which builds the coarse matrices from the
 library's full inner products, one pair of members at a time, sharing no
 transfers between entries as the row sweeps of
-``ttdmrg.twolevel.assemble_coarse`` do.
+``ttdmrg.twolevel.assemble_coarse`` do; and :func:`list_lanczos_lowest`, the
+Lanczos iteration as it was written before the basis moved into one
+preallocated array, which the library's version must match bitwise.
 """
 
 import numpy as np
+import scipy.linalg
 
+from ttdmrg.eigen import LanczosResult
+from ttdmrg.ledger import charge
 from ttdmrg.mpo import mpo_inner
 from ttdmrg.tt import inner
 
@@ -25,6 +30,88 @@ def pairwise_coarse(members, op):
             s_hat[i, j] = s_hat[j, i] = inner(members[i], members[j])
             a_hat[i, j] = a_hat[j, i] = mpo_inner(members[i], op, members[j])
     return s_hat, a_hat
+
+
+def _list_tridiag_lowest(alphas, betas):
+    if len(alphas) == 1:
+        return alphas[0], np.ones(1)
+    w, v = scipy.linalg.eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
+    return w[0], v[:, 0]
+
+
+def list_lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger=None):
+    """Lanczos with the Krylov basis kept as a list of vectors, stacked anew
+    every step, and the tridiagonal problem solved by
+    ``scipy.linalg.eigh_tridiagonal``; same contract as
+    ``ttdmrg.eigen.lanczos_lowest``."""
+    if dim < 1:
+        raise ValueError("operator dimension must be positive")
+    if max_iter is None:
+        max_iter = min(dim, 256)
+    max_iter = max(int(max_iter), 1)
+    rng = np.random.default_rng(seed)
+
+    def finish(theta, vec, iters):
+        nv = np.linalg.norm(vec)
+        vec = vec / nv
+        res = float(np.linalg.norm(matvec(vec) - theta * vec))
+        conv = res <= tol * max(1.0, abs(theta))
+        return LanczosResult(float(theta), vec, iters, conv, res)
+
+    start = None
+    if v0 is not None:
+        start = np.asarray(v0, dtype=float).ravel()
+        if start.shape[0] != dim:
+            raise ValueError(f"start vector has length {start.shape[0]}, expected {dim}")
+        n0 = np.linalg.norm(start)
+        start = start / n0 if n0 > 0 else None
+
+    total = 0
+    best = None
+
+    def pick(theta, vec):
+        if best is not None and best[0] < theta:
+            return best
+        return theta, vec
+
+    for attempt in range(4):
+        v = start if (attempt == 0 and start is not None) else rng.standard_normal(dim)
+        v = v / np.linalg.norm(v)
+        basis = [v]
+        alphas, betas = [], []
+        broke = False
+        while total < max_iter:
+            w = matvec(basis[-1])
+            total += 1
+            a = float(w @ basis[-1])
+            alphas.append(a)
+            w = w - a * basis[-1]
+            if betas:
+                w = w - betas[-1] * basis[-2]
+            vmat = np.asarray(basis).T
+            w = w - vmat @ (vmat.T @ w)
+            charge(ledger, "matvec", 4.0 * vmat.size + 6.0 * dim)
+            b = float(np.linalg.norm(w))
+            theta, s = _list_tridiag_lowest(alphas, betas)
+            if b * abs(s[-1]) <= tol * max(1.0, abs(theta)):
+                theta, vec = pick(theta, vmat @ s)
+                return finish(theta, vec, total)
+            if b <= 1e-13:
+                if best is None or theta < best[0]:
+                    best = (theta, vmat @ s)
+                broke = True
+                break
+            betas.append(b)
+            basis.append(w / b)
+        if not broke:
+            if alphas:
+                theta, s = _list_tridiag_lowest(alphas, betas[: len(alphas) - 1])
+                theta, vec = pick(theta, np.asarray(basis).T[:, : len(alphas)] @ s)
+            else:
+                theta, vec = best
+            return finish(theta, vec, total)
+    theta, vec = best
+    return finish(theta, vec, total)
 
 
 def tt_entry(cores, idx):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ttdmrg.eigen import dense_lowest_eig, dense_sym_svd, lanczos_lowest
+import oracles
+from ttdmrg.eigen import _tridiag_lowest, dense_lowest_eig, dense_sym_svd, lanczos_lowest
+from ttdmrg.ledger import CostLedger
+from ttdmrg.models import heisenberg_chain
+from ttdmrg.mpo import left_env, local_matvec_2site, right_env
+from ttdmrg.tt import orthogonalize, random_tt
 
 
 def random_sym(dim, seed):
@@ -118,3 +124,84 @@ def test_dense_sym_svd_orders_and_reconstructs():
     assert np.allclose(v.T @ v, np.eye(8), atol=1e-12)
     with pytest.raises(ValueError):
         dense_sym_svd(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+
+# -- bitwise agreement with the list-based oracle ----------------------------
+
+
+def assert_same_result(got, want):
+    assert got.eigenvalue == want.eigenvalue
+    assert np.array_equal(got.eigenvector, want.eigenvector)
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.residual_norm == want.residual_norm
+
+
+def run_both(matvec, dim, **kwargs):
+    led_new, led_old = CostLedger(), CostLedger()
+    new = lanczos_lowest(matvec, dim, ledger=led_new, **kwargs)
+    old = oracles.list_lanczos_lowest(matvec, dim, ledger=led_old, **kwargs)
+    assert_same_result(new, old)
+    assert led_new.report() == led_old.report()
+    return new
+
+
+def test_lanczos_matches_oracle_when_the_basis_grows():
+    # well past the initial 32 rows, so the basis is doubled twice
+    a = random_sym(300, 20)
+    res = run_both(lambda x: a @ x, 300, tol=1e-13, seed=21)
+    assert res.iterations > 64
+
+
+@pytest.mark.parametrize("max_iter", [1, 3, 32, 33, 40])
+def test_lanczos_matches_oracle_when_the_budget_runs_out(max_iter):
+    a = random_sym(120, 22)
+    v0 = np.random.default_rng(23).standard_normal(120)
+    res = run_both(lambda x: a @ x, 120, v0=v0, tol=1e-15, max_iter=max_iter, seed=24)
+    assert res.iterations == max_iter and not res.converged
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 10])
+def test_lanczos_matches_oracle_after_breakdown_and_restart(max_iter):
+    # nearly invariant start: the first expansion collapses, then restarts
+    a = np.diag([1.0, 3.0])
+    v0 = np.array([3e-14, 1.0])
+    run_both(lambda x: a @ x, 2, v0=v0, tol=1e-14, max_iter=max_iter, seed=9)
+
+
+def test_lanczos_matches_oracle_when_every_restart_breaks_down():
+    # with tol=0 each attempt ends in a breakdown of the full space; the
+    # lowest candidate is returned
+    a = np.diag([2.0, -1.0, 4.0, 0.5, 3.0])
+    res = run_both(lambda x: a @ x, 5, tol=0.0, max_iter=100, seed=25)
+    assert res.iterations > 5
+
+
+@pytest.mark.parametrize("dim, tol", [(1, 1e-10), (7, 1e-10), (60, 1e-8), (200, 1e-10)])
+def test_lanczos_matches_oracle_from_a_random_start(dim, tol):
+    a = random_sym(dim, 26 + dim)
+    run_both(lambda x: a @ x, dim, tol=tol, seed=27)
+
+
+def test_lanczos_matches_oracle_on_a_projected_two_site_operator():
+    op = heisenberg_chain(8)
+    x = orthogonalize(random_tt(op.dims, 6, seed=28), 3)
+    matvec, dim, _ = local_matvec_2site(
+        left_env(x, op, x, 3), op.cores[3], op.cores[4], right_env(x, op, x, 5)
+    )
+    v0 = np.tensordot(x.cores[3], x.cores[4], axes=([2], [0])).ravel()
+    run_both(matvec, dim, v0=v0, tol=1e-10, seed=29)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_tridiag_lowest_matches_eigh_tridiagonal(n):
+    rng = np.random.default_rng(100 + n)
+    alphas = rng.standard_normal(n)
+    betas = rng.uniform(0.1, 2.0, n - 1)
+    theta, s = _tridiag_lowest(alphas, betas)
+    if n == 1:
+        w, v = np.array([alphas[0]]), np.ones((1, 1))
+    else:
+        w, v = scipy.linalg.eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
+    assert theta == w[0]
+    assert np.array_equal(s, v[:, 0])

@@ -1,0 +1,104 @@
+"""Bitwise pins of small end-to-end runs.
+
+Each case runs one solver configuration and records the ``repr`` of every
+energy in its trace, the full ``ledger.report()`` and a digest of the final
+cores.  Refactors that leave the arithmetic alone must reproduce all three
+exactly.  Floating-point results depend on the numpy/BLAS build, so the pins
+are only compared on the stack they were recorded with.
+
+Regenerate (only when the arithmetic is meant to change, and say why):
+
+    PYTHONPATH=src python tests/test_pins.py --write
+"""
+
+import hashlib
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ttdmrg.dmrg import SweepConfig, run_dmrg
+from ttdmrg.ledger import CostLedger
+from ttdmrg.models import heisenberg_chain, ising_chain
+from ttdmrg.tt import random_tt
+from ttdmrg.twolevel import TwoLevelConfig, run_two_level
+
+PIN_FILE = Path(__file__).with_name("pins.json")
+
+CASES = {
+    "dmrg1-heis-d8": (heisenberg_chain(8), SweepConfig(mode="one-site", max_rank=6)),
+    "dmrg2-ising-d10": (ising_chain(10), SweepConfig(mode="two-site", max_rank=8)),
+    "a2dmrg1-heis-d8": (
+        heisenberg_chain(8), TwoLevelConfig(mode="one-site", max_rank=6, max_iters=4)
+    ),
+    "a2dmrg2-ising-d8": (
+        ising_chain(8), TwoLevelConfig(mode="two-site", max_rank=6, max_iters=4)
+    ),
+    "a2dmrg1-structured-ising-d7": (
+        ising_chain(7),
+        TwoLevelConfig(mode="one-site", max_rank=4, max_iters=3, structured_coarse=True),
+    ),
+    "a2dmrg2-structured-heis-d7": (
+        heisenberg_chain(7),
+        TwoLevelConfig(mode="two-site", max_rank=4, max_iters=3, structured_coarse=True),
+    ),
+    "a2dmrg2-fallback-heis-d8": (
+        heisenberg_chain(8),
+        TwoLevelConfig(mode="two-site", max_rank=6, max_iters=3, fallback_compression=True),
+    ),
+    "a2dmrg2-workers3-ising-d8": (
+        ising_chain(8), TwoLevelConfig(mode="two-site", max_rank=6, max_iters=3, workers=3)
+    ),
+}
+
+
+def stack():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, {blas['name']} {blas['version']}, {platform.machine()}"
+
+
+def run_case(name):
+    op, config = CASES[name]
+    init = random_tt(op.dims, 3, seed=7)
+    ledger = CostLedger()
+    if isinstance(config, SweepConfig):
+        state, trace = run_dmrg(init, op, config, ledger)
+        energies = [m.energy for m in trace.micro] + trace.half_sweep_energies
+    else:
+        state, trace = run_two_level(init, op, config, ledger)
+        energies = [r.energy for r in trace.records]
+        energies += [r.coarse_energy for r in trace.records]
+    digest = hashlib.sha256()
+    for core in state.cores:
+        digest.update(np.ascontiguousarray(core).tobytes())
+    return {
+        "energies": [repr(float(e)) for e in energies],
+        "ledger": ledger.report(),
+        "state_sha256": digest.hexdigest(),
+    }
+
+
+def load_pins():
+    return json.loads(PIN_FILE.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_matches_pin(name):
+    pins = load_pins()
+    if pins["stack"] != stack():
+        pytest.skip(f"pins recorded on {pins['stack']}, running on {stack()}")
+    got = json.loads(json.dumps(run_case(name)))
+    want = pins["cases"][name]
+    assert got["energies"] == want["energies"]
+    assert got["ledger"] == want["ledger"]
+    assert got["state_sha256"] == want["state_sha256"]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_pins.py --write")
+    out = {"stack": stack(), "cases": {name: run_case(name) for name in sorted(CASES)}}
+    PIN_FILE.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
