@@ -22,7 +22,7 @@ Experiments are described by an INI file with three sections::
     coarse_eps = 1e-10      ; a2dmrg only
     max_iters = 200         ; half-sweeps (dmrg) or global iterations
     seed = 0
-    workers = 1
+    workers = 1             ; accepted; changes neither results nor wall time
     structured_coarse = false
     fallback_compression = false
     reference = dense       ; dense | none

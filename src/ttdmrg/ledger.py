@@ -147,8 +147,8 @@ class CostLedger:
     def merge(self, other, worker=None):
         """Fold a task-local ledger into this one under one worker tag.
 
-        Tasks run on private ledgers so concurrent execution never races;
-        the driver merges them in deterministic task order.
+        Tasks charge private ledgers that the driver merges in task
+        order, so every tag holds exactly its own task's work.
         """
         for k, v in other.per_class_flops.items():
             self.per_class_flops[k] = self.per_class_flops.get(k, 0.0) + v

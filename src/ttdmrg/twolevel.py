@@ -4,12 +4,15 @@ Each global iteration runs four steps:
 
 1. build the orthogonal family of the current iterate (sequential);
 2. solve one local eigenproblem per site (one-site) or per neighboring
-   pair (two-site), all independent and therefore parallel; each task
-   runs on a private cost ledger that is merged back under a logical
-   worker tag, so results and recorded flops never depend on scheduling.
-   The operator environments the tasks read are built once per
+   pair (two-site).  The solves are independent, so the method can run
+   them in parallel; here they run one after another in the calling
+   thread, and each task charges a private cost ledger that is merged
+   under its own worker tag (``solve:i``), so ``flops_max_worker`` and
+   ``cost_per_processor`` give the cost of an ideal one-processor-per-task
+   run.  The operator environments the tasks read are built once per
    iteration over the family's shared cores (one left sweep and one
-   right sweep, two tasks) instead of from scratch in every task;
+   right sweep, tagged ``env:left`` and ``env:right``) instead of from
+   scratch in every task;
 3. form the coarse problem over the span of the previous iterate plus
    all locally updated members, and minimize the Rayleigh quotient in
    that span (a whitened dense eigenproblem of size at most d+1, with
@@ -20,7 +23,8 @@ Each global iteration runs four steps:
    by one left-to-right sweep per matrix row that starts from the shared
    left environment at the row's window and closes each column against a
    right environment reused across rows: O(d^2) environment updates per
-   iteration rather than O(d^3) for pairwise inner products;
+   iteration rather than O(d^3) for pairwise inner products.  Each row
+   is a task tagged ``gram{k}`` in the same per-task cost model;
 4. compress the coarse minimizer back to the working ranks: the
    one-site sum is an exact train of doubled ranks that is rounded,
    the two-site sum is a chain that is fitted by alternating least
@@ -35,7 +39,9 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
+import warnings
+# ThreadPoolExecutor is not used here; bench/tracer.py rebinds it by name, so it stays bound.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from io import StringIO
 
@@ -83,8 +89,12 @@ class TwoLevelConfig:
 
     ``max_rank`` caps the compressed iterate; two-site local solves are
     also split at this rank before entering the coarse space.
-    ``workers`` sets the thread pool width for the parallel steps; it
-    must never change the results, only the wall time.
+    ``workers`` is accepted and validated for existing configurations
+    but changes neither the results nor the wall time: the independent
+    tasks run in the calling thread, since they hold the interpreter lock
+    and a thread pool only made runs slower.  Their parallel cost is
+    modeled by the ledger's per-task tags (``flops_max_worker``,
+    ``cost_per_processor``).
     """
 
     mode: str = "two-site"
@@ -154,6 +164,8 @@ class IterationRecord:
     flops_seq: float
     flops_max_worker: float
     cost_per_processor: float
+    lanczos_unconverged: int
+    lanczos_max_residual: float
 
 
 @dataclass
@@ -182,6 +194,8 @@ class TwoLevelTrace:
                 "flops_seq",
                 "flops_max_worker",
                 "cost_per_processor",
+                "lanczos_unconverged",
+                "lanczos_max_residual",
             ]
         )
         for r in self.records:
@@ -200,18 +214,11 @@ class TwoLevelTrace:
                     repr(r.flops_seq),
                     repr(r.flops_max_worker),
                     repr(r.cost_per_processor),
+                    r.lanczos_unconverged,
+                    repr(r.lanczos_max_residual),
                 ]
             )
         return buf.getvalue()
-
-
-def _run_tasks(tasks, workers):
-    """Run callables, returning results in task order."""
-    if workers <= 1:
-        return [fn() for fn in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn) for fn in tasks]
-        return [f.result() for f in futures]
 
 
 @dataclass
@@ -257,7 +264,12 @@ def _close(left, right, ledger):
     return out
 
 
-def shared_envs(family, op, workers=1, ledger=None):
+def _merge(ledger, task_ledger, tag):
+    if ledger is not None:
+        ledger.merge(task_ledger, worker=tag)
+
+
+def shared_envs(family, op, ledger=None):
     """Build the family's L-L and R-R transfers, one task per direction.
 
     The task ledgers are merged under the worker tags ``env:left`` and
@@ -267,32 +279,24 @@ def shared_envs(family, op, workers=1, ledger=None):
     from-scratch ones.
     """
     d = family.d
+    led = CostLedger()
+    left = [_boundary()]
+    for s in range(d - 1):
+        core = family.left[s]
+        left.append(_extend_left(left[-1], core, op.cores[s], core, led, "env_build"))
+    _merge(ledger, led, "env:left")
 
-    def left_task():
-        led = CostLedger()
-        envs = [_boundary()]
-        for s in range(d - 1):
-            core = family.left[s]
-            envs.append(_extend_left(envs[-1], core, op.cores[s], core, led, "env_build"))
-        return envs, led
-
-    def right_task():
-        led = CostLedger()
-        envs = [None] * d + [_boundary()]
-        for s in range(d - 1, 0, -1):
-            core = family.right[s]
-            envs[s] = _extend_right(envs[s + 1], core, op.cores[s], core, led, "env_build")
-        return envs, led
-
-    (left, led_l), (right, led_r) = _run_tasks([left_task, right_task], workers)
-    if ledger is not None:
-        ledger.merge(led_l, worker="env:left")
-        ledger.merge(led_r, worker="env:right")
+    led = CostLedger()
+    right = [None] * d + [_boundary()]
+    for s in range(d - 1, 0, -1):
+        core = family.right[s]
+        right[s] = _extend_right(right[s + 1], core, op.cores[s], core, led, "env_build")
+    _merge(ledger, led, "env:right")
     return SharedEnvs(left, right)
 
 
 def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=None,
-                 seed=0, workers=1, ledger=None, envs=None):
+                 seed=0, ledger=None, envs=None):
     """Step 2: independent local eigensolves over a read-only family.
 
     Returns ``(updates, results)`` where one-site updates are center
@@ -303,39 +307,29 @@ def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=Non
     """
     d = family.d
     if envs is None:
-        envs = shared_envs(family, op, workers, ledger)
+        envs = shared_envs(family, op, ledger)
 
-    def solve_site(i):
-        def task():
-            led = CostLedger()
-            local = local_matvec_1site(envs.left[i][1], op.cores[i], envs.right[i + 1][1], led)
-            core, res = _solve(local, family.centers[i], eig_tol, eig_max_iter, seed, led)
-            return core, res, led
-        return task
+    def solve_site(i, led):
+        local = local_matvec_1site(envs.left[i][1], op.cores[i], envs.right[i + 1][1], led)
+        return _solve(local, family.centers[i], eig_tol, eig_max_iter, seed, led)
 
-    def solve_pair(i):
-        def task():
-            led = CostLedger()
-            v0 = contract(led, "matvec", family.centers[i], family.right[i + 1], ((2,), (0,)))
-            local = local_matvec_2site(
-                envs.left[i][1], op.cores[i], op.cores[i + 1], envs.right[i + 2][1], led
-            )
-            block, res = _solve(local, v0, eig_tol, eig_max_iter, seed, led)
-            left, right, _ = split_and_shift(block, "LR", max_rank, 0.0, led)
-            return contract(led, "matvec", left, right, ((2,), (0,))), res, led
-        return task
+    def solve_pair(i, led):
+        v0 = contract(led, "matvec", family.centers[i], family.right[i + 1], ((2,), (0,)))
+        local = local_matvec_2site(
+            envs.left[i][1], op.cores[i], op.cores[i + 1], envs.right[i + 2][1], led
+        )
+        block, res = _solve(local, v0, eig_tol, eig_max_iter, seed, led)
+        left, right, _ = split_and_shift(block, "LR", max_rank, 0.0, led)
+        return contract(led, "matvec", left, right, ((2,), (0,))), res
 
-    if mode == "one-site":
-        tasks = [solve_site(i) for i in range(d)]
-    else:
-        tasks = [solve_pair(i) for i in range(d - 1)]
-    out = _run_tasks(tasks, workers)
+    solve, n = (solve_site, d) if mode == "one-site" else (solve_pair, d - 1)
     updates, results = [], []
-    for i, (update, res, led) in enumerate(out):
+    for i in range(n):
+        led = CostLedger()
+        update, res = solve(i, led)
         updates.append(update)
         results.append(res)
-        if ledger is not None:
-            ledger.merge(led, worker=f"solve:{i}")
+        _merge(ledger, led, f"solve:{i}")
     return updates, results
 
 
@@ -356,7 +350,7 @@ def _window(member, family):
     return min(a, b), b
 
 
-def assemble_coarse(members, op, eps=1e-10, workers=1, ledger=None, family=None, envs=None):
+def assemble_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None):
     """Step 3 assembly: overlap and reduced operator matrices over the
     member trains.
 
@@ -380,7 +374,7 @@ def assemble_coarse(members, op, eps=1e-10, workers=1, ledger=None, family=None,
     m = len(members)
     d = members[0].d
     if family is not None and envs is None:
-        envs = shared_envs(family, op, workers, ledger)
+        envs = shared_envs(family, op, ledger)
     if envs is None:
         # whole-train windows only read the two boundary transfers
         envs = SharedEnvs([_boundary()], [None] * d + [_boundary()])
@@ -389,58 +383,44 @@ def assemble_coarse(members, op, eps=1e-10, workers=1, ledger=None, family=None,
     cols = {k: order[pos:] for pos, k in enumerate(order)}
     closed = sorted({l for k in range(m) for l in cols[k] if win[l][0] > win[k][1]})
 
-    def column_env(l):
-        def task():
-            led = CostLedger()
-            a, b = win[l]
-            env = envs.right[b + 1]
-            for s in range(b, a - 1, -1):
-                env = _extend_right(
-                    env, family.right[s], op.cores[s], members[l].cores[s], led, "coarse"
-                )
-            return env, led
-        return task
-
-    def row(k):
-        def task():
-            led = CostLedger()
-            bra = members[k].cores
-            a, b = win[k]
-            env, site = envs.left[a], a
-            vals = []
-            for l in cols[k]:
-                al, bl = win[l]
-                while site < al:
-                    env = _extend_left(
-                        env, bra[site], op.cores[site], family.left[site], led, "coarse"
-                    )
-                    site += 1
-                if al > b:
-                    vals.append(_close(env, column_envs[l], led))
-                    continue
-                ket = members[l].cores
-                end = max(b, bl)
-                e = env
-                for s in range(al, end + 1):
-                    e = _extend_left(e, bra[s], op.cores[s], ket[s], led, "coarse")
-                vals.append(_close(e, envs.right[end + 1], led))
-            return vals, led
-        return task
-
     column_envs = {}
-    for l, (env, led) in zip(closed, _run_tasks([column_env(l) for l in closed], workers)):
+    for l in closed:
+        led = CostLedger()
+        a, b = win[l]
+        env = envs.right[b + 1]
+        for s in range(b, a - 1, -1):
+            env = _extend_right(
+                env, family.right[s], op.cores[s], members[l].cores[s], led, "coarse"
+            )
         column_envs[l] = env
-        if ledger is not None:
-            ledger.merge(led, worker=f"gram{l}")
+        _merge(ledger, led, f"gram{l}")
 
     s_hat = np.zeros((m, m))
     a_hat = np.zeros((m, m))
-    for k, (vals, led) in enumerate(_run_tasks([row(k) for k in range(m)], workers)):
-        for l, (s, a) in zip(cols[k], vals):
-            s_hat[k, l] = s_hat[l, k] = s
-            a_hat[k, l] = a_hat[l, k] = a
-        if ledger is not None:
-            ledger.merge(led, worker=f"gram{k}")
+    for k in range(m):
+        led = CostLedger()
+        bra = members[k].cores
+        a, b = win[k]
+        env, site = envs.left[a], a
+        for l in cols[k]:
+            al, bl = win[l]
+            while site < al:
+                env = _extend_left(
+                    env, bra[site], op.cores[site], family.left[site], led, "coarse"
+                )
+                site += 1
+            if al > b:
+                s_kl, a_kl = _close(env, column_envs[l], led)
+            else:
+                ket = members[l].cores
+                end = max(b, bl)
+                e = env
+                for j in range(al, end + 1):
+                    e = _extend_left(e, bra[j], op.cores[j], ket[j], led, "coarse")
+                s_kl, a_kl = _close(e, envs.right[end + 1], led)
+            s_hat[k, l] = s_hat[l, k] = s_kl
+            a_hat[k, l] = a_hat[l, k] = a_kl
+        _merge(ledger, led, f"gram{k}")
 
     sigma, basis = dense_sym_svd(s_hat, ledger=ledger)
     smax = sigma[0] if len(sigma) else 0.0
@@ -557,12 +537,20 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
 
     for it in range(1, config.max_iters + 1):
         family = orthogonal_family(state, ledger)
-        envs = shared_envs(family, op, config.workers, ledger)
+        envs = shared_envs(family, op, ledger)
         updates, results = local_solves(
             family, op, config.mode, eig_tol=config.eig_tol,
             eig_max_iter=config.eig_max_iter, max_rank=config.max_rank,
-            seed=config.seed, workers=config.workers, ledger=ledger, envs=envs,
+            seed=config.seed, ledger=ledger, envs=envs,
         )
+        unconverged = sum(not r.converged for r in results)
+        if unconverged:
+            warnings.warn(
+                f"iteration {it}: {unconverged} of {len(results)} local Lanczos solves "
+                "did not converge",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
         if one_site:
             members = [family.config(0)]
@@ -575,8 +563,7 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
             members += [chain.member_train(i, ledger) for i in range(d - 1)]
 
         cp = assemble_coarse(
-            members, op, eps=config.coarse_eps, workers=config.workers, ledger=ledger,
-            family=family, envs=envs,
+            members, op, eps=config.coarse_eps, ledger=ledger, family=family, envs=envs
         )
         if config.structured_coarse:
             if one_site:
@@ -646,6 +633,8 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
                 flops_seq=seq,
                 flops_max_worker=maxw,
                 cost_per_processor=cpp,
+                lanczos_unconverged=unconverged,
+                lanczos_max_residual=max(r.residual_norm for r in results),
             )
         )
 

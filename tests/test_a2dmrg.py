@@ -101,7 +101,7 @@ def test_local_solves_ledger_has_one_tag_per_task():
     op = random_symmetric_mpo(d, seed=7)
     family = orthogonal_family(make_state((2,) * d, 2, seed=8))
     led = CostLedger()
-    local_solves(family, op, "one-site", eig_tol=1e-10, seed=0, workers=3, ledger=led)
+    local_solves(family, op, "one-site", eig_tol=1e-10, seed=0, ledger=led)
     assert sorted(led.per_worker_flops) == sorted(
         [f"solve:{i}" for i in range(d)] + ["env:left", "env:right"]
     )
@@ -116,7 +116,7 @@ def test_gram_and_reduced_operator_match_dense():
     updates, _ = local_solves(family, op, "one-site", eig_tol=1e-12, seed=0)
     members = one_site_members(family, updates)
     led = CostLedger()
-    cp = assemble_coarse(members, op, workers=2, ledger=led)
+    cp = assemble_coarse(members, op, ledger=led)
     vecs = [oracles.tt_dense(m.cores).ravel() for m in members]
     h = oracles.mpo_dense(op.cores)
     m = len(members)
@@ -173,21 +173,21 @@ def test_row_sweep_assembly_matches_pairwise_oracle(d, mode, model):
     assert_matches_pairwise(assemble_coarse(mixed, op, family=family), mixed, op)
 
 
-def test_row_sweep_assembly_is_worker_invariant():
+def test_row_sweep_assembly_is_repeatable():
     d = 7
     op = heisenberg_chain(d)
     family = orthogonal_family(make_state(op.dims, 3, seed=30))
     for mode in ("one-site", "two-site"):
         members = random_members(family, mode, seed=31)
         runs = []
-        for workers in (1, 3):
+        for _ in range(2):
             led = CostLedger()
-            cp = assemble_coarse(members, op, workers=workers, ledger=led, family=family)
+            cp = assemble_coarse(members, op, ledger=led, family=family)
             runs.append((cp, led.report()))
-        (cp1, r1), (cp3, r3) = runs
-        assert np.array_equal(cp1.s_hat, cp3.s_hat)
-        assert np.array_equal(cp1.a_hat, cp3.a_hat)
-        assert r1 == r3
+        (cp1, r1), (cp2, r2) = runs
+        assert np.array_equal(cp1.s_hat, cp2.s_hat)
+        assert np.array_equal(cp1.a_hat, cp2.a_hat)
+        assert r1 == r2
         assert set(r1["per_worker_flops"]) == (
             {f"gram{k}" for k in range(len(members))} | {"env:left", "env:right"}
         )
@@ -488,6 +488,59 @@ def test_worker_count_does_not_change_results():
         assert r == r1
 
 
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_workers_never_start_a_thread_pool(mode, monkeypatch):
+    import ttdmrg.twolevel
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the two-level solver started a thread pool")
+
+    op = ising_chain(5)
+
+    def run(workers):
+        led = CostLedger()
+        cfg = TwoLevelConfig(mode=mode, max_rank=4, max_iters=5, workers=workers, seed=5)
+        _, trace = run_two_level(random_tt(op.dims, 2, seed=11), op, cfg, ledger=led)
+        return trace.energies(), led.report()
+
+    serial = run(1)
+    monkeypatch.setattr(ttdmrg.twolevel, "ThreadPoolExecutor", no_pool)
+    assert run(4) == serial
+
+
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_unconverged_local_solves_warn_once_per_iteration(mode):
+    d = 6
+    op = ising_chain(d)
+    cfg = TwoLevelConfig(mode=mode, max_rank=8, eig_max_iter=2, max_iters=3)
+    with pytest.warns(RuntimeWarning) as caught:
+        _, trace = run_two_level(random_tt(op.dims, 2, seed=11), op, cfg)
+    tasks = d if mode == "one-site" else d - 1
+    assert [str(w.message) for w in caught] == [
+        f"iteration {r.global_iter}: {r.lanczos_unconverged} of {tasks} local Lanczos "
+        "solves did not converge"
+        for r in trace.records
+    ]
+    assert all(1 <= r.lanczos_unconverged <= tasks for r in trace.records)
+    assert all(r.lanczos_max_residual > 0.0 for r in trace.records)
+
+
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_converged_local_solves_do_not_warn(mode):
+    import warnings
+
+    d = 6
+    op = ising_chain(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, trace = run_two_level(
+            random_tt(op.dims, 2, seed=11), op, TwoLevelConfig(mode=mode, max_rank=8)
+        )
+    assert trace.converged
+    assert all(r.lanczos_unconverged == 0 for r in trace.records)
+    assert all(r.lanczos_max_residual <= 1e-8 * max(1.0, abs(r.energy)) for r in trace.records)
+
+
 def test_structured_flag_matches_direct_through_the_driver():
     d = 4
     op = ising_chain(d)
@@ -546,7 +599,8 @@ def test_trace_csv_shape_and_determinism():
         "global_iter", "energy", "energy_error_vs_reference", "coarse_p",
         "coarse_iterations", "lanczos_iterations", "coarse_energy",
         "min_update_energy", "prev_energy", "fit_residual", "flops_seq",
-        "flops_max_worker", "cost_per_processor",
+        "flops_max_worker", "cost_per_processor", "lanczos_unconverged",
+        "lanczos_max_residual",
     ]
     assert len(rows) == len(trace.records) + 1
     first = rows[1]
