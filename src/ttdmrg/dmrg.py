@@ -16,6 +16,7 @@ recorded per micro-step.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from io import StringIO
 
@@ -88,6 +89,8 @@ class MicroRecord:
     lanczos_iterations: int
     discarded_weight: float
     flops_cumulative: float
+    lanczos_converged: bool
+    lanczos_residual: float
 
 
 @dataclass
@@ -110,6 +113,8 @@ class SweepTrace:
                 "lanczos_iterations",
                 "discarded_weight",
                 "flops_cumulative",
+                "lanczos_converged",
+                "lanczos_residual",
             ]
         )
         for m in self.micro:
@@ -121,6 +126,8 @@ class SweepTrace:
                     m.lanczos_iterations,
                     repr(m.discarded_weight),
                     repr(m.flops_cumulative),
+                    int(m.lanczos_converged),
+                    repr(m.lanczos_residual),
                 ]
             )
         return buf.getvalue()
@@ -275,6 +282,7 @@ def run_dmrg(init, op, config=None, ledger=None):
     for hs in range(1, config.max_half_sweeps + 1):
         going_right = hs % 2 == 1
         last_energy = None
+        unconverged = 0
 
         if one_site:
             sites = range(0, d - 1) if going_right else range(d - 1, 0, -1)
@@ -323,6 +331,7 @@ def run_dmrg(init, op, config=None, ledger=None):
                     )
 
             last_energy = res.eigenvalue
+            unconverged += not res.converged
             trace.micro.append(
                 MicroRecord(
                     half_sweep=hs,
@@ -331,7 +340,17 @@ def run_dmrg(init, op, config=None, ledger=None):
                     lanczos_iterations=res.iterations,
                     discarded_weight=float(discarded),
                     flops_cumulative=flops(),
+                    lanczos_converged=bool(res.converged),
+                    lanczos_residual=float(res.residual_norm),
                 )
+            )
+
+        if unconverged:
+            warnings.warn(
+                f"half-sweep {hs}: {unconverged} of {len(sites)} local Lanczos solves "
+                "did not converge",
+                RuntimeWarning,
+                stacklevel=2,
             )
 
         trace.half_sweep_energies.append(float(last_energy))

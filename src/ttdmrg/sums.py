@@ -21,14 +21,18 @@ whose center core was replaced admits exact block representations:
 ranks by alternating least squares.  In site-orthogonal gauge each
 local update is the plain projection :func:`chain_project_core`, so no
 local system has to be solved and the residual norm falls out of the
-projected core for free.
+projected core for free.  The environment messages of the chain against
+the train are built once, by one right-to-left sweep before the first
+half-sweep; after that every half-sweep does one projection and one
+message step per site, and the messages it steps are exactly the ones
+the next half-sweep reads.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ledger import charge, contract, qr_flops
+from .ledger import charge, qr_flops
 from .tt import TensorTrain, clip_ranks, lq_fixed, orthogonalize, qr_fixed
 
 
@@ -294,7 +298,18 @@ def fit_chain(chain, init, max_fit_iters=20, fit_tol=1e-8, ledger=None, op_class
     Alternating least squares sweeps over the sites of ``init``; ranks
     never grow, so pick the starting ranks with :func:`pad_ranks`.
     Stops when the residual norm moves by less than ``fit_tol`` times
-    the chain norm between half-sweeps.
+    the chain norm between half-sweeps; ``max_fit_iters`` counts
+    sweeps, one left-to-right and one right-to-left half-sweep each.
+
+    The environment messages of the chain against the train are built
+    once from the right before the first half-sweep.  After that each
+    half-sweep does one projection and one message step per site: a
+    left-to-right pass projects site ``i`` from the stored left and
+    right messages, orthonormalizes it and extends the left message
+    past it, so the right-to-left pass that follows finds every left
+    message it reads already built from the final cores (and mirrored
+    for the right messages).  The triangular factors are dropped: the
+    next site's projection overwrites the core they would multiply.
 
     Returns
     -------
@@ -305,61 +320,43 @@ def fit_chain(chain, init, max_fit_iters=20, fit_tol=1e-8, ledger=None, op_class
     d = len(chain.dims)
     if init.dims != chain.dims:
         raise ValueError("train and chain live on different local spaces")
-    state = orthogonalize(init, 0, ledger)
-    cores = list(state.cores)
+    cores = list(orthogonalize(init, 0, ledger).cores)
     dims = chain.dims
+    blocks = chain.blocks
 
     target_sq = chain_pair_inner(chain, chain, ledger, op_class)
     target = float(np.sqrt(max(target_sq, 0.0)))
     residual = None
-    at_last_site = False
+    rightward = False  # direction of the last half-sweep
 
-    for _ in range(max_fit_iters):
-        # left to right; right messages built from the untouched suffix
-        rmsgs = [None] * d
-        rmsgs[d - 1] = np.ones((dims[d - 1], 1, 1))
-        for l in range(d - 2, -1, -1):
-            rmsgs[l] = _rstep(rmsgs[l + 1], chain.blocks[l], cores[l + 1], ledger, op_class)
-        lmsg = np.ones((dims[0], 1, 1))
-        for i in range(d):
-            b = _einsum(ledger, op_class, "xrp,xps->rxs", lmsg, rmsgs[i])
+    # lmsgs[i] contracts sites < i (pending x_i), rmsgs[i] sites > i
+    lmsgs = [np.ones((dims[0], 1, 1))] + [None] * (d - 1)
+    rmsgs = [None] * (d - 1) + [np.ones((dims[d - 1], 1, 1))]
+    for l in range(d - 2, -1, -1):
+        rmsgs[l] = _rstep(rmsgs[l + 1], blocks[l], cores[l + 1], ledger, op_class)
+
+    for half in range(2 * max_fit_iters):
+        rightward = half % 2 == 0
+        for i in range(d) if rightward else range(d - 1, -1, -1):
+            b = _einsum(ledger, op_class, "xrp,xps->rxs", lmsgs[i], rmsgs[i])
             cores[i] = b
-            if i < d - 1:
-                r0, n, r1 = b.shape
-                q, rmat = qr_fixed(b.reshape(r0 * n, r1))
+            r0, n, r1 = b.shape
+            if rightward and i < d - 1:
+                q, _ = qr_fixed(b.reshape(r0 * n, r1))
                 charge(ledger, "qr", qr_flops(r0 * n, r1))
                 cores[i] = q.reshape(r0, n, q.shape[1])
-                cores[i + 1] = contract(None, "matmul", rmat, cores[i + 1], ((1,), (0,)))
-                lmsg = _lstep(lmsg, chain.blocks[i], cores[i], ledger, op_class)
-        fit_sq = float(np.sum(cores[d - 1] ** 2))
+                lmsgs[i + 1] = _lstep(lmsgs[i], blocks[i], cores[i], ledger, op_class)
+            elif not rightward and i > 0:
+                _, q = lq_fixed(b.reshape(r0, n * r1))
+                charge(ledger, "qr", qr_flops(n * r1, r0))
+                cores[i] = q.reshape(q.shape[0], n, r1)
+                rmsgs[i - 1] = _rstep(rmsgs[i], blocks[i - 1], cores[i], ledger, op_class)
+        fit_sq = float(np.sum(cores[d - 1 if rightward else 0] ** 2))
         prev, residual = residual, float(np.sqrt(max(target_sq - fit_sq, 0.0)))
-        at_last_site = True
         if prev is not None and abs(prev - residual) <= fit_tol * max(target, 1e-300):
             break
 
-        # right to left, mirrored
-        lmsgs = [None] * d
-        lmsgs[0] = np.ones((dims[0], 1, 1))
-        for l in range(1, d):
-            lmsgs[l] = _lstep(lmsgs[l - 1], chain.blocks[l - 1], cores[l - 1], ledger, op_class)
-        rmsg = np.ones((dims[d - 1], 1, 1))
-        for i in range(d - 1, -1, -1):
-            b = _einsum(ledger, op_class, "xrp,xps->rxs", lmsgs[i], rmsg)
-            cores[i] = b
-            if i > 0:
-                r0, n, r1 = b.shape
-                lmat, q = lq_fixed(b.reshape(r0, n * r1))
-                charge(ledger, "qr", qr_flops(n * r1, r0))
-                cores[i] = q.reshape(q.shape[0], n, r1)
-                cores[i - 1] = contract(None, "matmul", cores[i - 1], lmat, ((2,), (0,)))
-                rmsg = _rstep(rmsg, chain.blocks[i - 1], cores[i], ledger, op_class)
-        fit_sq = float(np.sum(cores[0] ** 2))
-        prev, residual = residual, float(np.sqrt(max(target_sq - fit_sq, 0.0)))
-        at_last_site = False
-        if abs(prev - residual) <= fit_tol * max(target, 1e-300):
-            break
-
-    result = TensorTrain(cores, center=d - 1 if at_last_site else 0)
-    if not at_last_site:
+    result = TensorTrain(cores, center=d - 1 if rightward else 0)
+    if not rightward:
         result = orthogonalize(result, d - 1, ledger)
     return result, residual

@@ -588,6 +588,28 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
             sol = solve_coarse(cp, ledger=ledger)
         prev_coeffs = sol.coeffs
 
+        # Rayleigh quotients of the span members (matrix diagonals), not
+        # the local eigenvalues: two-site updates are split at max_rank
+        # before they enter the span, which can cost energy.
+        min_update_energy = float(
+            min(cp.a_hat[j, j] / cp.s_hat[j, j] for j in range(1, len(members)))
+        )
+        # Over the whole span the coarse minimum lies below every member's
+        # Rayleigh quotient.  A cut to one direction that leaves a member
+        # lower has thrown that descent away, so a stalled energy would be
+        # stagnation, not convergence.  (At a fixed point the members all
+        # coincide with the iterate, and p = 1 is no collapse.)
+        collapsed = cp.p <= 1 and (
+            sol.energy - min_update_energy > config.energy_tol * max(abs(sol.energy), 1e-12)
+        )
+        if collapsed:
+            warnings.warn(
+                f"iteration {it}: coarse span collapsed to p = {cp.p} of {len(members)} "
+                "members",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+
         fit_residual = math.nan
         if one_site:
             state = compress_one_site(
@@ -622,12 +644,7 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
                 coarse_iterations=sol.iterations,
                 lanczos_iterations=tuple(r.iterations for r in results),
                 coarse_energy=float(sol.energy),
-                # Rayleigh quotients of the span members (matrix diagonals),
-                # not the local eigenvalues: two-site updates are split at
-                # max_rank before they enter the span, which can cost energy.
-                min_update_energy=float(
-                    min(cp.a_hat[j, j] / cp.s_hat[j, j] for j in range(1, len(members)))
-                ),
+                min_update_energy=min_update_energy,
                 prev_energy=float(prev_energy),
                 fit_residual=float(fit_residual),
                 flops_seq=seq,
@@ -639,7 +656,7 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
         )
 
         denom = max(abs(energy), 1e-12)
-        if abs(energy - prev_energy) <= config.energy_tol * denom:
+        if not collapsed and abs(energy - prev_energy) <= config.energy_tol * denom:
             trace.converged = True
             break
 

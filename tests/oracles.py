@@ -1,22 +1,26 @@
 """Brute-force reference implementations the tests check the library against.
 
 Everything here is written with plain loops and Kronecker products, not with
-the library's contraction routines, so agreement is meaningful.  The one
-exception is :func:`pairwise_coarse`, which builds the coarse matrices from the
+the library's contraction routines, so agreement is meaningful.  The
+exceptions are :func:`pairwise_coarse`, which builds the coarse matrices from the
 library's full inner products, one pair of members at a time, sharing no
 transfers between entries as the row sweeps of
-``ttdmrg.twolevel.assemble_coarse`` do; and :func:`list_lanczos_lowest`, the
+``ttdmrg.twolevel.assemble_coarse`` do; :func:`list_lanczos_lowest`, the
 Lanczos iteration as it was written before the basis moved into one
-preallocated array, which the library's version must match bitwise.
+preallocated array, which the library's version must match bitwise; and
+:func:`rebuild_fit_chain`, the alternating least squares chain fit as it was
+written before its half-sweeps shared their environment messages, which the
+library's fit must also match bitwise.
 """
 
 import numpy as np
 import scipy.linalg
 
 from ttdmrg.eigen import LanczosResult
-from ttdmrg.ledger import charge
+from ttdmrg.ledger import charge, contract, qr_flops
 from ttdmrg.mpo import mpo_inner
-from ttdmrg.tt import inner
+from ttdmrg.sums import _einsum, _lstep, _rstep, chain_pair_inner
+from ttdmrg.tt import TensorTrain, inner, lq_fixed, orthogonalize, qr_fixed
 
 
 def pairwise_coarse(members, op):
@@ -112,6 +116,74 @@ def list_lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, l
             return finish(theta, vec, total)
     theta, vec = best
     return finish(theta, vec, total)
+
+
+def rebuild_fit_chain(chain, init, max_fit_iters=20, fit_tol=1e-8, ledger=None, op_class="inner"):
+    """``ttdmrg.sums.fit_chain`` as it was written before the half-sweeps
+    shared their environment messages: every half-sweep rebuilds all d-1
+    messages of the side it reads, and each QR/LQ factor is multiplied into
+    the neighboring core.  The library's fit must match it bitwise."""
+    d = len(chain.dims)
+    if init.dims != chain.dims:
+        raise ValueError("train and chain live on different local spaces")
+    state = orthogonalize(init, 0, ledger)
+    cores = list(state.cores)
+    dims = chain.dims
+
+    target_sq = chain_pair_inner(chain, chain, ledger, op_class)
+    target = float(np.sqrt(max(target_sq, 0.0)))
+    residual = None
+    at_last_site = False
+
+    for _ in range(max_fit_iters):
+        # left to right; right messages built from the untouched suffix
+        rmsgs = [None] * d
+        rmsgs[d - 1] = np.ones((dims[d - 1], 1, 1))
+        for l in range(d - 2, -1, -1):
+            rmsgs[l] = _rstep(rmsgs[l + 1], chain.blocks[l], cores[l + 1], ledger, op_class)
+        lmsg = np.ones((dims[0], 1, 1))
+        for i in range(d):
+            b = _einsum(ledger, op_class, "xrp,xps->rxs", lmsg, rmsgs[i])
+            cores[i] = b
+            if i < d - 1:
+                r0, n, r1 = b.shape
+                q, rmat = qr_fixed(b.reshape(r0 * n, r1))
+                charge(ledger, "qr", qr_flops(r0 * n, r1))
+                cores[i] = q.reshape(r0, n, q.shape[1])
+                cores[i + 1] = contract(None, "matmul", rmat, cores[i + 1], ((1,), (0,)))
+                lmsg = _lstep(lmsg, chain.blocks[i], cores[i], ledger, op_class)
+        fit_sq = float(np.sum(cores[d - 1] ** 2))
+        prev, residual = residual, float(np.sqrt(max(target_sq - fit_sq, 0.0)))
+        at_last_site = True
+        if prev is not None and abs(prev - residual) <= fit_tol * max(target, 1e-300):
+            break
+
+        # right to left, mirrored
+        lmsgs = [None] * d
+        lmsgs[0] = np.ones((dims[0], 1, 1))
+        for l in range(1, d):
+            lmsgs[l] = _lstep(lmsgs[l - 1], chain.blocks[l - 1], cores[l - 1], ledger, op_class)
+        rmsg = np.ones((dims[d - 1], 1, 1))
+        for i in range(d - 1, -1, -1):
+            b = _einsum(ledger, op_class, "xrp,xps->rxs", lmsgs[i], rmsg)
+            cores[i] = b
+            if i > 0:
+                r0, n, r1 = b.shape
+                lmat, q = lq_fixed(b.reshape(r0, n * r1))
+                charge(ledger, "qr", qr_flops(n * r1, r0))
+                cores[i] = q.reshape(q.shape[0], n, r1)
+                cores[i - 1] = contract(None, "matmul", cores[i - 1], lmat, ((2,), (0,)))
+                rmsg = _rstep(rmsg, chain.blocks[i - 1], cores[i], ledger, op_class)
+        fit_sq = float(np.sum(cores[0] ** 2))
+        prev, residual = residual, float(np.sqrt(max(target_sq - fit_sq, 0.0)))
+        at_last_site = False
+        if abs(prev - residual) <= fit_tol * max(target, 1e-300):
+            break
+
+    result = TensorTrain(cores, center=d - 1 if at_last_site else 0)
+    if not at_last_site:
+        result = orthogonalize(result, d - 1, ledger)
+    return result, residual
 
 
 def tt_entry(cores, idx):

@@ -541,6 +541,46 @@ def test_converged_local_solves_do_not_warn(mode):
     assert all(r.lanczos_max_residual <= 1e-8 * max(1.0, abs(r.energy)) for r in trace.records)
 
 
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_collapsed_coarse_span_warns_every_iteration(mode):
+    op = ising_chain(10)
+    cfg = TwoLevelConfig(mode=mode, coarse_eps=0.999, max_rank=6, max_iters=10)
+    with pytest.warns(RuntimeWarning) as caught:
+        _, trace = run_two_level(random_tt(op.dims, 3, 7), op, cfg)
+    members = 11 if mode == "one-site" else 10
+    assert not trace.converged
+    assert [r.coarse_p for r in trace.records] == [1] * 10
+    assert [str(w.message) for w in caught] == [
+        f"iteration {it}: coarse span collapsed to p = 1 of {members} members"
+        for it in range(1, 11)
+    ]
+
+
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_stalled_energy_on_collapsed_span_is_not_convergence(mode, monkeypatch):
+    import dataclasses
+
+    import ttdmrg.twolevel
+
+    # keep only the previous iterate, so the energy cannot move although
+    # the local updates lie lower
+    real = ttdmrg.twolevel.assemble_coarse
+
+    def iterate_only(*args, **kwargs):
+        cp = real(*args, **kwargs)
+        return dataclasses.replace(cp, sigma=np.diag(cp.s_hat), basis=np.eye(len(cp.s_hat)), p=1)
+
+    monkeypatch.setattr(ttdmrg.twolevel, "assemble_coarse", iterate_only)
+    op = ising_chain(6)
+    cfg = TwoLevelConfig(mode=mode, max_rank=4, max_iters=3)
+    with pytest.warns(RuntimeWarning, match="coarse span collapsed") as caught:
+        _, trace = run_two_level(random_tt(op.dims, 2, seed=11), op, cfg)
+    energies = trace.energies()
+    assert all(abs(e - energies[0]) <= 1e-10 for e in energies)
+    assert len(trace.records) == 3 and not trace.converged
+    assert len(caught) == 3
+
+
 def test_structured_flag_matches_direct_through_the_driver():
     d = 4
     op = ising_chain(d)

@@ -178,13 +178,53 @@ def test_trace_csv_round_trip_and_determinism():
     assert all(b > a for a, b in zip(flops, flops[1:]))
 
     rows = list(csv.DictReader(io.StringIO(trace.to_csv())))
+    assert list(rows[0]) == [
+        "half_sweep", "site", "energy", "lanczos_iterations", "discarded_weight",
+        "flops_cumulative", "lanczos_converged", "lanczos_residual",
+    ]
     assert len(rows) == len(trace.micro)
     assert float(rows[0]["energy"]) == trace.micro[0].energy
+    assert [int(r["lanczos_converged"]) for r in rows] == [m.lanczos_converged for m in trace.micro]
+    assert [float(r["lanczos_residual"]) for r in rows] == [m.lanczos_residual for m in trace.micro]
     assert int(rows[-1]["half_sweep"]) == done
 
     _, again = run_dmrg(init, op, config, CostLedger())
     assert [m.energy for m in again.micro] == [m.energy for m in trace.micro]
     assert again.to_csv() == trace.to_csv()
+
+
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_unconverged_micro_steps_warn_once_per_half_sweep(mode):
+    d = 6
+    op = ising_chain(d)
+    config = SweepConfig(mode=mode, max_rank=8, eig_max_iter=2, max_half_sweeps=4)
+    with pytest.warns(RuntimeWarning) as caught:
+        _, trace = run_dmrg(random_tt(op.dims, 2, seed=11), op, config)
+    expected = []
+    for hs in range(1, len(trace.half_sweep_energies) + 1):
+        steps = trace.for_half_sweep(hs)
+        bad = sum(not m.lanczos_converged for m in steps)
+        if bad:
+            expected.append(
+                f"half-sweep {hs}: {bad} of {len(steps)} local Lanczos solves did not converge"
+            )
+    assert expected
+    assert [str(w.message) for w in caught] == expected
+    assert all(m.lanczos_residual > 0.0 for m in trace.micro if not m.lanczos_converged)
+
+
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_converged_micro_steps_do_not_warn(mode):
+    import warnings
+
+    d = 6
+    op = ising_chain(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, trace = run_dmrg(random_tt(op.dims, 2, seed=11), op, SweepConfig(mode=mode, max_rank=8))
+    assert trace.converged
+    assert all(m.lanczos_converged for m in trace.micro)
+    assert all(m.lanczos_residual <= 1e-8 * max(1.0, abs(m.energy)) for m in trace.micro)
 
 
 def test_run_dmrg_rejects_bad_inputs():

@@ -9,6 +9,9 @@ are only compared on the stack they were recorded with.
 Regenerate (only when the arithmetic is meant to change, and say why):
 
     PYTHONPATH=src python tests/test_pins.py --write
+
+which prints, per case, which of ``energies``, ``ledger`` and
+``state_sha256`` differ from the file it replaces.
 """
 
 import hashlib
@@ -100,5 +103,10 @@ def test_run_matches_pin(name):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_pins.py --write")
+    old = load_pins()["cases"] if PIN_FILE.exists() else {}
     out = {"stack": stack(), "cases": {name: run_case(name) for name in sorted(CASES)}}
+    out = json.loads(json.dumps(out))
+    for name, case in out["cases"].items():
+        moved = [key for key in sorted(case) if case[key] != old.get(name, {}).get(key)]
+        print(f"{name}: {', '.join(moved) or 'unchanged'}")
     PIN_FILE.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
+from ttdmrg import sums
+from ttdmrg.ledger import CostLedger
 from ttdmrg.mpo import MatrixProductOperator, mpo_to_dense
 from ttdmrg.sums import (
     OneSiteSumFamily,
@@ -272,3 +274,96 @@ def test_fit_chain_two_sites():
     dc = oracles.chain_dense(chain.blocks, dims)
     assert residual <= 1e-10 * np.linalg.norm(dc)
     np.testing.assert_allclose(fit.to_dense(), dc, atol=1e-10 * np.linalg.norm(dc))
+
+
+def fit_case(d, truncated, seed):
+    dims = (2,) * d
+    family = make_family(dims, 3, seed)
+    rng = np.random.default_rng(seed + 1)
+    coeffs = rng.standard_normal(d - 1)
+    chain = TwoSiteChain(family, random_blocks(family, seed + 1), coeffs, prev_coeff=0.3)
+    member = chain.member_train(0)
+    if truncated:
+        return chain, pad_ranks(round_tt(member, max_ranks=2), 3, seed=seed + 2)
+    return chain, pad_ranks(member, 2**d, seed=seed + 2)
+
+
+def record_message_steps(monkeypatch, module):
+    """Rebind ``module``'s message steps so each call appends its kind and
+    its ``inner`` charge (measured on a probe ledger) to the returned list."""
+    calls = []
+    for name in ("_lstep", "_rstep"):
+        step = getattr(module, name)
+
+        def recorded(msg, block, core, ledger, op_class, step=step, name=name):
+            probe = CostLedger()
+            step(msg, block, core, probe, op_class)
+            calls.append((name, probe.total_flops()))
+            return step(msg, block, core, ledger, op_class)
+
+        monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+# (d, truncated, seed, max_fit_iters, fit_tol, how the fit stops)
+FIT_CASES = [
+    (2, False, 0, 20, 1e-8, "backward"),
+    (2, True, 0, 20, 1e-8, "forward"),
+    (3, False, 1, 20, 1e-8, "forward"),
+    (3, True, 3, 20, 1e-8, "backward"),
+    (6, False, 2, 20, 1e-8, "backward"),
+    (6, True, 1, 20, 1e-8, "forward"),
+    (6, True, 0, 20, 1e-8, "backward"),
+    (9, False, 3, 20, 1e-8, "forward"),
+    (9, False, 0, 20, 1e-8, "backward"),
+    (9, True, 1, 20, 1e-8, "forward"),
+    (9, True, 0, 1, 1e-8, "exhausted"),
+    (9, True, 0, 2, 1e-8, "exhausted"),
+    (6, True, 1, 20, 0.0, "exhausted"),
+    (9, True, 0, 20, 0.0, "exhausted"),
+]
+
+
+@pytest.mark.parametrize("d, truncated, seed, max_fit_iters, fit_tol, stop", FIT_CASES)
+def test_fit_chain_matches_rebuild_oracle_bitwise(
+    monkeypatch, d, truncated, seed, max_fit_iters, fit_tol, stop
+):
+    chain, init = fit_case(d, truncated, seed)
+    want_calls = record_message_steps(monkeypatch, oracles)
+    got_calls = record_message_steps(monkeypatch, sums)
+    want_ledger, got_ledger = CostLedger(), CostLedger()
+    want, want_res = oracles.rebuild_fit_chain(
+        chain, init, max_fit_iters, fit_tol, ledger=want_ledger
+    )
+    got, got_res = fit_chain(chain, init, max_fit_iters, fit_tol, ledger=got_ledger)
+
+    assert got_res == want_res
+    assert got.center == want.center == d - 1
+    assert len(got.cores) == len(want.cores)
+    for a, b in zip(got.cores, want.cores):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+    # the oracle starts every half-sweep with d-1 rebuilt messages and then
+    # steps d-1 messages on the fly; the fit rebuilds only once, up front
+    steps = d - 1
+    halves = len(want_calls) // (2 * steps)
+    assert len(want_calls) == 2 * steps * halves
+    if stop == "exhausted":
+        assert halves == 2 * max_fit_iters
+    else:
+        assert halves < 2 * max_fit_iters
+        assert halves % 2 == (1 if stop == "forward" else 0)
+    kept, skipped = list(want_calls[:steps]), []
+    for h in range(halves):
+        first = (2 * h + 1) * steps
+        kept += want_calls[first : first + steps]
+        if h + 1 < halves:
+            skipped += want_calls[first + steps : first + 2 * steps]
+    assert got_calls == kept
+    assert len(skipped) == (halves - 1) * steps
+
+    want_report, got_report = want_ledger.report(), got_ledger.report()
+    saved = want_report["per_class_flops"].pop("inner") - got_report["per_class_flops"].pop("inner")
+    assert saved == sum(flops for _, flops in skipped)
+    assert got_report["per_class_flops"] == want_report["per_class_flops"]
