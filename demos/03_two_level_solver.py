@@ -7,7 +7,9 @@ Every global iteration does four things:
      its own parallel task; they run one after another in this process),
   3. minimize over the span of the previous iterate and all local updates
      (a small dense eigenproblem after whitening),
-  4. compress the minimizer back to the rank budget.
+  4. compress the minimizer back to the rank budget: build the sum as one
+     exact train (three rails in two-site mode, from the split factors of
+     each pair) and round it once.
 
 The coarse step is what makes the parallel solves cooperate: its energy
 is never above the previous iterate or any single update.
@@ -41,6 +43,7 @@ for r in trace.records:
         f"   {r.coarse_p:2d}        {descends}"
     )
 print(f"\nconverged {trace.converged} at ranks {state.ranks}")
+print(f"last compression error (fit_residual) {trace.records[-1].fit_residual:.2e}")
 
 # The worker count is accepted for existing configurations but changes
 # neither the results nor the wall time: the independent tasks always run

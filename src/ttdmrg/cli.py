@@ -24,7 +24,7 @@ Experiments are described by an INI file with three sections::
     seed = 0
     workers = 1             ; accepted; changes neither results nor wall time
     structured_coarse = false
-    fallback_compression = false
+    fallback_compression = false  ; deprecated: accepted, warns, no effect
     reference = dense       ; dense | none
 
     [output]                ; all keys optional
@@ -47,6 +47,7 @@ import argparse
 import configparser
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,6 +126,9 @@ class ExperimentConfig:
             raise CliError("worker count must be at least 1")
         if self.reference not in ("dense", "none"):
             raise CliError("reference must be 'dense' or 'none'")
+        if self.fallback_compression:
+            warnings.warn("run.fallback_compression is deprecated and has no effect: step 4 "
+                          "rounds an exact train in both modes", DeprecationWarning, stacklevel=3)
 
     def model_key(self):
         """Tuple identifying the operator; compared runs must agree on it."""
@@ -251,7 +255,7 @@ def run_solver(cfg, op, ledger, reference=None):
         mode=mode, max_rank=cfg.max_rank, eig_tol=cfg.eig_tol, energy_tol=cfg.energy_tol,
         max_iters=cfg.max_iters, coarse_eps=cfg.coarse_eps,
         structured_coarse=cfg.structured_coarse, round_tol=cfg.svd_tol,
-        fallback_compression=cfg.fallback_compression, workers=cfg.workers, seed=cfg.seed,
+        workers=cfg.workers, seed=cfg.seed,
     )
     return run_two_level(init, op, two, ledger, reference_energy=reference)
 
@@ -433,6 +437,8 @@ def main(argv=None):
     p_led.add_argument("ledger")
 
     args = parser.parse_args(argv)
+    # Python hides DeprecationWarning outside __main__; show the deprecated keys
+    warnings.filterwarnings("default", category=DeprecationWarning, module=r"ttdmrg\.")
 
     def collect_overrides(ns):
         out = list(ns.overrides)

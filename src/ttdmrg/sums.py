@@ -2,30 +2,24 @@
 
 Given the site-orthogonal configurations of a tensor (one
 :class:`~ttdmrg.tt.OrthogonalFamily`), a linear combination of members
-whose center core was replaced admits exact block representations:
+whose center core or center pair was replaced is an exact train, which
+step 4 of the two-level iteration rounds once:
 
-* replacing single cores gives a train whose interior bond dimensions
-  are exactly twice the family's (:class:`OneSiteSumFamily`).  The
-  blocks follow a two-rail pattern: the lower rail carries the shared
-  left-orthonormal prefix, the upper rail the shared right-orthonormal
-  suffix, and each term crosses between the rails through its replaced
-  core.
+* replacing single cores gives interior bond dimensions exactly twice
+  the family's (:class:`OneSiteSumFamily`).  The lower rail carries the
+  shared left-orthonormal prefix, the upper rail the shared
+  right-orthonormal suffix, and each term crosses between the rails
+  through its replaced core.
 
-* replacing merged two-site blocks does not yield a train, because
-  consecutive terms overlap on one site.  The sum is instead a chain
-  of d-1 blocks in which neighboring blocks read the same physical
-  index (:class:`TwoSiteChain`).  Chains are contracted by message
-  passing that keeps the shared index pending between steps.
+* replacing pairs by their split factors adds a middle rail of the split
+  bond for the term whose pair straddles a cut (:func:`two_site_sum`).
 
-:func:`fit_chain` compresses a chain back to a train of prescribed
-ranks by alternating least squares.  In site-orthogonal gauge each
-local update is the plain projection :func:`chain_project_core`, so no
-local system has to be solved and the residual norm falls out of the
-projected core for free.  The environment messages of the chain against
-the train are built once, by one right-to-left sweep before the first
-half-sweep; after that every half-sweep does one projection and one
-message step per site, and the messages it steps are exactly the ones
-the next half-sweep reads.
+Merged two-site blocks instead form a chain of d-1 blocks in which
+neighboring blocks read the same physical index (:class:`TwoSiteChain`),
+contracted by message passing that keeps the shared index pending between
+steps; the structured coarse solve applies the operator this way.
+:func:`fit_chain` compresses a chain to fixed ranks by alternating least
+squares.
 """
 
 from __future__ import annotations
@@ -98,6 +92,60 @@ class OneSiteSumFamily:
             )
         )
         return TensorTrain(cores, center=None)
+
+
+def two_site_sum(family, pairs, coeffs, prev_coeff=0.0):
+    """Exact train of ``prev_coeff * x + sum_i coeffs[i] * member_i``.
+
+    Member ``i`` is ``family.left[:i] + [L_i, R_i] + family.right[i+2:]``
+    for the split factors ``pairs[i] = (L_i, R_i)``, of shapes
+    ``(r_i, n_i, k_i)`` and ``(k_i, n_{i+1}, r_{i+2})``.  Three rails cross
+    cut ``j``: the done rail (``family.right``) carries ``x`` and the
+    members whose pair lies left of the cut; the middle rail carries
+    member ``j-1``, entering through ``L_{j-1}`` and leaving through
+    ``coeffs[j-1] * R_{j-1}``; the pending rail (``family.left``) carries
+    the members whose pair lies right of the cut and is absent at the last
+    cut.  The bond at cut ``j`` is ``2 r_j + k_{j-1}`` at most.
+    """
+    d = family.d
+    if d < 2:
+        raise ValueError("pair replacements need at least two sites")
+    if len(pairs) != d - 1:
+        raise ValueError("need one split pair per neighboring pair")
+    if len(coeffs) != d - 1:
+        raise ValueError("need one coefficient per neighboring pair")
+    ranks = _family_ranks(family)
+    dims = family.dims
+    for i, (lf, rf) in enumerate(pairs):
+        if (lf.shape[:2] != (ranks[i], dims[i]) or lf.shape[2] != rf.shape[0]
+                or rf.shape[1:] != (dims[i + 1], ranks[i + 2])):
+            raise ValueError(f"pair {i} has shapes {lf.shape} and {rf.shape}")
+
+    # (done, middle, pending) slices of every cut's bond; the left boundary
+    # is a pending rail of size 1, the right one a done rail
+    cuts = [(None, None, slice(0, 1))]
+    for j in range(1, d):
+        r, k = ranks[j], pairs[j - 1][0].shape[2]
+        pend = slice(r + k, 2 * r + k) if j < d - 1 else None
+        cuts.append((slice(0, r), slice(r, r + k), pend))
+    cuts.append((slice(0, 1), None, None))
+    sizes = [max(s.stop for s in cut if s is not None) for cut in cuts]
+
+    cores = []
+    for j in range(d):
+        (done0, mid0, pend0), (done1, mid1, pend1) = cuts[j], cuts[j + 1]
+        g = np.zeros((sizes[j], dims[j], sizes[j + 1]))
+        if j == 0:
+            g[pend0, :, done1] = prev_coeff * family.centers[0]
+        else:
+            g[done0, :, done1] = family.right[j]
+            g[mid0, :, done1] = coeffs[j - 1] * pairs[j - 1][1]
+        if j < d - 1:
+            g[pend0, :, mid1] = pairs[j][0]
+        if pend1 is not None:
+            g[pend0, :, pend1] = family.left[j]
+        cores.append(g)
+    return TensorTrain(cores, center=None)
 
 
 class TwoSiteChain:
@@ -294,6 +342,9 @@ def pad_ranks(train, max_ranks, seed=0, scale=1e-6):
 
 def fit_chain(chain, init, max_fit_iters=20, fit_tol=1e-8, ledger=None, op_class="inner"):
     """Best approximation of a chain by a train of fixed ranks.
+
+    Library code: the two-level iteration rounds :func:`two_site_sum`
+    instead, but the benchmark's tracer still binds this name there.
 
     Alternating least squares sweeps over the sites of ``init``; ranks
     never grow, so pick the starting ranks with :func:`pad_ranks`.

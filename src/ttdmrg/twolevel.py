@@ -25,10 +25,11 @@ Each global iteration runs four steps:
    right environment reused across rows: O(d^2) environment updates per
    iteration rather than O(d^3) for pairwise inner products.  Each row
    is a task tagged ``gram{k}`` in the same per-task cost model;
-4. compress the coarse minimizer back to the working ranks: the
-   one-site sum is an exact train of doubled ranks that is rounded,
-   the two-site sum is a chain that is fitted by alternating least
-   squares (with a pairwise add-and-round fallback).
+4. compress the coarse minimizer back to the working ranks in both
+   modes by building the sum as one exact train (two-site: three rails
+   over the split factors the local solves kept) and rounding it once.
+   Rounding projects orthogonally, so ``fit_residual`` records the exact
+   error ``sqrt(c^T S c - |x~|^2)`` of the rounded state ``x~``.
 
 The iterate is kept left-orthogonal and at unit norm between iterations,
 and the energy is the Rayleigh quotient of the compressed state, so the
@@ -51,8 +52,8 @@ from .dmrg import _solve, split_and_shift
 from .eigen import dense_lowest_eig, dense_sym_svd, lanczos_lowest
 from .ledger import CostLedger, charge, contract
 
-# left_env, right_env and inner are not called here; bench/tracer.py wraps them
-# by name in this module's namespace, so they stay bound.
+# left_env, right_env, inner and fit_chain are not called here; bench/tracer.py
+# wraps them by name in this module's namespace, so they stay bound.
 from .mpo import (  # noqa: F401
     boundary_env,
     left_env,
@@ -64,14 +65,15 @@ from .mpo import (  # noqa: F401
     update_left_env,
     update_right_env,
 )
-from .sums import (
+from .sums import (  # noqa: F401
     OneSiteSumFamily,
     TwoSiteChain,
     fit_chain,
-    pad_ranks,
     tt_chain_operator_inner,
+    two_site_sum,
 )
 from .tt import (  # noqa: F401
+    TensorTrain,
     inner,
     orthogonal_family,
     orthogonalize,
@@ -89,6 +91,9 @@ class TwoLevelConfig:
 
     ``max_rank`` caps the compressed iterate; two-site local solves are
     also split at this rank before entering the coarse space.
+    ``round_tol`` is the relative cut of the step-4 rounding in both modes.
+    ``fit_tol``, ``max_fit_iters`` and ``fallback_compression`` are
+    deprecated: a non-default value warns and changes nothing.
     ``workers`` is accepted and validated for existing configurations
     but changes neither the results nor the wall time: the independent
     tasks run in the calling thread, since they hold the interpreter lock
@@ -112,7 +117,12 @@ class TwoLevelConfig:
     workers: int = 1
     seed: int = 0
 
+    _deprecated = {"fit_tol": 1e-8, "max_fit_iters": 20, "fallback_compression": False}
+
     def __post_init__(self):
+        for name in [k for k, v in self._deprecated.items() if getattr(self, k) != v]:
+            warnings.warn(f"TwoLevelConfig.{name} is deprecated and has no effect: step 4 "
+                          "rounds an exact train in both modes", DeprecationWarning, stacklevel=3)
         if self.mode not in ("one-site", "two-site"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_rank < 1:
@@ -300,8 +310,9 @@ def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=Non
     """Step 2: independent local eigensolves over a read-only family.
 
     Returns ``(updates, results)`` where one-site updates are center
-    cores and two-site updates are merged pair blocks already truncated
-    to ``max_rank``.  Task ``i`` reads its operator environments from the
+    cores and two-site updates are the split factors ``(L_i, R_i)`` of
+    each pair's block, truncated to ``max_rank`` with ``L_i``
+    left-orthonormal.  Task ``i`` reads its operator environments from the
     family's shared environments ``envs`` (built by :func:`shared_envs`
     when not given) and its ledger is merged under ``solve:i``.
     """
@@ -319,8 +330,7 @@ def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=Non
             envs.left[i][1], op.cores[i], op.cores[i + 1], envs.right[i + 2][1], led
         )
         block, res = _solve(local, v0, eig_tol, eig_max_iter, seed, led)
-        left, right, _ = split_and_shift(block, "LR", max_rank, 0.0, led)
-        return contract(led, "matvec", left, right, ((2,), (0,))), res
+        return split_and_shift(block, "LR", max_rank, 0.0, led)[:2], res
 
     solve, n = (solve_site, d) if mode == "one-site" else (solve_pair, d - 1)
     updates, results = [], []
@@ -464,27 +474,16 @@ def compress_one_site(family, replacements, coeffs, max_rank, round_tol=0.0, led
     return round_tt(total.materialize(), max_ranks=max_rank, tol=round_tol, ledger=ledger)
 
 
-def compress_two_site(family, blocks, coeffs, max_rank, fit_tol=1e-8, max_fit_iters=20,
-                      seed=0, ledger=None):
-    """Step 4, two-site: alternating least squares fit of the chain.
-
-    The fit starts from the member with the largest coefficient
-    magnitude (the previous iterate counts as member 0), truncated and
-    padded to the target ranks.
-    """
-    chain = TwoSiteChain(family, blocks, coeffs[1:], prev_coeff=coeffs[0])
-    k = int(np.argmax(np.abs(coeffs)))
-    if k == 0:
-        start = family.config(0)
-    else:
-        start = chain.member_train(k - 1, ledger)
-    capped = round_tt(start, max_ranks=max_rank, ledger=ledger)
-    init = pad_ranks(capped, max_rank, seed=seed)
-    return fit_chain(chain, init, max_fit_iters=max_fit_iters, fit_tol=fit_tol, ledger=ledger)
+def compress_two_site(family, pairs, coeffs, max_rank, round_tol=0.0, ledger=None):
+    """Step 4, two-site: exact three-rail train of the split pairs, then
+    rounding."""
+    total = two_site_sum(family, pairs, coeffs[1:], prev_coeff=coeffs[0])
+    return round_tt(total, max_ranks=max_rank, tol=round_tol, ledger=ledger)
 
 
 def compress_two_site_fallback(members, coeffs, max_rank, round_tol=0.0, ledger=None):
-    """Step 4 fallback: scale members, add pairwise, round once."""
+    """Step 4 reference, not called by the iteration: scale members, add
+    pairwise, round once; equal to :func:`compress_two_site` in exact arithmetic."""
     acc = tt_scale(members[0], coeffs[0])
     for member, c in zip(members[1:], coeffs[1:]):
         acc = tt_add(acc, tt_scale(member, c))
@@ -552,15 +551,14 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
                 stacklevel=2,
             )
 
+        members = [family.config(0)]
         if one_site:
-            members = [family.config(0)]
-            members += [
-                family.config(i).replace_core(i, updates[i], center=i) for i in range(d)
-            ]
+            members += [family.config(i).replace_core(i, updates[i], center=i) for i in range(d)]
         else:
-            chain = TwoSiteChain(family, updates, [1.0] * (d - 1))
-            members = [family.config(0)]
-            members += [chain.member_train(i, ledger) for i in range(d - 1)]
+            members += [
+                TensorTrain(family.left[:i] + pair + family.right[i + 2 :], center=i + 1)
+                for i, pair in enumerate(updates)
+            ]
 
         cp = assemble_coarse(
             members, op, eps=config.coarse_eps, ledger=ledger, family=family, envs=envs
@@ -575,8 +573,10 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
                         [mpo_inner(mem, op, total, ledger, "coarse") for mem in members]
                     )
             else:
+                blocks = [contract(ledger, "coarse", lf, rf, ((2,), (0,))) for lf, rf in updates]
+
                 def apply_a(c):
-                    ch = TwoSiteChain(family, updates, c[1:], prev_coeff=c[0])
+                    ch = TwoSiteChain(family, blocks, c[1:], prev_coeff=c[0])
                     return np.array(
                         [tt_chain_operator_inner(mem, op, ch, ledger, "coarse")
                          for mem in members]
@@ -610,23 +610,14 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
                 stacklevel=2,
             )
 
-        fit_residual = math.nan
-        if one_site:
-            state = compress_one_site(
-                family, updates, sol.coeffs, config.max_rank, config.round_tol, ledger
-            )
-        elif config.fallback_compression:
-            state = compress_two_site_fallback(
-                members, sol.coeffs, config.max_rank, config.round_tol, ledger
-            )
-        else:
-            state, fit_residual = compress_two_site(
-                family, updates, sol.coeffs, config.max_rank, config.fit_tol,
-                config.max_fit_iters, config.seed + it, ledger,
-            )
+        compress = compress_one_site if one_site else compress_two_site
+        state = compress(family, updates, sol.coeffs, config.max_rank, config.round_tol, ledger)
         norm = state.norm()
         if norm == 0.0:
             raise ValueError("compressed iterate vanished; coarse span degenerate")
+        # rounding is an orthogonal projection of the exact sum
+        exact_sq = float(sol.coeffs @ cp.s_hat @ sol.coeffs)
+        fit_residual = math.sqrt(max(exact_sq - norm * norm, 0.0))
         state = tt_scale(state, 1.0 / norm)
 
         prev_energy = energy

@@ -18,6 +18,7 @@ from ttdmrg.twolevel import (
     assemble_coarse,
     compress_one_site,
     compress_two_site,
+    compress_two_site_fallback,
     local_solves,
     run_two_level,
     solve_coarse,
@@ -36,11 +37,18 @@ def one_site_members(family, updates):
     return members
 
 
-def two_site_members(family, updates):
-    from ttdmrg.sums import TwoSiteChain
+def merged(pair):
+    left, right = pair
+    return np.tensordot(left, right, axes=(2, 0))
 
-    chain = TwoSiteChain(family, updates, [1.0] * (family.d - 1))
-    return [family.config(0)] + [chain.member_train(i) for i in range(family.d - 1)]
+
+def two_site_members(family, pairs):
+    # member i: the shared prefix, the split pair, the shared suffix
+    members = [family.config(0)]
+    for i, (left, right) in enumerate(pairs):
+        cores = list(family.left[:i]) + [left, right] + list(family.right[i + 2 :])
+        members.append(TensorTrain(cores, center=i + 1))
+    return members
 
 
 def dense_span_minimum(members, op, eps=1e-10):
@@ -81,7 +89,11 @@ def test_two_site_local_solves_match_micro_steps_at_full_rank():
     assert len(updates) == d - 1
     for i in range(d - 1):
         block, res = micro_step_2site(family.config(i), op, tol=1e-12, seed=0)
-        assert np.max(np.abs(updates[i] - block)) <= 1e-12
+        left = updates[i][0]
+        k = left.shape[2]
+        gram = np.tensordot(left, left, axes=([0, 1], [0, 1]))
+        assert np.max(np.abs(gram - np.eye(k))) <= 1e-12
+        assert np.max(np.abs(merged(updates[i]) - block)) <= 1e-12
         assert abs(results[i].eigenvalue - res.eigenvalue) <= 1e-12
 
 
@@ -90,7 +102,9 @@ def test_two_site_local_solves_truncate_each_pair():
     op = random_symmetric_mpo(d, seed=5)
     family = orthogonal_family(make_state((2,) * d, 2, seed=6))
     updates, _ = local_solves(family, op, "two-site", eig_tol=1e-12, max_rank=1, seed=0)
-    for i, block in enumerate(updates):
+    for i, pair in enumerate(updates):
+        assert pair[0].shape[2] == pair[1].shape[0] == 1
+        block = merged(pair)
         r0, n1, n2, r3 = block.shape
         s = np.linalg.svd(block.reshape(r0 * n1, n2 * r3), compute_uv=False)
         assert s[1:].max(initial=0.0) <= 1e-12 * s[0]
@@ -137,11 +151,14 @@ def random_members(family, mode, seed):
     if mode == "one-site":
         updates = [rng.standard_normal(c.shape) for c in family.centers]
         return one_site_members(family, updates)
+    from ttdmrg.sums import TwoSiteChain
+
     updates = [
         rng.standard_normal(family.centers[i].shape[:2] + family.right[i + 1].shape[1:])
         for i in range(family.d - 1)
     ]
-    return two_site_members(family, updates)
+    chain = TwoSiteChain(family, updates, [1.0] * (family.d - 1))
+    return [family.config(0)] + [chain.member_train(i) for i in range(family.d - 1)]
 
 
 def assert_matches_pairwise(cp, members, op):
@@ -314,7 +331,7 @@ def test_structured_coarse_matches_direct_two_site():
     cp = assemble_coarse(members, op)
 
     def apply_a(c):
-        chain = TwoSiteChain(family, updates, c[1:], prev_coeff=c[0])
+        chain = TwoSiteChain(family, [merged(p) for p in updates], c[1:], prev_coeff=c[0])
         return np.array([tt_chain_operator_inner(m, op, chain) for m in members])
 
     direct = solve_coarse(cp)
@@ -349,32 +366,58 @@ def test_compress_one_site_exact_at_ample_rank():
     assert max(state.ranks) <= 4
 
 
-def test_compress_two_site_fits_chain_to_tolerance():
+def dense_sum(members, coeffs):
+    return sum(
+        (c * oracles.tt_dense(m.cores) for c, m in zip(coeffs, members)),
+        start=np.zeros(members[0].dims),
+    )
+
+
+def test_compress_two_site_exact_at_ample_rank():
     d = 4
     op = random_symmetric_mpo(d, seed=26)
     family = orthogonal_family(make_state((2,) * d, 2, seed=27))
     updates, _ = local_solves(family, op, "two-site", eig_tol=1e-12, max_rank=4, seed=0)
     members = two_site_members(family, updates)
     coeffs = np.array([0.4, 1.2, -0.8, 0.5])
-    state, residual = compress_two_site(
-        family, updates, coeffs, max_rank=8, fit_tol=1e-12, max_fit_iters=40, seed=1
-    )
-    want = sum(
-        (c * oracles.tt_dense(m.cores) for c, m in zip(coeffs, members)),
-        start=np.zeros((2,) * d),
-    )
+    state = compress_two_site(family, updates, coeffs, max_rank=8)
+    want = dense_sum(members, coeffs)
     scale = np.linalg.norm(want.ravel())
-    # Rank 8 clips to the full (2, 4, 2) profile, so the fit is exact.
-    assert np.linalg.norm((oracles.tt_dense(state.cores) - want).ravel()) <= 1e-8 * scale
-    assert residual <= 1e-7 * scale
+
+    def residual(x):
+        # rounding is an orthogonal projection of the exact sum
+        return np.sqrt(max(scale**2 - x.norm() ** 2, 0.0))
+
+    # Rank 8 clips to the full (2, 4, 2) profile, so the rounding is exact.
+    assert np.linalg.norm((oracles.tt_dense(state.cores) - want).ravel()) <= 1e-12 * scale
+    assert residual(state) <= 1e-7 * scale
     assert state.center == d - 1
 
-    capped, res_capped = compress_two_site(
-        family, updates, coeffs, max_rank=2, fit_tol=1e-12, max_fit_iters=40, seed=1
-    )
+    capped = compress_two_site(family, updates, coeffs, max_rank=2)
     err = np.linalg.norm((oracles.tt_dense(capped.cores) - want).ravel())
     assert max(capped.ranks) <= 2
-    assert np.isclose(res_capped, err, rtol=1e-6, atol=1e-9 * scale)
+    assert err > 1e-3 * scale  # the cap bites
+    assert np.isclose(residual(capped), err, rtol=1e-6, atol=1e-9 * scale)
+
+
+@pytest.mark.parametrize("d, cap", [(2, 1), (3, 1), (6, 3), (9, 4), (12, 5)])
+@pytest.mark.parametrize("model", ["ising", "heisenberg"])
+def test_compress_two_site_matches_fallback(d, cap, model):
+    # In exact arithmetic TT rounding of any exact representation of the
+    # same tensor gives the same truncation; the pairwise add-and-round
+    # reference must agree with the three-rail train to roundoff.
+    op = ising_chain(d) if model == "ising" else heisenberg_chain(d)
+    family = orthogonal_family(make_state(op.dims, 4, seed=d))
+    updates, _ = local_solves(family, op, "two-site", eig_tol=1e-10, max_rank=cap + 1, seed=0)
+    members = two_site_members(family, updates)
+    coeffs = np.random.default_rng(d).standard_normal(d)
+    led = CostLedger()
+    got = oracles.tt_dense(compress_two_site(family, updates, coeffs, cap, ledger=led).cores)
+    want = oracles.tt_dense(compress_two_site_fallback(members, coeffs, cap).cores)
+    exact = dense_sum(members, coeffs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.linalg.norm((got - exact).ravel()) > 1e-6 * np.linalg.norm(exact.ravel())
+    assert "inner" not in led.per_class_flops
 
 
 @pytest.mark.parametrize("mode", ["one-site", "two-site"])
@@ -411,6 +454,23 @@ def test_raw_random_start_converges_beyond_dense_sizes(mode):
     assert trace.converged
     assert abs(trace.records[-1].energy - e_ref) <= 1e-5 * abs(e_ref)
     assert abs(state.norm() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_d32_matches_classical_sweeps_and_free_fermions(mode):
+    d, cap = 32, 12
+    op = ising_chain(d)
+    e_exact = oracles.ising_free_fermion_energy(d, 1.0, 1.0)
+    init = random_tt(op.dims, 2, seed=0)
+    sweep = SweepConfig(mode="two-site", max_rank=cap, eig_tol=1e-8, energy_tol=1e-8)
+    _, sweeps = run_dmrg(init, op, sweep)
+    e_dmrg = sweeps.half_sweep_energies[-1]
+    cfg = TwoLevelConfig(mode=mode, max_rank=cap, energy_tol=1e-8)
+    _, trace = run_two_level(init, op, cfg)
+    energy = trace.records[-1].energy
+    assert trace.converged
+    assert abs(energy - e_dmrg) <= 1e-6 * abs(e_dmrg)
+    assert abs(energy - e_exact) <= 1e-6 * abs(e_exact)
 
 
 def test_run_two_level_heisenberg():
@@ -550,9 +610,19 @@ def test_collapsed_coarse_span_warns_every_iteration(mode):
     members = 11 if mode == "one-site" else 10
     assert not trace.converged
     assert [r.coarse_p for r in trace.records] == [1] * 10
+    # the rule: a member lies below the coarse energy by more than energy_tol
+    collapsed = [
+        r.global_iter for r in trace.records
+        if r.coarse_energy - r.min_update_energy > cfg.energy_tol * abs(r.coarse_energy)
+    ]
+    if mode == "one-site":
+        assert collapsed == list(range(1, 11))
+    else:
+        # on iterations 8 and 9 the coarse energy lies below every member
+        assert collapsed == [1, 2, 3, 4, 5, 6, 7, 10]
     assert [str(w.message) for w in caught] == [
         f"iteration {it}: coarse span collapsed to p = 1 of {members} members"
-        for it in range(1, 11)
+        for it in collapsed
     ]
 
 
@@ -581,6 +651,60 @@ def test_stalled_energy_on_collapsed_span_is_not_convergence(mode, monkeypatch):
     assert len(caught) == 3
 
 
+@pytest.mark.parametrize("d", [5, 8])
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_fit_residual_is_the_dense_compression_error(d, mode, monkeypatch):
+    import ttdmrg.twolevel
+
+    calls = []
+    name = "compress_one_site" if mode == "one-site" else "compress_two_site"
+    real = getattr(ttdmrg.twolevel, name)
+
+    def recorded(family, updates, coeffs, *args):
+        state = real(family, updates, coeffs, *args)
+        calls.append((family, updates, coeffs, state))
+        return state
+
+    monkeypatch.setattr(ttdmrg.twolevel, name, recorded)
+    op = ising_chain(d)
+    cfg = TwoLevelConfig(mode=mode, max_rank=2, max_iters=4, energy_tol=0.0)
+    _, trace = run_two_level(random_tt(op.dims, 3, seed=d), op, cfg)
+    assert len(calls) == len(trace.records)
+    errors = []
+    for record, (family, updates, coeffs, state) in zip(trace.records, calls):
+        build = one_site_members if mode == "one-site" else two_site_members
+        exact = dense_sum(build(family, updates), coeffs)
+        err = np.linalg.norm((exact - oracles.tt_dense(state.cores)).ravel())
+        assert abs(record.fit_residual - err) <= 1e-6 * np.linalg.norm(exact.ravel())
+        errors.append(err)
+    assert max(errors) > 1e-3  # the rank cap bites
+
+
+@pytest.mark.parametrize("knob", [
+    {"fit_tol": 1e-3}, {"max_fit_iters": 3}, {"fallback_compression": True},
+])
+def test_deprecated_knob_warns_and_changes_nothing(knob):
+    import warnings
+
+    op = heisenberg_chain(6)
+
+    def run(**kwargs):
+        led = CostLedger()
+        cfg = TwoLevelConfig(mode="two-site", max_rank=4, max_iters=4, **kwargs)
+        state, trace = run_two_level(random_tt(op.dims, 2, seed=3), op, cfg, ledger=led)
+        return trace.to_csv(), led.report(), [c.tobytes() for c in state.cores]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        plain = run()
+    with pytest.warns(DeprecationWarning) as caught:
+        got = run(**knob)
+    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
+    assert len(deprecations) == 1
+    assert f"TwoLevelConfig.{next(iter(knob))} is deprecated" in str(deprecations[0].message)
+    assert got == plain
+
+
 def test_structured_flag_matches_direct_through_the_driver():
     d = 4
     op = ising_chain(d)
@@ -598,22 +722,6 @@ def test_structured_flag_matches_direct_through_the_driver():
         assert abs(ra.coarse_energy - rb.coarse_energy) <= 1e-9 * max(1.0, abs(ra.coarse_energy))
     assert all(r.coarse_iterations == 0 for r in a.records)
     assert all(r.coarse_iterations >= 1 for r in b.records)
-
-
-def test_fallback_compression_tracks_fit():
-    d = 6
-    op = ising_chain(d)
-    energies = []
-    for fallback in (False, True):
-        cfg = TwoLevelConfig(
-            mode="two-site", max_rank=4, eig_tol=1e-10, energy_tol=1e-12,
-            max_iters=30, fallback_compression=fallback, seed=2,
-        )
-        _, trace = run_two_level(random_tt((2,) * d, 2, seed=9), op, cfg)
-        energies.append(trace.energies())
-    m = min(len(energies[0]), len(energies[1]))
-    for a, b in zip(energies[0][:m], energies[1][:m]):
-        assert abs(a - b) <= 1e-6 * max(1.0, abs(a))
 
 
 def test_trace_csv_shape_and_determinism():
@@ -651,7 +759,7 @@ def test_trace_csv_shape_and_determinism():
     # flops columns are cumulative snapshots
     seq = [float(r[10]) for r in rows[1:]]
     assert all(b >= a for a, b in zip(seq, seq[1:]))
-    assert trace.records[0].fit_residual != trace.records[0].fit_residual  # one-site: nan
+    assert all(r.fit_residual >= 0.0 for r in trace.records)  # finite in both modes
     assert go().to_csv() == text
 
 

@@ -11,9 +11,11 @@ Regenerate (only when the arithmetic is meant to change, and say why):
     PYTHONPATH=src python tests/test_pins.py --write
 
 which prints, per case, which of ``energies``, ``ledger`` and
-``state_sha256`` differ from the file it replaces.
+``state_sha256`` differ from the file it replaces, and the largest
+relative move of a recorded energy.
 """
 
+import dataclasses
 import hashlib
 import json
 import platform
@@ -64,7 +66,10 @@ def stack():
 
 
 def run_case(name):
-    op, config = CASES[name]
+    return run_config(*CASES[name])
+
+
+def run_config(op, config):
     init = random_tt(op.dims, 3, seed=7)
     ledger = CostLedger()
     if isinstance(config, SweepConfig):
@@ -100,6 +105,23 @@ def test_run_matches_pin(name):
     assert got["state_sha256"] == want["state_sha256"]
 
 
+def test_fallback_pin_is_a_run_without_the_deprecated_knob():
+    pins = load_pins()
+    if pins["stack"] != stack():
+        pytest.skip(f"pins recorded on {pins['stack']}, running on {stack()}")
+    op, config = CASES["a2dmrg2-fallback-heis-d8"]
+    assert config.fallback_compression
+    plain = dataclasses.replace(config, fallback_compression=False)
+    got = json.loads(json.dumps(run_config(op, plain)))
+    assert got == pins["cases"]["a2dmrg2-fallback-heis-d8"]
+
+
+def largest_energy_move(new, old):
+    """Largest relative change over the energies both lists record."""
+    moves = [abs(float(a) - float(b)) / max(abs(float(b)), 1e-300) for a, b in zip(new, old)]
+    return max(moves, default=0.0)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_pins.py --write")
@@ -107,6 +129,14 @@ if __name__ == "__main__":
     out = {"stack": stack(), "cases": {name: run_case(name) for name in sorted(CASES)}}
     out = json.loads(json.dumps(out))
     for name, case in out["cases"].items():
-        moved = [key for key in sorted(case) if case[key] != old.get(name, {}).get(key)]
-        print(f"{name}: {', '.join(moved) or 'unchanged'}")
+        prev = old.get(name, {})
+        moved = [key for key in sorted(case) if case[key] != prev.get(key)]
+        line = f"{name}: {', '.join(moved) or 'unchanged'}"
+        if "energies" in moved and prev:
+            move = largest_energy_move(case["energies"], prev["energies"])
+            line += f" (largest relative energy move {move:.3e}"
+            if len(case["energies"]) != len(prev["energies"]):
+                line += f"; {len(prev['energies'])} -> {len(case['energies'])} energies"
+            line += ")"
+        print(line)
     PIN_FILE.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")

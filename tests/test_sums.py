@@ -17,8 +17,20 @@ from ttdmrg.sums import (
     pad_ranks,
     tt_chain_inner,
     tt_chain_operator_inner,
+    two_site_sum,
 )
-from ttdmrg.tt import clip_ranks, orthogonal_family, orthogonalize, random_tt, round_tt
+from ttdmrg.models import heisenberg_chain, ising_chain
+from ttdmrg.tt import (
+    TensorTrain,
+    clip_ranks,
+    orthogonal_family,
+    orthogonalize,
+    random_tt,
+    round_tt,
+    tt_add,
+    tt_scale,
+)
+from ttdmrg.twolevel import local_solves
 
 
 def make_family(dims, ranks, seed=0):
@@ -114,6 +126,49 @@ def test_one_site_sum_validation():
     bad[1] = np.zeros((1, 2, 1))
     with pytest.raises(ValueError, match="shape"):
         OneSiteSumFamily(family, bad, [1.0] * 3)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 9])
+@pytest.mark.parametrize("model", ["ising", "heisenberg"])
+def test_two_site_sum_matches_pairwise_tt_add(d, model):
+    op = ising_chain(d) if model == "ising" else heisenberg_chain(d)
+    family = make_family(op.dims, 3, seed=d)
+    pairs, _ = local_solves(family, op, "two-site", eig_tol=1e-10, max_rank=2, seed=0)
+    rng = np.random.default_rng(d + 40)
+    coeffs = rng.standard_normal(d - 1)
+    prev = float(rng.standard_normal())
+
+    total = two_site_sum(family, pairs, coeffs, prev_coeff=prev)
+
+    acc = tt_scale(family.config(0), prev)
+    for i, (left, right) in enumerate(pairs):
+        cores = list(family.left[:i]) + [left, right] + list(family.right[i + 2 :])
+        acc = tt_add(acc, tt_scale(TensorTrain(cores, center=i + 1), coeffs[i]))
+    want = oracles.tt_dense(acc.cores)
+    got = oracles.tt_dense(total.cores)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    r = family_ranks(family)
+    k = [left.shape[2] for left, _ in pairs]
+    for j in range(1, d):
+        assert total.ranks[j] <= 2 * r[j] + k[j - 1]
+    assert total.ranks[d - 1] == r[d - 1] + k[d - 2]
+
+
+def test_two_site_sum_validation():
+    family = make_family((2, 2, 2), (2, 2), 0)
+    rng = np.random.default_rng(1)
+    pairs = [
+        (rng.standard_normal((1, 2, 2)), rng.standard_normal((2, 2, 2))),
+        (rng.standard_normal((2, 2, 3)), rng.standard_normal((3, 2, 1))),
+    ]
+    two_site_sum(family, pairs, [1.0, 1.0])
+    with pytest.raises(ValueError, match="split pair per"):
+        two_site_sum(family, pairs[:1], [1.0, 1.0])
+    with pytest.raises(ValueError, match="coefficient per"):
+        two_site_sum(family, pairs, [1.0])
+    with pytest.raises(ValueError, match="pair 1 has shapes"):
+        two_site_sum(family, [pairs[0], (pairs[1][0], pairs[0][1])], [1.0, 1.0])
 
 
 @pytest.mark.parametrize("dims,ranks,seed", [
