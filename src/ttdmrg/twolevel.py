@@ -12,7 +12,13 @@ Each global iteration runs four steps:
    run.  The operator environments the tasks read are built once per
    iteration over the family's shared cores (one left sweep and one
    right sweep, tagged ``env:left`` and ``env:right``) instead of from
-   scratch in every task;
+   scratch in every task.  The solves are inexact: the first iteration
+   solves to ``eig_tol``, and each later one to
+   ``max(eig_tol, eta * |E_prev - E_prev2| / |E_prev|)``, the forcing
+   term of inexact Newton methods applied to the last energy change
+   (``eta`` is ``eig_forcing``; the energy before the first iteration is
+   the start's Rayleigh quotient).  An iteration solved looser than
+   ``max(eig_tol, energy_tol)`` never counts as converged;
 3. form the coarse problem over the span of the previous iterate plus
    all locally updated members, and minimize the Rayleigh quotient in
    that span (a whitened dense eigenproblem of size at most d+1, with
@@ -92,6 +98,12 @@ class TwoLevelConfig:
     ``max_rank`` caps the compressed iterate; two-site local solves are
     also split at this rank before entering the coarse space.
     ``round_tol`` is the relative cut of the step-4 rounding in both modes.
+    ``eig_forcing`` (eta, ``0 <= eta < 1``) ties the local Lanczos
+    tolerance of every iteration after the first to the last relative
+    energy change: ``max(eig_tol, eta * |dE| / |E|)``.  ``eta = 0`` solves
+    every iteration to ``eig_tol``.  Convergence is only declared on an
+    iteration whose tolerance was at most ``max(eig_tol, energy_tol)``, so
+    a stall caused by loose solves is not taken for convergence.
     ``fit_tol``, ``max_fit_iters`` and ``fallback_compression`` are
     deprecated: a non-default value warns and changes nothing.
     ``workers`` is accepted and validated for existing configurations
@@ -108,6 +120,7 @@ class TwoLevelConfig:
     energy_tol: float = 1e-8
     max_iters: int = 200
     eig_max_iter: int | None = None
+    eig_forcing: float = 0.1
     coarse_eps: float = 1e-10
     structured_coarse: bool = False
     round_tol: float = 0.0
@@ -133,6 +146,8 @@ class TwoLevelConfig:
             raise ValueError("workers must be positive")
         if not 0 < self.coarse_eps < 1:
             raise ValueError("coarse_eps must be in (0, 1)")
+        if not 0 <= self.eig_forcing < 1:
+            raise ValueError("eig_forcing must be in [0, 1)")
 
 
 @dataclass
@@ -176,6 +191,7 @@ class IterationRecord:
     cost_per_processor: float
     lanczos_unconverged: int
     lanczos_max_residual: float
+    local_eig_tol: float
 
 
 @dataclass
@@ -206,6 +222,7 @@ class TwoLevelTrace:
                 "cost_per_processor",
                 "lanczos_unconverged",
                 "lanczos_max_residual",
+                "local_eig_tol",
             ]
         )
         for r in self.records:
@@ -226,6 +243,7 @@ class TwoLevelTrace:
                     repr(r.cost_per_processor),
                     r.lanczos_unconverged,
                     repr(r.lanczos_max_residual),
+                    repr(r.local_eig_tol),
                 ]
             )
         return buf.getvalue()
@@ -528,6 +546,8 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
     trace = TwoLevelTrace()
     energy = rayleigh_quotient(state, op, ledger)
     prev_coeffs = None
+    eig_tol = config.eig_tol  # local tolerance of the coming iteration
+    tight = max(config.eig_tol, config.energy_tol)  # loosest one that may converge
 
     def flops_snapshot():
         if ledger is None:
@@ -538,7 +558,7 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
         family = orthogonal_family(state, ledger)
         envs = shared_envs(family, op, ledger)
         updates, results = local_solves(
-            family, op, config.mode, eig_tol=config.eig_tol,
+            family, op, config.mode, eig_tol=eig_tol,
             eig_max_iter=config.eig_max_iter, max_rank=config.max_rank,
             seed=config.seed, ledger=ledger, envs=envs,
         )
@@ -643,12 +663,17 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
                 cost_per_processor=cpp,
                 lanczos_unconverged=unconverged,
                 lanczos_max_residual=max(r.residual_norm for r in results),
+                local_eig_tol=eig_tol,
             )
         )
 
         denom = max(abs(energy), 1e-12)
-        if not collapsed and abs(energy - prev_energy) <= config.energy_tol * denom:
+        change = abs(energy - prev_energy)
+        # a stall under loose local solves is not convergence
+        if not collapsed and eig_tol <= tight and change <= config.energy_tol * denom:
             trace.converged = True
             break
+        # forcing term: solve no more accurately than the last energy change warrants
+        eig_tol = max(config.eig_tol, config.eig_forcing * change / denom)
 
     return state, trace

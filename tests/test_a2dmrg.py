@@ -473,6 +473,67 @@ def test_d32_matches_classical_sweeps_and_free_fermions(mode):
     assert abs(energy - e_exact) <= 1e-6 * abs(e_exact)
 
 
+@pytest.fixture(scope="module")
+def d24_references():
+    # Ising: closed form.  Heisenberg: classical two-site sweeps at the same rank cap.
+    d, cap = 24, 16
+    heis = heisenberg_chain(d)
+    sweep = SweepConfig(mode="two-site", max_rank=cap, eig_tol=1e-10, energy_tol=1e-10)
+    _, sweeps = run_dmrg(random_tt(heis.dims, 2, seed=0), heis, sweep)
+    return {
+        "ising": (ising_chain(d), oracles.ising_free_fermion_energy(d, 1.0, 1.0)),
+        "heisenberg": (heis, sweeps.half_sweep_energies[-1]),
+    }
+
+
+@pytest.mark.parametrize("model", ["ising", "heisenberg"])
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_inexact_local_solves_keep_the_energy_for_fewer_flops(mode, model, d24_references):
+    op, e_ref = d24_references[model]
+    init = random_tt(op.dims, 2, seed=0)
+
+    def run(eta):
+        led = CostLedger()
+        cfg = TwoLevelConfig(mode=mode, max_rank=16, eig_forcing=eta)
+        _, trace = run_two_level(init, op, cfg, ledger=led)
+        assert trace.converged
+        return trace, led.per_class_flops["matvec"]
+
+    exact, exact_flops = run(0.0)
+    inexact, inexact_flops = run(TwoLevelConfig().eig_forcing)
+    assert all(r.local_eig_tol == 1e-8 for r in exact.records)
+    assert max(r.local_eig_tol for r in inexact.records) > 1e-8
+    energy = inexact.records[-1].energy
+    assert abs(energy - exact.records[-1].energy) <= 1e-6 * abs(e_ref)
+    assert abs(energy - e_ref) <= 1e-6 * abs(e_ref)
+    assert inexact_flops < exact_flops
+
+
+def test_loose_local_solves_never_count_as_convergence():
+    # At eta = 0.9 a loose iteration often returns the iterate's own cores,
+    # so the energy stalls; the guard must not take that for convergence.
+    fired = 0
+    for op in (ising_chain(10), heisenberg_chain(10)):
+        e_ref, _ = dense_ground_state(op)
+        for mode in ("one-site", "two-site"):
+            for energy_tol in (1e-8, 1e-6):
+                cfg = TwoLevelConfig(
+                    mode=mode, max_rank=12, energy_tol=energy_tol, eig_forcing=0.9
+                )
+                _, trace = run_two_level(random_tt(op.dims, 2, seed=0), op, cfg)
+                tight = max(cfg.eig_tol, cfg.energy_tol)
+                assert trace.converged
+                assert trace.records[-1].local_eig_tol <= tight
+                stalled = [
+                    r for r in trace.records
+                    if abs(r.energy - r.prev_energy) <= energy_tol * abs(r.energy)
+                ]
+                assert all(r.local_eig_tol > tight for r in stalled[:-1])
+                fired += len(stalled) - 1
+                assert abs(trace.records[-1].energy - e_ref) <= 1e-5 * abs(e_ref)
+    assert fired > 0  # without the guard some run would have stopped early
+
+
 def test_run_two_level_heisenberg():
     d = 6
     op = heisenberg_chain(d)
@@ -598,13 +659,16 @@ def test_converged_local_solves_do_not_warn(mode):
         )
     assert trace.converged
     assert all(r.lanczos_unconverged == 0 for r in trace.records)
-    assert all(r.lanczos_max_residual <= 1e-8 * max(1.0, abs(r.energy)) for r in trace.records)
+    assert all(
+        r.lanczos_max_residual <= r.local_eig_tol * max(1.0, abs(r.energy)) for r in trace.records
+    )
 
 
 @pytest.mark.parametrize("mode", ["one-site", "two-site"])
 def test_collapsed_coarse_span_warns_every_iteration(mode):
     op = ising_chain(10)
-    cfg = TwoLevelConfig(mode=mode, coarse_eps=0.999, max_rank=6, max_iters=10)
+    # exact local solves: the expected iteration lists below depend on them
+    cfg = TwoLevelConfig(mode=mode, coarse_eps=0.999, max_rank=6, max_iters=10, eig_forcing=0.0)
     with pytest.warns(RuntimeWarning) as caught:
         _, trace = run_two_level(random_tt(op.dims, 3, 7), op, cfg)
     members = 11 if mode == "one-site" else 10
@@ -748,7 +812,7 @@ def test_trace_csv_shape_and_determinism():
         "coarse_iterations", "lanczos_iterations", "coarse_energy",
         "min_update_energy", "prev_energy", "fit_residual", "flops_seq",
         "flops_max_worker", "cost_per_processor", "lanczos_unconverged",
-        "lanczos_max_residual",
+        "lanczos_max_residual", "local_eig_tol",
     ]
     assert len(rows) == len(trace.records) + 1
     first = rows[1]
@@ -756,6 +820,7 @@ def test_trace_csv_shape_and_determinism():
     assert len(first[5].split(";")) == d
     assert float(first[1]) == trace.records[0].energy
     assert float(first[2]) == trace.records[0].energy_error
+    assert float(first[15]) == 1e-10  # the first iteration solves at eig_tol
     # flops columns are cumulative snapshots
     seq = [float(r[10]) for r in rows[1:]]
     assert all(b >= a for a, b in zip(seq, seq[1:]))
@@ -781,6 +846,8 @@ def test_bad_inputs_rejected():
         dict(max_rank=0),
         dict(coarse_eps=0.0),
         dict(coarse_eps=1.5),
+        dict(eig_forcing=-0.1),
+        dict(eig_forcing=1.0),
     ):
         with pytest.raises(ValueError):
             TwoLevelConfig(**bad)
