@@ -16,13 +16,10 @@ Experiments are described by an INI file with three sections::
     algorithm = dmrg2       ; dmrg1 | dmrg2 | a2dmrg1 | a2dmrg2
     max_rank = 16
     init_rank = 2
-    eig_tol = 1e-6
+    eig_tol = 1e-6          ; a2dmrg: iteration 1's, later ones may be looser
     svd_tol = 0.0
     energy_tol = 1e-6
     coarse_eps = 1e-10      ; a2dmrg only
-    eig_forcing = 0.1       ; a2dmrg only: local Lanczos tolerance after the
-                            ; first iteration is max(eig_tol, eig_forcing *
-                            ; last relative energy change); 0 solves exactly
     max_iters = 200         ; half-sweeps (dmrg) or global iterations
     seed = 0
     workers = 1             ; accepted; changes neither results nor wall time
@@ -68,7 +65,7 @@ _SECTION_KEYS = {
     "model": {"kind", "sites", "coupling", "field", "local_dim", "rank", "seed"},
     "run": {
         "algorithm", "max_rank", "init_rank", "eig_tol", "svd_tol", "energy_tol",
-        "coarse_eps", "eig_forcing", "max_iters", "seed", "workers", "structured_coarse",
+        "coarse_eps", "max_iters", "seed", "workers", "structured_coarse",
         "fallback_compression", "reference",
     },
     "output": {"trace", "ledger", "summary", "state"},
@@ -96,7 +93,6 @@ class ExperimentConfig:
     svd_tol: float = 0.0
     energy_tol: float = 1e-6
     coarse_eps: float = 1e-10
-    eig_forcing: float = 0.1
     max_iters: int = 200
     seed: int = 0
     workers: int = 1
@@ -124,8 +120,6 @@ class ExperimentConfig:
             raise CliError("svd_tol must be nonnegative")
         if not 0 < self.coarse_eps < 1:
             raise CliError("coarse_eps must be in (0, 1)")
-        if not 0 <= self.eig_forcing < 1:
-            raise CliError("eig_forcing must be in [0, 1)")
         if self.max_iters < 1:
             raise CliError("max_iters must be positive")
         if self.workers < 1:
@@ -201,7 +195,6 @@ def load_config(path, overrides=()):
         svd_tol=get("run", "svd_tol", float, 0.0),
         energy_tol=get("run", "energy_tol", float, 1e-6),
         coarse_eps=get("run", "coarse_eps", float, 1e-10),
-        eig_forcing=get("run", "eig_forcing", float, 0.1),
         max_iters=get("run", "max_iters", int, 200),
         seed=get("run", "seed", int, 0),
         workers=get("run", "workers", int, 1),
@@ -260,7 +253,7 @@ def run_solver(cfg, op, ledger, reference=None):
         return run_dmrg(init, op, sweep, ledger)
     two = TwoLevelConfig(
         mode=mode, max_rank=cfg.max_rank, eig_tol=cfg.eig_tol, energy_tol=cfg.energy_tol,
-        max_iters=cfg.max_iters, coarse_eps=cfg.coarse_eps, eig_forcing=cfg.eig_forcing,
+        max_iters=cfg.max_iters, coarse_eps=cfg.coarse_eps,
         structured_coarse=cfg.structured_coarse, round_tol=cfg.svd_tol,
         workers=cfg.workers, seed=cfg.seed,
     )

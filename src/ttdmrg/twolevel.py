@@ -14,10 +14,13 @@ Each global iteration runs four steps:
    right sweep, tagged ``env:left`` and ``env:right``) instead of from
    scratch in every task.  The solves are inexact: the first iteration
    solves to ``eig_tol``, and each later one to
-   ``max(eig_tol, eta * |E_prev - E_prev2| / |E_prev|)``, the forcing
-   term of inexact Newton methods applied to the last energy change
-   (``eta`` is ``eig_forcing``; the energy before the first iteration is
-   the start's Rayleigh quotient).  An iteration solved looser than
+   ``max(eig_tol, EIG_FORCING * |E_prev - E_prev2| / |E_prev|)``, the
+   forcing term of inexact Newton methods applied to the last energy
+   change (the energy before the first iteration is the start's Rayleigh
+   quotient).  Runs whose ``max_rank`` reaches every bond's full
+   separation rank solve every iteration to ``eig_tol``: step 4 then
+   loses nothing, exact solves converge in a few iterations, and loose
+   ones only add iterations.  An iteration solved looser than
    ``max(eig_tol, energy_tol)`` never counts as converged;
 3. form the coarse problem over the span of the previous iterate plus
    all locally updated members, and minimize the Rayleigh quotient in
@@ -90,6 +93,11 @@ from .tt import (  # noqa: F401
     update_right_overlap,
 )
 
+# Forcing term of the inexact local solves (step 2 above): after the first
+# iteration the local Lanczos tolerance follows this fraction of the last
+# relative energy change.
+EIG_FORCING = 0.1
+
 
 @dataclass
 class TwoLevelConfig:
@@ -98,12 +106,12 @@ class TwoLevelConfig:
     ``max_rank`` caps the compressed iterate; two-site local solves are
     also split at this rank before entering the coarse space.
     ``round_tol`` is the relative cut of the step-4 rounding in both modes.
-    ``eig_forcing`` (eta, ``0 <= eta < 1``) ties the local Lanczos
-    tolerance of every iteration after the first to the last relative
-    energy change: ``max(eig_tol, eta * |dE| / |E|)``.  ``eta = 0`` solves
-    every iteration to ``eig_tol``.  Convergence is only declared on an
-    iteration whose tolerance was at most ``max(eig_tol, energy_tol)``, so
-    a stall caused by loose solves is not taken for convergence.
+    ``eig_tol`` is the local Lanczos tolerance of the first iteration and
+    the tightest one of later iterations, which loosen with the last
+    energy change (see the module docstring, step 2).  Convergence is
+    only declared on an iteration solved to at most
+    ``max(eig_tol, energy_tol)``, so a stall caused by loose solves is not
+    taken for convergence.
     ``fit_tol``, ``max_fit_iters`` and ``fallback_compression`` are
     deprecated: a non-default value warns and changes nothing.
     ``workers`` is accepted and validated for existing configurations
@@ -120,7 +128,6 @@ class TwoLevelConfig:
     energy_tol: float = 1e-8
     max_iters: int = 200
     eig_max_iter: int | None = None
-    eig_forcing: float = 0.1
     coarse_eps: float = 1e-10
     structured_coarse: bool = False
     round_tol: float = 0.0
@@ -146,8 +153,6 @@ class TwoLevelConfig:
             raise ValueError("workers must be positive")
         if not 0 < self.coarse_eps < 1:
             raise ValueError("coarse_eps must be in (0, 1)")
-        if not 0 <= self.eig_forcing < 1:
-            raise ValueError("eig_forcing must be in [0, 1)")
 
 
 @dataclass
@@ -548,6 +553,11 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
     prev_coeffs = None
     eig_tol = config.eig_tol  # local tolerance of the coming iteration
     tight = max(config.eig_tol, config.energy_tol)  # loosest one that may converge
+    full_rank = all(
+        min(math.prod(op.dims[:j]), math.prod(op.dims[j:])) <= config.max_rank
+        for j in range(1, d)
+    )
+    forcing = 0.0 if full_rank else EIG_FORCING
 
     def flops_snapshot():
         if ledger is None:
@@ -674,6 +684,6 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
             trace.converged = True
             break
         # forcing term: solve no more accurately than the last energy change warrants
-        eig_tol = max(config.eig_tol, config.eig_forcing * change / denom)
+        eig_tol = max(config.eig_tol, forcing * change / denom)
 
     return state, trace

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from ttdmrg import twolevel
 from ttdmrg.dmrg import SweepConfig, micro_step_1site, micro_step_2site, run_dmrg
 from ttdmrg.ledger import CostLedger
 from ttdmrg.models import dense_ground_state, heisenberg_chain, ising_chain, random_symmetric_mpo
@@ -488,19 +489,21 @@ def d24_references():
 
 @pytest.mark.parametrize("model", ["ising", "heisenberg"])
 @pytest.mark.parametrize("mode", ["one-site", "two-site"])
-def test_inexact_local_solves_keep_the_energy_for_fewer_flops(mode, model, d24_references):
+def test_inexact_local_solves_keep_the_energy_for_fewer_flops(
+    mode, model, d24_references, monkeypatch
+):
     op, e_ref = d24_references[model]
     init = random_tt(op.dims, 2, seed=0)
 
-    def run(eta):
+    def run():
         led = CostLedger()
-        cfg = TwoLevelConfig(mode=mode, max_rank=16, eig_forcing=eta)
-        _, trace = run_two_level(init, op, cfg, ledger=led)
+        _, trace = run_two_level(init, op, TwoLevelConfig(mode=mode, max_rank=16), ledger=led)
         assert trace.converged
         return trace, led.per_class_flops["matvec"]
 
-    exact, exact_flops = run(0.0)
-    inexact, inexact_flops = run(TwoLevelConfig().eig_forcing)
+    inexact, inexact_flops = run()
+    monkeypatch.setattr(twolevel, "EIG_FORCING", 0.0)
+    exact, exact_flops = run()
     assert all(r.local_eig_tol == 1e-8 for r in exact.records)
     assert max(r.local_eig_tol for r in inexact.records) > 1e-8
     energy = inexact.records[-1].energy
@@ -509,17 +512,17 @@ def test_inexact_local_solves_keep_the_energy_for_fewer_flops(mode, model, d24_r
     assert inexact_flops < exact_flops
 
 
-def test_loose_local_solves_never_count_as_convergence():
-    # At eta = 0.9 a loose iteration often returns the iterate's own cores,
-    # so the energy stalls; the guard must not take that for convergence.
+def test_loose_local_solves_never_count_as_convergence(monkeypatch):
+    # At a forcing term of 0.9 a loose iteration often returns the
+    # iterate's own cores, so the energy stalls; the guard must not take
+    # that for convergence.
+    monkeypatch.setattr(twolevel, "EIG_FORCING", 0.9)
     fired = 0
     for op in (ising_chain(10), heisenberg_chain(10)):
         e_ref, _ = dense_ground_state(op)
         for mode in ("one-site", "two-site"):
             for energy_tol in (1e-8, 1e-6):
-                cfg = TwoLevelConfig(
-                    mode=mode, max_rank=12, energy_tol=energy_tol, eig_forcing=0.9
-                )
+                cfg = TwoLevelConfig(mode=mode, max_rank=12, energy_tol=energy_tol)
                 _, trace = run_two_level(random_tt(op.dims, 2, seed=0), op, cfg)
                 tight = max(cfg.eig_tol, cfg.energy_tol)
                 assert trace.converged
@@ -532,6 +535,27 @@ def test_loose_local_solves_never_count_as_convergence():
                 fired += len(stalled) - 1
                 assert abs(trace.records[-1].energy - e_ref) <= 1e-5 * abs(e_ref)
     assert fired > 0  # without the guard some run would have stopped early
+
+
+@pytest.mark.parametrize("model", [ising_chain, heisenberg_chain])
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_full_rank_runs_solve_every_iteration_exactly(mode, model):
+    # On 6 sites the full separation ranks are 2, 4, 8, 4, 2.  At max_rank
+    # 8 step 4 loses nothing and exact solves converge in 3-4 iterations;
+    # the forcing term took 9-11 here.  One below, the forcing term applies.
+    op = model(6)
+    init = random_tt(op.dims, 2, seed=11)
+    tols = {}
+    for cap, iters in ((8, 60), (7, 3)):
+        cfg = TwoLevelConfig(
+            mode=mode, max_rank=cap, eig_tol=1e-10, energy_tol=1e-13, max_iters=iters, seed=5
+        )
+        _, trace = run_two_level(init, op, cfg)
+        tols[cap] = {r.local_eig_tol for r in trace.records}
+        if cap == 8:
+            assert trace.converged and len(trace.records) <= 4
+    assert tols[8] == {1e-10}
+    assert max(tols[7]) > 1e-10
 
 
 def test_run_two_level_heisenberg():
@@ -665,10 +689,11 @@ def test_converged_local_solves_do_not_warn(mode):
 
 
 @pytest.mark.parametrize("mode", ["one-site", "two-site"])
-def test_collapsed_coarse_span_warns_every_iteration(mode):
+def test_collapsed_coarse_span_warns_every_iteration(mode, monkeypatch):
     op = ising_chain(10)
     # exact local solves: the expected iteration lists below depend on them
-    cfg = TwoLevelConfig(mode=mode, coarse_eps=0.999, max_rank=6, max_iters=10, eig_forcing=0.0)
+    monkeypatch.setattr(twolevel, "EIG_FORCING", 0.0)
+    cfg = TwoLevelConfig(mode=mode, coarse_eps=0.999, max_rank=6, max_iters=10)
     with pytest.warns(RuntimeWarning) as caught:
         _, trace = run_two_level(random_tt(op.dims, 3, 7), op, cfg)
     members = 11 if mode == "one-site" else 10
@@ -846,8 +871,6 @@ def test_bad_inputs_rejected():
         dict(max_rank=0),
         dict(coarse_eps=0.0),
         dict(coarse_eps=1.5),
-        dict(eig_forcing=-0.1),
-        dict(eig_forcing=1.0),
     ):
         with pytest.raises(ValueError):
             TwoLevelConfig(**bad)

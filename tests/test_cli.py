@@ -1,7 +1,5 @@
 """Experiment driver: config parsing, subcommands, deterministic outputs."""
 
-import csv
-import io
 import json
 
 import numpy as np
@@ -98,25 +96,6 @@ def test_deprecated_fallback_compression_key_warns_and_changes_nothing(tmp_path)
         }
     assert "run.fallback_compression is deprecated" in str(deprecations[0].message)
     assert outputs["knob"] == outputs["plain"]
-
-
-def test_eig_forcing_key_sets_the_local_solve_tolerance(tmp_path):
-    assert load_config(write_config(tmp_path, "d.ini", BASE)).eig_forcing == 0.1
-    tols = {}
-    for eta in ("0.0", "0.5"):
-        body, out = with_outputs(tmp_path, f"eta{eta}")
-        body = body.replace("algorithm = dmrg2\n", f"algorithm = a2dmrg2\neig_forcing = {eta}\n")
-        cfg = write_config(tmp_path, f"eta{eta}.ini", body)
-        assert load_config(cfg).eig_forcing == float(eta)
-        assert main(["run", cfg]) == 0
-        rows = csv.DictReader(io.StringIO((out / "trace.csv").read_text()))
-        tols[eta] = [float(r["local_eig_tol"]) for r in rows]
-    assert set(tols["0.0"]) == {1e-8}
-    assert tols["0.5"][0] == 1e-8 and max(tols["0.5"]) > 1e-8
-    for bad in ("-0.1", "1.0"):
-        cfg = write_config(tmp_path, "bad.ini", BASE + f"eig_forcing = {bad}\n")
-        with pytest.raises(CliError, match="eig_forcing"):
-            load_config(cfg)
 
 
 def test_invalid_algorithm_is_a_config_error(tmp_path, capsys):

@@ -37,38 +37,25 @@ CASES = {
     "dmrg1-heis-d8": (heisenberg_chain(8), SweepConfig(mode="one-site", max_rank=6)),
     "dmrg2-ising-d10": (ising_chain(10), SweepConfig(mode="two-site", max_rank=8)),
     "a2dmrg1-heis-d8": (
-        heisenberg_chain(8),
-        TwoLevelConfig(mode="one-site", max_rank=6, max_iters=4, eig_forcing=0.0),
+        heisenberg_chain(8), TwoLevelConfig(mode="one-site", max_rank=6, max_iters=4)
     ),
     "a2dmrg2-ising-d8": (
-        ising_chain(8),
-        TwoLevelConfig(mode="two-site", max_rank=6, max_iters=4, eig_forcing=0.0),
+        ising_chain(8), TwoLevelConfig(mode="two-site", max_rank=6, max_iters=4)
     ),
     "a2dmrg1-structured-ising-d7": (
         ising_chain(7),
-        TwoLevelConfig(mode="one-site", max_rank=4, max_iters=3, structured_coarse=True,
-                       eig_forcing=0.0),
+        TwoLevelConfig(mode="one-site", max_rank=4, max_iters=3, structured_coarse=True),
     ),
     "a2dmrg2-structured-heis-d7": (
         heisenberg_chain(7),
-        TwoLevelConfig(mode="two-site", max_rank=4, max_iters=3, structured_coarse=True,
-                       eig_forcing=0.0),
+        TwoLevelConfig(mode="two-site", max_rank=4, max_iters=3, structured_coarse=True),
     ),
     "a2dmrg2-fallback-heis-d8": (
         heisenberg_chain(8),
-        TwoLevelConfig(mode="two-site", max_rank=6, max_iters=3, fallback_compression=True,
-                       eig_forcing=0.0),
+        TwoLevelConfig(mode="two-site", max_rank=6, max_iters=3, fallback_compression=True),
     ),
     "a2dmrg2-workers3-ising-d8": (
-        ising_chain(8),
-        TwoLevelConfig(mode="two-site", max_rank=6, max_iters=3, workers=3, eig_forcing=0.0),
-    ),
-    # inexact local solves at the default forcing term
-    "a2dmrg1-forcing-heis-d8": (
-        heisenberg_chain(8), TwoLevelConfig(mode="one-site", max_rank=6, max_iters=4)
-    ),
-    "a2dmrg2-forcing-ising-d8": (
-        ising_chain(8), TwoLevelConfig(mode="two-site", max_rank=6, max_iters=4)
+        ising_chain(8), TwoLevelConfig(mode="two-site", max_rank=6, max_iters=3, workers=3)
     ),
 }
 
