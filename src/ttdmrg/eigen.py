@@ -105,11 +105,12 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
             total += 1
             a = float(w @ q)
             alphas[k - 1] = a
+            # out of place: a matvec may return its input or shared state
             w = w - a * q
             if k > 1:
-                w = w - betas[k - 2] * basis[k - 2]
+                w -= betas[k - 2] * basis[k - 2]
             vk = basis[:k]
-            w = w - vk.T @ (vk @ w)
+            w -= vk.T @ (vk @ w)
             charge(ledger, "matvec", 4.0 * vk.size + 6.0 * dim)
             b = float(np.linalg.norm(w))
             theta, s = _tridiag_lowest(alphas[:k], betas[: k - 1])

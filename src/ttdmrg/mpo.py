@@ -9,7 +9,12 @@ Environments of ``<bra | A | ket>`` contractions are built site by site.
 ``update_left_env`` / ``update_right_env`` extend an environment by one
 site; the ``all_*`` helpers sweep a whole train.  Projected one- and
 two-site operators are applied matrix-free through ``apply_local_1site`` /
-``apply_local_2site``.
+``apply_local_2site``.  These read every operand in place: the left
+environment and the block meet in one GEMM, each operator core (permuted,
+a tiny copy) is applied by one batched ``np.matmul`` over the leading bond,
+and the right environment enters as a transposed view in a last GEMM whose
+output is already in block order.  Each step is charged as the pairwise
+contraction it replaces (:func:`tensordot_flops`).
 """
 
 from __future__ import annotations
@@ -180,25 +185,40 @@ def rayleigh_quotient(x, op, ledger=None, op_class="inner"):
 
 def apply_local_1site(env_left, op_core, env_right, v, ledger=None, op_class="matvec"):
     """Apply the projected operator at one site to a core-shaped array."""
-    t = contract(ledger, op_class, env_left, v, ((2,), (0,)))
-    t = contract(ledger, op_class, t, op_core, ((1, 2), (0, 2)))
-    return contract(ledger, op_class, t, env_right, ((1, 3), (2, 1)))
+    a, w, a2 = env_left.shape
+    _, s1, s, w2 = op_core.shape
+    b, _, b2 = env_right.shape
+    charge(ledger, op_class, tensordot_flops(env_left.shape, v.shape, a2))
+    x = env_left.reshape(a * w, a2) @ v.reshape(a2, s * b2)  # (a, w, s, b')
+    charge(ledger, op_class, tensordot_flops(x.shape, op_core.shape, w * s))
+    wp = op_core.transpose(1, 3, 0, 2).reshape(s1 * w2, w * s)
+    x = np.matmul(wp, x.reshape(a, w * s, b2))  # (a, s1, w2, b')
+    charge(ledger, op_class, tensordot_flops(x.shape, env_right.shape, w2 * b2))
+    out = x.reshape(a * s1, w2 * b2) @ env_right.reshape(b, w2 * b2).T
+    return out.reshape(a, s1, b)
 
 
 def apply_local_2site(env_left, op_core1, op_core2, env_right, v, ledger=None, op_class="matvec"):
     """Apply the projected operator on a pair of adjacent sites to a block
     of shape ``(rank, n1, n2, rank')``."""
-    t = contract(ledger, op_class, env_left, v, ((2,), (0,)))
+    a, w, a2 = env_left.shape
+    _, s1, s, w1 = op_core1.shape
+    _, t1, t, w2 = op_core2.shape
+    b, _, b2 = env_right.shape
+    charge(ledger, op_class, tensordot_flops(env_left.shape, v.shape, a2))
+    x = env_left.reshape(a * w, a2) @ v.reshape(a2, s * t * b2)  # (a, w, s, t, b')
     # The two operator contractions are charged at their output shapes, as
     # the ledger has always counted them; that is exact only where the
     # operator bonds on both sides of a site agree.
-    t = contract(None, op_class, t, op_core1, ((1, 2), (0, 2)))
-    k = op_core1.shape[0] * op_core1.shape[2]
-    charge(ledger, op_class, tensordot_flops(t.shape, op_core1.shape, k))
-    t = contract(None, op_class, t, op_core2, ((4, 1), (0, 2)))
-    k = op_core2.shape[0] * op_core2.shape[2]
-    charge(ledger, op_class, tensordot_flops(t.shape, op_core2.shape, k))
-    return contract(ledger, op_class, t, env_right, ((1, 4), (2, 1)))
+    wp = op_core1.transpose(1, 3, 0, 2).reshape(s1 * w1, w * s)
+    x = np.matmul(wp, x.reshape(a, w * s, t * b2))  # (a, s1, w1, t, b')
+    charge(ledger, op_class, tensordot_flops(x.shape, op_core1.shape, w * s))
+    wp = op_core2.transpose(1, 3, 0, 2).reshape(t1 * w2, w1 * t)
+    x = np.matmul(wp, x.reshape(a * s1, w1 * t, b2))  # (a, s1, t1, w2, b')
+    charge(ledger, op_class, tensordot_flops(x.shape, op_core2.shape, w1 * t))
+    charge(ledger, op_class, tensordot_flops(x.shape, env_right.shape, w2 * b2))
+    out = x.reshape(a * s1 * t1, w2 * b2) @ env_right.reshape(b, w2 * b2).T
+    return out.reshape(a, s1, t1, b)
 
 
 def local_matvec_1site(env_left, op_core, env_right, ledger=None, op_class="matvec"):

@@ -5,7 +5,10 @@ the library's contraction routines, so agreement is meaningful.  The
 exceptions are :func:`pairwise_coarse`, which builds the coarse matrices from the
 library's full inner products, one pair of members at a time, sharing no
 transfers between entries as the row sweeps of
-``ttdmrg.twolevel.assemble_coarse`` do; :func:`list_lanczos_lowest`, the
+``ttdmrg.twolevel.assemble_coarse`` do; :func:`tensordot_apply_local_1site`
+and :func:`tensordot_apply_local_2site`, the projected local operators as
+they were written before they read their operands in place, whose ledger
+charges the library's kernels must reproduce exactly; :func:`list_lanczos_lowest`, the
 Lanczos iteration as it was written before the basis moved into one
 preallocated array, which the library's version must match bitwise; and
 :func:`rebuild_fit_chain`, the alternating least squares chain fit as it was
@@ -17,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from ttdmrg.eigen import LanczosResult
-from ttdmrg.ledger import charge, contract, qr_flops
+from ttdmrg.ledger import charge, contract, qr_flops, tensordot_flops
 from ttdmrg.mpo import mpo_inner
 from ttdmrg.sums import _einsum, _lstep, _rstep, chain_pair_inner
 from ttdmrg.tt import TensorTrain, inner, lq_fixed, orthogonalize, qr_fixed
@@ -34,6 +37,31 @@ def pairwise_coarse(members, op):
             s_hat[i, j] = s_hat[j, i] = inner(members[i], members[j])
             a_hat[i, j] = a_hat[j, i] = mpo_inner(members[i], op, members[j])
     return s_hat, a_hat
+
+
+def tensordot_apply_local_1site(env_left, op_core, env_right, v, ledger=None, op_class="matvec"):
+    """Apply the projected operator at one site to a core-shaped array."""
+    t = contract(ledger, op_class, env_left, v, ((2,), (0,)))
+    t = contract(ledger, op_class, t, op_core, ((1, 2), (0, 2)))
+    return contract(ledger, op_class, t, env_right, ((1, 3), (2, 1)))
+
+
+def tensordot_apply_local_2site(
+    env_left, op_core1, op_core2, env_right, v, ledger=None, op_class="matvec"
+):
+    """Apply the projected operator on a pair of adjacent sites to a block
+    of shape ``(rank, n1, n2, rank')``."""
+    t = contract(ledger, op_class, env_left, v, ((2,), (0,)))
+    # The two operator contractions are charged at their output shapes, as
+    # the ledger has always counted them; that is exact only where the
+    # operator bonds on both sides of a site agree.
+    t = contract(None, op_class, t, op_core1, ((1, 2), (0, 2)))
+    k = op_core1.shape[0] * op_core1.shape[2]
+    charge(ledger, op_class, tensordot_flops(t.shape, op_core1.shape, k))
+    t = contract(None, op_class, t, op_core2, ((4, 1), (0, 2)))
+    k = op_core2.shape[0] * op_core2.shape[2]
+    charge(ledger, op_class, tensordot_flops(t.shape, op_core2.shape, k))
+    return contract(ledger, op_class, t, env_right, ((1, 4), (2, 1)))
 
 
 def _list_tridiag_lowest(alphas, betas):

@@ -183,6 +183,13 @@ def test_lanczos_matches_oracle_from_a_random_start(dim, tol):
     run_both(lambda x: a @ x, dim, tol=tol, seed=27)
 
 
+@pytest.mark.parametrize("dim", [1, 7, 40])
+def test_lanczos_matches_oracle_when_the_matvec_returns_its_input(dim):
+    v0 = np.random.default_rng(30).standard_normal(dim)
+    res = run_both(lambda x: x, dim, v0=v0, tol=1e-10, seed=31)
+    assert res.converged and res.eigenvalue == pytest.approx(1.0)
+
+
 def test_lanczos_matches_oracle_on_a_projected_two_site_operator():
     op = heisenberg_chain(8)
     x = orthogonalize(random_tt(op.dims, 6, seed=28), 3)

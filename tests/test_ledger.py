@@ -174,7 +174,8 @@ def test_contract_matches_tensordot_on_every_signature_the_solvers_use(monkeypat
             run_two_level(init, op, TwoLevelConfig(
                 mode=mode, max_rank=4, max_iters=1, structured_coarse=structured))
     seen = list(ledger_module._PLANS)
-    assert len({axes for _, _, axes in seen}) >= 12
+    # the projected matvecs read their operands in place and plan nothing
+    assert len({axes for _, _, axes in seen}) >= 8
     rng = np.random.default_rng(3)
     for a_shape, b_shape, axes in seen:
         a = rng.standard_normal(a_shape)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from ttdmrg import ledger as ledger_module
 from ttdmrg import mpo, tt
 from ttdmrg.ledger import CostLedger
 from ttdmrg.mpo import MatrixProductOperator
@@ -129,3 +130,79 @@ def test_env_ledger_charges_positive():
     assert led.per_class_flops["env_build"] > 0
     assert led.per_class_flops["inner"] > 0
     assert led.sequential_flops == led.total_flops()
+
+
+# -- in-place kernels against the tensordot kernels they replaced ------------
+
+
+def operand(rng, shape, contiguous):
+    """Random array of ``shape``; a transposed (Fortran-ordered) view when
+    ``contiguous`` is False."""
+    if contiguous:
+        return rng.standard_normal(shape)
+    return rng.standard_normal(shape[::-1]).T
+
+
+# (left rank a, a'), operator bonds (w, w1, w2), local dimension, (right rank b, b')
+KERNEL_CASES = {
+    "bulk": ((6, 5), (3, 3, 3), 2, (4, 7)),
+    "left-end": ((1, 1), (1, 4, 4), 2, (5, 6)),
+    "right-end": ((5, 4), (4, 4, 1), 2, (1, 1)),
+    "unequal-bonds": ((4, 3), (2, 5, 3), 2, (6, 5)),
+    "dim3": ((3, 4), (3, 2, 4), 3, (5, 2)),
+    "rank1": ((1, 1), (3, 3, 3), 2, (1, 1)),
+}
+
+
+def kernel_operands(case, contiguous, seed, sites):
+    (a, a2), (w, w1, w2), n, (b, b2) = KERNEL_CASES[case]
+    rng = np.random.default_rng(seed)
+    env_l = operand(rng, (a, w, a2), contiguous)
+    env_r = operand(rng, (b, w2, b2), contiguous)
+    if sites == 1:
+        cores = [operand(rng, (w, n, n, w2), True)]
+    else:
+        cores = [operand(rng, (w, n, n, w1), True), operand(rng, (w1, n, n, w2), True)]
+    v = operand(rng, (a2,) + (n,) * sites + (b2,), contiguous)
+    return env_l, cores, env_r, v
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("contiguous", [True, False])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+@pytest.mark.parametrize("sites", [1, 2])
+def test_local_kernels_match_tensordot_kernels_and_their_charges(sites, case, contiguous):
+    env_l, cores, env_r, v = kernel_operands(case, contiguous, seed=17, sites=sites)
+    if sites == 1:
+        new, old = mpo.apply_local_1site, oracles.tensordot_apply_local_1site
+    else:
+        new, old = mpo.apply_local_2site, oracles.tensordot_apply_local_2site
+    led_new, led_old = CostLedger(), CostLedger()
+    got = new(env_l, *cores, env_r, v, led_new)
+    want = old(env_l, *cores, env_r, v, led_old)
+    assert_close(got, want)
+    assert led_new.report() == led_old.report()
+    assert led_new.per_class_flops.keys() == {"matvec"}
+
+
+def test_local_kernels_do_not_go_through_contract(monkeypatch):
+    one = kernel_operands("bulk", True, seed=18, sites=1)
+    two = kernel_operands("bulk", True, seed=19, sites=2)
+    want_one = oracles.tensordot_apply_local_1site(one[0], *one[1], one[2], one[3]).ravel()
+    want_two = oracles.tensordot_apply_local_2site(two[0], *two[1], two[2], two[3]).ravel()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("projected matvec went through ledger.contract")
+
+    monkeypatch.setattr(ledger_module, "contract", refuse)
+    monkeypatch.setattr(mpo, "contract", refuse)
+    env_l, (core,), env_r, v = one
+    matvec, _, _ = mpo.local_matvec_1site(env_l, core, env_r, CostLedger())
+    assert_close(matvec(v.ravel()), want_one)
+    env_l, cores, env_r, v = two
+    matvec, _, _ = mpo.local_matvec_2site(env_l, *cores, env_r, CostLedger())
+    assert_close(matvec(v.ravel()), want_two)
