@@ -65,7 +65,7 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
     if max_iter is None:
         max_iter = min(dim, 256)
     max_iter = max(int(max_iter), 1)
-    rng = np.random.default_rng(seed)
+    rng = None  # built at the first random draw: most solves start from v0
 
     def finish(theta, vec, iters):
         nv = np.linalg.norm(vec)
@@ -95,7 +95,12 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
     alphas = np.empty(rows)
     betas = np.empty(rows)
     for attempt in range(4):
-        v = start if (attempt == 0 and start is not None) else rng.standard_normal(dim)
+        if attempt == 0 and start is not None:
+            v = start
+        else:
+            if rng is None:
+                rng = np.random.default_rng(seed)
+            v = rng.standard_normal(dim)
         basis[0] = v / np.linalg.norm(v)
         k = 1  # basis rows in use; alphas[:k - 1] and betas[:k - 1] are set
         broke = False

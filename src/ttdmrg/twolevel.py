@@ -28,12 +28,15 @@ Each global iteration runs four steps:
    an optional Krylov path whose operator applications use the
    structured sum representations instead of the assembled matrix).
    Every member differs from the family's shared cores only on a short
-   window, so the overlap and reduced operator matrices are assembled
-   by one left-to-right sweep per matrix row that starts from the shared
-   left environment at the row's window and closes each column against a
-   right environment reused across rows: O(d^2) environment updates per
-   iteration rather than O(d^3) for pairwise inner products.  Each row
-   is a task tagged ``gram{k}`` in the same per-task cost model;
+   window, so each row of the overlap and reduced operator matrices
+   starts from the shared left environment at the row's window and closes
+   each later column against a right environment reused across rows:
+   O(d^2) flops per iteration rather than O(d^3) for pairwise inner
+   products.  Past its window a row crosses only shared cores, so the
+   rows advance there as one stack in a single left-to-right sweep of
+   batched products, O(d) calls per iteration.  Each row is still a task
+   tagged ``gram{k}``, charged exactly the contractions of its own sweep,
+   in the same per-task cost model;
 4. compress the coarse minimizer back to the working ranks in both
    modes by building the sum as one exact train (two-site: three rails
    over the split factors the local solves kept) and rounding it once.
@@ -59,7 +62,7 @@ import numpy as np
 
 from .dmrg import _solve, split_and_shift
 from .eigen import dense_lowest_eig, dense_sym_svd, lanczos_lowest
-from .ledger import CostLedger, charge, contract
+from .ledger import CostLedger, charge, contract, tensordot_flops
 
 # left_env, right_env, inner and fit_chain are not called here; bench/tracer.py
 # wraps them by name in this module's namespace, so they stay bound.
@@ -383,26 +386,85 @@ def _window(member, family):
     return min(a, b), b
 
 
+def _sweep(env, bra, op, ket, start, stop, ledger):
+    """Extend a left transfer pair across sites ``start .. stop - 1`` with
+    the core lists ``bra`` and ``ket``, charged as ``"coarse"``."""
+    for s in range(start, stop):
+        env = _extend_left(env, bra[s], op.cores[s], ket[s], ledger, "coarse")
+    return env
+
+
+def _shared_step_flops(bra, op_core, ket):
+    """What :func:`_extend_left` charges for one site: the two overlap and
+    three operator contractions, bra first."""
+    a, n, b = bra.shape
+    a2, n2, _ = ket.shape
+    w, _, _, w2 = op_core.shape
+    return (
+        tensordot_flops((a, a2), bra.shape, a)
+        + tensordot_flops((a2, n, b), ket.shape, a2 * n)
+        + tensordot_flops((a, w, a2), bra.shape, a)
+        + tensordot_flops((w, a2, n, b), op_core.shape, w * n)
+        + tensordot_flops((a2, b, n2, w2), ket.shape, a2 * n2)
+    )
+
+
+def _advance_stack(overlaps, opers, bra, op_core, ket):
+    """Extend a stack of left transfers ``(K, a, a')`` and operator
+    environments ``(K, a, w, a')`` by one site that every one of them
+    crosses with the same bra, operator and ket cores.
+
+    Copy-free, ket first: one GEMM against the ket, one batched
+    ``np.matmul`` of the permuted operator core over the stack and bra
+    bond, and one broadcast ``np.matmul`` against the bra's transposed
+    view.  Bra and ket must have equal shapes, which makes each step cost
+    what the bra-first step of :func:`_extend_left` costs."""
+    if bra.shape != ket.shape:
+        raise ValueError(f"stacked step needs equal bra and ket shapes, got {bra.shape} "
+                         f"and {ket.shape}")
+    k, a, w, a2 = opers.shape
+    _, n, b = bra.shape
+    w2 = op_core.shape[3]
+    kmat = ket.reshape(a2, n * b)
+    brat = bra.reshape(a * n, b).T
+    x = overlaps.reshape(k * a, a2) @ kmat  # (K, a, n, b')
+    overlaps = np.matmul(brat, x.reshape(k, a * n, b))  # (K, b, b')
+    x = opers.reshape(k * a * w, a2) @ kmat  # (K, a, w, n', b')
+    wp = op_core.transpose(1, 3, 0, 2).reshape(n * w2, w * n)
+    x = np.matmul(wp, x.reshape(k * a, w * n, b))  # (K, a, n, w2, b')
+    opers = np.matmul(brat, x.reshape(k, a * n, w2 * b))  # (K, b, w2 * b')
+    return overlaps, opers.reshape(k, b, w2, b)
+
+
 def assemble_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None):
     """Step 3 assembly: overlap and reduced operator matrices over the
     member trains.
 
     Each member is read as its window ``[a, b]`` (see :func:`_window`)
     plus the shared cores of ``family``.  Row ``k`` is one task, tagged
-    ``gram{k}``: it starts from the shared left environment at ``a_k``,
-    advances one site at a time with member ``k`` as bra and
-    ``family.left`` as ket, and fills its diagonal and every column ``l``
-    after ``k`` in window-start order (ties by index).  A column whose
-    window starts past ``b_k`` is closed against its own right
-    environment (``family.right`` as bra, member ``l`` as ket), built
-    once from the shared right environment and charged to ``gram{l}``;
-    an overlapping column is
-    contracted across both windows and closed against the shared right
-    environment.  That is O(d^2) environment updates for members with
-    short windows.  Without ``family`` every window is the whole train
-    and each entry is a full contraction, which is exact for arbitrary
-    trains.  ``envs`` are the family's :func:`shared_envs`, built here
-    when not given.
+    ``gram{k}``, that fills its diagonal and every column ``l`` after
+    ``k`` in window-start order (ties by index).  It starts from the
+    shared left environment at ``a_k`` and advances with member ``k`` as
+    bra and ``family.left`` as ket.  An overlapping column is contracted
+    across both windows and closed against the shared right environment.
+    A column whose window starts past ``b_k`` is closed against its own
+    right environment (``family.right`` as bra, member ``l`` as ket),
+    built once from the shared right environment and charged to
+    ``gram{l}``.
+
+    Past its window a row crosses only shared cores, the same for every
+    row at a site, so all rows with such a closed column advance there
+    together: each joins a stack after its window, one left-to-right
+    sweep extends the whole stack site by site (:func:`_advance_stack`),
+    and every closed column is closed against the stack by one
+    matrix-vector product per matrix.  That is O(d) batched calls per
+    assembly for the same O(d^2) flops as a sweep per row.  Every row is
+    still charged exactly the contractions of its own sweep, under the
+    same tags, so the ledger is unchanged; only the summation order of
+    the entries differs.  Without ``family`` every window is the whole
+    train and each entry is a full contraction, which is exact for
+    arbitrary trains.  ``envs`` are the family's :func:`shared_envs`,
+    built here when not given.
     """
     m = len(members)
     d = members[0].d
@@ -414,10 +476,16 @@ def assemble_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None)
     win = [_window(x, family) for x in members]
     order = sorted(range(m), key=lambda l: (win[l][0], l))
     cols = {k: order[pos:] for pos, k in enumerate(order)}
-    closed = sorted({l for k in range(m) for l in cols[k] if win[l][0] > win[k][1]})
+    # Row k's closed columns are all l with a_l > b_k; the last of them
+    # starts at `last`, so every row in the stack stays to the end.
+    last = max(a for a, _ in win)
+    first_end = min(b for _, b in win)
+    closed = [l for l in range(m) if win[l][0] > first_end]
 
     column_envs = {}
+    closing = {}  # site -> closed columns whose window starts there
     for l in closed:
+        closing.setdefault(win[l][0], []).append(l)
         led = CostLedger()
         a, b = win[l]
         env = envs.right[b + 1]
@@ -430,6 +498,9 @@ def assemble_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None)
 
     s_hat = np.zeros((m, m))
     a_hat = np.zeros((m, m))
+    row_ledgers = []
+    joins = {}  # site -> rows whose transfers join the stack there
+    shared_left = family.left if family is not None else None  # unread without a family
     for k in range(m):
         led = CostLedger()
         bra = members[k].cores
@@ -437,22 +508,51 @@ def assemble_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None)
         env, site = envs.left[a], a
         for l in cols[k]:
             al, bl = win[l]
-            while site < al:
-                env = _extend_left(
-                    env, bra[site], op.cores[site], family.left[site], led, "coarse"
-                )
-                site += 1
             if al > b:
-                s_kl, a_kl = _close(env, column_envs[l], led)
-            else:
-                ket = members[l].cores
-                end = max(b, bl)
-                e = env
-                for j in range(al, end + 1):
-                    e = _extend_left(e, bra[j], op.cores[j], ket[j], led, "coarse")
-                s_kl, a_kl = _close(e, envs.right[end + 1], led)
+                break
+            env, site = _sweep(env, bra, op, shared_left, site, al, led), al
+            end = max(b, bl)
+            e = _sweep(env, bra, op, members[l].cores, al, end + 1, led)
+            s_kl, a_kl = _close(e, envs.right[end + 1], led)
             s_hat[k, l] = s_hat[l, k] = s_kl
             a_hat[k, l] = a_hat[l, k] = a_kl
+        if b < last:
+            env = _sweep(env, bra, op, shared_left, site, b + 1, led)
+            joins.setdefault(b + 1, []).append((k, env))
+        row_ledgers.append(led)
+
+    # The stack's rows and transfers; per site, what each row crossing it
+    # is charged there (integers below 2**53, so every sum is exact).
+    rows, overlaps, opers = np.zeros(0, dtype=int), None, None
+    site_flops = {}
+    for s in range(min(joins, default=last + 1), last + 1):
+        if s in joins:
+            rows = np.append(rows, [k for k, _ in joins[s]])
+            new_o = [env[0][None] for _, env in joins[s]]
+            new_a = [env[1][None] for _, env in joins[s]]
+            overlaps = np.concatenate(new_o if overlaps is None else [overlaps, *new_o])
+            opers = np.concatenate(new_a if opers is None else [opers, *new_a])
+        flops = 0.0
+        for l in closing.get(s, ()):
+            col_o, col_a = column_envs[l]
+            s_hat[rows, l] = s_hat[l, rows] = overlaps.reshape(len(rows), -1) @ col_o.ravel()
+            a_hat[rows, l] = a_hat[l, rows] = opers.reshape(len(rows), -1) @ col_a.ravel()
+            flops += 2.0 * (overlaps[0].size + opers[0].size)
+        if s < last:
+            cores = family.right[s], op.cores[s], family.left[s]
+            overlaps, opers = _advance_stack(overlaps, opers, *cores)
+            flops += _shared_step_flops(*cores)
+        site_flops[s] = flops
+
+    # a row that joined at site j crosses every site from j to the end,
+    # and is charged their sum once
+    tail = 0.0
+    for s in sorted(site_flops, reverse=True):
+        tail = site_flops[s] = tail + site_flops[s]
+    for j, joined in joins.items():
+        for k, _ in joined:
+            row_ledgers[k].charge("coarse", site_flops[j])
+    for k, led in enumerate(row_ledgers):
         _merge(ledger, led, f"gram{k}")
 
     sigma, basis = dense_sym_svd(s_hat, ledger=ledger)

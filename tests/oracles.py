@@ -5,7 +5,9 @@ the library's contraction routines, so agreement is meaningful.  The
 exceptions are :func:`pairwise_coarse`, which builds the coarse matrices from the
 library's full inner products, one pair of members at a time, sharing no
 transfers between entries as the row sweeps of
-``ttdmrg.twolevel.assemble_coarse`` do; :func:`tensordot_apply_local_1site`
+``ttdmrg.twolevel.assemble_coarse`` do; :func:`row_sweep_coarse`, the
+coarse assembly as it was written with one sweep per row, whose ledger
+the stacked assembly must reproduce exactly; :func:`tensordot_apply_local_1site`
 and :func:`tensordot_apply_local_2site`, the projected local operators as
 they were written before they read their operands in place, whose ledger
 charges the library's kernels must reproduce exactly; :func:`list_lanczos_lowest`, the
@@ -19,11 +21,22 @@ library's fit must also match bitwise.
 import numpy as np
 import scipy.linalg
 
-from ttdmrg.eigen import LanczosResult
-from ttdmrg.ledger import charge, contract, qr_flops, tensordot_flops
+from ttdmrg.eigen import LanczosResult, dense_sym_svd
+from ttdmrg.ledger import CostLedger, charge, contract, qr_flops, tensordot_flops
 from ttdmrg.mpo import mpo_inner
 from ttdmrg.sums import _einsum, _lstep, _rstep, chain_pair_inner
 from ttdmrg.tt import TensorTrain, inner, lq_fixed, orthogonalize, qr_fixed
+from ttdmrg.twolevel import (
+    CoarseProblem,
+    SharedEnvs,
+    _boundary,
+    _close,
+    _extend_left,
+    _extend_right,
+    _merge,
+    _window,
+    shared_envs,
+)
 
 
 def pairwise_coarse(members, op):
@@ -37,6 +50,85 @@ def pairwise_coarse(members, op):
             s_hat[i, j] = s_hat[j, i] = inner(members[i], members[j])
             a_hat[i, j] = a_hat[j, i] = mpo_inner(members[i], op, members[j])
     return s_hat, a_hat
+
+
+def row_sweep_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None):
+    """``ttdmrg.twolevel.assemble_coarse`` as it was written before rows
+    advanced across the shared cores as one stack: one left-to-right sweep
+    per row.  Overlap and reduced operator matrices over the member trains.
+
+    Each member is read as its window ``[a, b]`` (see :func:`_window`)
+    plus the shared cores of ``family``.  Row ``k`` is one task, tagged
+    ``gram{k}``: it starts from the shared left environment at ``a_k``,
+    advances one site at a time with member ``k`` as bra and
+    ``family.left`` as ket, and fills its diagonal and every column ``l``
+    after ``k`` in window-start order (ties by index).  A column whose
+    window starts past ``b_k`` is closed against its own right
+    environment (``family.right`` as bra, member ``l`` as ket), built
+    once from the shared right environment and charged to ``gram{l}``;
+    an overlapping column is
+    contracted across both windows and closed against the shared right
+    environment.  That is O(d^2) environment updates for members with
+    short windows.  Without ``family`` every window is the whole train
+    and each entry is a full contraction, which is exact for arbitrary
+    trains.  ``envs`` are the family's :func:`shared_envs`, built here
+    when not given.
+    """
+    m = len(members)
+    d = members[0].d
+    if family is not None and envs is None:
+        envs = shared_envs(family, op, ledger)
+    if envs is None:
+        # whole-train windows only read the two boundary transfers
+        envs = SharedEnvs([_boundary()], [None] * d + [_boundary()])
+    win = [_window(x, family) for x in members]
+    order = sorted(range(m), key=lambda l: (win[l][0], l))
+    cols = {k: order[pos:] for pos, k in enumerate(order)}
+    closed = sorted({l for k in range(m) for l in cols[k] if win[l][0] > win[k][1]})
+
+    column_envs = {}
+    for l in closed:
+        led = CostLedger()
+        a, b = win[l]
+        env = envs.right[b + 1]
+        for s in range(b, a - 1, -1):
+            env = _extend_right(
+                env, family.right[s], op.cores[s], members[l].cores[s], led, "coarse"
+            )
+        column_envs[l] = env
+        _merge(ledger, led, f"gram{l}")
+
+    s_hat = np.zeros((m, m))
+    a_hat = np.zeros((m, m))
+    for k in range(m):
+        led = CostLedger()
+        bra = members[k].cores
+        a, b = win[k]
+        env, site = envs.left[a], a
+        for l in cols[k]:
+            al, bl = win[l]
+            while site < al:
+                env = _extend_left(
+                    env, bra[site], op.cores[site], family.left[site], led, "coarse"
+                )
+                site += 1
+            if al > b:
+                s_kl, a_kl = _close(env, column_envs[l], led)
+            else:
+                ket = members[l].cores
+                end = max(b, bl)
+                e = env
+                for j in range(al, end + 1):
+                    e = _extend_left(e, bra[j], op.cores[j], ket[j], led, "coarse")
+                s_kl, a_kl = _close(e, envs.right[end + 1], led)
+            s_hat[k, l] = s_hat[l, k] = s_kl
+            a_hat[k, l] = a_hat[l, k] = a_kl
+        _merge(ledger, led, f"gram{k}")
+
+    sigma, basis = dense_sym_svd(s_hat, ledger=ledger)
+    smax = sigma[0] if len(sigma) else 0.0
+    p = int(np.sum(sigma > eps * smax)) if smax > 0 else 0
+    return CoarseProblem(s_hat, a_hat, sigma, basis, eps, p)
 
 
 def tensordot_apply_local_1site(env_left, op_core, env_right, v, ledger=None, op_class="matvec"):

@@ -226,6 +226,92 @@ def test_coarse_assembly_flops_grow_quadratically(mode):
     assert coarse_flops(16) / coarse_flops(8) < 6
 
 
+def assert_matches_row_sweeps(members, op, family):
+    # Entries to summation order, ledger byte for byte (tags and values).
+    got_led, want_led = CostLedger(), CostLedger()
+    got = assemble_coarse(members, op, ledger=got_led, family=family)
+    want = oracles.row_sweep_coarse(members, op, ledger=want_led, family=family)
+    assert np.max(np.abs(got.s_hat - want.s_hat)) <= 1e-13 * np.max(np.abs(want.s_hat))
+    assert np.max(np.abs(got.a_hat - want.a_hat)) <= 1e-13 * np.max(np.abs(want.a_hat))
+    assert got_led.report_json() == want_led.report_json()
+    env_tags = {"env:left", "env:right"} if family is not None else set()
+    assert set(got_led.per_worker_flops) == {f"gram{k}" for k in range(len(members))} | env_tags
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, 9, 20])
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+@pytest.mark.parametrize("model", ["random", "heisenberg", "ising"])
+def test_stacked_assembly_matches_row_sweep_oracle(d, mode, model):
+    models = {"random": random_symmetric_mpo(d, seed=d), "heisenberg": heisenberg_chain(d),
+              "ising": ising_chain(d)}
+    op = models[model]
+    family = orthogonal_family(make_state(op.dims, 3, seed=d + 1))
+    members = random_members(family, mode, seed=d + 2)
+    win = [twolevel._window(x, family) for x in members]
+    # member 0 and the first update tie on their window start, and the last
+    # row has no column starting past its window
+    assert win[0][0] == win[1][0] == 0
+    assert win[-1][1] >= max(a for a, _ in win)
+    assert_matches_row_sweeps(members, op, family)
+
+    scales = np.linspace(0.3, 7.0, len(members))
+    assert_matches_row_sweeps([tt_scale(x, a) for x, a in zip(members, scales)], op, family)
+
+    # foreign members widen their windows, up to the whole train
+    foreign = [TensorTrain([c.copy() for c in members[-1].cores])]
+    foreign.append(tt_scale(TensorTrain(members[1].cores), 2.5))
+    foreign.append(family.config(d - 1))
+    assert_matches_row_sweeps(members + foreign, op, family)
+    # without a family every window is the whole train
+    assert_matches_row_sweeps(members, op, None)
+
+
+def test_stacked_assembly_matches_oracle_when_split_ranks_differ():
+    d = 7
+    op = heisenberg_chain(d)
+    family = orthogonal_family(make_state(op.dims, 2, seed=35))
+    pairs, _ = local_solves(family, op, "two-site", eig_tol=1e-10, max_rank=4, seed=0)
+    assert any(left.shape[2] != family.left[i].shape[2] for i, (left, _) in enumerate(pairs))
+    assert_matches_row_sweeps(two_site_members(family, pairs), op, family)
+
+
+def test_stacked_step_rejects_unequal_bra_and_ket():
+    rng = np.random.default_rng(36)
+    overlaps, opers = rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3, 1, 3))
+    with pytest.raises(ValueError):
+        twolevel._advance_stack(
+            overlaps, opers, rng.standard_normal((3, 2, 4)), np.ones((1, 2, 2, 1)),
+            rng.standard_normal((3, 2, 5)),
+        )
+
+
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_coarse_assembly_calls_grow_linearly(mode, monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def assembly_calls(d):
+        op = ising_chain(d)
+        family = orthogonal_family(make_state(op.dims, 4, seed=32))
+        members = random_members(family, mode, seed=33)
+        envs = twolevel.shared_envs(family, op)
+        calls.clear()
+        assemble_coarse(members, op, family=family, envs=envs)
+        return len(calls)
+
+    for name in ("_extend_left", "_extend_right", "_advance_stack"):
+        monkeypatch.setattr(twolevel, name, counted(getattr(twolevel, name)))
+    # Row sweeps make O(d^2) transfer updates; the stack crosses each
+    # shared site once, so equal steps in d add equal numbers of calls.
+    c8, c16, c24 = assembly_calls(8), assembly_calls(16), assembly_calls(24)
+    assert c24 - c16 == c16 - c8 > 0
+
+
 def test_local_solve_environments_grow_linearly():
     def env_flops(d):
         op = ising_chain(d)

@@ -72,6 +72,26 @@ def test_lanczos_breakdown_restart_finds_lower_state():
     assert abs(res.eigenvalue - 1.0) < 1e-12
 
 
+def test_lanczos_builds_its_generator_only_to_draw(monkeypatch):
+    a = random_sym(25, 7)
+    v0 = np.random.default_rng(8).standard_normal(25)
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    res = lanczos_lowest(lambda x: a @ x, 25, v0=v0, tol=1e-8, seed=8)
+    assert res.converged and built == []
+    # the breakdown of test_lanczos_breakdown_restart_finds_lower_state
+    b = np.diag([1.0, 3.0])
+    res = lanczos_lowest(lambda x: b @ x, 2, v0=np.array([3e-14, 1.0]), tol=1e-14, max_iter=10,
+                         seed=9)
+    assert abs(res.eigenvalue - 1.0) < 1e-12 and built == [(9,)]
+
+
 def test_lanczos_max_iter_flag():
     a = random_sym(50, 10)
     res = lanczos_lowest(lambda x: a @ x, 50, tol=1e-14, max_iter=3, seed=11)
