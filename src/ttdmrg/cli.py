@@ -24,7 +24,6 @@ Experiments are described by an INI file with three sections::
     seed = 0
     workers = 1             ; accepted; changes neither results nor wall time
     structured_coarse = false
-    fallback_compression = false  ; deprecated: accepted, warns, no effect
     reference = dense       ; dense | none
 
     [output]                ; all keys optional
@@ -47,7 +46,6 @@ import argparse
 import configparser
 import json
 import sys
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,8 +63,7 @@ _SECTION_KEYS = {
     "model": {"kind", "sites", "coupling", "field", "local_dim", "rank", "seed"},
     "run": {
         "algorithm", "max_rank", "init_rank", "eig_tol", "svd_tol", "energy_tol",
-        "coarse_eps", "max_iters", "seed", "workers", "structured_coarse",
-        "fallback_compression", "reference",
+        "coarse_eps", "max_iters", "seed", "workers", "structured_coarse", "reference",
     },
     "output": {"trace", "ledger", "summary", "state"},
 }
@@ -97,7 +94,6 @@ class ExperimentConfig:
     seed: int = 0
     workers: int = 1
     structured_coarse: bool = False
-    fallback_compression: bool = False
     reference: str = "dense"
 
     trace_path: str | None = None
@@ -126,9 +122,6 @@ class ExperimentConfig:
             raise CliError("worker count must be at least 1")
         if self.reference not in ("dense", "none"):
             raise CliError("reference must be 'dense' or 'none'")
-        if self.fallback_compression:
-            warnings.warn("run.fallback_compression is deprecated and has no effect: step 4 "
-                          "rounds an exact train in both modes", DeprecationWarning, stacklevel=3)
 
     def model_key(self):
         """Tuple identifying the operator; compared runs must agree on it."""
@@ -199,7 +192,6 @@ def load_config(path, overrides=()):
         seed=get("run", "seed", int, 0),
         workers=get("run", "workers", int, 1),
         structured_coarse=get("run", "structured_coarse", bool, False),
-        fallback_compression=get("run", "fallback_compression", bool, False),
         reference=get("run", "reference", str, "dense"),
         trace_path=get("output", "trace", str, None),
         ledger_path=get("output", "ledger", str, None),
@@ -437,8 +429,6 @@ def main(argv=None):
     p_led.add_argument("ledger")
 
     args = parser.parse_args(argv)
-    # Python hides DeprecationWarning outside __main__; show the deprecated keys
-    warnings.filterwarnings("default", category=DeprecationWarning, module=r"ttdmrg\.")
 
     def collect_overrides(ns):
         out = list(ns.overrides)

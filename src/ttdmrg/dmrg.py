@@ -28,8 +28,7 @@ from .mpo import (
     all_right_envs,
     boundary_env,
     left_env,
-    local_matvec_1site,
-    local_matvec_2site,
+    local_matvec,
     right_env,
     update_left_env,
     update_right_env,
@@ -134,7 +133,7 @@ class SweepTrace:
 
 
 def _solve(local, v0, tol, max_iter, seed, ledger):
-    # local: the (matvec, dim, shape) of mpo.local_matvec_1site / _2site
+    # local: the (matvec, dim, shape) of mpo.local_matvec
     matvec, dim, shape = local
     res = lanczos_lowest(
         matvec, dim, v0=v0.ravel(), tol=tol, max_iter=max_iter, seed=seed, ledger=ledger
@@ -142,38 +141,32 @@ def _solve(local, v0, tol, max_iter, seed, ledger):
     return res.eigenvector.reshape(shape), res
 
 
-def micro_step_1site(state, op, tol=1e-8, max_iter=None, seed=0, ledger=None):
-    """Solve the projected problem at the current center site.
+def _merge_cores(cores, ledger=None):
+    """The block ``(r, n_1, ..., n_k, r')`` of k adjacent cores."""
+    block = cores[0]
+    for core in cores[1:]:
+        block = contract(ledger, "matvec", block, core, ((block.ndim - 1,), (0,)))
+    return block
+
+
+def micro_step(state, op, k, tol=1e-8, max_iter=None, seed=0, ledger=None):
+    """Solve the projected problem on the ``k`` (one or two) sites from
+    the current center on.
 
     Environments are built from scratch, so this is the right entry
-    point for isolated local solves.  Returns the updated center core
-    and the solver result; the caller re-installs the core.
+    point for isolated local solves.  Returns the optimal block of shape
+    ``(r, n_i, ..., n_{i+k-1}, r')`` and the solver result; the caller
+    re-installs it (one site) or splits it (two sites).
     """
     i = state.center
     if i is None:
         raise ValueError("state must be site-orthogonal around the active site")
+    if i + k > state.d:
+        raise ValueError(f"{k}-site step at site {i} lacks a right neighbor")
     env_l = left_env(state, op, state, i, ledger)
-    env_r = right_env(state, op, state, i + 1, ledger)
-    local = local_matvec_1site(env_l, op.cores[i], env_r, ledger)
-    return _solve(local, state.cores[i], tol, max_iter, seed, ledger)
-
-
-def micro_step_2site(state, op, tol=1e-8, max_iter=None, seed=0, ledger=None):
-    """Solve the projected problem on the pair (center, center + 1).
-
-    Returns the optimal merged block of shape (r, n_i, n_{i+1}, r') and
-    the solver result; the caller splits the block.
-    """
-    i = state.center
-    if i is None:
-        raise ValueError("state must be site-orthogonal around the active site")
-    if i + 1 >= state.d:
-        raise ValueError("two-site step needs a right neighbor")
-    env_l = left_env(state, op, state, i, ledger)
-    env_r = right_env(state, op, state, i + 2, ledger)
-    local = local_matvec_2site(env_l, op.cores[i], op.cores[i + 1], env_r, ledger)
-    v0 = contract(None, "matvec", state.cores[i], state.cores[i + 1], ((2,), (0,)))
-    return _solve(local, v0, tol, max_iter, seed, ledger)
+    env_r = right_env(state, op, state, i + k, ledger)
+    local = local_matvec(env_l, op.cores[i : i + k], env_r, ledger)
+    return _solve(local, _merge_cores(state.cores[i : i + k]), tol, max_iter, seed, ledger)
 
 
 def split_and_shift(block, direction, max_rank=None, svd_tol=0.0, ledger=None):
@@ -264,7 +257,7 @@ def run_dmrg(init, op, config=None, ledger=None):
 
     state = orthogonalize(init, 0, ledger)
     cores = list(state.cores)
-    one_site = config.mode == "one-site"
+    k = 1 if config.mode == "one-site" else 2
 
     left_envs = [boundary_env()] * (d + 1)
     right_envs = [boundary_env()] * (d + 1)
@@ -284,51 +277,34 @@ def run_dmrg(init, op, config=None, ledger=None):
         last_energy = None
         unconverged = 0
 
-        if one_site:
-            sites = range(0, d - 1) if going_right else range(d - 1, 0, -1)
-        else:
-            sites = range(0, d - 1) if going_right else range(d - 2, -1, -1)
+        # going left, the window's last site runs from d - 1 down to 1
+        sites = range(0, d - 1) if going_right else range(d - k, 1 - k, -1)
 
         for i in sites:
-            if one_site:
-                local = local_matvec_1site(left_envs[i], op.cores[i], right_envs[i + 1], ledger)
-                v0 = cores[i]
-            else:
-                local = local_matvec_2site(
-                    left_envs[i], op.cores[i], op.cores[i + 1], right_envs[i + 2], ledger
-                )
-                v0 = contract(None, "matvec", cores[i], cores[i + 1], ((2,), (0,)))
+            local = local_matvec(left_envs[i], op.cores[i : i + k], right_envs[i + k], ledger)
             update, res = _solve(
-                local, v0, config.eig_tol, config.eig_max_iter, config.seed, ledger
+                local, _merge_cores(cores[i : i + k]), config.eig_tol, config.eig_max_iter,
+                config.seed, ledger,
             )
-            if one_site:
+            if k == 1:
                 cores[i] = update
                 discarded = 0.0
-                if going_right:
-                    _shift_center_right(cores, i, ledger)
-                    left_envs[i + 1] = update_left_env(
-                        left_envs[i], cores[i], op.cores[i], cores[i], ledger
-                    )
-                else:
-                    _shift_center_left(cores, i, ledger)
-                    right_envs[i] = update_right_env(
-                        right_envs[i + 1], cores[i], op.cores[i], cores[i], ledger
-                    )
+                shift = _shift_center_right if going_right else _shift_center_left
+                shift(cores, i, ledger)
             else:
                 direction = "LR" if going_right else "RL"
-                left, right, discarded = split_and_shift(
+                cores[i], cores[i + 1], discarded = split_and_shift(
                     update, direction, config.max_rank, config.svd_tol, ledger
                 )
-                cores[i] = left
-                cores[i + 1] = right
-                if going_right:
-                    left_envs[i + 1] = update_left_env(
-                        left_envs[i], cores[i], op.cores[i], cores[i], ledger
-                    )
-                else:
-                    right_envs[i + 1] = update_right_env(
-                        right_envs[i + 2], cores[i + 1], op.cores[i + 1], cores[i + 1], ledger
-                    )
+            if going_right:
+                left_envs[i + 1] = update_left_env(
+                    left_envs[i], cores[i], op.cores[i], cores[i], ledger
+                )
+            else:
+                j = i + k - 1
+                right_envs[j] = update_right_env(
+                    right_envs[j + 1], cores[j], op.cores[j], cores[j], ledger
+                )
 
             last_energy = res.eigenvalue
             unconverged += not res.converged

@@ -1,7 +1,7 @@
 """Analytic floating-point operation ledger.
 
 Costs are charged from closed-form counts rather than measured, so they are
-exactly reproducible across machines and worker pools:
+exactly reproducible across machines and runs:
 
 * matrix product (m, k) x (k, n): 2*m*k*n
 * thin QR with explicit Q, m >= n:  4*m*n**2
@@ -57,8 +57,8 @@ def tensordot_flops(a_shape, b_shape, contracted):
 
 
 # Contraction plans keyed by (a.shape, b.shape, axes).  Entries are shape
-# tuples only; the cache is cleared when it reaches its cap.  Concurrent
-# workers may compute the same plan twice, which is harmless.
+# tuples only; the cache is cleared when it reaches its cap.  Two threads
+# that miss on the same key at once both compute its plan, which is harmless.
 _PLANS = {}
 _PLAN_CAP = 4096
 
@@ -141,9 +141,6 @@ class CostLedger:
         else:
             self.per_worker_flops[worker] = self.per_worker_flops.get(worker, 0.0) + flops
 
-    def worker(self, worker_id):
-        return _WorkerView(self, worker_id)
-
     def merge(self, other, worker=None):
         """Fold a task-local ledger into this one under one worker tag.
 
@@ -199,20 +196,6 @@ class CostLedger:
         for k, v in r["per_class_flops"].items():
             lines.append(f"    {k:<12} {v:.6e}")
         return "\n".join(lines)
-
-
-class _WorkerView:
-    """Charge proxy binding a fixed worker tag."""
-
-    def __init__(self, ledger, worker_id):
-        self._ledger = ledger
-        self._worker = worker_id
-
-    def charge(self, op_class, flops, worker=None):
-        self._ledger.charge(op_class, flops, worker=self._worker)
-
-    def worker(self, worker_id):
-        return _WorkerView(self._ledger, worker_id)
 
 
 def charge(ledger, op_class, flops, worker=None):

@@ -7,17 +7,19 @@ column bond)``; the trivial boundary environment is ``ones((1, 1, 1))``.
 
 Environments of ``<bra | A | ket>`` contractions are built site by site.
 ``update_left_env`` / ``update_right_env`` extend an environment by one
-site; the ``all_*`` helpers sweep a whole train.  Projected one- and
-two-site operators are applied matrix-free through ``apply_local_1site`` /
-``apply_local_2site``.  These read every operand in place: the left
-environment and the block meet in one GEMM, each operator core (permuted,
-a tiny copy) is applied by one batched ``np.matmul`` over the leading bond,
-and the right environment enters as a transposed view in a last GEMM whose
-output is already in block order.  Each step is charged as the pairwise
-contraction it replaces (:func:`tensordot_flops`).
+site; the ``all_*`` helpers sweep a whole train.  Projected operators on
+k adjacent sites are applied matrix-free through one kernel,
+``apply_local``, which reads every operand in place: the left environment
+and the block meet in one GEMM, each operator core (permuted, a tiny copy)
+is applied by one batched ``np.matmul`` over the leading bonds, and the
+right environment enters as a transposed view in a last GEMM whose output
+is already in block order.  Each step is charged as the pairwise
+contraction of its input (:func:`tensordot_flops`).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -183,65 +185,59 @@ def rayleigh_quotient(x, op, ledger=None, op_class="inner"):
     return num / den
 
 
-def apply_local_1site(env_left, op_core, env_right, v, ledger=None, op_class="matvec"):
-    """Apply the projected operator at one site to a core-shaped array."""
+def apply_local(env_left, op_cores, env_right, v, ledger=None, op_class="matvec"):
+    """Apply the projected operator on ``k = len(op_cores)`` adjacent sites
+    to a block of shape ``(rank, n_1, ..., n_k, rank')``.
+
+    Each operator core contracts the bond and input index it meets next,
+    so after core ``j`` the intermediate reads ``(a, s_1 .. s_j, w, n_{j+1}
+    .. n_k, b')``; every step is charged as the pairwise contraction of
+    its input.
+    """
     a, w, a2 = env_left.shape
-    _, s1, s, w2 = op_core.shape
-    b, _, b2 = env_right.shape
+    b, w2, b2 = env_right.shape
     charge(ledger, op_class, tensordot_flops(env_left.shape, v.shape, a2))
-    x = env_left.reshape(a * w, a2) @ v.reshape(a2, s * b2)  # (a, w, s, b')
-    charge(ledger, op_class, tensordot_flops(x.shape, op_core.shape, w * s))
-    wp = op_core.transpose(1, 3, 0, 2).reshape(s1 * w2, w * s)
-    x = np.matmul(wp, x.reshape(a, w * s, b2))  # (a, s1, w2, b')
+    x = env_left.reshape(a * w, a2) @ v.reshape(a2, -1)  # (a, w, n_1, ..., b')
+    lead = a
+    for core in op_cores:
+        wl, s1, s, wr = core.shape
+        charge(ledger, op_class, tensordot_flops(x.shape, core.shape, wl * s))
+        wp = core.transpose(1, 3, 0, 2).reshape(s1 * wr, wl * s)
+        x = np.matmul(wp, x.reshape(lead, wl * s, -1))  # (lead, s1, wr, ..., b')
+        lead *= s1
     charge(ledger, op_class, tensordot_flops(x.shape, env_right.shape, w2 * b2))
-    out = x.reshape(a * s1, w2 * b2) @ env_right.reshape(b, w2 * b2).T
-    return out.reshape(a, s1, b)
+    out = x.reshape(lead, w2 * b2) @ env_right.reshape(b, w2 * b2).T
+    # operator cores act on square local spaces: the block keeps v's dims
+    return out.reshape((a,) + v.shape[1:-1] + (b,))
+
+
+def apply_local_1site(env_left, op_core, env_right, v, ledger=None, op_class="matvec"):
+    """:func:`apply_local` at one site."""
+    return apply_local(env_left, (op_core,), env_right, v, ledger, op_class)
 
 
 def apply_local_2site(env_left, op_core1, op_core2, env_right, v, ledger=None, op_class="matvec"):
-    """Apply the projected operator on a pair of adjacent sites to a block
-    of shape ``(rank, n1, n2, rank')``."""
-    a, w, a2 = env_left.shape
-    _, s1, s, w1 = op_core1.shape
-    _, t1, t, w2 = op_core2.shape
-    b, _, b2 = env_right.shape
-    charge(ledger, op_class, tensordot_flops(env_left.shape, v.shape, a2))
-    x = env_left.reshape(a * w, a2) @ v.reshape(a2, s * t * b2)  # (a, w, s, t, b')
-    # The two operator contractions are charged at their output shapes, as
-    # the ledger has always counted them; that is exact only where the
-    # operator bonds on both sides of a site agree.
-    wp = op_core1.transpose(1, 3, 0, 2).reshape(s1 * w1, w * s)
-    x = np.matmul(wp, x.reshape(a, w * s, t * b2))  # (a, s1, w1, t, b')
-    charge(ledger, op_class, tensordot_flops(x.shape, op_core1.shape, w * s))
-    wp = op_core2.transpose(1, 3, 0, 2).reshape(t1 * w2, w1 * t)
-    x = np.matmul(wp, x.reshape(a * s1, w1 * t, b2))  # (a, s1, t1, w2, b')
-    charge(ledger, op_class, tensordot_flops(x.shape, op_core2.shape, w1 * t))
-    charge(ledger, op_class, tensordot_flops(x.shape, env_right.shape, w2 * b2))
-    out = x.reshape(a * s1 * t1, w2 * b2) @ env_right.reshape(b, w2 * b2).T
-    return out.reshape(a, s1, t1, b)
+    """:func:`apply_local` on a pair of adjacent sites."""
+    return apply_local(env_left, (op_core1, op_core2), env_right, v, ledger, op_class)
+
+
+def local_matvec(env_left, op_cores, env_right, ledger=None, op_class="matvec"):
+    """Flat matvec closure over the projected operator on ``len(op_cores)``
+    (one or two) adjacent sites, plus its dimension and the block shape."""
+    shape = (env_left.shape[2],) + tuple(c.shape[2] for c in op_cores) + (env_right.shape[2],)
+    # called through the per-width names, which bench/tracer.py spans
+    apply = {1: apply_local_1site, 2: apply_local_2site}[len(op_cores)]
+
+    def matvec(x):
+        v = x.reshape(shape)
+        return apply(env_left, *op_cores, env_right, v, ledger, op_class).ravel()
+
+    return matvec, math.prod(shape), shape
 
 
 def local_matvec_1site(env_left, op_core, env_right, ledger=None, op_class="matvec"):
-    """Flat matvec closure over the projected one-site operator, plus its
-    dimension and the core shape."""
-    shape = (env_left.shape[2], op_core.shape[2], env_right.shape[2])
-    dim = shape[0] * shape[1] * shape[2]
-
-    def matvec(x):
-        v = x.reshape(shape)
-        return apply_local_1site(env_left, op_core, env_right, v, ledger, op_class).ravel()
-
-    return matvec, dim, shape
+    return local_matvec(env_left, (op_core,), env_right, ledger, op_class)
 
 
 def local_matvec_2site(env_left, op_core1, op_core2, env_right, ledger=None, op_class="matvec"):
-    shape = (env_left.shape[2], op_core1.shape[2], op_core2.shape[2], env_right.shape[2])
-    dim = shape[0] * shape[1] * shape[2] * shape[3]
-
-    def matvec(x):
-        v = x.reshape(shape)
-        return apply_local_2site(
-            env_left, op_core1, op_core2, env_right, v, ledger, op_class
-        ).ravel()
-
-    return matvec, dim, shape
+    return local_matvec(env_left, (op_core1, op_core2), env_right, ledger, op_class)

@@ -60,7 +60,7 @@ from io import StringIO
 
 import numpy as np
 
-from .dmrg import _solve, split_and_shift
+from .dmrg import _merge_cores, _solve, split_and_shift
 from .eigen import dense_lowest_eig, dense_sym_svd, lanczos_lowest
 from .ledger import CostLedger, charge, contract, tensordot_flops
 
@@ -69,8 +69,7 @@ from .ledger import CostLedger, charge, contract, tensordot_flops
 from .mpo import (  # noqa: F401
     boundary_env,
     left_env,
-    local_matvec_1site,
-    local_matvec_2site,
+    local_matvec,
     mpo_inner,
     rayleigh_quotient,
     right_env,
@@ -115,8 +114,6 @@ class TwoLevelConfig:
     only declared on an iteration solved to at most
     ``max(eig_tol, energy_tol)``, so a stall caused by loose solves is not
     taken for convergence.
-    ``fit_tol``, ``max_fit_iters`` and ``fallback_compression`` are
-    deprecated: a non-default value warns and changes nothing.
     ``workers`` is accepted and validated for existing configurations
     but changes neither the results nor the wall time: the independent
     tasks run in the calling thread, since they hold the interpreter lock
@@ -134,18 +131,10 @@ class TwoLevelConfig:
     coarse_eps: float = 1e-10
     structured_coarse: bool = False
     round_tol: float = 0.0
-    fit_tol: float = 1e-8
-    max_fit_iters: int = 20
-    fallback_compression: bool = False
     workers: int = 1
     seed: int = 0
 
-    _deprecated = {"fit_tol": 1e-8, "max_fit_iters": 20, "fallback_compression": False}
-
     def __post_init__(self):
-        for name in [k for k, v in self._deprecated.items() if getattr(self, k) != v]:
-            warnings.warn(f"TwoLevelConfig.{name} is deprecated and has no effect: step 4 "
-                          "rounds an exact train in both modes", DeprecationWarning, stacklevel=3)
         if self.mode not in ("one-site", "two-site"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_rank < 1:
@@ -346,23 +335,15 @@ def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=Non
     if envs is None:
         envs = shared_envs(family, op, ledger)
 
-    def solve_site(i, led):
-        local = local_matvec_1site(envs.left[i][1], op.cores[i], envs.right[i + 1][1], led)
-        return _solve(local, family.centers[i], eig_tol, eig_max_iter, seed, led)
-
-    def solve_pair(i, led):
-        v0 = contract(led, "matvec", family.centers[i], family.right[i + 1], ((2,), (0,)))
-        local = local_matvec_2site(
-            envs.left[i][1], op.cores[i], op.cores[i + 1], envs.right[i + 2][1], led
-        )
-        block, res = _solve(local, v0, eig_tol, eig_max_iter, seed, led)
-        return split_and_shift(block, "LR", max_rank, 0.0, led)[:2], res
-
-    solve, n = (solve_site, d) if mode == "one-site" else (solve_pair, d - 1)
+    k = 1 if mode == "one-site" else 2
     updates, results = [], []
-    for i in range(n):
+    for i in range(d - k + 1):
         led = CostLedger()
-        update, res = solve(i, led)
+        v0 = _merge_cores([family.centers[i], *family.right[i + 1 : i + k]], led)
+        local = local_matvec(envs.left[i][1], op.cores[i : i + k], envs.right[i + k][1], led)
+        update, res = _solve(local, v0, eig_tol, eig_max_iter, seed, led)
+        if k == 2:
+            update = split_and_shift(update, "LR", max_rank, 0.0, led)[:2]
         updates.append(update)
         results.append(res)
         _merge(ledger, led, f"solve:{i}")
@@ -728,10 +709,10 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
         # Rayleigh quotient.  A cut to one direction that leaves a member
         # lower has thrown that descent away, so a stalled energy would be
         # stagnation, not convergence.  (At a fixed point the members all
-        # coincide with the iterate, and p = 1 is no collapse.)
-        collapsed = cp.p <= 1 and (
-            sol.energy - min_update_energy > config.energy_tol * max(abs(sol.energy), 1e-12)
-        )
+        # coincide with the iterate, and p = 1 is no collapse; a few ulp of
+        # |E| bound the roundoff by which the two can still differ there.)
+        slack = max(config.energy_tol, 16 * np.finfo(float).eps) * max(abs(sol.energy), 1e-12)
+        collapsed = cp.p <= 1 and sol.energy - min_update_energy > slack
         if collapsed:
             warnings.warn(
                 f"iteration {it}: coarse span collapsed to p = {cp.p} of {len(members)} "

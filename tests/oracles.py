@@ -9,8 +9,8 @@ transfers between entries as the row sweeps of
 coarse assembly as it was written with one sweep per row, whose ledger
 the stacked assembly must reproduce exactly; :func:`tensordot_apply_local_1site`
 and :func:`tensordot_apply_local_2site`, the projected local operators as
-they were written before they read their operands in place, whose ledger
-charges the library's kernels must reproduce exactly; :func:`list_lanczos_lowest`, the
+pairwise ``contract`` calls, each charged at its input shapes, whose ledger
+charges the library's in-place kernel must reproduce exactly; :func:`list_lanczos_lowest`, the
 Lanczos iteration as it was written before the basis moved into one
 preallocated array, which the library's version must match bitwise; and
 :func:`rebuild_fit_chain`, the alternating least squares chain fit as it was
@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from ttdmrg.eigen import LanczosResult, dense_sym_svd
-from ttdmrg.ledger import CostLedger, charge, contract, qr_flops, tensordot_flops
+from ttdmrg.ledger import CostLedger, charge, contract, qr_flops
 from ttdmrg.mpo import mpo_inner
 from ttdmrg.sums import _einsum, _lstep, _rstep, chain_pair_inner
 from ttdmrg.tt import TensorTrain, inner, lq_fixed, orthogonalize, qr_fixed
@@ -144,15 +144,8 @@ def tensordot_apply_local_2site(
     """Apply the projected operator on a pair of adjacent sites to a block
     of shape ``(rank, n1, n2, rank')``."""
     t = contract(ledger, op_class, env_left, v, ((2,), (0,)))
-    # The two operator contractions are charged at their output shapes, as
-    # the ledger has always counted them; that is exact only where the
-    # operator bonds on both sides of a site agree.
-    t = contract(None, op_class, t, op_core1, ((1, 2), (0, 2)))
-    k = op_core1.shape[0] * op_core1.shape[2]
-    charge(ledger, op_class, tensordot_flops(t.shape, op_core1.shape, k))
-    t = contract(None, op_class, t, op_core2, ((4, 1), (0, 2)))
-    k = op_core2.shape[0] * op_core2.shape[2]
-    charge(ledger, op_class, tensordot_flops(t.shape, op_core2.shape, k))
+    t = contract(ledger, op_class, t, op_core1, ((1, 2), (0, 2)))
+    t = contract(ledger, op_class, t, op_core2, ((4, 1), (0, 2)))
     return contract(ledger, op_class, t, env_right, ((1, 4), (2, 1)))
 
 

@@ -77,27 +77,6 @@ def test_run_flag_overrides_take_effect(tmp_path):
     assert summary["flops"]["max_worker_flops"] > 0
 
 
-def test_deprecated_fallback_compression_key_warns_and_changes_nothing(tmp_path):
-    import warnings
-
-    outputs = {}
-    for sub, extra in (("plain", ""), ("knob", "fallback_compression = true\n")):
-        body, out = with_outputs(tmp_path, sub)
-        body = body.replace("algorithm = dmrg2\n", "algorithm = a2dmrg2\n" + extra)
-        cfg = write_config(tmp_path, f"{sub}.ini", body)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["run", cfg]) == 0
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == (1 if extra else 0)
-        outputs[sub] = {
-            name: (out / name).read_bytes()
-            for name in ("trace.csv", "ledger.json", "summary.json", "state.tt")
-        }
-    assert "run.fallback_compression is deprecated" in str(deprecations[0].message)
-    assert outputs["knob"] == outputs["plain"]
-
-
 def test_invalid_algorithm_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.ini", BASE.replace("dmrg2", "dmrg3"))
     assert main(["run", cfg]) == 2
@@ -111,6 +90,10 @@ def test_unknown_key_and_section_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, "k2.ini", BASE + "max_rnk = 8\n")
     assert main(["run", cfg]) == 2
     assert "max_rnk" in capsys.readouterr().err
+    # a removed key is rejected like a misspelled one
+    cfg = write_config(tmp_path, "k3.ini", BASE + "fallback_compression = true\n")
+    assert main(["run", cfg]) == 2
+    assert "fallback_compression" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path, capsys):

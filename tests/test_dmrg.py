@@ -9,8 +9,7 @@ import pytest
 import oracles
 from ttdmrg.dmrg import (
     SweepConfig,
-    micro_step_1site,
-    micro_step_2site,
+    micro_step,
     run_dmrg,
     split_and_shift,
 )
@@ -59,7 +58,7 @@ def test_micro_step_1site_matches_dense(site):
     op = random_symmetric_mpo(4, rank=2, seed=3)
     state = orthogonalize(random_tt(dims, (2, 3, 2), seed=4), center=site)
 
-    core, res = micro_step_1site(state, op, tol=1e-12)
+    core, res = micro_step(state, op, 1, tol=1e-12)
     p = oracles.site_projector(state.cores, site)
     a = p.T @ mpo_to_dense(op) @ p
     w, v = np.linalg.eigh(a)
@@ -75,7 +74,7 @@ def test_micro_step_2site_matches_dense(site):
     op = random_symmetric_mpo(4, rank=2, seed=5)
     state = orthogonalize(random_tt(dims, (2, 2, 2), seed=6), center=site)
 
-    block, res = micro_step_2site(state, op, tol=1e-12)
+    block, res = micro_step(state, op, 2, tol=1e-12)
     p = oracles.block_projector(state.cores, site)
     a = p.T @ mpo_to_dense(op) @ p
     w, v = np.linalg.eigh(a)
@@ -92,10 +91,10 @@ def test_micro_step_needs_gauge():
     op = ising_chain(3)
     state = random_tt((2, 2, 2), (2, 2), seed=0)
     with pytest.raises(ValueError, match="site-orthogonal"):
-        micro_step_1site(state, op)
+        micro_step(state, op, 1)
     state = orthogonalize(state, 2)
     with pytest.raises(ValueError, match="neighbor"):
-        micro_step_2site(state, op)
+        micro_step(state, op, 2)
 
 
 def test_two_site_ising_reaches_exact_ground_state():

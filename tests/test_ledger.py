@@ -52,15 +52,6 @@ def test_negative_charge_rejected():
         led.charge("qr", -1.0)
 
 
-def test_worker_view_binds_tag():
-    led = CostLedger()
-    view = led.worker("site3")
-    view.charge("matvec", 5.0)
-    view.worker("ignored-rebind").charge("inner", 2.0)
-    assert led.per_worker_flops["site3"] == 5.0
-    assert "ignored-rebind" in led.per_worker_flops
-
-
 def test_merge_maps_task_ledger_to_worker():
     main = CostLedger()
     task = CostLedger()

@@ -1,10 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import oracles
+from ttdmrg import dmrg, mpo, tt, twolevel
 from ttdmrg import ledger as ledger_module
-from ttdmrg import mpo, tt
 from ttdmrg.ledger import CostLedger
+from ttdmrg.models import heisenberg_chain
 from ttdmrg.mpo import MatrixProductOperator
 from ttdmrg.tt import random_tt
 
@@ -174,19 +177,20 @@ def assert_close(got, want):
 
 @pytest.mark.parametrize("contiguous", [True, False])
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-@pytest.mark.parametrize("sites", [1, 2])
-def test_local_kernels_match_tensordot_kernels_and_their_charges(sites, case, contiguous):
-    env_l, cores, env_r, v = kernel_operands(case, contiguous, seed=17, sites=sites)
-    if sites == 1:
-        new, old = mpo.apply_local_1site, oracles.tensordot_apply_local_1site
-    else:
-        new, old = mpo.apply_local_2site, oracles.tensordot_apply_local_2site
+@pytest.mark.parametrize("k", [1, 2])
+def test_local_kernels_match_tensordot_kernels_and_their_charges(k, case, contiguous):
+    # the chain ends and unequal bonds are where charging a step at its
+    # output shape instead of its input would show
+    env_l, cores, env_r, v = kernel_operands(case, contiguous, seed=17, sites=k)
+    old = {1: oracles.tensordot_apply_local_1site, 2: oracles.tensordot_apply_local_2site}[k]
     led_new, led_old = CostLedger(), CostLedger()
-    got = new(env_l, *cores, env_r, v, led_new)
+    got = mpo.apply_local(env_l, cores, env_r, v, led_new)
     want = old(env_l, *cores, env_r, v, led_old)
     assert_close(got, want)
     assert led_new.report() == led_old.report()
     assert led_new.per_class_flops.keys() == {"matvec"}
+    adapter = {1: mpo.apply_local_1site, 2: mpo.apply_local_2site}[k]
+    assert np.array_equal(adapter(env_l, *cores, env_r, v), got)
 
 
 def test_local_kernels_do_not_go_through_contract(monkeypatch):
@@ -206,3 +210,38 @@ def test_local_kernels_do_not_go_through_contract(monkeypatch):
     env_l, cores, env_r, v = two
     matvec, _, _ = mpo.local_matvec_2site(env_l, *cores, env_r, CostLedger())
     assert_close(matvec(v.ravel()), want_two)
+
+
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_solvers_call_the_kernel_by_its_width_name_once_per_matvec(monkeypatch, mode):
+    # bench/tracer.py spans the projected matvec by rebinding these names
+    calls = Counter()
+    for name in ("apply_local_1site", "apply_local_2site"):
+        kernel = getattr(mpo, name)
+
+        def counted(*args, _name=name, _kernel=kernel):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(mpo, name, counted)
+    lanczos = dmrg.lanczos_lowest
+
+    def counted_lanczos(matvec, *args, **kwargs):
+        def counted_matvec(x):
+            calls["matvec"] += 1
+            return matvec(x)
+
+        return lanczos(counted_matvec, *args, **kwargs)
+
+    monkeypatch.setattr(dmrg, "lanczos_lowest", counted_lanczos)
+    want = "apply_local_1site" if mode == "one-site" else "apply_local_2site"
+    op = heisenberg_chain(6)
+    init = random_tt(op.dims, 2, seed=20)
+    dmrg.run_dmrg(init, op, dmrg.SweepConfig(mode=mode, max_rank=4, max_half_sweeps=2))
+    assert calls["matvec"] > 0
+    assert calls == {want: calls["matvec"], "matvec": calls["matvec"]}
+    calls.clear()
+    family = tt.orthogonal_family(tt.orthogonalize(init, op.d - 1))
+    twolevel.local_solves(family, op, mode, max_rank=4)
+    assert calls["matvec"] > 0
+    assert calls == {want: calls["matvec"], "matvec": calls["matvec"]}

@@ -11,11 +11,10 @@ Regenerate (only when the arithmetic is meant to change, and say why):
     PYTHONPATH=src python tests/test_pins.py --write
 
 which prints, per case, which of ``energies``, ``ledger`` and
-``state_sha256`` differ from the file it replaces, and the largest
-relative move of a recorded energy.
+``state_sha256`` differ from the file it replaces, the largest relative
+move of a recorded energy, and which ledger report entries moved.
 """
 
-import dataclasses
 import hashlib
 import json
 import platform
@@ -52,7 +51,7 @@ CASES = {
     ),
     "a2dmrg2-fallback-heis-d8": (
         heisenberg_chain(8),
-        TwoLevelConfig(mode="two-site", max_rank=6, max_iters=3, fallback_compression=True),
+        TwoLevelConfig(mode="two-site", max_rank=6, max_iters=3),
     ),
     "a2dmrg2-workers3-ising-d8": (
         ising_chain(8), TwoLevelConfig(mode="two-site", max_rank=6, max_iters=3, workers=3)
@@ -105,21 +104,23 @@ def test_run_matches_pin(name):
     assert got["state_sha256"] == want["state_sha256"]
 
 
-def test_fallback_pin_is_a_run_without_the_deprecated_knob():
-    pins = load_pins()
-    if pins["stack"] != stack():
-        pytest.skip(f"pins recorded on {pins['stack']}, running on {stack()}")
-    op, config = CASES["a2dmrg2-fallback-heis-d8"]
-    assert config.fallback_compression
-    plain = dataclasses.replace(config, fallback_compression=False)
-    got = json.loads(json.dumps(run_config(op, plain)))
-    assert got == pins["cases"]["a2dmrg2-fallback-heis-d8"]
-
-
 def largest_energy_move(new, old):
     """Largest relative change over the energies both lists record."""
     moves = [abs(float(a) - float(b)) / max(abs(float(b)), 1e-300) for a, b in zip(new, old)]
     return max(moves, default=0.0)
+
+
+def moved_ledger_entries(new, old):
+    """Ledger report entries that differ, nested ones as ``key.subkey``."""
+    moved = []
+    for key in sorted(set(new) | set(old)):
+        a, b = new.get(key), old.get(key)
+        if isinstance(a, dict) and isinstance(b, dict):
+            subs = sorted(set(a) | set(b))
+            moved += [f"{key}.{sub}" for sub in subs if a.get(sub) != b.get(sub)]
+        elif a != b:
+            moved.append(key)
+    return moved
 
 
 if __name__ == "__main__":
@@ -138,5 +139,8 @@ if __name__ == "__main__":
             if len(case["energies"]) != len(prev["energies"]):
                 line += f"; {len(prev['energies'])} -> {len(case['energies'])} energies"
             line += ")"
+        if "ledger" in moved and prev:
+            entries = moved_ledger_entries(case["ledger"], prev["ledger"])
+            line += f"\n  ledger moved: {', '.join(entries)}"
         print(line)
     PIN_FILE.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
