@@ -11,11 +11,23 @@ The one-site mode keeps bond dimensions fixed.  The two-site mode solves
 on a merged pair of sites and re-splits with a truncated SVD, so ranks
 can grow up to ``max_rank`` and the discarded singular value weight is
 recorded per micro-step.
+
+Two-site sweeps solve inexactly while the energy is still moving: the
+first half-sweep solves every local problem to ``eig_tol``, and each later
+one to ``max(eig_tol, EIG_FORCING * |dE| / |E|)``, where dE is the energy
+change over the previous half-sweep (for the first one, from its first
+micro-step's energy to its last).  This is the forcing term of inexact
+Newton methods (Eisenstat & Walker, SISC 1996), and :func:`forced_eig_tol`
+is the one place the rule lives: the two-level solver applies it per global
+iteration.  It is off in one-site sweeps, at full separation rank and at
+``eig_tol == 0``.  A half-sweep solved looser than
+``max(eig_tol, energy_tol)`` never counts as converged.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 from io import StringIO
@@ -35,6 +47,30 @@ from .mpo import (
 )
 from .tt import TensorTrain, _rank_keep, orthogonalize, qr_fixed, svd_fixed
 
+# Forcing term of inexact local solves: after the first half-sweep (or
+# two-level iteration) the local Lanczos tolerance follows this fraction of
+# the last relative energy change.
+EIG_FORCING = 0.1
+
+
+def forced_eig_tol(eig_tol, change, energy, dims, max_rank):
+    """Local Lanczos tolerance after a step that moved the energy by ``change``.
+
+    Returns ``max(eig_tol, EIG_FORCING * change / |energy|)``, the forcing
+    term of inexact Newton methods: far from the ground state, a tight
+    local solve buys nothing the next step keeps.  Returns ``eig_tol``
+    itself when ``max_rank`` reaches every bond's full separation rank of
+    the local spaces ``dims`` (truncation then loses nothing, exact solves
+    converge in a few steps and loose ones only add steps) and when
+    ``eig_tol == 0``, which pins every solve to its iteration budget.
+    """
+    full_rank = all(
+        min(math.prod(dims[:j]), math.prod(dims[j:])) <= max_rank for j in range(1, len(dims))
+    )
+    if full_rank or eig_tol == 0:
+        return eig_tol
+    return max(eig_tol, EIG_FORCING * change / max(abs(energy), 1e-12))
+
 
 @dataclass
 class SweepConfig:
@@ -50,7 +86,9 @@ class SweepConfig:
         Relative singular value cutoff at splits (0 keeps everything
         up to ``max_rank``).
     eig_tol : float
-        Residual tolerance handed to the local Lanczos solves.
+        Residual tolerance of the first half-sweep's local Lanczos solves,
+        and the tightest one of later half-sweeps, which loosen with the
+        last energy change in two-site mode (see the module docstring).
     energy_tol : float
         Relative energy change between half-sweeps that counts as
         converged.
@@ -90,6 +128,7 @@ class MicroRecord:
     flops_cumulative: float
     lanczos_converged: bool
     lanczos_residual: float
+    local_eig_tol: float
 
 
 @dataclass
@@ -114,6 +153,7 @@ class SweepTrace:
                 "flops_cumulative",
                 "lanczos_converged",
                 "lanczos_residual",
+                "local_eig_tol",
             ]
         )
         for m in self.micro:
@@ -127,6 +167,7 @@ class SweepTrace:
                     repr(m.flops_cumulative),
                     int(m.lanczos_converged),
                     repr(m.lanczos_residual),
+                    repr(m.local_eig_tol),
                 ]
             )
         return buf.getvalue()
@@ -272,6 +313,8 @@ def run_dmrg(init, op, config=None, ledger=None):
         return ledger.total_flops() if ledger is not None else 0.0
 
     energy = None
+    eig_tol = config.eig_tol  # local tolerance of the coming half-sweep
+    tight = max(config.eig_tol, config.energy_tol)  # loosest one that may converge
     for hs in range(1, config.max_half_sweeps + 1):
         going_right = hs % 2 == 1
         last_energy = None
@@ -283,7 +326,7 @@ def run_dmrg(init, op, config=None, ledger=None):
         for i in sites:
             local = local_matvec(left_envs[i], op.cores[i : i + k], right_envs[i + k], ledger)
             update, res = _solve(
-                local, _merge_cores(cores[i : i + k]), config.eig_tol, config.eig_max_iter,
+                local, _merge_cores(cores[i : i + k]), eig_tol, config.eig_max_iter,
                 config.seed, ledger,
             )
             if k == 1:
@@ -318,6 +361,7 @@ def run_dmrg(init, op, config=None, ledger=None):
                     flops_cumulative=flops(),
                     lanczos_converged=bool(res.converged),
                     lanczos_residual=float(res.residual_norm),
+                    local_eig_tol=eig_tol,
                 )
             )
 
@@ -330,12 +374,20 @@ def run_dmrg(init, op, config=None, ledger=None):
             )
 
         trace.half_sweep_energies.append(float(last_energy))
-        if energy is not None:
-            denom = max(abs(last_energy), 1e-12)
-            if abs(last_energy - energy) <= config.energy_tol * denom:
-                trace.converged = True
-                break
+        # the first half-sweep's change is measured from its first micro-step
+        before = trace.micro[-len(sites)].energy if energy is None else energy
+        change = abs(last_energy - before)
+        # a stall under loose local solves is not convergence
+        if (
+            energy is not None
+            and eig_tol <= tight
+            and change <= config.energy_tol * max(abs(last_energy), 1e-12)
+        ):
+            trace.converged = True
+            break
         energy = last_energy
+        if k == 2:
+            eig_tol = forced_eig_tol(config.eig_tol, change, energy, op.dims, config.max_rank)
 
     center = d - 1 if len(trace.half_sweep_energies) % 2 == 1 else 0
     return TensorTrain(cores, center=center), trace

@@ -51,10 +51,19 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
     so the lowest one is kept and returned (flagged ``converged=False``)
     should all restarts break down.
 
-    ``iterations`` counts operator applications inside the Krylov loop; the
-    one extra application used to recompute the returned ``residual_norm``
-    is not counted.  Since the first Ritz value equals the Rayleigh quotient
-    of ``v0``, the returned eigenvalue never exceeds it.
+    A start that is not an eigenvector is never returned unchanged: the
+    iteration takes at least one Krylov step past it, even when the first
+    residual estimate already meets the tolerance, unless that first step
+    breaks down (``beta <= 1e-13``, an exact eigenvector).  So a loose
+    tolerance still buys some descent from a warm start.
+
+    ``iterations`` counts every operator application; there is no extra one.
+    The returned ``residual_norm`` is the Krylov recurrence's estimate
+    ``beta * |s_k|`` of ``|A v - theta v|`` (``s`` the tridiagonal Ritz vector,
+    ``beta`` the norm of the next basis direction before normalization),
+    taken on every exit: converged, budget exhausted, and each breakdown
+    candidate.  Since the first Ritz value equals the Rayleigh quotient of
+    ``v0``, the returned eigenvalue never exceeds it.
 
     The Krylov basis lives in the rows of one array, allocated once per call
     with ``min(max_iter + 1, 32)`` rows and doubled when full, and is shared
@@ -67,12 +76,9 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
     max_iter = max(int(max_iter), 1)
     rng = None  # built at the first random draw: most solves start from v0
 
-    def finish(theta, vec, iters):
-        nv = np.linalg.norm(vec)
-        vec = vec / nv
-        res = float(np.linalg.norm(matvec(vec) - theta * vec))
+    def finish(theta, vec, res):
         conv = res <= tol * max(1.0, abs(theta))
-        return LanczosResult(float(theta), vec, iters, conv, res)
+        return LanczosResult(float(theta), vec / np.linalg.norm(vec), total, conv, float(res))
 
     start = None
     if v0 is not None:
@@ -83,12 +89,12 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
         start = start / n0 if n0 > 0 else None
 
     total = 0
-    best = None  # lowest invariant-subspace candidate seen across restarts
+    best = None  # lowest (theta, vector, residual) breakdown candidate across restarts
 
-    def pick(theta, vec):
+    def pick(theta, vec, res):
         if best is not None and best[0] < theta:
             return best
-        return theta, vec
+        return theta, vec, res
 
     rows = min(max_iter + 1, 32)
     basis = np.empty((rows, dim))
@@ -119,14 +125,15 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
             charge(ledger, "matvec", 4.0 * vk.size + 6.0 * dim)
             b = float(np.linalg.norm(w))
             theta, s = _tridiag_lowest(alphas[:k], betas[: k - 1])
-            if b * abs(s[-1]) <= tol * max(1.0, abs(theta)):
-                theta, vec = pick(theta, vk.T @ s)
-                return finish(theta, vec, total)
+            res = b * abs(s[-1])
+            # step past a start that is not an exact eigenvector
+            if res <= tol * max(1.0, abs(theta)) and (k > 1 or b <= 1e-13):
+                return finish(*pick(theta, vk.T @ s, res))
             if b <= 1e-13:
                 # exact invariant subspace that misses the tolerance: keep
                 # the candidate and restart from a random direction
                 if best is None or theta < best[0]:
-                    best = (theta, vk.T @ s)
+                    best = (theta, vk.T @ s, res)
                 broke = True
                 break
             betas[k - 1] = b
@@ -137,16 +144,11 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
             np.divide(w, b, out=basis[k])
             k += 1
         if not broke:
-            # iteration budget exhausted
-            n = k - 1
-            if n:
-                theta, s = _tridiag_lowest(alphas[:n], betas[: n - 1])
-                theta, vec = pick(theta, basis[:n].T @ s)
-            else:
-                theta, vec = best
-            return finish(theta, vec, total)
-    theta, vec = best
-    return finish(theta, vec, total)
+            # iteration budget exhausted; the last step's Ritz pair stands
+            if k > 1:
+                return finish(*pick(theta, basis[: k - 1].T @ s, res))
+            return finish(*best)
+    return finish(*best)
 
 
 def dense_lowest_eig(a, sym_rtol=1e-10, ledger=None):

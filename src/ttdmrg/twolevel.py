@@ -14,14 +14,16 @@ Each global iteration runs four steps:
    right sweep, tagged ``env:left`` and ``env:right``) instead of from
    scratch in every task.  The solves are inexact: the first iteration
    solves to ``eig_tol``, and each later one to
-   ``max(eig_tol, EIG_FORCING * |E_prev - E_prev2| / |E_prev|)``, the
+   ``max(eig_tol, dmrg.EIG_FORCING * |E_prev - E_prev2| / |E_prev|)``, the
    forcing term of inexact Newton methods applied to the last energy
    change (the energy before the first iteration is the start's Rayleigh
-   quotient).  Runs whose ``max_rank`` reaches every bond's full
-   separation rank solve every iteration to ``eig_tol``: step 4 then
-   loses nothing, exact solves converge in a few iterations, and loose
-   ones only add iterations.  An iteration solved looser than
-   ``max(eig_tol, energy_tol)`` never counts as converged;
+   quotient), by the rule :func:`ttdmrg.dmrg.forced_eig_tol` that
+   classical two-site sweeps share.  Runs whose ``max_rank`` reaches
+   every bond's full separation rank, and runs at ``eig_tol == 0``, solve
+   every iteration to ``eig_tol``: step 4 then loses nothing, exact solves
+   converge in a few iterations, and loose ones only add iterations.  An
+   iteration solved looser than ``max(eig_tol, energy_tol)`` never counts
+   as converged;
 3. form the coarse problem over the span of the previous iterate plus
    all locally updated members, and minimize the Rayleigh quotient in
    that span (a whitened dense eigenproblem of size at most d+1, with
@@ -60,7 +62,7 @@ from io import StringIO
 
 import numpy as np
 
-from .dmrg import _merge_cores, _solve, split_and_shift
+from .dmrg import _merge_cores, _solve, forced_eig_tol, split_and_shift
 from .eigen import dense_lowest_eig, dense_sym_svd, lanczos_lowest
 from .ledger import CostLedger, charge, contract, tensordot_flops
 
@@ -94,11 +96,6 @@ from .tt import (  # noqa: F401
     update_left_overlap,
     update_right_overlap,
 )
-
-# Forcing term of the inexact local solves (step 2 above): after the first
-# iteration the local Lanczos tolerance follows this fraction of the last
-# relative energy change.
-EIG_FORCING = 0.1
 
 
 @dataclass
@@ -634,11 +631,6 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
     prev_coeffs = None
     eig_tol = config.eig_tol  # local tolerance of the coming iteration
     tight = max(config.eig_tol, config.energy_tol)  # loosest one that may converge
-    full_rank = all(
-        min(math.prod(op.dims[:j]), math.prod(op.dims[j:])) <= config.max_rank
-        for j in range(1, d)
-    )
-    forcing = 0.0 if full_rank else EIG_FORCING
 
     def flops_snapshot():
         if ledger is None:
@@ -765,6 +757,6 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
             trace.converged = True
             break
         # forcing term: solve no more accurately than the last energy change warrants
-        eig_tol = max(config.eig_tol, forcing * change / denom)
+        eig_tol = forced_eig_tol(config.eig_tol, change, energy, op.dims, config.max_rank)
 
     return state, trace

@@ -160,7 +160,8 @@ def list_lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, l
     """Lanczos with the Krylov basis kept as a list of vectors, stacked anew
     every step, and the tridiagonal problem solved by
     ``scipy.linalg.eigh_tridiagonal``; same contract as
-    ``ttdmrg.eigen.lanczos_lowest``."""
+    ``ttdmrg.eigen.lanczos_lowest``: at least one step past a start that is
+    not an exact eigenvector, and the residual read off the recurrence."""
     if dim < 1:
         raise ValueError("operator dimension must be positive")
     if max_iter is None:
@@ -168,12 +169,11 @@ def list_lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, l
     max_iter = max(int(max_iter), 1)
     rng = np.random.default_rng(seed)
 
-    def finish(theta, vec, iters):
+    def finish(theta, vec, res, iters):
         nv = np.linalg.norm(vec)
         vec = vec / nv
-        res = float(np.linalg.norm(matvec(vec) - theta * vec))
         conv = res <= tol * max(1.0, abs(theta))
-        return LanczosResult(float(theta), vec, iters, conv, res)
+        return LanczosResult(float(theta), vec, iters, conv, float(res))
 
     start = None
     if v0 is not None:
@@ -186,10 +186,10 @@ def list_lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, l
     total = 0
     best = None
 
-    def pick(theta, vec):
+    def pick(theta, vec, res):
         if best is not None and best[0] < theta:
             return best
-        return theta, vec
+        return theta, vec, res
 
     for attempt in range(4):
         v = start if (attempt == 0 and start is not None) else rng.standard_normal(dim)
@@ -210,25 +210,29 @@ def list_lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, l
             charge(ledger, "matvec", 4.0 * vmat.size + 6.0 * dim)
             b = float(np.linalg.norm(w))
             theta, s = _list_tridiag_lowest(alphas, betas)
-            if b * abs(s[-1]) <= tol * max(1.0, abs(theta)):
-                theta, vec = pick(theta, vmat @ s)
-                return finish(theta, vec, total)
+            # a start that is not an exact eigenvector takes one more step
+            if b * abs(s[-1]) <= tol * max(1.0, abs(theta)) and (len(alphas) > 1 or b <= 1e-13):
+                theta, vec, res = pick(theta, vmat @ s, b * abs(s[-1]))
+                return finish(theta, vec, res, total)
             if b <= 1e-13:
                 if best is None or theta < best[0]:
-                    best = (theta, vmat @ s)
+                    best = (theta, vmat @ s, b * abs(s[-1]))
                 broke = True
                 break
             betas.append(b)
             basis.append(w / b)
         if not broke:
             if alphas:
-                theta, s = _list_tridiag_lowest(alphas, betas[: len(alphas) - 1])
-                theta, vec = pick(theta, np.asarray(basis).T[:, : len(alphas)] @ s)
+                n = len(alphas)
+                theta, s = _list_tridiag_lowest(alphas, betas[: n - 1])
+                theta, vec, res = pick(
+                    theta, np.asarray(basis).T[:, :n] @ s, betas[n - 1] * abs(s[-1])
+                )
             else:
-                theta, vec = best
-            return finish(theta, vec, total)
-    theta, vec = best
-    return finish(theta, vec, total)
+                theta, vec, res = best
+            return finish(theta, vec, res, total)
+    theta, vec, res = best
+    return finish(theta, vec, res, total)
 
 
 def rebuild_fit_chain(chain, init, max_fit_iters=20, fit_tol=1e-8, ledger=None, op_class="inner"):

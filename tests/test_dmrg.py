@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from ttdmrg import dmrg
 from ttdmrg.dmrg import (
     SweepConfig,
     micro_step,
@@ -179,12 +180,13 @@ def test_trace_csv_round_trip_and_determinism():
     rows = list(csv.DictReader(io.StringIO(trace.to_csv())))
     assert list(rows[0]) == [
         "half_sweep", "site", "energy", "lanczos_iterations", "discarded_weight",
-        "flops_cumulative", "lanczos_converged", "lanczos_residual",
+        "flops_cumulative", "lanczos_converged", "lanczos_residual", "local_eig_tol",
     ]
     assert len(rows) == len(trace.micro)
     assert float(rows[0]["energy"]) == trace.micro[0].energy
     assert [int(r["lanczos_converged"]) for r in rows] == [m.lanczos_converged for m in trace.micro]
     assert [float(r["lanczos_residual"]) for r in rows] == [m.lanczos_residual for m in trace.micro]
+    assert [float(r["local_eig_tol"]) for r in rows] == [m.local_eig_tol for m in trace.micro]
     assert int(rows[-1]["half_sweep"]) == done
 
     _, again = run_dmrg(init, op, config, CostLedger())
@@ -255,3 +257,88 @@ def test_final_gauge_matches_sweep_parity():
         center = d - 1 if done % 2 == 1 else 0
         assert state.center == center
         assert state.is_left_orthogonal if center == d - 1 else state.is_right_orthogonal
+
+
+def half_sweep_tols(trace):
+    return [trace.for_half_sweep(hs)[0].local_eig_tol
+            for hs in range(1, len(trace.half_sweep_energies) + 1)]
+
+
+def test_local_tolerance_stays_eig_tol_where_forcing_is_off():
+    # On 6 sites the full separation ranks are 2, 4, 8, 4, 2: at max_rank 8
+    # truncation loses nothing and every half-sweep solves to eig_tol.
+    op = heisenberg_chain(6)
+    init = random_tt(op.dims, 2, seed=11)
+    cfg = SweepConfig(max_rank=8, eig_tol=1e-10, energy_tol=1e-13)
+    _, trace = run_dmrg(init, op, cfg)
+    assert len(trace.half_sweep_energies) > 2
+    assert all(m.local_eig_tol == 1e-10 for m in trace.micro)
+    # one below full rank the forcing term applies
+    _, trace = run_dmrg(init, op, SweepConfig(max_rank=7, eig_tol=1e-10, energy_tol=1e-13))
+    assert max(half_sweep_tols(trace)) > 1e-10
+    # eig_tol = 0 pins every solve to the iteration budget
+    op = ising_chain(10)
+    cfg = SweepConfig(max_rank=8, eig_tol=0.0, eig_max_iter=6, energy_tol=0.0, max_half_sweeps=3)
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        _, trace = run_dmrg(random_tt(op.dims, 8, seed=1), op, cfg)
+    assert len(trace.half_sweep_energies) == 3
+    assert all(m.local_eig_tol == 0.0 and m.lanczos_iterations == 6 for m in trace.micro)
+    # one-site sweeps keep their ranks and solve every half-sweep to eig_tol
+    op = heisenberg_chain(8)
+    cfg = SweepConfig(mode="one-site", max_rank=4, eig_tol=1e-9, energy_tol=1e-10)
+    _, trace = run_dmrg(random_tt(op.dims, 4, seed=3), op, cfg)
+    assert len(trace.half_sweep_energies) > 2
+    assert all(m.local_eig_tol == 1e-9 for m in trace.micro)
+
+
+def test_loose_half_sweeps_never_count_as_convergence(monkeypatch):
+    # At a forcing term of 0.9 a loose half-sweep can move the energy by
+    # less than energy_tol; the guard must not take that for convergence.
+    monkeypatch.setattr(dmrg, "EIG_FORCING", 0.9)
+    fired = 0
+    for op in (ising_chain(10), heisenberg_chain(10)):
+        e_ref, _ = dense_ground_state(op)
+        for energy_tol in (1e-8, 1e-6):
+            cfg = SweepConfig(max_rank=12, energy_tol=energy_tol)
+            _, trace = run_dmrg(random_tt(op.dims, 2, seed=0), op, cfg)
+            tight = max(cfg.eig_tol, cfg.energy_tol)
+            tols = half_sweep_tols(trace)
+            energies = trace.half_sweep_energies
+            assert trace.converged
+            assert tols[-1] <= tight < max(tols)
+            stalled = [
+                hs for hs in range(1, len(energies))
+                if abs(energies[hs] - energies[hs - 1]) <= energy_tol * abs(energies[hs])
+            ]
+            assert all(tols[hs] > tight for hs in stalled[:-1])
+            fired += len(stalled) - 1
+            assert abs(energies[-1] - e_ref) <= 1e-5 * abs(e_ref)
+    assert fired > 0  # without the guard some run would have stopped early
+
+
+@pytest.mark.parametrize(
+    "model, d", [(ising_chain, 12), (heisenberg_chain, 10)], ids=["ising-d12", "heisenberg-d10"]
+)
+def test_inexact_sweeps_keep_the_energy_for_fewer_flops(model, d, monkeypatch):
+    op = model(d)
+    e_ref = (
+        oracles.ising_free_fermion_energy(d, 1.0, 1.0) if model is ising_chain
+        else dense_ground_state(op)[0]
+    )
+    init = random_tt(op.dims, 2, seed=0)
+
+    def run():
+        led = CostLedger()
+        _, trace = run_dmrg(init, op, SweepConfig(max_rank=16), led)
+        assert trace.converged
+        return trace, led.per_class_flops["matvec"]
+
+    inexact, inexact_flops = run()
+    monkeypatch.setattr(dmrg, "EIG_FORCING", 0.0)
+    exact, exact_flops = run()
+    assert all(m.local_eig_tol == 1e-8 for m in exact.micro)
+    assert max(m.local_eig_tol for m in inexact.micro) > 1e-8
+    energy = inexact.half_sweep_energies[-1]
+    assert abs(energy - e_ref) <= 1e-6 * abs(e_ref)
+    assert abs(energy - exact.half_sweep_energies[-1]) <= 1e-6 * abs(e_ref)
+    assert inexact_flops < exact_flops

@@ -27,12 +27,51 @@ def test_lanczos_matches_dense_eigh():
     assert res.iterations <= 60
 
 
-def test_lanczos_residual_is_recomputed():
-    a = random_sym(40, 2)
-    res = lanczos_lowest(lambda x: a @ x, 40, tol=1e-8, seed=3)
-    true_res = np.linalg.norm(a @ res.eigenvector - res.eigenvalue * res.eigenvector)
-    assert abs(res.residual_norm - true_res) < 1e-10
-    assert abs(np.linalg.norm(res.eigenvector) - 1) < 1e-12
+@pytest.mark.parametrize(
+    "a, kwargs, converged, iterations",
+    [
+        # converged
+        (random_sym(40, 2), dict(tol=1e-8, seed=3), True, None),
+        # budget exhausted mid-expansion
+        (random_sym(50, 10), dict(tol=1e-14, max_iter=3, seed=11), False, 3),
+        # budget exhausted by a breakdown: the candidate is returned
+        (np.diag([1.0, 3.0]), dict(v0=np.array([3e-14, 1.0]), tol=1e-14, max_iter=1, seed=9),
+         False, 1),
+        # every restart breaks down: the lowest candidate is returned
+        (np.diag([2.0, -1.0, 4.0, 0.5, 3.0]), dict(tol=0.0, max_iter=100, seed=25), False, None),
+    ],
+    ids=["converged", "budget", "budget-after-breakdown", "all-restarts-break-down"],
+)
+def test_lanczos_residual_matches_the_true_residual(a, kwargs, converged, iterations):
+    calls = []
+
+    def matvec(x):
+        calls.append(1)
+        return a @ x
+
+    res = lanczos_lowest(matvec, a.shape[0], **kwargs)
+    assert res.converged == converged
+    assert iterations is None or res.iterations == iterations
+    # read off the recurrence: no application beyond the counted ones
+    assert len(calls) == res.iterations
+    theta, v = res.eigenvalue, res.eigenvector
+    true_res = np.linalg.norm(a @ v - theta * v)
+    assert abs(res.residual_norm - true_res) <= 1e-12 * max(1.0, abs(theta))
+    assert abs(np.linalg.norm(v) - 1) < 1e-12
+
+
+def test_lanczos_never_returns_a_random_start_unchanged():
+    # a tolerance that every first residual estimate meets still buys one
+    # Krylov step past the start, and that step descends
+    a = random_sym(30, 40)
+    rng = np.random.default_rng(41)
+    for v0 in [None] + [rng.standard_normal(30) for _ in range(5)]:
+        res = run_both(lambda x: a @ x, 30, v0=v0, tol=1e3, seed=42)
+        assert res.converged and res.iterations == 2
+        start = np.random.default_rng(42).standard_normal(30) if v0 is None else v0
+        start = start / np.linalg.norm(start)
+        assert res.eigenvalue < start @ a @ start
+        assert abs(res.eigenvector @ start) < 1 - 1e-6
 
 
 def test_lanczos_warm_start_monotone():
