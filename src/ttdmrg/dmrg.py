@@ -72,6 +72,17 @@ def forced_eig_tol(eig_tol, change, energy, dims, max_rank):
     return max(eig_tol, EIG_FORCING * change / max(abs(energy), 1e-12))
 
 
+def check_solver_knobs(config, tol_names):
+    """Reject a configuration's negative tolerances and a local iteration
+    cap below one.  Zero tolerances stay legal: ``eig_tol == 0`` pins every
+    local solve to its iteration budget."""
+    for name in tol_names:
+        if not getattr(config, name) >= 0:
+            raise ValueError(f"{name} must be nonnegative")
+    if config.eig_max_iter is not None and config.eig_max_iter < 1:
+        raise ValueError("eig_max_iter must be positive")
+
+
 @dataclass
 class SweepConfig:
     """Knobs for :func:`run_dmrg`.
@@ -116,6 +127,7 @@ class SweepConfig:
             raise ValueError("max_rank must be positive")
         if self.max_half_sweeps < 1:
             raise ValueError("max_half_sweeps must be positive")
+        check_solver_knobs(self, ("svd_tol", "eig_tol", "energy_tol"))
 
 
 @dataclass

@@ -1,25 +1,21 @@
 """Structured sums of trains that share all but one core or one pair.
 
 Given the site-orthogonal configurations of a tensor (one
-:class:`~ttdmrg.tt.OrthogonalFamily`), a linear combination of members
-whose center core or center pair was replaced is an exact train, which
-step 4 of the two-level iteration rounds once:
+:class:`~ttdmrg.tt.OrthogonalFamily`), a linear combination of the tensor
+and of members whose center core or center pair was replaced is an exact
+train (:func:`sum_train`).  Step 4 of the two-level iteration rounds it
+once, and the structured coarse solve applies the operator to it.  The
+done rail carries the shared right-orthonormal suffix, the pending rail
+the shared left-orthonormal prefix, and each term crosses from the pending
+to the done rail through its replaced cores; a replaced pair adds a middle
+rail of its split bond.  :class:`OneSiteSumFamily` is the validated
+one-site form of the same sum.
 
-* replacing single cores gives interior bond dimensions exactly twice
-  the family's (:class:`OneSiteSumFamily`).  The lower rail carries the
-  shared left-orthonormal prefix, the upper rail the shared
-  right-orthonormal suffix, and each term crosses between the rails
-  through its replaced core.
-
-* replacing pairs by their split factors adds a middle rail of the split
-  bond for the term whose pair straddles a cut (:func:`two_site_sum`).
-
-Merged two-site blocks instead form a chain of d-1 blocks in which
+Merged two-site blocks can instead form a chain of d-1 blocks in which
 neighboring blocks read the same physical index (:class:`TwoSiteChain`),
 contracted by message passing that keeps the shared index pending between
-steps; the structured coarse solve applies the operator this way.
-:func:`fit_chain` compresses a chain to fixed ranks by alternating least
-squares.
+steps.  :func:`fit_chain` compresses a chain to fixed ranks by alternating
+least squares.  Neither is on the iteration's path.
 """
 
 from __future__ import annotations
@@ -70,82 +66,74 @@ class OneSiteSumFamily:
         self.prev_coeff = float(prev_coeff)
 
     def materialize(self):
-        """Exact block train of the sum; interior ranks are twice the
-        family's, whatever the coefficients are."""
-        fam = self.family
-        d = fam.d
-        first = self.coeffs[0] * self.replacements[0] + self.prev_coeff * fam.centers[0]
-        if d == 1:
-            return TensorTrain([first], center=0)
-
-        cores = [np.concatenate([first, fam.left[0]], axis=2)]
-        for j in range(1, d - 1):
-            r0, n, r1 = fam.centers[j].shape
-            g = np.zeros((2 * r0, n, 2 * r1))
-            g[:r0, :, :r1] = fam.right[j]
-            g[r0:, :, :r1] = self.coeffs[j] * self.replacements[j]
-            g[r0:, :, r1:] = fam.left[j]
-            cores.append(g)
-        cores.append(
-            np.concatenate(
-                [fam.right[d - 1], self.coeffs[d - 1] * self.replacements[d - 1]], axis=0
-            )
-        )
-        return TensorTrain(cores, center=None)
+        """Exact block train of the sum (:func:`sum_train` at ``k = 1``);
+        interior ranks are twice the family's, whatever the coefficients are."""
+        updates = [(w,) for w in self.replacements]
+        return sum_train(self.family, updates, self.coeffs, self.prev_coeff)
 
 
-def two_site_sum(family, pairs, coeffs, prev_coeff=0.0):
+def sum_train(family, updates, coeffs, prev_coeff=0.0):
     """Exact train of ``prev_coeff * x + sum_i coeffs[i] * member_i``.
 
-    Member ``i`` is ``family.left[:i] + [L_i, R_i] + family.right[i+2:]``
-    for the split factors ``pairs[i] = (L_i, R_i)``, of shapes
-    ``(r_i, n_i, k_i)`` and ``(k_i, n_{i+1}, r_{i+2})``.  Three rails cross
-    cut ``j``: the done rail (``family.right``) carries ``x`` and the
-    members whose pair lies left of the cut; the middle rail carries
-    member ``j-1``, entering through ``L_{j-1}`` and leaving through
-    ``coeffs[j-1] * R_{j-1}``; the pending rail (``family.left``) carries
-    the members whose pair lies right of the cut and is absent at the last
-    cut.  The bond at cut ``j`` is ``2 r_j + k_{j-1}`` at most.
+    ``updates[i]`` holds the ``k`` cores (``k`` = 1 or 2) that member ``i``
+    puts at sites ``i .. i+k-1``: the member is ``family.left[:i] +
+    list(updates[i]) + family.right[i+k:]``.  Up to three rails cross cut
+    ``j``.  The done rail (``family.right``) carries ``x`` and the members
+    that end left of the cut.  The middle rail, empty at ``k = 1``, carries
+    the pair of member ``j-1``, entering through its first core and leaving
+    through ``coeffs[j-1]`` times its second.  The pending rail
+    (``family.left``) carries the members that start right of the cut; it
+    exists at cut ``j`` iff ``j <= d - k``.  At ``k = 1`` member ``j``
+    crosses from the pending to the done rail through ``coeffs[j]`` times
+    its core, so interior bonds are ``2 r_j``; at ``k = 2`` the bond at cut
+    ``j`` is at most ``2 r_j + k_{j-1}``, with ``k_{j-1}`` the split bond.
     """
     d = family.d
-    if d < 2:
-        raise ValueError("pair replacements need at least two sites")
-    if len(pairs) != d - 1:
-        raise ValueError("need one split pair per neighboring pair")
-    if len(coeffs) != d - 1:
-        raise ValueError("need one coefficient per neighboring pair")
+    k = len(updates[0]) if updates else 0
+    if k not in (1, 2) or any(len(u) != k for u in updates):
+        raise ValueError("every update must hold one or two cores")
+    if len(updates) != d - k + 1:
+        raise ValueError(f"need one update per window of {k} sites")
+    if len(coeffs) != len(updates):
+        raise ValueError("need one coefficient per update")
     ranks = _family_ranks(family)
     dims = family.dims
-    for i, (lf, rf) in enumerate(pairs):
-        if (lf.shape[:2] != (ranks[i], dims[i]) or lf.shape[2] != rf.shape[0]
-                or rf.shape[1:] != (dims[i + 1], ranks[i + 2])):
-            raise ValueError(f"pair {i} has shapes {lf.shape} and {rf.shape}")
+    for i, u in enumerate(updates):
+        shapes = [c.shape for c in u]
+        if (shapes[0][0] != ranks[i] or shapes[-1][2] != ranks[i + k]
+                or [s[1] for s in shapes] != list(dims[i : i + k])
+                or any(a[2] != b[0] for a, b in zip(shapes, shapes[1:]))):
+            raise ValueError(f"update {i} has shapes {shapes}")
 
     # (done, middle, pending) slices of every cut's bond; the left boundary
     # is a pending rail of size 1, the right one a done rail
-    cuts = [(None, None, slice(0, 1))]
-    for j in range(1, d):
-        r, k = ranks[j], pairs[j - 1][0].shape[2]
-        pend = slice(r + k, 2 * r + k) if j < d - 1 else None
-        cuts.append((slice(0, r), slice(r, r + k), pend))
-    cuts.append((slice(0, 1), None, None))
-    sizes = [max(s.stop for s in cut if s is not None) for cut in cuts]
+    cuts = []
+    for j in range(d + 1):
+        done = ranks[j] if j > 0 else 0
+        mid = updates[j - 1][0].shape[2] if k == 2 and 0 < j < d else 0
+        pend = ranks[j] if j <= d - k else 0
+        cuts.append((slice(0, done), slice(done, done + mid),
+                     slice(done + mid, done + mid + pend)))
 
     cores = []
     for j in range(d):
         (done0, mid0, pend0), (done1, mid1, pend1) = cuts[j], cuts[j + 1]
-        g = np.zeros((sizes[j], dims[j], sizes[j + 1]))
+        g = np.zeros((pend0.stop, dims[j], pend1.stop))
         if j == 0:
             g[pend0, :, done1] = prev_coeff * family.centers[0]
         else:
             g[done0, :, done1] = family.right[j]
-            g[mid0, :, done1] = coeffs[j - 1] * pairs[j - 1][1]
-        if j < d - 1:
-            g[pend0, :, mid1] = pairs[j][0]
-        if pend1 is not None:
+        if j < d - k:
             g[pend0, :, pend1] = family.left[j]
+        if k == 1:
+            g[pend0, :, done1] += coeffs[j] * updates[j][0]
+        else:
+            if j < d - 1:
+                g[pend0, :, mid1] = updates[j][0]
+            if j > 0:
+                g[mid0, :, done1] = coeffs[j - 1] * updates[j - 1][1]
         cores.append(g)
-    return TensorTrain(cores, center=None)
+    return TensorTrain(cores, center=0 if d == 1 else None)
 
 
 class TwoSiteChain:
@@ -237,46 +225,6 @@ def chain_pair_inner(a, b, ledger=None, op_class="inner"):
     return float(msg.sum(axis=0)[0, 0])
 
 
-def chain_operator_inner(a, op, b, ledger=None, op_class="inner"):
-    """Quadratic form <T_a, A T_b> with both arguments given as chains."""
-    if a.dims != op.dims or b.dims != op.dims:
-        raise ValueError("operator and chains live on different local spaces")
-    n0 = a.dims[0]
-    msg = np.ones((n0, n0, 1, 1, 1))  # pending (bra x_0, ket y_0)
-    for l, (ka, kb) in enumerate(zip(a.blocks, b.blocks)):
-        t = _einsum(ledger, op_class, "xyawb,axuc->xywbuc", msg, ka)
-        t = _einsum(ledger, op_class, "xywbuc,wxyv->ybucv", t, op.cores[l])
-        msg = _einsum(ledger, op_class, "ybucv,byze->uzcve", t, kb)
-    out = _einsum(ledger, op_class, "xyawb,wxy->ab", msg, op.cores[-1][:, :, :, 0])
-    return float(out[0, 0])
-
-
-def tt_chain_inner(train, chain, ledger=None, op_class="inner"):
-    """Inner product <train, chain>."""
-    if train.dims != chain.dims:
-        raise ValueError("train and chain live on different local spaces")
-    msg = np.ones((train.dims[0], 1, 1))  # pending x_0, bonds (train, chain)
-    for l, k in enumerate(chain.blocks):
-        t = _einsum(ledger, op_class, "xrp,rxs->xps", msg, train.cores[l])
-        msg = _einsum(ledger, op_class, "xps,pxuq->usq", t, k)
-    out = _einsum(ledger, op_class, "xsq,sx->q", msg, train.cores[-1][:, :, 0])
-    return float(out[0])
-
-
-def tt_chain_operator_inner(train, op, chain, ledger=None, op_class="inner"):
-    """Quadratic form <train, A chain>."""
-    if train.dims != op.dims or chain.dims != op.dims:
-        raise ValueError("arguments live on different local spaces")
-    msg = np.ones((train.dims[0], 1, 1, 1))  # pending ket y_0, bonds (train, op, chain)
-    for l, k in enumerate(chain.blocks):
-        t = _einsum(ledger, op_class, "yrwp,rxs->ywpxs", msg, train.cores[l])
-        t = _einsum(ledger, op_class, "ywpxs,wxyv->ypsv", t, op.cores[l])
-        msg = _einsum(ledger, op_class, "ypsv,pyzq->zsvq", t, k)
-    t = _einsum(ledger, op_class, "ysvq,sx->yvxq", msg, train.cores[-1][:, :, 0])
-    out = _einsum(ledger, op_class, "yvxq,vxy->q", t, op.cores[-1][:, :, :, 0])
-    return float(out[0])
-
-
 def _lstep(msg, block, core, ledger, op_class):
     # extend a left message (pending x_l) past site l
     t = _einsum(ledger, op_class, "xrp,rxs->xps", msg, core)
@@ -288,27 +236,6 @@ def _rstep(msg, block, core, ledger, op_class):
     # past site l+1; the result is pending x_l in the same layout
     t = _einsum(ledger, op_class, "syt,yqt->syq", core, msg)
     return _einsum(ledger, op_class, "pxyq,syq->xps", block, t)
-
-
-def chain_project_core(chain, train, i, ledger=None, op_class="inner"):
-    """Contract the chain against the train with core ``i`` removed.
-
-    Returns the tensor of shape ``(r_i, n_i, r_{i+1})`` whose inner
-    product with any candidate core equals the inner product of the
-    corresponding train with the chain.  When the train is
-    site-orthogonal at ``i`` this is the optimal core in one
-    alternating least squares update.
-    """
-    if train.dims != chain.dims:
-        raise ValueError("train and chain live on different local spaces")
-    d = train.d
-    lmsg = np.ones((train.dims[0], 1, 1))  # (x, r, p)
-    for l in range(i):
-        lmsg = _lstep(lmsg, chain.blocks[l], train.cores[l], ledger, op_class)
-    rmsg = np.ones((train.dims[d - 1], 1, 1))  # (x, p, r)
-    for l in range(d - 2, i - 1, -1):
-        rmsg = _rstep(rmsg, chain.blocks[l], train.cores[l + 1], ledger, op_class)
-    return _einsum(ledger, op_class, "xrp,xps->rxs", lmsg, rmsg)
 
 
 def pad_ranks(train, max_ranks, seed=0, scale=1e-6):
@@ -343,7 +270,7 @@ def pad_ranks(train, max_ranks, seed=0, scale=1e-6):
 def fit_chain(chain, init, max_fit_iters=20, fit_tol=1e-8, ledger=None, op_class="inner"):
     """Best approximation of a chain by a train of fixed ranks.
 
-    Library code: the two-level iteration rounds :func:`two_site_sum`
+    Library code: the two-level iteration rounds :func:`sum_train`
     instead, but the benchmark's tracer still binds this name there.
 
     Alternating least squares sweeps over the sites of ``init``; ranks

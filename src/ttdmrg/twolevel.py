@@ -27,8 +27,9 @@ Each global iteration runs four steps:
 3. form the coarse problem over the span of the previous iterate plus
    all locally updated members, and minimize the Rayleigh quotient in
    that span (a whitened dense eigenproblem of size at most d+1, with
-   an optional Krylov path whose operator applications use the
-   structured sum representations instead of the assembled matrix).
+   an optional Krylov path that applies the operator to the exact sum
+   train of each combination, one ``mpo_inner`` per member, instead of
+   the assembled matrix).
    Every member differs from the family's shared cores only on a short
    window, so each row of the overlap and reduced operator matrices
    starts from the shared left environment at the row's window and closes
@@ -39,9 +40,11 @@ Each global iteration runs four steps:
    batched products, O(d) calls per iteration.  Each row is still a task
    tagged ``gram{k}``, charged exactly the contractions of its own sweep,
    in the same per-task cost model;
-4. compress the coarse minimizer back to the working ranks in both
-   modes by building the sum as one exact train (two-site: three rails
-   over the split factors the local solves kept) and rounding it once.
+4. compress the coarse minimizer back to the working ranks: the same
+   builder, :func:`~ttdmrg.sums.sum_train`, writes the combination of the
+   local solves' k-site updates as one exact train (two rails at k = 1,
+   three at k = 2, the middle one over the kept split factors), which is
+   rounded once.
    Rounding projects orthogonally, so ``fit_residual`` records the exact
    error ``sqrt(c^T S c - |x~|^2)`` of the rounded state ``x~``.
 
@@ -62,9 +65,9 @@ from io import StringIO
 
 import numpy as np
 
-from .dmrg import _merge_cores, _solve, forced_eig_tol, split_and_shift
+from .dmrg import _merge_cores, _solve, check_solver_knobs, forced_eig_tol, split_and_shift
 from .eigen import dense_lowest_eig, dense_sym_svd, lanczos_lowest
-from .ledger import CostLedger, charge, contract, tensordot_flops
+from .ledger import CostLedger, charge, tensordot_flops
 
 # left_env, right_env, inner and fit_chain are not called here; bench/tracer.py
 # wraps them by name in this module's namespace, so they stay bound.
@@ -78,13 +81,7 @@ from .mpo import (  # noqa: F401
     update_left_env,
     update_right_env,
 )
-from .sums import (  # noqa: F401
-    OneSiteSumFamily,
-    TwoSiteChain,
-    fit_chain,
-    tt_chain_operator_inner,
-    two_site_sum,
-)
+from .sums import OneSiteSumFamily, fit_chain, sum_train  # noqa: F401
 from .tt import (  # noqa: F401
     TensorTrain,
     inner,
@@ -142,6 +139,7 @@ class TwoLevelConfig:
             raise ValueError("workers must be positive")
         if not 0 < self.coarse_eps < 1:
             raise ValueError("coarse_eps must be in (0, 1)")
+        check_solver_knobs(self, ("round_tol", "eig_tol", "energy_tol"))
 
 
 @dataclass
@@ -321,12 +319,13 @@ def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=Non
                  seed=0, ledger=None, envs=None):
     """Step 2: independent local eigensolves over a read-only family.
 
-    Returns ``(updates, results)`` where one-site updates are center
-    cores and two-site updates are the split factors ``(L_i, R_i)`` of
-    each pair's block, truncated to ``max_rank`` with ``L_i``
-    left-orthonormal.  Task ``i`` reads its operator environments from the
-    family's shared environments ``envs`` (built by :func:`shared_envs`
-    when not given) and its ledger is merged under ``solve:i``.
+    Returns ``(updates, results)`` where update ``i`` is the tuple of the
+    cores member ``i`` puts at its sites: the center core ``(C_i,)``
+    one-site, and two-site the split factors ``(L_i, R_i)`` of the pair's
+    block, truncated to ``max_rank`` with ``L_i`` left-orthonormal.  Task
+    ``i`` reads its operator environments from the family's shared
+    environments ``envs`` (built by :func:`shared_envs` when not given) and
+    its ledger is merged under ``solve:i``.
     """
     d = family.d
     if envs is None:
@@ -340,11 +339,26 @@ def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=Non
         local = local_matvec(envs.left[i][1], op.cores[i : i + k], envs.right[i + k][1], led)
         update, res = _solve(local, v0, eig_tol, eig_max_iter, seed, led)
         if k == 2:
-            update = split_and_shift(update, "LR", max_rank, 0.0, led)[:2]
-        updates.append(update)
+            updates.append(split_and_shift(update, "LR", max_rank, 0.0, led)[:2])
+        else:
+            updates.append((update,))
         results.append(res)
         _merge(ledger, led, f"solve:{i}")
     return updates, results
+
+
+def span_members(family, updates):
+    """The coarse span's members: the iterate ``family.config(0)``, then
+    for each update ``u`` of width ``k`` at sites ``i .. i+k-1`` the train
+    ``family.left[:i] + list(u) + family.right[i+k:]``, site-orthogonal at
+    ``i + k - 1``; every member shares the family's cores outside its
+    window."""
+    members = [family.config(0)]
+    for i, u in enumerate(updates):
+        k = len(u)
+        cores = list(family.left[:i]) + list(u) + list(family.right[i + k :])
+        members.append(TensorTrain(cores, center=i + k - 1))
+    return members
 
 
 def _window(member, family):
@@ -548,6 +562,18 @@ def solve_coarse(cp, ledger=None):
     return CoarseSolution(coeffs=w @ vec, energy=float(lam), iterations=0)
 
 
+def structured_apply(family, updates, members, op, ledger=None):
+    """The reduced operator on a coefficient vector ``c`` without the
+    assembled matrix: ``<member_k, A x(c)>`` for every member, where
+    ``x(c)`` is the exact :func:`~ttdmrg.sums.sum_train` of the span
+    combination, charged as ``"coarse"``."""
+    def apply_a(c):
+        total = sum_train(family, updates, c[1:], prev_coeff=c[0])
+        return np.array([mpo_inner(m, op, total, ledger, "coarse") for m in members])
+
+    return apply_a
+
+
 def solve_coarse_structured(cp, apply_a, v0=None, tol=1e-12, seed=0, ledger=None):
     """Step 3 solve, Krylov path: same whitened problem, but operator
     applications go through ``apply_a`` (a structured evaluation of the
@@ -569,16 +595,17 @@ def solve_coarse_structured(cp, apply_a, v0=None, tol=1e-12, seed=0, ledger=None
     )
 
 
-def compress_one_site(family, replacements, coeffs, max_rank, round_tol=0.0, ledger=None):
-    """Step 4, one-site: exact doubled-rank train, then rounding."""
-    total = OneSiteSumFamily(family, replacements, coeffs[1:], prev_coeff=coeffs[0])
+def compress_one_site(family, updates, coeffs, max_rank, round_tol=0.0, ledger=None):
+    """Step 4, one-site: exact doubled-rank train of the ``(C_i,)``
+    updates, then rounding."""
+    total = OneSiteSumFamily(family, [c for c, in updates], coeffs[1:], prev_coeff=coeffs[0])
     return round_tt(total.materialize(), max_ranks=max_rank, tol=round_tol, ledger=ledger)
 
 
 def compress_two_site(family, pairs, coeffs, max_rank, round_tol=0.0, ledger=None):
     """Step 4, two-site: exact three-rail train of the split pairs, then
     rounding."""
-    total = two_site_sum(family, pairs, coeffs[1:], prev_coeff=coeffs[0])
+    total = sum_train(family, pairs, coeffs[1:], prev_coeff=coeffs[0])
     return round_tt(total, max_ranks=max_rank, tol=round_tol, ledger=ledger)
 
 
@@ -623,7 +650,6 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
     if init.norm() == 0.0:
         raise ValueError("initial state has zero norm")
 
-    one_site = config.mode == "one-site"
     state = orthogonalize(init, d - 1, ledger)
     state = tt_scale(state, 1.0 / state.norm())
     trace = TwoLevelTrace()
@@ -654,36 +680,12 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
                 stacklevel=2,
             )
 
-        members = [family.config(0)]
-        if one_site:
-            members += [family.config(i).replace_core(i, updates[i], center=i) for i in range(d)]
-        else:
-            members += [
-                TensorTrain(family.left[:i] + pair + family.right[i + 2 :], center=i + 1)
-                for i, pair in enumerate(updates)
-            ]
-
+        members = span_members(family, updates)
         cp = assemble_coarse(
             members, op, eps=config.coarse_eps, ledger=ledger, family=family, envs=envs
         )
         if config.structured_coarse:
-            if one_site:
-                def apply_a(c):
-                    total = OneSiteSumFamily(
-                        family, updates, c[1:], prev_coeff=c[0]
-                    ).materialize()
-                    return np.array(
-                        [mpo_inner(mem, op, total, ledger, "coarse") for mem in members]
-                    )
-            else:
-                blocks = [contract(ledger, "coarse", lf, rf, ((2,), (0,))) for lf, rf in updates]
-
-                def apply_a(c):
-                    ch = TwoSiteChain(family, blocks, c[1:], prev_coeff=c[0])
-                    return np.array(
-                        [tt_chain_operator_inner(mem, op, ch, ledger, "coarse")
-                         for mem in members]
-                    )
+            apply_a = structured_apply(family, updates, members, op, ledger)
             sol = solve_coarse_structured(
                 cp, apply_a, v0=prev_coeffs, seed=config.seed, ledger=ledger
             )
@@ -713,7 +715,7 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
                 stacklevel=2,
             )
 
-        compress = compress_one_site if one_site else compress_two_site
+        compress = compress_one_site if config.mode == "one-site" else compress_two_site
         state = compress(family, updates, sol.coeffs, config.max_rank, config.round_tol, ledger)
         norm = state.norm()
         if norm == 0.0:

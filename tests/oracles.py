@@ -15,7 +15,10 @@ Lanczos iteration as it was written before the basis moved into one
 preallocated array, which the library's version must match bitwise; and
 :func:`rebuild_fit_chain`, the alternating least squares chain fit as it was
 written before its half-sweeps shared their environment messages, which the
-library's fit must also match bitwise.
+library's fit must also match bitwise; and :func:`materialize_one_site_sum`
+and :func:`two_site_sum`, the one- and two-site sum builders as they were
+written before ``ttdmrg.sums.sum_train`` replaced both, which it must match
+core by core.
 """
 
 import numpy as np
@@ -301,6 +304,67 @@ def rebuild_fit_chain(chain, init, max_fit_iters=20, fit_tol=1e-8, ledger=None, 
     if not at_last_site:
         result = orthogonalize(result, d - 1, ledger)
     return result, residual
+
+
+def materialize_one_site_sum(family, replacements, coeffs, prev_coeff):
+    """``ttdmrg.sums.OneSiteSumFamily.materialize`` as it was written with
+    its own block layout: exact train of ``prev_coeff * x + sum_i
+    coeffs[i] * (x with center core i replaced)``."""
+    fam = family
+    d = fam.d
+    first = coeffs[0] * replacements[0] + prev_coeff * fam.centers[0]
+    if d == 1:
+        return TensorTrain([first], center=0)
+
+    cores = [np.concatenate([first, fam.left[0]], axis=2)]
+    for j in range(1, d - 1):
+        r0, n, r1 = fam.centers[j].shape
+        g = np.zeros((2 * r0, n, 2 * r1))
+        g[:r0, :, :r1] = fam.right[j]
+        g[r0:, :, :r1] = coeffs[j] * replacements[j]
+        g[r0:, :, r1:] = fam.left[j]
+        cores.append(g)
+    cores.append(
+        np.concatenate(
+            [fam.right[d - 1], coeffs[d - 1] * replacements[d - 1]], axis=0
+        )
+    )
+    return TensorTrain(cores, center=None)
+
+
+def two_site_sum(family, pairs, coeffs, prev_coeff=0.0):
+    """``ttdmrg.sums.two_site_sum`` as it was written before it grew into
+    ``sum_train``: exact three-rail train of ``prev_coeff * x + sum_i
+    coeffs[i] * member_i`` over the split pairs ``(L_i, R_i)``."""
+    d = family.d
+    ranks = tuple(c.shape[0] for c in family.centers) + (1,)
+    dims = family.dims
+
+    # (done, middle, pending) slices of every cut's bond; the left boundary
+    # is a pending rail of size 1, the right one a done rail
+    cuts = [(None, None, slice(0, 1))]
+    for j in range(1, d):
+        r, k = ranks[j], pairs[j - 1][0].shape[2]
+        pend = slice(r + k, 2 * r + k) if j < d - 1 else None
+        cuts.append((slice(0, r), slice(r, r + k), pend))
+    cuts.append((slice(0, 1), None, None))
+    sizes = [max(s.stop for s in cut if s is not None) for cut in cuts]
+
+    cores = []
+    for j in range(d):
+        (done0, mid0, pend0), (done1, mid1, pend1) = cuts[j], cuts[j + 1]
+        g = np.zeros((sizes[j], dims[j], sizes[j + 1]))
+        if j == 0:
+            g[pend0, :, done1] = prev_coeff * family.centers[0]
+        else:
+            g[done0, :, done1] = family.right[j]
+            g[mid0, :, done1] = coeffs[j - 1] * pairs[j - 1][1]
+        if j < d - 1:
+            g[pend0, :, mid1] = pairs[j][0]
+        if pend1 is not None:
+            g[pend0, :, pend1] = family.left[j]
+        cores.append(g)
+    return TensorTrain(cores, center=None)
 
 
 def tt_entry(cores, idx):

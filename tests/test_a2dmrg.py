@@ -26,6 +26,8 @@ from ttdmrg.twolevel import (
     run_two_level,
     solve_coarse,
     solve_coarse_structured,
+    span_members,
+    structured_apply,
 )
 
 
@@ -33,25 +35,9 @@ def make_state(dims, rank, seed=0):
     return orthogonalize(random_tt(dims, rank, seed=seed), center=len(dims) - 1)
 
 
-def one_site_members(family, updates):
-    d = family.d
-    members = [family.config(0)]
-    members += [family.config(i).replace_core(i, updates[i], center=i) for i in range(d)]
-    return members
-
-
 def merged(pair):
     left, right = pair
     return np.tensordot(left, right, axes=(2, 0))
-
-
-def two_site_members(family, pairs):
-    # member i: the shared prefix, the split pair, the shared suffix
-    members = [family.config(0)]
-    for i, (left, right) in enumerate(pairs):
-        cores = list(family.left[:i]) + [left, right] + list(family.right[i + 2 :])
-        members.append(TensorTrain(cores, center=i + 1))
-    return members
 
 
 def dense_span_minimum(members, op, eps=1e-10):
@@ -78,7 +64,8 @@ def test_one_site_local_solves_match_isolated_micro_steps():
     assert len(updates) == d
     for i in range(d):
         core, res = micro_step(family.config(i), op, 1, tol=1e-12, seed=0)
-        assert np.array_equal(updates[i], core)
+        assert len(updates[i]) == 1
+        assert np.array_equal(updates[i][0], core)
         assert results[i].eigenvalue == res.eigenvalue
 
 
@@ -131,7 +118,7 @@ def test_gram_and_reduced_operator_match_dense():
     op = random_symmetric_mpo(d, seed=9)
     family = orthogonal_family(make_state((2,) * d, 2, seed=10))
     updates, _ = local_solves(family, op, "one-site", eig_tol=1e-12, seed=0)
-    members = one_site_members(family, updates)
+    members = span_members(family, updates)
     led = CostLedger()
     cp = assemble_coarse(members, op, ledger=led)
     vecs = [oracles.tt_dense(m.cores).ravel() for m in members]
@@ -152,8 +139,8 @@ def random_members(family, mode, seed):
     # the same windows and shared cores as the solver's members.
     rng = np.random.default_rng(seed)
     if mode == "one-site":
-        updates = [rng.standard_normal(c.shape) for c in family.centers]
-        return one_site_members(family, updates)
+        updates = [(rng.standard_normal(c.shape),) for c in family.centers]
+        return span_members(family, updates)
     from ttdmrg.sums import TwoSiteChain
 
     updates = [
@@ -274,7 +261,7 @@ def test_stacked_assembly_matches_oracle_when_split_ranks_differ():
     family = orthogonal_family(make_state(op.dims, 2, seed=35))
     pairs, _ = local_solves(family, op, "two-site", eig_tol=1e-10, max_rank=4, seed=0)
     assert any(left.shape[2] != family.left[i].shape[2] for i, (left, _) in enumerate(pairs))
-    assert_matches_row_sweeps(two_site_members(family, pairs), op, family)
+    assert_matches_row_sweeps(span_members(family, pairs), op, family)
 
 
 def test_stacked_step_rejects_unequal_bra_and_ket():
@@ -332,7 +319,7 @@ def test_overlap_matrix_symmetric_and_psd():
     op = random_symmetric_mpo(d, seed=11)
     family = orthogonal_family(make_state((2,) * d, 3, seed=12))
     updates, _ = local_solves(family, op, "two-site", eig_tol=1e-10, max_rank=3, seed=0)
-    members = two_site_members(family, updates)
+    members = span_members(family, updates)
     cp = assemble_coarse(members, op)
     assert np.array_equal(cp.s_hat, cp.s_hat.T)
     assert np.array_equal(cp.a_hat, cp.a_hat.T)
@@ -345,7 +332,7 @@ def test_solve_coarse_matches_dense_span_minimum():
     op = random_symmetric_mpo(d, seed=13)
     family = orthogonal_family(make_state((2,) * d, 2, seed=14))
     updates, _ = local_solves(family, op, "one-site", eig_tol=1e-12, seed=0)
-    members = one_site_members(family, updates)
+    members = span_members(family, updates)
     cp = assemble_coarse(members, op)
     sol = solve_coarse(cp)
     e_ref, p_ref = dense_span_minimum(members, op)
@@ -367,7 +354,7 @@ def test_coarse_minimum_descends_below_every_member():
     op = random_symmetric_mpo(d, seed=15)
     family = orthogonal_family(make_state((2,) * d, 2, seed=16))
     updates, results = local_solves(family, op, "two-site", eig_tol=1e-12, max_rank=4, seed=0)
-    members = two_site_members(family, updates)
+    members = span_members(family, updates)
     cp = assemble_coarse(members, op)
     sol = solve_coarse(cp)
     for member in members:
@@ -380,7 +367,7 @@ def test_solve_coarse_invariant_under_member_rescaling():
     op = random_symmetric_mpo(d, seed=17)
     family = orthogonal_family(make_state((2,) * d, 2, seed=18))
     updates, _ = local_solves(family, op, "one-site", eig_tol=1e-12, seed=0)
-    members = one_site_members(family, updates)
+    members = span_members(family, updates)
     scales = [0.25, 3.0, 1.0, 40.0, 0.5]
     scaled = [tt_scale(m, a) for m, a in zip(members, scales)]
     e0 = solve_coarse(assemble_coarse(members, op)).energy
@@ -388,44 +375,25 @@ def test_solve_coarse_invariant_under_member_rescaling():
     assert abs(e0 - e1) <= 1e-9 * max(1.0, abs(e0))
 
 
-def test_structured_coarse_matches_direct_one_site():
-    from ttdmrg.mpo import mpo_inner
-    from ttdmrg.sums import OneSiteSumFamily
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_structured_coarse_matches_direct(mode):
+    for d in (2, 3, 6, 9):
+        op = random_symmetric_mpo(d, seed=19 + d)
+        family = orthogonal_family(make_state((2,) * d, 2, seed=20 + d))
+        updates, _ = local_solves(family, op, mode, eig_tol=1e-12, max_rank=4, seed=0)
+        members = span_members(family, updates)
+        cp = assemble_coarse(members, op, family=family)
+        led = CostLedger()
+        apply_a = structured_apply(family, updates, members, op, led)
+        bound = 1e-13 * np.max(np.abs(cp.a_hat))
+        for c in np.random.default_rng(d).standard_normal((3, len(members))):
+            assert np.max(np.abs(apply_a(c) - cp.a_hat @ c)) <= bound
+        assert set(led.per_class_flops) == {"coarse"}
 
-    d = 4
-    op = random_symmetric_mpo(d, seed=19)
-    family = orthogonal_family(make_state((2,) * d, 2, seed=20))
-    updates, _ = local_solves(family, op, "one-site", eig_tol=1e-12, seed=0)
-    members = one_site_members(family, updates)
-    cp = assemble_coarse(members, op)
-
-    def apply_a(c):
-        total = OneSiteSumFamily(family, updates, c[1:], prev_coeff=c[0]).materialize()
-        return np.array([mpo_inner(m, op, total) for m in members])
-
-    direct = solve_coarse(cp)
-    krylov = solve_coarse_structured(cp, apply_a, seed=0)
-    assert abs(direct.energy - krylov.energy) <= 1e-9 * max(1.0, abs(direct.energy))
-    assert krylov.iterations >= 1
-
-
-def test_structured_coarse_matches_direct_two_site():
-    from ttdmrg.sums import TwoSiteChain, tt_chain_operator_inner
-
-    d = 4
-    op = random_symmetric_mpo(d, seed=21)
-    family = orthogonal_family(make_state((2,) * d, 2, seed=22))
-    updates, _ = local_solves(family, op, "two-site", eig_tol=1e-12, max_rank=4, seed=0)
-    members = two_site_members(family, updates)
-    cp = assemble_coarse(members, op)
-
-    def apply_a(c):
-        chain = TwoSiteChain(family, [merged(p) for p in updates], c[1:], prev_coeff=c[0])
-        return np.array([tt_chain_operator_inner(m, op, chain) for m in members])
-
-    direct = solve_coarse(cp)
-    krylov = solve_coarse_structured(cp, apply_a, seed=0)
-    assert abs(direct.energy - krylov.energy) <= 1e-9 * max(1.0, abs(direct.energy))
+        direct = solve_coarse(cp)
+        krylov = solve_coarse_structured(cp, apply_a, seed=0)
+        assert abs(direct.energy - krylov.energy) <= 1e-9 * max(1.0, abs(direct.energy))
+        assert krylov.iterations >= 1
 
 
 def test_degenerate_span_raises():
@@ -443,7 +411,7 @@ def test_compress_one_site_exact_at_ample_rank():
     op = random_symmetric_mpo(d, seed=24)
     family = orthogonal_family(make_state((2,) * d, 2, seed=25))
     updates, _ = local_solves(family, op, "one-site", eig_tol=1e-12, seed=0)
-    members = one_site_members(family, updates)
+    members = span_members(family, updates)
     coeffs = np.array([0.7, -0.3, 0.9, 0.2, -1.1])
     state = compress_one_site(family, updates, coeffs, max_rank=16)
     want = sum(
@@ -467,7 +435,7 @@ def test_compress_two_site_exact_at_ample_rank():
     op = random_symmetric_mpo(d, seed=26)
     family = orthogonal_family(make_state((2,) * d, 2, seed=27))
     updates, _ = local_solves(family, op, "two-site", eig_tol=1e-12, max_rank=4, seed=0)
-    members = two_site_members(family, updates)
+    members = span_members(family, updates)
     coeffs = np.array([0.4, 1.2, -0.8, 0.5])
     state = compress_two_site(family, updates, coeffs, max_rank=8)
     want = dense_sum(members, coeffs)
@@ -498,7 +466,7 @@ def test_compress_two_site_matches_fallback(d, cap, model):
     op = ising_chain(d) if model == "ising" else heisenberg_chain(d)
     family = orthogonal_family(make_state(op.dims, 4, seed=d))
     updates, _ = local_solves(family, op, "two-site", eig_tol=1e-10, max_rank=cap + 1, seed=0)
-    members = two_site_members(family, updates)
+    members = span_members(family, updates)
     coeffs = np.random.default_rng(d).standard_normal(d)
     led = CostLedger()
     got = oracles.tt_dense(compress_two_site(family, updates, coeffs, cap, ledger=led).cores)
@@ -853,12 +821,44 @@ def test_fit_residual_is_the_dense_compression_error(d, mode, monkeypatch):
     assert len(calls) == len(trace.records)
     errors = []
     for record, (family, updates, coeffs, state) in zip(trace.records, calls):
-        build = one_site_members if mode == "one-site" else two_site_members
-        exact = dense_sum(build(family, updates), coeffs)
+        exact = dense_sum(span_members(family, updates), coeffs)
         err = np.linalg.norm((exact - oracles.tt_dense(state.cores)).ravel())
         assert abs(record.fit_residual - err) <= 1e-6 * np.linalg.norm(exact.ravel())
         errors.append(err)
     assert max(errors) > 1e-3  # the rank cap bites
+
+
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_step4_runs_through_its_traced_names_once_per_iteration(mode, monkeypatch):
+    # bench/tracer.py times step 4 by these names; a solver that went
+    # around them would report zero compression time.
+    from ttdmrg.sums import OneSiteSumFamily
+
+    counts = {}
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(twolevel, "compress_one_site")
+    count(twolevel, "compress_two_site")
+    count(OneSiteSumFamily, "materialize")
+    op = ising_chain(6)
+    for structured in (False, True):
+        counts.clear()
+        cfg = TwoLevelConfig(mode=mode, max_rank=3, max_iters=3, energy_tol=0.0,
+                             structured_coarse=structured)
+        _, trace = run_two_level(random_tt(op.dims, 2, seed=1), op, cfg)
+        n = len(trace.records)
+        if mode == "one-site":
+            assert counts == {"compress_one_site": n, "materialize": n}
+        else:
+            assert counts == {"compress_two_site": n}
 
 
 def test_structured_flag_matches_direct_through_the_driver():
@@ -938,6 +938,12 @@ def test_bad_inputs_rejected():
         dict(max_rank=0),
         dict(coarse_eps=0.0),
         dict(coarse_eps=1.5),
+        dict(eig_tol=-1e-8),
+        dict(energy_tol=-1.0),
+        dict(round_tol=-0.1),
+        dict(eig_max_iter=0),
     ):
         with pytest.raises(ValueError):
             TwoLevelConfig(**bad)
+    # zero tolerances stay legal: eig_tol = 0 pins every solve to its budget
+    TwoLevelConfig(eig_tol=0.0, energy_tol=0.0, round_tol=0.0, eig_max_iter=1)

@@ -240,6 +240,11 @@ def test_run_dmrg_rejects_bad_inputs():
         SweepConfig(mode="three-site")
     with pytest.raises(ValueError, match="max_rank"):
         SweepConfig(max_rank=0)
+    for bad in (dict(eig_tol=-1e-8), dict(energy_tol=-1.0), dict(svd_tol=-0.1),
+                dict(eig_max_iter=0)):
+        with pytest.raises(ValueError, match="eig_tol|energy_tol|svd_tol|eig_max_iter"):
+            SweepConfig(**bad)
+    SweepConfig(eig_tol=0.0, energy_tol=0.0, svd_tol=0.0, eig_max_iter=1)
     single = MatrixProductOperator([np.eye(2).reshape(1, 2, 2, 1)])
     with pytest.raises(ValueError, match="two sites"):
         run_dmrg(TensorTrain([np.ones((1, 2, 1))]), single)

@@ -6,20 +6,15 @@ import pytest
 import oracles
 from ttdmrg import sums
 from ttdmrg.ledger import CostLedger
-from ttdmrg.mpo import MatrixProductOperator, mpo_to_dense
 from ttdmrg.sums import (
     OneSiteSumFamily,
     TwoSiteChain,
-    chain_operator_inner,
     chain_pair_inner,
-    chain_project_core,
     fit_chain,
     pad_ranks,
-    tt_chain_inner,
-    tt_chain_operator_inner,
-    two_site_sum,
+    sum_train,
 )
-from ttdmrg.models import heisenberg_chain, ising_chain
+from ttdmrg.models import heisenberg_chain, ising_chain, random_symmetric_mpo
 from ttdmrg.tt import (
     TensorTrain,
     clip_ranks,
@@ -77,13 +72,6 @@ def pair_member_dense(family, block, i):
     return out
 
 
-def random_mpo(dims, rank, seed=0):
-    rng = np.random.default_rng(seed)
-    full = (1,) + (rank,) * (len(dims) - 1) + (1,)
-    cores = [rng.standard_normal((full[j], n, n, full[j + 1])) for j, n in enumerate(dims)]
-    return MatrixProductOperator(cores)
-
-
 @pytest.mark.parametrize("dims,ranks,seed", [
     ((2, 3, 2, 2), (2, 3, 2), 0),
     ((2, 2), (2,), 1),
@@ -113,6 +101,7 @@ def test_one_site_sum_single_site():
     total = OneSiteSumFamily(family, repl, [2.0], prev_coeff=-1.0).materialize()
     want = 2.0 * repl[0][0, :, 0] - family.centers[0][0, :, 0]
     np.testing.assert_allclose(total.to_dense(), want, atol=1e-13)
+    assert total.center == 0
 
 
 def test_one_site_sum_validation():
@@ -138,7 +127,7 @@ def test_two_site_sum_matches_pairwise_tt_add(d, model):
     coeffs = rng.standard_normal(d - 1)
     prev = float(rng.standard_normal())
 
-    total = two_site_sum(family, pairs, coeffs, prev_coeff=prev)
+    total = sum_train(family, pairs, coeffs, prev_coeff=prev)
 
     acc = tt_scale(family.config(0), prev)
     for i, (left, right) in enumerate(pairs):
@@ -162,13 +151,51 @@ def test_two_site_sum_validation():
         (rng.standard_normal((1, 2, 2)), rng.standard_normal((2, 2, 2))),
         (rng.standard_normal((2, 2, 3)), rng.standard_normal((3, 2, 1))),
     ]
-    two_site_sum(family, pairs, [1.0, 1.0])
-    with pytest.raises(ValueError, match="split pair per"):
-        two_site_sum(family, pairs[:1], [1.0, 1.0])
+    sum_train(family, pairs, [1.0, 1.0])
+    with pytest.raises(ValueError, match="update per window of 2"):
+        sum_train(family, pairs[:1], [1.0, 1.0])
     with pytest.raises(ValueError, match="coefficient per"):
-        two_site_sum(family, pairs, [1.0])
-    with pytest.raises(ValueError, match="pair 1 has shapes"):
-        two_site_sum(family, [pairs[0], (pairs[1][0], pairs[0][1])], [1.0, 1.0])
+        sum_train(family, pairs, [1.0])
+    with pytest.raises(ValueError, match="update 1 has shapes"):
+        sum_train(family, [pairs[0], (pairs[1][0], pairs[0][1])], [1.0, 1.0])
+    with pytest.raises(ValueError, match="one or two cores"):
+        sum_train(family, [pairs[0], pairs[1] + pairs[1][1:]], [1.0, 1.0])
+    cores = [(c,) for c in family.centers]
+    sum_train(family, cores, [1.0] * 3)
+    with pytest.raises(ValueError, match="update per window of 1"):
+        sum_train(family, cores[:2], [1.0] * 2)
+    with pytest.raises(ValueError, match="update 2 has shapes"):
+        sum_train(family, cores[:2] + [(np.zeros((2, 2, 2)),)], [1.0] * 3)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 9])
+@pytest.mark.parametrize("model", ["ising", "heisenberg", "random"])
+@pytest.mark.parametrize("prev_zero", [False, True])
+def test_sum_train_matches_builder_oracles_bitwise(d, model, prev_zero):
+    ops = {"ising": ising_chain, "heisenberg": heisenberg_chain,
+           "random": lambda d: random_symmetric_mpo(d, seed=d)}
+    op = ops[model](d)
+    family = make_family(op.dims, 3, seed=d)
+    rng = np.random.default_rng(d + 50)
+    prev = 0.0 if prev_zero else float(rng.standard_normal())
+
+    cores, _ = local_solves(family, op, "one-site", eig_tol=1e-10, seed=0)
+    coeffs = rng.standard_normal(d)
+    got = sum_train(family, cores, coeffs, prev_coeff=prev)
+    want = oracles.materialize_one_site_sum(family, [c for c, in cores], coeffs, prev)
+    assert got.ranks == want.ranks
+    assert all(np.array_equal(g, w) for g, w in zip(got.cores, want.cores))
+    total = OneSiteSumFamily(family, [c for c, in cores], coeffs, prev_coeff=prev)
+    assert all(np.array_equal(g, w) for g, w in zip(total.materialize().cores, want.cores))
+
+    cap = 3
+    pairs, _ = local_solves(family, op, "two-site", eig_tol=1e-10, max_rank=cap, seed=0)
+    assert min(left.shape[2] for left, _ in pairs) < cap
+    coeffs = rng.standard_normal(d - 1)
+    got = sum_train(family, pairs, coeffs, prev_coeff=prev)
+    want = oracles.two_site_sum(family, pairs, coeffs, prev_coeff=prev)
+    assert got.ranks == want.ranks
+    assert all(np.array_equal(g, w) for g, w in zip(got.cores, want.cores))
 
 
 @pytest.mark.parametrize("dims,ranks,seed", [
@@ -235,46 +262,6 @@ def test_chain_pair_inner_matches_dense():
     db = oracles.chain_dense(b.blocks, dims).ravel()
     assert np.isclose(chain_pair_inner(a, b), da @ db, atol=1e-10)
     assert np.isclose(chain_pair_inner(a, a), da @ da, atol=1e-10)
-
-
-def test_chain_operator_inner_matches_dense():
-    dims = (2, 3, 2)
-    fam_a = make_family(dims, (2, 2), 11)
-    fam_b = make_family(dims, (2, 3), 12)
-    a = TwoSiteChain(fam_a, random_blocks(fam_a, 13), [1.0, -0.7], prev_coeff=0.2)
-    b = TwoSiteChain(fam_b, random_blocks(fam_b, 14), [0.4, 1.0], prev_coeff=-0.6)
-    op = random_mpo(dims, 3, seed=15)
-    da = oracles.chain_dense(a.blocks, dims).ravel()
-    db = oracles.chain_dense(b.blocks, dims).ravel()
-    want = da @ mpo_to_dense(op) @ db
-    assert np.isclose(chain_operator_inner(a, op, b), want, atol=1e-10)
-
-
-def test_tt_chain_inners_match_dense():
-    dims = (2, 2, 3, 2)
-    family = make_family(dims, (2, 3, 2), 16)
-    chain = TwoSiteChain(family, random_blocks(family, 17), [1.0, -0.5, 0.25], prev_coeff=0.75)
-    train = random_tt(dims, (2, 4, 2), seed=18)
-    op = random_mpo(dims, 2, seed=19)
-
-    dt = train.to_dense().ravel()
-    dc = oracles.chain_dense(chain.blocks, dims).ravel()
-    assert np.isclose(tt_chain_inner(train, chain), dt @ dc, atol=1e-10)
-    want = dt @ mpo_to_dense(op) @ dc
-    assert np.isclose(tt_chain_operator_inner(train, op, chain), want, atol=1e-9)
-
-
-def test_chain_project_core_matches_dense():
-    dims = (2, 2, 3, 2)
-    family = make_family(dims, (2, 3, 2), 20)
-    chain = TwoSiteChain(family, random_blocks(family, 21), [0.8, -1.1, 0.6], prev_coeff=0.1)
-    train = random_tt(dims, (2, 3, 2), seed=22)
-    dc = oracles.chain_dense(chain.blocks, dims).ravel()
-    for i in range(len(dims)):
-        p = oracles.site_projector(train.cores, i)
-        want = (p.T @ dc).reshape(train.cores[i].shape)
-        got = chain_project_core(chain, train, i)
-        np.testing.assert_allclose(got, want, atol=1e-11)
 
 
 def test_pad_ranks_keeps_tensor_and_grows_bonds():
