@@ -16,7 +16,7 @@ Experiments are described by an INI file with three sections::
     algorithm = dmrg2       ; dmrg1 | dmrg2 | a2dmrg1 | a2dmrg2
     max_rank = 16
     init_rank = 2
-    eig_tol = 1e-6          ; a2dmrg: iteration 1's, later ones may be looser
+    eig_tol = 1e-6          ; dmrg2, a2dmrg: step 1's, later ones may be looser
     svd_tol = 0.0
     energy_tol = 1e-6
     coarse_eps = 1e-10      ; a2dmrg only

@@ -22,6 +22,20 @@ is the one place the rule lives: the two-level solver applies it per global
 iteration.  It is off in one-site sweeps, at full separation rank and at
 ``eig_tol == 0``.  A half-sweep solved looser than
 ``max(eig_tol, energy_tol)`` never counts as converged.
+
+The rule has an end-game clause: once the changes contract and the next
+one, predicted from the last two as ``dE_k**2 / dE_{k-1}``, already meets
+``energy_tol``, the next half-sweep is solved to
+``max(eig_tol, energy_tol)``, so the half-sweep that can stop the run is
+one the guard accepts.  Without it the run pays one more full-rank
+half-sweep only to confirm convergence: from rank-2 starts on a 48-site
+Heisenberg chain at rank 64 and ``energy_tol = 1e-6``, 18 of 24 starts
+took 7 half-sweeps instead of 6; the clause ends every start after 6 and
+cuts the mean flops by 31%, at energies within 2e-11 relative of the
+longer runs'.  The prediction can miss: on a 10-site Heisenberg chain at
+rank 16 the tight half-sweep changed the energy by 1.3e-8 relative against
+4.4e-9 predicted, so a further half-sweep ran anyway and the run took 19%
+more flops.
 """
 
 from __future__ import annotations
@@ -53,7 +67,7 @@ from .tt import TensorTrain, _rank_keep, orthogonalize, qr_fixed, svd_fixed
 EIG_FORCING = 0.1
 
 
-def forced_eig_tol(eig_tol, change, energy, dims, max_rank):
+def forced_eig_tol(eig_tol, change, energy, dims, max_rank, prev_change, energy_tol):
     """Local Lanczos tolerance after a step that moved the energy by ``change``.
 
     Returns ``max(eig_tol, EIG_FORCING * change / |energy|)``, the forcing
@@ -63,13 +77,33 @@ def forced_eig_tol(eig_tol, change, energy, dims, max_rank):
     the local spaces ``dims`` (truncation then loses nothing, exact solves
     converge in a few steps and loose ones only add steps) and when
     ``eig_tol == 0``, which pins every solve to its iteration budget.
+
+    End game: when the changes contract (``change < prev_change``, the
+    step before's change, None after the first step) and the next one,
+    predicted as ``change**2 / prev_change``, already meets
+    ``energy_tol * |energy|``, the coming step is the one that can stop
+    the run, so it is solved to ``max(eig_tol, energy_tol)``, the loosest
+    tolerance the convergence guard accepts, if the forcing term is
+    looser.  Without it that step would run loose, be refused, and a
+    further full step would run only to confirm convergence.  The clause
+    only ever lowers the tolerance.  On linearly converging runs whose
+    contraction ratio is at least ``EIG_FORCING`` the forcing term is
+    already that tight, so it changes nothing there.
     """
     full_rank = all(
         min(math.prod(dims[:j]), math.prod(dims[j:])) <= max_rank for j in range(1, len(dims))
     )
     if full_rank or eig_tol == 0:
         return eig_tol
-    return max(eig_tol, EIG_FORCING * change / max(abs(energy), 1e-12))
+    scale = max(abs(energy), 1e-12)
+    forced = max(eig_tol, EIG_FORCING * change / scale)
+    if (
+        prev_change is not None
+        and change < prev_change
+        and change * change / prev_change <= energy_tol * scale
+    ):
+        return min(forced, max(eig_tol, energy_tol))
+    return forced
 
 
 def check_solver_knobs(config, tol_names):
@@ -99,7 +133,9 @@ class SweepConfig:
     eig_tol : float
         Residual tolerance of the first half-sweep's local Lanczos solves,
         and the tightest one of later half-sweeps, which loosen with the
-        last energy change in two-site mode (see the module docstring).
+        last energy change in two-site mode until the last two changes
+        predict that the next half-sweep can converge; that one is solved
+        to ``max(eig_tol, energy_tol)`` (see the module docstring).
     energy_tol : float
         Relative energy change between half-sweeps that counts as
         converged.
@@ -325,6 +361,7 @@ def run_dmrg(init, op, config=None, ledger=None):
         return ledger.total_flops() if ledger is not None else 0.0
 
     energy = None
+    prev_change = None  # the previous half-sweep's change
     eig_tol = config.eig_tol  # local tolerance of the coming half-sweep
     tight = max(config.eig_tol, config.energy_tol)  # loosest one that may converge
     for hs in range(1, config.max_half_sweeps + 1):
@@ -399,7 +436,11 @@ def run_dmrg(init, op, config=None, ledger=None):
             break
         energy = last_energy
         if k == 2:
-            eig_tol = forced_eig_tol(config.eig_tol, change, energy, op.dims, config.max_rank)
+            eig_tol = forced_eig_tol(
+                config.eig_tol, change, energy, op.dims, config.max_rank,
+                prev_change, config.energy_tol,
+            )
+        prev_change = change
 
     center = d - 1 if len(trace.half_sweep_energies) % 2 == 1 else 0
     return TensorTrain(cores, center=center), trace

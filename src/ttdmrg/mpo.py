@@ -14,7 +14,8 @@ and the block meet in one GEMM, each operator core (permuted, a tiny copy)
 is applied by one batched ``np.matmul`` over the leading bonds, and the
 right environment enters as a transposed view in a last GEMM whose output
 is already in block order.  Each step is charged as the pairwise
-contraction of its input (:func:`tensordot_flops`).
+contraction of its input (:func:`local_step_flops`); ``local_matvec``
+computes those charges once per local problem, since its shapes are fixed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from .ledger import charge, contract, tensordot_flops
+from .ledger import contract, tensordot_flops
 from .tt import TensorTrain, _check_dense_size
 
 
@@ -185,6 +186,21 @@ def rayleigh_quotient(x, op, ledger=None, op_class="inner"):
     return num / den
 
 
+def local_step_flops(env_left, op_cores, env_right, shape):
+    """The flops :func:`apply_local` charges, step by step, on a block of
+    ``shape``: the left GEMM, one entry per operator core, the right GEMM."""
+    a, w, a2 = env_left.shape
+    _, w2, b2 = env_right.shape
+    flops = [tensordot_flops(env_left.shape, shape, a2)]
+    x = (a * w,) + tuple(shape[1:])  # the intermediate's dims, as in apply_local
+    for core in op_cores:
+        wl, s1, s, wr = core.shape
+        flops.append(tensordot_flops(x, core.shape, wl * s))
+        x = (math.prod(x) // (wl * s), s1 * wr)
+    flops.append(tensordot_flops(x, env_right.shape, w2 * b2))
+    return flops
+
+
 def apply_local(env_left, op_cores, env_right, v, ledger=None, op_class="matvec"):
     """Apply the projected operator on ``k = len(op_cores)`` adjacent sites
     to a block of shape ``(rank, n_1, ..., n_k, rank')``.
@@ -192,20 +208,20 @@ def apply_local(env_left, op_cores, env_right, v, ledger=None, op_class="matvec"
     Each operator core contracts the bond and input index it meets next,
     so after core ``j`` the intermediate reads ``(a, s_1 .. s_j, w, n_{j+1}
     .. n_k, b')``; every step is charged as the pairwise contraction of
-    its input.
+    its input (:func:`local_step_flops`).
     """
+    if ledger is not None:
+        for flops in local_step_flops(env_left, op_cores, env_right, v.shape):
+            ledger.charge(op_class, flops)
     a, w, a2 = env_left.shape
     b, w2, b2 = env_right.shape
-    charge(ledger, op_class, tensordot_flops(env_left.shape, v.shape, a2))
     x = env_left.reshape(a * w, a2) @ v.reshape(a2, -1)  # (a, w, n_1, ..., b')
     lead = a
     for core in op_cores:
         wl, s1, s, wr = core.shape
-        charge(ledger, op_class, tensordot_flops(x.shape, core.shape, wl * s))
         wp = core.transpose(1, 3, 0, 2).reshape(s1 * wr, wl * s)
         x = np.matmul(wp, x.reshape(lead, wl * s, -1))  # (lead, s1, wr, ..., b')
         lead *= s1
-    charge(ledger, op_class, tensordot_flops(x.shape, env_right.shape, w2 * b2))
     out = x.reshape(lead, w2 * b2) @ env_right.reshape(b, w2 * b2).T
     # operator cores act on square local spaces: the block keeps v's dims
     return out.reshape((a,) + v.shape[1:-1] + (b,))
@@ -223,14 +239,20 @@ def apply_local_2site(env_left, op_core1, op_core2, env_right, v, ledger=None, o
 
 def local_matvec(env_left, op_cores, env_right, ledger=None, op_class="matvec"):
     """Flat matvec closure over the projected operator on ``len(op_cores)``
-    (one or two) adjacent sites, plus its dimension and the block shape."""
+    (one or two) adjacent sites, plus its dimension and the block shape.
+
+    The shapes are fixed, so the per-step charges are computed once here
+    and every call charges them in :func:`apply_local`'s order."""
     shape = (env_left.shape[2],) + tuple(c.shape[2] for c in op_cores) + (env_right.shape[2],)
     # called through the per-width names, which bench/tracer.py spans
     apply = {1: apply_local_1site, 2: apply_local_2site}[len(op_cores)]
+    steps = local_step_flops(env_left, op_cores, env_right, shape) if ledger is not None else ()
 
     def matvec(x):
-        v = x.reshape(shape)
-        return apply(env_left, *op_cores, env_right, v, ledger, op_class).ravel()
+        out = apply(env_left, *op_cores, env_right, x.reshape(shape)).ravel()
+        for flops in steps:
+            ledger.charge(op_class, flops)
+        return out
 
     return matvec, math.prod(shape), shape
 

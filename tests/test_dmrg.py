@@ -347,3 +347,62 @@ def test_inexact_sweeps_keep_the_energy_for_fewer_flops(model, d, monkeypatch):
     assert abs(energy - e_ref) <= 1e-6 * abs(e_ref)
     assert abs(energy - exact.half_sweep_energies[-1]) <= 1e-6 * abs(e_ref)
     assert inexact_flops < exact_flops
+
+
+def test_end_game_clause_only_ever_lowers_the_forced_tolerance():
+    dims = (2,) * 12  # full separation rank 64
+    forced = dmrg.forced_eig_tol
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        eig_tol, energy_tol = 10.0 ** rng.uniform(-12, -4, size=2)
+        change, prev_change = 10.0 ** rng.uniform(-14, 0, size=2)
+        energy = -rng.uniform(0.1, 50.0)
+        old = forced(eig_tol, change, energy, dims, 16, None, energy_tol)
+        new = forced(eig_tol, change, energy, dims, 16, prev_change, energy_tol)
+        fires = change < prev_change and change**2 / prev_change <= energy_tol * abs(energy)
+        assert eig_tol <= new <= old
+        assert new == (min(old, max(eig_tol, energy_tol)) if fires else old)
+
+
+def test_end_game_clause_fires_only_on_a_contracting_predicted_convergence():
+    dims, energy = (2,) * 12, -5.0
+    forced = dmrg.forced_eig_tol
+    # forcing term 0.1 * 1e-4 / 5 = 2e-6 rel; predicted next change 1e-8 / 5 = 2e-9 rel
+    assert forced(1e-8, 1e-4, energy, dims, 16, None, 1e-8) == pytest.approx(2e-6)
+    assert forced(1e-8, 1e-4, energy, dims, 16, 1.0, 1e-8) == 1e-8
+    assert forced(1e-10, 1e-4, energy, dims, 16, 1.0, 1e-8) == 1e-8  # max(eig_tol, energy_tol)
+    # predicted change 2e-9 rel just misses energy_tol = 1e-9
+    assert forced(1e-8, 1e-4, energy, dims, 16, 1.0, 1e-9) == pytest.approx(2e-6)
+    # growing or equal changes predict nothing
+    assert forced(1e-8, 1e-4, energy, dims, 16, 1e-4, 1e-3) == pytest.approx(2e-6)
+    assert forced(1e-8, 1e-4, energy, dims, 16, 1e-5, 1e-3) == pytest.approx(2e-6)
+    # inert without a previous change, at full separation rank and at eig_tol = 0
+    assert forced(1e-8, 1e-4, energy, dims, 16, None, 1e-3) == pytest.approx(2e-6)
+    assert forced(1e-8, 1e-4, energy, dims, 64, 1.0, 1e-3) == 1e-8
+    assert forced(0.0, 1e-4, energy, dims, 16, 1.0, 1e-3) == 0.0
+    # a forcing term already tighter than the guard's tolerance stays
+    assert forced(1e-10, 1e-8, energy, dims, 16, 1.0, 1e-6) == pytest.approx(2e-10)
+
+
+def test_end_game_clause_saves_the_confirming_half_sweep(monkeypatch):
+    # Without the clause half-sweep 5 runs at 2.4e-7 and moves the energy by
+    # 3e-9 relative, which the guard refuses for the loose tolerance, and a
+    # sixth, tight half-sweep only confirms it.
+    op = heisenberg_chain(12)
+    init = random_tt(op.dims, 2, seed=0)
+    cfg = SweepConfig(max_rank=16)
+    _, trace = run_dmrg(init, op, cfg)
+    tols = half_sweep_tols(trace)
+    assert trace.converged
+    assert len(trace.half_sweep_energies) == 5
+    assert tols[-1] == max(cfg.eig_tol, cfg.energy_tol) < tols[-2]
+    without = dmrg.forced_eig_tol
+    monkeypatch.setattr(dmrg, "forced_eig_tol", lambda *args: without(*args[:5], None, 0.0))
+    _, plain = run_dmrg(init, op, cfg)
+    assert len(plain.half_sweep_energies) == 6
+    assert half_sweep_tols(plain)[4] > 1e-7
+    monkeypatch.setattr(dmrg, "forced_eig_tol", without)
+    monkeypatch.setattr(dmrg, "EIG_FORCING", 0.0)
+    _, exact = run_dmrg(init, op, cfg)
+    energy, exact_energy = trace.half_sweep_energies[-1], exact.half_sweep_energies[-1]
+    assert abs(energy - exact_energy) <= 1e-10 * abs(exact_energy)

@@ -191,6 +191,11 @@ def test_local_kernels_match_tensordot_kernels_and_their_charges(k, case, contig
     assert led_new.per_class_flops.keys() == {"matvec"}
     adapter = {1: mpo.apply_local_1site, 2: mpo.apply_local_2site}[k]
     assert np.array_equal(adapter(env_l, *cores, env_r, v), got)
+    # the matvec closure charges its precomputed steps, the same numbers
+    led_closure = CostLedger()
+    matvec, _, _ = mpo.local_matvec(env_l, cores, env_r, led_closure)
+    assert_close(matvec(v.ravel()), want.ravel())
+    assert led_closure.report() == led_old.report()
 
 
 def test_local_kernels_do_not_go_through_contract(monkeypatch):
