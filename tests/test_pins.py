@@ -2,17 +2,17 @@
 
 Each case runs one solver configuration from a seeded random start (rank 3,
 seed 7 unless the case names its own) and records the ``repr`` of every
-energy in its trace, the full ``ledger.report()`` and a digest of the final
-cores.  Refactors that leave the arithmetic alone must reproduce all three
-exactly.  Floating-point results depend on the numpy/BLAS build, so the pins
+energy in its trace, the full ``ledger.report()``, a digest of the final
+cores and a digest of the trace's CSV text.  Refactors that leave the
+arithmetic alone must reproduce all four exactly.  Floating-point results depend on the numpy/BLAS build, so the pins
 are only compared on the stack they were recorded with.
 
 Regenerate (only when the arithmetic is meant to change, and say why):
 
     PYTHONPATH=src python tests/test_pins.py --write
 
-which prints, per case, which of ``energies``, ``ledger`` and
-``state_sha256`` differ from the file it replaces, the largest relative
+which prints, per case, which of ``energies``, ``ledger``, ``state_sha256``
+and ``csv_sha256`` differ from the file it replaces, the largest relative
 move of a recorded energy, and which ledger report entries moved.
 """
 
@@ -92,6 +92,7 @@ def run_config(op, config, start=(3, 7)):
         "energies": [repr(float(e)) for e in energies],
         "ledger": ledger.report(),
         "state_sha256": digest.hexdigest(),
+        "csv_sha256": hashlib.sha256(trace.to_csv().encode()).hexdigest(),
     }
 
 
@@ -109,6 +110,7 @@ def test_run_matches_pin(name):
     assert got["energies"] == want["energies"]
     assert got["ledger"] == want["ledger"]
     assert got["state_sha256"] == want["state_sha256"]
+    assert got["csv_sha256"] == want["csv_sha256"]
 
 
 def largest_energy_move(new, old):
