@@ -39,7 +39,7 @@ print("iter   energy            error      coarse p   coarse <= best update")
 for r in trace.records:
     descends = r.coarse_energy <= min(r.prev_energy, r.min_update_energy) + 1e-10
     print(
-        f"  {r.global_iter}    {r.energy:+.12f}  {r.energy_error / abs(e_ref):.2e}"
+        f"  {r.global_iter}    {r.energy:+.12f}  {r.energy_error_vs_reference / abs(e_ref):.2e}"
         f"   {r.coarse_p:2d}        {descends}"
     )
 print(f"\nconverged {trace.converged} at ranks {state.ranks}")

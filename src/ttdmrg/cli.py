@@ -209,10 +209,19 @@ def build_operator(cfg):
                                 seed=cfg.model_seed)
 
 
+def checked_dense_cap():
+    """The dense cap; a malformed ``TTDMRG_DENSE_CAP`` is a configuration error."""
+    try:
+        return dense_cap()
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def reference_energy(cfg, op):
     """Dense oracle energy, or None when disabled or over the cap."""
     if cfg.reference == "none":
         return None
+    checked_dense_cap()
     try:
         energy, _ = dense_ground_state(op)
     except ValueError as exc:
@@ -363,6 +372,7 @@ def compare_experiments(cfg_a, cfg_b):
 
 def oracle_report(cfg):
     op = build_operator(cfg)
+    cap = checked_dense_cap()
     try:
         energy, psi = dense_ground_state(op)
     except ValueError as exc:
@@ -373,7 +383,7 @@ def oracle_report(cfg):
             f"model             {cfg.kind} d={cfg.sites}",
             f"ground energy     {energy!r}",
             f"separation ranks  {' '.join(str(r) for r in ranks)}",
-            f"dense cap         {dense_cap()} entries",
+            f"dense cap         {cap} entries",
         ]
     )
 
@@ -385,13 +395,18 @@ def ledger_report_text(path):
         raise CliError(f"cannot read ledger {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"ledger {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise CliError(f"ledger {path} is not a JSON object")
     for key in ("sequential_flops", "per_worker_flops", "per_class_flops"):
         if key not in data:
             raise CliError(f"ledger {path} is missing {key!r}")
     led = CostLedger()
-    led.sequential_flops = float(data["sequential_flops"])
-    led.per_worker_flops = {k: float(v) for k, v in data["per_worker_flops"].items()}
-    led.per_class_flops = {k: float(v) for k, v in data["per_class_flops"].items()}
+    try:
+        led.sequential_flops = float(data["sequential_flops"])
+        led.per_worker_flops = {k: float(v) for k, v in data["per_worker_flops"].items()}
+        led.per_class_flops = {k: float(v) for k, v in data["per_class_flops"].items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CliError(f"ledger {path} has a malformed entry: {exc}") from exc
     return led.format_report()
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from io import StringIO
 
 import numpy as np
@@ -59,7 +59,7 @@ from .mpo import (
     update_left_env,
     update_right_env,
 )
-from .tt import TensorTrain, _rank_keep, orthogonalize, qr_fixed, svd_fixed
+from .tt import TensorTrain, _rank_keep, lq_step, orthogonalize, qr_step, svd_fixed
 
 # Forcing term of inexact local solves: after the first half-sweep (or
 # two-level iteration) the local Lanczos tolerance follows this fraction of
@@ -117,6 +117,52 @@ def check_solver_knobs(config, tol_names):
         raise ValueError("eig_max_iter must be positive")
 
 
+def check_start(init, op):
+    """Reject a start that cannot seed either solver: dimensions other
+    than the operator's, fewer than two sites, or zero norm."""
+    if init.dims != op.dims:
+        raise ValueError(f"state dims {init.dims} do not match operator dims {op.dims}")
+    if init.d < 2:
+        raise ValueError("the solvers need at least two sites")
+    if init.norm() == 0.0:
+        raise ValueError("initial state has zero norm")
+
+
+def warn_unconverged(step, unconverged, solves):
+    """Warn, on behalf of the solver's caller, that ``unconverged`` of the
+    ``solves`` local Lanczos solves of ``step`` missed their tolerance."""
+    if unconverged:
+        warnings.warn(
+            f"{step}: {unconverged} of {solves} local Lanczos solves did not converge",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
+def records_csv(record_type, records):
+    """CSV text of a trace: a header row of the fields of the dataclass
+    ``record_type`` in declaration order, then one row per record.  Floats
+    are written with ``repr`` (so they read back bitwise), booleans as 0/1,
+    tuples joined by ``;``, and integers as they are."""
+    names = [f.name for f in fields(record_type)]
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names)
+    for record in records:
+        writer.writerow([_csv_cell(getattr(record, name)) for name in names])
+    return buf.getvalue()
+
+
+def _csv_cell(value):
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ";".join(str(v) for v in value)
+    return value
+
+
 @dataclass
 class SweepConfig:
     """Knobs for :func:`run_dmrg`.
@@ -168,6 +214,18 @@ class SweepConfig:
 
 @dataclass
 class MicroRecord:
+    """One local solve of :func:`run_dmrg`; also one row of the trace CSV,
+    whose columns are these fields in order.
+
+    Columns: ``half_sweep`` (1-based) and ``site`` (the window's first
+    site); ``energy``, the local eigenvalue; ``lanczos_iterations``, its
+    operator applications; ``discarded_weight``, the 2-norm of the singular
+    values the two-site split dropped (0 one-site); ``flops_cumulative``,
+    the ledger's total after the step (0 without a ledger);
+    ``lanczos_converged``, ``lanczos_residual`` and ``local_eig_tol``, the
+    solve's convergence flag, residual estimate and tolerance.
+    """
+
     half_sweep: int
     site: int
     energy: float
@@ -189,36 +247,7 @@ class SweepTrace:
         return [m for m in self.micro if m.half_sweep == half_sweep]
 
     def to_csv(self):
-        buf = StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "half_sweep",
-                "site",
-                "energy",
-                "lanczos_iterations",
-                "discarded_weight",
-                "flops_cumulative",
-                "lanczos_converged",
-                "lanczos_residual",
-                "local_eig_tol",
-            ]
-        )
-        for m in self.micro:
-            writer.writerow(
-                [
-                    m.half_sweep,
-                    m.site,
-                    repr(m.energy),
-                    m.lanczos_iterations,
-                    repr(m.discarded_weight),
-                    repr(m.flops_cumulative),
-                    int(m.lanczos_converged),
-                    repr(m.lanczos_residual),
-                    repr(m.local_eig_tol),
-                ]
-            )
-        return buf.getvalue()
+        return records_csv(MicroRecord, self.micro)
 
 
 def _solve(local, v0, tol, max_iter, seed, ledger):
@@ -295,26 +324,6 @@ def split_and_shift(block, direction, max_rank=None, svd_tol=0.0, ledger=None):
     return left, right, discarded
 
 
-def _shift_center_right(cores, i, ledger):
-    # QR the center, push the triangular factor into the right neighbor.
-    r0, n, r1 = cores[i].shape
-    q, rmat = qr_fixed(cores[i].reshape(r0 * n, r1))
-    cores[i] = q.reshape(r0, n, q.shape[1])
-    cores[i + 1] = contract(None, "matmul", rmat, cores[i + 1], ((1,), (0,)))
-    if ledger is not None:
-        ledger.charge("qr", 4.0 * (r0 * n) * r1 * r1)
-
-
-def _shift_center_left(cores, i, ledger):
-    # LQ the center, push the triangular factor into the left neighbor.
-    r0, n, r1 = cores[i].shape
-    q, rmat = qr_fixed(cores[i].reshape(r0, n * r1).T)
-    cores[i] = q.T.reshape(q.shape[1], n, r1)
-    cores[i - 1] = contract(None, "matmul", cores[i - 1], rmat.T, ((2,), (0,)))
-    if ledger is not None:
-        ledger.charge("qr", 4.0 * (n * r1) * r0 * r0)
-
-
 def run_dmrg(init, op, config=None, ledger=None):
     """Minimize the Rayleigh quotient of ``op`` by alternating sweeps.
 
@@ -336,13 +345,8 @@ def run_dmrg(init, op, config=None, ledger=None):
     """
     if config is None:
         config = SweepConfig()
-    if init.dims != op.dims:
-        raise ValueError(f"state dims {init.dims} do not match operator dims {op.dims}")
+    check_start(init, op)
     d = init.d
-    if d < 2:
-        raise ValueError("sweeping needs at least two sites")
-    if init.norm() == 0.0:
-        raise ValueError("initial state has zero norm")
 
     state = orthogonalize(init, 0, ledger)
     cores = list(state.cores)
@@ -381,8 +385,7 @@ def run_dmrg(init, op, config=None, ledger=None):
             if k == 1:
                 cores[i] = update
                 discarded = 0.0
-                shift = _shift_center_right if going_right else _shift_center_left
-                shift(cores, i, ledger)
+                (qr_step if going_right else lq_step)(cores, i, ledger)
             else:
                 direction = "LR" if going_right else "RL"
                 cores[i], cores[i + 1], discarded = split_and_shift(
@@ -414,14 +417,7 @@ def run_dmrg(init, op, config=None, ledger=None):
                 )
             )
 
-        if unconverged:
-            warnings.warn(
-                f"half-sweep {hs}: {unconverged} of {len(sites)} local Lanczos solves "
-                "did not converge",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
+        warn_unconverged(f"half-sweep {hs}", unconverged, len(sites))
         trace.half_sweep_energies.append(float(last_energy))
         # the first half-sweep's change is measured from its first micro-step
         before = trace.micro[-len(sites)].energy if energy is None else energy

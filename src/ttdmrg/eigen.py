@@ -151,6 +151,17 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
     return finish(*best)
 
 
+def _checked_eigh(a, sym_rtol, ledger):
+    """``np.linalg.eigh`` of ``a``, which must be symmetric to ``sym_rtol``
+    relative to its largest entry; charged as ``"svd"``."""
+    a = np.asarray(a, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
+    if np.max(np.abs(a - a.T)) > sym_rtol * scale:
+        raise ValueError("matrix is not symmetric within tolerance")
+    charge(ledger, "svd", eigh_flops(a.shape[0]))
+    return np.linalg.eigh(a)
+
+
 def dense_lowest_eig(a, sym_rtol=1e-10, ledger=None):
     """Lowest eigenpair of a dense symmetric matrix.
 
@@ -158,12 +169,7 @@ def dense_lowest_eig(a, sym_rtol=1e-10, ledger=None):
     entry; the eigenvector sign is fixed so its largest-magnitude entry is
     positive.
     """
-    a = np.asarray(a, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if np.max(np.abs(a - a.T)) > sym_rtol * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    charge(ledger, "svd", eigh_flops(a.shape[0]))
-    w, v = np.linalg.eigh(a)
+    w, v = _checked_eigh(a, sym_rtol, ledger)
     vec = v[:, 0]
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
@@ -175,14 +181,10 @@ def dense_sym_svd(a, sym_rtol=1e-10, ledger=None):
 
     Returns ``(sigma, v)`` with eigenvalues sorted descending and
     ``a ~ v @ diag(sigma) @ v.T``.  Intended for overlap (Gram) matrices,
-    whose eigenvalues are nonnegative up to roundoff.
+    whose eigenvalues are nonnegative up to roundoff.  The input must be
+    symmetric to ``sym_rtol`` relative to its largest entry.
     """
-    a = np.asarray(a, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if np.max(np.abs(a - a.T)) > sym_rtol * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    charge(ledger, "svd", eigh_flops(a.shape[0]))
-    w, v = np.linalg.eigh(a)
+    w, v = _checked_eigh(a, sym_rtol, ledger)
     order = np.argsort(w)[::-1]
     w = w[order]
     v = v[:, order]

@@ -23,6 +23,7 @@ Operator container (magic ``MPR1``)::
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -34,74 +35,63 @@ TT_MAGIC = b"TTR1"
 MPO_MAGIC = b"MPR1"
 
 
-def save_tt(train, path):
+def _save(path, magic, head, x):
+    """Write the train or operator ``x`` as its magic, uint32 d, the int32
+    header fields ``head``, dims, ranks, then the cores."""
+    d = x.d
     with open(path, "wb") as fh:
-        fh.write(TT_MAGIC)
-        d = train.d
-        gauge = -1 if train.center is None else train.center
-        fh.write(struct.pack("<Ii", d, gauge))
-        fh.write(struct.pack(f"<{d}I", *train.dims))
-        fh.write(struct.pack(f"<{d + 1}I", *train.ranks))
-        for core in train.cores:
+        fh.write(magic)
+        fh.write(struct.pack(f"<I{len(head)}i", d, *head))
+        fh.write(struct.pack(f"<{d}I", *x.dims))
+        fh.write(struct.pack(f"<{d + 1}I", *x.ranks))
+        for core in x.cores:
             fh.write(np.ascontiguousarray(core, dtype="<f8").tobytes())
 
 
-def load_tt(path):
+def _load(path, magic, what, heads, legs):
+    """Read a container written by :func:`_save` with ``heads`` int32
+    header fields and cores of shape ``(r_j, n_j, ..., n_j, r_{j+1})``,
+    ``legs`` physical axes; returns ``(head, cores)``."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != TT_MAGIC:
-        raise ValueError(f"not a train container: bad magic {data[:4]!r}")
+    if data[:4] != magic:
+        article = "an" if what[0] in "aeiou" else "a"
+        raise ValueError(f"not {article} {what} container: bad magic {data[:4]!r}")
     try:
-        d, gauge = struct.unpack_from("<Ii", data, 4)
-        off = 12
+        d, *head = struct.unpack_from(f"<I{heads}i", data, 4)
+        off = 8 + 4 * heads
         dims = struct.unpack_from(f"<{d}I", data, off)
         off += 4 * d
         ranks = struct.unpack_from(f"<{d + 1}I", data, off)
         off += 4 * (d + 1)
         cores = []
         for j in range(d):
-            count = ranks[j] * dims[j] * ranks[j + 1]
+            shape = (ranks[j],) + (dims[j],) * legs + (ranks[j + 1],)
+            count = math.prod(shape)
             core = np.frombuffer(data, dtype="<f8", count=count, offset=off)
             off += 8 * count
-            cores.append(core.reshape(ranks[j], dims[j], ranks[j + 1]).astype(float))
+            cores.append(core.reshape(shape).astype(float))
     except (struct.error, ValueError) as exc:
-        raise ValueError(f"truncated train container: {exc}") from exc
+        raise ValueError(f"truncated {what} container: {exc}") from exc
     if off != len(data):
         raise ValueError(f"container has {len(data) - off} trailing bytes")
+    return head, cores
+
+
+def save_tt(train, path):
+    gauge = -1 if train.center is None else train.center
+    _save(path, TT_MAGIC, (gauge,), train)
+
+
+def load_tt(path):
+    (gauge,), cores = _load(path, TT_MAGIC, "train", 1, 1)
     return TensorTrain(cores, center=None if gauge < 0 else gauge)
 
 
 def save_mpo(op, path):
-    with open(path, "wb") as fh:
-        fh.write(MPO_MAGIC)
-        d = op.d
-        fh.write(struct.pack("<I", d))
-        fh.write(struct.pack(f"<{d}I", *op.dims))
-        fh.write(struct.pack(f"<{d + 1}I", *op.ranks))
-        for core in op.cores:
-            fh.write(np.ascontiguousarray(core, dtype="<f8").tobytes())
+    _save(path, MPO_MAGIC, (), op)
 
 
 def load_mpo(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != MPO_MAGIC:
-        raise ValueError(f"not an operator container: bad magic {data[:4]!r}")
-    try:
-        (d,) = struct.unpack_from("<I", data, 4)
-        off = 8
-        dims = struct.unpack_from(f"<{d}I", data, off)
-        off += 4 * d
-        ranks = struct.unpack_from(f"<{d + 1}I", data, off)
-        off += 4 * (d + 1)
-        cores = []
-        for j in range(d):
-            count = ranks[j] * dims[j] * dims[j] * ranks[j + 1]
-            core = np.frombuffer(data, dtype="<f8", count=count, offset=off)
-            off += 8 * count
-            cores.append(core.reshape(ranks[j], dims[j], dims[j], ranks[j + 1]).astype(float))
-    except (struct.error, ValueError) as exc:
-        raise ValueError(f"truncated operator container: {exc}") from exc
-    if off != len(data):
-        raise ValueError(f"container has {len(data) - off} trailing bytes")
+    _, cores = _load(path, MPO_MAGIC, "operator", 0, 2)
     return MatrixProductOperator(cores)

@@ -39,7 +39,10 @@ def dense_cap(cap=None):
         return int(cap)
     env = os.environ.get(DENSE_CAP_ENV)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{DENSE_CAP_ENV} must be an integer, got {env!r}") from None
     return DEFAULT_DENSE_CAP
 
 
@@ -254,6 +257,28 @@ def tt_add(x, y):
     return TensorTrain(cores)
 
 
+def qr_step(cores, j, ledger=None):
+    """Move the gauge from site ``j`` to ``j + 1`` in the core list
+    ``cores``: core ``j`` becomes the Q of its QR and the triangular factor
+    is multiplied into core ``j + 1``."""
+    r, n, r2 = cores[j].shape
+    q, rr = qr_fixed(cores[j].reshape(r * n, r2))
+    charge(ledger, "qr", qr_flops(r * n, r2))
+    cores[j] = q.reshape(r, n, q.shape[1])
+    cores[j + 1] = contract(ledger, "matmul", rr, cores[j + 1], ((1,), (0,)))
+
+
+def lq_step(cores, j, ledger=None):
+    """Move the gauge from site ``j`` to ``j - 1`` in the core list
+    ``cores``: core ``j`` becomes the Q of its LQ and the triangular factor
+    is multiplied into core ``j - 1``."""
+    r, n, r2 = cores[j].shape
+    l, q = lq_fixed(cores[j].reshape(r, n * r2))
+    charge(ledger, "qr", qr_flops(n * r2, r))
+    cores[j] = q.reshape(q.shape[0], n, r2)
+    cores[j - 1] = contract(ledger, "matmul", cores[j - 1], l, ((2,), (0,)))
+
+
 def orthogonalize(tt, center, ledger=None):
     """Return an equivalent train that is site-orthogonal at ``center``.
 
@@ -267,17 +292,9 @@ def orthogonalize(tt, center, ledger=None):
         raise ValueError(f"center {center} out of range")
     cores = list(tt.cores)
     for j in range(center):
-        r, n, r2 = cores[j].shape
-        q, rr = qr_fixed(cores[j].reshape(r * n, r2))
-        charge(ledger, "qr", qr_flops(r * n, r2))
-        cores[j] = q.reshape(r, n, q.shape[1])
-        cores[j + 1] = contract(ledger, "matmul", rr, cores[j + 1], ((1,), (0,)))
+        qr_step(cores, j, ledger)
     for j in range(d - 1, center, -1):
-        r, n, r2 = cores[j].shape
-        l, q = lq_fixed(cores[j].reshape(r, n * r2))
-        charge(ledger, "qr", qr_flops(n * r2, r))
-        cores[j] = q.reshape(q.shape[0], n, r2)
-        cores[j - 1] = contract(ledger, "matmul", cores[j - 1], l, ((2,), (0,)))
+        lq_step(cores, j, ledger)
     return TensorTrain(cores, center=center)
 
 
@@ -374,18 +391,17 @@ def orthogonal_family(tt, ledger=None):
     d = tt.d
     if tt.center != d - 1:
         raise ValueError("input must be left-orthogonal (center at the last site)")
+    cores = list(tt.cores)
     centers = [None] * d
     right = [None] * d
-    centers[d - 1] = tt.cores[d - 1]
     for j in range(d - 1, 0, -1):
-        r, n, r2 = centers[j].shape
-        l, q = lq_fixed(centers[j].reshape(r, n * r2))
-        charge(ledger, "qr", qr_flops(n * r2, r))
-        if q.shape[0] != r:
+        centers[j] = cores[j]
+        lq_step(cores, j, ledger)
+        right[j] = cores[j]
+        if right[j].shape[0] != centers[j].shape[0]:
             raise ValueError(
-                f"rank {r} at cut {j} is not representable from the right; "
-                "round or orthogonalize the input first"
+                f"rank {centers[j].shape[0]} at cut {j} is not representable from the "
+                "right; round or orthogonalize the input first"
             )
-        right[j] = q.reshape(r, n, r2)
-        centers[j - 1] = contract(ledger, "matmul", tt.cores[j - 1], l, ((2,), (0,)))
+    centers[0] = cores[0]
     return OrthogonalFamily(tt.cores, centers, right)

@@ -60,17 +60,24 @@ recorded energy sequence reflects what the method actually keeps.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 # ThreadPoolExecutor is not used here; bench/tracer.py rebinds it by name, so it stays bound.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
-from io import StringIO
 
 import numpy as np
 
-from .dmrg import _merge_cores, _solve, check_solver_knobs, forced_eig_tol, split_and_shift
+from .dmrg import (
+    _merge_cores,
+    _solve,
+    check_solver_knobs,
+    check_start,
+    forced_eig_tol,
+    records_csv,
+    split_and_shift,
+    warn_unconverged,
+)
 from .eigen import dense_lowest_eig, dense_sym_svd, lanczos_lowest
 from .ledger import CostLedger, charge, tensordot_flops
 
@@ -174,9 +181,29 @@ class CoarseSolution:
 
 @dataclass
 class IterationRecord:
+    """One global iteration of :func:`run_two_level`; also one row of the
+    trace CSV, whose columns are these fields in order.
+
+    Columns: ``global_iter`` (1-based); ``energy``, the Rayleigh quotient
+    of the compressed, normalized iterate; ``energy_error_vs_reference``,
+    its distance to the reference energy (NaN without one); ``coarse_p``,
+    the kept coarse span size; ``coarse_iterations``, the Krylov coarse
+    solve's operator applications (0 on the direct path);
+    ``lanczos_iterations``, each local solve's operator applications;
+    ``coarse_energy``, the coarse minimum before compression;
+    ``min_update_energy``, the lowest Rayleigh quotient of an updated
+    member; ``prev_energy``, the energy before the iteration;
+    ``fit_residual``, the exact compression error; ``flops_seq``,
+    ``flops_max_worker`` and ``cost_per_processor``, the ledger's
+    cumulative sequential, largest per-task and critical-path flops (0
+    without a ledger); ``lanczos_unconverged`` and ``lanczos_max_residual``,
+    the local solves that missed ``local_eig_tol`` and their largest
+    residual estimate; ``local_eig_tol``, the local solves' tolerance.
+    """
+
     global_iter: int
     energy: float
-    energy_error: float
+    energy_error_vs_reference: float
     coarse_p: int
     coarse_iterations: int
     lanczos_iterations: tuple
@@ -201,50 +228,7 @@ class TwoLevelTrace:
         return [r.energy for r in self.records]
 
     def to_csv(self):
-        buf = StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "global_iter",
-                "energy",
-                "energy_error_vs_reference",
-                "coarse_p",
-                "coarse_iterations",
-                "lanczos_iterations",
-                "coarse_energy",
-                "min_update_energy",
-                "prev_energy",
-                "fit_residual",
-                "flops_seq",
-                "flops_max_worker",
-                "cost_per_processor",
-                "lanczos_unconverged",
-                "lanczos_max_residual",
-                "local_eig_tol",
-            ]
-        )
-        for r in self.records:
-            writer.writerow(
-                [
-                    r.global_iter,
-                    repr(r.energy),
-                    repr(r.energy_error),
-                    r.coarse_p,
-                    r.coarse_iterations,
-                    ";".join(str(k) for k in r.lanczos_iterations),
-                    repr(r.coarse_energy),
-                    repr(r.min_update_energy),
-                    repr(r.prev_energy),
-                    repr(r.fit_residual),
-                    repr(r.flops_seq),
-                    repr(r.flops_max_worker),
-                    repr(r.cost_per_processor),
-                    r.lanczos_unconverged,
-                    repr(r.lanczos_max_residual),
-                    repr(r.local_eig_tol),
-                ]
-            )
-        return buf.getvalue()
+        return records_csv(IterationRecord, self.records)
 
 
 @dataclass
@@ -519,10 +503,9 @@ def assemble_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None)
             joins.setdefault(b + 1, []).append((k, env))
         row_ledgers.append(led)
 
-    # The stack's rows and transfers; per site, what each row crossing it
-    # is charged there (integers below 2**53, so every sum is exact).
+    # The stack's rows and transfers; each row is charged what it costs at
+    # every site it crosses (integers below 2**53, so every sum is exact).
     rows, overlaps, opers = np.zeros(0, dtype=int), None, None
-    site_flops = {}
     for s in range(min(joins, default=last + 1), last + 1):
         if s in joins:
             rows = np.append(rows, [k for k, _ in joins[s]])
@@ -540,16 +523,8 @@ def assemble_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None)
             cores = family.right[s], op.cores[s], family.left[s]
             overlaps, opers = _advance_stack(overlaps, opers, *cores)
             flops += _shared_step_flops(*cores)
-        site_flops[s] = flops
-
-    # a row that joined at site j crosses every site from j to the end,
-    # and is charged their sum once
-    tail = 0.0
-    for s in sorted(site_flops, reverse=True):
-        tail = site_flops[s] = tail + site_flops[s]
-    for j, joined in joins.items():
-        for k, _ in joined:
-            row_ledgers[k].charge("coarse", site_flops[j])
+        for k in rows:
+            row_ledgers[k].charge("coarse", flops)
     for k, led in enumerate(row_ledgers):
         _merge(ledger, led, f"gram{k}")
 
@@ -648,15 +623,9 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
     """
     if config is None:
         config = TwoLevelConfig()
-    if init.dims != op.dims:
-        raise ValueError(f"state dims {init.dims} do not match operator dims {op.dims}")
-    d = init.d
-    if d < 2:
-        raise ValueError("the iteration needs at least two sites")
-    if init.norm() == 0.0:
-        raise ValueError("initial state has zero norm")
+    check_start(init, op)
 
-    state = orthogonalize(init, d - 1, ledger)
+    state = orthogonalize(init, init.d - 1, ledger)
     state = tt_scale(state, 1.0 / state.norm())
     trace = TwoLevelTrace()
     energy = rayleigh_quotient(state, op, ledger)
@@ -679,13 +648,7 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
             seed=config.seed, ledger=ledger, envs=envs,
         )
         unconverged = sum(not r.converged for r in results)
-        if unconverged:
-            warnings.warn(
-                f"iteration {it}: {unconverged} of {len(results)} local Lanczos solves "
-                "did not converge",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        warn_unconverged(f"iteration {it}", unconverged, len(results))
 
         members = span_members(family, updates)
         cp = assemble_coarse(
@@ -739,7 +702,7 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
             IterationRecord(
                 global_iter=it,
                 energy=float(energy),
-                energy_error=(
+                energy_error_vs_reference=(
                     float(abs(energy - reference_energy)) if reference_energy is not None
                     else math.nan
                 ),

@@ -493,7 +493,7 @@ def test_run_two_level_reaches_dense_ground_state(mode):
     energy = trace.records[-1].energy
     assert abs(energy - e_ref) <= 1e-9 * abs(e_ref)
     assert abs(rayleigh_quotient(state, op) - energy) <= 1e-12 * abs(e_ref)
-    assert trace.records[-1].energy_error <= 1e-9 * abs(e_ref)
+    assert trace.records[-1].energy_error_vs_reference <= 1e-9 * abs(e_ref)
     assert led.total_flops() > 0
     assert led.cost_per_processor() < led.total_flops()
 
@@ -911,7 +911,7 @@ def test_trace_csv_shape_and_determinism():
     assert first[0] == "1"
     assert len(first[5].split(";")) == d
     assert float(first[1]) == trace.records[0].energy
-    assert float(first[2]) == trace.records[0].energy_error
+    assert float(first[2]) == trace.records[0].energy_error_vs_reference
     assert float(first[15]) == 1e-10  # the first iteration solves at eig_tol
     # flops columns are cumulative snapshots
     seq = [float(r[10]) for r in rows[1:]]

@@ -130,6 +130,12 @@ def test_oracle_cap_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TTDMRG_DENSE_CAP", str(1 << 22))
     assert main(["oracle", cfg]) == 0
     assert "dense cap         4194304" in capsys.readouterr().out
+    # a cap that is not an integer is a configuration error, not a missing reference
+    monkeypatch.setenv("TTDMRG_DENSE_CAP", "abc")
+    for command in ("oracle", "run"):
+        assert main([command, cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "TTDMRG_DENSE_CAP" in err
 
 
 def test_compare_identical_configs_gives_unit_speedup(tmp_path, capsys):
@@ -181,6 +187,23 @@ def test_ledger_report_round_trip(tmp_path, capsys):
     bad.write_text("{\"a\": 1}")
     assert main(["ledger-report", str(bad)]) == 2
     assert "missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        3,
+        {"sequential_flops": "x", "per_worker_flops": {}, "per_class_flops": {}},
+        {"sequential_flops": 1.0, "per_worker_flops": [], "per_class_flops": {}},
+    ],
+    ids=["bare-number", "non-numeric-flops", "list-of-workers"],
+)
+def test_ledger_report_rejects_wrong_shapes(tmp_path, capsys, body):
+    bad = tmp_path / "shape.json"
+    bad.write_text(json.dumps(body))
+    assert main(["ledger-report", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ledger ") and "Traceback" not in err
 
 
 def test_random_model_runs_and_reference_none(tmp_path):

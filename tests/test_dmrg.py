@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ttdmrg import dmrg
+from ttdmrg import dmrg, twolevel
 from ttdmrg.dmrg import (
     SweepConfig,
     micro_step,
@@ -149,6 +149,31 @@ def test_one_site_preserves_ranks():
     assert state.ranks == orthogonalize(init, 0).ranks
 
 
+def test_one_site_matmul_charges_are_the_gauge_shift_products():
+    # one-site sweeps keep the start's ranks, so every triangular-factor
+    # product has a known shape: (r, r) into the next core going right,
+    # the previous core into (r, r) going left
+    op = heisenberg_chain(7)
+    init = random_tt(op.dims, 3, seed=5)
+    ledger = CostLedger()
+    config = SweepConfig(mode="one-site", max_rank=3, max_half_sweeps=3, energy_tol=0.0)
+    state, trace = run_dmrg(init, op, config, ledger)
+    r, n, d = state.ranks, state.dims, state.d
+    assert r == orthogonalize(init, 0).ranks
+
+    def right(i):
+        return 2.0 * r[i + 1] * r[i + 1] * n[i + 1] * r[i + 2]
+
+    def left(i):
+        return 2.0 * r[i - 1] * n[i - 1] * r[i] * r[i]
+
+    want = sum(left(j) for j in range(d - 1, 0, -1))  # the start's gauge to site 0
+    for m in trace.micro:
+        want += right(m.site) if m.half_sweep % 2 else left(m.site)
+    assert len(trace.half_sweep_energies) == 3
+    assert ledger.per_class_flops["matmul"] == want
+
+
 def test_micro_energies_never_increase_without_truncation():
     d = 4
     op = heisenberg_chain(d)
@@ -192,6 +217,16 @@ def test_trace_csv_round_trip_and_determinism():
     _, again = run_dmrg(init, op, config, CostLedger())
     assert [m.energy for m in again.micro] == [m.energy for m in trace.micro]
     assert again.to_csv() == trace.to_csv()
+
+
+def test_empty_traces_still_write_their_header():
+    assert dmrg.SweepTrace().to_csv() == (
+        "half_sweep,site,energy,lanczos_iterations,discarded_weight,"
+        "flops_cumulative,lanczos_converged,lanczos_residual,local_eig_tol\n"
+    )
+    header = twolevel.TwoLevelTrace().to_csv()
+    assert header.startswith("global_iter,energy,energy_error_vs_reference,coarse_p,")
+    assert header.count("\n") == 1
 
 
 @pytest.mark.parametrize("mode", ["one-site", "two-site"])

@@ -163,6 +163,9 @@ def test_dense_cap_enforced(monkeypatch):
     assert x.to_dense(cap=2**21).shape == (2,) * 21
     monkeypatch.setenv(tt.DENSE_CAP_ENV, str(2**21))
     assert tt.contract_full(x).shape == (2,) * 21
+    monkeypatch.setenv(tt.DENSE_CAP_ENV, "2e21")
+    with pytest.raises(ValueError, match=tt.DENSE_CAP_ENV):
+        tt.dense_cap()
 
 
 def test_orthogonal_family_members_share_tensor():
