@@ -1,6 +1,7 @@
 """Experiment driver for the solvers in this package.
 
-Experiments are described by an INI file with three sections::
+Experiments are described by an INI file with three sections; every key
+and its default is listed once, in :data:`SCHEMA`::
 
     [model]
     kind = ising            ; ising | heisenberg | random
@@ -22,7 +23,6 @@ Experiments are described by an INI file with three sections::
     coarse_eps = 1e-10      ; a2dmrg only
     max_iters = 200         ; half-sweeps (dmrg) or global iterations
     seed = 0
-    workers = 1             ; accepted; changes neither results nor wall time
     structured_coarse = false
     reference = dense       ; dense | none
 
@@ -44,13 +44,17 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import json
 import sys
-from dataclasses import dataclass
+from io import StringIO
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 from .dmrg import SweepConfig, run_dmrg
-from .io import save_tt
+from .io import tt_bytes
 from .ledger import CostLedger
 from .models import dense_ground_state, heisenberg_chain, ising_chain, random_symmetric_mpo
 from .tt import dense_cap, random_tt, separation_ranks
@@ -59,77 +63,58 @@ from .twolevel import TwoLevelConfig, run_two_level
 ALGORITHMS = ("dmrg1", "dmrg2", "a2dmrg1", "a2dmrg2")
 MODEL_KINDS = ("ising", "heisenberg", "random")
 
-_SECTION_KEYS = {
-    "model": {"kind", "sites", "coupling", "field", "local_dim", "rank", "seed"},
-    "run": {
-        "algorithm", "max_rank", "init_rank", "eig_tol", "svd_tol", "energy_tol",
-        "coarse_eps", "max_iters", "seed", "workers", "structured_coarse", "reference",
+# section -> key -> default.  A value is read as its default's type (a bool
+# with ``getboolean``); a None default marks an output path.
+SCHEMA = {
+    "model": {
+        "kind": "ising", "sites": 8, "coupling": 1.0, "field": 1.0, "local_dim": 2,
+        "rank": 2, "seed": 0,
     },
-    "output": {"trace", "ledger", "summary", "state"},
+    "run": {
+        "algorithm": "dmrg2", "max_rank": 16, "init_rank": 2, "eig_tol": 1e-6,
+        "svd_tol": 0.0, "energy_tol": 1e-6, "coarse_eps": 1e-10, "max_iters": 200,
+        "seed": 0, "structured_coarse": False, "reference": "dense",
+    },
+    "output": {"trace": None, "ledger": None, "summary": None, "state": None},
 }
+
+# ``run`` keys that ``ttdmrg run`` also takes as flags (``--max-rank``).
+RUN_FLAGS = ("seed", "algorithm", "max_rank")
 
 
 class CliError(Exception):
     """Configuration or usage problem; maps to exit status 2."""
 
 
-@dataclass
 class ExperimentConfig:
-    kind: str = "ising"
-    sites: int = 8
-    coupling: float = 1.0
-    field: float = 1.0
-    local_dim: int = 2
-    op_rank: int = 2
-    model_seed: int = 0
+    """A checked experiment: one namespace per :data:`SCHEMA` section, such
+    as ``cfg.run.max_rank`` or ``cfg.output.trace``; missing keys take
+    their defaults."""
 
-    algorithm: str = "dmrg2"
-    max_rank: int = 16
-    init_rank: int = 2
-    eig_tol: float = 1e-6
-    svd_tol: float = 0.0
-    energy_tol: float = 1e-6
-    coarse_eps: float = 1e-10
-    max_iters: int = 200
-    seed: int = 0
-    workers: int = 1
-    structured_coarse: bool = False
-    reference: str = "dense"
-
-    trace_path: str | None = None
-    ledger_path: str | None = None
-    summary_path: str | None = None
-    state_path: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise CliError(f"unknown model kind {self.kind!r}; pick one of {MODEL_KINDS}")
-        if self.algorithm not in ALGORITHMS:
-            raise CliError(f"unknown algorithm {self.algorithm!r}; pick one of {ALGORITHMS}")
-        if self.sites < 2:
+    def __init__(self, **sections):
+        for name, defaults in SCHEMA.items():
+            setattr(self, name, SimpleNamespace(**{**defaults, **sections.get(name, {})}))
+        model, run = self.model, self.run
+        if model.kind not in MODEL_KINDS:
+            raise CliError(f"unknown model kind {model.kind!r}; pick one of {MODEL_KINDS}")
+        if run.algorithm not in ALGORITHMS:
+            raise CliError(f"unknown algorithm {run.algorithm!r}; pick one of {ALGORITHMS}")
+        if model.sites < 2:
             raise CliError("model needs at least two sites")
-        if self.max_rank < 1 or self.init_rank < 1 or self.op_rank < 1:
+        if min(run.max_rank, run.init_rank, model.rank) < 1:
             raise CliError("ranks must be positive")
-        if self.eig_tol <= 0 or self.energy_tol <= 0:
-            raise CliError("tolerances must be positive")
-        if self.svd_tol < 0:
+        # written so that a NaN fails too
+        for key in ("eig_tol", "energy_tol"):
+            if not getattr(run, key) > 0:
+                raise CliError(f"{key} must be positive")
+        if not run.svd_tol >= 0:
             raise CliError("svd_tol must be nonnegative")
-        if not 0 < self.coarse_eps < 1:
+        if not 0 < run.coarse_eps < 1:
             raise CliError("coarse_eps must be in (0, 1)")
-        if self.max_iters < 1:
+        if run.max_iters < 1:
             raise CliError("max_iters must be positive")
-        if self.workers < 1:
-            raise CliError("worker count must be at least 1")
-        if self.reference not in ("dense", "none"):
+        if run.reference not in ("dense", "none"):
             raise CliError("reference must be 'dense' or 'none'")
-
-    def model_key(self):
-        """Tuple identifying the operator; compared runs must agree on it."""
-        if self.kind == "ising":
-            return ("ising", self.sites, self.coupling, self.field)
-        if self.kind == "heisenberg":
-            return ("heisenberg", self.sites, self.coupling)
-        return ("random", self.sites, self.local_dim, self.op_rank, self.model_seed)
 
 
 def load_config(path, overrides=()):
@@ -153,60 +138,33 @@ def load_config(path, overrides=()):
             parser.add_section(section)
         parser.set(section, option, value)
 
+    sections = {}
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in SCHEMA:
             raise CliError(f"unknown config section [{section}]")
-        extra = set(parser[section]) - _SECTION_KEYS[section]
+        extra = set(parser[section]) - set(SCHEMA[section])
         if extra:
-            raise CliError(
-                f"unknown key(s) {sorted(extra)} in section [{section}]"
-            )
-
-    def get(section, option, cast, default):
-        if not parser.has_option(section, option):
-            return default
-        raw = parser.get(section, option)
-        try:
-            if cast is bool:
-                return parser.getboolean(section, option)
-            return cast(raw)
-        except ValueError as exc:
-            raise CliError(f"bad value {raw!r} for {section}.{option}") from exc
-
-    return ExperimentConfig(
-        kind=get("model", "kind", str, "ising"),
-        sites=get("model", "sites", int, 8),
-        coupling=get("model", "coupling", float, 1.0),
-        field=get("model", "field", float, 1.0),
-        local_dim=get("model", "local_dim", int, 2),
-        op_rank=get("model", "rank", int, 2),
-        model_seed=get("model", "seed", int, 0),
-        algorithm=get("run", "algorithm", str, "dmrg2"),
-        max_rank=get("run", "max_rank", int, 16),
-        init_rank=get("run", "init_rank", int, 2),
-        eig_tol=get("run", "eig_tol", float, 1e-6),
-        svd_tol=get("run", "svd_tol", float, 0.0),
-        energy_tol=get("run", "energy_tol", float, 1e-6),
-        coarse_eps=get("run", "coarse_eps", float, 1e-10),
-        max_iters=get("run", "max_iters", int, 200),
-        seed=get("run", "seed", int, 0),
-        workers=get("run", "workers", int, 1),
-        structured_coarse=get("run", "structured_coarse", bool, False),
-        reference=get("run", "reference", str, "dense"),
-        trace_path=get("output", "trace", str, None),
-        ledger_path=get("output", "ledger", str, None),
-        summary_path=get("output", "summary", str, None),
-        state_path=get("output", "state", str, None),
-    )
+            raise CliError(f"unknown key(s) {sorted(extra)} in section [{section}]")
+        values = sections[section] = {}
+        for key in parser[section]:
+            default, raw = SCHEMA[section][key], parser.get(section, key)
+            try:
+                if isinstance(default, bool):
+                    values[key] = parser.getboolean(section, key)
+                else:
+                    values[key] = raw if default is None else type(default)(raw)
+            except ValueError as exc:
+                raise CliError(f"bad value {raw!r} for {section}.{key}") from exc
+    return ExperimentConfig(**sections)
 
 
 def build_operator(cfg):
-    if cfg.kind == "ising":
-        return ising_chain(cfg.sites, coupling=cfg.coupling, field=cfg.field)
-    if cfg.kind == "heisenberg":
-        return heisenberg_chain(cfg.sites, coupling=cfg.coupling)
-    return random_symmetric_mpo(cfg.sites, n=cfg.local_dim, rank=cfg.op_rank,
-                                seed=cfg.model_seed)
+    model = cfg.model
+    if model.kind == "ising":
+        return ising_chain(model.sites, coupling=model.coupling, field=model.field)
+    if model.kind == "heisenberg":
+        return heisenberg_chain(model.sites, coupling=model.coupling)
+    return random_symmetric_mpo(model.sites, n=model.local_dim, rank=model.rank, seed=model.seed)
 
 
 def checked_dense_cap():
@@ -219,7 +177,7 @@ def checked_dense_cap():
 
 def reference_energy(cfg, op):
     """Dense oracle energy, or None when disabled or over the cap."""
-    if cfg.reference == "none":
+    if cfg.run.reference == "none":
         return None
     checked_dense_cap()
     try:
@@ -228,6 +186,17 @@ def reference_energy(cfg, op):
         print(f"note: no dense reference ({exc})", file=sys.stderr)
         return None
     return energy
+
+
+def write_file(path, data):
+    """Write the text or bytes ``data`` to ``path``, making its directory;
+    a path that cannot be written is a configuration error."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data.encode() if isinstance(data, str) else data)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _energy_cost_series(trace):
@@ -242,21 +211,20 @@ def _energy_cost_series(trace):
 
 
 def run_solver(cfg, op, ledger, reference=None):
-    """Run ``cfg.algorithm`` on ``op`` from the seeded random start;
+    """Run ``cfg.run.algorithm`` on ``op`` from the seeded random start;
     returns ``(state, trace)``."""
-    init = random_tt(op.dims, cfg.init_rank, seed=cfg.seed)
-    mode = "one-site" if cfg.algorithm.endswith("1") else "two-site"
-    if cfg.algorithm.startswith("dmrg"):
-        sweep = SweepConfig(
-            mode=mode, max_rank=cfg.max_rank, svd_tol=cfg.svd_tol, eig_tol=cfg.eig_tol,
-            energy_tol=cfg.energy_tol, max_half_sweeps=cfg.max_iters, seed=cfg.seed,
-        )
+    run = cfg.run
+    init = random_tt(op.dims, run.init_rank, seed=run.seed)
+    shared = dict(
+        mode="one-site" if run.algorithm.endswith("1") else "two-site",
+        max_rank=run.max_rank, eig_tol=run.eig_tol, energy_tol=run.energy_tol, seed=run.seed,
+    )
+    if run.algorithm.startswith("dmrg"):
+        sweep = SweepConfig(**shared, svd_tol=run.svd_tol, max_half_sweeps=run.max_iters)
         return run_dmrg(init, op, sweep, ledger)
     two = TwoLevelConfig(
-        mode=mode, max_rank=cfg.max_rank, eig_tol=cfg.eig_tol, energy_tol=cfg.energy_tol,
-        max_iters=cfg.max_iters, coarse_eps=cfg.coarse_eps,
-        structured_coarse=cfg.structured_coarse, round_tol=cfg.svd_tol,
-        workers=cfg.workers, seed=cfg.seed,
+        **shared, round_tol=run.svd_tol, max_iters=run.max_iters, coarse_eps=run.coarse_eps,
+        structured_coarse=run.structured_coarse,
     )
     return run_two_level(init, op, two, ledger, reference_energy=reference)
 
@@ -268,39 +236,30 @@ def run_experiment(cfg):
     ledger = CostLedger()
     state, trace = run_solver(cfg, op, ledger, ref)
     series = _energy_cost_series(trace)
-    iterations = len(series)
     final_energy = series[-1][0]
 
     summary = {
-        "algorithm": cfg.algorithm,
-        "model": {"kind": cfg.kind, "sites": cfg.sites},
+        "algorithm": cfg.run.algorithm,
+        "model": {"kind": cfg.model.kind, "sites": cfg.model.sites},
         "final_energy": final_energy,
         "reference_energy": ref,
         "relative_error": (
             abs(final_energy - ref) / max(abs(ref), 1e-12) if ref is not None else None
         ),
-        "iterations": iterations,
+        "iterations": len(series),
         "converged": trace.converged,
         "flops": ledger.report(),
     }
-
-    def emit(path, text):
-        p = Path(path)
-        if p.parent != Path("."):
-            p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(text)
-
-    if cfg.trace_path:
-        emit(cfg.trace_path, trace.to_csv())
-    if cfg.ledger_path:
-        emit(cfg.ledger_path, ledger.report_json() + "\n")
-    if cfg.summary_path:
-        emit(cfg.summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    if cfg.state_path:
-        p = Path(cfg.state_path)
-        if p.parent != Path("."):
-            p.parent.mkdir(parents=True, exist_ok=True)
-        save_tt(state, p)
+    outputs = {
+        "trace": trace.to_csv,
+        "ledger": lambda: ledger.report_json() + "\n",
+        "summary": lambda: json.dumps(summary, indent=2, sort_keys=True) + "\n",
+        "state": lambda: tt_bytes(state),
+    }
+    for key, data in outputs.items():
+        path = getattr(cfg.output, key)
+        if path:
+            write_file(path, data())
     return summary
 
 
@@ -327,16 +286,20 @@ def format_summary(summary):
 def compare_experiments(cfg_a, cfg_b):
     """Run two configurations over the same model; returns (csv, note).
 
+    The models are the same when their operators are equal core by core.
     Rows align per iteration index (half-sweeps or global iterations);
     the shorter run repeats its final error and cost.  Errors are
     relative to the dense reference when available, otherwise to the
     best energy either run achieved (noted in the returned note).
     """
-    if cfg_a.model_key() != cfg_b.model_key():
+    op, op_b = build_operator(cfg_a), build_operator(cfg_b)
+    if len(op.cores) != len(op_b.cores) or not all(
+        np.array_equal(a, b) for a, b in zip(op.cores, op_b.cores)
+    ):
         raise CliError(
-            f"configs describe different models: {cfg_a.model_key()} vs {cfg_b.model_key()}"
+            f"configs describe different models: {cfg_a.model.kind} d={cfg_a.model.sites} "
+            f"vs {cfg_b.model.kind} d={cfg_b.model.sites}"
         )
-    op = build_operator(cfg_a)
     ref = reference_energy(cfg_a, op)
 
     series = []
@@ -351,11 +314,8 @@ def compare_experiments(cfg_a, cfg_b):
         note = "no dense reference; errors relative to the best achieved energy"
     scale = max(abs(ref), 1e-12)
 
-    import csv as _csv
-    from io import StringIO
-
     buf = StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["iteration", "error_a", "error_b", "cpp_a", "cpp_b", "speedup"])
     rows = max(len(series[0]), len(series[1]))
     for k in range(rows):
@@ -380,7 +340,7 @@ def oracle_report(cfg):
     ranks = separation_ranks(psi)
     return "\n".join(
         [
-            f"model             {cfg.kind} d={cfg.sites}",
+            f"model             {cfg.model.kind} d={cfg.model.sites}",
             f"ground energy     {energy!r}",
             f"separation ranks  {' '.join(str(r) for r in ranks)}",
             f"dense cap         {cap} entries",
@@ -416,87 +376,60 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_overrides(p):
+    def add_config(p, flags=()):
+        p.add_argument("config")
         p.add_argument(
             "--set", dest="overrides", action="append", default=[],
             metavar="SECTION.KEY=VALUE", help="override a config entry",
         )
-        p.add_argument("--workers", type=int, help="shortcut for run.workers")
-        p.add_argument("--seed", type=int, help="shortcut for run.seed")
-        p.add_argument("--algorithm", help="shortcut for run.algorithm")
-        p.add_argument("--max-rank", type=int, help="shortcut for run.max_rank")
+        for key in flags:
+            p.add_argument(
+                "--" + key.replace("_", "-"), type=type(SCHEMA["run"][key]),
+                help=f"shortcut for run.{key}",
+            )
 
-    p_run = sub.add_parser("run", help="execute one experiment")
-    p_run.add_argument("config")
-    add_overrides(p_run)
+    add_config(sub.add_parser("run", help="execute one experiment"), RUN_FLAGS)
 
     p_cmp = sub.add_parser("compare", help="run two configs on one model")
     p_cmp.add_argument("config_a")
     p_cmp.add_argument("config_b")
     p_cmp.add_argument("-o", "--output", help="write the comparison CSV here")
-    p_cmp.add_argument("--workers", type=int, help="worker count for both runs")
 
-    p_orc = sub.add_parser("oracle", help="dense reference for a model")
-    p_orc.add_argument("config")
-    add_overrides(p_orc)
+    add_config(sub.add_parser("oracle", help="dense reference for a model"))
 
     p_led = sub.add_parser("ledger-report", help="format a saved flop report")
     p_led.add_argument("ledger")
 
     args = parser.parse_args(argv)
 
-    def collect_overrides(ns):
-        out = list(ns.overrides)
-        if ns.workers is not None:
-            out.append(f"run.workers={ns.workers}")
-        if ns.seed is not None:
-            out.append(f"run.seed={ns.seed}")
-        if ns.algorithm is not None:
-            out.append(f"run.algorithm={ns.algorithm}")
-        if ns.max_rank is not None:
-            out.append(f"run.max_rank={ns.max_rank}")
-        return out
+    def config():
+        flags = [f"run.{k}={getattr(args, k)}" for k in RUN_FLAGS
+                 if getattr(args, k, None) is not None]
+        return load_config(args.config, args.overrides + flags)
 
     try:
         if args.command == "run":
-            cfg = load_config(args.config, collect_overrides(args))
-            try:
-                summary = run_experiment(cfg)
-            except ValueError as exc:
-                print(f"solver error: {exc}", file=sys.stderr)
-                return 1
-            print(format_summary(summary))
-            return 0
-        if args.command == "compare":
-            extra = [f"run.workers={args.workers}"] if args.workers is not None else []
-            cfg_a = load_config(args.config_a, extra)
-            cfg_b = load_config(args.config_b, extra)
-            try:
-                text, note = compare_experiments(cfg_a, cfg_b)
-            except ValueError as exc:
-                print(f"solver error: {exc}", file=sys.stderr)
-                return 1
+            print(format_summary(run_experiment(config())))
+        elif args.command == "compare":
+            cfg_a, cfg_b = load_config(args.config_a), load_config(args.config_b)
+            text, note = compare_experiments(cfg_a, cfg_b)
             if args.output:
-                path = Path(args.output)
-                if path.parent != Path("."):
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(text)
+                write_file(args.output, text)
                 print(note)
             else:
                 print(note, file=sys.stderr)
                 sys.stdout.write(text)
-            return 0
-        if args.command == "oracle":
-            cfg = load_config(args.config, collect_overrides(args))
-            print(oracle_report(cfg))
-            return 0
-        if args.command == "ledger-report":
+        elif args.command == "oracle":
+            print(oracle_report(config()))
+        else:
             print(ledger_report_text(args.ledger))
-            return 0
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
+    except ValueError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

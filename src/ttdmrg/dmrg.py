@@ -353,11 +353,7 @@ def run_dmrg(init, op, config=None, ledger=None):
     k = 1 if config.mode == "one-site" else 2
 
     left_envs = [boundary_env()] * (d + 1)
-    right_envs = [boundary_env()] * (d + 1)
-    start = TensorTrain(cores, center=0)
-    fresh = all_right_envs(start, op, start, ledger, op_class="env_build")
-    for j in range(d + 1):
-        right_envs[j] = fresh[j]
+    right_envs = all_right_envs(state, op, state, ledger)
 
     trace = SweepTrace()
 

@@ -9,6 +9,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .ledger import charge, eigh_flops
+from .tt import column_signs
 
 
 @dataclass
@@ -170,10 +171,7 @@ def dense_lowest_eig(a, sym_rtol=1e-10, ledger=None):
     positive.
     """
     w, v = _checked_eigh(a, sym_rtol, ledger)
-    vec = v[:, 0]
-    if vec[np.argmax(np.abs(vec))] < 0:
-        vec = -vec
-    return float(w[0]), vec
+    return float(w[0]), v[:, 0] * column_signs(v[:, :1])
 
 
 def dense_sym_svd(a, sym_rtol=1e-10, ledger=None):
@@ -186,9 +184,5 @@ def dense_sym_svd(a, sym_rtol=1e-10, ledger=None):
     """
     w, v = _checked_eigh(a, sym_rtol, ledger)
     order = np.argsort(w)[::-1]
-    w = w[order]
     v = v[:, order]
-    for k in range(v.shape[1]):
-        if v[np.argmax(np.abs(v[:, k])), k] < 0:
-            v[:, k] = -v[:, k]
-    return w, v
+    return w[order], v * column_signs(v)

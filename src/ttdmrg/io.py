@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -35,21 +36,21 @@ TT_MAGIC = b"TTR1"
 MPO_MAGIC = b"MPR1"
 
 
-def _save(path, magic, head, x):
-    """Write the train or operator ``x`` as its magic, uint32 d, the int32
-    header fields ``head``, dims, ranks, then the cores."""
+def _encode(magic, head, x):
+    """The container of the train or operator ``x``: its magic, uint32 d,
+    the int32 header fields ``head``, dims, ranks, then the cores."""
     d = x.d
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack(f"<I{len(head)}i", d, *head))
-        fh.write(struct.pack(f"<{d}I", *x.dims))
-        fh.write(struct.pack(f"<{d + 1}I", *x.ranks))
-        for core in x.cores:
-            fh.write(np.ascontiguousarray(core, dtype="<f8").tobytes())
+    return b"".join([
+        magic,
+        struct.pack(f"<I{len(head)}i", d, *head),
+        struct.pack(f"<{d}I", *x.dims),
+        struct.pack(f"<{d + 1}I", *x.ranks),
+        *(np.ascontiguousarray(core, dtype="<f8").tobytes() for core in x.cores),
+    ])
 
 
 def _load(path, magic, what, heads, legs):
-    """Read a container written by :func:`_save` with ``heads`` int32
+    """Read a container written by :func:`_encode` with ``heads`` int32
     header fields and cores of shape ``(r_j, n_j, ..., n_j, r_{j+1})``,
     ``legs`` physical axes; returns ``(head, cores)``."""
     with open(path, "rb") as fh:
@@ -78,9 +79,13 @@ def _load(path, magic, what, heads, legs):
     return head, cores
 
 
+def tt_bytes(train):
+    """The ``TTR1`` container of ``train``, as :func:`save_tt` writes it."""
+    return _encode(TT_MAGIC, (-1 if train.center is None else train.center,), train)
+
+
 def save_tt(train, path):
-    gauge = -1 if train.center is None else train.center
-    _save(path, TT_MAGIC, (gauge,), train)
+    Path(path).write_bytes(tt_bytes(train))
 
 
 def load_tt(path):
@@ -89,7 +94,7 @@ def load_tt(path):
 
 
 def save_mpo(op, path):
-    _save(path, MPO_MAGIC, (), op)
+    Path(path).write_bytes(_encode(MPO_MAGIC, (), op))
 
 
 def load_mpo(path):

@@ -55,16 +55,20 @@ def _check_dense_size(numel, cap):
         )
 
 
+def column_signs(u):
+    """-1.0 for each column of ``u`` whose largest-magnitude entry is
+    negative, 1.0 otherwise.  Every factorization here scales its columns
+    by these to fix their signs; the scaling is exact."""
+    if not u.size:
+        return np.ones(u.shape[1])
+    return np.where(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0, -1.0, 1.0)
+
+
 def qr_fixed(a):
     """Reduced QR with deterministic column signs."""
     q, r = np.linalg.qr(a)
-    if q.shape[1]:
-        idx = np.argmax(np.abs(q), axis=0)
-        s = np.sign(q[idx, np.arange(q.shape[1])])
-        s[s == 0] = 1.0
-        q = q * s
-        r = r * s[:, None]
-    return q, r
+    s = column_signs(q)
+    return q * s, r * s[:, None]
 
 
 def lq_fixed(a):
@@ -76,13 +80,8 @@ def lq_fixed(a):
 def svd_fixed(a):
     """Thin SVD with deterministic signs on the left factor's columns."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if u.shape[1]:
-        idx = np.argmax(np.abs(u), axis=0)
-        sg = np.sign(u[idx, np.arange(u.shape[1])])
-        sg[sg == 0] = 1.0
-        u = u * sg
-        vt = vt * sg[:, None]
-    return u, s, vt
+    sg = column_signs(u)
+    return u * sg, s, vt * sg[:, None]
 
 
 class TensorTrain:

@@ -68,8 +68,7 @@ def test_run_flag_overrides_take_effect(tmp_path):
     body, out = with_outputs(tmp_path, "ovr")
     cfg = write_config(tmp_path, "c.ini", body)
     assert main([
-        "run", cfg, "--algorithm", "a2dmrg2", "--workers", "3",
-        "--set", "run.energy_tol=1e-10",
+        "run", cfg, "--algorithm", "a2dmrg2", "--set", "run.energy_tol=1e-10",
     ]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["algorithm"] == "a2dmrg2"
@@ -91,9 +90,17 @@ def test_unknown_key_and_section_rejected(tmp_path, capsys):
     assert main(["run", cfg]) == 2
     assert "max_rnk" in capsys.readouterr().err
     # a removed key is rejected like a misspelled one
-    cfg = write_config(tmp_path, "k3.ini", BASE + "fallback_compression = true\n")
-    assert main(["run", cfg]) == 2
-    assert "fallback_compression" in capsys.readouterr().err
+    for removed in ("fallback_compression = true", "workers = 2"):
+        cfg = write_config(tmp_path, "k3.ini", BASE + removed + "\n")
+        assert main(["run", cfg]) == 2
+        assert removed.split()[0] in capsys.readouterr().err
+    # so is the removed --workers flag, on run and compare alike
+    cfg = write_config(tmp_path, "k4.ini", BASE)
+    for argv in (["run", cfg], ["compare", cfg, cfg]):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--workers", "2"])
+        assert exit_.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -105,9 +112,15 @@ def test_load_config_validates_values(tmp_path):
     cfg = write_config(tmp_path, "v.ini", BASE.replace("eig_tol = 1e-8", "eig_tol = -1"))
     with pytest.raises(CliError, match="positive"):
         load_config(cfg)
-    cfg = write_config(tmp_path, "w.ini", BASE.replace("seed = 0", "workers = 0"))
-    with pytest.raises(CliError, match="worker"):
-        load_config(cfg)
+
+
+@pytest.mark.parametrize("key", ["eig_tol", "energy_tol", "svd_tol"])
+def test_nan_tolerance_is_a_config_error(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, "nan.ini", BASE)
+    with pytest.raises(CliError, match=key):
+        load_config(cfg, [f"run.{key}=nan"])
+    assert main(["run", cfg, "--set", f"run.{key}=nan"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_oracle_reports_energy_and_separation_ranks(tmp_path, capsys):
@@ -172,6 +185,37 @@ def test_compare_rejects_model_mismatch(tmp_path, capsys):
     cfg_b = write_config(tmp_path, "mb.ini", BASE.replace("sites = 6", "sites = 4"))
     assert main(["compare", cfg_a, cfg_b]) == 2
     assert "different models" in capsys.readouterr().err
+
+
+def test_compare_matches_models_by_operator(tmp_path, capsys):
+    heis = BASE.replace("kind = ising", "kind = heisenberg")
+    cfg_a = write_config(tmp_path, "ha.ini", heis)
+    cfg_b = write_config(tmp_path, "hb.ini", heis.replace("sites = 6", "sites = 6\nfield = 0.3"))
+    # the Heisenberg chain reads no field, so both describe one operator
+    assert main(["compare", cfg_a, cfg_b, "-o", str(tmp_path / "h.csv")]) == 0
+    capsys.readouterr()
+    cfg_c = write_config(tmp_path, "ic.ini", BASE)
+    assert main(["compare", cfg_c, cfg_a]) == 2
+    assert "different models" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "where", ["trace-is-a-directory", "summary-under-a-file", "compare-output"]
+)
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, where):
+    cfg = write_config(tmp_path, "u.ini", BASE)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("")
+    argv = {
+        "trace-is-a-directory": ["run", cfg, "--set", f"output.trace={tmp_path / 'adir'}"],
+        "summary-under-a-file": [
+            "run", cfg, "--set", f"output.summary={tmp_path / 'afile' / 'x.json'}"
+        ],
+        "compare-output": ["compare", cfg, cfg, "-o", str(tmp_path / "adir")],
+    }[where]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
 
 
 def test_ledger_report_round_trip(tmp_path, capsys):
