@@ -46,6 +46,7 @@ import argparse
 import configparser
 import csv
 import json
+import os
 import sys
 from io import StringIO
 from pathlib import Path
@@ -119,7 +120,7 @@ class ExperimentConfig:
 
 def load_config(path, overrides=()):
     """Parse an INI experiment file, applying ``section.key=value`` overrides."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -188,26 +189,28 @@ def reference_energy(cfg, op):
     return energy
 
 
-def write_file(path, data):
-    """Write the text or bytes ``data`` to ``path``, making its directory;
-    a path that cannot be written is a configuration error."""
+def check_output(path):
+    """Make the directory of the output ``path``, before any solve, and
+    refuse a path that is a directory or whose directory cannot be made or
+    written: a configuration error."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data.encode() if isinstance(data, str) else data)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
+    if path.is_dir():
+        raise CliError(f"cannot write {path}: it is a directory")
+    if not os.access(path.parent, os.W_OK | os.X_OK):
+        raise CliError(f"cannot write {path}: its directory is not writable")
 
 
-def _energy_cost_series(trace):
-    """Per-iteration (energy, cost_per_processor) pairs from either trace."""
-    if hasattr(trace, "half_sweep_energies"):
-        out = []
-        for hs, energy in enumerate(trace.half_sweep_energies, start=1):
-            micro = trace.for_half_sweep(hs)
-            out.append((energy, micro[-1].flops_cumulative))
-        return out
-    return [(r.energy, r.cost_per_processor) for r in trace.records]
+def write_file(path, data):
+    """Write the text or bytes ``data`` to ``path``, checked by
+    :func:`check_output`; a write that still fails is a configuration error."""
+    try:
+        Path(path).write_bytes(data.encode() if isinstance(data, str) else data)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def run_solver(cfg, op, ledger, reference=None):
@@ -231,11 +234,14 @@ def run_solver(cfg, op, ledger, reference=None):
 
 def run_experiment(cfg):
     """Execute one configuration; returns the summary dict."""
+    paths = {key: path for key, path in vars(cfg.output).items() if path}
+    for path in paths.values():
+        check_output(path)
     op = build_operator(cfg)
     ref = reference_energy(cfg, op)
     ledger = CostLedger()
     state, trace = run_solver(cfg, op, ledger, ref)
-    series = _energy_cost_series(trace)
+    series = trace.steps()
     final_energy = series[-1][0]
 
     summary = {
@@ -256,10 +262,8 @@ def run_experiment(cfg):
         "summary": lambda: json.dumps(summary, indent=2, sort_keys=True) + "\n",
         "state": lambda: tt_bytes(state),
     }
-    for key, data in outputs.items():
-        path = getattr(cfg.output, key)
-        if path:
-            write_file(path, data())
+    for key, path in paths.items():
+        write_file(path, outputs[key]())
     return summary
 
 
@@ -305,7 +309,7 @@ def compare_experiments(cfg_a, cfg_b):
     series = []
     for cfg in (cfg_a, cfg_b):
         _, trace = run_solver(cfg, op, CostLedger())
-        series.append(_energy_cost_series(trace))
+        series.append(trace.steps())
 
     if ref is not None:
         note = "errors relative to the dense reference"
@@ -412,6 +416,8 @@ def main(argv=None):
             print(format_summary(run_experiment(config())))
         elif args.command == "compare":
             cfg_a, cfg_b = load_config(args.config_a), load_config(args.config_b)
+            if args.output:
+                check_output(args.output)
             text, note = compare_experiments(cfg_a, cfg_b)
             if args.output:
                 write_file(args.output, text)

@@ -12,30 +12,12 @@ on a merged pair of sites and re-splits with a truncated SVD, so ranks
 can grow up to ``max_rank`` and the discarded singular value weight is
 recorded per micro-step.
 
-Two-site sweeps solve inexactly while the energy is still moving: the
-first half-sweep solves every local problem to ``eig_tol``, and each later
-one to ``max(eig_tol, EIG_FORCING * |dE| / |E|)``, where dE is the energy
-change over the previous half-sweep (for the first one, from its first
-micro-step's energy to its last).  This is the forcing term of inexact
-Newton methods (Eisenstat & Walker, SISC 1996), and :func:`forced_eig_tol`
-is the one place the rule lives: the two-level solver applies it per global
-iteration.  It is off in one-site sweeps, at full separation rank and at
-``eig_tol == 0``.  A half-sweep solved looser than
-``max(eig_tol, energy_tol)`` never counts as converged.
-
-The rule has an end-game clause: once the changes contract and the next
-one, predicted from the last two as ``dE_k**2 / dE_{k-1}``, already meets
-``energy_tol``, the next half-sweep is solved to
-``max(eig_tol, energy_tol)``, so the half-sweep that can stop the run is
-one the guard accepts.  Without it the run pays one more full-rank
-half-sweep only to confirm convergence: from rank-2 starts on a 48-site
-Heisenberg chain at rank 64 and ``energy_tol = 1e-6``, 18 of 24 starts
-took 7 half-sweeps instead of 6; the clause ends every start after 6 and
-cuts the mean flops by 31%, at energies within 2e-11 relative of the
-longer runs'.  The prediction can miss: on a 10-site Heisenberg chain at
-rank 16 the tight half-sweep changed the energy by 1.3e-8 relative against
-4.4e-9 predicted, so a further half-sweep ran anyway and the run took 19%
-more flops.
+Both solvers share one run contract, stated once in this module:
+:class:`SolverConfig` declares and checks the knobs they share, and
+:class:`Schedule` sets each step's local Lanczos tolerance (by the forcing
+term :func:`forced_eig_tol`) and decides which step ends the run.  README
+("Inexact local solves and the stop test") gives the account and the
+measurements behind the rule.
 """
 
 from __future__ import annotations
@@ -106,15 +88,95 @@ def forced_eig_tol(eig_tol, change, energy, dims, max_rank, prev_change, energy_
     return forced
 
 
-def check_solver_knobs(config, tol_names):
-    """Reject a configuration's negative tolerances and a local iteration
-    cap below one.  Zero tolerances stay legal: ``eig_tol == 0`` pins every
-    local solve to its iteration budget."""
-    for name in tol_names:
-        if not getattr(config, name) >= 0:
-            raise ValueError(f"{name} must be nonnegative")
-    if config.eig_max_iter is not None and config.eig_max_iter < 1:
-        raise ValueError("eig_max_iter must be positive")
+@dataclass(kw_only=True)
+class SolverConfig:
+    """Knobs both solvers share; :class:`SweepConfig` and
+    :class:`~ttdmrg.twolevel.TwoLevelConfig` add their own.
+
+    Parameters
+    ----------
+    mode : {"one-site", "two-site"}
+        Local update width.
+    max_rank : int
+        Bond dimension cap of the iterate.
+    eig_tol : float
+        Residual tolerance of the first step's local Lanczos solves and the
+        tightest one of later steps (see :class:`Schedule`).  Zero pins
+        every local solve to its iteration budget.
+    energy_tol : float
+        Relative energy change of one step (a half-sweep or a global
+        iteration) that ends the run.  It bounds the last change, not the
+        error: one-site two-level runs on a 16-site Heisenberg chain at
+        rank 16 and ``energy_tol = 1e-6`` stop 1.6-3.2e-6 relative above
+        the exact energy (the benchmark's 12 starts of seeds 0-2).
+    eig_max_iter : int or None
+        Iteration cap per local solve (None picks the solver default).
+    seed : int
+        Seed for the local solver's restart draws.
+    """
+
+    mode: str = "two-site"
+    max_rank: int = 16
+    eig_tol: float = 1e-8
+    energy_tol: float = 1e-8
+    eig_max_iter: int | None = None
+    seed: int = 0
+
+    def check(self, budget, *tols):
+        """Reject an unknown mode; ``max_rank`` or the iteration budget
+        named ``budget`` below one; a negative or NaN tolerance among
+        ``eig_tol``, ``energy_tol`` and the names ``tols``; and a local
+        iteration cap below one."""
+        if self.mode not in ("one-site", "two-site"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        for name in ("max_rank", budget):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
+        for name in (*tols, "eig_tol", "energy_tol"):
+            if not getattr(self, name) >= 0:  # written so that a NaN fails too
+                raise ValueError(f"{name} must be nonnegative")
+        if self.eig_max_iter is not None and self.eig_max_iter < 1:
+            raise ValueError("eig_max_iter must be positive")
+
+
+class Schedule:
+    """The local tolerance and the stop test of a run, one step (a
+    half-sweep or a global iteration) at a time.
+
+    ``eig_tol`` is the coming step's local Lanczos tolerance: the
+    configured ``eig_tol`` for the first step, then, with ``forcing``,
+    :func:`forced_eig_tol` of the last energy change.  A step counts as
+    converged only if it was solved to at most ``max(eig_tol, energy_tol)``,
+    because a loose step can leave the energy where it was without being
+    converged.
+    """
+
+    def __init__(self, config, dims, forcing=True):
+        self.config = config
+        self.dims = dims
+        self.forcing = forcing
+        self.eig_tol = config.eig_tol
+        self._prev_change = None
+
+    def converged(self, before, after, may_stop=True):
+        """Whether the step that moved the energy from ``before`` to
+        ``after`` ends the run; if not, set the next step's ``eig_tol``.
+        A step with ``may_stop`` false never ends the run."""
+        cfg = self.config
+        change = abs(after - before)
+        if (
+            may_stop
+            and self.eig_tol <= max(cfg.eig_tol, cfg.energy_tol)
+            and change <= cfg.energy_tol * max(abs(after), 1e-12)
+        ):
+            return True
+        if self.forcing:
+            self.eig_tol = forced_eig_tol(
+                cfg.eig_tol, change, after, self.dims, cfg.max_rank, self._prev_change,
+                cfg.energy_tol,
+            )
+        self._prev_change = change
+        return False
 
 
 def check_start(init, op):
@@ -163,53 +225,26 @@ def _csv_cell(value):
     return value
 
 
-@dataclass
-class SweepConfig:
-    """Knobs for :func:`run_dmrg`.
+@dataclass(kw_only=True)
+class SweepConfig(SolverConfig):
+    """Knobs for :func:`run_dmrg`: the shared ones of :class:`SolverConfig`
+    (``max_rank`` caps the two-site splits, and local solves loosen only in
+    two-site mode), and these.
 
     Parameters
     ----------
-    mode : {"one-site", "two-site"}
-        Local update width.
-    max_rank : int
-        Bond dimension cap applied at two-site splits.
     svd_tol : float
         Relative singular value cutoff at splits (0 keeps everything
         up to ``max_rank``).
-    eig_tol : float
-        Residual tolerance of the first half-sweep's local Lanczos solves,
-        and the tightest one of later half-sweeps, which loosen with the
-        last energy change in two-site mode until the last two changes
-        predict that the next half-sweep can converge; that one is solved
-        to ``max(eig_tol, energy_tol)`` (see the module docstring).
-    energy_tol : float
-        Relative energy change between half-sweeps that counts as
-        converged.
     max_half_sweeps : int
         Hard stop on the number of half-sweeps.
-    eig_max_iter : int or None
-        Iteration cap per local solve (None picks the solver default).
-    seed : int
-        Seed for the local solver's restart draws.
     """
 
-    mode: str = "two-site"
-    max_rank: int = 16
     svd_tol: float = 0.0
-    eig_tol: float = 1e-8
-    energy_tol: float = 1e-8
     max_half_sweeps: int = 40
-    eig_max_iter: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("one-site", "two-site"):
-            raise ValueError(f"unknown sweep mode {self.mode!r}")
-        if self.max_rank < 1:
-            raise ValueError("max_rank must be positive")
-        if self.max_half_sweeps < 1:
-            raise ValueError("max_half_sweeps must be positive")
-        check_solver_knobs(self, ("svd_tol", "eig_tol", "energy_tol"))
+        self.check("max_half_sweeps", "svd_tol")
 
 
 @dataclass
@@ -245,6 +280,12 @@ class SweepTrace:
 
     def for_half_sweep(self, half_sweep):
         return [m for m in self.micro if m.half_sweep == half_sweep]
+
+    def steps(self):
+        """Per half-sweep ``(energy, cost)``: the energy it ended on and the
+        ledger's cumulative flops after it."""
+        last = {m.half_sweep: m.flops_cumulative for m in self.micro}
+        return [(e, last[hs]) for hs, e in enumerate(self.half_sweep_energies, start=1)]
 
     def to_csv(self):
         return records_csv(MicroRecord, self.micro)
@@ -360,10 +401,7 @@ def run_dmrg(init, op, config=None, ledger=None):
     def flops():
         return ledger.total_flops() if ledger is not None else 0.0
 
-    energy = None
-    prev_change = None  # the previous half-sweep's change
-    eig_tol = config.eig_tol  # local tolerance of the coming half-sweep
-    tight = max(config.eig_tol, config.energy_tol)  # loosest one that may converge
+    schedule = Schedule(config, op.dims, forcing=k == 2)
     for hs in range(1, config.max_half_sweeps + 1):
         going_right = hs % 2 == 1
         last_energy = None
@@ -375,7 +413,7 @@ def run_dmrg(init, op, config=None, ledger=None):
         for i in sites:
             local = local_matvec(left_envs[i], op.cores[i : i + k], right_envs[i + k], ledger)
             update, res = _solve(
-                local, _merge_cores(cores[i : i + k]), eig_tol, config.eig_max_iter,
+                local, _merge_cores(cores[i : i + k]), schedule.eig_tol, config.eig_max_iter,
                 config.seed, ledger,
             )
             if k == 1:
@@ -409,30 +447,17 @@ def run_dmrg(init, op, config=None, ledger=None):
                     flops_cumulative=flops(),
                     lanczos_converged=bool(res.converged),
                     lanczos_residual=float(res.residual_norm),
-                    local_eig_tol=eig_tol,
+                    local_eig_tol=schedule.eig_tol,
                 )
             )
 
         warn_unconverged(f"half-sweep {hs}", unconverged, len(sites))
         trace.half_sweep_energies.append(float(last_energy))
-        # the first half-sweep's change is measured from its first micro-step
-        before = trace.micro[-len(sites)].energy if energy is None else energy
-        change = abs(last_energy - before)
-        # a stall under loose local solves is not convergence
-        if (
-            energy is not None
-            and eig_tol <= tight
-            and change <= config.energy_tol * max(abs(last_energy), 1e-12)
-        ):
+        # the first half-sweep's change runs from its first micro-step; it cannot stop the run
+        before = trace.half_sweep_energies[-2] if hs > 1 else trace.micro[-len(sites)].energy
+        if schedule.converged(before, last_energy, may_stop=hs > 1):
             trace.converged = True
             break
-        energy = last_energy
-        if k == 2:
-            eig_tol = forced_eig_tol(
-                config.eig_tol, change, energy, op.dims, config.max_rank,
-                prev_change, config.energy_tol,
-            )
-        prev_change = change
 
     center = d - 1 if len(trace.half_sweep_energies) % 2 == 1 else 0
     return TensorTrain(cores, center=center), trace

@@ -12,23 +12,10 @@ Each global iteration runs four steps:
    run.  The operator environments the tasks read are built once per
    iteration over the family's shared cores (one left sweep and one
    right sweep, tagged ``env:left`` and ``env:right``) instead of from
-   scratch in every task.  The solves are inexact: the first iteration
-   solves to ``eig_tol``, and each later one to
-   ``max(eig_tol, dmrg.EIG_FORCING * |E_prev - E_prev2| / |E_prev|)``, the
-   forcing term of inexact Newton methods applied to the last energy
-   change (the energy before the first iteration is the start's Rayleigh
-   quotient), by the rule :func:`ttdmrg.dmrg.forced_eig_tol` that
-   classical two-site sweeps share.  Runs whose ``max_rank`` reaches
-   every bond's full separation rank, and runs at ``eig_tol == 0``, solve
-   every iteration to ``eig_tol``: step 4 then loses nothing, exact solves
-   converge in a few iterations, and loose ones only add iterations.  An
-   iteration solved looser than ``max(eig_tol, energy_tol)`` never counts
-   as converged.  The rule's end-game clause solves an iteration to that
-   tolerance when the last two changes contract and predict
-   (``dE_k**2 / dE_{k-1}``) a next change within ``energy_tol``; it can
-   only matter when the contraction ratio falls below ``EIG_FORCING``,
-   so on the benchmark's linearly converging two-level runs it changes no
-   tolerance, flop count or energy;
+   scratch in every task.  The solves are inexact: their tolerance and
+   the stop test come from :class:`ttdmrg.dmrg.Schedule` (README,
+   "Inexact local solves and the stop test"), as in classical sweeps,
+   with the start's Rayleigh quotient as the energy before iteration 1;
 3. form the coarse problem over the span of the previous iterate plus
    all locally updated members, and minimize the Rayleigh quotient in
    that span (a whitened dense eigenproblem of size at most d+1, with
@@ -69,11 +56,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dmrg import (
+    Schedule,
+    SolverConfig,
     _merge_cores,
     _solve,
-    check_solver_knobs,
     check_start,
-    forced_eig_tol,
     records_csv,
     split_and_shift,
     warn_unconverged,
@@ -107,20 +94,17 @@ from .tt import (  # noqa: F401
 )
 
 
-@dataclass
-class TwoLevelConfig:
-    """Knobs for :func:`run_two_level`.
+@dataclass(kw_only=True)
+class TwoLevelConfig(SolverConfig):
+    """Knobs for :func:`run_two_level`: the shared ones of
+    :class:`~ttdmrg.dmrg.SolverConfig`, and these.
 
     ``max_rank`` caps the compressed iterate; two-site local solves are
     also split at this rank before entering the coarse space.
+    ``max_iters`` caps the global iterations.  ``coarse_eps`` is the
+    relative cut of the coarse span, and ``structured_coarse`` selects the
+    Krylov coarse solve (see the module docstring, step 3).
     ``round_tol`` is the relative cut of the step-4 rounding in both modes.
-    ``eig_tol`` is the local Lanczos tolerance of the first iteration and
-    the tightest one of later iterations, which loosen with the last
-    energy change unless the last two changes predict that the next
-    iteration can converge (see the module docstring, step 2).  Convergence is
-    only declared on an iteration solved to at most
-    ``max(eig_tol, energy_tol)``, so a stall caused by loose solves is not
-    taken for convergence.
     ``workers`` is accepted and validated for existing configurations
     but changes neither the results nor the wall time: the independent
     tasks run in the calling thread, since they hold the interpreter lock
@@ -129,30 +113,18 @@ class TwoLevelConfig:
     ``cost_per_processor``).
     """
 
-    mode: str = "two-site"
-    max_rank: int = 16
-    eig_tol: float = 1e-8
-    energy_tol: float = 1e-8
     max_iters: int = 200
-    eig_max_iter: int | None = None
     coarse_eps: float = 1e-10
     structured_coarse: bool = False
     round_tol: float = 0.0
     workers: int = 1
-    seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("one-site", "two-site"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.max_rank < 1:
-            raise ValueError("max_rank must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        self.check("max_iters", "round_tol")
         if self.workers < 1:
             raise ValueError("workers must be positive")
         if not 0 < self.coarse_eps < 1:
             raise ValueError("coarse_eps must be in (0, 1)")
-        check_solver_knobs(self, ("round_tol", "eig_tol", "energy_tol"))
 
 
 @dataclass
@@ -226,6 +198,11 @@ class TwoLevelTrace:
 
     def energies(self):
         return [r.energy for r in self.records]
+
+    def steps(self):
+        """Per iteration ``(energy, cost)``: its energy and the ledger's
+        cumulative cost per processor after it."""
+        return [(r.energy, r.cost_per_processor) for r in self.records]
 
     def to_csv(self):
         return records_csv(IterationRecord, self.records)
@@ -630,9 +607,7 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
     trace = TwoLevelTrace()
     energy = rayleigh_quotient(state, op, ledger)
     prev_coeffs = None
-    prev_change = None  # the previous iteration's change
-    eig_tol = config.eig_tol  # local tolerance of the coming iteration
-    tight = max(config.eig_tol, config.energy_tol)  # loosest one that may converge
+    schedule = Schedule(config, op.dims)
 
     def flops_snapshot():
         if ledger is None:
@@ -643,7 +618,7 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
         family = orthogonal_family(state, ledger)
         envs = shared_envs(family, op, ledger)
         updates, results = local_solves(
-            family, op, config.mode, eig_tol=eig_tol,
+            family, op, config.mode, eig_tol=schedule.eig_tol,
             eig_max_iter=config.eig_max_iter, max_rank=config.max_rank,
             seed=config.seed, ledger=ledger, envs=envs,
         )
@@ -718,21 +693,12 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
                 cost_per_processor=cpp,
                 lanczos_unconverged=unconverged,
                 lanczos_max_residual=max(r.residual_norm for r in results),
-                local_eig_tol=eig_tol,
+                local_eig_tol=schedule.eig_tol,
             )
         )
 
-        denom = max(abs(energy), 1e-12)
-        change = abs(energy - prev_energy)
-        # a stall under loose local solves is not convergence
-        if not collapsed and eig_tol <= tight and change <= config.energy_tol * denom:
+        if schedule.converged(prev_energy, energy, may_stop=not collapsed):
             trace.converged = True
             break
-        # forcing term: solve no more accurately than the last energy change warrants
-        eig_tol = forced_eig_tol(
-            config.eig_tol, change, energy, op.dims, config.max_rank,
-            prev_change, config.energy_tol,
-        )
-        prev_change = change
 
     return state, trace

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ttdmrg import cli
 from ttdmrg.cli import CliError, load_config, main
 from ttdmrg.io import load_tt
 from ttdmrg.models import dense_ground_state, ising_chain
@@ -280,3 +281,31 @@ reference = none
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_percent_sign_in_a_path_is_taken_literally(tmp_path):
+    body = BASE + f"\n[output]\nsummary = {tmp_path}/a%b.json\n"
+    cfg = write_config(tmp_path, "pct.ini", body)
+    assert main(["run", cfg, "--set", f"output.ledger={tmp_path}/x%y.json"]) == 0
+    assert json.loads((tmp_path / "a%b.json").read_text())["algorithm"] == "dmrg2"
+    assert "per_class_flops" in json.loads((tmp_path / "x%y.json").read_text())
+
+
+def solver_ran(*args):
+    raise AssertionError("the solver ran")
+
+
+@pytest.mark.parametrize(
+    "where", ["trace-is-a-directory", "summary-under-a-file", "compare-output"]
+)
+def test_bad_output_path_ends_the_run_before_the_solve(tmp_path, capsys, monkeypatch, where):
+    monkeypatch.setattr(cli, "run_solver", solver_ran)
+    test_unwritable_output_is_a_config_error(tmp_path, capsys, where)
+
+
+def test_output_directories_are_made_before_the_solve(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_solver", solver_ran)
+    cfg = write_config(tmp_path, "d.ini", with_outputs(tmp_path, "new/deep")[0])
+    with pytest.raises(AssertionError, match="the solver ran"):
+        main(["run", cfg])
+    assert (tmp_path / "new" / "deep").is_dir()

@@ -441,3 +441,76 @@ def test_end_game_clause_saves_the_confirming_half_sweep(monkeypatch):
     _, exact = run_dmrg(init, op, cfg)
     energy, exact_energy = trace.half_sweep_energies[-1], exact.half_sweep_energies[-1]
     assert abs(energy - exact_energy) <= 1e-10 * abs(exact_energy)
+
+
+@pytest.mark.parametrize(
+    "config_type, budget, own_tol",
+    [(SweepConfig, "max_half_sweeps", "svd_tol"),
+     (twolevel.TwoLevelConfig, "max_iters", "round_tol")],
+    ids=["sweep", "two-level"],
+)
+def test_configs_reject_each_bad_shared_knob(config_type, budget, own_tol):
+    nan = float("nan")
+    bad = [("mode", "three-site", "unknown mode"), ("max_rank", 0, "max_rank"),
+           (budget, 0, budget), ("eig_max_iter", 0, "eig_max_iter")]
+    bad += [(tol, value, tol) for tol in ("eig_tol", "energy_tol", own_tol)
+            for value in (-1e-8, nan)]
+    for name, value, message in bad:
+        with pytest.raises(ValueError, match=message):
+            config_type(**{name: value})
+    config_type(eig_tol=0.0, energy_tol=0.0, eig_max_iter=1, **{budget: 1, own_tol: 0.0})
+    with pytest.raises(TypeError):
+        config_type("one-site")  # keyword-only
+
+
+# eight sites of local dimension 2 at max_rank 2: below full separation rank
+SCHEDULE_DIMS = (2,) * 8
+
+
+def test_schedule_step_that_may_not_stop_still_advances_the_tolerance():
+    cfg = SweepConfig(max_rank=2, eig_tol=1e-8, energy_tol=1e-6)
+    assert dmrg.Schedule(cfg, SCHEDULE_DIMS).converged(-1.0, -1.0)
+    schedule = dmrg.Schedule(cfg, SCHEDULE_DIMS)
+    assert not schedule.converged(-1.0, -1.0, may_stop=False)
+    assert not schedule.converged(-1.0, -1.5, may_stop=False)
+    want = dmrg.forced_eig_tol(1e-8, 0.5, -1.5, SCHEDULE_DIMS, 2, 0.0, 1e-6)
+    assert schedule.eig_tol == want == pytest.approx(0.1 * 0.5 / 1.5)
+
+
+def test_schedule_without_forcing_keeps_eig_tol():
+    cfg = SweepConfig(max_rank=2, eig_tol=1e-8, energy_tol=1e-6)
+    schedule = dmrg.Schedule(cfg, SCHEDULE_DIMS, forcing=False)
+    for before, after in ((-1.0, -1.5), (-1.5, -1.6), (-1.6, -1.61)):
+        assert not schedule.converged(before, after)
+        assert schedule.eig_tol == 1e-8
+    assert schedule.converged(-1.61, -1.61)
+
+
+def test_schedule_refuses_a_step_solved_looser_than_the_guard():
+    cfg = SweepConfig(max_rank=2, eig_tol=1e-8, energy_tol=1e-6)
+    schedule = dmrg.Schedule(cfg, SCHEDULE_DIMS)
+    assert not schedule.converged(-1.0, -1.5)
+    assert schedule.eig_tol > max(cfg.eig_tol, cfg.energy_tol)
+    # the energy stalls under the loose step: not convergence, and the
+    # stall tightens the next step, which may stop the run
+    assert not schedule.converged(-1.5, -1.5)
+    assert schedule.eig_tol <= max(cfg.eig_tol, cfg.energy_tol)
+    assert schedule.converged(-1.5, -1.5)
+
+
+@pytest.mark.parametrize("solver", ["sweep", "two-level"])
+def test_trace_steps_pair_each_energy_with_its_cumulative_cost(solver):
+    op = ising_chain(6)
+    init = random_tt(op.dims, 2, seed=0)
+    ledger = CostLedger()
+    if solver == "sweep":
+        _, trace = run_dmrg(init, op, SweepConfig(max_rank=4), ledger)
+        energies, cost = trace.half_sweep_energies, ledger.total_flops()
+    else:
+        config = twolevel.TwoLevelConfig(max_rank=4)
+        _, trace = twolevel.run_two_level(init, op, config, ledger)
+        energies, cost = trace.energies(), ledger.cost_per_processor()
+    steps = trace.steps()
+    assert [energy for energy, _ in steps] == energies
+    costs = [c for _, c in steps]
+    assert costs == sorted(costs) and costs[-1] == cost

@@ -62,6 +62,14 @@ CASES = {
     "a2dmrg2-workers3-ising-d8": (
         ising_chain(8), TwoLevelConfig(mode="two-site", max_rank=6, max_iters=3, workers=3)
     ),
+    # the cases above all stop at max_iters; these two end on the stop test,
+    # after 9 iterations (7 solved loose) and 38 iterations
+    "a2dmrg2-converged-ising-d8": (
+        ising_chain(8), TwoLevelConfig(mode="two-site", max_rank=6)
+    ),
+    "a2dmrg1-converged-heis-d8": (
+        heisenberg_chain(8), TwoLevelConfig(mode="one-site", max_rank=6)
+    ),
 }
 
 
