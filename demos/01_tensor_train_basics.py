@@ -9,7 +9,6 @@ import numpy as np
 
 from ttdmrg import (
     TensorTrain,
-    contract_full,
     inner,
     load_tt,
     orthogonalize,
@@ -26,10 +25,10 @@ x = random_tt(dims, 4, seed=7)
 print("random train        dims", x.dims, "ranks", x.ranks)
 
 # Gauge moves are exact: the represented tensor never changes.
-dense = contract_full(x)
+dense = x.to_dense()
 for center in (0, x.d - 1, 2):
     moved = orthogonalize(x, center)
-    err = np.linalg.norm(contract_full(moved) - dense) / np.linalg.norm(dense)
+    err = np.linalg.norm(moved.to_dense() - dense) / np.linalg.norm(dense)
     print(f"center -> {center}:  ranks {moved.ranks}  gauge error {err:.2e}")
 
 # Addition doubles ranks; rounding brings them back down when the sum
@@ -37,7 +36,7 @@ for center in (0, x.d - 1, 2):
 s = tt_add(x, x)
 print("x + x               ranks", s.ranks)
 rounded = round_tt(s, tol=1e-12)
-err = np.linalg.norm(contract_full(rounded) - 2 * dense) / np.linalg.norm(2 * dense)
+err = np.linalg.norm(rounded.to_dense() - 2 * dense) / np.linalg.norm(2 * dense)
 print("rounded             ranks", rounded.ranks, f" error {err:.2e}")
 
 # Separation ranks of the dense tensor match the minimal TT ranks.
@@ -46,7 +45,7 @@ print("separation ranks   ", separation_ranks(dense))
 # Inner products contract pairs of trains without going dense.
 y = tt_scale(random_tt(dims, 3, seed=8), 0.5)
 lhs = inner(x, y)
-rhs = float(np.vdot(contract_full(x), contract_full(y)))
+rhs = float(np.vdot(x.to_dense(), y.to_dense()))
 print(f"inner vs dense      {lhs:.10f} vs {rhs:.10f}")
 
 # Trains round-trip through a small binary container.
@@ -61,4 +60,4 @@ print("disk round trip     exact:", all(
 first = x.cores[0]
 print("first core shape   ", first.shape, "(rank, dim, rank)")
 custom = TensorTrain([np.ones((1, 2, 1)) for _ in range(4)])
-print("constant train      entry sum", contract_full(custom).sum())
+print("constant train      entry sum", custom.to_dense().sum())

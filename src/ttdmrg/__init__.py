@@ -19,7 +19,6 @@ from .mpo import (
 from .sums import OneSiteSumFamily, TwoSiteChain, fit_chain, pad_ranks
 from .tt import (
     TensorTrain,
-    contract_full,
     inner,
     orthogonal_family,
     orthogonalize,
@@ -42,7 +41,6 @@ __all__ = [
     "TwoLevelConfig",
     "TwoLevelTrace",
     "TwoSiteChain",
-    "contract_full",
     "dense_ground_state",
     "dense_lowest_eig",
     "dense_sym_svd",

@@ -18,7 +18,7 @@ and its default is listed once, in :data:`SCHEMA`::
     max_rank = 16
     init_rank = 2
     eig_tol = 1e-6          ; dmrg2, a2dmrg: step 1's, later ones may be looser
-    svd_tol = 0.0
+    svd_tol = 0.0           ; relative cut of the dmrg2 splits and a2dmrg rounding
     energy_tol = 1e-6
     coarse_eps = 1e-10      ; a2dmrg only
     max_iters = 200         ; half-sweeps (dmrg) or global iterations
@@ -31,6 +31,17 @@ and its default is listed once, in :data:`SCHEMA`::
     ledger = runs/ledger.json
     summary = runs/summary.json
     state = runs/state.tt
+
+Loading a file builds the run it describes: the operator, the seeded
+random start and the solver config of ``algorithm``.  So every value is
+range-checked once, by the library code that takes it, and a value it
+rejects is a configuration error (exit status 2) that carries the
+library's message.  The CLI itself checks only the choices that pick
+code: ``kind``, ``algorithm`` and ``reference``.  Every ``[run]`` key is
+checked whatever the algorithm.  ``eig_tol = 0`` (every local solve runs
+to its iteration budget) and ``energy_tol = 0`` (run to ``max_iters``)
+are accepted.  ``[model]`` keys that the chosen kind does not read are
+parsed, so they must have the right type, but not range-checked.
 
 Subcommands: ``run`` executes one experiment, ``compare`` runs two
 configurations over the same model and emits aligned error/cost columns,
@@ -89,8 +100,10 @@ class CliError(Exception):
 
 class ExperimentConfig:
     """A checked experiment: one namespace per :data:`SCHEMA` section, such
-    as ``cfg.run.max_rank`` or ``cfg.output.trace``; missing keys take
-    their defaults."""
+    as ``cfg.run.max_rank`` or ``cfg.output.trace`` (missing keys take
+    their defaults), and the run they describe, built by the library:
+    the operator ``cfg.op``, the seeded start ``cfg.init`` and the solver
+    config ``cfg.solver``."""
 
     def __init__(self, **sections):
         for name, defaults in SCHEMA.items():
@@ -100,22 +113,14 @@ class ExperimentConfig:
             raise CliError(f"unknown model kind {model.kind!r}; pick one of {MODEL_KINDS}")
         if run.algorithm not in ALGORITHMS:
             raise CliError(f"unknown algorithm {run.algorithm!r}; pick one of {ALGORITHMS}")
-        if model.sites < 2:
-            raise CliError("model needs at least two sites")
-        if min(run.max_rank, run.init_rank, model.rank) < 1:
-            raise CliError("ranks must be positive")
-        # written so that a NaN fails too
-        for key in ("eig_tol", "energy_tol"):
-            if not getattr(run, key) > 0:
-                raise CliError(f"{key} must be positive")
-        if not run.svd_tol >= 0:
-            raise CliError("svd_tol must be nonnegative")
-        if not 0 < run.coarse_eps < 1:
-            raise CliError("coarse_eps must be in (0, 1)")
-        if run.max_iters < 1:
-            raise CliError("max_iters must be positive")
         if run.reference not in ("dense", "none"):
             raise CliError("reference must be 'dense' or 'none'")
+        try:
+            self.op = build_operator(model)
+            self.init = random_tt(self.op.dims, run.init_rank, seed=run.seed)
+            self.solver = solver_config(run)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
 
 
 def load_config(path, overrides=()):
@@ -159,13 +164,30 @@ def load_config(path, overrides=()):
     return ExperimentConfig(**sections)
 
 
-def build_operator(cfg):
-    model = cfg.model
+def build_operator(model):
+    """The operator of the ``[model]`` section ``model``."""
     if model.kind == "ising":
         return ising_chain(model.sites, coupling=model.coupling, field=model.field)
     if model.kind == "heisenberg":
         return heisenberg_chain(model.sites, coupling=model.coupling)
     return random_symmetric_mpo(model.sites, n=model.local_dim, rank=model.rank, seed=model.seed)
+
+
+def solver_config(run):
+    """The solver config of the ``[run]`` section ``run``.  Both configs
+    are built, so every key is checked whatever the algorithm, and the
+    two-level one first, so that a message names ``max_iters``."""
+    shared = dict(
+        mode="one-site" if run.algorithm.endswith("1") else "two-site",
+        max_rank=run.max_rank, eig_tol=run.eig_tol, energy_tol=run.energy_tol,
+        svd_tol=run.svd_tol, seed=run.seed,
+    )
+    two = TwoLevelConfig(
+        **shared, max_iters=run.max_iters, coarse_eps=run.coarse_eps,
+        structured_coarse=run.structured_coarse,
+    )
+    sweep = SweepConfig(**shared, max_half_sweeps=run.max_iters)
+    return sweep if run.algorithm.startswith("dmrg") else two
 
 
 def checked_dense_cap():
@@ -176,13 +198,13 @@ def checked_dense_cap():
         raise CliError(str(exc)) from exc
 
 
-def reference_energy(cfg, op):
+def reference_energy(cfg):
     """Dense oracle energy, or None when disabled or over the cap."""
     if cfg.run.reference == "none":
         return None
     checked_dense_cap()
     try:
-        energy, _ = dense_ground_state(op)
+        energy, _ = dense_ground_state(cfg.op)
     except ValueError as exc:
         print(f"note: no dense reference ({exc})", file=sys.stderr)
         return None
@@ -213,23 +235,12 @@ def write_file(path, data):
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
-def run_solver(cfg, op, ledger, reference=None):
-    """Run ``cfg.run.algorithm`` on ``op`` from the seeded random start;
-    returns ``(state, trace)``."""
-    run = cfg.run
-    init = random_tt(op.dims, run.init_rank, seed=run.seed)
-    shared = dict(
-        mode="one-site" if run.algorithm.endswith("1") else "two-site",
-        max_rank=run.max_rank, eig_tol=run.eig_tol, energy_tol=run.energy_tol, seed=run.seed,
-    )
-    if run.algorithm.startswith("dmrg"):
-        sweep = SweepConfig(**shared, svd_tol=run.svd_tol, max_half_sweeps=run.max_iters)
-        return run_dmrg(init, op, sweep, ledger)
-    two = TwoLevelConfig(
-        **shared, round_tol=run.svd_tol, max_iters=run.max_iters, coarse_eps=run.coarse_eps,
-        structured_coarse=run.structured_coarse,
-    )
-    return run_two_level(init, op, two, ledger, reference_energy=reference)
+def run_solver(cfg, ledger, reference=None):
+    """Run ``cfg.solver`` on ``cfg.op`` from ``cfg.init``; returns
+    ``(state, trace)``."""
+    if isinstance(cfg.solver, SweepConfig):
+        return run_dmrg(cfg.init, cfg.op, cfg.solver, ledger)
+    return run_two_level(cfg.init, cfg.op, cfg.solver, ledger, reference_energy=reference)
 
 
 def run_experiment(cfg):
@@ -237,10 +248,9 @@ def run_experiment(cfg):
     paths = {key: path for key, path in vars(cfg.output).items() if path}
     for path in paths.values():
         check_output(path)
-    op = build_operator(cfg)
-    ref = reference_energy(cfg, op)
+    ref = reference_energy(cfg)
     ledger = CostLedger()
-    state, trace = run_solver(cfg, op, ledger, ref)
+    state, trace = run_solver(cfg, ledger, ref)
     series = trace.steps()
     final_energy = series[-1][0]
 
@@ -296,7 +306,7 @@ def compare_experiments(cfg_a, cfg_b):
     relative to the dense reference when available, otherwise to the
     best energy either run achieved (noted in the returned note).
     """
-    op, op_b = build_operator(cfg_a), build_operator(cfg_b)
+    op, op_b = cfg_a.op, cfg_b.op
     if len(op.cores) != len(op_b.cores) or not all(
         np.array_equal(a, b) for a, b in zip(op.cores, op_b.cores)
     ):
@@ -304,11 +314,11 @@ def compare_experiments(cfg_a, cfg_b):
             f"configs describe different models: {cfg_a.model.kind} d={cfg_a.model.sites} "
             f"vs {cfg_b.model.kind} d={cfg_b.model.sites}"
         )
-    ref = reference_energy(cfg_a, op)
+    ref = reference_energy(cfg_a)
 
     series = []
     for cfg in (cfg_a, cfg_b):
-        _, trace = run_solver(cfg, op, CostLedger())
+        _, trace = run_solver(cfg, CostLedger())
         series.append(trace.steps())
 
     if ref is not None:
@@ -335,10 +345,9 @@ def compare_experiments(cfg_a, cfg_b):
 
 
 def oracle_report(cfg):
-    op = build_operator(cfg)
     cap = checked_dense_cap()
     try:
-        energy, psi = dense_ground_state(op)
+        energy, psi = dense_ground_state(cfg.op)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     ranks = separation_ranks(psi)
@@ -359,19 +368,10 @@ def ledger_report_text(path):
         raise CliError(f"cannot read ledger {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"ledger {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise CliError(f"ledger {path} is not a JSON object")
-    for key in ("sequential_flops", "per_worker_flops", "per_class_flops"):
-        if key not in data:
-            raise CliError(f"ledger {path} is missing {key!r}")
-    led = CostLedger()
     try:
-        led.sequential_flops = float(data["sequential_flops"])
-        led.per_worker_flops = {k: float(v) for k, v in data["per_worker_flops"].items()}
-        led.per_class_flops = {k: float(v) for k, v in data["per_class_flops"].items()}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise CliError(f"ledger {path} has a malformed entry: {exc}") from exc
-    return led.format_report()
+        return CostLedger.from_report(data).format_report()
+    except ValueError as exc:
+        raise CliError(f"ledger {path}: {exc}") from exc
 
 
 def main(argv=None):

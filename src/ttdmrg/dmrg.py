@@ -109,6 +109,11 @@ class SolverConfig:
         error: one-site two-level runs on a 16-site Heisenberg chain at
         rank 16 and ``energy_tol = 1e-6`` stop 1.6-3.2e-6 relative above
         the exact energy (the benchmark's 12 starts of seeds 0-2).
+    svd_tol : float
+        Relative singular value cut of every truncation: the two-site
+        splits of :func:`run_dmrg` and the step-4 rounding of
+        :func:`~ttdmrg.twolevel.run_two_level` (0 keeps everything up to
+        ``max_rank``).
     eig_max_iter : int or None
         Iteration cap per local solve (None picks the solver default).
     seed : int
@@ -119,20 +124,21 @@ class SolverConfig:
     max_rank: int = 16
     eig_tol: float = 1e-8
     energy_tol: float = 1e-8
+    svd_tol: float = 0.0
     eig_max_iter: int | None = None
     seed: int = 0
 
-    def check(self, budget, *tols):
+    def check(self, budget):
         """Reject an unknown mode; ``max_rank`` or the iteration budget
-        named ``budget`` below one; a negative or NaN tolerance among
-        ``eig_tol``, ``energy_tol`` and the names ``tols``; and a local
-        iteration cap below one."""
+        named ``budget`` below one; a negative or NaN ``svd_tol``,
+        ``eig_tol`` or ``energy_tol``; and a local iteration cap below
+        one."""
         if self.mode not in ("one-site", "two-site"):
             raise ValueError(f"unknown mode {self.mode!r}")
         for name in ("max_rank", budget):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        for name in (*tols, "eig_tol", "energy_tol"):
+        for name in ("svd_tol", "eig_tol", "energy_tol"):
             if not getattr(self, name) >= 0:  # written so that a NaN fails too
                 raise ValueError(f"{name} must be nonnegative")
         if self.eig_max_iter is not None and self.eig_max_iter < 1:
@@ -233,18 +239,14 @@ class SweepConfig(SolverConfig):
 
     Parameters
     ----------
-    svd_tol : float
-        Relative singular value cutoff at splits (0 keeps everything
-        up to ``max_rank``).
     max_half_sweeps : int
         Hard stop on the number of half-sweeps.
     """
 
-    svd_tol: float = 0.0
     max_half_sweeps: int = 40
 
     def __post_init__(self):
-        self.check("max_half_sweeps", "svd_tol")
+        self.check("max_half_sweeps")
 
 
 @dataclass

@@ -36,10 +36,6 @@ OP_CLASSES = (
 )
 
 
-def matmul_flops(m, k, n):
-    return 2.0 * m * k * n
-
-
 def tensordot_flops(a_shape, b_shape, contracted):
     """Flops of a pairwise tensor contraction.
 
@@ -178,6 +174,23 @@ class CostLedger:
             "cost_per_processor": cpp,
             "speedup_vs_single_processor": total / cpp if cpp > 0 else 1.0,
         }
+
+    @classmethod
+    def from_report(cls, data):
+        """The ledger whose :meth:`report` is ``data`` (as JSON reads it
+        back); ``ValueError`` on a missing key or a wrong shape."""
+        if not isinstance(data, dict):
+            raise ValueError("report is not a JSON object")
+        led = cls()
+        try:
+            led.sequential_flops = float(data["sequential_flops"])
+            led.per_worker_flops = {k: float(v) for k, v in data["per_worker_flops"].items()}
+            led.per_class_flops = {k: float(v) for k, v in data["per_class_flops"].items()}
+        except KeyError as exc:
+            raise ValueError(f"report is missing {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"report has a malformed entry: {exc}") from exc
+        return led
 
     def report_json(self):
         return json.dumps(self.report(), indent=2, sort_keys=True)

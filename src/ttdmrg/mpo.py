@@ -74,10 +74,6 @@ class MatrixProductOperator:
         return f"MatrixProductOperator(dims={self.dims}, ranks={self.ranks})"
 
 
-def mpo_to_dense(op, cap=None):
-    return op.to_dense(cap=cap)
-
-
 def mpo_transpose(op):
     return MatrixProductOperator([c.swapaxes(1, 2) for c in op.cores])
 

@@ -160,10 +160,6 @@ class TensorTrain:
         return f"TensorTrain(dims={self.dims}, ranks={self.ranks}, center={self.center})"
 
 
-def contract_full(tt, cap=None):
-    return tt.to_dense(cap=cap)
-
-
 def clip_ranks(dims, ranks):
     """Clip requested bond dimensions to what the cuts can support.
 
@@ -196,8 +192,11 @@ def clip_ranks(dims, ranks):
 def random_tt(dims, ranks, seed=0):
     """Tensor train with i.i.d. standard normal core entries.
 
-    Bond dimensions are clipped with :func:`clip_ranks`.
+    Bond dimensions are clipped with :func:`clip_ranks`; a requested rank
+    below one is an error, not clipped up.
     """
+    if any(r < 1 for r in np.atleast_1d(ranks)):
+        raise ValueError(f"ranks must be positive, got {ranks}")
     dims = tuple(int(n) for n in dims)
     rank = clip_ranks(dims, ranks)
     rng = np.random.default_rng(seed)

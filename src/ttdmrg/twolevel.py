@@ -104,7 +104,8 @@ class TwoLevelConfig(SolverConfig):
     ``max_iters`` caps the global iterations.  ``coarse_eps`` is the
     relative cut of the coarse span, and ``structured_coarse`` selects the
     Krylov coarse solve (see the module docstring, step 3).
-    ``round_tol`` is the relative cut of the step-4 rounding in both modes.
+    The shared ``svd_tol`` is the relative cut of the step-4 rounding in
+    both modes.
     ``workers`` is accepted and validated for existing configurations
     but changes neither the results nor the wall time: the independent
     tasks run in the calling thread, since they hold the interpreter lock
@@ -116,11 +117,10 @@ class TwoLevelConfig(SolverConfig):
     max_iters: int = 200
     coarse_eps: float = 1e-10
     structured_coarse: bool = False
-    round_tol: float = 0.0
     workers: int = 1
 
     def __post_init__(self):
-        self.check("max_iters", "round_tol")
+        self.check("max_iters")
         if self.workers < 1:
             raise ValueError("workers must be positive")
         if not 0 < self.coarse_eps < 1:
@@ -661,7 +661,7 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
             )
 
         compress = compress_one_site if config.mode == "one-site" else compress_two_site
-        state = compress(family, updates, sol.coeffs, config.max_rank, config.round_tol, ledger)
+        state = compress(family, updates, sol.coeffs, config.max_rank, config.svd_tol, ledger)
         norm = state.norm()
         if norm == 0.0:
             raise ValueError("compressed iterate vanished; coarse span degenerate")

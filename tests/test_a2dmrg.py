@@ -940,10 +940,10 @@ def test_bad_inputs_rejected():
         dict(coarse_eps=1.5),
         dict(eig_tol=-1e-8),
         dict(energy_tol=-1.0),
-        dict(round_tol=-0.1),
+        dict(svd_tol=-0.1),
         dict(eig_max_iter=0),
     ):
         with pytest.raises(ValueError):
             TwoLevelConfig(**bad)
     # zero tolerances stay legal: eig_tol = 0 pins every solve to its budget
-    TwoLevelConfig(eig_tol=0.0, energy_tol=0.0, round_tol=0.0, eig_max_iter=1)
+    TwoLevelConfig(eig_tol=0.0, energy_tol=0.0, svd_tol=0.0, eig_max_iter=1)

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from ttdmrg import cli
-from ttdmrg.cli import CliError, load_config, main
-from ttdmrg.io import load_tt
-from ttdmrg.models import dense_ground_state, ising_chain
-from ttdmrg.tt import separation_ranks
+from ttdmrg.cli import SCHEMA, CliError, load_config, main
+from ttdmrg.dmrg import SweepConfig, run_dmrg
+from ttdmrg.io import load_tt, tt_bytes
+from ttdmrg.ledger import CostLedger
+from ttdmrg.models import dense_ground_state, ising_chain, random_symmetric_mpo
+from ttdmrg.tt import random_tt, separation_ranks
+from ttdmrg.twolevel import TwoLevelConfig, run_two_level
 
 BASE = """\
 [model]
@@ -111,7 +114,7 @@ def test_missing_config_file(tmp_path, capsys):
 
 def test_load_config_validates_values(tmp_path):
     cfg = write_config(tmp_path, "v.ini", BASE.replace("eig_tol = 1e-8", "eig_tol = -1"))
-    with pytest.raises(CliError, match="positive"):
+    with pytest.raises(CliError, match="eig_tol"):
         load_config(cfg)
 
 
@@ -309,3 +312,98 @@ def test_output_directories_are_made_before_the_solve(tmp_path, monkeypatch):
     with pytest.raises(AssertionError, match="the solver ran"):
         main(["run", cfg])
     assert (tmp_path / "new" / "deep").is_dir()
+
+
+# eig_tol = 0 runs every local solve to its budget, so none converges
+@pytest.mark.filterwarnings("ignore:.*did not converge:RuntimeWarning")
+@pytest.mark.parametrize("algorithm", ["dmrg2", "a2dmrg1"])
+@pytest.mark.parametrize("key", ["eig_tol", "energy_tol"])
+def test_zero_tolerance_runs_as_the_library_does(tmp_path, capsys, key, algorithm):
+    body, out = with_outputs(tmp_path, "zero")
+    cfg = write_config(tmp_path, "z.ini", body)
+    argv = ["run", cfg, "--algorithm", algorithm, "--set", f"run.{key}=0"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+    # the same run, straight through the library
+    tols = {"eig_tol": 1e-8, "energy_tol": 1e-8, key: 0.0}
+    op = ising_chain(6)
+    init = random_tt(op.dims, 2, seed=0)
+    ledger = CostLedger()
+    if algorithm == "dmrg2":
+        config = SweepConfig(mode="two-site", max_rank=8, max_half_sweeps=20, seed=0, **tols)
+        state, trace = run_dmrg(init, op, config, ledger)
+    else:
+        config = TwoLevelConfig(mode="one-site", max_rank=8, max_iters=20, seed=0, **tols)
+        e_ref, _ = dense_ground_state(op)
+        state, trace = run_two_level(init, op, config, ledger, reference_energy=e_ref)
+    assert (out / "trace.csv").read_text() == trace.to_csv()
+    assert (out / "ledger.json").read_text() == ledger.report_json() + "\n"
+    assert (out / "state.tt").read_bytes() == tt_bytes(state)
+
+
+# a value other than the default and a2dmrg2 for every [run] key
+NON_DEFAULT_RUN = {
+    "algorithm": "a2dmrg1", "max_rank": 5, "init_rank": 3, "eig_tol": 1e-7, "svd_tol": 1e-9,
+    "energy_tol": 1e-5, "coarse_eps": 1e-8, "max_iters": 7, "seed": 4,
+    "structured_coarse": True, "reference": "none",
+}
+
+
+def test_every_run_key_reaches_the_run(tmp_path):
+    assert set(NON_DEFAULT_RUN) == set(SCHEMA["run"])
+    cfg = write_config(tmp_path, "keys.ini", "[model]\nsites = 5\n[run]\nalgorithm = a2dmrg2\n")
+    base = load_config(cfg)
+    assert base.solver == TwoLevelConfig(mode="two-site", max_rank=16, eig_tol=1e-6,
+                                         energy_tol=1e-6, max_iters=200)
+    for key, value in NON_DEFAULT_RUN.items():
+        assert value != SCHEMA["run"][key]
+        changed = load_config(cfg, [f"run.{key}={value}"])
+        same_init = changed.init.ranks == base.init.ranks and all(
+            np.array_equal(a, b) for a, b in zip(changed.init.cores, base.init.cores)
+        )
+        assert (changed.solver != base.solver or not same_init
+                or changed.run.reference != base.run.reference), key
+
+
+RANDOM = ["model.kind=random"]
+# overrides of BASE, and the library call that rejects the same value
+LIBRARY_REJECTS = [
+    (["run.max_rank=0"], lambda: TwoLevelConfig(max_rank=0)),
+    (["run.init_rank=0"], lambda: random_tt((2,) * 6, 0)),
+    (["run.eig_tol=-1"], lambda: TwoLevelConfig(eig_tol=-1.0)),
+    (["run.energy_tol=nan"], lambda: TwoLevelConfig(energy_tol=float("nan"))),
+    (["run.svd_tol=-1e-3"], lambda: SweepConfig(svd_tol=-1e-3)),
+    # dmrg2 does not read coarse_eps, yet it is checked
+    (["run.coarse_eps=1"], lambda: TwoLevelConfig(coarse_eps=1.0)),
+    (["run.max_iters=0"], lambda: TwoLevelConfig(max_iters=0)),
+    (["run.seed=-1"], lambda: random_tt((2,) * 6, 2, seed=-1)),
+    (["model.sites=1"], lambda: ising_chain(1)),
+    (RANDOM + ["model.local_dim=0"], lambda: random_symmetric_mpo(6, n=0)),
+    (RANDOM + ["model.local_dim=-1"], lambda: random_symmetric_mpo(6, n=-1)),
+    (RANDOM + ["model.rank=0"], lambda: random_symmetric_mpo(6, rank=0)),
+    (RANDOM + ["model.sites=1"], lambda: random_symmetric_mpo(1)),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, make", LIBRARY_REJECTS, ids=[",".join(o) for o, _ in LIBRARY_REJECTS]
+)
+def test_library_rejection_is_a_config_error(tmp_path, capsys, overrides, make):
+    with pytest.raises(ValueError) as exc:
+        make()
+    body, out = with_outputs(tmp_path, "out")
+    cfg = write_config(tmp_path, "bad.ini", body)
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    for command in ("run", "oracle"):
+        assert main([command, cfg, *sets]) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+    assert not out.exists()
+
+
+def test_model_keys_the_kind_does_not_read_are_not_range_checked(tmp_path):
+    cfg = write_config(tmp_path, "m.ini", BASE)
+    loaded = load_config(cfg, ["model.rank=0", "model.local_dim=-1", "model.seed=-5"])
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.op.cores, ising_chain(6).cores))
+    with pytest.raises(CliError, match="model.rank"):
+        load_config(cfg, ["model.rank=two"])

@@ -16,7 +16,7 @@ from ttdmrg.dmrg import (
 )
 from ttdmrg.ledger import CostLedger
 from ttdmrg.models import dense_ground_state, heisenberg_chain, ising_chain, random_symmetric_mpo
-from ttdmrg.mpo import MatrixProductOperator, mpo_to_dense, rayleigh_quotient
+from ttdmrg.mpo import MatrixProductOperator, rayleigh_quotient
 from ttdmrg.tt import TensorTrain, orthogonalize, random_tt
 
 
@@ -61,7 +61,7 @@ def test_micro_step_1site_matches_dense(site):
 
     core, res = micro_step(state, op, 1, tol=1e-12)
     p = oracles.site_projector(state.cores, site)
-    a = p.T @ mpo_to_dense(op) @ p
+    a = p.T @ op.to_dense() @ p
     w, v = np.linalg.eigh(a)
     assert res.converged
     assert np.isclose(res.eigenvalue, w[0], atol=1e-9)
@@ -77,7 +77,7 @@ def test_micro_step_2site_matches_dense(site):
 
     block, res = micro_step(state, op, 2, tol=1e-12)
     p = oracles.block_projector(state.cores, site)
-    a = p.T @ mpo_to_dense(op) @ p
+    a = p.T @ op.to_dense() @ p
     w, v = np.linalg.eigh(a)
     assert np.isclose(res.eigenvalue, w[0], atol=1e-9)
     assert block.shape == (
@@ -444,21 +444,20 @@ def test_end_game_clause_saves_the_confirming_half_sweep(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "config_type, budget, own_tol",
-    [(SweepConfig, "max_half_sweeps", "svd_tol"),
-     (twolevel.TwoLevelConfig, "max_iters", "round_tol")],
+    "config_type, budget",
+    [(SweepConfig, "max_half_sweeps"), (twolevel.TwoLevelConfig, "max_iters")],
     ids=["sweep", "two-level"],
 )
-def test_configs_reject_each_bad_shared_knob(config_type, budget, own_tol):
+def test_configs_reject_each_bad_shared_knob(config_type, budget):
     nan = float("nan")
     bad = [("mode", "three-site", "unknown mode"), ("max_rank", 0, "max_rank"),
            (budget, 0, budget), ("eig_max_iter", 0, "eig_max_iter")]
-    bad += [(tol, value, tol) for tol in ("eig_tol", "energy_tol", own_tol)
+    bad += [(tol, value, tol) for tol in ("eig_tol", "energy_tol", "svd_tol")
             for value in (-1e-8, nan)]
     for name, value, message in bad:
         with pytest.raises(ValueError, match=message):
             config_type(**{name: value})
-    config_type(eig_tol=0.0, energy_tol=0.0, eig_max_iter=1, **{budget: 1, own_tol: 0.0})
+    config_type(eig_tol=0.0, energy_tol=0.0, svd_tol=0.0, eig_max_iter=1, **{budget: 1})
     with pytest.raises(TypeError):
         config_type("one-site")  # keyword-only
 

@@ -12,7 +12,6 @@ from ttdmrg.ledger import (
     CostLedger,
     contract,
     eigh_flops,
-    matmul_flops,
     qr_flops,
     svd_flops,
     tensordot_flops,
@@ -23,7 +22,7 @@ from ttdmrg.twolevel import TwoLevelConfig, run_two_level
 
 
 def test_flop_formulas():
-    assert matmul_flops(3, 4, 5) == 2 * 3 * 4 * 5
+    assert tensordot_flops((3, 4), (4, 5), 4) == 2 * 3 * 4 * 5
     # (2,3,4) contracted with (4,5) over the size-4 axis is a 6x4 @ 4x5 product
     assert tensordot_flops((2, 3, 4), (4, 5), 4) == 2 * 6 * 4 * 5
     assert qr_flops(10, 4) == 4 * 10 * 16
@@ -77,6 +76,36 @@ def test_report_roundtrips_as_json():
     assert r["speedup_vs_single_processor"] == 1.0
     assert "inner" in r["per_class_flops"]
     assert "flop ledger" in led.format_report()
+
+
+def test_from_report_reads_back_what_report_writes():
+    led = CostLedger()
+    led.charge("inner", 1.5)
+    led.charge("matvec", 2.0, worker="a")
+    led.charge("svd", 7.0, worker="b")
+    back = CostLedger.from_report(json.loads(led.report_json()))
+    assert back.report() == led.report()
+    assert back.format_report() == led.format_report()
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (3, "not a JSON object"),
+        ([], "not a JSON object"),
+        ({"per_worker_flops": {}, "per_class_flops": {}}, "missing 'sequential_flops'"),
+        ({"sequential_flops": 1.0, "per_class_flops": {}}, "missing 'per_worker_flops'"),
+        ({"sequential_flops": 1.0, "per_worker_flops": {}}, "missing 'per_class_flops'"),
+        ({"sequential_flops": "x", "per_worker_flops": {}, "per_class_flops": {}}, "malformed"),
+        ({"sequential_flops": None, "per_worker_flops": {}, "per_class_flops": {}}, "malformed"),
+        ({"sequential_flops": 1.0, "per_worker_flops": [], "per_class_flops": {}}, "malformed"),
+        ({"sequential_flops": 1.0, "per_worker_flops": {}, "per_class_flops": {"a": "b"}},
+         "malformed"),
+    ],
+)
+def test_from_report_rejects_missing_keys_and_wrong_shapes(data, message):
+    with pytest.raises(ValueError, match=message):
+        CostLedger.from_report(data)
 
 
 def test_totals_do_not_depend_on_worker_assignment():

@@ -67,3 +67,20 @@ def test_small_chain_rejected():
         models.ising_chain(1)
     with pytest.raises(ValueError):
         models.heisenberg_chain(1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [(dict(d=1), "two sites"), (dict(d=0), "two sites"),
+     (dict(n=0), "local dimension"), (dict(n=-1), "local dimension"),
+     (dict(rank=0), "rank"), (dict(rank=-2), "rank")],
+    ids=["d1", "d0", "n0", "n-1", "rank0", "rank-2"],
+)
+def test_random_symmetric_mpo_rejects_bad_sizes(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        models.random_symmetric_mpo(**{"d": 4, **kwargs})
+
+
+def test_random_symmetric_mpo_smallest_sizes():
+    op = models.random_symmetric_mpo(2, n=1, rank=1, seed=0)
+    assert op.dims == (1, 1) and op.ranks == (1, 2, 1)

@@ -156,13 +156,20 @@ def test_random_tt_is_seeded_and_clipped():
     assert c.ranks == (1, 1, 2, 1, 1)
 
 
+@pytest.mark.parametrize("ranks", [0, -3, (2, 0, 2), (1, -1, 1)])
+def test_random_tt_rejects_ranks_below_one(ranks):
+    # clip_ranks would raise them to one; a request below one is an error
+    with pytest.raises(ValueError, match="ranks must be positive"):
+        random_tt((2, 2, 2, 2), ranks, seed=0)
+
+
 def test_dense_cap_enforced(monkeypatch):
     x = random_tt((2,) * 21, 1, seed=18)
     with pytest.raises(ValueError):
         x.to_dense()
     assert x.to_dense(cap=2**21).shape == (2,) * 21
     monkeypatch.setenv(tt.DENSE_CAP_ENV, str(2**21))
-    assert tt.contract_full(x).shape == (2,) * 21
+    assert x.to_dense().shape == (2,) * 21
     monkeypatch.setenv(tt.DENSE_CAP_ENV, "2e21")
     with pytest.raises(ValueError, match=tt.DENSE_CAP_ENV):
         tt.dense_cap()
