@@ -44,9 +44,10 @@ are accepted.  ``[model]`` keys that the chosen kind does not read are
 parsed, so they must have the right type, but not range-checked.
 
 Subcommands: ``run`` executes one experiment, ``compare`` runs two
-configurations over the same model and emits aligned error/cost columns,
-``oracle`` prints the dense reference energy and the ground state's
-separation ranks, ``ledger-report`` formats a saved flop report.  All
+configurations over the same model and the same ``reference`` and emits
+aligned error/cost columns, ``oracle`` prints the dense reference energy
+and the ground state's separation ranks, ``ledger-report`` formats a saved
+flop report.  All
 emitted files depend only on the configuration and seeds, never on wall
 time, so repeated runs are byte-identical.
 """
@@ -304,7 +305,9 @@ def compare_experiments(cfg_a, cfg_b):
     Rows align per iteration index (half-sweeps or global iterations);
     the shorter run repeats its final error and cost.  Errors are
     relative to the dense reference when available, otherwise to the
-    best energy either run achieved (noted in the returned note).
+    best energy either run achieved (noted in the returned note).  Both
+    configs must name the same ``run.reference``, so that the columns do
+    not depend on the argument order.
     """
     op, op_b = cfg_a.op, cfg_b.op
     if len(op.cores) != len(op_b.cores) or not all(
@@ -313,6 +316,11 @@ def compare_experiments(cfg_a, cfg_b):
         raise CliError(
             f"configs describe different models: {cfg_a.model.kind} d={cfg_a.model.sites} "
             f"vs {cfg_b.model.kind} d={cfg_b.model.sites}"
+        )
+    if cfg_a.run.reference != cfg_b.run.reference:
+        raise CliError(
+            f"configs ask for different references: {cfg_a.run.reference!r} vs "
+            f"{cfg_b.run.reference!r}"
         )
     ref = reference_energy(cfg_a)
 

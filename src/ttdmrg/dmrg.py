@@ -207,6 +207,15 @@ def warn_unconverged(step, unconverged, solves):
         )
 
 
+def warn_exhausted(budget, steps):
+    """Warn, on behalf of the solver's caller, that the run spent its whole
+    step budget, the config field ``budget`` set to ``steps``, and returns
+    with ``converged=False``."""
+    warnings.warn(
+        f"run stopped at {budget} = {steps} without converging", RuntimeWarning, stacklevel=3
+    )
+
+
 def records_csv(record_type, records):
     """CSV text of a trace: a header row of the fields of the dataclass
     ``record_type`` in declaration order, then one row per record.  Floats
@@ -461,5 +470,7 @@ def run_dmrg(init, op, config=None, ledger=None):
             trace.converged = True
             break
 
+    if not trace.converged:
+        warn_exhausted("max_half_sweeps", config.max_half_sweeps)
     center = d - 1 if len(trace.half_sweep_energies) % 2 == 1 else 0
     return TensorTrain(cores, center=center), trace

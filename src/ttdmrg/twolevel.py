@@ -2,7 +2,9 @@
 
 Each global iteration runs four steps:
 
-1. build the orthogonal family of the current iterate (sequential);
+1. take the orthogonal family of the current iterate and its shared
+   environments, built once when the iterate was formed (sequential, see
+   below);
 2. solve one local eigenproblem per site (one-site) or per neighboring
    pair (two-site).  The solves are independent, so the method can run
    them in parallel; here they run one after another in the calling
@@ -10,7 +12,7 @@ Each global iteration runs four steps:
    under its own worker tag (``solve:i``), so ``flops_max_worker`` and
    ``cost_per_processor`` give the cost of an ideal one-processor-per-task
    run.  The operator environments the tasks read are built once per
-   iteration over the family's shared cores (one left sweep and one
+   iterate over the family's shared cores (one left sweep and one
    right sweep, tagged ``env:left`` and ``env:right``) instead of from
    scratch in every task.  The solves are inexact: their tolerance and
    the stop test come from :class:`ttdmrg.dmrg.Schedule` (README,
@@ -42,14 +44,23 @@ Each global iteration runs four steps:
 
 The iterate is kept left-orthogonal and at unit norm between iterations,
 and the energy is the Rayleigh quotient of the compressed state, so the
-recorded energy sequence reflects what the method actually keeps.
+recorded energy sequence reflects what the method actually keeps.  It is
+read off the family and environments the next iteration needs anyway
+(:func:`family_energy`: one local matvec at site 0), which are built right
+after the iterate is normalized: those of the start before iteration 1,
+those of iterate k at the end of iteration k, before its record.  A run
+thus builds one family and one environment pair more than it runs
+iterations, and no full-train Rayleigh quotient.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-# ThreadPoolExecutor is not used here; bench/tracer.py rebinds it by name, so it stays bound.
+
+# ThreadPoolExecutor, left_env, right_env, inner and fit_chain are not called
+# here; bench/tracer.py rebinds them by name in this module's namespace, so
+# they stay bound.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 
@@ -63,19 +74,17 @@ from .dmrg import (
     check_start,
     records_csv,
     split_and_shift,
+    warn_exhausted,
     warn_unconverged,
 )
 from .eigen import dense_lowest_eig, dense_sym_svd, lanczos_lowest
 from .ledger import CostLedger, charge, tensordot_flops
-
-# left_env, right_env, inner and fit_chain are not called here; bench/tracer.py
-# wraps them by name in this module's namespace, so they stay bound.
 from .mpo import (  # noqa: F401
+    apply_local,
     boundary_env,
     left_env,
     local_matvec,
     mpo_inner,
-    rayleigh_quotient,
     right_env,
     update_left_env,
     update_right_env,
@@ -168,7 +177,9 @@ class IterationRecord:
     ``fit_residual``, the exact compression error; ``flops_seq``,
     ``flops_max_worker`` and ``cost_per_processor``, the ledger's
     cumulative sequential, largest per-task and critical-path flops (0
-    without a ledger); ``lanczos_unconverged`` and ``lanczos_max_residual``,
+    without a ledger), which include the new iterate's family and
+    environments, built to read ``energy`` and reused by the next
+    iteration; ``lanczos_unconverged`` and ``lanczos_max_residual``,
     the local solves that missed ``local_eig_tol`` and their largest
     residual estimate; ``local_eig_tol``, the local solves' tolerance.
     """
@@ -280,6 +291,22 @@ def shared_envs(family, op, ledger=None):
         right[s] = _extend_right(right[s + 1], core, op.cores[s], core, led, "env_build")
     _merge(ledger, led, "env:right")
     return SharedEnvs(left, right)
+
+
+def family_energy(family, envs, op, ledger=None):
+    """Rayleigh quotient of the family's iterate, read off site 0.
+
+    ``<C_0, H C_0> / <C_0, C_0>`` for the center ``C_0`` of
+    ``family.config(0)``, with the projected operator closed by the shared
+    right environment ``envs.right[1]``.  ``family.right`` is
+    right-orthonormal, so this is :func:`~ttdmrg.mpo.rayleigh_quotient` of
+    the iterate up to roundoff, for one local matvec instead of a sweep
+    over the train.  Charged as sequential ``"inner"``.
+    """
+    c0 = family.centers[0]
+    hc = apply_local(envs.left[0][1], op.cores[:1], envs.right[1][1], c0, ledger, "inner")
+    charge(ledger, "inner", 4.0 * c0.size)
+    return float(np.vdot(c0, hc)) / float(np.vdot(c0, c0))
 
 
 def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=None,
@@ -602,10 +629,17 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
         config = TwoLevelConfig()
     check_start(init, op)
 
+    def read(state):
+        # the iterate's family and environments, built once: they give its
+        # energy here and the next iteration's local solves and coarse rows
+        family = orthogonal_family(state, ledger)
+        envs = shared_envs(family, op, ledger)
+        return family, envs, family_energy(family, envs, op, ledger)
+
     state = orthogonalize(init, init.d - 1, ledger)
     state = tt_scale(state, 1.0 / state.norm())
     trace = TwoLevelTrace()
-    energy = rayleigh_quotient(state, op, ledger)
+    family, envs, energy = read(state)
     prev_coeffs = None
     schedule = Schedule(config, op.dims)
 
@@ -615,8 +649,6 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
         return ledger.sequential_flops, ledger.max_worker_flops(), ledger.cost_per_processor()
 
     for it in range(1, config.max_iters + 1):
-        family = orthogonal_family(state, ledger)
-        envs = shared_envs(family, op, ledger)
         updates, results = local_solves(
             family, op, config.mode, eig_tol=schedule.eig_tol,
             eig_max_iter=config.eig_max_iter, max_rank=config.max_rank,
@@ -671,7 +703,7 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
         state = tt_scale(state, 1.0 / norm)
 
         prev_energy = energy
-        energy = rayleigh_quotient(state, op, ledger)
+        family, envs, energy = read(state)
         seq, maxw, cpp = flops_snapshot()
         trace.records.append(
             IterationRecord(
@@ -701,4 +733,6 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
             trace.converged = True
             break
 
+    if not trace.converged:
+        warn_exhausted("max_iters", config.max_iters)
     return state, trace

@@ -721,11 +721,12 @@ def test_unconverged_local_solves_warn_once_per_iteration(mode):
     with pytest.warns(RuntimeWarning) as caught:
         _, trace = run_two_level(random_tt(op.dims, 2, seed=11), op, cfg)
     tasks = d if mode == "one-site" else d - 1
+    assert not trace.converged
     assert [str(w.message) for w in caught] == [
         f"iteration {r.global_iter}: {r.lanczos_unconverged} of {tasks} local Lanczos "
         "solves did not converge"
         for r in trace.records
-    ]
+    ] + ["run stopped at max_iters = 3 without converging"]
     assert all(1 <= r.lanczos_unconverged <= tasks for r in trace.records)
     assert all(r.lanczos_max_residual > 0.0 for r in trace.records)
 
@@ -772,7 +773,7 @@ def test_collapsed_coarse_span_warns_every_iteration(mode, monkeypatch):
     assert [str(w.message) for w in caught] == [
         f"iteration {it}: coarse span collapsed to p = 1 of {members} members"
         for it in collapsed
-    ]
+    ] + ["run stopped at max_iters = 10 without converging"]
 
 
 @pytest.mark.parametrize("mode", ["one-site", "two-site"])
@@ -792,12 +793,137 @@ def test_stalled_energy_on_collapsed_span_is_not_convergence(mode, monkeypatch):
     monkeypatch.setattr(ttdmrg.twolevel, "assemble_coarse", iterate_only)
     op = ising_chain(6)
     cfg = TwoLevelConfig(mode=mode, max_rank=4, max_iters=3)
-    with pytest.warns(RuntimeWarning, match="coarse span collapsed") as caught:
+    with pytest.warns(RuntimeWarning) as caught:
         _, trace = run_two_level(random_tt(op.dims, 2, seed=11), op, cfg)
     energies = trace.energies()
     assert all(abs(e - energies[0]) <= 1e-10 for e in energies)
     assert len(trace.records) == 3 and not trace.converged
-    assert len(caught) == 3
+    members = 7 if mode == "one-site" else 6
+    assert [str(w.message) for w in caught] == [
+        f"iteration {it}: coarse span collapsed to p = 1 of {members} members"
+        for it in (1, 2, 3)
+    ] + ["run stopped at max_iters = 3 without converging"]
+
+
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_exhausted_iteration_budget_warns_once(mode):
+    op = heisenberg_chain(8)
+    cfg = TwoLevelConfig(mode=mode, max_rank=6, max_iters=2)
+    with pytest.warns(RuntimeWarning) as caught:
+        _, trace = run_two_level(random_tt(op.dims, 3, seed=7), op, cfg)
+    assert len(trace.records) == 2 and not trace.converged
+    assert [str(w.message) for w in caught] == ["run stopped at max_iters = 2 without converging"]
+
+
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_run_converging_on_its_last_allowed_step_stays_silent(mode):
+    op = ising_chain(6)
+    init = random_tt(op.dims, 2, seed=11)
+    _, trace = run_two_level(init, op, TwoLevelConfig(mode=mode, max_rank=8))
+    assert trace.converged
+    # the budget is exactly the iterations the run needs: converged, not exhausted
+    cfg = TwoLevelConfig(mode=mode, max_rank=8, max_iters=len(trace.records))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, again = run_two_level(init, op, cfg)
+    assert again.converged and len(again.records) == len(trace.records)
+    sweeps = SweepConfig(mode=mode, max_rank=8)
+    _, classical = run_dmrg(init, op, sweeps)
+    assert classical.converged
+    sweeps = SweepConfig(mode=mode, max_rank=8,
+                         max_half_sweeps=len(classical.half_sweep_energies))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, again = run_dmrg(init, op, sweeps)
+    assert again.converged
+
+
+def test_family_energy_is_the_rayleigh_quotient():
+    op = heisenberg_chain(9)
+    state = make_state(op.dims, 4, seed=3)
+    state = tt_scale(state, 3.0 / state.norm())  # any norm: the quotient divides by it
+    family = orthogonal_family(state)
+    envs = twolevel.shared_envs(family, op)
+    led = CostLedger()
+    energy = twolevel.family_energy(family, envs, op, led)
+    expected = rayleigh_quotient(state, op)
+    assert abs(energy - expected) <= 1e-13 * abs(expected)
+    # one site-0 matvec and two dot products, all sequential "inner" work
+    assert set(led.per_class_flops) == {"inner"} and not led.per_worker_flops
+    full = CostLedger()
+    rayleigh_quotient(state, op, full)
+    assert led.total_flops() < full.total_flops() / 10
+
+
+PREFIX_CASES = {
+    "one-site": dict(mode="one-site"),
+    "two-site": dict(mode="two-site"),
+    "structured": dict(mode="two-site", structured_coarse=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREFIX_CASES))
+def test_each_record_energy_is_its_iterate_rayleigh_quotient(case):
+    import csv
+    import io
+
+    op = heisenberg_chain(8)
+    init = random_tt(op.dims, 3, seed=7)
+    runs = {}
+    for k in (1, 2, 3, 4):
+        cfg = TwoLevelConfig(max_rank=6, max_iters=k, **PREFIX_CASES[case])
+        with pytest.warns(RuntimeWarning, match=f"max_iters = {k} without"):
+            state, trace = run_two_level(init, op, cfg, ledger=CostLedger())
+        assert len(trace.records) == k and not trace.converged
+        # run k returns x_k, whose energy its last record holds
+        expected = rayleigh_quotient(state, op)
+        assert abs(trace.records[-1].energy - expected) <= 1e-13 * abs(expected)
+        runs[k] = list(csv.reader(io.StringIO(trace.to_csv())))
+    # a shorter budget changes nothing before it ends, flops columns included:
+    # record k's snapshot already holds the family and environments of x_k
+    for k in (1, 2, 3):
+        assert runs[k] == runs[4][: k + 1]
+
+
+def test_no_full_train_rayleigh_quotient_per_iteration(monkeypatch):
+    import ttdmrg.mpo
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a full-train <x|A|x> pass ran")
+
+    op = heisenberg_chain(8)
+    init = random_tt(op.dims, 3, seed=7)
+    cfg = TwoLevelConfig(mode="two-site", max_rank=6)
+    monkeypatch.setattr(ttdmrg.mpo, "mpo_inner", no_sweep)
+    monkeypatch.setattr(twolevel, "mpo_inner", no_sweep)  # the structured path's name
+    led = CostLedger()
+    state, trace = run_two_level(init, op, cfg, ledger=led)
+    monkeypatch.undo()
+    assert trace.converged
+    # the "inner" class is one site-0 read per iterate: the start and every record
+    site0 = CostLedger()
+    family = orthogonal_family(state)
+    twolevel.family_energy(family, twolevel.shared_envs(family, op), op, site0)
+    assert led.per_class_flops["inner"] == (len(trace.records) + 1) * site0.total_flops()
+
+
+@pytest.mark.parametrize("budget", [200, 3], ids=["converged", "exhausted"])
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_last_record_snapshot_is_the_returned_ledger(mode, budget):
+    op = heisenberg_chain(8)
+    led = CostLedger()
+    cfg = TwoLevelConfig(mode=mode, max_rank=6, max_iters=budget)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, trace = run_two_level(random_tt(op.dims, 3, seed=7), op, cfg, ledger=led)
+    assert trace.converged == (budget == 200)
+    assert [str(w.message) for w in caught] == (
+        [] if trace.converged else ["run stopped at max_iters = 3 without converging"]
+    )
+    last = trace.records[-1]
+    assert last.cost_per_processor == led.cost_per_processor()
+    assert last.flops_seq == led.sequential_flops
+    assert last.flops_max_worker == led.max_worker_flops()
 
 
 @pytest.mark.parametrize("d", [5, 8])

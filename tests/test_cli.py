@@ -203,6 +203,40 @@ def test_compare_matches_models_by_operator(tmp_path, capsys):
     assert "different models" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", ["dense-first", "none-first"])
+def test_compare_refuses_differing_references(tmp_path, capsys, monkeypatch, order):
+    def solver_ran(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(cli, "run_solver", solver_ran)
+    dense = write_config(tmp_path, "rd.ini", BASE + "reference = dense\n")
+    none = write_config(tmp_path, "rn.ini", BASE + "reference = none\n")
+    pair = [dense, none] if order == "dense-first" else [none, dense]
+    out = tmp_path / "never.csv"
+    assert main(["compare", *pair, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    first, second = ("'dense'", "'none'") if order == "dense-first" else ("'none'", "'dense'")
+    assert err == f"error: configs ask for different references: {first} vs {second}\n"
+    assert not out.exists()
+
+
+def test_compare_dense_pair_reports_against_dense_reference(tmp_path, capsys):
+    cfg_a = write_config(tmp_path, "da.ini", BASE + "reference = dense\n")
+    cfg_b = write_config(
+        tmp_path, "db.ini",
+        BASE.replace("algorithm = dmrg2", "algorithm = a2dmrg1") + "reference = dense\n",
+    )
+    out = tmp_path / "dd.csv"
+    assert main(["compare", cfg_a, cfg_b, "-o", str(out)]) == 0
+    assert capsys.readouterr().out == "errors relative to the dense reference\n"
+    e_ref, _ = dense_ground_state(ising_chain(6))
+    last = out.read_text().splitlines()[-1].split(",")
+    for column, path in ((1, cfg_a), (2, cfg_b)):
+        _, trace = cli.run_solver(load_config(path), CostLedger())
+        energy = trace.steps()[-1][0]
+        assert last[column] == repr(abs(energy - e_ref) / abs(e_ref))
+
+
 @pytest.mark.parametrize(
     "where", ["trace-is-a-directory", "summary-under-a-file", "compare-output"]
 )

@@ -244,9 +244,23 @@ def test_unconverged_micro_steps_warn_once_per_half_sweep(mode):
             expected.append(
                 f"half-sweep {hs}: {bad} of {len(steps)} local Lanczos solves did not converge"
             )
-    assert expected
-    assert [str(w.message) for w in caught] == expected
+    assert expected and not trace.converged
+    assert [str(w.message) for w in caught] == expected + [
+        "run stopped at max_half_sweeps = 4 without converging"
+    ]
     assert all(m.lanczos_residual > 0.0 for m in trace.micro if not m.lanczos_converged)
+
+
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_exhausted_half_sweep_budget_warns_once(mode):
+    op = heisenberg_chain(8)
+    config = SweepConfig(mode=mode, max_rank=6, max_half_sweeps=2)
+    with pytest.warns(RuntimeWarning) as caught:
+        _, trace = run_dmrg(random_tt(op.dims, 3, seed=7), op, config)
+    assert len(trace.half_sweep_energies) == 2 and not trace.converged
+    assert [str(w.message) for w in caught] == [
+        "run stopped at max_half_sweeps = 2 without converging"
+    ]
 
 
 @pytest.mark.parametrize("mode", ["one-site", "two-site"])
