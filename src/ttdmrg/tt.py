@@ -310,7 +310,8 @@ def _rank_keep(s, max_rank, tol):
 
 
 def round_tt(tt, max_ranks=None, tol=0.0, ledger=None):
-    """Truncate bond dimensions by a sweep of singular value decompositions.
+    """Truncate bond dimensions: :func:`orthogonalize` to site 0, then
+    :func:`truncate`.
 
     At every interior cut the kept rank is
     ``min(max_rank, #{sigma_i > tol * sigma_max})``.  The result is
@@ -318,14 +319,23 @@ def round_tt(tt, max_ranks=None, tol=0.0, ledger=None):
     sqrt(d-1) quasi-optimality bound relative to the best truncation at the
     produced ranks.
     """
-    d = tt.d
+    return truncate(orthogonalize(tt, 0, ledger=ledger), max_ranks, tol, ledger)
+
+
+def truncate(x, max_ranks=None, tol=0.0, ledger=None):
+    """The singular value sweep of :func:`round_tt` on a train that is
+    already right-orthogonal (``x.center == 0``); other gauges are
+    refused, since the sweep reads each cut's singular values off the core
+    left of it only when every core right of it is right-orthonormal."""
+    d = x.d
+    if x.center != 0:
+        raise ValueError(f"truncate needs a train site-orthogonal at 0, got center {x.center}")
     if max_ranks is None or np.isscalar(max_ranks):
         caps = [max_ranks] * (d - 1)
     else:
         caps = list(max_ranks)
         if len(caps) != d - 1:
             raise ValueError(f"need {d - 1} rank caps, got {len(caps)}")
-    x = orthogonalize(tt, 0, ledger=ledger)
     cores = list(x.cores)
     for j in range(d - 1):
         r, n, r2 = cores[j].shape

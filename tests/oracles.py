@@ -18,7 +18,9 @@ written before its half-sweeps shared their environment messages, which the
 library's fit must also match bitwise; and :func:`materialize_one_site_sum`
 and :func:`two_site_sum`, the one- and two-site sum builders as they were
 written before ``ttdmrg.sums.sum_train`` replaced both, which it must match
-core by core.
+core by core; and :func:`round_sum_oracle`, step 4 as it was computed
+before it orthogonalized the sum against its done rail: the library's
+``round_tt`` of the library's ``sum_train``.
 """
 
 import numpy as np
@@ -27,8 +29,8 @@ import scipy.linalg
 from ttdmrg.eigen import LanczosResult, dense_sym_svd
 from ttdmrg.ledger import CostLedger, charge, contract, qr_flops
 from ttdmrg.mpo import mpo_inner
-from ttdmrg.sums import _einsum, _lstep, _rstep, chain_pair_inner
-from ttdmrg.tt import TensorTrain, inner, lq_fixed, orthogonalize, qr_fixed
+from ttdmrg.sums import _einsum, _lstep, _rstep, chain_pair_inner, sum_train
+from ttdmrg.tt import TensorTrain, inner, lq_fixed, orthogonalize, qr_fixed, round_tt
 from ttdmrg.twolevel import (
     CoarseProblem,
     SharedEnvs,
@@ -365,6 +367,15 @@ def two_site_sum(family, pairs, coeffs, prev_coeff=0.0):
             g[pend0, :, pend1] = family.left[j]
         cores.append(g)
     return TensorTrain(cores, center=None)
+
+
+def round_sum_oracle(family, updates, coeffs, max_rank, round_tol=0.0, ledger=None):
+    """Step 4 with the signature of ``ttdmrg.twolevel.compress_one_site``:
+    the exact :func:`~ttdmrg.sums.sum_train` of the span combination
+    (``coeffs[0]`` weighs the iterate), orthogonalized by a full LQ sweep
+    and truncated, i.e. ``round_tt(sum_train(...))``."""
+    total = sum_train(family, updates, coeffs[1:], prev_coeff=coeffs[0])
+    return round_tt(total, max_ranks=max_rank, tol=round_tol, ledger=ledger)
 
 
 def tt_entry(cores, idx):

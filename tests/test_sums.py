@@ -22,6 +22,8 @@ from ttdmrg.tt import (
     orthogonalize,
     random_tt,
     round_tt,
+    separation_ranks,
+    truncate,
     tt_add,
     tt_scale,
 )
@@ -196,6 +198,89 @@ def test_sum_train_matches_builder_oracles_bitwise(d, model, prev_zero):
     want = oracles.two_site_sum(family, pairs, coeffs, prev_coeff=prev)
     assert got.ranks == want.ranks
     assert all(np.array_equal(g, w) for g, w in zip(got.cores, want.cores))
+
+
+def sum_case(k, dims, rank, seed, kind="generic"):
+    """A family with random k-site updates (split bonds up to 3) and
+    coefficients; ``kind`` zeroes some of them."""
+    family = make_family(dims, rank, seed)
+    r, n, d = family_ranks(family), family.dims, family.d
+    rng = np.random.default_rng(seed + 60)
+    if k == 1:
+        updates = [(rng.standard_normal(c.shape),) for c in family.centers]
+    else:
+        updates = []
+        for i in range(d - 1):
+            mid = min(r[i] * n[i], n[i + 1] * r[i + 2], 3)
+            updates.append((rng.standard_normal((r[i], n[i], mid)),
+                            rng.standard_normal((mid, n[i + 1], r[i + 2]))))
+    coeffs = rng.standard_normal(len(updates))
+    prev = float(rng.standard_normal())
+    if kind in ("prev-only", "single-member"):
+        keep = coeffs[len(coeffs) // 2]
+        coeffs[:] = 0.0
+        if kind == "single-member":
+            coeffs[len(coeffs) // 2], prev = keep, 0.0
+    elif kind == "prev-zero":
+        prev = 0.0
+    return family, updates, coeffs, prev
+
+
+# d = 2 and chains whose last cuts saturate: at (2, 3, 2, 3) the last cut
+# can carry 3 > r = 2 directions, so the done rail is completed there
+SUM_CASES = [((2, 2), 2), ((2, 3, 2, 3), 2), ((2,) * 6, 4), ((3, 2, 3, 2), 3), ((2,) * 9, 3)]
+
+
+def dense_rel_err(got, want):
+    a, b = oracles.tt_dense(got.cores), oracles.tt_dense(want.cores)
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("dims,rank", SUM_CASES)
+def test_orthogonal_sum_train_is_the_sum_right_orthogonal(k, dims, rank):
+    family, updates, coeffs, prev = sum_case(k, dims, rank, seed=len(dims))
+    want = sum_train(family, updates, coeffs, prev_coeff=prev)
+    got = sums.orthogonal_sum_train(family, updates, coeffs, prev)
+    assert got.center == 0
+    assert got.ranks == orthogonalize(want, 0).ranks
+    if dims == (2, 3, 2, 3):
+        assert got.ranks[-2] == 3 > family_ranks(family)[-2]
+    assert dense_rel_err(got, want) <= 1e-13
+    for core in got.cores[1:]:
+        rows = core.reshape(core.shape[0], -1)
+        assert np.max(np.abs(rows @ rows.T - np.eye(len(rows)))) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("dims,rank", SUM_CASES)
+def test_truncating_the_orthogonal_sum_costs_less_than_round_tt(k, dims, rank):
+    family, updates, coeffs, prev = sum_case(k, dims, rank, seed=len(dims) + 1)
+    want_led, got_led = CostLedger(), CostLedger()
+    want = round_tt(sum_train(family, updates, coeffs, prev_coeff=prev), 2, ledger=want_led)
+    total = sums.orthogonal_sum_train(family, updates, coeffs, prev, ledger=got_led)
+    got = truncate(total, 2, ledger=got_led)
+    assert got.ranks == want.ranks
+    assert dense_rel_err(got, want) <= 1e-12
+    w, g = want_led.per_class_flops, got_led.per_class_flops
+    assert set(g) <= {"svd", "qr", "matmul"}
+    assert g["svd"] == w["svd"]
+    assert g.get("qr", 0.0) + g["matmul"] < w["qr"] + w["matmul"]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("kind", ["prev-only", "single-member", "prev-zero"])
+@pytest.mark.parametrize("dims,rank", SUM_CASES[:3])
+def test_orthogonal_sum_train_stays_exact_on_degenerate_coefficients(k, kind, dims, rank):
+    # zero coefficients leave rank-deficient complements; their LQ rows
+    # carry no weight, so the train is exact and truncates as round_tt does
+    family, updates, coeffs, prev = sum_case(k, dims, rank, seed=len(dims) + 2, kind=kind)
+    want = sum_train(family, updates, coeffs, prev_coeff=prev)
+    got = sums.orthogonal_sum_train(family, updates, coeffs, prev)
+    assert dense_rel_err(got, want) <= 1e-13
+    exact = max(separation_ranks(oracles.tt_dense(want.cores)))
+    for cap in {exact, max(exact - 1, 1)}:
+        assert dense_rel_err(truncate(got, cap), round_tt(want, cap)) <= 1e-12
 
 
 @pytest.mark.parametrize("dims,ranks,seed", [

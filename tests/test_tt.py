@@ -137,6 +137,15 @@ def test_round_relative_tolerance_drops_noise():
     assert np.allclose(y.to_dense(), x.to_dense(), atol=1e-10)
 
 
+def test_truncate_needs_a_right_orthogonal_train():
+    x = random_tt((2, 3, 2, 2), 3, seed=15)
+    for bad in (x, tt.orthogonalize(x, 2)):
+        with pytest.raises(ValueError, match="site-orthogonal at 0"):
+            tt.truncate(bad, max_ranks=2)
+    y = tt.truncate(tt.orthogonalize(x, 0), max_ranks=2)
+    assert y.center == x.d - 1 and max(y.ranks) <= 2
+
+
 def test_separation_ranks():
     x = random_tt((2, 2, 2, 2, 2), (2, 4, 3, 2), seed=15)
     assert tt.separation_ranks(x.to_dense()) == (2, 4, 3, 2)
