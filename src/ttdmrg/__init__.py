@@ -16,7 +16,7 @@ from .mpo import (
     mpo_transpose,
     rayleigh_quotient,
 )
-from .sums import OneSiteSumFamily, TwoSiteChain, fit_chain, pad_ranks
+from .sums import OneSiteSumFamily
 from .tt import (
     TensorTrain,
     inner,
@@ -40,11 +40,9 @@ __all__ = [
     "TensorTrain",
     "TwoLevelConfig",
     "TwoLevelTrace",
-    "TwoSiteChain",
     "dense_ground_state",
     "dense_lowest_eig",
     "dense_sym_svd",
-    "fit_chain",
     "heisenberg_chain",
     "identity_mpo",
     "inner",
@@ -58,10 +56,9 @@ __all__ = [
     "mpo_transpose",
     "orthogonal_family",
     "orthogonalize",
-    "pad_ranks",
-    "rayleigh_quotient",
     "random_symmetric_mpo",
     "random_tt",
+    "rayleigh_quotient",
     "round_tt",
     "run_dmrg",
     "run_two_level",

@@ -178,14 +178,22 @@ class CostLedger:
     @classmethod
     def from_report(cls, data):
         """The ledger whose :meth:`report` is ``data`` (as JSON reads it
-        back); ``ValueError`` on a missing key or a wrong shape."""
+        back); ``ValueError`` on a missing key, a wrong shape, or a count
+        that is negative or not finite, which no charge can produce."""
         if not isinstance(data, dict):
             raise ValueError("report is not a JSON object")
+
+        def flops(v):
+            x = float(v)
+            if not (math.isfinite(x) and x >= 0.0):
+                raise ValueError(f"{x} is not a finite nonnegative flop count")
+            return x
+
         led = cls()
         try:
-            led.sequential_flops = float(data["sequential_flops"])
-            led.per_worker_flops = {k: float(v) for k, v in data["per_worker_flops"].items()}
-            led.per_class_flops = {k: float(v) for k, v in data["per_class_flops"].items()}
+            led.sequential_flops = flops(data["sequential_flops"])
+            led.per_worker_flops = {k: flops(v) for k, v in data["per_worker_flops"].items()}
+            led.per_class_flops = {k: flops(v) for k, v in data["per_class_flops"].items()}
         except KeyError as exc:
             raise ValueError(f"report is missing {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:

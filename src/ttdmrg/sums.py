@@ -17,11 +17,9 @@ orthogonalized, against it, and the full LQ sweep that
 :func:`~ttdmrg.tt.round_tt` would run over the sum's doubled or tripled
 bonds is skipped.
 
-Merged two-site blocks can instead form a chain of d-1 blocks in which
-neighboring blocks read the same physical index (:class:`TwoSiteChain`),
-contracted by message passing that keeps the shared index pending between
-steps.  :func:`fit_chain` compresses a chain to fixed ranks by alternating
-least squares.  Neither is on the iteration's path.
+:class:`TwoSiteChain` validates a family's merged two-site blocks and
+builds each bare member's train (:meth:`TwoSiteChain.member_train`); it
+is not on the iteration's path.
 """
 
 from __future__ import annotations
@@ -29,21 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ledger import charge, contract, qr_flops
-from .tt import TensorTrain, clip_ranks, column_signs, lq_fixed, orthogonalize, qr_fixed
-
-
-def _einsum(ledger, op_class, subscripts, *ops):
-    # flop model: 2 * product of the distinct index extents
-    if ledger is not None:
-        sizes = {}
-        for part, op in zip(subscripts.split("->")[0].split(","), ops):
-            for ax, letter in enumerate(part.strip()):
-                sizes[letter] = op.shape[ax]
-        flops = 2.0
-        for extent in sizes.values():
-            flops *= extent
-        charge(ledger, op_class, flops)
-    return np.einsum(subscripts, *ops)
+from .tt import TensorTrain, column_signs, lq_fixed, qr_fixed
 
 
 def _family_ranks(family):
@@ -247,24 +231,16 @@ def _complement(right, bond, ledger):
 
 
 class TwoSiteChain:
-    """``prev_coeff * x + sum_i coeffs[i] * (x with the pair (i, i+1)
-    replaced by the merged block blocks[i])``.
+    """The members of ``x`` whose pair ``(i, i+1)`` is replaced by the
+    merged block ``blocks[i]`` of shape ``(r_i, n_i, n_{i+1}, r_{i+2})``
+    in the family's ranks ``r``."""
 
-    Stored as d-1 chain blocks ``K_l`` of shape ``(p_l, n_l, n_{l+1},
-    p_{l+1})``; the represented tensor entry is the matrix product of
-    the slices ``K_l[:, x_l, x_{l+1}, :]``, so neighboring blocks read
-    the same physical index.  Interior chain bonds are ``r_{l+1} +
-    r_l`` in the family's ranks ``r``.
-    """
-
-    def __init__(self, family, blocks, coeffs, prev_coeff=0.0):
+    def __init__(self, family, blocks):
         d = family.d
         if d < 2:
             raise ValueError("pair replacements need at least two sites")
         if len(blocks) != d - 1:
             raise ValueError("need one replacement block per neighboring pair")
-        if len(coeffs) != d - 1:
-            raise ValueError("need one coefficient per neighboring pair")
         ranks = _family_ranks(family)
         dims = family.dims
         blocks = [np.asarray(b, dtype=float) for b in blocks]
@@ -274,42 +250,10 @@ class TwoSiteChain:
                 raise ValueError(f"block {i} has shape {b.shape}, expected {want}")
         self.family = family
         self.member_blocks = tuple(blocks)
-        self.coeffs = tuple(float(c) for c in coeffs)
-        self.prev_coeff = float(prev_coeff)
-        self.dims = dims
-        self.blocks = self._assemble()
-
-    def _assemble(self):
-        fam = self.family
-        d = fam.d
-        ranks = _family_ranks(fam)
-        dims = self.dims
-        first = self.coeffs[0] * self.member_blocks[0] + self.prev_coeff * np.einsum(
-            "axb,byc->axyc", fam.centers[0], fam.right[1]
-        )
-        if d == 2:
-            return (first,)
-
-        blocks = []
-        k0 = np.zeros((1, dims[0], dims[1], ranks[2] + ranks[1]))
-        k0[:, :, :, : ranks[2]] = first
-        k0[:, :, :, ranks[2] :] = fam.left[0][:, :, None, :]
-        blocks.append(k0)
-        for l in range(1, d - 2):
-            k = np.zeros((ranks[l + 1] + ranks[l], dims[l], dims[l + 1], ranks[l + 2] + ranks[l + 1]))
-            k[: ranks[l + 1], :, :, : ranks[l + 2]] = fam.right[l + 1][:, None, :, :]
-            k[ranks[l + 1] :, :, :, : ranks[l + 2]] = self.coeffs[l] * self.member_blocks[l]
-            k[ranks[l + 1] :, :, :, ranks[l + 2] :] = fam.left[l][:, :, None, :]
-            blocks.append(k)
-        klast = np.zeros((ranks[d - 1] + ranks[d - 2], dims[d - 2], dims[d - 1], 1))
-        klast[: ranks[d - 1]] = fam.right[d - 1][:, None, :, :]
-        klast[ranks[d - 1] :] = self.coeffs[d - 2] * self.member_blocks[d - 2]
-        blocks.append(klast)
-        return tuple(blocks)
 
     def member_train(self, i, ledger=None):
-        """Exact train of the bare member ``i`` (coefficient not
-        applied), site-orthogonal at site ``i + 1``."""
+        """Exact train of member ``i``, site-orthogonal at site
+        ``i + 1``."""
         fam = self.family
         block = self.member_blocks[i]
         r0, n1, n2, r3 = block.shape
@@ -322,129 +266,3 @@ class TwoSiteChain:
             + list(fam.right[i + 2 :])
         )
         return TensorTrain(cores, center=i + 1)
-
-
-def chain_pair_inner(a, b, ledger=None, op_class="inner"):
-    """Inner product of two chains over the same local spaces."""
-    if a.dims != b.dims:
-        raise ValueError("chains live on different local spaces")
-    msg = np.ones((a.dims[0], 1, 1))  # pending x_0, bonds (a, b)
-    for ka, kb in zip(a.blocks, b.blocks):
-        t = _einsum(ledger, op_class, "xab,axyc->bxyc", msg, ka)
-        msg = _einsum(ledger, op_class, "bxyc,bxyd->ycd", t, kb)
-    return float(msg.sum(axis=0)[0, 0])
-
-
-def _lstep(msg, block, core, ledger, op_class):
-    # extend a left message (pending x_l) past site l
-    t = _einsum(ledger, op_class, "xrp,rxs->xps", msg, core)
-    return _einsum(ledger, op_class, "xps,pxuq->usq", t, block)
-
-
-def _rstep(msg, block, core, ledger, op_class):
-    # extend a right message (pending x_{l+1}, chain bond, train bond)
-    # past site l+1; the result is pending x_l in the same layout
-    t = _einsum(ledger, op_class, "syt,yqt->syq", core, msg)
-    return _einsum(ledger, op_class, "pxyq,syq->xps", block, t)
-
-
-def pad_ranks(train, max_ranks, seed=0, scale=1e-6):
-    """Grow a train's bonds toward ``max_ranks`` with small random pads.
-
-    The requested ranks are clipped to what the local spaces can
-    support.  New directions are filled with seeded noise of relative
-    size ``scale``, so the represented tensor changes only at second
-    order in ``scale``; an alternating fit started from the result can
-    still activate every padded direction.
-    """
-    d = train.d
-    want = clip_ranks(train.dims, max_ranks)
-    rng = np.random.default_rng(seed)
-    cores = [c.copy() for c in train.cores]
-    for j in range(1, d):
-        have = cores[j - 1].shape[2]
-        grow = want[j] - have
-        if grow <= 0:
-            continue
-        left = cores[j - 1]
-        right = cores[j]
-        lscale = scale * (np.linalg.norm(left) / np.sqrt(left.size) or 1.0)
-        rscale = scale * (np.linalg.norm(right) / np.sqrt(right.size) or 1.0)
-        lpad = rng.standard_normal((left.shape[0], left.shape[1], grow)) * lscale
-        rpad = rng.standard_normal((grow, right.shape[1], right.shape[2])) * rscale
-        cores[j - 1] = np.concatenate([left, lpad], axis=2)
-        cores[j] = np.concatenate([right, rpad], axis=0)
-    return TensorTrain(cores, center=None)
-
-
-def fit_chain(chain, init, max_fit_iters=20, fit_tol=1e-8, ledger=None, op_class="inner"):
-    """Best approximation of a chain by a train of fixed ranks.
-
-    Library code: the two-level iteration rounds :func:`sum_train`
-    instead, but the benchmark's tracer still binds this name there.
-
-    Alternating least squares sweeps over the sites of ``init``; ranks
-    never grow, so pick the starting ranks with :func:`pad_ranks`.
-    Stops when the residual norm moves by less than ``fit_tol`` times
-    the chain norm between half-sweeps; ``max_fit_iters`` counts
-    sweeps, one left-to-right and one right-to-left half-sweep each.
-
-    The environment messages of the chain against the train are built
-    once from the right before the first half-sweep.  After that each
-    half-sweep does one projection and one message step per site: a
-    left-to-right pass projects site ``i`` from the stored left and
-    right messages, orthonormalizes it and extends the left message
-    past it, so the right-to-left pass that follows finds every left
-    message it reads already built from the final cores (and mirrored
-    for the right messages).  The triangular factors are dropped: the
-    next site's projection overwrites the core they would multiply.
-
-    Returns
-    -------
-    train, residual : TensorTrain, float
-        The fit, site-orthogonal at the last site, and the 2-norm of
-        the approximation error.
-    """
-    d = len(chain.dims)
-    if init.dims != chain.dims:
-        raise ValueError("train and chain live on different local spaces")
-    cores = list(orthogonalize(init, 0, ledger).cores)
-    dims = chain.dims
-    blocks = chain.blocks
-
-    target_sq = chain_pair_inner(chain, chain, ledger, op_class)
-    target = float(np.sqrt(max(target_sq, 0.0)))
-    residual = None
-    rightward = False  # direction of the last half-sweep
-
-    # lmsgs[i] contracts sites < i (pending x_i), rmsgs[i] sites > i
-    lmsgs = [np.ones((dims[0], 1, 1))] + [None] * (d - 1)
-    rmsgs = [None] * (d - 1) + [np.ones((dims[d - 1], 1, 1))]
-    for l in range(d - 2, -1, -1):
-        rmsgs[l] = _rstep(rmsgs[l + 1], blocks[l], cores[l + 1], ledger, op_class)
-
-    for half in range(2 * max_fit_iters):
-        rightward = half % 2 == 0
-        for i in range(d) if rightward else range(d - 1, -1, -1):
-            b = _einsum(ledger, op_class, "xrp,xps->rxs", lmsgs[i], rmsgs[i])
-            cores[i] = b
-            r0, n, r1 = b.shape
-            if rightward and i < d - 1:
-                q, _ = qr_fixed(b.reshape(r0 * n, r1))
-                charge(ledger, "qr", qr_flops(r0 * n, r1))
-                cores[i] = q.reshape(r0, n, q.shape[1])
-                lmsgs[i + 1] = _lstep(lmsgs[i], blocks[i], cores[i], ledger, op_class)
-            elif not rightward and i > 0:
-                _, q = lq_fixed(b.reshape(r0, n * r1))
-                charge(ledger, "qr", qr_flops(n * r1, r0))
-                cores[i] = q.reshape(q.shape[0], n, r1)
-                rmsgs[i - 1] = _rstep(rmsgs[i], blocks[i - 1], cores[i], ledger, op_class)
-        fit_sq = float(np.sum(cores[d - 1 if rightward else 0] ** 2))
-        prev, residual = residual, float(np.sqrt(max(target_sq - fit_sq, 0.0)))
-        if prev is not None and abs(prev - residual) <= fit_tol * max(target, 1e-300):
-            break
-
-    result = TensorTrain(cores, center=d - 1 if rightward else 0)
-    if not rightward:
-        result = orthogonalize(result, d - 1, ledger)
-    return result, residual

@@ -63,9 +63,10 @@ from __future__ import annotations
 import math
 import warnings
 
-# ThreadPoolExecutor, left_env, right_env, inner and fit_chain are not called
-# here; bench/tracer.py rebinds them by name in this module's namespace, so
-# they stay bound.
+# Five names are bound here only because bench/tracer.py rebinds them by name
+# in this module's namespace: ThreadPoolExecutor, left_env, right_env and
+# inner are imported but never called here, and fit_chain, set to None below
+# the imports, is a placeholder that nothing calls.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 
@@ -94,7 +95,7 @@ from .mpo import (  # noqa: F401
     update_left_env,
     update_right_env,
 )
-from .sums import fit_chain, orthogonal_sum_train, sum_train  # noqa: F401
+from .sums import orthogonal_sum_train, sum_train
 from .tt import (  # noqa: F401
     TensorTrain,
     inner,
@@ -107,6 +108,8 @@ from .tt import (  # noqa: F401
     update_left_overlap,
     update_right_overlap,
 )
+
+fit_chain = None  # bound for bench/tracer.py only; see the comment above the imports
 
 
 @dataclass(kw_only=True)

@@ -147,7 +147,7 @@ def random_members(family, mode, seed):
         rng.standard_normal(family.centers[i].shape[:2] + family.right[i + 1].shape[1:])
         for i in range(family.d - 1)
     ]
-    chain = TwoSiteChain(family, updates, [1.0] * (family.d - 1))
+    chain = TwoSiteChain(family, updates)
     return [family.config(0)] + [chain.member_train(i) for i in range(family.d - 1)]
 
 

@@ -277,8 +277,9 @@ def test_ledger_report_round_trip(tmp_path, capsys):
         3,
         {"sequential_flops": "x", "per_worker_flops": {}, "per_class_flops": {}},
         {"sequential_flops": 1.0, "per_worker_flops": [], "per_class_flops": {}},
+        {"sequential_flops": -5, "per_worker_flops": {}, "per_class_flops": {}},
     ],
-    ids=["bare-number", "non-numeric-flops", "list-of-workers"],
+    ids=["bare-number", "non-numeric-flops", "list-of-workers", "negative-flops"],
 )
 def test_ledger_report_rejects_wrong_shapes(tmp_path, capsys, body):
     bad = tmp_path / "shape.json"

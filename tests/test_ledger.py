@@ -101,6 +101,11 @@ def test_from_report_reads_back_what_report_writes():
         ({"sequential_flops": 1.0, "per_worker_flops": [], "per_class_flops": {}}, "malformed"),
         ({"sequential_flops": 1.0, "per_worker_flops": {}, "per_class_flops": {"a": "b"}},
          "malformed"),
+        ({"sequential_flops": -5, "per_worker_flops": {}, "per_class_flops": {}}, "malformed"),
+        ({"sequential_flops": 1.0, "per_worker_flops": {"a": float("nan")}, "per_class_flops": {}},
+         "malformed"),
+        ({"sequential_flops": 1.0, "per_worker_flops": {}, "per_class_flops": {"x": -math.inf}},
+         "malformed"),
     ],
 )
 def test_from_report_rejects_missing_keys_and_wrong_shapes(data, message):
