@@ -112,8 +112,10 @@ class SolverConfig:
     svd_tol : float
         Relative singular value cut of every truncation: the two-site
         splits of :func:`run_dmrg` and the step-4 rounding of
-        :func:`~ttdmrg.twolevel.run_two_level` (0 keeps everything up to
-        ``max_rank``).
+        :func:`~ttdmrg.twolevel.run_two_level`.  0 keeps every nonzero
+        singular value up to ``max_rank`` in the splits; step 4 never cuts
+        below :data:`~ttdmrg.twolevel.ROUNDOFF_CUT` (64 ulp), since the
+        roundoff-level directions of a two-site sum are arbitrary.
     eig_max_iter : int or None
         Iteration cap per local solve (None picks the solver default).
     seed : int

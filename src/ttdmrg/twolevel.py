@@ -29,11 +29,15 @@ Each global iteration runs four steps:
    starts from the shared left environment at the row's window and closes
    each later column against a right environment reused across rows:
    O(d^2) flops per iteration rather than O(d^3) for pairwise inner
-   products.  Past its window a row crosses only shared cores, so the
-   rows advance there as one stack in a single left-to-right sweep of
-   batched products, O(d) calls per iteration.  Each row is still a task
-   tagged ``gram{k}``, charged exactly the contractions of its own sweep,
-   in the same per-task cost model;
+   products.  Between a row's window and a later column's both members
+   hold only shared cores, so the rows advance there rightward as one
+   stack of batched products and the columns leftward as another, and the
+   two stacks meet at one cut chosen from the window shapes: about d^2/4
+   shared-site steps instead of the d^2/2 of rows alone, in O(d) calls per
+   iteration.  Each row is still a task tagged ``gram{k}``, charged its
+   own steps and closings, and each column's leftward steps are charged
+   to its ``gram{l}`` next to its window environment, in the same
+   per-task cost model;
 4. compress the coarse minimizer back to the working ranks: the
    combination of the local solves' k-site updates is one exact train
    (two rails at k = 1, three at k = 2, the middle one over the kept split
@@ -111,6 +115,11 @@ from .tt import (  # noqa: F401
 
 fit_chain = None  # bound for bench/tracer.py only; see the comment above the imports
 
+# Step 4 never keeps a singular value at or below this fraction of the
+# largest one, whatever ``svd_tol`` says: a two-site sum has rank-deficient
+# bonds, and directions at roundoff level have arbitrary singular vectors.
+ROUNDOFF_CUT = 64 * np.finfo(float).eps
+
 
 @dataclass(kw_only=True)
 class TwoLevelConfig(SolverConfig):
@@ -123,7 +132,7 @@ class TwoLevelConfig(SolverConfig):
     relative cut of the coarse span, and ``structured_coarse`` selects the
     Krylov coarse solve (see the module docstring, step 3).
     The shared ``svd_tol`` is the relative cut of the step-4 rounding in
-    both modes.
+    both modes, never below :data:`ROUNDOFF_CUT`.
     ``workers`` is accepted and validated for existing configurations
     but changes neither the results nor the wall time: the independent
     tasks run in the calling thread, since they hold the interpreter lock
@@ -391,7 +400,8 @@ def _sweep(env, bra, op, ket, start, stop, ledger):
 
 def _shared_step_flops(bra, op_core, ket):
     """What :func:`_extend_left` charges for one site: the two overlap and
-    three operator contractions, bra first."""
+    three operator contractions, bra first.  For bra and ket of equal
+    shapes it is also what :func:`_extend_right` charges."""
     a, n, b = bra.shape
     a2, n2, _ = ket.shape
     w, _, _, w2 = op_core.shape
@@ -431,6 +441,64 @@ def _advance_stack(overlaps, opers, bra, op_core, ket):
     return overlaps, opers.reshape(k, b, w2, b)
 
 
+def _advance_right_stack(overlaps, opers, bra, op_core, ket):
+    """The mirror of :func:`_advance_stack`: extend a stack of right
+    transfers ``(K, b, b')`` and operator environments ``(K, b, w2, b')``
+    leftward by one site that every one of them crosses with the same
+    bra, operator and ket cores.
+
+    Copy-free, bra first: one broadcast ``np.matmul`` of the bra over the
+    stack, one batched ``np.matmul`` of the permuted operator core, and
+    one GEMM against the ket's transposed view.  Bra and ket must have
+    equal shapes, which makes each step cost what :func:`_extend_right`
+    costs."""
+    if bra.shape != ket.shape:
+        raise ValueError(f"stacked step needs equal bra and ket shapes, got {bra.shape} "
+                         f"and {ket.shape}")
+    k, b, w2, _ = opers.shape
+    a, n, _ = bra.shape
+    w = op_core.shape[0]
+    bmat = bra.reshape(a * n, b)
+    ketv = ket.reshape(a, n * b).T
+    x = np.matmul(bmat, overlaps)  # (K, a, n, b')
+    overlaps = x.reshape(k * a, n * b) @ ketv  # (K, a, a')
+    x = np.matmul(bmat, opers.reshape(k, b, w2 * b))  # (K, a, n, w2, b')
+    wp = op_core.transpose(0, 2, 1, 3).reshape(w * n, n * w2)
+    x = np.matmul(wp, x.reshape(k * a, n * w2, b))  # (K, a, w, n', b')
+    opers = x.reshape(k * a * w, n * b) @ ketv  # (K, a, w, a')
+    return overlaps.reshape(k, a, a), opers.reshape(k, a, w, a)
+
+
+def _stacked(pairs, stack=None):
+    """Transfer pairs ``(overlap, operator)`` stacked along a new leading
+    axis, after those already in ``stack``."""
+    return tuple(
+        np.concatenate(([] if stack is None else [stack[i]]) + [p[i][None] for p in pairs])
+        for i in (0, 1)
+    )
+
+
+def _meeting_cut(joins, starts, step):
+    """The cut ``c`` where the row and column stacks of
+    :func:`assemble_coarse` meet.  ``joins`` maps a site to the rows that
+    join the row stack there and cross the sites ``[site, c)``, ``starts``
+    a site to the columns that start there and cross ``[c, site)``, and
+    ``step[s]`` is what one crossing of site ``s`` costs.  ``c`` minimizes
+    the sum, ties going to the smallest cut: moving the cut from ``c`` to
+    ``c + 1`` adds site ``c`` to every row joined by then and takes it off
+    every column that starts past it."""
+    cut = lo = min(joins)
+    cost = best = 0.0
+    joined, past = 0, sum(len(cols) for cols in starts.values())
+    for c in range(lo, max(starts)):
+        joined += len(joins.get(c, ()))
+        past -= len(starts.get(c, ()))
+        cost += step[c] * (joined - past)
+        if cost < best:
+            best, cut = cost, c + 1
+    return cut
+
+
 def assemble_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None):
     """Step 3 assembly: overlap and reduced operator matrices over the
     member trains.
@@ -447,19 +515,24 @@ def assemble_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None)
     built once from the shared right environment and charged to
     ``gram{l}``.
 
-    Past its window a row crosses only shared cores, the same for every
-    row at a site, so all rows with such a closed column advance there
-    together: each joins a stack after its window, one left-to-right
-    sweep extends the whole stack site by site (:func:`_advance_stack`),
-    and every closed column is closed against the stack by one
-    matrix-vector product per matrix.  That is O(d) batched calls per
-    assembly for the same O(d^2) flops as a sweep per row.  Every row is
-    still charged exactly the contractions of its own sweep, under the
-    same tags, so the ledger is unchanged; only the summation order of
-    the entries differs.  Without ``family`` every window is the whole
-    train and each entry is a full contraction, which is exact for
-    arbitrary trains.  ``envs`` are the family's :func:`shared_envs`,
-    built here when not given.
+    Between the windows of such a closed pair both members hold shared
+    cores, ``family.right`` in the row and ``family.left`` in the column,
+    the same for every pair at a site.  So the rows advance there
+    rightward as one stack (:func:`_advance_stack`) and the closed columns
+    leftward as another (:func:`_advance_right_stack`), both to one cut
+    ``c`` (:func:`_meeting_cut`): a row whose window ends before ``c``
+    joins the left stack and meets every column that starts before ``c``
+    at that column's start; a column that starts at or past ``c`` joins
+    the right stack and meets every row that ends at or past ``c`` just
+    after that row's window; at ``c`` the two stacks meet in one GEMM per
+    matrix.  The shared sites are crossed about ``d^2/4`` times rather than
+    the ``d^2/2`` of rows alone, in O(d) batched calls.  Each row is
+    charged its own steps and closings under ``gram{k}``, and each closed
+    column its leftward steps under ``gram{l}``, next to its window
+    environment.  Without ``family`` every window is the whole train and
+    each entry is a full contraction, which is exact for arbitrary trains.
+    ``envs`` are the family's :func:`shared_envs`, built here when not
+    given.
     """
     m = len(members)
     d = members[0].d
@@ -472,15 +545,13 @@ def assemble_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None)
     order = sorted(range(m), key=lambda l: (win[l][0], l))
     cols = {k: order[pos:] for pos, k in enumerate(order)}
     # Row k's closed columns are all l with a_l > b_k; the last of them
-    # starts at `last`, so every row in the stack stays to the end.
+    # starts at `last`, so every row that has one has that one.
     last = max(a for a, _ in win)
     first_end = min(b for _, b in win)
     closed = [l for l in range(m) if win[l][0] > first_end]
 
-    column_envs = {}
-    closing = {}  # site -> closed columns whose window starts there
+    column_envs, column_ledgers = {}, {}
     for l in closed:
-        closing.setdefault(win[l][0], []).append(l)
         led = CostLedger()
         a, b = win[l]
         env = envs.right[b + 1]
@@ -488,13 +559,12 @@ def assemble_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None)
             env = _extend_right(
                 env, family.right[s], op.cores[s], members[l].cores[s], led, "coarse"
             )
-        column_envs[l] = env
-        _merge(ledger, led, f"gram{l}")
+        column_envs[l], column_ledgers[l] = env, led
 
     s_hat = np.zeros((m, m))
     a_hat = np.zeros((m, m))
     row_ledgers = []
-    joins = {}  # site -> rows whose transfers join the stack there
+    row_envs = {}  # rows with a closed column -> transfers just past the window
     shared_left = family.left if family is not None else None  # unread without a family
     for k in range(m):
         led = CostLedger()
@@ -512,32 +582,62 @@ def assemble_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None)
             s_hat[k, l] = s_hat[l, k] = s_kl
             a_hat[k, l] = a_hat[l, k] = a_kl
         if b < last:
-            env = _sweep(env, bra, op, shared_left, site, b + 1, led)
-            joins.setdefault(b + 1, []).append((k, env))
+            row_envs[k] = _sweep(env, bra, op, shared_left, site, b + 1, led)
         row_ledgers.append(led)
 
-    # The stack's rows and transfers; each row is charged what it costs at
-    # every site it crosses (integers below 2**53, so every sum is exact).
-    rows, overlaps, opers = np.zeros(0, dtype=int), None, None
-    for s in range(min(joins, default=last + 1), last + 1):
-        if s in joins:
-            rows = np.append(rows, [k for k, _ in joins[s]])
-            new_o = [env[0][None] for _, env in joins[s]]
-            new_a = [env[1][None] for _, env in joins[s]]
-            overlaps = np.concatenate(new_o if overlaps is None else [overlaps, *new_o])
-            opers = np.concatenate(new_a if opers is None else [opers, *new_a])
-        flops = 0.0
-        for l in closing.get(s, ()):
-            col_o, col_a = column_envs[l]
-            s_hat[rows, l] = s_hat[l, rows] = overlaps.reshape(len(rows), -1) @ col_o.ravel()
-            a_hat[rows, l] = a_hat[l, rows] = opers.reshape(len(rows), -1) @ col_a.ravel()
-            flops += 2.0 * (overlaps[0].size + opers[0].size)
-        if s < last:
-            cores = family.right[s], op.cores[s], family.left[s]
-            overlaps, opers = _advance_stack(overlaps, opers, *cores)
-            flops += _shared_step_flops(*cores)
+    def meet(rows, cols, left, right):
+        # every row's transfers against every column's, one GEMM per matrix
+        # (a single row or column may come unstacked); each row is charged
+        # its closings (integers below 2**53, so every sum is exact)
+        r, c = np.array(rows), np.array(cols)
+        for out, x, y in ((s_hat, left[0], right[0]), (a_hat, left[1], right[1])):
+            block = x.reshape(len(rows), -1) @ y.reshape(len(cols), -1).T
+            out[r[:, None], c] = block
+            out[c[:, None], r] = block.T
+        flops = 2.0 * len(cols) * ((left[0].size + left[1].size) // len(rows))
         for k in rows:
             row_ledgers[k].charge("coarse", flops)
+
+    if closed:
+        joins, starts = {}, {}  # site -> rows joining there, closed columns starting there
+        for k in row_envs:
+            joins.setdefault(win[k][1] + 1, []).append(k)
+        for l in closed:
+            starts.setdefault(win[l][0], []).append(l)
+        step = {s: _shared_step_flops(family.right[s], op.cores[s], family.left[s])
+                for s in range(first_end + 1, last)}
+        cut = _meeting_cut(joins, starts, step)
+
+        rows, left = [], None
+        for s in range(first_end + 1, cut + 1):
+            if s in joins:
+                rows += joins[s]
+                left = _stacked([row_envs[k] for k in joins[s]], left)
+            if s == cut:
+                break
+            if s in starts:
+                meet(rows, starts[s], left, _stacked([column_envs[l] for l in starts[s]]))
+            left = _advance_stack(*left, family.right[s], op.cores[s], family.left[s])
+            for k in rows:
+                row_ledgers[k].charge("coarse", step[s])
+
+        cols, right = [], None
+        for t in range(last, cut - 1, -1):
+            if t in starts:
+                cols += starts[t]
+                right = _stacked([column_envs[l] for l in starts[t]], right)
+            if t == cut:
+                break
+            for k in joins.get(t, []):
+                meet([k], cols, row_envs[k], right)
+            s = t - 1
+            right = _advance_right_stack(*right, family.right[s], op.cores[s], family.left[s])
+            for l in cols:
+                column_ledgers[l].charge("coarse", step[s])
+        meet(rows, cols, left, right)
+
+    for l in closed:
+        _merge(ledger, column_ledgers[l], f"gram{l}")
     for k, led in enumerate(row_ledgers):
         _merge(ledger, led, f"gram{k}")
 
@@ -593,9 +693,10 @@ def compress_one_site(family, updates, coeffs, max_rank, round_tol=0.0, ledger=N
     """Step 4: the exact sum of the ``k``-site updates, built right-orthogonal
     (:func:`~ttdmrg.sums.orthogonal_sum_train`), then truncated; equal to
     ``round_tt(sum_train(...))`` in exact arithmetic.  ``coeffs[0]`` weighs
-    the iterate."""
+    the iterate.  The relative cut is ``round_tol``, but never below
+    :data:`ROUNDOFF_CUT`."""
     total = orthogonal_sum_train(family, updates, coeffs[1:], coeffs[0], ledger)
-    return truncate(total, max_ranks=max_rank, tol=round_tol, ledger=ledger)
+    return truncate(total, max_ranks=max_rank, tol=max(round_tol, ROUNDOFF_CUT), ledger=ledger)
 
 
 # One body for both modes, bound under two names so that bench/tracer.py

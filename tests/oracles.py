@@ -6,8 +6,8 @@ exceptions are :func:`pairwise_coarse`, which builds the coarse matrices from th
 library's full inner products, one pair of members at a time, sharing no
 transfers between entries as the row sweeps of
 ``ttdmrg.twolevel.assemble_coarse`` do; :func:`row_sweep_coarse`, the
-coarse assembly as it was written with one sweep per row, whose ledger
-the stacked assembly must reproduce exactly; :func:`tensordot_apply_local_1site`
+coarse assembly's schedule with one row and one column at a time and no
+stacks, whose ledger the stacked assembly must reproduce exactly; :func:`tensordot_apply_local_1site`
 and :func:`tensordot_apply_local_2site`, the projected local operators as
 pairwise ``contract`` calls, each charged at its input shapes, whose ledger
 charges the library's in-place kernel must reproduce exactly; :func:`list_lanczos_lowest`, the
@@ -55,27 +55,55 @@ def pairwise_coarse(members, op):
     return s_hat, a_hat
 
 
+def meeting_cut(family, op, win, rows, closed):
+    """The cut at which the assembly's closed pairs meet, by brute force.
+    ``win`` are the members' windows, ``rows`` the rows that have a closed
+    column and ``closed`` the closed columns.  Each candidate cut's gap
+    steps (rows from just past their window to the cut, columns from the
+    cut to their window start) are counted from what one ``_extend_left``
+    across each site charges, and the cheapest cut wins, ties going to the
+    smallest."""
+    def site_flops(s):
+        led = CostLedger()
+        r, w = family.right[s].shape[0], op.cores[s].shape[0]
+        env = (np.zeros((r, r)), np.zeros((r, w, r)))
+        _extend_left(env, family.right[s], op.cores[s], family.left[s], led, "coarse")
+        return led.total_flops()
+
+    lo = min(win[k][1] + 1 for k in rows)
+    hi = max(win[l][0] for l in closed)
+    flops = {s: site_flops(s) for s in range(lo, hi)}
+    costs = []
+    for c in range(lo, hi + 1):
+        cost = sum(flops[s] for k in rows for s in range(win[k][1] + 1, c))
+        cost += sum(flops[s] for l in closed for s in range(c, win[l][0]))
+        costs.append((cost, c))
+    return min(costs)[1]
+
+
 def row_sweep_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None):
-    """``ttdmrg.twolevel.assemble_coarse`` as it was written before rows
-    advanced across the shared cores as one stack: one left-to-right sweep
-    per row.  Overlap and reduced operator matrices over the member trains.
+    """``ttdmrg.twolevel.assemble_coarse`` with one row and one column at a
+    time and no stacks.  Overlap and reduced operator matrices over the
+    member trains.
 
     Each member is read as its window ``[a, b]`` (see :func:`_window`)
     plus the shared cores of ``family``.  Row ``k`` is one task, tagged
     ``gram{k}``: it starts from the shared left environment at ``a_k``,
     advances one site at a time with member ``k`` as bra and
     ``family.left`` as ket, and fills its diagonal and every column ``l``
-    after ``k`` in window-start order (ties by index).  A column whose
-    window starts past ``b_k`` is closed against its own right
-    environment (``family.right`` as bra, member ``l`` as ket), built
-    once from the shared right environment and charged to ``gram{l}``;
-    an overlapping column is
-    contracted across both windows and closed against the shared right
-    environment.  That is O(d^2) environment updates for members with
-    short windows.  Without ``family`` every window is the whole train
-    and each entry is a full contraction, which is exact for arbitrary
-    trains.  ``envs`` are the family's :func:`shared_envs`, built here
-    when not given.
+    after ``k`` in window-start order (ties by index).  An overlapping
+    column is contracted across both windows and closed against the
+    shared right environment.  A column whose window starts past ``b_k``
+    has its own right environment (``family.right`` as bra, member ``l``
+    as ket), built once from the shared right environment at its window
+    and extended leftward with ``family.left`` as ket down to the cut
+    ``c`` of :func:`meeting_cut`, all of it charged to ``gram{l}``.  Such a
+    closed pair meets at ``c``, or at the column's start when it lies
+    before ``c``, or just past the row's window when that lies after ``c``;
+    the row advances to that meeting cut.  Without ``family`` every window
+    is the whole train and each entry is a full contraction, which is
+    exact for arbitrary trains.  ``envs`` are the family's
+    :func:`shared_envs`, built here when not given.
     """
     m = len(members)
     d = members[0].d
@@ -87,9 +115,11 @@ def row_sweep_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None
     win = [_window(x, family) for x in members]
     order = sorted(range(m), key=lambda l: (win[l][0], l))
     cols = {k: order[pos:] for pos, k in enumerate(order)}
-    closed = sorted({l for k in range(m) for l in cols[k] if win[l][0] > win[k][1]})
+    pairs = [(k, l) for k in range(m) for l in cols[k] if win[l][0] > win[k][1]]
+    closed = sorted({l for _, l in pairs})
+    cut = meeting_cut(family, op, win, {k for k, _ in pairs}, closed) if pairs else None
 
-    column_envs = {}
+    column_envs = {}  # column -> {cut t: its right transfers covering sites >= t}
     for l in closed:
         led = CostLedger()
         a, b = win[l]
@@ -98,7 +128,12 @@ def row_sweep_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None
             env = _extend_right(
                 env, family.right[s], op.cores[s], members[l].cores[s], led, "coarse"
             )
-        column_envs[l] = env
+        column_envs[l] = {a: env}
+        for s in range(a - 1, cut - 1, -1):
+            env = _extend_right(
+                env, family.right[s], op.cores[s], family.left[s], led, "coarse"
+            )
+            column_envs[l][s] = env
         _merge(ledger, led, f"gram{l}")
 
     s_hat = np.zeros((m, m))
@@ -110,13 +145,14 @@ def row_sweep_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None
         env, site = envs.left[a], a
         for l in cols[k]:
             al, bl = win[l]
-            while site < al:
+            meet = min(max(b + 1, cut), al) if al > b else al
+            while site < meet:
                 env = _extend_left(
                     env, bra[site], op.cores[site], family.left[site], led, "coarse"
                 )
                 site += 1
             if al > b:
-                s_kl, a_kl = _close(env, column_envs[l], led)
+                s_kl, a_kl = _close(env, column_envs[l][meet], led)
             else:
                 ket = members[l].cores
                 end = max(b, bl)

@@ -145,7 +145,8 @@ def test_one_site_preserves_ranks():
     op = ising_chain(d)
     init = random_tt((2,) * d, (2, 3, 3, 2), seed=10)
     config = SweepConfig(mode="one-site", max_half_sweeps=4, energy_tol=0.0)
-    state, _ = run_dmrg(init, op, config)
+    with pytest.warns(RuntimeWarning, match="max_half_sweeps = 4 without"):
+        state, _ = run_dmrg(init, op, config)
     assert state.ranks == orthogonalize(init, 0).ranks
 
 
@@ -157,7 +158,8 @@ def test_one_site_matmul_charges_are_the_gauge_shift_products():
     init = random_tt(op.dims, 3, seed=5)
     ledger = CostLedger()
     config = SweepConfig(mode="one-site", max_rank=3, max_half_sweeps=3, energy_tol=0.0)
-    state, trace = run_dmrg(init, op, config, ledger)
+    with pytest.warns(RuntimeWarning, match="max_half_sweeps = 3 without"):
+        state, trace = run_dmrg(init, op, config, ledger)
     r, n, d = state.ranks, state.dims, state.d
     assert r == orthogonalize(init, 0).ranks
 
@@ -185,6 +187,8 @@ def test_micro_energies_never_increase_without_truncation():
         assert cur <= prev + 1e-9
 
 
+# the run may stop on the stop test or at the sweep budget (see below)
+@pytest.mark.filterwarnings("ignore:run stopped at max_half_sweeps = 4 without:RuntimeWarning")
 def test_trace_csv_round_trip_and_determinism():
     d = 4
     op = ising_chain(d)
@@ -299,6 +303,8 @@ def test_run_dmrg_rejects_bad_inputs():
         run_dmrg(TensorTrain([np.ones((1, 2, 1))]), single)
 
 
+# each run may stop on the stop test or at its sweep budget
+@pytest.mark.filterwarnings("ignore:run stopped at max_half_sweeps = [123] without:RuntimeWarning")
 def test_final_gauge_matches_sweep_parity():
     d = 4
     op = ising_chain(d)
@@ -327,13 +333,16 @@ def test_local_tolerance_stays_eig_tol_where_forcing_is_off():
     _, trace = run_dmrg(init, op, cfg)
     assert len(trace.half_sweep_energies) > 2
     assert all(m.local_eig_tol == 1e-10 for m in trace.micro)
-    # one below full rank the forcing term applies
-    _, trace = run_dmrg(init, op, SweepConfig(max_rank=7, eig_tol=1e-10, energy_tol=1e-13))
+    # one below full rank the forcing term applies, and energy_tol = 1e-13
+    # is out of reach
+    with pytest.warns(RuntimeWarning, match="max_half_sweeps = 40 without"):
+        _, trace = run_dmrg(init, op, SweepConfig(max_rank=7, eig_tol=1e-10, energy_tol=1e-13))
     assert max(half_sweep_tols(trace)) > 1e-10
     # eig_tol = 0 pins every solve to the iteration budget
     op = ising_chain(10)
     cfg = SweepConfig(max_rank=8, eig_tol=0.0, eig_max_iter=6, energy_tol=0.0, max_half_sweeps=3)
-    with pytest.warns(RuntimeWarning, match="did not converge"):
+    with pytest.warns(RuntimeWarning, match="did not converge"), \
+            pytest.warns(RuntimeWarning, match="max_half_sweeps = 3 without"):
         _, trace = run_dmrg(random_tt(op.dims, 8, seed=1), op, cfg)
     assert len(trace.half_sweep_energies) == 3
     assert all(m.local_eig_tol == 0.0 and m.lanczos_iterations == 6 for m in trace.micro)

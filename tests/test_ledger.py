@@ -188,6 +188,9 @@ def test_contract_plan_cache_is_bounded(monkeypatch):
     assert ledger_module._PLANS[((11, 2), (2, 3), ((1,), (0,)))][4] == (11, 3)
 
 
+# the runs only harvest contraction signatures, on budgets too short to converge
+@pytest.mark.filterwarnings("ignore:run stopped at max_half_sweeps = 2 without:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:run stopped at max_iters = 1 without:RuntimeWarning")
 def test_contract_matches_tensordot_on_every_signature_the_solvers_use(monkeypatch):
     monkeypatch.setattr(ledger_module, "_PLANS", {})
     op = heisenberg_chain(6)

@@ -242,7 +242,8 @@ def test_solvers_call_the_kernel_by_its_width_name_once_per_matvec(monkeypatch, 
     want = "apply_local_1site" if mode == "one-site" else "apply_local_2site"
     op = heisenberg_chain(6)
     init = random_tt(op.dims, 2, seed=20)
-    dmrg.run_dmrg(init, op, dmrg.SweepConfig(mode=mode, max_rank=4, max_half_sweeps=2))
+    with pytest.warns(RuntimeWarning, match="max_half_sweeps = 2 without"):
+        dmrg.run_dmrg(init, op, dmrg.SweepConfig(mode=mode, max_rank=4, max_half_sweeps=2))
     assert calls["matvec"] > 0
     assert calls == {want: calls["matvec"], "matvec": calls["matvec"]}
     calls.clear()
