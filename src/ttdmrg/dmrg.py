@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, fields
 from io import StringIO
@@ -131,20 +132,23 @@ class SolverConfig:
     seed: int = 0
 
     def check(self, budget):
-        """Reject an unknown mode; ``max_rank`` or the iteration budget
-        named ``budget`` below one; a negative or NaN ``svd_tol``,
-        ``eig_tol`` or ``energy_tol``; and a local iteration cap below
-        one."""
+        """Reject an unknown mode; ``max_rank``, the iteration budget named
+        ``budget`` or a set local iteration cap that is not an integer or
+        is below one; and a negative or NaN ``svd_tol``, ``eig_tol`` or
+        ``energy_tol``."""
         if self.mode not in ("one-site", "two-site"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        for name in ("max_rank", budget):
-            if getattr(self, name) < 1:
+        for name in ("max_rank", budget, "eig_max_iter"):
+            value = getattr(self, name)
+            if value is None and name == "eig_max_iter":
+                continue  # the local solver's default cap
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be positive")
         for name in ("svd_tol", "eig_tol", "energy_tol"):
             if not getattr(self, name) >= 0:  # written so that a NaN fails too
                 raise ValueError(f"{name} must be nonnegative")
-        if self.eig_max_iter is not None and self.eig_max_iter < 1:
-            raise ValueError("eig_max_iter must be positive")
 
 
 class Schedule:

@@ -178,12 +178,15 @@ class CostLedger:
     @classmethod
     def from_report(cls, data):
         """The ledger whose :meth:`report` is ``data`` (as JSON reads it
-        back); ``ValueError`` on a missing key, a wrong shape, or a count
-        that is negative or not finite, which no charge can produce."""
+        back); ``ValueError`` on a missing key, a wrong shape, a count that
+        is not a JSON number (a string or a boolean), or one that is
+        negative or not finite, which no charge can produce."""
         if not isinstance(data, dict):
             raise ValueError("report is not a JSON object")
 
         def flops(v):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{v!r} is not a number")
             x = float(v)
             if not (math.isfinite(x) and x >= 0.0):
                 raise ValueError(f"{x} is not a finite nonnegative flop count")
@@ -196,7 +199,7 @@ class CostLedger:
             led.per_class_flops = {k: flops(v) for k, v in data["per_class_flops"].items()}
         except KeyError as exc:
             raise ValueError(f"report is missing {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"report has a malformed entry: {exc}") from exc
         return led
 

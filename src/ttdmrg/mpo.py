@@ -1,7 +1,9 @@
 """Matrix product operators, environments, and projected local operators.
 
 Operator cores have shape ``(orank[j], dims[j], dims[j], orank[j+1])`` with
-axis 1 the output (row) index and axis 2 the input (column) index.  An
+axis 1 the output (row) index and axis 2 the input (column) index: the
+two-leg kind of the core chain of :mod:`ttdmrg.tt`, whose base class checks
+the format; this module adds only the square-local-space check.  An
 environment at cut ``j`` is an order-3 array ``(row bond, operator bond,
 column bond)``; the trivial boundary environment is ``ones((1, 1, 1))``.
 
@@ -25,87 +27,38 @@ import math
 import numpy as np
 
 from .ledger import contract, tensordot_flops
-from .tt import TensorTrain, _check_dense_size
+from .tt import _check_dense_size, _CoreChain, tt_add, tt_scale
 
 
-class MatrixProductOperator:
-    """Linear operator on a product of local spaces, in train form."""
+class MatrixProductOperator(_CoreChain):
+    """Linear operator on a product of local spaces, in train form: a chain
+    of cores with a row and a column leg each, on square local spaces."""
+
+    legs = 2
 
     def __init__(self, cores):
-        cores = tuple(np.asarray(c, dtype=float) for c in cores)
-        if not cores:
-            raise ValueError("need at least one core")
-        for j, c in enumerate(cores):
-            if c.ndim != 4:
-                raise ValueError(f"operator core {j} must have 4 axes")
+        super().__init__(cores)
+        for j, c in enumerate(self.cores):
             if c.shape[1] != c.shape[2]:
                 raise ValueError(f"operator core {j} must act on a square local space")
-            if j and cores[j - 1].shape[3] != c.shape[0]:
-                raise ValueError(f"operator bond mismatch at cut {j}")
-        if cores[0].shape[0] != 1 or cores[-1].shape[3] != 1:
-            raise ValueError("boundary operator ranks must be 1")
-        self.cores = cores
-
-    @property
-    def d(self):
-        return len(self.cores)
-
-    @property
-    def dims(self):
-        return tuple(c.shape[1] for c in self.cores)
-
-    @property
-    def ranks(self):
-        return tuple(c.shape[0] for c in self.cores) + (1,)
 
     def to_dense(self, cap=None):
         """Dense matrix of shape (prod(dims), prod(dims))."""
-        size = 1
-        for n in self.dims:
-            size *= n
-        _check_dense_size(size * size, cap)
+        _check_dense_size(math.prod(self.dims) ** 2, cap)
         t = np.ones((1, 1, 1))
         for c in self.cores:
             t = np.einsum("abk,kxyl->axbyl", t, c)
             t = t.reshape(t.shape[0] * t.shape[1], t.shape[2] * t.shape[3], t.shape[4])
         return np.ascontiguousarray(t[:, :, 0])
 
-    def __repr__(self):
-        return f"MatrixProductOperator(dims={self.dims}, ranks={self.ranks})"
-
 
 def mpo_transpose(op):
     return MatrixProductOperator([c.swapaxes(1, 2) for c in op.cores])
 
 
-def mpo_scale(op, alpha):
-    cores = list(op.cores)
-    cores[0] = alpha * cores[0]
-    return MatrixProductOperator(cores)
-
-
-def mpo_add(a, b):
-    """Operator sum; operator bonds add at every interior cut."""
-    if a.dims != b.dims:
-        raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
-    d = a.d
-    if d == 1:
-        return MatrixProductOperator([a.cores[0] + b.cores[0]])
-    cores = []
-    for j in range(d):
-        ca, cb = a.cores[j], b.cores[j]
-        if j == 0:
-            cores.append(np.concatenate([ca, cb], axis=3))
-        elif j == d - 1:
-            cores.append(np.concatenate([ca, cb], axis=0))
-        else:
-            z = np.zeros(
-                (ca.shape[0] + cb.shape[0], ca.shape[1], ca.shape[2], ca.shape[3] + cb.shape[3])
-            )
-            z[: ca.shape[0], :, :, : ca.shape[3]] = ca
-            z[ca.shape[0] :, :, :, ca.shape[3] :] = cb
-            cores.append(z)
-    return MatrixProductOperator(cores)
+# the one scaling and the one direct sum serve operators as well as trains
+mpo_scale = tt_scale
+mpo_add = tt_add
 
 
 def identity_mpo(dims):

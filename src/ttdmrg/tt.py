@@ -11,6 +11,11 @@ with boundary ranks 1.  Sites are 0-based.  A train is site-orthogonal at
 in its ``(rank, dim*rank)`` unfolding; ``center == d-1`` is the
 left-orthogonal gauge and ``center == 0`` the right-orthogonal one.
 
+The chain format (axis counts, matching bonds, unit boundary ranks) is
+checked in one place, the base class ``_CoreChain`` that trains share with
+operators (:class:`~ttdmrg.mpo.MatrixProductOperator`, the two-leg kind);
+:func:`tt_add` and :func:`tt_scale` are the direct sum and scaling of both.
+
 All factorizations use a fixed sign convention (the largest-magnitude entry
 of every orthonormal column is nonnegative) so repeated runs are bitwise
 reproducible.
@@ -18,6 +23,7 @@ reproducible.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 
@@ -84,8 +90,49 @@ def svd_fixed(a):
     return u * sg, s, vt * sg[:, None]
 
 
-class TensorTrain:
-    """Immutable-by-convention list of order-3 cores plus a gauge tag.
+class _CoreChain:
+    """A chain of cores, each ``(rank[j], n_j, ..., rank[j+1])`` with
+    ``legs`` local indices between its two bonds: one for a train, a row
+    and a column for an operator.  The format is checked here, once for
+    both kinds: at least one core, ``legs + 2`` axes per core, matching
+    bonds and unit boundary ranks."""
+
+    legs = 1
+
+    def __init__(self, cores):
+        cores = tuple(np.asarray(c, dtype=float) for c in cores)
+        if not cores:
+            raise ValueError("need at least one core")
+        for j, c in enumerate(cores):
+            if c.ndim != self.legs + 2:
+                raise ValueError(f"core {j} must have {self.legs + 2} axes, got {c.ndim}")
+            if j and cores[j - 1].shape[-1] != c.shape[0]:
+                raise ValueError(
+                    f"bond mismatch between cores {j - 1} and {j}: "
+                    f"{cores[j - 1].shape[-1]} vs {c.shape[0]}"
+                )
+        if cores[0].shape[0] != 1 or cores[-1].shape[-1] != 1:
+            raise ValueError("boundary ranks must be 1")
+        self.cores = cores
+
+    @property
+    def d(self):
+        return len(self.cores)
+
+    @property
+    def dims(self):
+        return tuple(c.shape[1] for c in self.cores)
+
+    @property
+    def ranks(self):
+        return tuple(c.shape[0] for c in self.cores) + (1,)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dims={self.dims}, ranks={self.ranks})"
+
+
+class TensorTrain(_CoreChain):
+    """Immutable-by-convention chain of order-3 cores plus a gauge tag.
 
     Parameters
     ----------
@@ -99,35 +146,10 @@ class TensorTrain:
     """
 
     def __init__(self, cores, center=None):
-        cores = tuple(np.asarray(c, dtype=float) for c in cores)
-        if not cores:
-            raise ValueError("need at least one core")
-        for j, c in enumerate(cores):
-            if c.ndim != 3:
-                raise ValueError(f"core {j} must have 3 axes, got {c.ndim}")
-            if j and cores[j - 1].shape[2] != c.shape[0]:
-                raise ValueError(
-                    f"bond mismatch between cores {j - 1} and {j}: "
-                    f"{cores[j - 1].shape[2]} vs {c.shape[0]}"
-                )
-        if cores[0].shape[0] != 1 or cores[-1].shape[2] != 1:
-            raise ValueError("boundary ranks must be 1")
-        if center is not None and not 0 <= center < len(cores):
-            raise ValueError(f"center {center} out of range for {len(cores)} sites")
-        self.cores = cores
+        super().__init__(cores)
+        if center is not None and not 0 <= center < self.d:
+            raise ValueError(f"center {center} out of range for {self.d} sites")
         self.center = center
-
-    @property
-    def d(self):
-        return len(self.cores)
-
-    @property
-    def dims(self):
-        return tuple(c.shape[1] for c in self.cores)
-
-    @property
-    def ranks(self):
-        return tuple(c.shape[0] for c in self.cores) + (1,)
 
     @property
     def is_left_orthogonal(self):
@@ -144,10 +166,7 @@ class TensorTrain:
 
     def to_dense(self, cap=None):
         """Contract all cores into a dense ndarray of shape ``dims``."""
-        numel = 1
-        for n in self.dims:
-            numel *= n
-        _check_dense_size(numel, cap)
+        _check_dense_size(math.prod(self.dims), cap)
         t = self.cores[0][0]
         for c in self.cores[1:]:
             t = contract(None, "matmul", t, c, ((-1,), (0,)))
@@ -227,32 +246,33 @@ def inner(x, y, ledger=None, op_class="inner"):
 
 
 def tt_scale(x, alpha):
-    """Scale the train by ``alpha`` (applied to the center core, so a known
-    gauge is preserved)."""
-    j = x.center if x.center is not None else 0
-    return x.replace_core(j, alpha * x.cores[j], center=x.center)
+    """Scale a train or an operator by ``alpha``, of the input's type.  One
+    core is scaled: a train's center core, so a known gauge is kept, else
+    core 0."""
+    j = getattr(x, "center", None) or 0
+    scaled = copy.copy(x)
+    scaled.cores = x.cores[:j] + (alpha * x.cores[j],) + x.cores[j + 1 :]
+    return scaled
 
 
 def tt_add(x, y):
-    """Structural sum; bond dimensions add at every interior cut."""
+    """Direct sum of two trains or of two operators, of the inputs' type;
+    bond dimensions add at every interior cut."""
+    if type(x) is not type(y):
+        raise ValueError(f"cannot add a {type(x).__name__} and a {type(y).__name__}")
     if x.dims != y.dims:
         raise ValueError(f"dimension mismatch: {x.dims} vs {y.dims}")
-    d = x.d
-    if d == 1:
-        return TensorTrain([x.cores[0] + y.cores[0]])
+    if x.d == 1:
+        return type(x)([x.cores[0] + y.cores[0]])
     cores = []
-    for j in range(d):
-        a, b = x.cores[j], y.cores[j]
-        if j == 0:
-            cores.append(np.concatenate([a, b], axis=2))
-        elif j == d - 1:
-            cores.append(np.concatenate([a, b], axis=0))
-        else:
-            z = np.zeros((a.shape[0] + b.shape[0], a.shape[1], a.shape[2] + b.shape[2]))
-            z[: a.shape[0], :, : a.shape[2]] = a
-            z[a.shape[0] :, :, a.shape[2] :] = b
-            cores.append(z)
-    return TensorTrain(cores)
+    for j, (a, b) in enumerate(zip(x.cores, y.cores)):
+        left = a.shape[0] + b.shape[0] if j else 1
+        right = a.shape[-1] + b.shape[-1] if j < x.d - 1 else 1
+        z = np.zeros((left,) + a.shape[1:-1] + (right,))
+        z[: a.shape[0], ..., : a.shape[-1]] = a
+        z[left - b.shape[0] :, ..., right - b.shape[-1] :] = b
+        cores.append(z)
+    return type(x)(cores)
 
 
 def qr_step(cores, j, ledger=None):

@@ -278,8 +278,11 @@ def test_ledger_report_round_trip(tmp_path, capsys):
         {"sequential_flops": "x", "per_worker_flops": {}, "per_class_flops": {}},
         {"sequential_flops": 1.0, "per_worker_flops": [], "per_class_flops": {}},
         {"sequential_flops": -5, "per_worker_flops": {}, "per_class_flops": {}},
+        {"sequential_flops": "12", "per_worker_flops": {}, "per_class_flops": {}},
+        {"sequential_flops": 1.0, "per_worker_flops": {"w": True}, "per_class_flops": {}},
     ],
-    ids=["bare-number", "non-numeric-flops", "list-of-workers", "negative-flops"],
+    ids=["bare-number", "non-numeric-flops", "list-of-workers", "negative-flops",
+         "string-flops", "boolean-flops"],
 )
 def test_ledger_report_rejects_wrong_shapes(tmp_path, capsys, body):
     bad = tmp_path / "shape.json"

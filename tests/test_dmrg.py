@@ -477,10 +477,14 @@ def test_configs_reject_each_bad_shared_knob(config_type, budget):
            (budget, 0, budget), ("eig_max_iter", 0, "eig_max_iter")]
     bad += [(tol, value, tol) for tol in ("eig_tol", "energy_tol", "svd_tol")
             for value in (-1e-8, nan)]
+    # counts are integers: 2.5 would reach range() or cut a rank to 2
+    bad += [(count, value, f"{count} must be an integer")
+            for count in ("max_rank", budget, "eig_max_iter") for value in (2.5, 3.0, True, "4")]
     for name, value, message in bad:
         with pytest.raises(ValueError, match=message):
             config_type(**{name: value})
     config_type(eig_tol=0.0, energy_tol=0.0, svd_tol=0.0, eig_max_iter=1, **{budget: 1})
+    config_type(max_rank=np.int64(4), eig_max_iter=np.int32(5), **{budget: np.int64(3)})
     with pytest.raises(TypeError):
         config_type("one-site")  # keyword-only
 

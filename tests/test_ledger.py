@@ -106,6 +106,15 @@ def test_from_report_reads_back_what_report_writes():
          "malformed"),
         ({"sequential_flops": 1.0, "per_worker_flops": {}, "per_class_flops": {"x": -math.inf}},
          "malformed"),
+        # only JSON numbers are counts: not what float() also reads
+        ({"sequential_flops": "12", "per_worker_flops": {}, "per_class_flops": {}}, "malformed"),
+        ({"sequential_flops": 1.0, "per_worker_flops": {"a": "1e3"}, "per_class_flops": {}},
+         "malformed"),
+        ({"sequential_flops": True, "per_worker_flops": {}, "per_class_flops": {}}, "malformed"),
+        ({"sequential_flops": 1.0, "per_worker_flops": {}, "per_class_flops": {"x": False}},
+         "malformed"),
+        ({"sequential_flops": 10**400, "per_worker_flops": {}, "per_class_flops": {}},
+         "malformed"),
     ],
 )
 def test_from_report_rejects_missing_keys_and_wrong_shapes(data, message):

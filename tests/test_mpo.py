@@ -28,11 +28,14 @@ def test_to_dense_matches_naive():
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        MatrixProductOperator([np.zeros((1, 2, 3, 1))])
-    with pytest.raises(ValueError):
+    # the chain format is the train's (tests/test_tt.py); operators add
+    # only that every local space is square
+    for cores in ([np.zeros((1, 2, 3, 1))], [np.zeros((1, 2, 2, 2)), np.zeros((2, 3, 2, 1))]):
+        with pytest.raises(ValueError, match="square local space"):
+            MatrixProductOperator(cores)
+    with pytest.raises(ValueError, match="boundary ranks"):
         MatrixProductOperator([np.zeros((2, 2, 2, 1))])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bond mismatch"):
         MatrixProductOperator([np.zeros((1, 2, 2, 2)), np.zeros((3, 2, 2, 1))])
 
 
@@ -40,6 +43,8 @@ def test_add_transpose_scale_identity():
     a = random_mpo((2, 2, 2), 2, seed=1)
     b = random_mpo((2, 2, 2), 3, seed=2)
     s = mpo.mpo_add(a, mpo.mpo_scale(b, -0.5))
+    assert mpo.mpo_add is tt.tt_add and mpo.mpo_scale is tt.tt_scale
+    assert type(s) is MatrixProductOperator
     assert np.allclose(s.to_dense(), a.to_dense() - 0.5 * b.to_dense(), atol=1e-12)
     assert s.ranks[1] == a.ranks[1] + b.ranks[1]
     assert np.allclose(mpo.mpo_transpose(a).to_dense(), a.to_dense().T, atol=1e-12)

@@ -2,8 +2,20 @@ import numpy as np
 import pytest
 
 import oracles
-from ttdmrg import tt
+from ttdmrg import mpo, tt
+from ttdmrg.mpo import MatrixProductOperator
 from ttdmrg.tt import TensorTrain, random_tt
+
+# the two kinds of core chain: one leg per core, or a row and a column leg
+KINDS = (TensorTrain, MatrixProductOperator)
+
+
+def random_chain(kind, dims, rank, seed):
+    """Standard normal cores of ``kind`` at a uniform interior ``rank``."""
+    rng = np.random.default_rng(seed)
+    ranks = [1] + [rank] * (len(dims) - 1) + [1]
+    shapes = [(ranks[j],) + (n,) * kind.legs + (ranks[j + 1],) for j, n in enumerate(dims)]
+    return kind([rng.standard_normal(shape) for shape in shapes])
 
 
 def left_defect(core):
@@ -37,12 +49,21 @@ def test_dense_contraction_matches_naive(dims, ranks, seed):
 
 
 def test_constructor_validates_shapes():
-    with pytest.raises(ValueError):
-        TensorTrain([np.zeros((1, 2, 3)), np.zeros((2, 2, 1))])
-    with pytest.raises(ValueError):
-        TensorTrain([np.zeros((2, 2, 1))])
-    with pytest.raises(ValueError):
-        TensorTrain([np.zeros((1, 2, 2))])
+    # both kinds reject the same malformed chains, checked in one place
+    for kind in KINDS:
+        legs = (2,) * kind.legs
+        bad = [
+            ([], "at least one core"),
+            ([np.zeros((1,) + legs + (3,)), np.zeros((2,) + legs + (1,))], "bond mismatch"),
+            ([np.zeros((2,) + legs + (1,))], "boundary ranks"),
+            ([np.zeros((1,) + legs + (2,))], "boundary ranks"),
+            # the other kind's core: a train core has 3 axes, an operator core 4
+            ([np.zeros((1,) + (2,) * (3 - kind.legs) + (1,))], f"must have {kind.legs + 2} axes"),
+            ([np.zeros((1,) + legs + (1,)), np.zeros((1,) + legs + (2, 1))], "core 1 must have"),
+        ]
+        for cores, message in bad:
+            with pytest.raises(ValueError, match=message):
+                kind(cores)
     with pytest.raises(ValueError):
         TensorTrain([np.zeros((1, 2, 1))], center=1)
 
@@ -90,11 +111,25 @@ def test_orthogonalize_zero_train():
 
 
 def test_scale_and_add_match_dense():
+    # one direct sum and one scaling for both kinds, under both names
+    pairs = ((tt.tt_add, tt.tt_scale), (mpo.mpo_add, mpo.mpo_scale))
+    for kind in KINDS:
+        for dims in ((3,), (2, 3), (2, 2, 3, 2, 2)):
+            x, y = random_chain(kind, dims, 2, seed=8), random_chain(kind, dims, 3, seed=9)
+            for add, scale in pairs:
+                scaled = scale(y, -2.5)
+                s = add(x, scaled)
+                assert type(scaled) is kind and type(s) is kind
+                assert np.allclose(scaled.to_dense(), -2.5 * y.to_dense(), atol=1e-12)
+                assert np.allclose(s.to_dense(), x.to_dense() - 2.5 * y.to_dense(), atol=1e-12)
+                assert s.ranks[1:-1] == tuple(a + b for a, b in zip(x.ranks[1:-1], y.ranks[1:-1]))
+    train = random_chain(TensorTrain, (2, 2), 2, seed=8)
+    op = random_chain(MatrixProductOperator, (2, 2), 2, seed=8)
+    for add in (tt.tt_add, mpo.mpo_add):
+        for a, b in ((train, op), (op, train)):
+            with pytest.raises(ValueError, match="cannot add a"):
+                add(a, b)
     x = random_tt((2, 2, 3), 2, seed=8)
-    y = random_tt((2, 2, 3), 3, seed=9)
-    s = tt.tt_add(x, tt.tt_scale(y, -2.5))
-    assert np.allclose(s.to_dense(), x.to_dense() - 2.5 * y.to_dense(), atol=1e-12)
-    assert s.ranks[1] == x.ranks[1] + y.ranks[1]
     xo = tt.orthogonalize(x, 1)
     xs = tt.tt_scale(xo, 3.0)
     assert xs.center == 1
