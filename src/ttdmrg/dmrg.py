@@ -120,7 +120,7 @@ class SolverConfig:
     eig_max_iter : int or None
         Iteration cap per local solve (None picks the solver default).
     seed : int
-        Seed for the local solver's restart draws.
+        Nonnegative seed for the local solver's restart draws.
     """
 
     mode: str = "two-site"
@@ -134,21 +134,27 @@ class SolverConfig:
     def check(self, budget):
         """Reject an unknown mode; ``max_rank``, the iteration budget named
         ``budget`` or a set local iteration cap that is not an integer or
-        is below one; and a negative or NaN ``svd_tol``, ``eig_tol`` or
-        ``energy_tol``."""
+        is below one; a ``seed`` that is not a nonnegative integer; and a
+        negative or NaN ``svd_tol``, ``eig_tol`` or ``energy_tol``."""
         if self.mode not in ("one-site", "two-site"):
             raise ValueError(f"unknown mode {self.mode!r}")
         for name in ("max_rank", budget, "eig_max_iter"):
-            value = getattr(self, name)
-            if value is None and name == "eig_max_iter":
+            if name == "eig_max_iter" and self.eig_max_iter is None:
                 continue  # the local solver's default cap
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be positive")
+            self.check_integer(name)
+        self.check_integer("seed", least=0)
         for name in ("svd_tol", "eig_tol", "energy_tol"):
             if not getattr(self, name) >= 0:  # written so that a NaN fails too
                 raise ValueError(f"{name} must be nonnegative")
+
+    def check_integer(self, name, least=1):
+        """Reject a field ``name`` that is not an integer (a bool is not
+        one) or is below ``least``, which is 0 or 1."""
+        value = getattr(self, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}")
 
 
 class Schedule:
@@ -193,11 +199,15 @@ class Schedule:
 
 def check_start(init, op):
     """Reject a start that cannot seed either solver: dimensions other
-    than the operator's, fewer than two sites, or zero norm."""
+    than the operator's, fewer than two sites, a NaN or infinite entry in
+    a start or operator core, or zero norm."""
     if init.dims != op.dims:
         raise ValueError(f"state dims {init.dims} do not match operator dims {op.dims}")
     if init.d < 2:
         raise ValueError("the solvers need at least two sites")
+    for name, chain in (("initial state", init), ("operator", op)):
+        if not all(np.isfinite(c).all() for c in chain.cores):
+            raise ValueError(f"{name} has non-finite entries")
     if init.norm() == 0.0:
         raise ValueError("initial state has zero norm")
 

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .ledger import contract, tensordot_flops
-from .tt import _check_dense_size, _CoreChain, tt_add, tt_scale
+from .tt import _check_dense_size, _CoreChain, inner, tt_add, tt_scale
 
 
 class MatrixProductOperator(_CoreChain):
@@ -126,10 +126,8 @@ def mpo_inner(bra, op, ket, ledger=None, op_class="inner"):
 
 
 def rayleigh_quotient(x, op, ledger=None, op_class="inner"):
-    from .tt import inner as tt_inner
-
     num = mpo_inner(x, op, x, ledger=ledger, op_class=op_class)
-    den = tt_inner(x, x, ledger=ledger, op_class=op_class)
+    den = inner(x, x, ledger=ledger, op_class=op_class)
     if den <= 0.0:
         raise ValueError("Rayleigh quotient of a zero train")
     return num / den

@@ -17,9 +17,9 @@ orthogonalized, against it, and the full LQ sweep that
 :func:`~ttdmrg.tt.round_tt` would run over the sum's doubled or tripled
 bonds is skipped.
 
-:class:`TwoSiteChain` validates a family's merged two-site blocks and
-builds each bare member's train (:meth:`TwoSiteChain.member_train`); it
-is not on the iteration's path.
+``TwoSiteChain`` is an inert name (``member_train = None``) that
+``bench/tracer.py`` binds; the members of a replaced pair are built by
+:func:`~ttdmrg.twolevel.span_members`.
 """
 
 from __future__ import annotations
@@ -27,11 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ledger import charge, contract, qr_flops
-from .tt import TensorTrain, column_signs, lq_fixed, qr_fixed
-
-
-def _family_ranks(family):
-    return tuple(c.shape[0] for c in family.centers) + (1,)
+from .tt import TensorTrain, column_signs, lq_fixed
 
 
 class OneSiteSumFamily:
@@ -77,7 +73,7 @@ def _rails(family, updates, coeffs):
         raise ValueError(f"need one update per window of {k} sites")
     if len(coeffs) != len(updates):
         raise ValueError("need one coefficient per update")
-    ranks = _family_ranks(family)
+    ranks = tuple(c.shape[0] for c in family.centers) + (1,)
     dims = family.dims
     for i, u in enumerate(updates):
         shapes = [c.shape for c in u]
@@ -231,38 +227,6 @@ def _complement(right, bond, ledger):
 
 
 class TwoSiteChain:
-    """The members of ``x`` whose pair ``(i, i+1)`` is replaced by the
-    merged block ``blocks[i]`` of shape ``(r_i, n_i, n_{i+1}, r_{i+2})``
-    in the family's ranks ``r``."""
+    """Placeholder bound for bench/tracer.py only; nothing calls it."""
 
-    def __init__(self, family, blocks):
-        d = family.d
-        if d < 2:
-            raise ValueError("pair replacements need at least two sites")
-        if len(blocks) != d - 1:
-            raise ValueError("need one replacement block per neighboring pair")
-        ranks = _family_ranks(family)
-        dims = family.dims
-        blocks = [np.asarray(b, dtype=float) for b in blocks]
-        for i, b in enumerate(blocks):
-            want = (ranks[i], dims[i], dims[i + 1], ranks[i + 2])
-            if b.shape != want:
-                raise ValueError(f"block {i} has shape {b.shape}, expected {want}")
-        self.family = family
-        self.member_blocks = tuple(blocks)
-
-    def member_train(self, i, ledger=None):
-        """Exact train of member ``i``, site-orthogonal at site
-        ``i + 1``."""
-        fam = self.family
-        block = self.member_blocks[i]
-        r0, n1, n2, r3 = block.shape
-        q, rmat = qr_fixed(block.reshape(r0 * n1, n2 * r3))
-        charge(ledger, "qr", qr_flops(r0 * n1, min(r0 * n1, n2 * r3)))
-        k = q.shape[1]
-        cores = (
-            list(fam.left[:i])
-            + [q.reshape(r0, n1, k), rmat.reshape(k, n2, r3)]
-            + list(fam.right[i + 2 :])
-        )
-        return TensorTrain(cores, center=i + 1)
+    member_train = None

@@ -67,10 +67,11 @@ from __future__ import annotations
 import math
 import warnings
 
-# Five names are bound here only because bench/tracer.py rebinds them by name
-# in this module's namespace: ThreadPoolExecutor, left_env, right_env and
-# inner are imported but never called here, and fit_chain, set to None below
-# the imports, is a placeholder that nothing calls.
+# Seven names are bound here only because bench/tracer.py rebinds them by name
+# in this module's namespace: ThreadPoolExecutor, left_env, right_env, inner
+# and round_tt are imported but never called here, and fit_chain and
+# compress_two_site_fallback, set to None below the imports, are placeholders
+# that nothing calls.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 
@@ -89,31 +90,30 @@ from .dmrg import (
 )
 from .eigen import dense_lowest_eig, dense_sym_svd, lanczos_lowest
 from .ledger import CostLedger, charge, tensordot_flops
-from .mpo import (  # noqa: F401
+from .mpo import (
     apply_local,
     boundary_env,
-    left_env,
     local_matvec,
     mpo_inner,
-    right_env,
     update_left_env,
     update_right_env,
 )
+from .mpo import left_env, right_env  # noqa: F401
 from .sums import orthogonal_sum_train, sum_train
-from .tt import (  # noqa: F401
+from .tt import (
     TensorTrain,
-    inner,
     orthogonal_family,
     orthogonalize,
-    round_tt,
     truncate,
-    tt_add,
     tt_scale,
     update_left_overlap,
     update_right_overlap,
 )
+from .tt import inner, round_tt  # noqa: F401
 
-fit_chain = None  # bound for bench/tracer.py only; see the comment above the imports
+# bound for bench/tracer.py only; see the comment above the imports
+fit_chain = None
+compress_two_site_fallback = None
 
 # Step 4 never keeps a singular value at or below this fraction of the
 # largest one, whatever ``svd_tol`` says: a two-site sum has rank-deficient
@@ -148,8 +148,7 @@ class TwoLevelConfig(SolverConfig):
 
     def __post_init__(self):
         self.check("max_iters")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
+        self.check_integer("workers")
         if not 0 < self.coarse_eps < 1:
             raise ValueError("coarse_eps must be in (0, 1)")
 
@@ -373,23 +372,6 @@ def span_members(family, updates):
     return members
 
 
-def _window(member, family):
-    """Sites ``[a, b]`` outside which ``member`` holds the family's shared
-    cores (``family.left`` before ``a``, ``family.right`` after ``b``),
-    found by core identity; the whole train when there is no family or
-    the member is not built from it."""
-    d = member.d
-    if family is None or family.d != d:
-        return 0, d - 1
-    a = 0
-    while a < d and member.cores[a] is family.left[a]:
-        a += 1
-    b = d - 1
-    while b > 0 and member.cores[b] is family.right[b]:
-        b -= 1
-    return min(a, b), b
-
-
 def _sweep(env, bra, op, ket, start, stop, ledger):
     """Extend a left transfer pair across sites ``start .. stop - 1`` with
     the core lists ``bra`` and ``ket``, charged as ``"coarse"``."""
@@ -499,13 +481,15 @@ def _meeting_cut(joins, starts, step):
     return cut
 
 
-def assemble_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None):
+def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
     """Step 3 assembly: overlap and reduced operator matrices over the
-    member trains.
+    span of the iterate and its updated members (:func:`span_members`).
 
-    Each member is read as its window ``[a, b]`` (see :func:`_window`)
-    plus the shared cores of ``family``.  Row ``k`` is one task, tagged
-    ``gram{k}``, that fills its diagonal and every column ``l`` after
+    Each member is read as its window ``[a, b]`` plus the shared cores of
+    ``family``: the iterate holds ``family.centers[0]`` at ``[0, 0]``, and
+    member ``i + 1`` holds the ``k`` cores of ``updates[i]`` at
+    ``[i, i+k-1]``.  Row ``k`` is one task, tagged ``gram{k}``, that
+    fills its diagonal and every column ``l`` after
     ``k`` in window-start order (ties by index).  It starts from the
     shared left environment at ``a_k`` and advances with member ``k`` as
     bra and ``family.left`` as ket.  An overlapping column is contracted
@@ -529,19 +513,14 @@ def assemble_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None)
     the ``d^2/2`` of rows alone, in O(d) batched calls.  Each row is
     charged its own steps and closings under ``gram{k}``, and each closed
     column its leftward steps under ``gram{l}``, next to its window
-    environment.  Without ``family`` every window is the whole train and
-    each entry is a full contraction, which is exact for arbitrary trains.
-    ``envs`` are the family's :func:`shared_envs`, built here when not
-    given.
+    environment.  ``envs`` are the family's :func:`shared_envs`, built here
+    when not given.
     """
-    m = len(members)
-    d = members[0].d
-    if family is not None and envs is None:
-        envs = shared_envs(family, op, ledger)
     if envs is None:
-        # whole-train windows only read the two boundary transfers
-        envs = SharedEnvs([_boundary()], [None] * d + [_boundary()])
-    win = [_window(x, family) for x in members]
+        envs = shared_envs(family, op, ledger)
+    members = [x.cores for x in span_members(family, updates)]
+    win = [(0, 0)] + [(i, i + len(u) - 1) for i, u in enumerate(updates)]
+    m = len(members)
     order = sorted(range(m), key=lambda l: (win[l][0], l))
     cols = {k: order[pos:] for pos, k in enumerate(order)}
     # Row k's closed columns are all l with a_l > b_k; the last of them
@@ -557,7 +536,7 @@ def assemble_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None)
         env = envs.right[b + 1]
         for s in range(b, a - 1, -1):
             env = _extend_right(
-                env, family.right[s], op.cores[s], members[l].cores[s], led, "coarse"
+                env, family.right[s], op.cores[s], members[l][s], led, "coarse"
             )
         column_envs[l], column_ledgers[l] = env, led
 
@@ -565,24 +544,23 @@ def assemble_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None)
     a_hat = np.zeros((m, m))
     row_ledgers = []
     row_envs = {}  # rows with a closed column -> transfers just past the window
-    shared_left = family.left if family is not None else None  # unread without a family
     for k in range(m):
         led = CostLedger()
-        bra = members[k].cores
+        bra = members[k]
         a, b = win[k]
         env, site = envs.left[a], a
         for l in cols[k]:
             al, bl = win[l]
             if al > b:
                 break
-            env, site = _sweep(env, bra, op, shared_left, site, al, led), al
+            env, site = _sweep(env, bra, op, family.left, site, al, led), al
             end = max(b, bl)
-            e = _sweep(env, bra, op, members[l].cores, al, end + 1, led)
+            e = _sweep(env, bra, op, members[l], al, end + 1, led)
             s_kl, a_kl = _close(e, envs.right[end + 1], led)
             s_hat[k, l] = s_hat[l, k] = s_kl
             a_hat[k, l] = a_hat[l, k] = a_kl
         if b < last:
-            row_envs[k] = _sweep(env, bra, op, shared_left, site, b + 1, led)
+            row_envs[k] = _sweep(env, bra, op, family.left, site, b + 1, led)
         row_ledgers.append(led)
 
     def meet(rows, cols, left, right):
@@ -656,11 +634,14 @@ def solve_coarse(cp, ledger=None):
     return CoarseSolution(coeffs=w @ vec, energy=float(lam), iterations=0)
 
 
-def structured_apply(family, updates, members, op, ledger=None):
+def structured_apply(family, updates, op, ledger=None):
     """The reduced operator on a coefficient vector ``c`` without the
-    assembled matrix: ``<member_k, A x(c)>`` for every member, where
-    ``x(c)`` is the exact :func:`~ttdmrg.sums.sum_train` of the span
-    combination, charged as ``"coarse"``."""
+    assembled matrix: ``<member_k, A x(c)>`` for every member of
+    :func:`span_members`, where ``x(c)`` is the exact
+    :func:`~ttdmrg.sums.sum_train` of the span combination, charged as
+    ``"coarse"``."""
+    members = span_members(family, updates)
+
     def apply_a(c):
         total = sum_train(family, updates, c[1:], prev_coeff=c[0])
         return np.array([mpo_inner(m, op, total, ledger, "coarse") for m in members])
@@ -702,15 +683,6 @@ def compress_one_site(family, updates, coeffs, max_rank, round_tol=0.0, ledger=N
 # One body for both modes, bound under two names so that bench/tracer.py
 # spans step 4 by whichever name run_two_level calls.
 compress_two_site = compress_one_site
-
-
-def compress_two_site_fallback(members, coeffs, max_rank, round_tol=0.0, ledger=None):
-    """Step 4 reference, not called by the iteration: scale members, add
-    pairwise, round once; equal to :func:`compress_two_site` in exact arithmetic."""
-    acc = tt_scale(members[0], coeffs[0])
-    for member, c in zip(members[1:], coeffs[1:]):
-        acc = tt_add(acc, tt_scale(member, c))
-    return round_tt(acc, max_ranks=max_rank, tol=round_tol, ledger=ledger)
 
 
 def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
@@ -767,12 +739,9 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
         unconverged = sum(not r.converged for r in results)
         warn_unconverged(f"iteration {it}", unconverged, len(results))
 
-        members = span_members(family, updates)
-        cp = assemble_coarse(
-            members, op, eps=config.coarse_eps, ledger=ledger, family=family, envs=envs
-        )
+        cp = assemble_coarse(family, updates, op, eps=config.coarse_eps, ledger=ledger, envs=envs)
         if config.structured_coarse:
-            apply_a = structured_apply(family, updates, members, op, ledger)
+            apply_a = structured_apply(family, updates, op, ledger)
             sol = solve_coarse_structured(
                 cp, apply_a, v0=prev_coeffs, seed=config.seed, ledger=ledger
             )
@@ -784,7 +753,7 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
         # the local eigenvalues: two-site updates are split at max_rank
         # before they enter the span, which can cost energy.
         min_update_energy = float(
-            min(cp.a_hat[j, j] / cp.s_hat[j, j] for j in range(1, len(members)))
+            min(cp.a_hat[j, j] / cp.s_hat[j, j] for j in range(1, len(cp.s_hat)))
         )
         # Over the whole span the coarse minimum lies below every member's
         # Rayleigh quotient.  A cut to one direction that leaves a member
@@ -796,7 +765,7 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
         collapsed = cp.p <= 1 and sol.energy - min_update_energy > slack
         if collapsed:
             warnings.warn(
-                f"iteration {it}: coarse span collapsed to p = {cp.p} of {len(members)} "
+                f"iteration {it}: coarse span collapsed to p = {cp.p} of {len(cp.s_hat)} "
                 "members",
                 RuntimeWarning,
                 stacklevel=2,

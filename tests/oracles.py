@@ -7,7 +7,9 @@ library's full inner products, one pair of members at a time, sharing no
 transfers between entries as the row sweeps of
 ``ttdmrg.twolevel.assemble_coarse`` do; :func:`row_sweep_coarse`, the
 coarse assembly's schedule with one row and one column at a time and no
-stacks, whose ledger the stacked assembly must reproduce exactly; :func:`tensordot_apply_local_1site`
+stacks, over the same ``(family, updates)`` and the windows of
+:func:`span_windows`, whose ledger the stacked assembly must reproduce
+exactly; :func:`tensordot_apply_local_1site`
 and :func:`tensordot_apply_local_2site`, the projected local operators as
 pairwise ``contract`` calls, each charged at its input shapes, whose ledger
 charges the library's in-place kernel must reproduce exactly; :func:`list_lanczos_lowest`, the
@@ -16,9 +18,12 @@ preallocated array, which the library's version must match bitwise;
 :func:`materialize_one_site_sum` and :func:`two_site_sum`, the one- and
 two-site sum builders as they were written before
 ``ttdmrg.sums.sum_train`` replaced both, which it must match core by
-core; and :func:`round_sum_oracle`, step 4 as it was computed
+core; :func:`round_sum_oracle`, step 4 as it was computed
 before it orthogonalized the sum against its done rail: the library's
-``round_tt`` of the library's ``sum_train``.
+``round_tt`` of the library's ``sum_train``; and :func:`add_and_round`,
+step 4 by the library's pairwise ``tt_add`` of the scaled members and one
+``round_tt``, the two-site reference the package kept as
+``compress_two_site_fallback``.
 """
 
 import numpy as np
@@ -28,17 +33,15 @@ from ttdmrg.eigen import LanczosResult, dense_sym_svd
 from ttdmrg.ledger import CostLedger, charge, contract
 from ttdmrg.mpo import mpo_inner
 from ttdmrg.sums import sum_train
-from ttdmrg.tt import TensorTrain, inner, round_tt
+from ttdmrg.tt import TensorTrain, inner, round_tt, tt_add, tt_scale
 from ttdmrg.twolevel import (
     CoarseProblem,
-    SharedEnvs,
-    _boundary,
     _close,
     _extend_left,
     _extend_right,
     _merge,
-    _window,
     shared_envs,
+    span_members,
 )
 
 
@@ -81,12 +84,20 @@ def meeting_cut(family, op, win, rows, closed):
     return min(costs)[1]
 
 
-def row_sweep_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None):
+def span_windows(updates):
+    """The sites ``[a, b]`` outside which each member of
+    ``span_members(family, updates)`` holds the family's shared cores:
+    ``[0, 0]`` for the iterate, ``[i, i+k-1]`` for the ``k`` cores of
+    ``updates[i]``."""
+    return [(0, 0)] + [(i, i + len(u) - 1) for i, u in enumerate(updates)]
+
+
+def row_sweep_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
     """``ttdmrg.twolevel.assemble_coarse`` with one row and one column at a
     time and no stacks.  Overlap and reduced operator matrices over the
-    member trains.
+    span of the iterate and its updated members.
 
-    Each member is read as its window ``[a, b]`` (see :func:`_window`)
+    Each member is read as its window ``[a, b]`` (:func:`span_windows`)
     plus the shared cores of ``family``.  Row ``k`` is one task, tagged
     ``gram{k}``: it starts from the shared left environment at ``a_k``,
     advances one site at a time with member ``k`` as bra and
@@ -100,19 +111,14 @@ def row_sweep_coarse(members, op, eps=1e-10, ledger=None, family=None, envs=None
     ``c`` of :func:`meeting_cut`, all of it charged to ``gram{l}``.  Such a
     closed pair meets at ``c``, or at the column's start when it lies
     before ``c``, or just past the row's window when that lies after ``c``;
-    the row advances to that meeting cut.  Without ``family`` every window
-    is the whole train and each entry is a full contraction, which is
-    exact for arbitrary trains.  ``envs`` are the family's
+    the row advances to that meeting cut.  ``envs`` are the family's
     :func:`shared_envs`, built here when not given.
     """
-    m = len(members)
-    d = members[0].d
-    if family is not None and envs is None:
-        envs = shared_envs(family, op, ledger)
     if envs is None:
-        # whole-train windows only read the two boundary transfers
-        envs = SharedEnvs([_boundary()], [None] * d + [_boundary()])
-    win = [_window(x, family) for x in members]
+        envs = shared_envs(family, op, ledger)
+    members = span_members(family, updates)
+    win = span_windows(updates)
+    m = len(members)
     order = sorted(range(m), key=lambda l: (win[l][0], l))
     cols = {k: order[pos:] for pos, k in enumerate(order)}
     pairs = [(k, l) for k in range(m) for l in cols[k] if win[l][0] > win[k][1]]
@@ -342,6 +348,17 @@ def round_sum_oracle(family, updates, coeffs, max_rank, round_tol=0.0, ledger=No
     and truncated, i.e. ``round_tt(sum_train(...))``."""
     total = sum_train(family, updates, coeffs[1:], prev_coeff=coeffs[0])
     return round_tt(total, max_ranks=max_rank, tol=round_tol, ledger=ledger)
+
+
+def add_and_round(members, coeffs, max_rank, round_tol=0.0, ledger=None):
+    """Step 4 as ``ttdmrg.twolevel.compress_two_site_fallback`` computed it
+    before it left the package: scale the members, add them pairwise with
+    the library's ``tt_add`` and round once with its ``round_tt``; equal to
+    ``compress_two_site`` in exact arithmetic."""
+    acc = tt_scale(members[0], coeffs[0])
+    for member, c in zip(members[1:], coeffs[1:]):
+        acc = tt_add(acc, tt_scale(member, c))
+    return round_tt(acc, max_ranks=max_rank, tol=round_tol, ledger=ledger)
 
 
 def tt_entry(cores, idx):

@@ -16,13 +16,20 @@ from ttdmrg.dmrg import SweepConfig, micro_step, run_dmrg
 from ttdmrg.ledger import CostLedger
 from ttdmrg.models import dense_ground_state, heisenberg_chain, ising_chain, random_symmetric_mpo
 from ttdmrg.mpo import MatrixProductOperator, rayleigh_quotient
-from ttdmrg.tt import TensorTrain, orthogonal_family, orthogonalize, random_tt, tt_scale
+from ttdmrg.tt import (
+    OrthogonalFamily,
+    TensorTrain,
+    orthogonal_family,
+    orthogonalize,
+    qr_fixed,
+    random_tt,
+    tt_scale,
+)
 from ttdmrg.twolevel import (
     TwoLevelConfig,
     assemble_coarse,
     compress_one_site,
     compress_two_site,
-    compress_two_site_fallback,
     local_solves,
     run_two_level,
     solve_coarse,
@@ -121,7 +128,7 @@ def test_gram_and_reduced_operator_match_dense():
     updates, _ = local_solves(family, op, "one-site", eig_tol=1e-12, seed=0)
     members = span_members(family, updates)
     led = CostLedger()
-    cp = assemble_coarse(members, op, ledger=led)
+    cp = assemble_coarse(family, updates, op, ledger=led)
     vecs = [oracles.tt_dense(m.cores).ravel() for m in members]
     h = oracles.mpo_dense(op.cores)
     m = len(members)
@@ -132,28 +139,33 @@ def test_gram_and_reduced_operator_match_dense():
             a_ref = vecs[i] @ h @ vecs[j]
             assert abs(cp.s_hat[i, j] - s_ref) <= 1e-10 * max(1.0, abs(s_ref))
             assert abs(cp.a_hat[i, j] - a_ref) <= 1e-10 * max(1.0, abs(a_ref))
-    assert set(led.per_worker_flops) == {f"gram{k}" for k in range(m)}
+    assert set(led.per_worker_flops) == {f"gram{k}" for k in range(m)} | {"env:left", "env:right"}
 
 
-def random_members(family, mode, seed):
-    # Span members with random replacement cores or blocks: generic entries,
-    # the same windows and shared cores as the solver's members.
+def random_updates(family, mode, seed):
+    # Random replacement cores, or random pair blocks QR-split into a
+    # left-orthonormal and a right factor: generic entries in the shapes
+    # of the solver's updates.
     rng = np.random.default_rng(seed)
     if mode == "one-site":
-        updates = [(rng.standard_normal(c.shape),) for c in family.centers]
-        return span_members(family, updates)
-    from ttdmrg.sums import TwoSiteChain
-
-    updates = [
-        rng.standard_normal(family.centers[i].shape[:2] + family.right[i + 1].shape[1:])
-        for i in range(family.d - 1)
-    ]
-    chain = TwoSiteChain(family, updates)
-    return [family.config(0)] + [chain.member_train(i) for i in range(family.d - 1)]
+        return [(rng.standard_normal(c.shape),) for c in family.centers]
+    updates = []
+    for i in range(family.d - 1):
+        r0, n1, _ = family.centers[i].shape
+        _, n2, r3 = family.right[i + 1].shape
+        q, r = qr_fixed(rng.standard_normal((r0, n1, n2, r3)).reshape(r0 * n1, n2 * r3))
+        updates.append((q.reshape(r0, n1, -1), r.reshape(-1, n2, r3)))
+    return updates
 
 
-def assert_matches_pairwise(cp, members, op):
-    s_ref, a_ref = oracles.pairwise_coarse(members, op)
+def scaled_updates(updates, scales):
+    # each update's last core scaled: its member, rescaled inside its window
+    return [tuple(u[:-1]) + (a * u[-1],) for u, a in zip(updates, scales)]
+
+
+def assert_matches_pairwise(family, updates, op):
+    cp = assemble_coarse(family, updates, op)
+    s_ref, a_ref = oracles.pairwise_coarse(span_members(family, updates), op)
     assert np.max(np.abs(cp.s_hat - s_ref)) <= 1e-12 * np.max(np.abs(s_ref))
     assert np.max(np.abs(cp.a_hat - a_ref)) <= 1e-12 * np.max(np.abs(a_ref))
 
@@ -164,21 +176,10 @@ def assert_matches_pairwise(cp, members, op):
 def test_row_sweep_assembly_matches_pairwise_oracle(d, mode, model):
     op = random_symmetric_mpo(d, seed=d) if model == "random" else heisenberg_chain(d)
     family = orthogonal_family(make_state(op.dims, 3, seed=d + 1))
-    members = random_members(family, mode, seed=d + 2)
-    assert_matches_pairwise(assemble_coarse(members, op, family=family), members, op)
-
-    # Rescaling acts on each member's center core, inside its window.
-    scales = np.linspace(0.3, 7.0, len(members))
-    scaled = [tt_scale(x, a) for x, a in zip(members, scales)]
-    assert_matches_pairwise(assemble_coarse(scaled, op, family=family), scaled, op)
-
-    # Members not built from the family: copied cores and an ungauged
-    # rescaling (core 0) widen their windows up to the whole train.
-    foreign = [TensorTrain([c.copy() for c in members[-1].cores])]
-    foreign.append(tt_scale(TensorTrain(members[1].cores), 2.5))
-    foreign.append(family.config(d - 1))
-    mixed = members + foreign
-    assert_matches_pairwise(assemble_coarse(mixed, op, family=family), mixed, op)
+    updates = random_updates(family, mode, seed=d + 2)
+    assert_matches_pairwise(family, updates, op)
+    scales = np.linspace(0.3, 7.0, len(updates))
+    assert_matches_pairwise(family, scaled_updates(updates, scales), op)
 
 
 def test_row_sweep_assembly_is_repeatable():
@@ -186,18 +187,18 @@ def test_row_sweep_assembly_is_repeatable():
     op = heisenberg_chain(d)
     family = orthogonal_family(make_state(op.dims, 3, seed=30))
     for mode in ("one-site", "two-site"):
-        members = random_members(family, mode, seed=31)
+        updates = random_updates(family, mode, seed=31)
         runs = []
         for _ in range(2):
             led = CostLedger()
-            cp = assemble_coarse(members, op, ledger=led, family=family)
+            cp = assemble_coarse(family, updates, op, ledger=led)
             runs.append((cp, led.report()))
         (cp1, r1), (cp2, r2) = runs
         assert np.array_equal(cp1.s_hat, cp2.s_hat)
         assert np.array_equal(cp1.a_hat, cp2.a_hat)
         assert r1 == r2
         assert set(r1["per_worker_flops"]) == (
-            {f"gram{k}" for k in range(len(members))} | {"env:left", "env:right"}
+            {f"gram{k}" for k in range(len(updates) + 1)} | {"env:left", "env:right"}
         )
 
 
@@ -206,9 +207,9 @@ def test_coarse_assembly_flops_grow_quadratically(mode):
     def coarse_flops(d):
         op = ising_chain(d)
         family = orthogonal_family(make_state(op.dims, 4, seed=32))
-        members = random_members(family, mode, seed=33)
+        updates = random_updates(family, mode, seed=33)
         led = CostLedger()
-        assemble_coarse(members, op, ledger=led, family=family)
+        assemble_coarse(family, updates, op, ledger=led)
         return led.per_class_flops["coarse"]
 
     # Pairwise assembly is cubic in d (a ratio near 8 here); row sweeps
@@ -216,16 +217,16 @@ def test_coarse_assembly_flops_grow_quadratically(mode):
     assert coarse_flops(16) / coarse_flops(8) < 6
 
 
-def assert_matches_row_sweeps(members, op, family):
+def assert_matches_row_sweeps(family, updates, op):
     # Entries to summation order, ledger byte for byte (tags and values).
     got_led, want_led = CostLedger(), CostLedger()
-    got = assemble_coarse(members, op, ledger=got_led, family=family)
-    want = oracles.row_sweep_coarse(members, op, ledger=want_led, family=family)
+    got = assemble_coarse(family, updates, op, ledger=got_led)
+    want = oracles.row_sweep_coarse(family, updates, op, ledger=want_led)
     assert np.max(np.abs(got.s_hat - want.s_hat)) <= 1e-13 * np.max(np.abs(want.s_hat))
     assert np.max(np.abs(got.a_hat - want.a_hat)) <= 1e-13 * np.max(np.abs(want.a_hat))
     assert got_led.report_json() == want_led.report_json()
-    env_tags = {"env:left", "env:right"} if family is not None else set()
-    assert set(got_led.per_worker_flops) == {f"gram{k}" for k in range(len(members))} | env_tags
+    tags = {f"gram{k}" for k in range(len(updates) + 1)} | {"env:left", "env:right"}
+    assert set(got_led.per_worker_flops) == tags
 
 
 @pytest.mark.parametrize("d", [2, 3, 6, 9, 20])
@@ -236,24 +237,16 @@ def test_stacked_assembly_matches_row_sweep_oracle(d, mode, model):
               "ising": ising_chain(d)}
     op = models[model]
     family = orthogonal_family(make_state(op.dims, 3, seed=d + 1))
-    members = random_members(family, mode, seed=d + 2)
-    win = [twolevel._window(x, family) for x in members]
+    updates = random_updates(family, mode, seed=d + 2)
+    win = oracles.span_windows(updates)
     # member 0 and the first update tie on their window start, and the last
     # row has no column starting past its window
     assert win[0][0] == win[1][0] == 0
     assert win[-1][1] >= max(a for a, _ in win)
-    assert_matches_row_sweeps(members, op, family)
+    assert_matches_row_sweeps(family, updates, op)
 
-    scales = np.linspace(0.3, 7.0, len(members))
-    assert_matches_row_sweeps([tt_scale(x, a) for x, a in zip(members, scales)], op, family)
-
-    # foreign members widen their windows, up to the whole train
-    foreign = [TensorTrain([c.copy() for c in members[-1].cores])]
-    foreign.append(tt_scale(TensorTrain(members[1].cores), 2.5))
-    foreign.append(family.config(d - 1))
-    assert_matches_row_sweeps(members + foreign, op, family)
-    # without a family every window is the whole train
-    assert_matches_row_sweeps(members, op, None)
+    scales = np.linspace(0.3, 7.0, len(updates))
+    assert_matches_row_sweeps(family, scaled_updates(updates, scales), op)
 
 
 def test_stacked_assembly_matches_oracle_when_split_ranks_differ():
@@ -262,7 +255,7 @@ def test_stacked_assembly_matches_oracle_when_split_ranks_differ():
     family = orthogonal_family(make_state(op.dims, 2, seed=35))
     pairs, _ = local_solves(family, op, "two-site", eig_tol=1e-10, max_rank=4, seed=0)
     assert any(left.shape[2] != family.left[i].shape[2] for i, (left, _) in enumerate(pairs))
-    assert_matches_row_sweeps(span_members(family, pairs), op, family)
+    assert_matches_row_sweeps(family, pairs, op)
 
 
 def test_stacked_step_rejects_unequal_bra_and_ket():
@@ -313,10 +306,10 @@ def test_coarse_assembly_calls_grow_linearly(mode, monkeypatch):
     def assembly_calls(d):
         op = ising_chain(d)
         family = orthogonal_family(make_state(op.dims, 4, seed=32))
-        members = random_members(family, mode, seed=33)
+        updates = random_updates(family, mode, seed=33)
         envs = twolevel.shared_envs(family, op)
         calls.clear()
-        assemble_coarse(members, op, family=family, envs=envs)
+        assemble_coarse(family, updates, op, envs=envs)
         return len(calls)
 
     for name in ("_extend_left", "_extend_right", "_advance_stack", "_advance_right_stack"):
@@ -334,8 +327,8 @@ def test_row_and_column_stacks_stay_on_their_side_of_the_cut(mode, monkeypatch):
     d = 32
     op = heisenberg_chain(d)
     family = orthogonal_family(make_state(op.dims, 4, seed=38))
-    members = random_members(family, mode, seed=39)
-    win = [twolevel._window(x, family) for x in members]
+    updates = random_updates(family, mode, seed=39)
+    win = oracles.span_windows(updates)
     rows = [k for k, (_, b) in enumerate(win) if b < max(a for a, _ in win)]
     closed = [l for l, (a, _) in enumerate(win) if a > min(b for _, b in win)]
     cut = oracles.meeting_cut(family, op, win, rows, closed)
@@ -356,7 +349,7 @@ def test_row_and_column_stacks_stay_on_their_side_of_the_cut(mode, monkeypatch):
 
     for name in sites:
         monkeypatch.setattr(twolevel, name, recorded(name))
-    assemble_coarse(members, op, family=family)
+    assemble_coarse(family, updates, op)
     left, right = sites["_advance_stack"], sites["_advance_right_stack"]
     # the cut lies well inside the gap, and each site is crossed by one stack
     assert d // 4 < cut < 3 * d // 4
@@ -383,12 +376,11 @@ def test_overlap_matrix_symmetric_and_psd():
     op = random_symmetric_mpo(d, seed=11)
     family = orthogonal_family(make_state((2,) * d, 3, seed=12))
     updates, _ = local_solves(family, op, "two-site", eig_tol=1e-10, max_rank=3, seed=0)
-    members = span_members(family, updates)
-    cp = assemble_coarse(members, op)
+    cp = assemble_coarse(family, updates, op)
     assert np.array_equal(cp.s_hat, cp.s_hat.T)
     assert np.array_equal(cp.a_hat, cp.a_hat.T)
     assert cp.sigma.min() >= -1e-10 * cp.sigma[0]
-    assert 1 <= cp.p <= len(members)
+    assert 1 <= cp.p <= len(updates) + 1
 
 
 def test_solve_coarse_matches_dense_span_minimum():
@@ -397,7 +389,7 @@ def test_solve_coarse_matches_dense_span_minimum():
     family = orthogonal_family(make_state((2,) * d, 2, seed=14))
     updates, _ = local_solves(family, op, "one-site", eig_tol=1e-12, seed=0)
     members = span_members(family, updates)
-    cp = assemble_coarse(members, op)
+    cp = assemble_coarse(family, updates, op)
     sol = solve_coarse(cp)
     e_ref, p_ref = dense_span_minimum(members, op)
     assert cp.p == p_ref
@@ -419,7 +411,7 @@ def test_coarse_minimum_descends_below_every_member():
     family = orthogonal_family(make_state((2,) * d, 2, seed=16))
     updates, results = local_solves(family, op, "two-site", eig_tol=1e-12, max_rank=4, seed=0)
     members = span_members(family, updates)
-    cp = assemble_coarse(members, op)
+    cp = assemble_coarse(family, updates, op)
     sol = solve_coarse(cp)
     for member in members:
         assert sol.energy <= rayleigh_quotient(member, op) + 1e-10
@@ -431,11 +423,9 @@ def test_solve_coarse_invariant_under_member_rescaling():
     op = random_symmetric_mpo(d, seed=17)
     family = orthogonal_family(make_state((2,) * d, 2, seed=18))
     updates, _ = local_solves(family, op, "one-site", eig_tol=1e-12, seed=0)
-    members = span_members(family, updates)
-    scales = [0.25, 3.0, 1.0, 40.0, 0.5]
-    scaled = [tt_scale(m, a) for m, a in zip(members, scales)]
-    e0 = solve_coarse(assemble_coarse(members, op)).energy
-    e1 = solve_coarse(assemble_coarse(scaled, op)).energy
+    scaled = scaled_updates(updates, [0.25, 3.0, 40.0, 0.5])
+    e0 = solve_coarse(assemble_coarse(family, updates, op)).energy
+    e1 = solve_coarse(assemble_coarse(family, scaled, op)).energy
     assert abs(e0 - e1) <= 1e-9 * max(1.0, abs(e0))
 
 
@@ -445,12 +435,11 @@ def test_structured_coarse_matches_direct(mode):
         op = random_symmetric_mpo(d, seed=19 + d)
         family = orthogonal_family(make_state((2,) * d, 2, seed=20 + d))
         updates, _ = local_solves(family, op, mode, eig_tol=1e-12, max_rank=4, seed=0)
-        members = span_members(family, updates)
-        cp = assemble_coarse(members, op, family=family)
+        cp = assemble_coarse(family, updates, op)
         led = CostLedger()
-        apply_a = structured_apply(family, updates, members, op, led)
+        apply_a = structured_apply(family, updates, op, led)
         bound = 1e-13 * np.max(np.abs(cp.a_hat))
-        for c in np.random.default_rng(d).standard_normal((3, len(members))):
+        for c in np.random.default_rng(d).standard_normal((3, len(updates) + 1)):
             assert np.max(np.abs(apply_a(c) - cp.a_hat @ c)) <= bound
         assert set(led.per_class_flops) == {"coarse"}
 
@@ -463,8 +452,10 @@ def test_structured_coarse_matches_direct(mode):
 def test_degenerate_span_raises():
     d = 3
     op = random_symmetric_mpo(d, seed=23)
-    zero = TensorTrain([np.zeros((1, 2, 1)) for _ in range(d)])
-    cp = assemble_coarse([zero, zero], op)
+    # a zero iterate and zero updates span nothing
+    zeros = [np.zeros((1, 2, 1)) for _ in range(d)]
+    family = OrthogonalFamily(zeros, zeros, zeros)
+    cp = assemble_coarse(family, [(z,) for z in zeros], op)
     assert cp.p == 0
     with pytest.raises(ValueError, match="degenerate"):
         solve_coarse(cp)
@@ -534,7 +525,7 @@ def test_compress_two_site_matches_fallback(d, cap, model):
     coeffs = np.random.default_rng(d).standard_normal(d)
     led = CostLedger()
     got = oracles.tt_dense(compress_two_site(family, updates, coeffs, cap, ledger=led).cores)
-    want = oracles.tt_dense(compress_two_site_fallback(members, coeffs, cap).cores)
+    want = oracles.tt_dense(oracles.add_and_round(members, coeffs, cap).cores)
     exact = dense_sum(members, coeffs)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.linalg.norm((got - exact).ravel()) > 1e-6 * np.linalg.norm(exact.ravel())
@@ -1167,6 +1158,10 @@ def test_bad_inputs_rejected():
         TwoLevelConfig(mode="three-site")
     for bad in (
         dict(workers=0),
+        dict(workers=1.5),
+        dict(workers=True),
+        dict(seed=1.5),
+        dict(seed=-1),
         dict(max_iters=0),
         dict(max_rank=0),
         dict(coarse_eps=0.0),

@@ -303,6 +303,27 @@ def test_run_dmrg_rejects_bad_inputs():
         run_dmrg(TensorTrain([np.ones((1, 2, 1))]), single)
 
 
+@pytest.mark.parametrize("where", ["start", "operator"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("solver", ["dmrg", "two-level"])
+def test_non_finite_inputs_are_rejected_up_front(solver, value, where):
+    # max(nan, 0.0) is nan, so the zero-norm check let a NaN start through
+    # to a failed tridiagonal eigensolve
+    op = ising_chain(6)
+    init = random_tt(op.dims, 2, seed=0)
+    if where == "start":
+        init = TensorTrain([init.cores[0], init.cores[1] * value] + list(init.cores[2:]))
+        message = "initial state has non-finite entries"
+    else:
+        core = op.cores[2].copy()
+        core[0, 0, 0, 0] = value
+        op = MatrixProductOperator(op.cores[:2] + (core,) + op.cores[3:])
+        message = "operator has non-finite entries"
+    run = run_dmrg if solver == "dmrg" else twolevel.run_two_level
+    with pytest.raises(ValueError, match=message):
+        run(init, op)
+
+
 # each run may stop on the stop test or at its sweep budget
 @pytest.mark.filterwarnings("ignore:run stopped at max_half_sweeps = [123] without:RuntimeWarning")
 def test_final_gauge_matches_sweep_parity():
@@ -479,12 +500,16 @@ def test_configs_reject_each_bad_shared_knob(config_type, budget):
             for value in (-1e-8, nan)]
     # counts are integers: 2.5 would reach range() or cut a rank to 2
     bad += [(count, value, f"{count} must be an integer")
-            for count in ("max_rank", budget, "eig_max_iter") for value in (2.5, 3.0, True, "4")]
+            for count in ("max_rank", budget, "eig_max_iter", "seed")
+            for value in (2.5, 3.0, True, "4")]
+    # a bad seed would fail only when a Lanczos restart draws from it
+    bad += [("seed", -1, "seed must be nonnegative")]
     for name, value, message in bad:
         with pytest.raises(ValueError, match=message):
             config_type(**{name: value})
     config_type(eig_tol=0.0, energy_tol=0.0, svd_tol=0.0, eig_max_iter=1, **{budget: 1})
-    config_type(max_rank=np.int64(4), eig_max_iter=np.int32(5), **{budget: np.int64(3)})
+    config_type(max_rank=np.int64(4), eig_max_iter=np.int32(5), seed=np.int64(0),
+                **{budget: np.int64(3)})
     with pytest.raises(TypeError):
         config_type("one-site")  # keyword-only
 

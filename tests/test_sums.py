@@ -6,7 +6,7 @@ import pytest
 import oracles
 from ttdmrg import sums
 from ttdmrg.ledger import CostLedger
-from ttdmrg.sums import OneSiteSumFamily, TwoSiteChain, sum_train
+from ttdmrg.sums import OneSiteSumFamily, sum_train
 from ttdmrg.models import heisenberg_chain, ising_chain, random_symmetric_mpo
 from ttdmrg.tt import (
     TensorTrain,
@@ -36,34 +36,9 @@ def random_replacements(family, seed=0):
     return [rng.standard_normal(c.shape) for c in family.centers]
 
 
-def random_blocks(family, seed=0):
-    rng = np.random.default_rng(seed)
-    r = family_ranks(family)
-    n = family.dims
-    return [
-        rng.standard_normal((r[i], n[i], n[i + 1], r[i + 2]))
-        for i in range(family.d - 1)
-    ]
-
-
 def one_site_member_dense(family, core, i):
     cores = list(family.left[:i]) + [core] + list(family.right[i + 1 :])
     return oracles.tt_dense(cores)
-
-
-def pair_member_dense(family, block, i):
-    d = family.d
-    dims = family.dims
-    out = np.empty(dims)
-    for idx in np.ndindex(*dims):
-        m = np.ones((1, 1))
-        for j in range(i):
-            m = m @ family.left[j][:, idx[j], :]
-        m = m @ block[:, idx[i], idx[i + 1], :]
-        for j in range(i + 2, d):
-            m = m @ family.right[j][:, idx[j], :]
-        out[idx] = m[0, 0]
-    return out
 
 
 @pytest.mark.parametrize("dims,ranks,seed", [
@@ -273,28 +248,3 @@ def test_orthogonal_sum_train_stays_exact_on_degenerate_coefficients(k, kind, di
     exact = max(separation_ranks(oracles.tt_dense(want.cores)))
     for cap in {exact, max(exact - 1, 1)}:
         assert dense_rel_err(truncate(got, cap), round_tt(want, cap)) <= 1e-12
-
-
-def test_two_site_chain_validation():
-    family = make_family((2, 2, 2), (2, 2), 0)
-    blocks = random_blocks(family, 1)
-    with pytest.raises(ValueError, match="per neighboring pair"):
-        TwoSiteChain(family, blocks[:1])
-    bad = list(blocks)
-    bad[0] = np.zeros((1, 2, 2, 5))
-    with pytest.raises(ValueError, match="shape"):
-        TwoSiteChain(family, bad)
-
-
-def test_member_train_matches_naive():
-    family = make_family((2, 3, 2, 2), (2, 3, 2), 5)
-    blocks = random_blocks(family, 6)
-    chain = TwoSiteChain(family, blocks)
-    for i in range(family.d - 1):
-        member = chain.member_train(i)
-        np.testing.assert_allclose(
-            member.to_dense(), pair_member_dense(family, blocks[i], i), atol=1e-12
-        )
-        assert member.center == i + 1
-        lm = member.cores[i].reshape(-1, member.cores[i].shape[2])
-        np.testing.assert_allclose(lm.T @ lm, np.eye(lm.shape[1]), atol=1e-12)
