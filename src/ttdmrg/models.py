@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .eigen import dense_lowest_eig
@@ -14,6 +16,14 @@ _Y = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _I = np.eye(2)
 
 
+def _check_chain(d, **params):
+    if d < 2:
+        raise ValueError("need at least two sites")
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def ising_chain(d, coupling=1.0, field=1.0):
     """Transverse-field Ising chain with open boundaries,
 
@@ -21,22 +31,15 @@ def ising_chain(d, coupling=1.0, field=1.0):
 
     as an operator train of bond dimension 3.
     """
-    if d < 2:
-        raise ValueError("need at least two sites")
-    first = np.zeros((1, 2, 2, 3))
-    first[0, :, :, 0] = -field * _X
-    first[0, :, :, 1] = -coupling * _Z
-    first[0, :, :, 2] = _I
+    _check_chain(d, coupling=coupling, field=field)
     bulk = np.zeros((3, 2, 2, 3))
     bulk[0, :, :, 0] = _I
     bulk[1, :, :, 0] = _Z
     bulk[2, :, :, 0] = -field * _X
     bulk[2, :, :, 1] = -coupling * _Z
     bulk[2, :, :, 2] = _I
-    last = np.zeros((3, 2, 2, 1))
-    last[0, :, :, 0] = _I
-    last[1, :, :, 0] = _Z
-    last[2, :, :, 0] = -field * _X
+    # the boundary cores are the bulk core's last row and first column
+    first, last = bulk[-1:].copy(), bulk[..., :1].copy()
     return MatrixProductOperator([first] + [bulk] * (d - 2) + [last])
 
 
@@ -48,14 +51,8 @@ def heisenberg_chain(d, coupling=1.0):
     in an all-real representation of bond dimension 5 (the YY term uses
     i*sigma_y with a compensating sign).
     """
-    if d < 2:
-        raise ValueError("need at least two sites")
+    _check_chain(d, coupling=coupling)
     c = coupling / 4.0
-    first = np.zeros((1, 2, 2, 5))
-    first[0, :, :, 1] = c * _X
-    first[0, :, :, 2] = -c * _Y
-    first[0, :, :, 3] = c * _Z
-    first[0, :, :, 4] = _I
     bulk = np.zeros((5, 2, 2, 5))
     bulk[0, :, :, 0] = _I
     bulk[1, :, :, 0] = _X
@@ -65,11 +62,7 @@ def heisenberg_chain(d, coupling=1.0):
     bulk[4, :, :, 2] = -c * _Y
     bulk[4, :, :, 3] = c * _Z
     bulk[4, :, :, 4] = _I
-    last = np.zeros((5, 2, 2, 1))
-    last[0, :, :, 0] = _I
-    last[1, :, :, 0] = _X
-    last[2, :, :, 0] = _Y
-    last[3, :, :, 0] = _Z
+    first, last = bulk[-1:].copy(), bulk[..., :1].copy()
     return MatrixProductOperator([first] + [bulk] * (d - 2) + [last])
 
 

@@ -8,16 +8,21 @@ environment at cut ``j`` is an order-3 array ``(row bond, operator bond,
 column bond)``; the trivial boundary environment is ``ones((1, 1, 1))``.
 
 Environments of ``<bra | A | ket>`` contractions are built site by site.
-``update_left_env`` / ``update_right_env`` extend an environment by one
-site; the ``all_*`` helpers sweep a whole train.  Projected operators on
-k adjacent sites are applied matrix-free through one kernel,
-``apply_local``, which reads every operand in place: the left environment
-and the block meet in one GEMM, each operator core (permuted, a tiny copy)
-is applied by one batched ``np.matmul`` over the leading bonds, and the
-right environment enters as a transposed view in a last GEMM whose output
-is already in block order.  Each step is charged as the pairwise
-contraction of its input (:func:`local_step_flops`); ``local_matvec``
-computes those charges once per local problem, since its shapes are fixed.
+``update_left_env`` / ``update_right_env`` extend an environment, or a
+stack of them along leading axes, by one site; they are the package's one
+environment step per direction, copy-free (ket first going left, bra
+first going right) and charged one count for both directions,
+:func:`env_step_flops`.  The ``all_*`` helpers sweep a whole train.
+
+Projected operators on k adjacent sites are applied matrix-free through
+one kernel, ``apply_local``, which reads every operand in place: the left
+environment and the block meet in one GEMM, each operator core (permuted,
+a tiny copy) is applied by one batched ``np.matmul`` over the leading
+bonds, and the right environment enters as a transposed view in a last
+GEMM whose output is already in block order.  Each step is charged as the
+pairwise contraction of its input (:func:`local_step_flops`);
+``local_matvec`` computes those charges once per local problem, since its
+shapes are fixed.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import math
 
 import numpy as np
 
-from .ledger import contract, tensordot_flops
+from .ledger import charge, tensordot_flops
 from .tt import _check_dense_size, _CoreChain, inner, tt_add, tt_scale
 
 
@@ -69,18 +74,52 @@ def boundary_env():
     return np.ones((1, 1, 1))
 
 
+def env_step_flops(bra_core, op_core, ket_core):
+    """What one environment step costs in either direction, ``2n(w a a' b'
+    + n w w' a b' + w' a b b')`` for bra ``(a, n, b)``, operator ``(w, n,
+    n, w')`` and ket ``(a', n, b')``."""
+    a, n, b = bra_core.shape
+    a2, _, b2 = ket_core.shape
+    w, _, _, w2 = op_core.shape
+    return 2.0 * n * (w * a * a2 * b2 + n * w * w2 * a * b2 + w2 * a * b * b2)
+
+
 def update_left_env(env, bra_core, op_core, ket_core, ledger=None, op_class="env_update"):
-    """Extend a left environment by one site."""
-    t = contract(ledger, op_class, env, bra_core, ((0,), (0,)))
-    u = contract(ledger, op_class, t, op_core, ((0, 2), (0, 1)))
-    return contract(ledger, op_class, u, ket_core, ((0, 2), (0, 1)))
+    """Extend left environments ``(..., a, w, a')`` by one site.
+
+    Copy-free, ket first: one GEMM against the ket over the stack of
+    leading axes, one batched ``np.matmul`` of the permuted operator core,
+    and one broadcast ``np.matmul`` against the bra's transposed view;
+    charged :func:`env_step_flops` once per stacked environment."""
+    a, n, b = bra_core.shape
+    a2, _, b2 = ket_core.shape
+    w, _, _, w2 = op_core.shape
+    lead = env.shape[:-3]
+    k = math.prod(lead)
+    charge(ledger, op_class, k * env_step_flops(bra_core, op_core, ket_core))
+    x = env.reshape(k * a * w, a2) @ ket_core.reshape(a2, n * b2)  # (K, a, w, n', b')
+    wp = op_core.transpose(1, 3, 0, 2).reshape(n * w2, w * n)
+    x = np.matmul(wp, x.reshape(k * a, w * n, b2))  # (K, a, n, w', b')
+    x = np.matmul(bra_core.reshape(a * n, b).T, x.reshape(k, a * n, w2 * b2))  # (K, b, w' b')
+    return x.reshape(lead + (b, w2, b2))
 
 
 def update_right_env(env, bra_core, op_core, ket_core, ledger=None, op_class="env_update"):
-    """Extend a right environment by one site."""
-    t = contract(ledger, op_class, bra_core, env, ((2,), (0,)))
-    u = contract(ledger, op_class, t, op_core, ((1, 2), (1, 3)))
-    return contract(ledger, op_class, u, ket_core, ((3, 1), (1, 2)))
+    """The mirror of :func:`update_left_env`, extending right environments
+    ``(..., b, w', b')`` leftward, bra first: one broadcast ``np.matmul``
+    over the stack, the permuted operator core, then one GEMM against the
+    ket's transposed view."""
+    a, n, b = bra_core.shape
+    a2, _, b2 = ket_core.shape
+    w, _, _, w2 = op_core.shape
+    lead = env.shape[:-3]
+    k = math.prod(lead)
+    charge(ledger, op_class, k * env_step_flops(bra_core, op_core, ket_core))
+    x = np.matmul(bra_core.reshape(a * n, b), env.reshape(k, b, w2 * b2))  # (K, a, n, w', b')
+    wp = op_core.transpose(0, 2, 1, 3).reshape(w * n, n * w2)
+    x = np.matmul(wp, x.reshape(k * a, n * w2, b2))  # (K, a, w, n', b')
+    x = x.reshape(k * a * w, n * b2) @ ket_core.reshape(a2, n * b2).T  # (K, a, w, a')
+    return x.reshape(lead + (a, w, a2))
 
 
 def left_env(bra, op, ket, j, ledger=None, op_class="env_build"):

@@ -223,16 +223,42 @@ def random_tt(dims, ranks, seed=0):
     return TensorTrain(cores)
 
 
+def overlap_step_flops(cx, cy):
+    """What one overlap step costs in either direction, ``2n(a a' b' + a b
+    b')`` for ``cx (a, n, b)`` and ``cy (a', n, b')``."""
+    a, n, b = cx.shape
+    a2, _, b2 = cy.shape
+    return 2.0 * n * (a * a2 * b2 + a * b * b2)
+
+
 def update_left_overlap(e, cx, cy, ledger=None, op_class="inner"):
-    """Extend a left overlap transfer ``(rank_x, rank_y)`` by one site."""
-    t = contract(ledger, op_class, e, cx, ((0,), (0,)))
-    return contract(ledger, op_class, t, cy, ((0, 1), (0, 1)))
+    """Extend left overlap transfers ``(..., rank_x, rank_y)`` by one site.
+
+    Copy-free, ``cy`` first: one GEMM over the stack of leading axes, then
+    one broadcast ``np.matmul`` against ``cx``'s transposed view; charged
+    :func:`overlap_step_flops` once per stacked transfer."""
+    a, n, b = cx.shape
+    a2, _, b2 = cy.shape
+    lead = e.shape[:-2]
+    k = math.prod(lead)
+    charge(ledger, op_class, k * overlap_step_flops(cx, cy))
+    x = e.reshape(k * a, a2) @ cy.reshape(a2, n * b2)  # (K, a, n, b')
+    out = np.matmul(cx.reshape(a * n, b).T, x.reshape(k, a * n, b2))
+    return out.reshape(lead + (b, b2))
 
 
 def update_right_overlap(e, cx, cy, ledger=None, op_class="inner"):
-    """Extend a right overlap transfer ``(rank_x, rank_y)`` by one site."""
-    t = contract(ledger, op_class, cx, e, ((2,), (0,)))
-    return contract(ledger, op_class, t, cy, ((1, 2), (1, 2)))
+    """The mirror of :func:`update_left_overlap`, extending right transfers
+    leftward, ``cx`` first: one broadcast ``np.matmul`` over the stack,
+    then one GEMM against ``cy``'s transposed view."""
+    a, n, b = cx.shape
+    a2, _, b2 = cy.shape
+    lead = e.shape[:-2]
+    k = math.prod(lead)
+    charge(ledger, op_class, k * overlap_step_flops(cx, cy))
+    x = np.matmul(cx.reshape(a * n, b), e.reshape(k, b, b2))  # (K, a, n, b')
+    out = x.reshape(k * a, n * b2) @ cy.reshape(a2, n * b2).T
+    return out.reshape(lead + (a, a2))
 
 
 def inner(x, y, ledger=None, op_class="inner"):

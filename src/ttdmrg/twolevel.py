@@ -31,13 +31,14 @@ Each global iteration runs four steps:
    O(d^2) flops per iteration rather than O(d^3) for pairwise inner
    products.  Between a row's window and a later column's both members
    hold only shared cores, so the rows advance there rightward as one
-   stack of batched products and the columns leftward as another, and the
-   two stacks meet at one cut chosen from the window shapes: about d^2/4
-   shared-site steps instead of the d^2/2 of rows alone, in O(d) calls per
-   iteration.  Each row is still a task tagged ``gram{k}``, charged its
-   own steps and closings, and each column's leftward steps are charged
-   to its ``gram{l}`` next to its window environment, in the same
-   per-task cost model;
+   stack and the columns leftward as another, and the two stacks meet at
+   one cut chosen from the window shapes: about d^2/4 shared-site steps
+   instead of the d^2/2 of rows alone, in O(d) calls per iteration, each
+   one call of the package's transfer steps over a stack axis.  Each row
+   is still a task tagged ``gram{k}``, charged its own steps and
+   closings, and each column's leftward steps are charged to its
+   ``gram{l}`` next to its window environment, in the same per-task cost
+   model;
 4. compress the coarse minimizer back to the working ranks: the
    combination of the local solves' k-site updates is one exact train
    (two rails at k = 1, three at k = 2, the middle one over the kept split
@@ -89,10 +90,11 @@ from .dmrg import (
     warn_unconverged,
 )
 from .eigen import dense_lowest_eig, dense_sym_svd, lanczos_lowest
-from .ledger import CostLedger, charge, tensordot_flops
+from .ledger import CostLedger, charge
 from .mpo import (
     apply_local,
     boundary_env,
+    env_step_flops,
     local_matvec,
     mpo_inner,
     update_left_env,
@@ -104,6 +106,7 @@ from .tt import (
     TensorTrain,
     orthogonal_family,
     orthogonalize,
+    overlap_step_flops,
     truncate,
     tt_scale,
     update_left_overlap,
@@ -161,7 +164,6 @@ class CoarseProblem:
     a_hat: np.ndarray
     sigma: np.ndarray
     basis: np.ndarray
-    eps: float
     p: int
 
     def whitener(self):
@@ -380,77 +382,6 @@ def _sweep(env, bra, op, ket, start, stop, ledger):
     return env
 
 
-def _shared_step_flops(bra, op_core, ket):
-    """What :func:`_extend_left` charges for one site: the two overlap and
-    three operator contractions, bra first.  For bra and ket of equal
-    shapes it is also what :func:`_extend_right` charges."""
-    a, n, b = bra.shape
-    a2, n2, _ = ket.shape
-    w, _, _, w2 = op_core.shape
-    return (
-        tensordot_flops((a, a2), bra.shape, a)
-        + tensordot_flops((a2, n, b), ket.shape, a2 * n)
-        + tensordot_flops((a, w, a2), bra.shape, a)
-        + tensordot_flops((w, a2, n, b), op_core.shape, w * n)
-        + tensordot_flops((a2, b, n2, w2), ket.shape, a2 * n2)
-    )
-
-
-def _advance_stack(overlaps, opers, bra, op_core, ket):
-    """Extend a stack of left transfers ``(K, a, a')`` and operator
-    environments ``(K, a, w, a')`` by one site that every one of them
-    crosses with the same bra, operator and ket cores.
-
-    Copy-free, ket first: one GEMM against the ket, one batched
-    ``np.matmul`` of the permuted operator core over the stack and bra
-    bond, and one broadcast ``np.matmul`` against the bra's transposed
-    view.  Bra and ket must have equal shapes, which makes each step cost
-    what the bra-first step of :func:`_extend_left` costs."""
-    if bra.shape != ket.shape:
-        raise ValueError(f"stacked step needs equal bra and ket shapes, got {bra.shape} "
-                         f"and {ket.shape}")
-    k, a, w, a2 = opers.shape
-    _, n, b = bra.shape
-    w2 = op_core.shape[3]
-    kmat = ket.reshape(a2, n * b)
-    brat = bra.reshape(a * n, b).T
-    x = overlaps.reshape(k * a, a2) @ kmat  # (K, a, n, b')
-    overlaps = np.matmul(brat, x.reshape(k, a * n, b))  # (K, b, b')
-    x = opers.reshape(k * a * w, a2) @ kmat  # (K, a, w, n', b')
-    wp = op_core.transpose(1, 3, 0, 2).reshape(n * w2, w * n)
-    x = np.matmul(wp, x.reshape(k * a, w * n, b))  # (K, a, n, w2, b')
-    opers = np.matmul(brat, x.reshape(k, a * n, w2 * b))  # (K, b, w2 * b')
-    return overlaps, opers.reshape(k, b, w2, b)
-
-
-def _advance_right_stack(overlaps, opers, bra, op_core, ket):
-    """The mirror of :func:`_advance_stack`: extend a stack of right
-    transfers ``(K, b, b')`` and operator environments ``(K, b, w2, b')``
-    leftward by one site that every one of them crosses with the same
-    bra, operator and ket cores.
-
-    Copy-free, bra first: one broadcast ``np.matmul`` of the bra over the
-    stack, one batched ``np.matmul`` of the permuted operator core, and
-    one GEMM against the ket's transposed view.  Bra and ket must have
-    equal shapes, which makes each step cost what :func:`_extend_right`
-    costs."""
-    if bra.shape != ket.shape:
-        raise ValueError(f"stacked step needs equal bra and ket shapes, got {bra.shape} "
-                         f"and {ket.shape}")
-    k, b, w2, _ = opers.shape
-    a, n, _ = bra.shape
-    w = op_core.shape[0]
-    bmat = bra.reshape(a * n, b)
-    ketv = ket.reshape(a, n * b).T
-    x = np.matmul(bmat, overlaps)  # (K, a, n, b')
-    overlaps = x.reshape(k * a, n * b) @ ketv  # (K, a, a')
-    x = np.matmul(bmat, opers.reshape(k, b, w2 * b))  # (K, a, n, w2, b')
-    wp = op_core.transpose(0, 2, 1, 3).reshape(w * n, n * w2)
-    x = np.matmul(wp, x.reshape(k * a, n * w2, b))  # (K, a, w, n', b')
-    opers = x.reshape(k * a * w, n * b) @ ketv  # (K, a, w, a')
-    return overlaps.reshape(k, a, a), opers.reshape(k, a, w, a)
-
-
 def _stacked(pairs, stack=None):
     """Transfer pairs ``(overlap, operator)`` stacked along a new leading
     axis, after those already in ``stack``."""
@@ -488,46 +419,46 @@ def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
     Each member is read as its window ``[a, b]`` plus the shared cores of
     ``family``: the iterate holds ``family.centers[0]`` at ``[0, 0]``, and
     member ``i + 1`` holds the ``k`` cores of ``updates[i]`` at
-    ``[i, i+k-1]``.  Row ``k`` is one task, tagged ``gram{k}``, that
-    fills its diagonal and every column ``l`` after
-    ``k`` in window-start order (ties by index).  It starts from the
-    shared left environment at ``a_k`` and advances with member ``k`` as
-    bra and ``family.left`` as ket.  An overlapping column is contracted
-    across both windows and closed against the shared right environment.
-    A column whose window starts past ``b_k`` is closed against its own
-    right environment (``family.right`` as bra, member ``l`` as ket),
-    built once from the shared right environment and charged to
-    ``gram{l}``.
+    ``[i, i+k-1]``, so the windows start in member order.  Row ``k`` is
+    one task, tagged ``gram{k}``, that fills its diagonal and every column
+    ``l > k``.  It starts from the shared left environment at ``a_k`` and
+    advances with member ``k`` as bra and ``family.left`` as ket.  An
+    overlapping column is contracted across both windows and closed
+    against the shared right environment.  A column whose window starts
+    past ``b_k`` is closed against its own right environment
+    (``family.right`` as bra, member ``l`` as ket), built once from the
+    shared right environment and charged to ``gram{l}``.
 
     Between the windows of such a closed pair both members hold shared
     cores, ``family.right`` in the row and ``family.left`` in the column,
     the same for every pair at a site.  So the rows advance there
-    rightward as one stack (:func:`_advance_stack`) and the closed columns
-    leftward as another (:func:`_advance_right_stack`), both to one cut
-    ``c`` (:func:`_meeting_cut`): a row whose window ends before ``c``
-    joins the left stack and meets every column that starts before ``c``
-    at that column's start; a column that starts at or past ``c`` joins
-    the right stack and meets every row that ends at or past ``c`` just
-    after that row's window; at ``c`` the two stacks meet in one GEMM per
-    matrix.  The shared sites are crossed about ``d^2/4`` times rather than
-    the ``d^2/2`` of rows alone, in O(d) batched calls.  Each row is
-    charged its own steps and closings under ``gram{k}``, and each closed
-    column its leftward steps under ``gram{l}``, next to its window
-    environment.  ``envs`` are the family's :func:`shared_envs`, built here
-    when not given.
+    rightward as one stack and the closed columns leftward as another,
+    one :func:`_extend_left` or :func:`_extend_right` call per site over
+    the stack's leading axis, both to one cut ``c``
+    (:func:`_meeting_cut`): a row whose window ends before ``c`` joins the
+    left stack and meets every column that starts before ``c`` at that
+    column's start; a column that starts at or past ``c`` joins the right
+    stack and meets every row that ends at or past ``c`` just after that
+    row's window; at ``c`` the two stacks meet in one GEMM per matrix.
+    The shared sites are crossed about ``d^2/4`` times rather than the
+    ``d^2/2`` of rows alone, in O(d) batched calls.  Each row is charged
+    its own steps and closings under ``gram{k}``, and each closed column
+    its leftward steps under ``gram{l}``, next to its window environment;
+    a step costs the same either way (:func:`~ttdmrg.tt.overlap_step_flops`
+    plus :func:`~ttdmrg.mpo.env_step_flops`).  ``envs`` are the family's
+    :func:`shared_envs`, built here when not given.
     """
     if envs is None:
         envs = shared_envs(family, op, ledger)
     members = [x.cores for x in span_members(family, updates)]
     win = [(0, 0)] + [(i, i + len(u) - 1) for i, u in enumerate(updates)]
     m = len(members)
-    order = sorted(range(m), key=lambda l: (win[l][0], l))
-    cols = {k: order[pos:] for pos, k in enumerate(order)}
-    # Row k's closed columns are all l with a_l > b_k; the last of them
-    # starts at `last`, so every row that has one has that one.
-    last = max(a for a, _ in win)
-    first_end = min(b for _, b in win)
-    closed = [l for l in range(m) if win[l][0] > first_end]
+    # The windows start in member order and the iterate's ends at site 0,
+    # so the closed columns are the members from 2 on.  Row k's closed
+    # columns are all l with a_l > b_k; the last of them starts at `last`,
+    # so every row that has one has that one.
+    last = win[-1][0]
+    closed = range(2, m)
 
     column_envs, column_ledgers = {}, {}
     for l in closed:
@@ -549,7 +480,7 @@ def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
         bra = members[k]
         a, b = win[k]
         env, site = envs.left[a], a
-        for l in cols[k]:
+        for l in range(k, m):
             al, bl = win[l]
             if al > b:
                 break
@@ -582,12 +513,15 @@ def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
             joins.setdefault(win[k][1] + 1, []).append(k)
         for l in closed:
             starts.setdefault(win[l][0], []).append(l)
-        step = {s: _shared_step_flops(family.right[s], op.cores[s], family.left[s])
-                for s in range(first_end + 1, last)}
+        # the row's bra, the operator and the column's ket at each gap site;
+        # the stacks step uncharged and each member is charged its crossings
+        gap = {s: (family.right[s], op.cores[s], family.left[s]) for s in range(1, last)}
+        step = {s: overlap_step_flops(bra, ket) + env_step_flops(bra, w, ket)
+                for s, (bra, w, ket) in gap.items()}
         cut = _meeting_cut(joins, starts, step)
 
         rows, left = [], None
-        for s in range(first_end + 1, cut + 1):
+        for s in range(1, cut + 1):
             if s in joins:
                 rows += joins[s]
                 left = _stacked([row_envs[k] for k in joins[s]], left)
@@ -595,7 +529,7 @@ def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
                 break
             if s in starts:
                 meet(rows, starts[s], left, _stacked([column_envs[l] for l in starts[s]]))
-            left = _advance_stack(*left, family.right[s], op.cores[s], family.left[s])
+            left = _extend_left(left, *gap[s], None, "coarse")
             for k in rows:
                 row_ledgers[k].charge("coarse", step[s])
 
@@ -609,7 +543,7 @@ def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
             for k in joins.get(t, []):
                 meet([k], cols, row_envs[k], right)
             s = t - 1
-            right = _advance_right_stack(*right, family.right[s], op.cores[s], family.left[s])
+            right = _extend_right(right, *gap[s], None, "coarse")
             for l in cols:
                 column_ledgers[l].charge("coarse", step[s])
         meet(rows, cols, left, right)
@@ -622,7 +556,7 @@ def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
     sigma, basis = dense_sym_svd(s_hat, ledger=ledger)
     smax = sigma[0] if len(sigma) else 0.0
     p = int(np.sum(sigma > eps * smax)) if smax > 0 else 0
-    return CoarseProblem(s_hat, a_hat, sigma, basis, eps, p)
+    return CoarseProblem(s_hat, a_hat, sigma, basis, p)
 
 
 def solve_coarse(cp, ledger=None):

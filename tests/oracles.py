@@ -12,7 +12,10 @@ stacks, over the same ``(family, updates)`` and the windows of
 exactly; :func:`tensordot_apply_local_1site`
 and :func:`tensordot_apply_local_2site`, the projected local operators as
 pairwise ``contract`` calls, each charged at its input shapes, whose ledger
-charges the library's in-place kernel must reproduce exactly; :func:`list_lanczos_lowest`, the
+charges the library's in-place kernel must reproduce exactly;
+``tensordot_update_{left,right}_{overlap,env}``, the one-site transfer
+steps as pairwise ``contract`` calls, bra first both ways, which the
+library's copy-free steps must match in value; :func:`list_lanczos_lowest`, the
 Lanczos iteration as it was written before the basis moved into one
 preallocated array, which the library's version must match bitwise;
 :func:`materialize_one_site_sum` and :func:`two_site_sum`, the one- and
@@ -173,7 +176,7 @@ def row_sweep_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
     sigma, basis = dense_sym_svd(s_hat, ledger=ledger)
     smax = sigma[0] if len(sigma) else 0.0
     p = int(np.sum(sigma > eps * smax)) if smax > 0 else 0
-    return CoarseProblem(s_hat, a_hat, sigma, basis, eps, p)
+    return CoarseProblem(s_hat, a_hat, sigma, basis, p)
 
 
 def tensordot_apply_local_1site(env_left, op_core, env_right, v, ledger=None, op_class="matvec"):
@@ -192,6 +195,34 @@ def tensordot_apply_local_2site(
     t = contract(ledger, op_class, t, op_core1, ((1, 2), (0, 2)))
     t = contract(ledger, op_class, t, op_core2, ((4, 1), (0, 2)))
     return contract(ledger, op_class, t, env_right, ((1, 4), (2, 1)))
+
+
+def tensordot_update_left_overlap(e, cx, cy, ledger=None, op_class="inner"):
+    """Extend a left overlap transfer ``(rank_x, rank_y)`` by one site."""
+    t = contract(ledger, op_class, e, cx, ((0,), (0,)))
+    return contract(ledger, op_class, t, cy, ((0, 1), (0, 1)))
+
+
+def tensordot_update_right_overlap(e, cx, cy, ledger=None, op_class="inner"):
+    """Extend a right overlap transfer ``(rank_x, rank_y)`` by one site."""
+    t = contract(ledger, op_class, cx, e, ((2,), (0,)))
+    return contract(ledger, op_class, t, cy, ((1, 2), (1, 2)))
+
+
+def tensordot_update_left_env(env, bra_core, op_core, ket_core, ledger=None,
+                              op_class="env_update"):
+    """Extend a left operator environment by one site, bra first."""
+    t = contract(ledger, op_class, env, bra_core, ((0,), (0,)))
+    u = contract(ledger, op_class, t, op_core, ((0, 2), (0, 1)))
+    return contract(ledger, op_class, u, ket_core, ((0, 2), (0, 1)))
+
+
+def tensordot_update_right_env(env, bra_core, op_core, ket_core, ledger=None,
+                               op_class="env_update"):
+    """Extend a right operator environment by one site, bra first."""
+    t = contract(ledger, op_class, bra_core, env, ((2,), (0,)))
+    u = contract(ledger, op_class, t, op_core, ((1, 2), (1, 3)))
+    return contract(ledger, op_class, u, ket_core, ((3, 1), (1, 2)))
 
 
 def _list_tridiag_lowest(alphas, betas):

@@ -258,49 +258,15 @@ def test_stacked_assembly_matches_oracle_when_split_ranks_differ():
     assert_matches_row_sweeps(family, pairs, op)
 
 
-def test_stacked_step_rejects_unequal_bra_and_ket():
-    rng = np.random.default_rng(36)
-    overlaps, opers = rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3, 1, 3))
-    for step in (twolevel._advance_stack, twolevel._advance_right_stack):
-        with pytest.raises(ValueError):
-            step(
-                overlaps, opers, rng.standard_normal((3, 2, 4)), np.ones((1, 2, 2, 1)),
-                rng.standard_normal((3, 2, 5)),
-            )
-
-
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_stacked_steps_match_one_transfer_at_a_time(side):
-    # bra and ket share their shapes but not their entries; the operator
-    # core is a random one with unequal bonds
-    rng = np.random.default_rng(37)
-    a, n, b, w, w2 = 3, 2, 4, 5, 6
-    bra, ket = rng.standard_normal((a, n, b)), rng.standard_normal((a, n, b))
-    op_core = rng.standard_normal((w, n, n, w2))
-    if side == "left":
-        stack = rng.standard_normal((4, a, a)), rng.standard_normal((4, a, w, a))
-        got = twolevel._advance_stack(*stack, bra, op_core, ket)
-        extend = twolevel._extend_left
-    else:
-        stack = rng.standard_normal((4, b, b)), rng.standard_normal((4, b, w2, b))
-        got = twolevel._advance_right_stack(*stack, bra, op_core, ket)
-        extend = twolevel._extend_right
-    for i in range(4):
-        led = CostLedger()
-        want = extend((stack[0][i], stack[1][i]), bra, op_core, ket, led, "coarse")
-        for x, y in zip(got, want):
-            assert np.allclose(x[i], y, rtol=1e-13, atol=1e-13 * np.max(np.abs(y)))
-        assert led.total_flops() == twolevel._shared_step_flops(bra, op_core, ket)
-
-
 @pytest.mark.parametrize("mode", ["one-site", "two-site"])
 def test_coarse_assembly_calls_grow_linearly(mode, monkeypatch):
     calls = []
 
     def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
+        def wrapper(env, *args):
+            # a stack step's transfers carry a leading stack axis
+            calls.append(("stacked " if env[0].ndim == 3 else "") + fn.__name__)
+            return fn(env, *args)
         return wrapper
 
     def assembly_calls(d):
@@ -312,14 +278,14 @@ def test_coarse_assembly_calls_grow_linearly(mode, monkeypatch):
         assemble_coarse(family, updates, op, envs=envs)
         return len(calls)
 
-    for name in ("_extend_left", "_extend_right", "_advance_stack", "_advance_right_stack"):
+    for name in ("_extend_left", "_extend_right"):
         monkeypatch.setattr(twolevel, name, counted(getattr(twolevel, name)))
     # Row sweeps make O(d^2) transfer updates; the two stacks together
     # cross each shared site once, so equal steps in d add equal numbers of
     # calls.
     c8, c16, c24 = assembly_calls(8), assembly_calls(16), assembly_calls(24)
     assert c24 - c16 == c16 - c8 > 0
-    assert calls.count("_advance_right_stack") > 0
+    assert calls.count("stacked _extend_right") > 0
 
 
 @pytest.mark.parametrize("mode", ["one-site", "two-site"])
@@ -333,24 +299,25 @@ def test_row_and_column_stacks_stay_on_their_side_of_the_cut(mode, monkeypatch):
     closed = [l for l, (a, _) in enumerate(win) if a > min(b for _, b in win)]
     cut = oracles.meeting_cut(family, op, win, rows, closed)
 
-    sites = {"_advance_stack": [], "_advance_right_stack": []}
+    sites = {"_extend_left": [], "_extend_right": []}
 
     def recorded(name):
         step = getattr(twolevel, name)
 
-        def wrapper(overlaps, opers, bra, op_core, ket):
-            # the stacks cross only shared sites: the row's bra is
-            # family.right there and the column's ket family.left
-            (s,) = [s for s in range(d) if family.right[s] is bra]
-            assert family.left[s] is ket and op.cores[s] is op_core
-            sites[name].append(s)
-            return step(overlaps, opers, bra, op_core, ket)
+        def wrapper(env, bra, op_core, ket, *args):
+            if env[0].ndim == 3:
+                # the stacks cross only shared sites: the row's bra is
+                # family.right there and the column's ket family.left
+                (s,) = [s for s in range(d) if family.right[s] is bra]
+                assert family.left[s] is ket and op.cores[s] is op_core
+                sites[name].append(s)
+            return step(env, bra, op_core, ket, *args)
         return wrapper
 
     for name in sites:
         monkeypatch.setattr(twolevel, name, recorded(name))
     assemble_coarse(family, updates, op)
-    left, right = sites["_advance_stack"], sites["_advance_right_stack"]
+    left, right = sites["_extend_left"], sites["_extend_right"]
     # the cut lies well inside the gap, and each site is crossed by one stack
     assert d // 4 < cut < 3 * d // 4
     assert left and max(left) < cut
@@ -683,6 +650,9 @@ def test_run_two_level_heisenberg():
     assert abs(trace.records[-1].energy - e_ref) <= 1e-9 * abs(e_ref)
 
 
+# at energy_tol = 0 only an exact energy tie stops the run, which roundoff
+# may never give within the budget
+@pytest.mark.filterwarnings("ignore:run stopped at max_iters = 12 without:RuntimeWarning")
 def test_energies_monotone_when_compression_is_loose():
     # With max_rank at the full profile the compression is exact, so each
     # iteration can only lower the Rayleigh quotient.

@@ -10,7 +10,12 @@ from ttdmrg.cli import SCHEMA, CliError, load_config, main
 from ttdmrg.dmrg import SweepConfig, run_dmrg
 from ttdmrg.io import load_tt, tt_bytes
 from ttdmrg.ledger import CostLedger
-from ttdmrg.models import dense_ground_state, ising_chain, random_symmetric_mpo
+from ttdmrg.models import (
+    dense_ground_state,
+    heisenberg_chain,
+    ising_chain,
+    random_symmetric_mpo,
+)
 from ttdmrg.tt import random_tt, separation_ranks
 from ttdmrg.twolevel import TwoLevelConfig, run_two_level
 
@@ -408,6 +413,7 @@ def test_every_run_key_reaches_the_run(tmp_path):
 
 
 RANDOM = ["model.kind=random"]
+HEIS = ["model.kind=heisenberg"]
 # overrides of BASE, and the library call that rejects the same value
 LIBRARY_REJECTS = [
     (["run.max_rank=0"], lambda: TwoLevelConfig(max_rank=0)),
@@ -420,6 +426,9 @@ LIBRARY_REJECTS = [
     (["run.max_iters=0"], lambda: TwoLevelConfig(max_iters=0)),
     (["run.seed=-1"], lambda: random_tt((2,) * 6, 2, seed=-1)),
     (["model.sites=1"], lambda: ising_chain(1)),
+    (["model.coupling=nan"], lambda: ising_chain(6, coupling=float("nan"))),
+    (["model.field=inf"], lambda: ising_chain(6, field=float("inf"))),
+    (HEIS + ["model.coupling=-inf"], lambda: heisenberg_chain(6, coupling=-float("inf"))),
     (RANDOM + ["model.local_dim=0"], lambda: random_symmetric_mpo(6, n=0)),
     (RANDOM + ["model.local_dim=-1"], lambda: random_symmetric_mpo(6, n=-1)),
     (RANDOM + ["model.rank=0"], lambda: random_symmetric_mpo(6, rank=0)),

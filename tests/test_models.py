@@ -29,6 +29,17 @@ def test_heisenberg_matches_kron_construction(d, coupling):
     assert np.allclose(op.to_dense(), want, atol=1e-12)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build, name",
+    [(models.ising_chain, "coupling"), (models.ising_chain, "field"),
+     (models.heisenberg_chain, "coupling")],
+)
+def test_chains_reject_non_finite_parameters(build, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build(10, **{name: value})
+
+
 def test_heisenberg_two_site_singlet():
     energy, _ = models.dense_ground_state(models.heisenberg_chain(2))
     assert abs(energy - (-0.75)) < 1e-12

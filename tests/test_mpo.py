@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -208,18 +209,111 @@ def test_local_kernels_do_not_go_through_contract(monkeypatch):
     two = kernel_operands("bulk", True, seed=19, sites=2)
     want_one = oracles.tensordot_apply_local_1site(one[0], *one[1], one[2], one[3]).ravel()
     want_two = oracles.tensordot_apply_local_2site(two[0], *two[1], two[2], two[3]).ravel()
+    steps = {}
+    for side in ("left", "right"):
+        args = transfer_operands("unequal-ranks", side, (), seed=21)
+        steps[side] = args, transfer_oracle(side, *args)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("projected matvec went through ledger.contract")
+        raise AssertionError("a local kernel went through ledger.contract")
 
+    assert not hasattr(mpo, "contract")
     monkeypatch.setattr(ledger_module, "contract", refuse)
-    monkeypatch.setattr(mpo, "contract", refuse)
+    monkeypatch.setattr(tt, "contract", refuse)
     env_l, (core,), env_r, v = one
     matvec, _, _ = mpo.local_matvec_1site(env_l, core, env_r, CostLedger())
     assert_close(matvec(v.ravel()), want_one)
     env_l, cores, env_r, v = two
     matvec, _, _ = mpo.local_matvec_2site(env_l, *cores, env_r, CostLedger())
     assert_close(matvec(v.ravel()), want_two)
+    for side, (args, want) in steps.items():
+        for got, y in zip(transfer_step(side, *args, CostLedger()), want):
+            assert_close(got, y)
+
+
+# -- transfer steps: one copy-free kernel per direction ----------------------
+
+# (bra bonds a, b), (ket bonds a', b'), operator bonds (w, w'); local dimension 2
+TRANSFER_CASES = {
+    "equal": ((3, 4), (3, 4), (5, 5)),
+    "unequal-ranks": ((3, 5), (4, 7), (5, 6)),
+    "left-end": ((1, 3), (1, 2), (1, 5)),
+    "right-end": ((3, 1), (2, 1), (5, 1)),
+}
+
+
+def transfer_operands(case, side, stack, seed):
+    """An overlap transfer and an operator environment, each with the
+    leading axes ``stack``, at the ``side`` cut of a bra, an operator and
+    a ket core of the case's bonds."""
+    (a, b), (a2, b2), (w, w2) = TRANSFER_CASES[case]
+    rng = np.random.default_rng(seed)
+    bra, ket = rng.standard_normal((a, 2, b)), rng.standard_normal((a2, 2, b2))
+    op_core = rng.standard_normal((w, 2, 2, w2))
+    x, z, y = (a, w, a2) if side == "left" else (b, w2, b2)
+    overlap = rng.standard_normal(stack + (x, y))
+    env = rng.standard_normal(stack + (x, z, y))
+    return overlap, env, bra, op_core, ket
+
+
+def transfer_step(side, overlap, env, bra, op_core, ket, ledger=None):
+    """The library's overlap and environment step on ``side``."""
+    step_overlap = {"left": tt.update_left_overlap, "right": tt.update_right_overlap}[side]
+    step_env = {"left": mpo.update_left_env, "right": mpo.update_right_env}[side]
+    return (step_overlap(overlap, bra, ket, ledger, "inner"),
+            step_env(env, bra, op_core, ket, ledger, "env_update"))
+
+
+def transfer_oracle(side, overlap, env, bra, op_core, ket, ledger=None):
+    """The same step, bra first through ``contract``, on unstacked input."""
+    step_overlap = getattr(oracles, f"tensordot_update_{side}_overlap")
+    step_env = getattr(oracles, f"tensordot_update_{side}_env")
+    return (step_overlap(overlap, bra, ket, ledger, "inner"),
+            step_env(env, bra, op_core, ket, ledger, "env_update"))
+
+
+@pytest.mark.parametrize("stack", [(), (1,), (4,)], ids=["unstacked", "K1", "K4"])
+@pytest.mark.parametrize("case", sorted(TRANSFER_CASES))
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_transfer_steps_match_tensordot_and_charge_one_count(side, case, stack):
+    overlap, env, bra, op_core, ket = transfer_operands(case, side, stack, seed=22)
+    led = CostLedger()
+    got = transfer_step(side, overlap, env, bra, op_core, ket, led)
+    k = math.prod(stack)
+    assert led.per_class_flops == {
+        "inner": k * tt.overlap_step_flops(bra, ket),
+        "env_update": k * mpo.env_step_flops(bra, op_core, ket),
+    }
+    for i in np.ndindex(stack):
+        # each transfer of the stack is what one unstacked call gives
+        one = CostLedger()
+        single = transfer_step(side, overlap[i], env[i], bra, op_core, ket, one)
+        want = transfer_oracle(side, overlap[i], env[i], bra, op_core, ket)
+        for g, s, w in zip(got, single, want):
+            assert g[i].shape == s.shape == w.shape
+            assert_close(g[i], w)
+            assert_close(g[i], s)
+        assert one.total_flops() * k == led.total_flops()
+
+
+@pytest.mark.parametrize("case", sorted(TRANSFER_CASES))
+def test_one_count_serves_both_transfer_directions(case):
+    # the same cores (one seed) charge the same going left and going
+    # right; the bra-first oracle charged the same going right, and going
+    # left only where bra and ket have equal shapes
+    new, old = {}, {}
+    for side in ("left", "right"):
+        args = transfer_operands(case, side, (), seed=23)
+        new[side], old[side] = CostLedger(), CostLedger()
+        transfer_step(side, *args, new[side])
+        transfer_oracle(side, *args, old[side])
+    assert new["left"].report() == new["right"].report() == old["right"].report()
+    if case == "equal":
+        assert old["left"].report() == new["left"].report()
+    if case == "unequal-ranks":
+        # bra (3, 2, 5), operator (5, 2, 2, 6), ket (4, 2, 7)
+        assert old["left"].per_class_flops == {"inner": 800.0, "env_update": 9360.0}
+        assert new["left"].per_class_flops == {"inner": 756.0, "env_update": 9240.0}
 
 
 @pytest.mark.parametrize("mode", ["one-site", "two-site"])

@@ -65,3 +65,49 @@ def test_unused_import_check_sees_a_leftover_import():
     source = "from .tt import tt_add, tt_scale\nfrom .tt import inner  # noqa: F401\n"
     assert unused_imports(source + "x = tt_scale\n") == [(1, "tt_add")]
     assert unused_imports(source + "__all__ = ['tt_add']\nx = tt_scale\n") == []
+
+
+def unread_private_helpers(sources):
+    """Top-level ``_private`` functions and classes, as ``(module, name)``,
+    that no statement of the modules in ``sources`` (module name -> source
+    text) reads, by name, as an attribute or through an import, other than
+    the helper's own definition."""
+    defined, readers = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            read = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    read.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    read.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    read |= {alias.name for alias in sub.names}
+            readers.append((node, read))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append((module, node))
+    return [
+        (module, node.name) for module, node in defined
+        if not any(node.name in read for other, read in readers if other is not node)
+    ]
+
+
+def test_no_private_helper_is_left_unread():
+    # the tests' references do not count: a helper only tests call is dead
+    assert not unread_private_helpers({path.stem: path.read_text() for path in SOURCES})
+
+
+def test_private_helper_check_sees_a_leftover_helper():
+    sources = {
+        "tt": "def _check(x):\n    return x\n\nclass _Chain:\n    pass\n",
+        "twolevel": "from .tt import _check\n\ndef _advance_stack(e):\n    return e\n\n"
+                    "def _extend_left(e):\n    return tt._Chain(e)\n\n"
+                    "def assemble(e):\n    return _extend_left(_check(e))\n",
+    }
+    assert unread_private_helpers(sources) == [("twolevel", "_advance_stack")]
+    # a helper that only its own body reads is still unread
+    sources["twolevel"] += "\ndef _shared_step_flops(n):\n    return _shared_step_flops(n - 1)\n"
+    assert unread_private_helpers(sources) == [
+        ("twolevel", "_advance_stack"), ("twolevel", "_shared_step_flops")
+    ]
