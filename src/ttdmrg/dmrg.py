@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field, fields
 from io import StringIO
@@ -32,7 +31,7 @@ from io import StringIO
 import numpy as np
 
 from .eigen import lanczos_lowest
-from .ledger import contract, svd_flops
+from .ledger import contract
 from .mpo import (
     all_right_envs,
     boundary_env,
@@ -42,7 +41,8 @@ from .mpo import (
     update_left_env,
     update_right_env,
 )
-from .tt import TensorTrain, _rank_keep, lq_step, orthogonalize, qr_step, svd_fixed
+from .tt import (TensorTrain, _rank_keep, check_cap, check_integer, check_tol, lq_step,
+                 orthogonalize, qr_step, svd_fixed)
 
 # Forcing term of inexact local solves: after the first half-sweep (or
 # two-level iteration) the local Lanczos tolerance follows this fraction of
@@ -138,23 +138,12 @@ class SolverConfig:
         negative or NaN ``svd_tol``, ``eig_tol`` or ``energy_tol``."""
         if self.mode not in ("one-site", "two-site"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        for name in ("max_rank", budget, "eig_max_iter"):
-            if name == "eig_max_iter" and self.eig_max_iter is None:
-                continue  # the local solver's default cap
-            self.check_integer(name)
-        self.check_integer("seed", least=0)
+        for name in ("max_rank", budget):
+            check_integer(name, getattr(self, name))
+        check_cap("eig_max_iter", self.eig_max_iter)  # None: the local solver's default
+        check_integer("seed", self.seed, least=0)
         for name in ("svd_tol", "eig_tol", "energy_tol"):
-            if not getattr(self, name) >= 0:  # written so that a NaN fails too
-                raise ValueError(f"{name} must be nonnegative")
-
-    def check_integer(self, name, least=1):
-        """Reject a field ``name`` that is not an integer (a bool is not
-        one) or is below ``least``, which is 0 or 1."""
-        value = getattr(self, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}")
+            check_tol(name, getattr(self, name))
 
 
 class Schedule:
@@ -366,19 +355,19 @@ def split_and_shift(block, direction, max_rank=None, svd_tol=0.0, ledger=None):
         "LR" leaves the orthogonality center on the right core, "RL"
         on the left core.
     max_rank, svd_tol
-        Truncation controls; singular values below ``svd_tol`` times
-        the largest one are dropped.
+        Truncation controls (None or an integer >= 1; nonnegative); singular
+        values below ``svd_tol`` times the largest one are dropped.
 
     Returns
     -------
     left, right, discarded : ndarray, ndarray, float
         The two cores and the 2-norm of the dropped singular values.
     """
+    check_cap("max_rank", max_rank)
+    check_tol("svd_tol", svd_tol)
     r0, n1, n2, r3 = block.shape
     mat = block.reshape(r0 * n1, n2 * r3)
-    u, s, vt = svd_fixed(mat)
-    if ledger is not None:
-        ledger.charge("svd", svd_flops(*mat.shape))
+    u, s, vt = svd_fixed(mat, ledger)
     k = _rank_keep(s, max_rank, svd_tol)
     discarded = float(np.sqrt(np.sum(s[k:] ** 2)))
     if direction == "LR":

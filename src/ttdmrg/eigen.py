@@ -9,7 +9,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .ledger import charge, eigh_flops
-from .tt import column_signs
+from .tt import check_cap, check_tol, column_signs
 
 
 @dataclass
@@ -68,16 +68,19 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
 
     The Krylov basis lives in the rows of one array, allocated once per call
     with ``min(max_iter + 1, 32)`` rows and doubled when full, and is shared
-    by the restarts.
+    by the restarts; its vector work is charged once, as ``"matvec"``, on return.
+    ``max_iter`` is None or an integer >= 1 and ``tol`` nonnegative, else ``ValueError``.
     """
     if dim < 1:
         raise ValueError("operator dimension must be positive")
+    check_cap("max_iter", max_iter)
+    check_tol("tol", tol)
     if max_iter is None:
         max_iter = min(dim, 256)
-    max_iter = max(int(max_iter), 1)
     rng = None  # built at the first random draw: most solves start from v0
 
     def finish(theta, vec, res):
+        charge(ledger, "matvec", work)
         conv = res <= tol * max(1.0, abs(theta))
         return LanczosResult(float(theta), vec / np.linalg.norm(vec), total, conv, float(res))
 
@@ -90,6 +93,7 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
         start = start / n0 if n0 > 0 else None
 
     total = 0
+    work = 0.0  # the vector work of every step, charged by finish
     best = None  # lowest (theta, vector, residual) breakdown candidate across restarts
 
     def pick(theta, vec, res):
@@ -123,7 +127,7 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
                 w -= betas[k - 2] * basis[k - 2]
             vk = basis[:k]
             w -= vk.T @ (vk @ w)
-            charge(ledger, "matvec", 4.0 * vk.size + 6.0 * dim)
+            work += 4.0 * vk.size + 6.0 * dim
             b = float(np.linalg.norm(w))
             theta, s = _tridiag_lowest(alphas[:k], betas[: k - 1])
             res = b * abs(s[-1])
@@ -153,9 +157,13 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
 
 
 def _checked_eigh(a, sym_rtol, ledger):
-    """``np.linalg.eigh`` of ``a``, which must be symmetric to ``sym_rtol``
+    """``np.linalg.eigh`` of a square, finite ``a``, symmetric to ``sym_rtol``
     relative to its largest entry; charged as ``"svd"``."""
     a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
     if np.max(np.abs(a - a.T)) > sym_rtol * scale:
         raise ValueError("matrix is not symmetric within tolerance")

@@ -15,6 +15,10 @@ idealized machine with one processor per worker tag is
     cost_per_processor = sequential_flops + max over workers
 
 while ``total_flops`` is the classical single-processor equivalent.
+
+Each kernel charges its own work once per call (a Lanczos solve once, as
+it returns).  Counts and totals are integer-valued floats below 2**53, so
+every sum is exact and how charges are grouped never changes a report.
 """
 
 from __future__ import annotations
@@ -42,76 +46,28 @@ def tensordot_flops(a_shape, b_shape, contracted):
     ``contracted`` is the product of the contracted dimensions; the
     contraction is counted as one (M, K) x (K, N) matrix product.
     """
-    pa = 1
-    for s in a_shape:
-        pa *= s
-    pb = 1
-    for s in b_shape:
-        pb *= s
-    # pa = M*K, pb = K*N  ->  2*M*K*N = 2*pa*pb/K
-    return 2.0 * pa * pb / max(contracted, 1)
-
-
-# Contraction plans keyed by (a.shape, b.shape, axes).  Entries are shape
-# tuples only; the cache is cleared when it reaches its cap.  Two threads
-# that miss on the same key at once both compute its plan, which is harmless.
-_PLANS = {}
-_PLAN_CAP = 4096
-
-
-def _plan(a_shape, b_shape, axes):
-    # the same permutation and reshapes np.tensordot derives
-    axes_a = [ax + len(a_shape) if ax < 0 else ax for ax in axes[0]]
-    axes_b = [ax + len(b_shape) if ax < 0 else ax for ax in axes[1]]
-    if [a_shape[i] for i in axes_a] != [b_shape[i] for i in axes_b]:
-        raise ValueError(f"shape mismatch contracting {a_shape} and {b_shape} over {axes}")
-    free_a = [ax for ax in range(len(a_shape)) if ax not in axes_a]
-    free_b = [ax for ax in range(len(b_shape)) if ax not in axes_b]
-    k = math.prod(a_shape[ax] for ax in axes_a)
-    return (
-        tuple(free_a + axes_a),
-        (math.prod(a_shape[ax] for ax in free_a), k),
-        tuple(axes_b + free_b),
-        (k, math.prod(b_shape[ax] for ax in free_b)),
-        tuple(a_shape[ax] for ax in free_a) + tuple(b_shape[ax] for ax in free_b),
-        tensordot_flops(a_shape, b_shape, k),
-    )
+    # |a| = M*K, |b| = K*N  ->  2*M*K*N = 2*|a|*|b|/K
+    return 2.0 * math.prod(a_shape) * math.prod(b_shape) / max(contracted, 1)
 
 
 def contract(ledger, op_class, a, b, axes):
     """``np.tensordot(a, b, axes)``, charged to ``ledger`` as
     :func:`tensordot_flops` under ``op_class`` (nothing when ``ledger`` is
-    None).
-
-    ``axes`` is a pair of tuples of axes of ``a`` and ``b`` (negative
-    entries count from the end).  The result is bitwise equal to
-    ``np.tensordot``: the same transpose, reshape, ``np.dot`` and reshape
-    run, from a plan cached per shape signature.
-    """
-    key = (a.shape, b.shape, axes)
-    plan = _PLANS.get(key)
-    if plan is None:
-        plan = _plan(*key)
-        if len(_PLANS) >= _PLAN_CAP:
-            _PLANS.clear()
-        _PLANS[key] = plan
-    perm_a, shape_a, perm_b, shape_b, shape_out, flops = plan
-    if ledger is not None:
-        ledger.charge(op_class, flops)
-    at = a.transpose(perm_a).reshape(shape_a)
-    bt = b.transpose(perm_b).reshape(shape_b)
-    return np.dot(at, bt).reshape(shape_out)
+    None).  ``axes`` is a pair of tuples of axes of ``a`` and ``b``
+    (negative entries count from the end)."""
+    out = np.tensordot(a, b, axes)
+    k = math.prod(a.shape[ax] for ax in axes[0])
+    charge(ledger, op_class, tensordot_flops(a.shape, b.shape, k))
+    return out
 
 
 def qr_flops(m, n):
-    if m < n:
-        m, n = n, m
+    m, n = max(m, n), min(m, n)
     return 4.0 * m * n * n
 
 
 def svd_flops(m, n):
-    if m < n:
-        m, n = n, m
+    m, n = max(m, n), min(m, n)
     return 14.0 * m * n * n
 
 
@@ -155,9 +111,7 @@ class CostLedger:
         return self.sequential_flops + sum(self.per_worker_flops.values())
 
     def max_worker_flops(self):
-        if not self.per_worker_flops:
-            return 0.0
-        return max(self.per_worker_flops.values())
+        return max(self.per_worker_flops.values(), default=0.0)
 
     def cost_per_processor(self):
         return self.sequential_flops + self.max_worker_flops()

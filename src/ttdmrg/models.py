@@ -8,6 +8,7 @@ import numpy as np
 
 from .eigen import dense_lowest_eig
 from .mpo import MatrixProductOperator, mpo_add, mpo_scale, mpo_transpose
+from .tt import check_integer
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -17,6 +18,7 @@ _I = np.eye(2)
 
 
 def _check_chain(d, **params):
+    check_integer("d", d, least=0)
     if d < 2:
         raise ValueError("need at least two sites")
     for name, value in params.items():
@@ -69,8 +71,7 @@ def heisenberg_chain(d, coupling=1.0):
 def random_symmetric_mpo(d, n=2, rank=2, seed=0):
     """Symmetric operator built as (B + B^T)/2 from a seeded random train B
     of bond dimension ``rank``; the result has bond dimension 2*rank."""
-    if d < 2:
-        raise ValueError("need at least two sites")
+    _check_chain(d)
     if n < 1:
         raise ValueError("local dimension must be positive")
     if rank < 1:

@@ -15,14 +15,8 @@ first going right) and charged one count for both directions,
 :func:`env_step_flops`.  The ``all_*`` helpers sweep a whole train.
 
 Projected operators on k adjacent sites are applied matrix-free through
-one kernel, ``apply_local``, which reads every operand in place: the left
-environment and the block meet in one GEMM, each operator core (permuted,
-a tiny copy) is applied by one batched ``np.matmul`` over the leading
-bonds, and the right environment enters as a transposed view in a last
-GEMM whose output is already in block order.  Each step is charged as the
-pairwise contraction of its input (:func:`local_step_flops`);
-``local_matvec`` computes those charges once per local problem, since its
-shapes are fixed.
+one copy-free kernel, ``apply_local``, charged once per call;
+``local_matvec`` wraps it as the flat matvec of a local eigensolve.
 """
 
 from __future__ import annotations
@@ -173,7 +167,7 @@ def rayleigh_quotient(x, op, ledger=None, op_class="inner"):
 
 
 def local_step_flops(env_left, op_cores, env_right, shape):
-    """The flops :func:`apply_local` charges, step by step, on a block of
+    """The step flops whose sum :func:`apply_local` charges on a block of
     ``shape``: the left GEMM, one entry per operator core, the right GEMM."""
     a, w, a2 = env_left.shape
     _, w2, b2 = env_right.shape
@@ -193,12 +187,11 @@ def apply_local(env_left, op_cores, env_right, v, ledger=None, op_class="matvec"
 
     Each operator core contracts the bond and input index it meets next,
     so after core ``j`` the intermediate reads ``(a, s_1 .. s_j, w, n_{j+1}
-    .. n_k, b')``; every step is charged as the pairwise contraction of
-    its input (:func:`local_step_flops`).
+    .. n_k, b')``.  Charged once, the sum of its steps' pairwise
+    contraction counts (:func:`local_step_flops`).
     """
     if ledger is not None:
-        for flops in local_step_flops(env_left, op_cores, env_right, v.shape):
-            ledger.charge(op_class, flops)
+        ledger.charge(op_class, sum(local_step_flops(env_left, op_cores, env_right, v.shape)))
     a, w, a2 = env_left.shape
     b, w2, b2 = env_right.shape
     x = env_left.reshape(a * w, a2) @ v.reshape(a2, -1)  # (a, w, n_1, ..., b')
@@ -227,17 +220,16 @@ def local_matvec(env_left, op_cores, env_right, ledger=None, op_class="matvec"):
     """Flat matvec closure over the projected operator on ``len(op_cores)``
     (one or two) adjacent sites, plus its dimension and the block shape.
 
-    The shapes are fixed, so the per-step charges are computed once here
-    and every call charges them in :func:`apply_local`'s order."""
+    The shapes are fixed, so :func:`apply_local`'s one charge is summed
+    once here and every call charges it."""
     shape = (env_left.shape[2],) + tuple(c.shape[2] for c in op_cores) + (env_right.shape[2],)
     # called through the per-width names, which bench/tracer.py spans
     apply = {1: apply_local_1site, 2: apply_local_2site}[len(op_cores)]
-    steps = local_step_flops(env_left, op_cores, env_right, shape) if ledger is not None else ()
+    flops = sum(local_step_flops(env_left, op_cores, env_right, shape))
 
     def matvec(x):
         out = apply(env_left, *op_cores, env_right, x.reshape(shape)).ravel()
-        for flops in steps:
-            ledger.charge(op_class, flops)
+        charge(ledger, op_class, flops)
         return out
 
     return matvec, math.prod(shape), shape

@@ -197,8 +197,7 @@ def orthogonal_sum_train(family, updates, coeffs, prev_coeff=0.0, ledger=None):
                 done -= (p @ rmat).reshape(nd, n, r1)
                 x = x + p
             charge(ledger, "matmul", 8.0 * nd * r0 * n * r1)  # four (nd, r0, n r1) products
-            y, q2 = lq_fixed(c.reshape(nd, m))
-            charge(ledger, "qr", qr_flops(m, nd))
+            y, q2 = lq_fixed(c.reshape(nd, m), ledger)
         core = np.zeros((r0 + q2.shape[0], n, c.shape[2]))
         core[:r0, :, :r1] = right
         core[r0:] = q2.reshape(-1, n, c.shape[2])

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 import os
 
 import numpy as np
@@ -61,6 +62,26 @@ def _check_dense_size(numel, cap):
         )
 
 
+def check_integer(name, value, least=1):
+    """Reject ``name`` unless it is an integer (not a bool) of at least ``least``, 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}, got {value}")
+
+
+def check_cap(name, value):
+    """Reject a cap ``name`` that is neither None nor an integer >= 1."""
+    if value is not None:
+        check_integer(name, value)
+
+
+def check_tol(name, value):
+    """Reject a tolerance ``name`` that is negative or NaN; 0 is allowed."""
+    if not value >= 0:  # written so that a NaN fails too
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+
+
 def column_signs(u):
     """-1.0 for each column of ``u`` whose largest-magnitude entry is
     negative, 1.0 otherwise.  Every factorization here scales its columns
@@ -70,21 +91,23 @@ def column_signs(u):
     return np.where(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0, -1.0, 1.0)
 
 
-def qr_fixed(a):
-    """Reduced QR with deterministic column signs."""
+def qr_fixed(a, ledger=None):
+    """Reduced QR with deterministic column signs, charged as ``"qr"``."""
+    charge(ledger, "qr", qr_flops(*a.shape))
     q, r = np.linalg.qr(a)
     s = column_signs(q)
     return q * s, r * s[:, None]
 
 
-def lq_fixed(a):
-    """Reduced LQ (a = L @ Q, Q row-orthonormal) with deterministic signs."""
-    qt, rt = qr_fixed(a.T)
+def lq_fixed(a, ledger=None):
+    """Reduced LQ (a = L @ Q, Q row-orthonormal): the QR of ``a.T``."""
+    qt, rt = qr_fixed(a.T, ledger)
     return rt.T, qt.T
 
 
-def svd_fixed(a):
-    """Thin SVD with deterministic signs on the left factor's columns."""
+def svd_fixed(a, ledger=None):
+    """Thin SVD with deterministic signs on the left factor's columns, charged as ``"svd"``."""
+    charge(ledger, "svd", svd_flops(*a.shape))
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     sg = column_signs(u)
     return u * sg, s, vt * sg[:, None]
@@ -94,8 +117,8 @@ class _CoreChain:
     """A chain of cores, each ``(rank[j], n_j, ..., rank[j+1])`` with
     ``legs`` local indices between its two bonds: one for a train, a row
     and a column for an operator.  The format is checked here, once for
-    both kinds: at least one core, ``legs + 2`` axes per core, matching
-    bonds and unit boundary ranks."""
+    both kinds: at least one core, ``legs + 2`` axes per core, no empty
+    local leg, matching bonds and unit boundary ranks."""
 
     legs = 1
 
@@ -106,6 +129,8 @@ class _CoreChain:
         for j, c in enumerate(cores):
             if c.ndim != self.legs + 2:
                 raise ValueError(f"core {j} must have {self.legs + 2} axes, got {c.ndim}")
+            if 0 in c.shape[1:-1]:
+                raise ValueError(f"core {j} has an empty local leg, shape {c.shape}")
             if j and cores[j - 1].shape[-1] != c.shape[0]:
                 raise ValueError(
                     f"bond mismatch between cores {j - 1} and {j}: "
@@ -186,9 +211,12 @@ def clip_ranks(dims, ranks):
     interior bonds.  Bonds are clipped so every cut and both neighbor chains
     stay representable: ``rank[j] <= min(prod(dims[:j]), prod(dims[j:]))``
     and ``rank[j+1] <= rank[j]*dims[j]`` in both directions.  Returns the
-    full d+1 tuple including the unit boundary bonds.
+    full d+1 tuple including the unit boundary bonds.  A local dimension
+    below one is an error.
     """
     dims = tuple(int(n) for n in dims)
+    if any(n < 1 for n in dims):
+        raise ValueError(f"local dimensions must be positive, got {dims}")
     d = len(dims)
     if np.isscalar(ranks):
         interior = [int(ranks)] * (d - 1)
@@ -198,9 +226,7 @@ def clip_ranks(dims, ranks):
             raise ValueError(f"need {d - 1} interior ranks, got {len(interior)}")
     rank = [1] + interior + [1]
     for j in range(1, d):
-        left = math.prod(dims[:j])
-        right = math.prod(dims[j:])
-        rank[j] = max(1, min(rank[j], left, right))
+        rank[j] = max(1, min(rank[j], math.prod(dims[:j]), math.prod(dims[j:])))
     for j in range(d):
         rank[j + 1] = min(rank[j + 1], rank[j] * dims[j])
     for j in range(d - 1, -1, -1):
@@ -306,8 +332,7 @@ def qr_step(cores, j, ledger=None):
     ``cores``: core ``j`` becomes the Q of its QR and the triangular factor
     is multiplied into core ``j + 1``."""
     r, n, r2 = cores[j].shape
-    q, rr = qr_fixed(cores[j].reshape(r * n, r2))
-    charge(ledger, "qr", qr_flops(r * n, r2))
+    q, rr = qr_fixed(cores[j].reshape(r * n, r2), ledger)
     cores[j] = q.reshape(r, n, q.shape[1])
     cores[j + 1] = contract(ledger, "matmul", rr, cores[j + 1], ((1,), (0,)))
 
@@ -317,8 +342,7 @@ def lq_step(cores, j, ledger=None):
     ``cores``: core ``j`` becomes the Q of its LQ and the triangular factor
     is multiplied into core ``j - 1``."""
     r, n, r2 = cores[j].shape
-    l, q = lq_fixed(cores[j].reshape(r, n * r2))
-    charge(ledger, "qr", qr_flops(n * r2, r))
+    l, q = lq_fixed(cores[j].reshape(r, n * r2), ledger)
     cores[j] = q.reshape(q.shape[0], n, r2)
     cores[j - 1] = contract(ledger, "matmul", cores[j - 1], l, ((2,), (0,)))
 
@@ -343,15 +367,11 @@ def orthogonalize(tt, center, ledger=None):
 
 
 def _rank_keep(s, max_rank, tol):
-    if s.size == 0:
+    if s.size == 0 or s[0] <= 0.0:
         return 1
-    smax = s[0]
-    if smax <= 0.0:
-        return 1
-    k = int(np.count_nonzero(s > tol * smax)) if tol > 0 else int(np.count_nonzero(s > 0))
-    k = min(k, s.size)
+    k = int(np.count_nonzero(s > tol * s[0]))
     if max_rank is not None:
-        k = min(k, int(max_rank))
+        k = min(k, max_rank)
     return max(k, 1)
 
 
@@ -372,21 +392,22 @@ def truncate(x, max_ranks=None, tol=0.0, ledger=None):
     """The singular value sweep of :func:`round_tt` on a train that is
     already right-orthogonal (``x.center == 0``); other gauges are
     refused, since the sweep reads each cut's singular values off the core
-    left of it only when every core right of it is right-orthonormal."""
+    left of it only when every core right of it is right-orthonormal.
+    ``max_ranks`` holds one or ``d - 1`` caps, None or integers >= 1; ``tol`` is >= 0."""
     d = x.d
     if x.center != 0:
         raise ValueError(f"truncate needs a train site-orthogonal at 0, got center {x.center}")
-    if max_ranks is None or np.isscalar(max_ranks):
-        caps = [max_ranks] * (d - 1)
-    else:
-        caps = list(max_ranks)
-        if len(caps) != d - 1:
-            raise ValueError(f"need {d - 1} rank caps, got {len(caps)}")
+    scalar = max_ranks is None or np.isscalar(max_ranks)
+    caps = [max_ranks] * (d - 1) if scalar else list(max_ranks)
+    if len(caps) != d - 1:
+        raise ValueError(f"need {d - 1} rank caps, got {len(caps)}")
+    for cap in [max_ranks] if scalar else caps:
+        check_cap("max_ranks", cap)
+    check_tol("tol", tol)
     cores = list(x.cores)
     for j in range(d - 1):
         r, n, r2 = cores[j].shape
-        u, s, vt = svd_fixed(cores[j].reshape(r * n, r2))
-        charge(ledger, "svd", svd_flops(r * n, r2))
+        u, s, vt = svd_fixed(cores[j].reshape(r * n, r2), ledger)
         k = _rank_keep(s, caps[j], tol)
         cores[j] = u[:, :k].reshape(r, n, k)
         carry = s[:k, None] * vt[:k]

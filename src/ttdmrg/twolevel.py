@@ -104,6 +104,7 @@ from .mpo import left_env, right_env  # noqa: F401
 from .sums import orthogonal_sum_train, sum_train
 from .tt import (
     TensorTrain,
+    check_integer,
     orthogonal_family,
     orthogonalize,
     overlap_step_flops,
@@ -151,7 +152,7 @@ class TwoLevelConfig(SolverConfig):
 
     def __post_init__(self):
         self.check("max_iters")
-        self.check_integer("workers")
+        check_integer("workers", self.workers)
         if not 0 < self.coarse_eps < 1:
             raise ValueError("coarse_eps must be in (0, 1)")
 
@@ -496,8 +497,7 @@ def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
 
     def meet(rows, cols, left, right):
         # every row's transfers against every column's, one GEMM per matrix
-        # (a single row or column may come unstacked); each row is charged
-        # its closings (integers below 2**53, so every sum is exact)
+        # (a single row or column may come unstacked); each row is charged its closings
         r, c = np.array(rows), np.array(cols)
         for out, x, y in ((s_hat, left[0], right[0]), (a_hat, left[1], right[1])):
             block = x.reshape(len(rows), -1) @ y.reshape(len(cols), -1).T

@@ -1,6 +1,10 @@
 import os
 import sys
 
+import pytest
+
+from ttdmrg.ledger import CostLedger
+
 sys.path.insert(0, os.path.dirname(__file__))
 
 # One line per acceptance criterion, filled in by test_acceptance.py and
@@ -23,3 +27,18 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def charges(monkeypatch):
+    """Every ``CostLedger.charge`` call from here on, as ``(op_class,
+    flops)`` pairs; the charges still land in their ledgers."""
+    calls = []
+    charge = CostLedger.charge
+
+    def recording(self, op_class, flops, worker=None):
+        calls.append((op_class, flops))
+        charge(self, op_class, flops, worker)
+
+    monkeypatch.setattr(CostLedger, "charge", recording)
+    return calls

@@ -53,6 +53,17 @@ def test_split_truncation_reports_discarded_weight():
         split_and_shift(block, "UP")
 
 
+def test_split_rejects_bad_caps_and_tolerances():
+    block = np.random.default_rng(2).standard_normal((3, 2, 2, 3))
+    bad = [(dict(max_rank=cap), "max_rank") for cap in (0, -1, 2.5, True)]
+    bad += [(dict(svd_tol=tol), "svd_tol") for tol in (float("nan"), -1.0)]
+    for kwargs, name in bad:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            split_and_shift(block, "LR", **kwargs)
+    left, _, _ = split_and_shift(block, "LR", max_rank=np.int64(2), svd_tol=0.0)
+    assert left.shape == (3, 2, 2)
+
+
 @pytest.mark.parametrize("site", [0, 1, 3])
 def test_micro_step_1site_matches_dense(site):
     dims = (2, 2, 2, 2)

@@ -157,6 +157,24 @@ def test_lanczos_dim_one_and_validation():
         lanczos_lowest(lambda x: x, 3, v0=np.ones(4))
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [(dict(max_iter=0), "max_iter"), (dict(max_iter=-3), "max_iter"),
+     (dict(max_iter=2.7), "max_iter"), (dict(max_iter=True), "max_iter"),
+     (dict(tol=float("nan")), "tol"), (dict(tol=-1.0), "tol")],
+    ids=["iter0", "iter-3", "iter2.7", "iter-bool", "tol-nan", "tol-1"],
+)
+def test_lanczos_rejects_bad_knobs(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        lanczos_lowest(lambda x: x, 3, **kwargs)
+
+
+def test_lanczos_accepts_a_zero_tolerance_and_numpy_budgets():
+    a = np.diag([1.0, 2.0, 3.0])
+    res = lanczos_lowest(lambda x: a @ x, 3, tol=0.0, max_iter=np.int64(2), seed=3)
+    assert res.iterations == 2 and not res.converged
+
+
 def test_lanczos_degenerate_lowest():
     a = np.diag([2.0, 2.0, 5.0, 7.0])
     res = lanczos_lowest(lambda x: a @ x, 4, tol=1e-10, seed=14)
@@ -172,6 +190,16 @@ def test_dense_lowest_eig():
     assert vec[np.argmax(np.abs(vec))] > 0
     with pytest.raises(ValueError):
         dense_lowest_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("solve", [dense_lowest_eig, dense_sym_svd])
+def test_dense_eigensolvers_reject_malformed_matrices(solve):
+    for bad in (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[1.0, np.inf], [np.inf, 1.0]])):
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(bad)
+    for bad in (np.ones((1, 2)), np.ones((2, 2, 2)), np.ones(3)):
+        with pytest.raises(ValueError, match="square"):
+            solve(bad)
 
 
 def test_dense_sym_svd_orders_and_reconstructs():
@@ -271,3 +299,22 @@ def test_tridiag_lowest_matches_eigh_tridiagonal(n):
         w, v = scipy.linalg.eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
     assert theta == w[0]
     assert np.array_equal(s, v[:, 0])
+
+
+@pytest.mark.parametrize(
+    "a, kwargs",
+    [(random_sym(60, 33), dict(tol=1e-10, seed=34)),
+     (random_sym(50, 10), dict(tol=1e-14, max_iter=40, seed=11)),
+     (np.diag([2.0, -1.0, 4.0, 0.5, 3.0]), dict(tol=0.0, max_iter=100, seed=25))],
+    ids=["converged", "budget", "all-restarts-break-down"],
+)
+def test_lanczos_charges_its_vector_work_once_per_solve(charges, a, kwargs):
+    want = CostLedger()
+    oracles.list_lanczos_lowest(lambda x: a @ x, a.shape[0], ledger=want, **kwargs)
+    charges.clear()
+    led = CostLedger()
+    res = lanczos_lowest(lambda x: a @ x, a.shape[0], ledger=led, **kwargs)
+    assert res.iterations > 4
+    # the oracle charges every step; the solver charges their sum once
+    assert charges == [("matvec", want.total_flops())]
+    assert led.report() == want.report()

@@ -40,6 +40,16 @@ def test_chains_reject_non_finite_parameters(build, name, value):
         build(10, **{name: value})
 
 
+@pytest.mark.parametrize("d", [2.5, 3.0, True, "4"])
+@pytest.mark.parametrize(
+    "build", [models.ising_chain, models.heisenberg_chain, models.random_symmetric_mpo]
+)
+def test_chains_reject_a_site_count_that_is_not_an_integer(build, d):
+    with pytest.raises(ValueError, match="^d must be an integer"):
+        build(d)
+    assert build(np.int64(3)).d == 3
+
+
 def test_heisenberg_two_site_singlet():
     energy, _ = models.dense_ground_state(models.heisenberg_chain(2))
     assert abs(energy - (-0.75)) < 1e-12

@@ -204,6 +204,22 @@ def test_local_kernels_match_tensordot_kernels_and_their_charges(k, case, contig
     assert led_closure.report() == led_old.report()
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_one_local_matvec_call_charges_its_step_sum_once(charges, k):
+    env_l, cores, env_r, v = kernel_operands("unequal-bonds", True, seed=23, sites=k)
+    led = CostLedger()
+    matvec, _, shape = mpo.local_matvec(env_l, cores, env_r, led)
+    want = ("matvec", sum(mpo.local_step_flops(env_l, cores, env_r, shape)))
+    for _ in range(2):
+        charges.clear()
+        matvec(v.ravel())
+        assert charges == [want]
+    charges.clear()
+    mpo.apply_local(env_l, cores, env_r, v, led)
+    assert charges == [want]
+    assert led.total_flops() == 3 * want[1]
+
+
 def test_local_kernels_do_not_go_through_contract(monkeypatch):
     one = kernel_operands("bulk", True, seed=18, sites=1)
     two = kernel_operands("bulk", True, seed=19, sites=2)

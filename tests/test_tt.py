@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from ttdmrg import mpo, tt
+from ttdmrg.ledger import CostLedger, qr_flops, svd_flops
 from ttdmrg.mpo import MatrixProductOperator
 from ttdmrg.tt import TensorTrain, random_tt
 
@@ -66,6 +67,26 @@ def test_constructor_validates_shapes():
                 kind(cores)
     with pytest.raises(ValueError):
         TensorTrain([np.zeros((1, 2, 1))], center=1)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
+def test_chains_reject_an_empty_local_leg(kind):
+    for legs in ((0,) * kind.legs, (2,) * (kind.legs - 1) + (0,)):
+        cores = [np.ones((1,) + (2,) * kind.legs + (1,)), np.ones((1,) + legs + (1,))]
+        with pytest.raises(ValueError, match="core 1 has an empty local leg"):
+            kind(cores)
+    with pytest.raises(ValueError, match="core 0 has an empty local leg"):
+        kind([np.ones((1,) + (0,) * kind.legs + (1,))])
+
+
+def test_chain_builders_reject_a_local_dimension_below_one():
+    with pytest.raises(ValueError, match="core 1 has an empty local leg"):
+        mpo.identity_mpo((2, 0))
+    for dims in ((2, 0, 2), (2, -1)):
+        with pytest.raises(ValueError, match="local dimensions must be positive"):
+            tt.clip_ranks(dims, 2)
+        with pytest.raises(ValueError, match="local dimensions must be positive"):
+            random_tt(dims, 2, seed=0)
 
 
 def test_inner_matches_dense_dot():
@@ -179,6 +200,34 @@ def test_truncate_needs_a_right_orthogonal_train():
             tt.truncate(bad, max_ranks=2)
     y = tt.truncate(tt.orthogonalize(x, 0), max_ranks=2)
     assert y.center == x.d - 1 and max(y.ranks) <= 2
+
+
+@pytest.mark.parametrize("round_first", [False, True])
+def test_truncation_rejects_bad_caps_and_tolerances(round_first):
+    x = tt.orthogonalize(random_tt((2, 3, 2, 2), 3, seed=15), 0)
+    run = tt.round_tt if round_first else tt.truncate
+    bad = [(dict(max_ranks=cap), "max_ranks") for cap in (0, -1, 2.5, True, "2", (2, 0, 2))]
+    bad += [(dict(tol=tol), "tol") for tol in (float("nan"), -1.0)]
+    for kwargs, name in bad:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            run(x, **kwargs)
+    y = run(x, max_ranks=(np.int64(2), None, 1), tol=0.0)
+    assert y.ranks == (1, 2, 3, 1, 1)
+
+
+def test_factorizations_charge_their_own_count(charges):
+    a = np.random.default_rng(30).standard_normal((7, 3))
+    cases = [(tt.qr_fixed, a, ("qr", qr_flops(7, 3))), (tt.lq_fixed, a.T, ("qr", qr_flops(7, 3))),
+             (tt.svd_fixed, a, ("svd", svd_flops(7, 3))),
+             (tt.svd_fixed, a.T, ("svd", svd_flops(3, 7)))]
+    for factorize, m, charge in cases:
+        free = factorize(m)
+        assert charges == []
+        led = CostLedger()
+        charged = factorize(m, led)
+        assert charges == [charge] and led.per_class_flops == dict([charge])
+        assert all(np.array_equal(f, g) for f, g in zip(free, charged))
+        charges.clear()
 
 
 def test_separation_ranks():
