@@ -72,10 +72,8 @@ def random_symmetric_mpo(d, n=2, rank=2, seed=0):
     """Symmetric operator built as (B + B^T)/2 from a seeded random train B
     of bond dimension ``rank``; the result has bond dimension 2*rank."""
     _check_chain(d)
-    if n < 1:
-        raise ValueError("local dimension must be positive")
-    if rank < 1:
-        raise ValueError("rank must be positive")
+    check_integer("local dimension n", n)
+    check_integer("rank", rank)
     rng = np.random.default_rng(seed)
     ranks = [1] + [rank] * (d - 1) + [1]
     cores = [rng.standard_normal((ranks[j], n, n, ranks[j + 1])) for j in range(d)]

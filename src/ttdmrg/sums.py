@@ -35,19 +35,15 @@ class OneSiteSumFamily:
 
     ``family`` holds the site-orthogonal configurations of ``x``;
     ``replacements[i]`` is the new center core for configuration ``i``
-    and must match its shape.
+    and must match its shape.  Validated as the one-site updates of
+    :func:`sum_train` are.
     """
 
     def __init__(self, family, replacements, coeffs, prev_coeff=0.0):
-        if len(replacements) != family.d:
-            raise ValueError("need one replacement core per site")
-        if len(coeffs) != family.d:
-            raise ValueError("need one coefficient per site")
-        for i, (w, c) in enumerate(zip(replacements, family.centers)):
-            if w.shape != c.shape:
-                raise ValueError(f"replacement {i} has shape {w.shape}, expected {c.shape}")
+        replacements = tuple(np.asarray(w, dtype=float) for w in replacements)
+        _rails(family, [(w,) for w in replacements], coeffs)
         self.family = family
-        self.replacements = tuple(np.asarray(w, dtype=float) for w in replacements)
+        self.replacements = replacements
         self.coeffs = tuple(float(c) for c in coeffs)
         self.prev_coeff = float(prev_coeff)
 
@@ -77,7 +73,8 @@ def _rails(family, updates, coeffs):
     dims = family.dims
     for i, u in enumerate(updates):
         shapes = [c.shape for c in u]
-        if (shapes[0][0] != ranks[i] or shapes[-1][2] != ranks[i + k]
+        if (any(len(s) != 3 for s in shapes)
+                or shapes[0][0] != ranks[i] or shapes[-1][2] != ranks[i + k]
                 or [s[1] for s in shapes] != list(dims[i : i + k])
                 or any(a[2] != b[0] for a, b in zip(shapes, shapes[1:]))):
             raise ValueError(f"update {i} has shapes {shapes}")

@@ -211,22 +211,24 @@ def clip_ranks(dims, ranks):
     interior bonds.  Bonds are clipped so every cut and both neighbor chains
     stay representable: ``rank[j] <= min(prod(dims[:j]), prod(dims[j:]))``
     and ``rank[j+1] <= rank[j]*dims[j]`` in both directions.  Returns the
-    full d+1 tuple including the unit boundary bonds.  A local dimension
-    below one is an error.
+    full d+1 tuple including the unit boundary bonds.  Every local
+    dimension and requested rank must be an integer of at least one (a
+    bool is not one); clipping only lowers a bond.
     """
-    dims = tuple(int(n) for n in dims)
-    if any(n < 1 for n in dims):
-        raise ValueError(f"local dimensions must be positive, got {dims}")
+    dims = tuple(dims)
+    for n in dims:
+        check_integer("local dimensions", n)
     d = len(dims)
-    if np.isscalar(ranks):
-        interior = [int(ranks)] * (d - 1)
-    else:
-        interior = [int(r) for r in ranks]
-        if len(interior) != d - 1:
-            raise ValueError(f"need {d - 1} interior ranks, got {len(interior)}")
+    scalar = np.isscalar(ranks)
+    requested = [ranks] if scalar else list(ranks)
+    for r in requested:
+        check_integer("ranks", r)
+    interior = requested * (d - 1) if scalar else requested
+    if len(interior) != d - 1:
+        raise ValueError(f"need {d - 1} interior ranks, got {len(interior)}")
     rank = [1] + interior + [1]
     for j in range(1, d):
-        rank[j] = max(1, min(rank[j], math.prod(dims[:j]), math.prod(dims[j:])))
+        rank[j] = min(rank[j], math.prod(dims[:j]), math.prod(dims[j:]))
     for j in range(d):
         rank[j + 1] = min(rank[j + 1], rank[j] * dims[j])
     for j in range(d - 1, -1, -1):
@@ -237,12 +239,11 @@ def clip_ranks(dims, ranks):
 def random_tt(dims, ranks, seed=0):
     """Tensor train with i.i.d. standard normal core entries.
 
-    Bond dimensions are clipped with :func:`clip_ranks`; a requested rank
-    below one is an error, not clipped up.
+    Bond dimensions are clipped with :func:`clip_ranks`, which rejects a
+    local dimension or requested rank that is not an integer of at least
+    one.
     """
-    if any(r < 1 for r in np.atleast_1d(ranks)):
-        raise ValueError(f"ranks must be positive, got {ranks}")
-    dims = tuple(int(n) for n in dims)
+    dims = tuple(dims)
     rank = clip_ranks(dims, ranks)
     rng = np.random.default_rng(seed)
     cores = [rng.standard_normal((rank[j], dims[j], rank[j + 1])) for j in range(len(dims))]

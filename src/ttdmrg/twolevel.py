@@ -27,7 +27,8 @@ Each global iteration runs four steps:
    Every member differs from the family's shared cores only on a short
    window, so each row of the overlap and reduced operator matrices
    starts from the shared left environment at the row's window and closes
-   each later column against a right environment reused across rows:
+   each later column against a right environment reused across rows (the
+   overlaps over shared cores are identities, as they are orthonormal):
    O(d^2) flops per iteration rather than O(d^3) for pairwise inner
    products.  Between a row's window and a later column's both members
    hold only shared cores, so the rows advance there rightward as one
@@ -56,11 +57,12 @@ The iterate is kept left-orthogonal and at unit norm between iterations,
 and the energy is the Rayleigh quotient of the compressed state, so the
 recorded energy sequence reflects what the method actually keeps.  It is
 read off the family and environments the next iteration needs anyway
-(:func:`family_energy`: one local matvec at site 0), which are built right
-after the iterate is normalized: those of the start before iteration 1,
-those of iterate k at the end of iteration k, before its record.  A run
-thus builds one family and one environment pair more than it runs
-iterations, and no full-train Rayleigh quotient.
+(:func:`family_energy`: the right sweep's site-0 entry ``<x|A|x>`` over
+``<C_0, C_0>``), which are built right after the iterate is normalized:
+those of the start before iteration 1, those of iterate k at the end of
+iteration k, before its record.  A run thus builds one family and one
+environment pair more than it runs iterations, and no full-train
+Rayleigh quotient.
 """
 
 from __future__ import annotations
@@ -92,8 +94,8 @@ from .dmrg import (
 from .eigen import dense_lowest_eig, dense_sym_svd, lanczos_lowest
 from .ledger import CostLedger, charge
 from .mpo import (
-    apply_local,
-    boundary_env,
+    all_left_envs,
+    all_right_envs,
     env_step_flops,
     local_matvec,
     mpo_inner,
@@ -241,22 +243,19 @@ class TwoLevelTrace:
 
 @dataclass
 class SharedEnvs:
-    """Transfers of an orthogonal family's shared cores against themselves.
+    """Operator environments of an orthogonal family's shared cores.
 
-    Entry ``j`` of ``left`` covers sites ``< j`` over ``family.left``
-    (``j < d``); entry ``j`` of ``right`` covers sites ``>= j`` over
-    ``family.right`` (``j >= 1``; entry 0 is None).  Every entry is a
-    pair ``(overlap, operator)``: the plain transfer of shape
-    ``(rank, rank)`` and the operator environment of shape ``(rank,
-    operator bond, rank)``.
+    Entry ``j`` of ``left`` covers sites ``< j`` of ``family.config(d -
+    1)``, the left-orthogonal iterate, and entry ``j`` of ``right`` covers
+    sites ``>= j`` of ``family.config(0)``, the right-orthogonal one; each
+    has shape ``(rank, operator bond, rank)``.  ``right[0]`` closes the
+    whole train: its one entry is ``<x|A|x>``.  The overlap transfers over
+    the same cores are identities, since the cores are left- or
+    right-orthonormal, so none is stored.
     """
 
     left: list
     right: list
-
-
-def _boundary():
-    return np.ones((1, 1)), boundary_env()
 
 
 def _extend_left(env, bra, op_core, ket, ledger, op_class):
@@ -275,6 +274,11 @@ def _extend_right(env, bra, op_core, ket, ledger, op_class):
     )
 
 
+def _paired(env):
+    # a shared operator environment and its overlap transfer, the identity
+    return np.eye(len(env)), env
+
+
 def _close(left, right, ledger):
     # <bra|ket> and <bra|A|ket> from a left and a right transfer at one cut
     out = tuple(float(np.vdot(x, y)) for x, y in zip(left, right))
@@ -288,45 +292,28 @@ def _merge(ledger, task_ledger, tag):
 
 
 def shared_envs(family, op, ledger=None):
-    """Build the family's L-L and R-R transfers, one task per direction.
-
-    The task ledgers are merged under the worker tags ``env:left`` and
-    ``env:right``.  The operator environments are extended site by site
-    exactly as :func:`~ttdmrg.mpo.left_env` / :func:`~ttdmrg.mpo.right_env`
-    build them for one configuration, so they are bitwise equal to the
-    from-scratch ones.
-    """
-    d = family.d
-    led = CostLedger()
-    left = [_boundary()]
-    for s in range(d - 1):
-        core = family.left[s]
-        left.append(_extend_left(left[-1], core, op.cores[s], core, led, "env_build"))
-    _merge(ledger, led, "env:left")
-
-    led = CostLedger()
-    right = [None] * d + [_boundary()]
-    for s in range(d - 1, 0, -1):
-        core = family.right[s]
-        right[s] = _extend_right(right[s + 1], core, op.cores[s], core, led, "env_build")
-    _merge(ledger, led, "env:right")
-    return SharedEnvs(left, right)
+    """The family's operator environments, one task per direction:
+    :func:`~ttdmrg.mpo.all_left_envs` over the left-orthogonal iterate and
+    :func:`~ttdmrg.mpo.all_right_envs` over the right-orthogonal one,
+    charged as ``"env_build"`` and merged under the worker tags
+    ``env:left`` and ``env:right``."""
+    envs = []
+    for sweep, x, tag in ((all_left_envs, family.config(family.d - 1), "env:left"),
+                          (all_right_envs, family.config(0), "env:right")):
+        led = CostLedger()
+        envs.append(sweep(x, op, x, led))
+        _merge(ledger, led, tag)
+    return SharedEnvs(*envs)
 
 
-def family_energy(family, envs, op, ledger=None):
-    """Rayleigh quotient of the family's iterate, read off site 0.
-
-    ``<C_0, H C_0> / <C_0, C_0>`` for the center ``C_0`` of
-    ``family.config(0)``, with the projected operator closed by the shared
-    right environment ``envs.right[1]``.  ``family.right`` is
-    right-orthonormal, so this is :func:`~ttdmrg.mpo.rayleigh_quotient` of
-    the iterate up to roundoff, for one local matvec instead of a sweep
-    over the train.  Charged as sequential ``"inner"``.
-    """
+def family_energy(family, envs):
+    """Rayleigh quotient of the family's iterate: ``<x|A|x>``, the one
+    entry of the right sweep's ``envs.right[0]``, over ``<C_0, C_0>`` for
+    the center ``C_0`` of ``family.config(0)``, whose other cores are
+    right-orthonormal.  This is :func:`~ttdmrg.mpo.rayleigh_quotient` of
+    the iterate up to roundoff; the one dot product is not charged."""
     c0 = family.centers[0]
-    hc = apply_local(envs.left[0][1], op.cores[:1], envs.right[1][1], c0, ledger, "inner")
-    charge(ledger, "inner", 4.0 * c0.size)
-    return float(np.vdot(c0, hc)) / float(np.vdot(c0, c0))
+    return float(envs.right[0][0, 0, 0]) / float(np.vdot(c0, c0))
 
 
 def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=None,
@@ -350,7 +337,7 @@ def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=Non
     for i in range(d - k + 1):
         led = CostLedger()
         v0 = _merge_cores([family.centers[i], *family.right[i + 1 : i + k]], led)
-        local = local_matvec(envs.left[i][1], op.cores[i : i + k], envs.right[i + k][1], led)
+        local = local_matvec(envs.left[i], op.cores[i : i + k], envs.right[i + k], led)
         update, res = _solve(local, v0, eig_tol, eig_max_iter, seed, led)
         if k == 2:
             updates.append(split_and_shift(update, "LR", max_rank, 0.0, led)[:2])
@@ -428,7 +415,7 @@ def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
     against the shared right environment.  A column whose window starts
     past ``b_k`` is closed against its own right environment
     (``family.right`` as bra, member ``l`` as ket), built once from the
-    shared right environment and charged to ``gram{l}``.
+    shared right environment (:func:`_paired`) and charged to ``gram{l}``.
 
     Between the windows of such a closed pair both members hold shared
     cores, ``family.right`` in the row and ``family.left`` in the column,
@@ -465,7 +452,7 @@ def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
     for l in closed:
         led = CostLedger()
         a, b = win[l]
-        env = envs.right[b + 1]
+        env = _paired(envs.right[b + 1])
         for s in range(b, a - 1, -1):
             env = _extend_right(
                 env, family.right[s], op.cores[s], members[l][s], led, "coarse"
@@ -480,7 +467,7 @@ def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
         led = CostLedger()
         bra = members[k]
         a, b = win[k]
-        env, site = envs.left[a], a
+        env, site = _paired(envs.left[a]), a
         for l in range(k, m):
             al, bl = win[l]
             if al > b:
@@ -488,7 +475,7 @@ def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
             env, site = _sweep(env, bra, op, family.left, site, al, led), al
             end = max(b, bl)
             e = _sweep(env, bra, op, members[l], al, end + 1, led)
-            s_kl, a_kl = _close(e, envs.right[end + 1], led)
+            s_kl, a_kl = _close(e, _paired(envs.right[end + 1]), led)
             s_hat[k, l] = s_hat[l, k] = s_kl
             a_hat[k, l] = a_hat[l, k] = a_kl
         if b < last:
@@ -650,10 +637,10 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
         # energy here and the next iteration's local solves and coarse rows
         family = orthogonal_family(state, ledger)
         envs = shared_envs(family, op, ledger)
-        return family, envs, family_energy(family, envs, op, ledger)
+        return family, envs, family_energy(family, envs)
 
     state = orthogonalize(init, init.d - 1, ledger)
-    state = tt_scale(state, 1.0 / state.norm())
+    state = tt_scale(state, 1.0 / float(np.linalg.norm(state.cores[-1])))
     trace = TwoLevelTrace()
     family, envs, energy = read(state)
     prev_coeffs = None

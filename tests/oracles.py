@@ -95,6 +95,12 @@ def span_windows(updates):
     return [(0, 0)] + [(i, i + len(u) - 1) for i, u in enumerate(updates)]
 
 
+def with_identity(env):
+    """A shared operator environment ``(rank, w, rank)`` paired with its
+    overlap transfer over the same orthonormal cores, ``eye(rank)``."""
+    return np.eye(env.shape[0]), env
+
+
 def row_sweep_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
     """``ttdmrg.twolevel.assemble_coarse`` with one row and one column at a
     time and no stacks.  Overlap and reduced operator matrices over the
@@ -115,7 +121,8 @@ def row_sweep_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
     closed pair meets at ``c``, or at the column's start when it lies
     before ``c``, or just past the row's window when that lies after ``c``;
     the row advances to that meeting cut.  ``envs`` are the family's
-    :func:`shared_envs`, built here when not given.
+    :func:`shared_envs`, built here when not given; they hold operator
+    environments only, and every shared one enters :func:`with_identity`.
     """
     if envs is None:
         envs = shared_envs(family, op, ledger)
@@ -132,7 +139,7 @@ def row_sweep_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
     for l in closed:
         led = CostLedger()
         a, b = win[l]
-        env = envs.right[b + 1]
+        env = with_identity(envs.right[b + 1])
         for s in range(b, a - 1, -1):
             env = _extend_right(
                 env, family.right[s], op.cores[s], members[l].cores[s], led, "coarse"
@@ -151,7 +158,7 @@ def row_sweep_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
         led = CostLedger()
         bra = members[k].cores
         a, b = win[k]
-        env, site = envs.left[a], a
+        env, site = with_identity(envs.left[a]), a
         for l in cols[k]:
             al, bl = win[l]
             meet = min(max(b + 1, cut), al) if al > b else al
@@ -168,7 +175,7 @@ def row_sweep_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
                 e = env
                 for j in range(al, end + 1):
                     e = _extend_left(e, bra[j], op.cores[j], ket[j], led, "coarse")
-                s_kl, a_kl = _close(e, envs.right[end + 1], led)
+                s_kl, a_kl = _close(e, with_identity(envs.right[end + 1]), led)
             s_hat[k, l] = s_hat[l, k] = s_kl
             a_hat[k, l] = a_hat[l, k] = a_kl
         _merge(ledger, led, f"gram{k}")

@@ -15,7 +15,13 @@ from ttdmrg import dmrg, twolevel
 from ttdmrg.dmrg import SweepConfig, micro_step, run_dmrg
 from ttdmrg.ledger import CostLedger
 from ttdmrg.models import dense_ground_state, heisenberg_chain, ising_chain, random_symmetric_mpo
-from ttdmrg.mpo import MatrixProductOperator, rayleigh_quotient
+from ttdmrg.mpo import (
+    MatrixProductOperator,
+    all_left_envs,
+    all_right_envs,
+    env_step_flops,
+    rayleigh_quotient,
+)
 from ttdmrg.tt import (
     OrthogonalFamily,
     TensorTrain,
@@ -23,7 +29,10 @@ from ttdmrg.tt import (
     orthogonalize,
     qr_fixed,
     random_tt,
+    tt_add,
     tt_scale,
+    update_left_overlap,
+    update_right_overlap,
 )
 from ttdmrg.twolevel import (
     TwoLevelConfig,
@@ -336,6 +345,68 @@ def test_local_solve_environments_grow_linearly():
     # Bulk sites all have the same shapes, so equal steps in d add equal work.
     f8, f16, f24 = env_flops(8), env_flops(16), env_flops(24)
     assert f24 - f16 == f16 - f8 > 0
+
+
+def shared_core_family(case):
+    # a random start, rank-deficient bonds (a train added to itself), both
+    # ends saturated, d = 2, and local dimension 3; each through both
+    # gauges, so every bond is one the family can represent
+    x = random_tt((2,) * 8, 3, seed=40)
+    start = {
+        "random": x,
+        "rank-deficient": tt_add(x, x),
+        "saturated": random_tt((2,) * 6, 8, seed=41),
+        "d2": random_tt((2, 2), 2, seed=42),
+        "qutrits": random_tt((3,) * 5, 4, seed=43),
+    }[case]
+    return orthogonal_family(orthogonalize(orthogonalize(start, 0), start.d - 1))
+
+
+SHARED_CORE_CASES = ["random", "rank-deficient", "saturated", "d2", "qutrits"]
+
+
+@pytest.mark.parametrize("case", SHARED_CORE_CASES)
+def test_shared_overlap_transfers_are_identities(case):
+    # the overlaps the assembly writes as np.eye: at every cut, so at the
+    # window edges of both widths
+    family = shared_core_family(case)
+    d = family.d
+    if case == "rank-deficient":
+        assert max(family.config(0).ranks) == 6  # twice the start's rank 3
+    left = [np.ones((1, 1))]
+    for core in family.left[: d - 1]:
+        left.append(update_left_overlap(left[-1], core, core))
+    right = [np.ones((1, 1))]
+    for core in family.right[:0:-1]:
+        right.append(update_right_overlap(right[-1], core, core))
+    for e in left + right:
+        assert np.max(np.abs(e - np.eye(len(e)))) <= 1e-13
+
+
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+@pytest.mark.parametrize("case", SHARED_CORE_CASES)
+def test_assembly_with_identity_overlaps_matches_pairwise_oracle(case, mode):
+    family = shared_core_family(case)
+    op = random_symmetric_mpo(family.d, n=family.dims[0], seed=45)
+    assert_matches_pairwise(family, random_updates(family, mode, seed=46), op)
+
+
+def test_shared_envs_are_the_package_sweeps_and_charge_no_overlap():
+    op = heisenberg_chain(7)
+    family = orthogonal_family(make_state(op.dims, 4, seed=47))
+    led = CostLedger()
+    envs = twolevel.shared_envs(family, op, led)
+    x_left, x_right = family.config(family.d - 1), family.config(0)
+    for got, want in ((envs.left, all_left_envs(x_left, op, x_left)),
+                      (envs.right, all_right_envs(x_right, op, x_right))):
+        assert len(got) == len(want) == family.d + 1
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # one operator step per site and direction, and nothing else
+    steps = {tag: sum(env_step_flops(c, w, c) for c, w in zip(x.cores, op.cores))
+             for tag, x in (("env:left", x_left), ("env:right", x_right))}
+    assert led.per_worker_flops == steps
+    assert led.per_class_flops == {"env_build": sum(steps.values())}
+    assert led.sequential_flops == 0.0
 
 
 def test_overlap_matrix_symmetric_and_psd():
@@ -867,21 +938,18 @@ def test_run_converging_on_its_last_allowed_step_stays_silent(mode):
     assert again.converged
 
 
-def test_family_energy_is_the_rayleigh_quotient():
+def test_family_energy_is_the_rayleigh_quotient(charges):
     op = heisenberg_chain(9)
     state = make_state(op.dims, 4, seed=3)
     state = tt_scale(state, 3.0 / state.norm())  # any norm: the quotient divides by it
     family = orthogonal_family(state)
     envs = twolevel.shared_envs(family, op)
-    led = CostLedger()
-    energy = twolevel.family_energy(family, envs, op, led)
+    charges.clear()
+    energy = twolevel.family_energy(family, envs)
+    # it reads the right sweep's site-0 entry <x|A|x> and charges nothing
+    assert charges == []
     expected = rayleigh_quotient(state, op)
     assert abs(energy - expected) <= 1e-13 * abs(expected)
-    # one site-0 matvec and two dot products, all sequential "inner" work
-    assert set(led.per_class_flops) == {"inner"} and not led.per_worker_flops
-    full = CostLedger()
-    rayleigh_quotient(state, op, full)
-    assert led.total_flops() < full.total_flops() / 10
 
 
 PREFIX_CASES = {
@@ -929,11 +997,8 @@ def test_no_full_train_rayleigh_quotient_per_iteration(monkeypatch):
     state, trace = run_two_level(init, op, cfg, ledger=led)
     monkeypatch.undo()
     assert trace.converged
-    # the "inner" class is one site-0 read per iterate: the start and every record
-    site0 = CostLedger()
-    family = orthogonal_family(state)
-    twolevel.family_energy(family, twolevel.shared_envs(family, op), op, site0)
-    assert led.per_class_flops["inner"] == (len(trace.records) + 1) * site0.total_flops()
+    # every energy, the start's included, is read off the shared right sweep
+    assert "inner" not in led.per_class_flops
 
 
 @pytest.mark.parametrize("budget", [200, 3], ids=["converged", "exhausted"])

@@ -358,10 +358,11 @@ def test_output_directories_are_made_before_the_solve(tmp_path, monkeypatch):
 
 
 # eig_tol = 0 runs every local solve to its budget, so none converges;
-# classical sweeps at energy_tol = 0 run to their budget, through the CLI
+# both solvers at energy_tol = 0 may run to their budget, through the CLI
 # and through the library alike
 @pytest.mark.filterwarnings("ignore:.*did not converge:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:run stopped at max_half_sweeps = 20 without:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:run stopped at max_iters = 20 without:RuntimeWarning")
 @pytest.mark.parametrize("algorithm", ["dmrg2", "a2dmrg1"])
 @pytest.mark.parametrize("key", ["eig_tol", "energy_tol"])
 def test_zero_tolerance_runs_as_the_library_does(tmp_path, capsys, key, algorithm):

@@ -102,6 +102,21 @@ def test_random_symmetric_mpo_rejects_bad_sizes(kwargs, message):
         models.random_symmetric_mpo(**{"d": 4, **kwargs})
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [(dict(n=2.5), "local dimension n"), (dict(n=True), "local dimension n"),
+     (dict(rank=2.5), "rank"), (dict(rank=True), "rank"),
+     (dict(n=np.float64(2.0)), "local dimension n")],
+    ids=["n2.5", "n-true", "rank2.5", "rank-true", "n-float64"],
+)
+def test_random_symmetric_mpo_rejects_sizes_that_are_not_integers(kwargs, name):
+    # numpy's TypeError, or for rank=True an operator of bond 2, before
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        models.random_symmetric_mpo(4, **kwargs)
+    op = models.random_symmetric_mpo(4, n=np.int64(3), rank=np.int64(2), seed=0)
+    assert op.dims == (3,) * 4 and op.ranks == (1, 4, 4, 4, 1)
+
+
 def test_random_symmetric_mpo_smallest_sizes():
     op = models.random_symmetric_mpo(2, n=1, rank=1, seed=0)
     assert op.dims == (1, 1) and op.ranks == (1, 2, 1)

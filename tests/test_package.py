@@ -67,11 +67,11 @@ def test_unused_import_check_sees_a_leftover_import():
     assert unused_imports(source + "__all__ = ['tt_add']\nx = tt_scale\n") == []
 
 
-def unread_private_helpers(sources):
-    """Top-level ``_private`` functions and classes, as ``(module, name)``,
-    that no statement of the modules in ``sources`` (module name -> source
-    text) reads, by name, as an attribute or through an import, other than
-    the helper's own definition."""
+def unread_definitions(sources):
+    """Top-level functions and classes, as ``(module, name)``, that no
+    statement of the modules in ``sources`` (module name -> source text)
+    reads, by name, as an attribute or through an import, other than the
+    definition itself."""
     defined, readers = [], []
     for module, source in sources.items():
         for node in ast.parse(source).body:
@@ -85,12 +85,38 @@ def unread_private_helpers(sources):
                     read |= {alias.name for alias in sub.names}
             readers.append((node, read))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.startswith("__"):
-                    defined.append((module, node))
+                defined.append((module, node))
     return [
         (module, node.name) for module, node in defined
         if not any(node.name in read for other, read in readers if other is not node)
     ]
+
+
+def unread_private_helpers(sources):
+    """The ``_private`` names among :func:`unread_definitions`."""
+    return [
+        (module, name) for module, name in unread_definitions(sources)
+        if name.startswith("_") and not name.startswith("__")
+    ]
+
+
+def unread_public_names(sources, exported):
+    """The public names among :func:`unread_definitions` that ``exported``,
+    the package's ``__all__``, does not list: surface only tests read."""
+    return [
+        (module, name) for module, name in unread_definitions(sources)
+        if not name.startswith("_") and name not in exported
+    ]
+
+
+# Public names that nothing in the package reads and __all__ does not list,
+# each kept for its reason.
+UNREAD_PUBLIC = {
+    ("dmrg", "micro_step"): "the documented entry point for one isolated local solve",
+    ("mpo", "local_matvec_1site"): "acceptance criterion 6 imports it",
+    ("mpo", "local_matvec_2site"): "acceptance criterion 6 imports it",
+    ("sums", "TwoSiteChain"): "a placeholder that bench/tracer.py binds",
+}
 
 
 def test_no_private_helper_is_left_unread():
@@ -110,4 +136,25 @@ def test_private_helper_check_sees_a_leftover_helper():
     sources["twolevel"] += "\ndef _shared_step_flops(n):\n    return _shared_step_flops(n - 1)\n"
     assert unread_private_helpers(sources) == [
         ("twolevel", "_advance_stack"), ("twolevel", "_shared_step_flops")
+    ]
+
+
+def test_no_public_name_is_read_by_tests_only():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert set(unread_public_names(sources, ttdmrg.__all__)) == set(UNREAD_PUBLIC)
+
+
+def test_public_surface_check_sees_a_test_only_name():
+    sources = {
+        "mpo": "def all_left_envs(x):\n    return x\n\ndef left_env(x):\n    return x\n\n"
+               "class Chain:\n    pass\n",
+        "twolevel": "from .mpo import left_env\n\ndef run(x):\n    return left_env(x)\n",
+    }
+    exported = ["Chain", "run"]
+    assert unread_public_names(sources, exported) == [("mpo", "all_left_envs")]
+    # a name that only its own body reads is still unread; private names are
+    # the other check's
+    sources["twolevel"] += "\ndef sweep(n):\n    return sweep(n - 1)\n\ndef _step():\n    pass\n"
+    assert unread_public_names(sources, exported) == [
+        ("mpo", "all_left_envs"), ("twolevel", "sweep")
     ]

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from ttdmrg import sums
 from ttdmrg.ledger import CostLedger
-from ttdmrg.sums import OneSiteSumFamily, sum_train
+from ttdmrg.sums import OneSiteSumFamily, orthogonal_sum_train, sum_train
 from ttdmrg.models import heisenberg_chain, ising_chain, random_symmetric_mpo
 from ttdmrg.tt import (
     TensorTrain,
@@ -76,9 +76,9 @@ def test_one_site_sum_single_site():
 def test_one_site_sum_validation():
     family = make_family((2, 2, 2), (2, 2), 0)
     repl = random_replacements(family, 1)
-    with pytest.raises(ValueError, match="replacement core per site"):
+    with pytest.raises(ValueError, match="update per window of 1"):
         OneSiteSumFamily(family, repl[:-1], [1.0] * 3)
-    with pytest.raises(ValueError, match="coefficient per site"):
+    with pytest.raises(ValueError, match="coefficient per update"):
         OneSiteSumFamily(family, repl, [1.0] * 2)
     bad = list(repl)
     bad[1] = np.zeros((1, 2, 1))
@@ -135,6 +135,29 @@ def test_two_site_sum_validation():
         sum_train(family, cores[:2], [1.0] * 2)
     with pytest.raises(ValueError, match="update 2 has shapes"):
         sum_train(family, cores[:2] + [(np.zeros((2, 2, 2)),)], [1.0] * 3)
+
+
+@pytest.mark.parametrize("axes", [2, 4])
+@pytest.mark.parametrize("k", [1, 2])
+def test_sum_builders_reject_an_update_core_without_three_axes(k, axes):
+    # an IndexError (2 axes) or numpy's broadcast error (4 axes) before
+    family = make_family((2, 2, 2), (2, 2), 0)
+    rng = np.random.default_rng(2)
+    if k == 1:
+        updates = [(c,) for c in family.centers]
+    else:
+        updates = [(rng.standard_normal((1, 2, 2)), rng.standard_normal((2, 2, 2))),
+                   (rng.standard_normal((2, 2, 2)), rng.standard_normal((2, 2, 1)))]
+    core = updates[1][-1]
+    bad = core.reshape(core.shape[0], -1) if axes == 2 else core[..., None]
+    updates[1] = updates[1][:-1] + (bad,)
+    coeffs = [1.0] * len(updates)
+    for build in (sum_train, orthogonal_sum_train):
+        with pytest.raises(ValueError, match=r"update 1 has shapes \["):
+            build(family, updates, coeffs)
+    if k == 1:
+        with pytest.raises(ValueError, match=r"update 1 has shapes \["):
+            OneSiteSumFamily(family, [c for c, in updates], coeffs)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 9])

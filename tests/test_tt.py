@@ -251,9 +251,30 @@ def test_random_tt_is_seeded_and_clipped():
 
 @pytest.mark.parametrize("ranks", [0, -3, (2, 0, 2), (1, -1, 1)])
 def test_random_tt_rejects_ranks_below_one(ranks):
-    # clip_ranks would raise them to one; a request below one is an error
+    # a request below one is an error, not clipped up
     with pytest.raises(ValueError, match="ranks must be positive"):
         random_tt((2, 2, 2, 2), ranks, seed=0)
+
+
+NOT_INTEGER_SIZES = {
+    "rank-2.5": ((2, 2, 2, 2), 2.5, "ranks"),
+    "ranks-2.7-3.9-2": ((2, 2, 2, 2), (2.7, 3.9, 2), "ranks"),
+    "rank-true": ((2, 2, 2), True, "ranks"),
+    "dim-2.5": ((2, 2.5, 2), 2, "local dimensions"),
+    "dim-true": ((2, True, 2), 2, "local dimensions"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_INTEGER_SIZES))
+def test_random_tt_rejects_sizes_that_are_not_integers(case):
+    # they were truncated silently: rank 2.5 gave bonds of 2, True bonds of 1
+    dims, ranks, name = NOT_INTEGER_SIZES[case]
+    for build in (tt.clip_ranks, random_tt):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            build(dims, ranks)
+    # numpy integers are integers
+    x = random_tt(tuple(np.int64(n) for n in (2, 3, 2)), np.int64(3), seed=0)
+    assert x.ranks == random_tt((2, 3, 2), 3, seed=0).ranks == (1, 2, 2, 1)
 
 
 def test_dense_cap_enforced(monkeypatch):
