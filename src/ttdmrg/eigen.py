@@ -1,5 +1,6 @@
 """Lowest-eigenpair solvers: a Lanczos iteration for matrix-free operators
-and dense helpers for small symmetric problems."""
+and dense helpers for small symmetric problems, which accept a matrix
+symmetric to :data:`SYM_RTOL` relative to its largest entry."""
 
 from __future__ import annotations
 
@@ -20,6 +21,10 @@ class LanczosResult:
     converged: bool
     residual_norm: float
 
+
+# How far from symmetric a dense eigensolver's input may be, relative to its
+# largest entry.
+SYM_RTOL = 1e-10
 
 # The driver pair scipy.linalg.eigh_tridiagonal runs for select="i",
 # resolved once: ?stebz (bisection) for the eigenvalue, ?stein (inverse
@@ -156,41 +161,36 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
     return finish(*best)
 
 
-def _checked_eigh(a, sym_rtol, ledger):
-    """``np.linalg.eigh`` of a square, finite ``a``, symmetric to ``sym_rtol``
-    relative to its largest entry; charged as ``"svd"``."""
+def _checked_eigh(a, ledger):
+    """``np.linalg.eigh`` of a square, finite ``a``, symmetric to
+    :data:`SYM_RTOL` relative to its largest entry; charged as ``"svd"``."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if np.max(np.abs(a - a.T)) > sym_rtol * scale:
+    if np.max(np.abs(a - a.T)) > SYM_RTOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     charge(ledger, "svd", eigh_flops(a.shape[0]))
     return np.linalg.eigh(a)
 
 
-def dense_lowest_eig(a, sym_rtol=1e-10, ledger=None):
-    """Lowest eigenpair of a dense symmetric matrix.
-
-    The input must be symmetric to ``sym_rtol`` relative to its largest
-    entry; the eigenvector sign is fixed so its largest-magnitude entry is
-    positive.
-    """
-    w, v = _checked_eigh(a, sym_rtol, ledger)
+def dense_lowest_eig(a, ledger=None):
+    """Lowest eigenpair of a dense symmetric matrix; the eigenvector sign is
+    fixed so its largest-magnitude entry is positive."""
+    w, v = _checked_eigh(a, ledger)
     return float(w[0]), v[:, 0] * column_signs(v[:, :1])
 
 
-def dense_sym_svd(a, sym_rtol=1e-10, ledger=None):
+def dense_sym_svd(a, ledger=None):
     """Eigendecomposition of a symmetric matrix ordered like an SVD.
 
     Returns ``(sigma, v)`` with eigenvalues sorted descending and
     ``a ~ v @ diag(sigma) @ v.T``.  Intended for overlap (Gram) matrices,
-    whose eigenvalues are nonnegative up to roundoff.  The input must be
-    symmetric to ``sym_rtol`` relative to its largest entry.
+    whose eigenvalues are nonnegative up to roundoff.
     """
-    w, v = _checked_eigh(a, sym_rtol, ledger)
+    w, v = _checked_eigh(a, ledger)
     order = np.argsort(w)[::-1]
     v = v[:, order]
     return w[order], v * column_signs(v)

@@ -8,9 +8,11 @@ exactly reproducible across machines and runs:
 * SVD, m >= n:                      14*m*n**2
 * symmetric eigendecomposition:     9*n**3
 
-Charges carry an operation class (see ``OP_CLASSES``) and optionally a worker
-tag.  Untagged work is sequential.  The aggregate cost of a run on an
-idealized machine with one processor per worker tag is
+A charge carries an operation class (see ``OP_CLASSES``) and is sequential
+work.  Work that may run in parallel is charged to a private task ledger,
+which the driver merges under the task's worker tag (:meth:`CostLedger.merge`),
+so a tag only ever holds merged task ledgers.  The aggregate cost of a run
+on an idealized machine with one processor per worker tag is
 
     cost_per_processor = sequential_flops + max over workers
 
@@ -83,29 +85,24 @@ class CostLedger:
         self.per_worker_flops = {}
         self.per_class_flops = {}
 
-    def charge(self, op_class, flops, worker=None):
+    def charge(self, op_class, flops):
+        """Charge ``flops`` of ``op_class`` as sequential work; ``ValueError``
+        on a count that is negative or not finite, as :meth:`from_report`."""
         flops = float(flops)
-        if flops < 0:
-            raise ValueError("negative flop charge")
+        if not 0.0 <= flops < math.inf:  # written so that a NaN fails too
+            raise ValueError(f"{flops} is not a finite nonnegative flop charge")
         self.per_class_flops[op_class] = self.per_class_flops.get(op_class, 0.0) + flops
-        if worker is None:
-            self.sequential_flops += flops
-        else:
-            self.per_worker_flops[worker] = self.per_worker_flops.get(worker, 0.0) + flops
+        self.sequential_flops += flops
 
-    def merge(self, other, worker=None):
-        """Fold a task-local ledger into this one under one worker tag.
+    def merge(self, other, worker):
+        """Fold a task-local ledger into this one under the worker tag ``worker``.
 
         Tasks charge private ledgers that the driver merges in task
         order, so every tag holds exactly its own task's work.
         """
         for k, v in other.per_class_flops.items():
             self.per_class_flops[k] = self.per_class_flops.get(k, 0.0) + v
-        t = other.total_flops()
-        if worker is None:
-            self.sequential_flops += t
-        else:
-            self.per_worker_flops[worker] = self.per_worker_flops.get(worker, 0.0) + t
+        self.per_worker_flops[worker] = self.per_worker_flops.get(worker, 0.0) + other.total_flops()
 
     def total_flops(self):
         return self.sequential_flops + sum(self.per_worker_flops.values())
@@ -176,7 +173,7 @@ class CostLedger:
         return "\n".join(lines)
 
 
-def charge(ledger, op_class, flops, worker=None):
+def charge(ledger, op_class, flops):
     """Charge helper tolerating ``ledger=None``."""
     if ledger is not None:
-        ledger.charge(op_class, flops, worker=worker)
+        ledger.charge(op_class, flops)

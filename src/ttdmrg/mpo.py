@@ -15,8 +15,9 @@ first going right) and charged one count for both directions,
 :func:`env_step_flops`.  The ``all_*`` helpers sweep a whole train.
 
 Projected operators on k adjacent sites are applied matrix-free through
-one copy-free kernel, ``apply_local``, charged once per call;
-``local_matvec`` wraps it as the flat matvec of a local eigensolve.
+one copy-free kernel, ``apply_local``, which charges nothing;
+``local_matvec`` wraps it as the flat matvec of a local eigensolve and
+charges :func:`local_matvec_flops` once per call.
 """
 
 from __future__ import annotations
@@ -124,30 +125,30 @@ def left_env(bra, op, ket, j, ledger=None, op_class="env_build"):
     return e
 
 
-def right_env(bra, op, ket, j, ledger=None, op_class="env_build"):
+def right_env(bra, op, ket, j, ledger=None):
     """Environment of sites ``j..d-1`` built from scratch."""
     e = boundary_env()
     for s in range(bra.d - 1, j - 1, -1):
-        e = update_right_env(e, bra.cores[s], op.cores[s], ket.cores[s], ledger, op_class)
+        e = update_right_env(e, bra.cores[s], op.cores[s], ket.cores[s], ledger, "env_build")
     return e
 
 
-def all_left_envs(bra, op, ket, ledger=None, op_class="env_build"):
+def all_left_envs(bra, op, ket, ledger=None):
     """List of d+1 left environments; entry ``j`` covers sites ``< j``."""
     envs = [boundary_env()]
     for s in range(bra.d):
         envs.append(
-            update_left_env(envs[-1], bra.cores[s], op.cores[s], ket.cores[s], ledger, op_class)
+            update_left_env(envs[-1], bra.cores[s], op.cores[s], ket.cores[s], ledger, "env_build")
         )
     return envs
 
 
-def all_right_envs(bra, op, ket, ledger=None, op_class="env_build"):
+def all_right_envs(bra, op, ket, ledger=None):
     """List of d+1 right environments; entry ``j`` covers sites ``>= j``."""
     envs = [boundary_env()] * (bra.d + 1)
     for s in range(bra.d - 1, -1, -1):
         envs[s] = update_right_env(
-            envs[s + 1], bra.cores[s], op.cores[s], ket.cores[s], ledger, op_class
+            envs[s + 1], bra.cores[s], op.cores[s], ket.cores[s], ledger, "env_build"
         )
     return envs
 
@@ -158,40 +159,38 @@ def mpo_inner(bra, op, ket, ledger=None, op_class="inner"):
     return float(e[0, 0, 0])
 
 
-def rayleigh_quotient(x, op, ledger=None, op_class="inner"):
-    num = mpo_inner(x, op, x, ledger=ledger, op_class=op_class)
-    den = inner(x, x, ledger=ledger, op_class=op_class)
+def rayleigh_quotient(x, op, ledger=None):
+    num = mpo_inner(x, op, x, ledger)
+    den = inner(x, x, ledger)
     if den <= 0.0:
         raise ValueError("Rayleigh quotient of a zero train")
     return num / den
 
 
-def local_step_flops(env_left, op_cores, env_right, shape):
-    """The step flops whose sum :func:`apply_local` charges on a block of
-    ``shape``: the left GEMM, one entry per operator core, the right GEMM."""
+def local_matvec_flops(env_left, op_cores, env_right, shape):
+    """What one :func:`apply_local` on a block of ``shape`` costs: the sum of
+    its steps' pairwise contraction counts, the left GEMM, one per operator
+    core and the right GEMM."""
     a, w, a2 = env_left.shape
     _, w2, b2 = env_right.shape
-    flops = [tensordot_flops(env_left.shape, shape, a2)]
+    flops = tensordot_flops(env_left.shape, shape, a2)
     x = (a * w,) + tuple(shape[1:])  # the intermediate's dims, as in apply_local
     for core in op_cores:
         wl, s1, s, wr = core.shape
-        flops.append(tensordot_flops(x, core.shape, wl * s))
+        flops += tensordot_flops(x, core.shape, wl * s)
         x = (math.prod(x) // (wl * s), s1 * wr)
-    flops.append(tensordot_flops(x, env_right.shape, w2 * b2))
-    return flops
+    return flops + tensordot_flops(x, env_right.shape, w2 * b2)
 
 
-def apply_local(env_left, op_cores, env_right, v, ledger=None, op_class="matvec"):
+def apply_local(env_left, op_cores, env_right, v):
     """Apply the projected operator on ``k = len(op_cores)`` adjacent sites
-    to a block of shape ``(rank, n_1, ..., n_k, rank')``.
+    to a block of shape ``(rank, n_1, ..., n_k, rank')``; charges nothing
+    (:func:`local_matvec` charges :func:`local_matvec_flops` per call).
 
     Each operator core contracts the bond and input index it meets next,
     so after core ``j`` the intermediate reads ``(a, s_1 .. s_j, w, n_{j+1}
-    .. n_k, b')``.  Charged once, the sum of its steps' pairwise
-    contraction counts (:func:`local_step_flops`).
+    .. n_k, b')``.
     """
-    if ledger is not None:
-        ledger.charge(op_class, sum(local_step_flops(env_left, op_cores, env_right, v.shape)))
     a, w, a2 = env_left.shape
     b, w2, b2 = env_right.shape
     x = env_left.reshape(a * w, a2) @ v.reshape(a2, -1)  # (a, w, n_1, ..., b')
@@ -206,38 +205,38 @@ def apply_local(env_left, op_cores, env_right, v, ledger=None, op_class="matvec"
     return out.reshape((a,) + v.shape[1:-1] + (b,))
 
 
-def apply_local_1site(env_left, op_core, env_right, v, ledger=None, op_class="matvec"):
+def apply_local_1site(env_left, op_core, env_right, v):
     """:func:`apply_local` at one site."""
-    return apply_local(env_left, (op_core,), env_right, v, ledger, op_class)
+    return apply_local(env_left, (op_core,), env_right, v)
 
 
-def apply_local_2site(env_left, op_core1, op_core2, env_right, v, ledger=None, op_class="matvec"):
+def apply_local_2site(env_left, op_core1, op_core2, env_right, v):
     """:func:`apply_local` on a pair of adjacent sites."""
-    return apply_local(env_left, (op_core1, op_core2), env_right, v, ledger, op_class)
+    return apply_local(env_left, (op_core1, op_core2), env_right, v)
 
 
-def local_matvec(env_left, op_cores, env_right, ledger=None, op_class="matvec"):
+def local_matvec(env_left, op_cores, env_right, ledger=None):
     """Flat matvec closure over the projected operator on ``len(op_cores)``
     (one or two) adjacent sites, plus its dimension and the block shape.
 
-    The shapes are fixed, so :func:`apply_local`'s one charge is summed
-    once here and every call charges it."""
+    The shapes are fixed, so :func:`local_matvec_flops` is counted once
+    here and every call charges it as ``"matvec"``."""
     shape = (env_left.shape[2],) + tuple(c.shape[2] for c in op_cores) + (env_right.shape[2],)
     # called through the per-width names, which bench/tracer.py spans
     apply = {1: apply_local_1site, 2: apply_local_2site}[len(op_cores)]
-    flops = sum(local_step_flops(env_left, op_cores, env_right, shape))
+    flops = local_matvec_flops(env_left, op_cores, env_right, shape)
 
     def matvec(x):
         out = apply(env_left, *op_cores, env_right, x.reshape(shape)).ravel()
-        charge(ledger, op_class, flops)
+        charge(ledger, "matvec", flops)
         return out
 
     return matvec, math.prod(shape), shape
 
 
-def local_matvec_1site(env_left, op_core, env_right, ledger=None, op_class="matvec"):
-    return local_matvec(env_left, (op_core,), env_right, ledger, op_class)
+def local_matvec_1site(env_left, op_core, env_right, ledger=None):
+    return local_matvec(env_left, (op_core,), env_right, ledger)
 
 
-def local_matvec_2site(env_left, op_core1, op_core2, env_right, ledger=None, op_class="matvec"):
-    return local_matvec(env_left, (op_core1, op_core2), env_right, ledger, op_class)
+def local_matvec_2site(env_left, op_core1, op_core2, env_right, ledger=None):
+    return local_matvec(env_left, (op_core1, op_core2), env_right, ledger)

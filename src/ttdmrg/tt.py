@@ -41,15 +41,19 @@ SEPARATION_RANK_RTOL = 1e-10
 
 def dense_cap(cap=None):
     """Resolve the densification cap: explicit argument, else environment
-    variable ``TTDMRG_DENSE_CAP``, else 2**20 entries."""
+    variable ``TTDMRG_DENSE_CAP``, else 2**20 entries.  Either must be an
+    integer of at least one (a bool is not one), else ``ValueError``."""
     if cap is not None:
-        return int(cap)
+        check_integer("dense cap", cap)
+        return cap
     env = os.environ.get(DENSE_CAP_ENV)
     if env:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise ValueError(f"{DENSE_CAP_ENV} must be an integer, got {env!r}") from None
+        check_integer(DENSE_CAP_ENV, cap)
+        return cap
     return DEFAULT_DENSE_CAP
 
 
@@ -68,6 +72,13 @@ def check_integer(name, value, least=1):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}, got {value}")
+
+
+def _check_center(center, d):
+    """Reject a gauge center that is not a site index of a ``d``-site train."""
+    check_integer("center", center, least=0)
+    if center >= d:
+        raise ValueError(f"center {center} out of range for {d} sites")
 
 
 def check_cap(name, value):
@@ -172,8 +183,8 @@ class TensorTrain(_CoreChain):
 
     def __init__(self, cores, center=None):
         super().__init__(cores)
-        if center is not None and not 0 <= center < self.d:
-            raise ValueError(f"center {center} out of range for {self.d} sites")
+        if center is not None:
+            _check_center(center, self.d)
         self.center = center
 
     @property
@@ -184,10 +195,11 @@ class TensorTrain(_CoreChain):
     def is_right_orthogonal(self):
         return self.center == 0
 
-    def replace_core(self, j, core, center=None):
+    def replace_core(self, j, core):
+        """The train with core ``j`` replaced, its gauge unknown."""
         cores = list(self.cores)
         cores[j] = core
-        return TensorTrain(cores, center=center)
+        return TensorTrain(cores)
 
     def to_dense(self, cap=None):
         """Contract all cores into a dense ndarray of shape ``dims``."""
@@ -288,13 +300,14 @@ def update_right_overlap(e, cx, cy, ledger=None, op_class="inner"):
     return out.reshape(lead + (a, a2))
 
 
-def inner(x, y, ledger=None, op_class="inner"):
-    """Euclidean inner product of two trains via transfer contractions."""
+def inner(x, y, ledger=None):
+    """Euclidean inner product of two trains via transfer contractions,
+    charged as ``"inner"``."""
     if x.dims != y.dims:
         raise ValueError(f"dimension mismatch: {x.dims} vs {y.dims}")
     e = np.ones((1, 1))
     for cx, cy in zip(x.cores, y.cores):
-        e = update_left_overlap(e, cx, cy, ledger, op_class)
+        e = update_left_overlap(e, cx, cy, ledger)
     return float(e[0, 0])
 
 
@@ -357,8 +370,7 @@ def orthogonalize(tt, center, ledger=None):
     through with zero cores.
     """
     d = tt.d
-    if not 0 <= center < d:
-        raise ValueError(f"center {center} out of range")
+    _check_center(center, d)
     cores = list(tt.cores)
     for j in range(center):
         qr_step(cores, j, ledger)
@@ -419,12 +431,12 @@ def truncate(x, max_ranks=None, tol=0.0, ledger=None):
     return TensorTrain(cores, center=d - 1)
 
 
-def separation_ranks(x, rtol=SEPARATION_RANK_RTOL):
+def separation_ranks(x):
     """Numerical ranks of the d-1 canonical unfoldings of a dense tensor.
 
-    A singular value counts toward the rank when it exceeds ``rtol`` times
-    the largest singular value of its unfolding; the all-zero tensor has
-    rank 0 at every cut.
+    A singular value counts toward the rank when it exceeds
+    :data:`SEPARATION_RANK_RTOL` times the largest singular value of its
+    unfolding; the all-zero tensor has rank 0 at every cut.
     """
     x = np.asarray(x, dtype=float)
     out = []
@@ -433,7 +445,7 @@ def separation_ranks(x, rtol=SEPARATION_RANK_RTOL):
         left *= n
         s = np.linalg.svd(x.reshape(left, -1), compute_uv=False)
         smax = s[0] if s.size else 0.0
-        out.append(int(np.count_nonzero(s > rtol * smax)) if smax > 0 else 0)
+        out.append(int(np.count_nonzero(s > SEPARATION_RANK_RTOL * smax)) if smax > 0 else 0)
     return tuple(out)
 
 

@@ -288,7 +288,7 @@ def _close(left, right, ledger):
 
 def _merge(ledger, task_ledger, tag):
     if ledger is not None:
-        ledger.merge(task_ledger, worker=tag)
+        ledger.merge(task_ledger, tag)
 
 
 def shared_envs(family, op, ledger=None):
@@ -570,11 +570,12 @@ def structured_apply(family, updates, op, ledger=None):
     return apply_a
 
 
-def solve_coarse_structured(cp, apply_a, v0=None, tol=1e-12, seed=0, ledger=None):
+def solve_coarse_structured(cp, apply_a, v0=None, seed=0, ledger=None):
     """Step 3 solve, Krylov path: same whitened problem, but operator
     applications go through ``apply_a`` (a structured evaluation of the
     reduced operator on a coefficient vector) instead of an assembled
-    matrix.  The iteration count is reported for the trace."""
+    matrix, to a Lanczos tolerance of 1e-12.  The iteration count is
+    reported for the trace."""
     w = cp.whitener()
 
     def matvec(y):
@@ -585,7 +586,7 @@ def solve_coarse_structured(cp, apply_a, v0=None, tol=1e-12, seed=0, ledger=None
         start = np.sqrt(cp.sigma[: cp.p]) * (cp.basis[:, : cp.p].T @ v0)
         if np.linalg.norm(start) == 0.0:
             start = None
-    res = lanczos_lowest(matvec, cp.p, v0=start, tol=tol, seed=seed, ledger=ledger)
+    res = lanczos_lowest(matvec, cp.p, v0=start, tol=1e-12, seed=seed, ledger=ledger)
     return CoarseSolution(
         coeffs=w @ res.eigenvector, energy=float(res.eigenvalue), iterations=res.iterations
     )

@@ -36,9 +36,9 @@ def charges(monkeypatch):
     calls = []
     charge = CostLedger.charge
 
-    def recording(self, op_class, flops, worker=None):
+    def recording(self, op_class, flops):
         calls.append((op_class, flops))
-        charge(self, op_class, flops, worker)
+        charge(self, op_class, flops)
 
     monkeypatch.setattr(CostLedger, "charge", recording)
     return calls

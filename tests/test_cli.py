@@ -152,12 +152,13 @@ def test_oracle_cap_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TTDMRG_DENSE_CAP", str(1 << 22))
     assert main(["oracle", cfg]) == 0
     assert "dense cap         4194304" in capsys.readouterr().out
-    # a cap that is not an integer is a configuration error, not a missing reference
-    monkeypatch.setenv("TTDMRG_DENSE_CAP", "abc")
-    for command in ("oracle", "run"):
-        assert main([command, cfg]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "TTDMRG_DENSE_CAP" in err
+    # a cap that is not a positive integer is a configuration error, not a missing reference
+    for bad in ("abc", "0", "-3"):
+        monkeypatch.setenv("TTDMRG_DENSE_CAP", bad)
+        for command in ("oracle", "run"):
+            assert main([command, cfg]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "TTDMRG_DENSE_CAP" in err
 
 
 def test_compare_identical_configs_gives_unit_speedup(tmp_path, capsys):

@@ -31,12 +31,20 @@ def test_flop_formulas():
     assert eigh_flops(5) == 9 * 125
 
 
+def merge_task(led, tag, op_class, flops):
+    """Charge one task's work to a private ledger and merge it under ``tag``,
+    the one way a worker tag gets flops."""
+    task = CostLedger()
+    task.charge(op_class, flops)
+    led.merge(task, tag)
+
+
 def test_charge_and_totals():
     led = CostLedger()
     led.charge("qr", 100.0)
-    led.charge("matvec", 50.0, worker="w0")
-    led.charge("matvec", 70.0, worker="w1")
-    led.charge("svd", 10.0, worker="w0")
+    merge_task(led, "w0", "matvec", 50.0)
+    merge_task(led, "w1", "matvec", 70.0)
+    merge_task(led, "w0", "svd", 10.0)
     assert led.sequential_flops == 100.0
     assert led.per_worker_flops == {"w0": 60.0, "w1": 70.0}
     assert led.total_flops() == 230.0
@@ -51,25 +59,37 @@ def test_negative_charge_rejected():
         led.charge("qr", -1.0)
 
 
+@pytest.mark.parametrize("flops", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_charge_rejected(flops):
+    # a report holding it would not read back through from_report
+    led = CostLedger()
+    with pytest.raises(ValueError, match="not a finite nonnegative flop charge"):
+        led.charge("qr", flops)
+    assert led.report() == CostLedger().report()
+    CostLedger.from_report(json.loads(led.report_json()))
+
+
 def test_merge_maps_task_ledger_to_worker():
     main = CostLedger()
     task = CostLedger()
     task.charge("env_build", 30.0)
     task.charge("matvec", 12.0)
-    main.merge(task, worker="solve2")
+    main.merge(task, "solve2")
     assert main.per_worker_flops == {"solve2": 42.0}
     assert main.per_class_flops == {"env_build": 30.0, "matvec": 12.0}
-    other = CostLedger()
-    other.charge("qr", 8.0)
-    main.merge(other)
+    main.charge("qr", 8.0)
+    main.merge(task, "solve2")
     assert main.sequential_flops == 8.0
-    assert main.total_flops() == 50.0
+    assert main.per_worker_flops == {"solve2": 84.0}
+    assert main.total_flops() == 92.0
+    with pytest.raises(TypeError):
+        main.merge(task)  # a merged ledger always has a tag
 
 
 def test_report_roundtrips_as_json():
     led = CostLedger()
     led.charge("inner", 1.0)
-    led.charge("matvec", 2.0, worker="a")
+    merge_task(led, "a", "matvec", 2.0)
     r = json.loads(led.report_json())
     assert r["total_flops"] == 3.0
     assert r["cost_per_processor"] == 3.0
@@ -81,8 +101,8 @@ def test_report_roundtrips_as_json():
 def test_from_report_reads_back_what_report_writes():
     led = CostLedger()
     led.charge("inner", 1.5)
-    led.charge("matvec", 2.0, worker="a")
-    led.charge("svd", 7.0, worker="b")
+    merge_task(led, "a", "matvec", 2.0)
+    merge_task(led, "b", "svd", 7.0)
     back = CostLedger.from_report(json.loads(led.report_json()))
     assert back.report() == led.report()
     assert back.format_report() == led.format_report()
@@ -128,7 +148,7 @@ def test_totals_do_not_depend_on_worker_assignment():
     for nworkers in (1, 4, 12):
         led = CostLedger()
         for i, (cls, fl) in enumerate(charges):
-            led.charge("matvec", fl, worker=f"w{i % nworkers}")
+            merge_task(led, f"w{i % nworkers}", cls, fl)
         totals.append(led.total_flops())
     assert totals[0] == totals[1] == totals[2]
 

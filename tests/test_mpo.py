@@ -189,12 +189,10 @@ def test_local_kernels_match_tensordot_kernels_and_their_charges(k, case, contig
     # output shape instead of its input would show
     env_l, cores, env_r, v = kernel_operands(case, contiguous, seed=17, sites=k)
     old = {1: oracles.tensordot_apply_local_1site, 2: oracles.tensordot_apply_local_2site}[k]
-    led_new, led_old = CostLedger(), CostLedger()
-    got = mpo.apply_local(env_l, cores, env_r, v, led_new)
+    led_old = CostLedger()
+    got = mpo.apply_local(env_l, cores, env_r, v)
     want = old(env_l, *cores, env_r, v, led_old)
     assert_close(got, want)
-    assert led_new.report() == led_old.report()
-    assert led_new.per_class_flops.keys() == {"matvec"}
     adapter = {1: mpo.apply_local_1site, 2: mpo.apply_local_2site}[k]
     assert np.array_equal(adapter(env_l, *cores, env_r, v), got)
     # the matvec closure charges its precomputed steps, the same numbers
@@ -202,6 +200,7 @@ def test_local_kernels_match_tensordot_kernels_and_their_charges(k, case, contig
     matvec, _, _ = mpo.local_matvec(env_l, cores, env_r, led_closure)
     assert_close(matvec(v.ravel()), want.ravel())
     assert led_closure.report() == led_old.report()
+    assert led_closure.per_class_flops.keys() == {"matvec"}
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -209,15 +208,16 @@ def test_one_local_matvec_call_charges_its_step_sum_once(charges, k):
     env_l, cores, env_r, v = kernel_operands("unequal-bonds", True, seed=23, sites=k)
     led = CostLedger()
     matvec, _, shape = mpo.local_matvec(env_l, cores, env_r, led)
-    want = ("matvec", sum(mpo.local_step_flops(env_l, cores, env_r, shape)))
+    want = ("matvec", mpo.local_matvec_flops(env_l, cores, env_r, shape))
     for _ in range(2):
         charges.clear()
         matvec(v.ravel())
         assert charges == [want]
+    # the kernel itself is pure: the closure is the one charge path
     charges.clear()
-    mpo.apply_local(env_l, cores, env_r, v, led)
-    assert charges == [want]
-    assert led.total_flops() == 3 * want[1]
+    mpo.apply_local(env_l, cores, env_r, v)
+    assert charges == []
+    assert led.total_flops() == 2 * want[1]
 
 
 def test_local_kernels_do_not_go_through_contract(monkeypatch):

@@ -158,3 +158,105 @@ def test_public_surface_check_sees_a_test_only_name():
     assert unread_public_names(sources, exported) == [
         ("mpo", "all_left_envs"), ("twolevel", "sweep")
     ]
+
+
+BENCH = sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))
+
+
+def unset_defaults(sources):
+    """Defaulted parameters, as ``(module, function, parameter)``, that no
+    call in ``sources`` (module name -> source text) passes by keyword, by
+    position, through ``*args`` or through ``**kwargs``.  Calls match a
+    function by its name (a class's name for ``__init__``), so a name that
+    two functions share counts every call for both.  A function whose name
+    is read other than as the callee of a call is passed around, so its
+    calls cannot be seen and it is skipped; ``ledger`` parameters, the
+    accounting sink every kernel takes, are exempt."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    calls, passed = {}, set()
+    for tree in trees.values():
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callees.add(id(node.func))
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in callees:
+                passed.add(getattr(node, "id", getattr(node, "attr", None)))
+    found = []
+    for module, tree in trees.items():
+        owners = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                  for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            owner = owners.get(id(fn))
+            name = owner if fn.name == "__init__" else fn.name
+            if name in passed:
+                continue
+            # a method's callers pass its first parameter as the instance
+            shift = owner is not None and "staticmethod" not in {
+                getattr(d, "id", None) for d in fn.decorator_list
+            }
+            args = fn.args.posonlyargs + fn.args.args
+            params = [(p.arg, i) for i, p in enumerate(args)
+                      if i >= len(args) - len(fn.args.defaults)]
+            params += [(p.arg, None) for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                       if d is not None]
+            for param, index in params:
+                if param == "ledger" or any(
+                    any(k.arg in (param, None) for k in call.keywords)
+                    or index is not None and (
+                        any(isinstance(a, ast.Starred) for a in call.args)
+                        or shift + len(call.args) > index
+                    )
+                    for call in calls.get(name, ())
+                ):
+                    continue
+                qualname = f"{owner}.{fn.name}" if owner else fn.name
+                found.append((module, qualname, param))
+    return found
+
+
+# Functions whose defaults no caller in the package or bench/ sets, each
+# kept for its reason.
+UNSET_DEFAULTS = {
+    ("bench.references", "free_fermion_ising_energy"):
+        "the closed form's couplings, general like the chain builder's",
+    ("bench.references", "heisenberg_sparse_energy"):
+        "the sparse reference's coupling, general like the chain builder's",
+    ("bench.run", "main"): "argv: tests drive the runner in-process through it",
+    ("cli", "main"): "argv: tests drive the CLI in-process through it",
+    ("dmrg", "micro_step"): "the documented entry point for one isolated local solve",
+    ("models", "dense_ground_state"): "cap: the dense oracle past TTDMRG_DENSE_CAP",
+    ("sums", "OneSiteSumFamily.__init__"): "prev_coeff: acceptance criterion 5 sets it",
+    ("tt", "round_tt"): "the public rounding of a user's train to caps and a tolerance",
+}
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    sources.update({f"bench.{path.stem}": path.read_text() for path in BENCH})
+    assert BENCH
+    found = {(module, function) for module, function, _ in unset_defaults(sources)}
+    assert found == set(UNSET_DEFAULTS)
+
+
+def test_unset_default_check_sees_a_knob_nobody_turns():
+    sources = {
+        "mpo": "def right_env(x, j, ledger=None, op_class='env_build'):\n    return x\n\n"
+               "def apply(x, scale=1.0):\n    return x\n\n"
+               "class Chain:\n    def __init__(self, cores, center=None):\n        pass\n\n"
+               "    def replace(self, j, core=None):\n        pass\n",
+        "twolevel": "from .mpo import right_env\n\n"
+                    "def run(x, tol=1e-12, *, seed=0):\n"
+                    "    right_env(x, 1, None)\n    apply(x, *x)\n    Chain(x, center=0)\n"
+                    "    Chain(x).replace(0, x)\n    return run(x)\n",
+    }
+    assert unset_defaults(sources) == [
+        ("mpo", "right_env", "op_class"), ("twolevel", "run", "tol"), ("twolevel", "run", "seed"),
+    ]
+    # a function that is passed around may be called with anything
+    sources["twolevel"] += "\nSWEEPS = (run,)\n"
+    assert unset_defaults(sources) == [("mpo", "right_env", "op_class")]

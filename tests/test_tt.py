@@ -69,6 +69,17 @@ def test_constructor_validates_shapes():
         TensorTrain([np.zeros((1, 2, 1))], center=1)
 
 
+def test_centers_are_site_indices():
+    cores = random_tt((2, 2, 2), 2, seed=3).cores
+    for bad in (1.5, True, -1, 3, "1"):
+        with pytest.raises(ValueError, match="center"):
+            TensorTrain(cores, center=bad)
+        with pytest.raises(ValueError, match="center"):
+            tt.orthogonalize(TensorTrain(cores), bad)
+    assert TensorTrain(cores, center=np.int64(2)).is_left_orthogonal
+    assert tt.orthogonalize(TensorTrain(cores), np.int64(0)).is_right_orthogonal
+
+
 @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
 def test_chains_reject_an_empty_local_leg(kind):
     for legs in ((0,) * kind.legs, (2,) * (kind.legs - 1) + (0,)):
@@ -287,6 +298,19 @@ def test_dense_cap_enforced(monkeypatch):
     monkeypatch.setenv(tt.DENSE_CAP_ENV, "2e21")
     with pytest.raises(ValueError, match=tt.DENSE_CAP_ENV):
         tt.dense_cap()
+    # a cap is an integer of at least one, given or from the environment
+    for bad in ("0", "-3"):
+        monkeypatch.setenv(tt.DENSE_CAP_ENV, bad)
+        with pytest.raises(ValueError, match=f"{tt.DENSE_CAP_ENV} must be positive"):
+            tt.dense_cap()
+    monkeypatch.delenv(tt.DENSE_CAP_ENV)
+    for bad in (2.5, True, -3, 0, "7"):
+        with pytest.raises(ValueError, match="dense cap must be"):
+            tt.dense_cap(bad)
+        with pytest.raises(ValueError, match="dense cap must be"):
+            x.to_dense(cap=bad)
+    assert tt.dense_cap(np.int64(7)) == 7
+    assert tt.dense_cap() == tt.DEFAULT_DENSE_CAP
 
 
 def test_orthogonal_family_members_share_tensor():
