@@ -7,6 +7,16 @@ the first pass, left environments are extended on the fly as the center
 moves right, and right environments are refreshed on the way back, so
 every local solve sees environments that match the current cores.
 
+Memory: a sweep holds one environment per cut, d + 1 in all, plus its
+local problem.  Once a micro-step has read the environment on the far
+side of its window for the last time in a half-sweep, the slot is
+released, and the half-sweep rebuilds every slot the next one reads; only
+the two boundary environments stay throughout.  The two-level solver
+keeps both shared sweeps (2(d + 1) environments) by design, since every
+local task reads one of each.  Factorization outputs own exactly what
+they keep: the kept factor of a split is a copy, not a view that would
+pin the whole SVD factor.
+
 The one-site mode keeps bond dimensions fixed.  The two-site mode solves
 on a merged pair of sites and re-splits with a truncated SVD, so ranks
 can grow up to ``max_rank`` and the discarded singular value weight is
@@ -370,12 +380,13 @@ def split_and_shift(block, direction, max_rank=None, svd_tol=0.0, ledger=None):
     u, s, vt = svd_fixed(mat, ledger)
     k = _rank_keep(s, max_rank, svd_tol)
     discarded = float(np.sqrt(np.sum(s[k:] ** 2)))
+    # the kept orthonormal factor is copied: a view would pin all of u or vt
     if direction == "LR":
-        left = u[:, :k].reshape(r0, n1, k)
+        left = u[:, :k].reshape(r0, n1, k).copy()
         right = (s[:k, None] * vt[:k]).reshape(k, n2, r3)
     elif direction == "RL":
         left = (u[:, :k] * s[:k]).reshape(r0, n1, k)
-        right = vt[:k].reshape(k, n2, r3)
+        right = vt[:k].reshape(k, n2, r3).copy()
     else:
         raise ValueError(f"unknown direction {direction!r}")
     return left, right, discarded
@@ -441,15 +452,22 @@ def run_dmrg(init, op, config=None, ledger=None):
                 cores[i], cores[i + 1], discarded = split_and_shift(
                     update, direction, config.max_rank, config.svd_tol, ledger
                 )
+            # the far side's environment was read for the last time in this
+            # half-sweep, which the next one rebuilds: release it unless it
+            # is the boundary
             if going_right:
                 left_envs[i + 1] = update_left_env(
                     left_envs[i], cores[i], op.cores[i], cores[i], ledger
                 )
+                if i + k < d:
+                    right_envs[i + k] = None
             else:
                 j = i + k - 1
                 right_envs[j] = update_right_env(
                     right_envs[j + 1], cores[j], op.cores[j], cores[j], ledger
                 )
+                if i > 0:
+                    left_envs[i] = None
 
             last_energy = res.eigenvalue
             unconverged += not res.converged

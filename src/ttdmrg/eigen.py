@@ -74,7 +74,9 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
     The Krylov basis lives in the rows of one array, allocated once per call
     with ``min(max_iter + 1, 32)`` rows and doubled when full, and is shared
     by the restarts; its vector work is charged once, as ``"matvec"``, on return.
-    ``max_iter`` is None or an integer >= 1 and ``tol`` nonnegative, else ``ValueError``.
+    ``max_iter`` is None or an integer >= 1 and ``tol`` nonnegative, else
+    ``ValueError``.  So is a ``v0`` of the wrong length or with a NaN or
+    infinite entry; a zero ``v0`` falls back to the seeded random start.
     """
     if dim < 1:
         raise ValueError("operator dimension must be positive")
@@ -94,6 +96,8 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
         start = np.asarray(v0, dtype=float).ravel()
         if start.shape[0] != dim:
             raise ValueError(f"start vector has length {start.shape[0]}, expected {dim}")
+        if not np.isfinite(start).all():
+            raise ValueError("start vector has non-finite entries")
         n0 = np.linalg.norm(start)
         start = start / n0 if n0 > 0 else None
 

@@ -128,16 +128,19 @@ class _CoreChain:
     """A chain of cores, each ``(rank[j], n_j, ..., rank[j+1])`` with
     ``legs`` local indices between its two bonds: one for a train, a row
     and a column for an operator.  The format is checked here, once for
-    both kinds: at least one core, ``legs + 2`` axes per core, no empty
-    local leg, matching bonds and unit boundary ranks."""
+    both kinds: at least one core, real entries (a complex core is refused,
+    not cast), ``legs + 2`` axes per core, no empty local leg, matching
+    bonds and unit boundary ranks."""
 
     legs = 1
 
     def __init__(self, cores):
-        cores = tuple(np.asarray(c, dtype=float) for c in cores)
+        cores = tuple(np.asarray(c) for c in cores)
         if not cores:
             raise ValueError("need at least one core")
         for j, c in enumerate(cores):
+            if np.iscomplexobj(c):
+                raise ValueError(f"core {j} is complex; chains are real")
             if c.ndim != self.legs + 2:
                 raise ValueError(f"core {j} must have {self.legs + 2} axes, got {c.ndim}")
             if 0 in c.shape[1:-1]:
@@ -149,7 +152,7 @@ class _CoreChain:
                 )
         if cores[0].shape[0] != 1 or cores[-1].shape[-1] != 1:
             raise ValueError("boundary ranks must be 1")
-        self.cores = cores
+        self.cores = tuple(c.astype(float, copy=False) for c in cores)
 
     @property
     def d(self):
@@ -422,7 +425,7 @@ def truncate(x, max_ranks=None, tol=0.0, ledger=None):
         r, n, r2 = cores[j].shape
         u, s, vt = svd_fixed(cores[j].reshape(r * n, r2), ledger)
         k = _rank_keep(s, caps[j], tol)
-        cores[j] = u[:, :k].reshape(r, n, k)
+        cores[j] = u[:, :k].reshape(r, n, k).copy()  # a view would pin all of u
         carry = s[:k, None] * vt[:k]
         cores[j + 1] = contract(None, "matmul", carry, cores[j + 1], ((1,), (0,)))
         # Charged as a (k, k) x (k, n*r3) product although ``carry`` is

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -62,6 +63,40 @@ def test_split_rejects_bad_caps_and_tolerances():
             split_and_shift(block, "LR", **kwargs)
     left, _, _ = split_and_shift(block, "LR", max_rank=np.int64(2), svd_tol=0.0)
     assert left.shape == (3, 2, 2)
+
+
+def test_split_keeps_owning_copies_of_the_kept_factor():
+    # a view of the SVD factor would pin all of it, not only the kept part
+    block = np.random.default_rng(3).standard_normal((3, 2, 2, 3))
+    left, _, _ = split_and_shift(block, "LR", max_rank=2)
+    _, right, _ = split_and_shift(block, "RL", max_rank=2)
+    assert left.shape == (3, 2, 2) and right.shape == (2, 2, 3)
+    assert left.base is None and right.base is None
+
+
+@pytest.mark.filterwarnings("ignore:run stopped at max_half_sweeps = 4 without:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_sweeps_hold_one_environment_per_cut(mode, monkeypatch):
+    # every environment the sweep builds is tracked; once a half-sweep has
+    # read a slot for the last time it is released, so at most the d + 1
+    # cuts, one slot the turn rebuilds and its replacement are alive
+    for d in (2, 3, 8):
+        refs, peak = [], [0]
+
+        def tracked(build):
+            def wrapped(*args):
+                out = build(*args)
+                refs.extend(weakref.ref(env) for env in (out if isinstance(out, list) else [out]))
+                peak[0] = max(peak[0], sum(ref() is not None for ref in refs))
+                return out
+            return wrapped
+
+        for name in ("update_left_env", "update_right_env", "all_right_envs"):
+            monkeypatch.setattr(dmrg, name, tracked(getattr(dmrg, name)))
+        config = SweepConfig(mode=mode, max_rank=4, max_half_sweeps=4, energy_tol=0.0)
+        run_dmrg(random_tt((2,) * d, 2, seed=d), heisenberg_chain(d), config)
+        monkeypatch.undo()
+        assert peak[0] <= d + 3, (d, peak[0])
 
 
 @pytest.mark.parametrize("site", [0, 1, 3])

@@ -157,6 +157,19 @@ def test_lanczos_dim_one_and_validation():
         lanczos_lowest(lambda x: x, 3, v0=np.ones(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lanczos_rejects_a_non_finite_start(bad):
+    # a NaN start used to become a random one, an infinite one NaNs
+    a = np.diag([3.0, 1.0, 2.0, 5.0])
+    with pytest.raises(ValueError, match="start vector has non-finite entries"):
+        lanczos_lowest(lambda x: a @ x, 4, v0=np.array([bad, 1.0, 0.0, 0.0]), tol=1e-10)
+    # a zero start still falls back to the seeded random one
+    zero = lanczos_lowest(lambda x: a @ x, 4, v0=np.zeros(4), tol=1e-10, seed=5)
+    drawn = lanczos_lowest(lambda x: a @ x, 4, tol=1e-10, seed=5)
+    assert zero.eigenvalue == drawn.eigenvalue
+    assert np.array_equal(zero.eigenvector, drawn.eigenvector)
+
+
 @pytest.mark.parametrize(
     "kwargs, name",
     [(dict(max_iter=0), "max_iter"), (dict(max_iter=-3), "max_iter"),

@@ -23,6 +23,12 @@ def random_mpo(dims, rank, seed):
     return MatrixProductOperator(cores)
 
 
+def test_operators_reject_complex_cores():
+    # a cast would make 1j * I the zero operator behind a ComplexWarning
+    with pytest.raises(ValueError, match="core 0 is complex"):
+        MatrixProductOperator([1j * np.eye(2)[None, :, :, None]])
+
+
 def test_to_dense_matches_naive():
     op = random_mpo((2, 3, 2), 2, seed=0)
     assert np.allclose(op.to_dense(), oracles.mpo_dense(op.cores), atol=1e-12)

@@ -90,6 +90,14 @@ def test_chains_reject_an_empty_local_leg(kind):
         kind([np.ones((1,) + (0,) * kind.legs + (1,))])
 
 
+def test_trains_reject_complex_cores():
+    # a cast would drop the imaginary parts behind a ComplexWarning
+    cores = list(random_tt((2, 2, 2), 2, seed=3).cores)
+    cores[1] = cores[1] + 1j * cores[1]
+    with pytest.raises(ValueError, match="core 1 is complex"):
+        TensorTrain(cores)
+
+
 def test_chain_builders_reject_a_local_dimension_below_one():
     with pytest.raises(ValueError, match="core 1 has an empty local leg"):
         mpo.identity_mpo((2, 0))
@@ -211,6 +219,13 @@ def test_truncate_needs_a_right_orthogonal_train():
             tt.truncate(bad, max_ranks=2)
     y = tt.truncate(tt.orthogonalize(x, 0), max_ranks=2)
     assert y.center == x.d - 1 and max(y.ranks) <= 2
+
+
+def test_truncate_keeps_owning_copies_of_the_kept_factors():
+    # a view of each cut's left factor would pin all of its columns
+    y = tt.truncate(tt.orthogonalize(random_tt((2, 3, 2, 2), 3, seed=16), 0), max_ranks=2)
+    assert y.ranks == (1, 2, 2, 2, 1)
+    assert all(core.base is None for core in y.cores[:-1])
 
 
 @pytest.mark.parametrize("round_first", [False, True])
