@@ -7,15 +7,15 @@ the first pass, left environments are extended on the fly as the center
 moves right, and right environments are refreshed on the way back, so
 every local solve sees environments that match the current cores.
 
-Memory: a sweep holds one environment per cut, d + 1 in all, plus its
-local problem.  Once a micro-step has read the environment on the far
-side of its window for the last time in a half-sweep, the slot is
-released, and the half-sweep rebuilds every slot the next one reads; only
-the two boundary environments stay throughout.  The two-level solver
-keeps both shared sweeps (2(d + 1) environments) by design, since every
-local task reads one of each.  Factorization outputs own exactly what
-they keep: the kept factor of a split is a copy, not a view that would
-pin the whole SVD factor.
+Memory: a sweep is one list of d + 1 cut environments, and a k-site solve
+runs with d + 2 - k of them alive, both boundaries included.  Slot j holds
+the environment at cut j that the sweep reads next: the left one left of
+the window, the right one right of it.  A two-site window's inner cut is
+dropped while it solves, and each micro-step then writes the cut its
+center crosses.  The two-level solver keeps both shared sweeps (2(d + 1)
+environments) by design, since every local task reads one of each.
+Factorization outputs own exactly what they keep: the kept factor of a
+split is a copy, not a view that would pin the whole SVD factor.
 
 The one-site mode keeps bond dimensions fixed.  The two-site mode solves
 on a merged pair of sites and re-splits with a truncated SVD, so ranks
@@ -373,6 +373,8 @@ def split_and_shift(block, direction, max_rank=None, svd_tol=0.0, ledger=None):
     left, right, discarded : ndarray, ndarray, float
         The two cores and the 2-norm of the dropped singular values.
     """
+    if direction not in ("LR", "RL"):
+        raise ValueError(f"unknown direction {direction!r}")
     check_cap("max_rank", max_rank)
     check_tol("svd_tol", svd_tol)
     r0, n1, n2, r3 = block.shape
@@ -384,11 +386,9 @@ def split_and_shift(block, direction, max_rank=None, svd_tol=0.0, ledger=None):
     if direction == "LR":
         left = u[:, :k].reshape(r0, n1, k).copy()
         right = (s[:k, None] * vt[:k]).reshape(k, n2, r3)
-    elif direction == "RL":
+    else:
         left = (u[:, :k] * s[:k]).reshape(r0, n1, k)
         right = vt[:k].reshape(k, n2, r3).copy()
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
     return left, right, discarded
 
 
@@ -420,8 +420,10 @@ def run_dmrg(init, op, config=None, ledger=None):
     cores = list(state.cores)
     k = 1 if config.mode == "one-site" else 2
 
-    left_envs = [boundary_env()] * (d + 1)
-    right_envs = all_right_envs(state, op, state, ledger)
+    # slot j: the environment at cut j the sweep reads next, the left one
+    # left of the window and the right one right of it
+    envs = all_right_envs(state, op, state, ledger)
+    envs[0] = boundary_env()
 
     trace = SweepTrace()
 
@@ -438,7 +440,8 @@ def run_dmrg(init, op, config=None, ledger=None):
         sites = range(0, d - 1) if going_right else range(d - k, 1 - k, -1)
 
         for i in sites:
-            local = local_matvec(left_envs[i], op.cores[i : i + k], right_envs[i + k], ledger)
+            envs[i + 1 : i + k] = [None] * (k - 1)  # the inner cut is stale until written
+            local = local_matvec(envs[i], op.cores[i : i + k], envs[i + k], ledger)
             update, res = _solve(
                 local, _merge_cores(cores[i : i + k]), schedule.eig_tol, config.eig_max_iter,
                 config.seed, ledger,
@@ -452,22 +455,11 @@ def run_dmrg(init, op, config=None, ledger=None):
                 cores[i], cores[i + 1], discarded = split_and_shift(
                     update, direction, config.max_rank, config.svd_tol, ledger
                 )
-            # the far side's environment was read for the last time in this
-            # half-sweep, which the next one rebuilds: release it unless it
-            # is the boundary
             if going_right:
-                left_envs[i + 1] = update_left_env(
-                    left_envs[i], cores[i], op.cores[i], cores[i], ledger
-                )
-                if i + k < d:
-                    right_envs[i + k] = None
+                envs[i + 1] = update_left_env(envs[i], cores[i], op.cores[i], cores[i], ledger)
             else:
                 j = i + k - 1
-                right_envs[j] = update_right_env(
-                    right_envs[j + 1], cores[j], op.cores[j], cores[j], ledger
-                )
-                if i > 0:
-                    left_envs[i] = None
+                envs[j] = update_right_env(envs[j + 1], cores[j], op.cores[j], cores[j], ledger)
 
             last_energy = res.eigenvalue
             unconverged += not res.converged

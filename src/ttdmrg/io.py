@@ -6,7 +6,8 @@ State train container (magic ``TTR1``)::
 
     bytes  0..3    magic b"TTR1"
     bytes  4..7    uint32  d, number of sites
-    bytes  8..11   int32   gauge tag: center site, or -1 when unknown
+    bytes  8..11   int32   gauge tag: center site, or -1 when unknown (a
+                           tag below -1 is rejected)
     next   4*d     uint32  local dimensions n_0 .. n_{d-1}
     next   4*(d+1) uint32  bond dimensions r_0 .. r_d (r_0 = r_d = 1)
     then, for j = 0..d-1, the core entries as float64 in C (row-major)
@@ -90,6 +91,8 @@ def save_tt(train, path):
 
 def load_tt(path):
     (gauge,), cores = _load(path, TT_MAGIC, "train", 1, 1)
+    if gauge < -1:
+        raise ValueError(f"gauge tag {gauge} is neither a site nor -1")
     return TensorTrain(cores, center=None if gauge < 0 else gauge)
 
 

@@ -154,7 +154,10 @@ def all_right_envs(bra, op, ket, ledger=None):
 
 
 def mpo_inner(bra, op, ket, ledger=None, op_class="inner"):
-    """Scalar ``<bra | A | ket>`` via one left-to-right pass."""
+    """Scalar ``<bra | A | ket>`` via one left-to-right pass; ``ValueError``
+    unless all three act on the same local spaces."""
+    if not bra.dims == op.dims == ket.dims:
+        raise ValueError(f"dimension mismatch: {bra.dims}, {op.dims} and {ket.dims}")
     e = left_env(bra, op, ket, bra.d, ledger=ledger, op_class=op_class)
     return float(e[0, 0, 0])
 

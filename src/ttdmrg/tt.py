@@ -129,8 +129,8 @@ class _CoreChain:
     ``legs`` local indices between its two bonds: one for a train, a row
     and a column for an operator.  The format is checked here, once for
     both kinds: at least one core, real entries (a complex core is refused,
-    not cast), ``legs + 2`` axes per core, no empty local leg, matching
-    bonds and unit boundary ranks."""
+    not cast), ``legs + 2`` axes per core, no empty local leg, no zero
+    bond, matching bonds and unit boundary ranks."""
 
     legs = 1
 
@@ -145,6 +145,8 @@ class _CoreChain:
                 raise ValueError(f"core {j} must have {self.legs + 2} axes, got {c.ndim}")
             if 0 in c.shape[1:-1]:
                 raise ValueError(f"core {j} has an empty local leg, shape {c.shape}")
+            if 0 in (c.shape[0], c.shape[-1]):
+                raise ValueError(f"core {j} has a zero bond, shape {c.shape}")
             if j and cores[j - 1].shape[-1] != c.shape[0]:
                 raise ValueError(
                     f"bond mismatch between cores {j - 1} and {j}: "
@@ -189,14 +191,6 @@ class TensorTrain(_CoreChain):
         if center is not None:
             _check_center(center, self.d)
         self.center = center
-
-    @property
-    def is_left_orthogonal(self):
-        return self.center == self.d - 1
-
-    @property
-    def is_right_orthogonal(self):
-        return self.center == 0
 
     def replace_core(self, j, core):
         """The train with core ``j`` replaced, its gauge unknown."""

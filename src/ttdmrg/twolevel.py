@@ -35,11 +35,10 @@ Each global iteration runs four steps:
    stack and the columns leftward as another, and the two stacks meet at
    one cut chosen from the window shapes: about d^2/4 shared-site steps
    instead of the d^2/2 of rows alone, in O(d) calls per iteration, each
-   one call of the package's transfer steps over a stack axis.  Each row
-   is still a task tagged ``gram{k}``, charged its own steps and
-   closings, and each column's leftward steps are charged to its
-   ``gram{l}`` next to its window environment, in the same per-task cost
-   model;
+   one call of the package's transfer steps over a stack axis.  Each
+   member is one task with one ledger, tagged ``gram{k}``, charged its
+   row's steps and closings and its column's leftward steps, in the same
+   per-task cost model;
 4. compress the coarse minimizer back to the working ranks: the
    combination of the local solves' k-site updates is one exact train
    (two rails at k = 1, three at k = 2, the middle one over the kept split
@@ -258,19 +257,20 @@ class SharedEnvs:
     right: list
 
 
-def _extend_left(env, bra, op_core, ket, ledger, op_class):
+def _extend_left(env, bra, op_core, ket, ledger):
+    # one site of a transfer pair (overlap, operator), charged as "coarse"
     s, a = env
     return (
-        update_left_overlap(s, bra, ket, ledger, op_class),
-        update_left_env(a, bra, op_core, ket, ledger, op_class),
+        update_left_overlap(s, bra, ket, ledger, "coarse"),
+        update_left_env(a, bra, op_core, ket, ledger, "coarse"),
     )
 
 
-def _extend_right(env, bra, op_core, ket, ledger, op_class):
+def _extend_right(env, bra, op_core, ket, ledger):
     s, a = env
     return (
-        update_right_overlap(s, bra, ket, ledger, op_class),
-        update_right_env(a, bra, op_core, ket, ledger, op_class),
+        update_right_overlap(s, bra, ket, ledger, "coarse"),
+        update_right_env(a, bra, op_core, ket, ledger, "coarse"),
     )
 
 
@@ -366,7 +366,7 @@ def _sweep(env, bra, op, ket, start, stop, ledger):
     """Extend a left transfer pair across sites ``start .. stop - 1`` with
     the core lists ``bra`` and ``ket``, charged as ``"coarse"``."""
     for s in range(start, stop):
-        env = _extend_left(env, bra[s], op.cores[s], ket[s], ledger, "coarse")
+        env = _extend_left(env, bra[s], op.cores[s], ket[s], ledger)
     return env
 
 
@@ -407,9 +407,9 @@ def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
     Each member is read as its window ``[a, b]`` plus the shared cores of
     ``family``: the iterate holds ``family.centers[0]`` at ``[0, 0]``, and
     member ``i + 1`` holds the ``k`` cores of ``updates[i]`` at
-    ``[i, i+k-1]``, so the windows start in member order.  Row ``k`` is
-    one task, tagged ``gram{k}``, that fills its diagonal and every column
-    ``l > k``.  It starts from the shared left environment at ``a_k`` and
+    ``[i, i+k-1]``, so the windows start in member order.  Row ``k``,
+    part of member ``k``'s task ``gram{k}``, fills its diagonal and every
+    column ``l > k``.  It starts from the shared left environment at ``a_k`` and
     advances with member ``k`` as bra and ``family.left`` as ket.  An
     overlapping column is contracted across both windows and closed
     against the shared right environment.  A column whose window starts
@@ -429,10 +429,10 @@ def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
     stack and meets every row that ends at or past ``c`` just after that
     row's window; at ``c`` the two stacks meet in one GEMM per matrix.
     The shared sites are crossed about ``d^2/4`` times rather than the
-    ``d^2/2`` of rows alone, in O(d) batched calls.  Each row is charged
-    its own steps and closings under ``gram{k}``, and each closed column
-    its leftward steps under ``gram{l}``, next to its window environment;
-    a step costs the same either way (:func:`~ttdmrg.tt.overlap_step_flops`
+    ``d^2/2`` of rows alone, in O(d) batched calls.  Each member has one
+    ledger, merged under ``gram{k}``: its row's steps and closings and, for
+    a closed column, its window environment and leftward steps all charge
+    it; a step costs the same either way (:func:`~ttdmrg.tt.overlap_step_flops`
     plus :func:`~ttdmrg.mpo.env_step_flops`).  ``envs`` are the family's
     :func:`shared_envs`, built here when not given.
     """
@@ -448,23 +448,20 @@ def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
     last = win[-1][0]
     closed = range(2, m)
 
-    column_envs, column_ledgers = {}, {}
+    ledgers = [CostLedger() for _ in range(m)]  # member k's work, merged under gram{k}
+    column_envs = {}
     for l in closed:
-        led = CostLedger()
         a, b = win[l]
         env = _paired(envs.right[b + 1])
         for s in range(b, a - 1, -1):
-            env = _extend_right(
-                env, family.right[s], op.cores[s], members[l][s], led, "coarse"
-            )
-        column_envs[l], column_ledgers[l] = env, led
+            env = _extend_right(env, family.right[s], op.cores[s], members[l][s], ledgers[l])
+        column_envs[l] = env
 
     s_hat = np.zeros((m, m))
     a_hat = np.zeros((m, m))
-    row_ledgers = []
     row_envs = {}  # rows with a closed column -> transfers just past the window
     for k in range(m):
-        led = CostLedger()
+        led = ledgers[k]
         bra = members[k]
         a, b = win[k]
         env, site = _paired(envs.left[a]), a
@@ -480,7 +477,6 @@ def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
             a_hat[k, l] = a_hat[l, k] = a_kl
         if b < last:
             row_envs[k] = _sweep(env, bra, op, family.left, site, b + 1, led)
-        row_ledgers.append(led)
 
     def meet(rows, cols, left, right):
         # every row's transfers against every column's, one GEMM per matrix
@@ -492,7 +488,7 @@ def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
             out[c[:, None], r] = block.T
         flops = 2.0 * len(cols) * ((left[0].size + left[1].size) // len(rows))
         for k in rows:
-            row_ledgers[k].charge("coarse", flops)
+            ledgers[k].charge("coarse", flops)
 
     if closed:
         joins, starts = {}, {}  # site -> rows joining there, closed columns starting there
@@ -516,9 +512,9 @@ def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
                 break
             if s in starts:
                 meet(rows, starts[s], left, _stacked([column_envs[l] for l in starts[s]]))
-            left = _extend_left(left, *gap[s], None, "coarse")
+            left = _extend_left(left, *gap[s], None)
             for k in rows:
-                row_ledgers[k].charge("coarse", step[s])
+                ledgers[k].charge("coarse", step[s])
 
         cols, right = [], None
         for t in range(last, cut - 1, -1):
@@ -530,14 +526,12 @@ def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
             for k in joins.get(t, []):
                 meet([k], cols, row_envs[k], right)
             s = t - 1
-            right = _extend_right(right, *gap[s], None, "coarse")
+            right = _extend_right(right, *gap[s], None)
             for l in cols:
-                column_ledgers[l].charge("coarse", step[s])
+                ledgers[l].charge("coarse", step[s])
         meet(rows, cols, left, right)
 
-    for l in closed:
-        _merge(ledger, column_ledgers[l], f"gram{l}")
-    for k, led in enumerate(row_ledgers):
+    for k, led in enumerate(ledgers):
         _merge(ledger, led, f"gram{k}")
 
     sigma, basis = dense_sym_svd(s_hat, ledger=ledger)

@@ -73,7 +73,7 @@ def meeting_cut(family, op, win, rows, closed):
         led = CostLedger()
         r, w = family.right[s].shape[0], op.cores[s].shape[0]
         env = (np.zeros((r, r)), np.zeros((r, w, r)))
-        _extend_left(env, family.right[s], op.cores[s], family.left[s], led, "coarse")
+        _extend_left(env, family.right[s], op.cores[s], family.left[s], led)
         return led.total_flops()
 
     lo = min(win[k][1] + 1 for k in rows)
@@ -141,14 +141,10 @@ def row_sweep_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
         a, b = win[l]
         env = with_identity(envs.right[b + 1])
         for s in range(b, a - 1, -1):
-            env = _extend_right(
-                env, family.right[s], op.cores[s], members[l].cores[s], led, "coarse"
-            )
+            env = _extend_right(env, family.right[s], op.cores[s], members[l].cores[s], led)
         column_envs[l] = {a: env}
         for s in range(a - 1, cut - 1, -1):
-            env = _extend_right(
-                env, family.right[s], op.cores[s], family.left[s], led, "coarse"
-            )
+            env = _extend_right(env, family.right[s], op.cores[s], family.left[s], led)
             column_envs[l][s] = env
         _merge(ledger, led, f"gram{l}")
 
@@ -163,9 +159,7 @@ def row_sweep_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
             al, bl = win[l]
             meet = min(max(b + 1, cut), al) if al > b else al
             while site < meet:
-                env = _extend_left(
-                    env, bra[site], op.cores[site], family.left[site], led, "coarse"
-                )
+                env = _extend_left(env, bra[site], op.cores[site], family.left[site], led)
                 site += 1
             if al > b:
                 s_kl, a_kl = _close(env, column_envs[l][meet], led)
@@ -174,7 +168,7 @@ def row_sweep_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
                 end = max(b, bl)
                 e = env
                 for j in range(al, end + 1):
-                    e = _extend_left(e, bra[j], op.cores[j], ket[j], led, "coarse")
+                    e = _extend_left(e, bra[j], op.cores[j], ket[j], led)
                 s_kl, a_kl = _close(e, with_identity(envs.right[end + 1]), led)
             s_hat[k, l] = s_hat[l, k] = s_kl
             a_hat[k, l] = a_hat[l, k] = a_kl

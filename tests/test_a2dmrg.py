@@ -211,6 +211,31 @@ def test_row_sweep_assembly_is_repeatable():
         )
 
 
+class MergeLog(CostLedger):
+    """A ledger that records the worker tag of every merge, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.tags = []
+
+    def merge(self, other, worker):
+        self.tags.append(worker)
+        super().merge(other, worker)
+
+
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_assembly_merges_one_ledger_per_member(mode):
+    # a closed column's work and its row's are one task: gram{k} is merged once
+    d = 9
+    op = heisenberg_chain(d)
+    family = orthogonal_family(make_state(op.dims, 3, seed=36))
+    updates = random_updates(family, mode, seed=37)
+    envs = twolevel.shared_envs(family, op)
+    led = MergeLog()
+    assemble_coarse(family, updates, op, ledger=led, envs=envs)
+    assert led.tags == [f"gram{k}" for k in range(len(updates) + 1)]
+
+
 @pytest.mark.parametrize("mode", ["one-site", "two-site"])
 def test_coarse_assembly_flops_grow_quadratically(mode):
     def coarse_flops(d):

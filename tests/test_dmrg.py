@@ -50,8 +50,11 @@ def test_split_truncation_reports_discarded_weight():
     left, right, discarded = split_and_shift(block, "LR", svd_tol=0.3)
     assert left.shape[2] == 2
     assert np.isclose(discarded, np.sqrt(np.sum(s[2:] ** 2)))
+    # the direction is checked before any work is charged
+    led = CostLedger()
     with pytest.raises(ValueError, match="direction"):
-        split_and_shift(block, "UP")
+        split_and_shift(block, "UP", ledger=led)
+    assert led.report() == CostLedger().report()
 
 
 def test_split_rejects_bad_caps_and_tolerances():
@@ -74,29 +77,68 @@ def test_split_keeps_owning_copies_of_the_kept_factor():
     assert left.base is None and right.base is None
 
 
+def track_environments(monkeypatch):
+    """Track every environment the sweep builds by a weak reference; returns
+    the count of those alive and a one-entry list holding its peak as a
+    build returns.  Boundary environments the sweep makes itself are not
+    tracked."""
+    refs, peak = [], [0]
+
+    def alive():
+        return sum(ref() is not None for ref in refs)
+
+    def tracked(build):
+        def wrapped(*args):
+            out = build(*args)
+            refs.extend(weakref.ref(env) for env in (out if isinstance(out, list) else [out]))
+            peak[0] = max(peak[0], alive())
+            return out
+        return wrapped
+
+    for name in ("update_left_env", "update_right_env", "all_right_envs"):
+        monkeypatch.setattr(dmrg, name, tracked(getattr(dmrg, name)))
+    return alive, peak
+
+
+def sweep_four_times(mode, d):
+    config = SweepConfig(mode=mode, max_rank=4, max_half_sweeps=4, energy_tol=0.0)
+    run_dmrg(random_tt((2,) * d, 2, seed=d), heisenberg_chain(d), config)
+
+
 @pytest.mark.filterwarnings("ignore:run stopped at max_half_sweeps = 4 without:RuntimeWarning")
 @pytest.mark.parametrize("mode", ["one-site", "two-site"])
 def test_sweeps_hold_one_environment_per_cut(mode, monkeypatch):
-    # every environment the sweep builds is tracked; once a half-sweep has
-    # read a slot for the last time it is released, so at most the d + 1
-    # cuts, one slot the turn rebuilds and its replacement are alive
+    # a sweep is one list of d + 1 cut environments: all_right_envs returns
+    # d + 1, and each later build replaces a slot, so at most the one it
+    # replaces and the d others of the list, less the untracked left
+    # boundary, are alive as it returns
     for d in (2, 3, 8):
-        refs, peak = [], [0]
-
-        def tracked(build):
-            def wrapped(*args):
-                out = build(*args)
-                refs.extend(weakref.ref(env) for env in (out if isinstance(out, list) else [out]))
-                peak[0] = max(peak[0], sum(ref() is not None for ref in refs))
-                return out
-            return wrapped
-
-        for name in ("update_left_env", "update_right_env", "all_right_envs"):
-            monkeypatch.setattr(dmrg, name, tracked(getattr(dmrg, name)))
-        config = SweepConfig(mode=mode, max_rank=4, max_half_sweeps=4, energy_tol=0.0)
-        run_dmrg(random_tt((2,) * d, 2, seed=d), heisenberg_chain(d), config)
+        _, peak = track_environments(monkeypatch)
+        sweep_four_times(mode, d)
         monkeypatch.undo()
-        assert peak[0] <= d + 3, (d, peak[0])
+        assert peak[0] <= d + 1, (d, peak[0])
+
+
+@pytest.mark.filterwarnings("ignore:run stopped at max_half_sweeps = 4 without:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_local_solves_run_with_d_plus_2_minus_k_environments(mode, monkeypatch):
+    # a k-site solve reads the cuts on both sides of its window; the
+    # window's inner cut (two-site) is dropped while it solves, so d + 2 - k
+    # slots are alive, the untracked left boundary among them
+    k = 1 if mode == "one-site" else 2
+    for d in (2, 3, 8):
+        alive, _ = track_environments(monkeypatch)
+        counts = []
+        solve = dmrg.lanczos_lowest
+
+        def counted(*args, **kwargs):
+            counts.append(alive())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(dmrg, "lanczos_lowest", counted)
+        sweep_four_times(mode, d)
+        monkeypatch.undo()
+        assert counts and max(counts) <= d + 1 - k, (d, max(counts))
 
 
 @pytest.mark.parametrize("site", [0, 1, 3])
@@ -383,7 +425,6 @@ def test_final_gauge_matches_sweep_parity():
         assert 1 <= done <= sweeps
         center = d - 1 if done % 2 == 1 else 0
         assert state.center == center
-        assert state.is_left_orthogonal if center == d - 1 else state.is_right_orthogonal
 
 
 def half_sweep_tols(trace):

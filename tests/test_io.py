@@ -71,6 +71,17 @@ def test_tt_byte_layout(tmp_path):
     assert off + 48 == len(data)
 
 
+def test_gauge_tag_below_minus_one_rejected(tmp_path):
+    # the format's tag is a site or -1 (unknown); -7 once read as unknown
+    path = tmp_path / "state.tt"
+    save_tt(random_tt((2, 2), (2,), seed=8), path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<i", data, 8, -7)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="gauge tag -7"):
+        load_tt(path)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.tt"
     path.write_bytes(b"NOPE" + b"\x00" * 32)

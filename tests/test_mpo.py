@@ -8,7 +8,7 @@ import oracles
 from ttdmrg import dmrg, mpo, tt, twolevel
 from ttdmrg import ledger as ledger_module
 from ttdmrg.ledger import CostLedger
-from ttdmrg.models import heisenberg_chain
+from ttdmrg.models import heisenberg_chain, ising_chain
 from ttdmrg.mpo import MatrixProductOperator
 from ttdmrg.tt import random_tt
 
@@ -127,6 +127,17 @@ def test_rayleigh_quotient_matches_dense():
     v = x.to_dense().ravel()
     want = v @ sym.to_dense() @ v / (v @ v)
     assert abs(mpo.rayleigh_quotient(x, sym) - want) < 1e-10 * (1 + abs(want))
+
+
+def test_inner_products_reject_chains_of_other_lengths():
+    # a shorter operator or bra once gave a number: 1.4176 and -0.3445
+    x3, y4 = random_tt((2,) * 3, 2, seed=1), random_tt((2,) * 4, 2, seed=2)
+    for bra, op, ket in ((x3, ising_chain(3), y4), (x3, ising_chain(4), x3),
+                         (y4, ising_chain(3), y4)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            mpo.mpo_inner(bra, op, ket)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mpo.rayleigh_quotient(x3, ising_chain(4))
 
 
 def test_rayleigh_quotient_rejects_zero():

@@ -67,37 +67,55 @@ def test_unused_import_check_sees_a_leftover_import():
     assert unused_imports(source + "__all__ = ['tt_add']\nx = tt_scale\n") == []
 
 
+def names_read(nodes):
+    """Names that ``nodes`` read, by name, as an attribute or through an import."""
+    read = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                read.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                read.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                read |= {alias.name for alias in sub.names}
+    return read
+
+
 def unread_definitions(sources):
-    """Top-level functions and classes, as ``(module, name)``, that no
+    """Top-level functions and classes, and the methods and properties of
+    top-level classes as ``Class.name``, as ``(module, name)``, that no
     statement of the modules in ``sources`` (module name -> source text)
     reads, by name, as an attribute or through an import, other than the
-    definition itself."""
-    defined, readers = [], []
+    definition itself.  A class's own members do not read it; they do read
+    each other."""
+    defined, readers = [], []  # readers: (definitions a reader is part of, names it reads)
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            read = set()
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    read.add(sub.id)
-                elif isinstance(sub, ast.Attribute):
-                    read.add(sub.attr)
-                elif isinstance(sub, ast.ImportFrom):
-                    read |= {alias.name for alias in sub.names}
-            readers.append((node, read))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((module, node))
+                defined.append((module, node.name, node))
+            if not isinstance(node, ast.ClassDef):
+                readers.append(({node}, names_read([node])))
+                continue
+            readers.append(({node}, names_read(node.bases + node.keywords + node.decorator_list)))
+            for member in node.body:
+                readers.append(({node, member}, names_read([member])))
+                if isinstance(member, ast.FunctionDef):
+                    defined.append((module, f"{node.name}.{member.name}", member))
     return [
-        (module, node.name) for module, node in defined
-        if not any(node.name in read for other, read in readers if other is not node)
+        (module, name) for module, name, node in defined
+        if not any(name.rpartition(".")[2] in read for scope, read in readers
+                   if node not in scope)
     ]
+
+
+def is_private(name):
+    name = name.rpartition(".")[2]
+    return name.startswith("_") and not name.startswith("__")
 
 
 def unread_private_helpers(sources):
     """The ``_private`` names among :func:`unread_definitions`."""
-    return [
-        (module, name) for module, name in unread_definitions(sources)
-        if name.startswith("_") and not name.startswith("__")
-    ]
+    return [(module, name) for module, name in unread_definitions(sources) if is_private(name)]
 
 
 def unread_public_names(sources, exported):
@@ -105,7 +123,7 @@ def unread_public_names(sources, exported):
     the package's ``__all__``, does not list: surface only tests read."""
     return [
         (module, name) for module, name in unread_definitions(sources)
-        if not name.startswith("_") and name not in exported
+        if not name.rpartition(".")[2].startswith("_") and name not in exported
     ]
 
 
@@ -116,6 +134,12 @@ UNREAD_PUBLIC = {
     ("mpo", "local_matvec_1site"): "acceptance criterion 6 imports it",
     ("mpo", "local_matvec_2site"): "acceptance criterion 6 imports it",
     ("sums", "TwoSiteChain"): "a placeholder that bench/tracer.py binds",
+    ("tt", "TensorTrain.replace_core"): "acceptance criterion 5 calls it",
+    ("sums", "OneSiteSumFamily.materialize"):
+        "acceptance criterion 5 calls it, and bench/tracer.py binds it",
+    ("dmrg", "SweepTrace.for_half_sweep"): "demo 02 and acceptance criteria 7 and 10 read it",
+    ("twolevel", "TwoLevelTrace.energies"):
+        "bench/workloads.py, demo 03 and acceptance criterion 8 read it",
 }
 
 
@@ -157,6 +181,17 @@ def test_public_surface_check_sees_a_test_only_name():
     sources["twolevel"] += "\ndef sweep(n):\n    return sweep(n - 1)\n\ndef _step():\n    pass\n"
     assert unread_public_names(sources, exported) == [
         ("mpo", "all_left_envs"), ("twolevel", "sweep")
+    ]
+    # methods and properties count too; a sibling member reads one, the
+    # class's own members do not read the class
+    sources["mpo"] += (
+        "\nclass Train:\n    @property\n    def is_left(self):\n        return self.d\n\n"
+        "    def copy(self):\n        return Train(self.cores)\n\n"
+        "    def d(self):\n        return self.copy()\n"
+    )
+    assert unread_public_names(sources, exported) == [
+        ("mpo", "all_left_envs"), ("mpo", "Train"), ("mpo", "Train.is_left"),
+        ("twolevel", "sweep"),
     ]
 
 

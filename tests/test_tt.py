@@ -76,8 +76,8 @@ def test_centers_are_site_indices():
             TensorTrain(cores, center=bad)
         with pytest.raises(ValueError, match="center"):
             tt.orthogonalize(TensorTrain(cores), bad)
-    assert TensorTrain(cores, center=np.int64(2)).is_left_orthogonal
-    assert tt.orthogonalize(TensorTrain(cores), np.int64(0)).is_right_orthogonal
+    assert TensorTrain(cores, center=np.int64(2)).center == 2
+    assert tt.orthogonalize(TensorTrain(cores), np.int64(0)).center == 0
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
@@ -88,6 +88,17 @@ def test_chains_reject_an_empty_local_leg(kind):
             kind(cores)
     with pytest.raises(ValueError, match="core 0 has an empty local leg"):
         kind([np.ones((1,) + (0,) * kind.legs + (1,))])
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
+def test_chains_reject_a_zero_bond(kind):
+    # a zero bond once made a train that round_tt could not reshape
+    legs = (2,) * kind.legs
+    with pytest.raises(ValueError, match="core 0 has a zero bond"):
+        kind([np.zeros((1,) + legs + (0,)), np.zeros((0,) + legs + (1,))])
+    # an empty local leg is reported first
+    with pytest.raises(ValueError, match="core 0 has an empty local leg"):
+        kind([np.zeros((1,) + (0,) * kind.legs + (0,)), np.zeros((0,) + legs + (1,))])
 
 
 def test_trains_reject_complex_cores():
