@@ -1,13 +1,39 @@
 """Lowest-eigenpair solvers: a Lanczos iteration for matrix-free operators
 and dense helpers for small symmetric problems, which accept a matrix
-symmetric to :data:`SYM_RTOL` relative to its largest entry."""
+symmetric to :data:`SYM_RTOL` relative to its largest entry.
+
+Every Lanczos step needs the lowest eigenpair of its k x k tridiagonal T_k.
+:class:`_LowestRitz` updates it in plain Python floats, O(k) work a step:
+
+- The Ritz value: T_k borders T_{k-1}, so its lowest eigenvalue theta is the
+  root below theta_{k-1} of the secular function
+  ``alpha_k - sigma - beta_{k-1}**2 * g(sigma)``, where g(sigma) is 1 over
+  the last LDL^T pivot of ``T_{k-1} - sigma`` (Bunch, Nielsen & Sorensen,
+  Numer. Math. 31, 1978).  The root is found with a one-pole rational model
+  ``c / (theta_{k-1} - sigma) + e`` of g, warm-started from the pole's
+  residue ``c = s_{k-1}[-1]**2`` and the previous step's ``e``, and refit at
+  every pass from the values of g at the last two points (value-only passes
+  cost about half of value-and-derivative ones and need few more).  All
+  pivots positive certifies that sigma lies below the lowest eigenvalue of
+  T_{k-1}.
+- The Ritz vector: read off a twisted factorization of ``T_k - sigma`` at the
+  last point, top-down pivots from the last pass and bottom-up pivots from
+  one more, twisted where ``|gamma_r|`` is smallest (Dhillon & Parlett, LAA
+  387, 2004).  Every step takes ``|s_k|`` from it, not from the secular
+  derivative ``1 / (1 + beta**2 g'(theta))``: that formula loses
+  ``eps |theta| / (theta_{k-1} - theta)`` relative accuracy, 1e-7 once theta
+  moves by 1e-9 of itself, and Lanczos steps near convergence move less.
+- The fallback: a non-positive pivot, a zero pivot, or no convergence within
+  :data:`_MAX_PASSES` passes hands the step to ``np.linalg.eigh`` of the
+  dense k x k matrix.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .ledger import charge, eigh_flops
 from .tt import check_cap, check_tol, column_signs
@@ -26,23 +52,159 @@ class LanczosResult:
 # largest entry.
 SYM_RTOL = 1e-10
 
-# The driver pair scipy.linalg.eigh_tridiagonal runs for select="i",
-# resolved once: ?stebz (bisection) for the eigenvalue, ?stein (inverse
-# iteration) for its vector.
-_STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
+# A Ritz value not settled to roundoff after this many secular passes goes
+# to the dense fallback.
+_MAX_PASSES = 16
+_EPS = float(np.finfo(float).eps)
+_TINY = 1e-280
 
 
-def _tridiag_lowest(alphas, betas):
-    """Lowest eigenpair of the symmetric tridiagonal matrix with diagonal
-    ``alphas`` and off-diagonal ``betas`` (float arrays)."""
-    if len(alphas) == 1:
-        return float(alphas[0]), np.ones(1)
-    m, w, iblock, isplit, info = _STEBZ(alphas, betas, 2, 0.0, 1.0, 1, 1, 0.0, "B")
-    if info == 0:
-        v, info = _STEIN(alphas, betas, w[:m], iblock, isplit)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"tridiagonal eigensolve failed (info={info})")
-    return w[0], v[:, 0]
+class _LowestRitz:
+    """Lowest eigenpair of a symmetric tridiagonal matrix grown one row at a
+    time: :meth:`add` appends a diagonal entry and returns the new lowest
+    eigenvalue and the magnitude of the last entry of its unit eigenvector,
+    :meth:`vector` returns that eigenvector, its largest entry positive (the
+    sign ``?stein`` gives).  ``twist`` is None after a dense fallback, whose
+    eigenvector ``dense`` holds."""
+
+    __slots__ = ("alphas", "betas", "b2", "rows", "theta", "w", "norm", "sigma", "top",
+                 "twist", "zz", "dense", "e")
+
+    def __init__(self):
+        # rows[j - 1] = (alphas[j], b2[j - 1]); b2 holds the squared betas
+        self.alphas, self.betas, self.b2, self.rows = [], [], [], []
+
+    def add(self, alpha, beta):
+        """Append diagonal entry ``alpha``, coupled to the previous one by
+        ``beta > 0`` (ignored for the first entry); returns ``(theta, |s_k|)``.
+        Both are Python floats: a zero pivot must raise ZeroDivisionError."""
+        alphas = self.alphas
+        if not alphas:
+            alphas.append(alpha)
+            self.theta = self.sigma = alpha
+            self.w, self.norm, self.e = 1.0, abs(alpha), 0.0
+            self.top, self.twist, self.zz = [], 0, 1.0
+            return alpha, 1.0
+        p, w, rows, b2s = self.theta, self.w, self.rows, self.b2
+        bb = beta * beta
+        norm = (alpha if alpha > 0.0 else -alpha) + 2.0 * beta
+        if norm < self.norm:
+            norm = self.norm
+        self.norm = norm
+        tol = _EPS * norm
+        a = alpha - p
+        a0 = alphas[0]
+        alphas.append(alpha)
+        self.betas.append(beta)
+        b2s.append(bb)
+        n = len(rows)  # T_{k-1} has n + 1 rows; the new one is row n + 1
+        # the model's root: delta = p - theta solves
+        # delta**2 + (a - bb * e) * delta - bb * c = 0; warm start c = w and
+        # the e the previous step ended with
+        cc = bb * w
+        b = a - bb * self.e
+        r = sqrt(b * b + 4.0 * cc)
+        delta = 2.0 * cc / (b + r) if b > 0.0 else 0.5 * (r - b)
+        dl0 = g0 = 0.0  # p - sigma and g(sigma) of the previous pass
+        try:
+            for _ in range(_MAX_PASSES):
+                dl = delta if delta > tol else tol
+                sigma = p - dl
+                d = a0 - sigma
+                top = [d]
+                push = top.append
+                for aj, b2 in rows:
+                    d = aj - sigma - b2 / d
+                    push(d)
+                g = 1.0 / d
+                c = w
+                if dl0 and dl != dl0:
+                    fit = (g - g0) * dl * dl0 / (dl0 - dl)
+                    if fit > 0.0:
+                        c = fit
+                dl0, g0 = dl, g
+                e = g - c / dl
+                b = a - bb * e
+                cc = bb * c
+                r = sqrt(b * b + 4.0 * cc)
+                new = 2.0 * cc / (b + r) if b > 0.0 else 0.5 * (r - b)
+                step, delta = new - delta, new
+                if -tol <= step <= tol:
+                    break
+            else:
+                raise ZeroDivisionError
+            # bottom-up pivots of T_k - sigma; gamma_j = top_j - b2_j / bot_{j+1};
+            # below the twist, zz sums z_i**2 and z2 is z_k**2, scaled to z_j = 1
+            r = alpha - sigma
+            gam = r - bb / d
+            best = abs(gam)
+            twist, below, zk2 = n + 1, 1.0, 1.0
+            zz = z2 = 1.0
+            for j in range(n, -1, -1):
+                dj = top[j]
+                if dj <= 0.0:
+                    raise ZeroDivisionError
+                q = b2s[j] / r
+                u = q / r
+                zz = 1.0 + u * zz
+                z2 *= u
+                gam = dj - q
+                r = alphas[j] - sigma - q
+                if -best < gam < best:
+                    best = gam if gam > 0.0 else -gam
+                    twist, below, zk2 = j, zz, z2
+        except ZeroDivisionError:
+            rows.append((alpha, bb))
+            return self._dense()
+        rows.append((alpha, bb))
+        # above the twist
+        zz, x2 = below, 1.0
+        for j in range(twist - 1, -1, -1):
+            dj = top[j]
+            x2 = b2s[j] * x2 / (dj * dj)
+            zz += x2
+        self.sigma, self.top, self.twist, self.zz = sigma, top, twist, zz
+        # e as the next warm start, unless g's roundoff (tol * g**2) swamps it
+        self.e = e if e > 1e3 * tol * g * g else 0.0
+        self.w = w = zk2 / zz
+        self.theta = theta = p - delta
+        if zk2 < _TINY:
+            # |s_k| below about 1e-140: its square has lost digits
+            return theta, abs(float(self.vector()[-1]))
+        return theta, sqrt(w)
+
+    def _dense(self):
+        b = self.betas
+        t = np.diag(self.alphas) + np.diag(b, 1) + np.diag(b, -1)
+        lam, v = np.linalg.eigh(t)
+        self.theta, self.dense, self.twist = float(lam[0]), v[:, 0], None
+        self.w = float(v[-1, 0]) ** 2
+        return self.theta, sqrt(self.w)
+
+    def vector(self):
+        if self.twist is None:
+            s = self.dense
+        else:
+            t, top, sigma = self.twist, self.top, self.sigma
+            alphas, betas, b2s = self.alphas, self.betas, self.b2
+            k = len(alphas)
+            z = [0.0] * k
+            z[t] = x = 1.0
+            for j in range(t - 1, -1, -1):
+                x = -betas[j] * x / top[j]
+                z[j] = x
+            if t < k - 1:
+                bot = [0.0] * k
+                r = bot[k - 1] = alphas[k - 1] - sigma
+                for j in range(k - 2, t, -1):
+                    r = bot[j] = alphas[j] - sigma - b2s[j] / r
+                x = 1.0
+                for j in range(t + 1, k):
+                    x = -betas[j - 1] * x / bot[j]
+                    z[j] = x
+            s = np.array(z) / sqrt(self.zz)
+        i = int(np.argmax(np.abs(s)))
+        return -s if s[i] < 0 else s
 
 
 def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger=None):
@@ -112,8 +274,6 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
 
     rows = min(max_iter + 1, 32)
     basis = np.empty((rows, dim))
-    alphas = np.empty(rows)
-    betas = np.empty(rows)
     for attempt in range(4):
         if attempt == 0 and start is not None:
             v = start
@@ -122,45 +282,44 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
                 rng = np.random.default_rng(seed)
             v = rng.standard_normal(dim)
         basis[0] = v / np.linalg.norm(v)
-        k = 1  # basis rows in use; alphas[:k - 1] and betas[:k - 1] are set
+        k = 1  # basis rows in use
+        b = 0.0  # the last step's beta, which joins basis rows k - 2 and k - 1
+        ritz = _LowestRitz()
         broke = False
         while total < max_iter:
             q = basis[k - 1]
             w = matvec(q)
             total += 1
             a = float(w @ q)
-            alphas[k - 1] = a
             # out of place: a matvec may return its input or shared state
             w = w - a * q
             if k > 1:
-                w -= betas[k - 2] * basis[k - 2]
+                w -= b * basis[k - 2]
             vk = basis[:k]
             w -= vk.T @ (vk @ w)
             work += 4.0 * vk.size + 6.0 * dim
+            theta, sk = ritz.add(a, b)
             b = float(np.linalg.norm(w))
-            theta, s = _tridiag_lowest(alphas[:k], betas[: k - 1])
-            res = b * abs(s[-1])
+            res = b * sk
             # step past a start that is not an exact eigenvector
             if res <= tol * max(1.0, abs(theta)) and (k > 1 or b <= 1e-13):
-                return finish(*pick(theta, vk.T @ s, res))
+                return finish(*pick(theta, vk.T @ ritz.vector(), res))
             if b <= 1e-13:
                 # exact invariant subspace that misses the tolerance: keep
                 # the candidate and restart from a random direction
                 if best is None or theta < best[0]:
-                    best = (theta, vk.T @ s, res)
+                    best = (theta, vk.T @ ritz.vector(), res)
                 broke = True
                 break
-            betas[k - 1] = b
             if k == len(basis):
                 rows = min(2 * k, max_iter + 1)
                 basis = np.resize(basis, (rows, dim))  # keeps the k rows in front
-                alphas, betas = np.resize(alphas, rows), np.resize(betas, rows)
             np.divide(w, b, out=basis[k])
             k += 1
         if not broke:
             # iteration budget exhausted; the last step's Ritz pair stands
             if k > 1:
-                return finish(*pick(theta, basis[: k - 1].T @ s, res))
+                return finish(*pick(theta, basis[: k - 1].T @ ritz.vector(), res))
             return finish(*best)
     return finish(*best)
 

@@ -17,7 +17,9 @@ charges the library's in-place kernel must reproduce exactly;
 steps as pairwise ``contract`` calls, bra first both ways, which the
 library's copy-free steps must match in value; :func:`list_lanczos_lowest`, the
 Lanczos iteration as it was written before the basis moved into one
-preallocated array, which the library's version must match bitwise;
+preallocated array, which the library's version must match bitwise when
+both solve the tridiagonal with the package's step, and to roundoff when
+this one solves it with scipy's ``eigh_tridiagonal``;
 :func:`materialize_one_site_sum` and :func:`two_site_sum`, the one- and
 two-site sum builders as they were written before
 ``ttdmrg.sums.sum_train`` replaced both, which it must match core by
@@ -32,7 +34,7 @@ step 4 by the library's pairwise ``tt_add`` of the scaled members and one
 import numpy as np
 import scipy.linalg
 
-from ttdmrg.eigen import LanczosResult, dense_sym_svd
+from ttdmrg.eigen import LanczosResult, _LowestRitz, dense_sym_svd
 from ttdmrg.ledger import CostLedger, charge, contract
 from ttdmrg.mpo import mpo_inner
 from ttdmrg.sums import sum_train
@@ -227,16 +229,30 @@ def tensordot_update_right_env(env, bra_core, op_core, ket_core, ledger=None,
 
 
 def _list_tridiag_lowest(alphas, betas):
+    """``(theta, |s_k|, s)`` of the tridiagonal from the package's step, run
+    afresh over the whole list; the step depends on nothing but the list."""
+    ritz = _LowestRitz()
+    theta, sk = ritz.add(alphas[0], 0.0)
+    for a, b in zip(alphas[1:], betas):
+        theta, sk = ritz.add(a, b)
+    return theta, sk, ritz.vector()
+
+
+def scipy_tridiag_lowest(alphas, betas):
+    """``(theta, |s_k|, s)`` from ``scipy.linalg.eigh_tridiagonal``, which the
+    package does not call."""
     if len(alphas) == 1:
-        return alphas[0], np.ones(1)
+        return alphas[0], 1.0, np.ones(1)
     w, v = scipy.linalg.eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
-    return w[0], v[:, 0]
+    return w[0], abs(v[-1, 0]), v[:, 0]
 
 
-def list_lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger=None):
+def list_lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger=None,
+                        tridiag=_list_tridiag_lowest):
     """Lanczos with the Krylov basis kept as a list of vectors, stacked anew
-    every step, and the tridiagonal problem solved by
-    ``scipy.linalg.eigh_tridiagonal``; same contract as
+    every step, and the tridiagonal problem solved from scratch every step by
+    ``tridiag`` (the package's step by default, or
+    :func:`scipy_tridiag_lowest`); same contract as
     ``ttdmrg.eigen.lanczos_lowest``: at least one step past a start that is
     not an exact eigenvector, and the residual read off the recurrence."""
     if dim < 1:
@@ -286,14 +302,14 @@ def list_lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, l
             w = w - vmat @ (vmat.T @ w)
             charge(ledger, "matvec", 4.0 * vmat.size + 6.0 * dim)
             b = float(np.linalg.norm(w))
-            theta, s = _list_tridiag_lowest(alphas, betas)
+            theta, sk, s = tridiag(alphas, betas)
             # a start that is not an exact eigenvector takes one more step
-            if b * abs(s[-1]) <= tol * max(1.0, abs(theta)) and (len(alphas) > 1 or b <= 1e-13):
-                theta, vec, res = pick(theta, vmat @ s, b * abs(s[-1]))
+            if b * sk <= tol * max(1.0, abs(theta)) and (len(alphas) > 1 or b <= 1e-13):
+                theta, vec, res = pick(theta, vmat @ s, b * sk)
                 return finish(theta, vec, res, total)
             if b <= 1e-13:
                 if best is None or theta < best[0]:
-                    best = (theta, vmat @ s, b * abs(s[-1]))
+                    best = (theta, vmat @ s, b * sk)
                 broke = True
                 break
             betas.append(b)
@@ -301,10 +317,8 @@ def list_lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, l
         if not broke:
             if alphas:
                 n = len(alphas)
-                theta, s = _list_tridiag_lowest(alphas, betas[: n - 1])
-                theta, vec, res = pick(
-                    theta, np.asarray(basis).T[:, :n] @ s, betas[n - 1] * abs(s[-1])
-                )
+                theta, sk, s = tridiag(alphas, betas[: n - 1])
+                theta, vec, res = pick(theta, np.asarray(basis).T[:, :n] @ s, betas[n - 1] * sk)
             else:
                 theta, vec, res = best
             return finish(theta, vec, res, total)

@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 
 import oracles
-from ttdmrg.eigen import _tridiag_lowest, dense_lowest_eig, dense_sym_svd, lanczos_lowest
+from ttdmrg import eigen
+from ttdmrg.eigen import _LowestRitz, dense_lowest_eig, dense_sym_svd, lanczos_lowest
 from ttdmrg.ledger import CostLedger
 from ttdmrg.models import heisenberg_chain
 from ttdmrg.mpo import left_env, local_matvec_2site, right_env
@@ -243,6 +244,14 @@ def run_both(matvec, dim, **kwargs):
     old = oracles.list_lanczos_lowest(matvec, dim, ledger=led_old, **kwargs)
     assert_same_result(new, old)
     assert led_new.report() == led_old.report()
+    # independently: the same loop with scipy's tridiagonal eigensolver
+    ref = oracles.list_lanczos_lowest(
+        matvec, dim, tridiag=oracles.scipy_tridiag_lowest, **kwargs
+    )
+    assert (new.iterations, new.converged) == (ref.iterations, ref.converged)
+    assert abs(new.eigenvalue - ref.eigenvalue) <= 1e-13 * max(1.0, abs(ref.eigenvalue))
+    gap = min(np.abs(new.eigenvector - sign * ref.eigenvector).max() for sign in (1, -1))
+    assert gap <= 1e-10  # up to sign: a tie for the largest entry can flip it
     return new
 
 
@@ -300,18 +309,157 @@ def test_lanczos_matches_oracle_on_a_projected_two_site_operator():
     run_both(matvec, dim, v0=v0, tol=1e-10, seed=29)
 
 
+# -- the incremental tridiagonal step -----------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def tridiag(alphas, betas):
+    return np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+
+
+def grow(alphas, betas):
+    """``(theta, |s_k|, s)`` after adding every row of the tridiagonal."""
+    return oracles._list_tridiag_lowest(np.asarray(alphas).tolist(), np.asarray(betas).tolist())
+
+
+def assert_lowest_pair(alphas, betas, vector=True):
+    """The step's pair against ``np.linalg.eigh`` of the dense matrix: the
+    value within 8 eps ||T||, the vector within 1e-12 up to sign (when its
+    gap determines it), |s_k| equal to the vector's last entry."""
+    t = tridiag(alphas, betas)
+    theta, sk, s = grow(alphas, betas)
+    w, v = np.linalg.eigh(t)
+    scale = np.linalg.norm(t, 2)
+    assert abs(theta - w[0]) <= 8 * EPS * scale
+    assert abs(np.linalg.norm(s) - 1) <= 1e-14
+    assert s[np.argmax(np.abs(s))] > 0
+    assert np.linalg.norm(t @ s - theta * s) <= 8 * EPS * scale * np.sqrt(len(alphas))
+    assert sk == pytest.approx(abs(s[-1]), rel=1e-12, abs=0)
+    if vector:
+        assert min(np.abs(s - v[:, 0]).max(), np.abs(s + v[:, 0]).max()) <= 1e-12
+    return theta, sk, s
+
+
 @pytest.mark.parametrize("n", range(1, 65))
 def test_tridiag_lowest_matches_eigh_tridiagonal(n):
     rng = np.random.default_rng(100 + n)
     alphas = rng.standard_normal(n)
     betas = rng.uniform(0.1, 2.0, n - 1)
-    theta, s = _tridiag_lowest(alphas, betas)
-    if n == 1:
-        w, v = np.array([alphas[0]]), np.ones((1, 1))
-    else:
+    theta, sk, s = assert_lowest_pair(alphas, betas)
+    if n > 1:
         w, v = scipy.linalg.eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
-    assert theta == w[0]
-    assert np.array_equal(s, v[:, 0])
+        assert abs(theta - w[0]) <= 8 * EPS * np.abs(alphas).max() + 16 * EPS * betas.max()
+        assert np.abs(s - v[:, 0]).max() <= 1e-12  # the same sign convention
+
+
+def test_lowest_ritz_on_graded_diagonals():
+    # diagonal magnitudes from 1e8 down to 1e-8, the lowest pair at the large end
+    n = 24
+    rng = np.random.default_rng(7)
+    alphas = -np.logspace(8, -8, n)
+    betas = np.sqrt(np.abs(alphas[:-1] * alphas[1:])) * rng.uniform(0.05, 0.3, n - 1)
+    assert_lowest_pair(alphas, betas)
+    # and the reverse grading, the lowest pair among the small entries
+    assert_lowest_pair(alphas[::-1].copy(), betas[::-1].copy(), vector=False)
+
+
+def lanczos_tridiagonal(a, steps, seed):
+    """The tridiagonal of ``steps`` fully reorthogonalized Lanczos steps on ``a``."""
+    v = np.random.default_rng(seed).standard_normal(a.shape[0])
+    basis = [v / np.linalg.norm(v)]
+    alphas, betas = [], []
+    for _ in range(steps):
+        w = a @ basis[-1]
+        alphas.append(float(w @ basis[-1]))
+        vm = np.array(basis)
+        w = w - vm.T @ (vm @ w)
+        w = w - vm.T @ (vm @ w)
+        betas.append(float(np.linalg.norm(w)))
+        basis.append(w / betas[-1])
+    return np.array(alphas), np.array(betas[:-1])
+
+
+def test_lowest_ritz_on_a_near_degenerate_lowest_pair():
+    # two lowest eigenvalues 1e-9 apart: the value is still accurate, the
+    # vector is a residual-small combination of the two
+    rng = np.random.default_rng(8)
+    q = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+    a = q @ np.diag([-1.0, -1.0 + 1e-9] + list(np.linspace(0.0, 3.0, 10))) @ q.T
+    alphas, betas = lanczos_tridiagonal(a, 12, seed=9)
+    theta, _, _ = assert_lowest_pair(alphas, betas, vector=False)
+    assert theta == pytest.approx(-1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("beta", [1e-4, 1e-8, 1e-12])
+def test_lowest_ritz_with_small_off_diagonals(beta):
+    rng = np.random.default_rng(9)
+    alphas = rng.standard_normal(16)
+    betas = beta * rng.uniform(0.5, 2.0, 15)
+    assert_lowest_pair(alphas, betas)
+    # one small beta in the middle of an otherwise coupled matrix
+    betas = rng.uniform(0.5, 2.0, 15)
+    betas[7] = beta
+    assert_lowest_pair(alphas, betas)
+
+
+def test_lowest_ritz_settled_step_after_a_tiny_last_entry():
+    # T_{k-1}'s lowest eigenvector ends in about 1e-150, so the next row moves
+    # theta by about 1e-300: a settled step
+    alphas = np.array([0.0, 1.0, 2.0, 3.0, 1.5])
+    betas = np.array([0.5, 0.5, 1e-150, 1.0])
+    ritz = _LowestRitz()
+    ritz.add(0.0, 0.0)
+    for a, b in zip(alphas[1:-1], betas[:-1]):
+        theta0, sk0 = ritz.add(float(a), float(b))
+    assert 0 < sk0 < 1e-149
+    theta, sk = ritz.add(float(alphas[-1]), float(betas[-1]))
+    assert abs(theta - theta0) <= 2 * EPS * abs(theta0) and 0 < sk < 1e-149
+    assert_lowest_pair(alphas, betas)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+def test_lowest_ritz_is_scale_invariant(scale):
+    rng = np.random.default_rng(10)
+    alphas = rng.standard_normal(20)
+    betas = rng.uniform(0.1, 2.0, 19)
+    theta, sk, s = grow(alphas, betas)
+    theta_s, sk_s, s_s = assert_lowest_pair(scale * alphas, scale * betas)
+    assert theta_s == pytest.approx(scale * theta, rel=1e-14)
+    assert sk_s == pytest.approx(sk, rel=1e-12)
+    assert np.abs(s_s - s).max() <= 1e-12
+
+
+def test_lowest_ritz_falls_back_to_dense_eigh(monkeypatch):
+    dense = []
+    step = _LowestRitz._dense
+
+    def counted(self):
+        dense.append(len(self.alphas))
+        return step(self)
+
+    monkeypatch.setattr(_LowestRitz, "_dense", counted)
+    rng = np.random.default_rng(11)
+    alphas = rng.standard_normal(10)
+    betas = rng.uniform(0.1, 2.0, 9)
+    assert_lowest_pair(alphas, betas)
+    assert dense == []
+    # no secular pass allowed: every step after the first is dense
+    monkeypatch.setattr(eigen, "_MAX_PASSES", 0)
+    assert_lowest_pair(alphas, betas)
+    assert dense == list(range(2, 11))
+    monkeypatch.undo()
+    # a pole above the lowest eigenvalue makes a pivot non-positive
+    monkeypatch.setattr(_LowestRitz, "_dense", counted)
+    dense.clear()
+    ritz = _LowestRitz()
+    ritz.add(float(alphas[0]), 0.0)
+    ritz.add(float(alphas[1]), float(betas[0]))
+    ritz.theta += 1.0
+    theta, sk = ritz.add(float(alphas[2]), float(betas[1]))
+    assert dense == [3]
+    w, v = np.linalg.eigh(tridiag(alphas[:3], betas[:2]))
+    assert theta == pytest.approx(w[0], abs=1e-14) and sk == pytest.approx(abs(v[-1, 0]))
 
 
 @pytest.mark.parametrize(

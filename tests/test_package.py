@@ -1,6 +1,9 @@
 """The package's public names and its imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ttdmrg
@@ -295,3 +298,31 @@ def test_unset_default_check_sees_a_knob_nobody_turns():
     # a function that is passed around may be called with anything
     sources["twolevel"] += "\nSWEEPS = (run,)\n"
     assert unset_defaults(sources) == [("mpo", "right_env", "op_class")]
+
+
+# Imports ttdmrg, runs one small solve of each kind, prints every loaded
+# module whose name starts with "scipy".
+NO_SCIPY_SCRIPT = """
+import sys
+import ttdmrg
+from ttdmrg import SweepConfig, TwoLevelConfig, ising_chain, random_tt, run_dmrg, run_two_level
+op = ising_chain(6)
+init = random_tt(op.dims, 2, seed=0)
+run_dmrg(init, op, SweepConfig(mode="two-site", max_rank=4, max_half_sweeps=2))
+run_two_level(init, op, TwoLevelConfig(mode="two-site", max_rank=4, max_iters=2))
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_the_package_and_its_solves_load_no_scipy():
+    # scipy is a test and benchmark dependency only; a lazy import inside a
+    # solve would show up here too
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(ttdmrg.__file__).parent.parent)] + sys.path
+    ))
+    out = subprocess.run(
+        [sys.executable, "-W", "ignore::RuntimeWarning", "-c", NO_SCIPY_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
