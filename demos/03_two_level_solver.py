@@ -29,7 +29,7 @@ op = heisenberg_chain(d)
 e_ref, _ = dense_ground_state(op)
 print(f"Heisenberg d={d}: dense ground energy {e_ref:.12f}\n")
 
-cfg = TwoLevelConfig(mode="two-site", max_rank=16, eig_tol=1e-8, energy_tol=1e-10, workers=4)
+cfg = TwoLevelConfig(mode="two-site", max_rank=16, eig_tol=1e-8, energy_tol=1e-10)
 ledger = CostLedger()
 state, trace = run_two_level(
     random_tt(op.dims, 2, seed=0), op, cfg, ledger=ledger, reference_energy=e_ref
@@ -44,19 +44,3 @@ for r in trace.records:
     )
 print(f"\nconverged {trace.converged} at ranks {state.ranks}")
 print(f"last compression error (fit_residual) {trace.records[-1].fit_residual:.2e}")
-
-# The worker count is accepted for existing configurations but changes
-# neither the results nor the wall time: the independent tasks always run
-# serially in the calling thread (a thread pool only slowed them down), and
-# their parallel cost is the ledger's cost_per_processor under per-task tags.
-energies = {}
-for workers in (1, 4, 8):
-    led = CostLedger()
-    _, tr = run_two_level(
-        random_tt(op.dims, 2, seed=0), op,
-        TwoLevelConfig(mode="two-site", max_rank=16, eig_tol=1e-8, energy_tol=1e-10, workers=workers),
-        ledger=led,
-    )
-    energies[workers] = (tr.energies(), led.report())
-same = all(v == energies[1] for v in energies.values())
-print(f"worker counts 1/4/8 give identical energies and ledgers: {same}")

@@ -37,7 +37,7 @@ for cap in (16, 32):
     led_a = CostLedger()
     state_a, trace = run_two_level(
         random_tt(op.dims, 2, seed=0), op,
-        TwoLevelConfig(mode="two-site", max_rank=cap, eig_tol=1e-8, energy_tol=1e-8, workers=4),
+        TwoLevelConfig(mode="two-site", max_rank=cap, eig_tol=1e-8, energy_tol=1e-8),
         ledger=led_a,
     )
     err_a = abs(rayleigh_quotient(state_a, op) - e_ref) / abs(e_ref)

@@ -20,7 +20,6 @@ and its default is listed once, in :data:`SCHEMA`::
     eig_tol = 1e-6          ; dmrg2, a2dmrg: step 1's, later ones may be looser
     svd_tol = 0.0           ; relative cut of the dmrg2 splits and a2dmrg rounding
     energy_tol = 1e-6
-    coarse_eps = 1e-10      ; a2dmrg only
     max_iters = 200         ; half-sweeps (dmrg) or global iterations
     seed = 0
     structured_coarse = false
@@ -85,8 +84,8 @@ SCHEMA = {
     },
     "run": {
         "algorithm": "dmrg2", "max_rank": 16, "init_rank": 2, "eig_tol": 1e-6,
-        "svd_tol": 0.0, "energy_tol": 1e-6, "coarse_eps": 1e-10, "max_iters": 200,
-        "seed": 0, "structured_coarse": False, "reference": "dense",
+        "svd_tol": 0.0, "energy_tol": 1e-6, "max_iters": 200, "seed": 0,
+        "structured_coarse": False, "reference": "dense",
     },
     "output": {"trace": None, "ledger": None, "summary": None, "state": None},
 }
@@ -184,8 +183,7 @@ def solver_config(run):
         svd_tol=run.svd_tol, seed=run.seed,
     )
     two = TwoLevelConfig(
-        **shared, max_iters=run.max_iters, coarse_eps=run.coarse_eps,
-        structured_coarse=run.structured_coarse,
+        **shared, max_iters=run.max_iters, structured_coarse=run.structured_coarse
     )
     sweep = SweepConfig(**shared, max_half_sweeps=run.max_iters)
     return sweep if run.algorithm.startswith("dmrg") else two

@@ -248,11 +248,6 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
         max_iter = min(dim, 256)
     rng = None  # built at the first random draw: most solves start from v0
 
-    def finish(theta, vec, res):
-        charge(ledger, "matvec", work)
-        conv = res <= tol * max(1.0, abs(theta))
-        return LanczosResult(float(theta), vec / np.linalg.norm(vec), total, conv, float(res))
-
     start = None
     if v0 is not None:
         start = np.asarray(v0, dtype=float).ravel()
@@ -264,14 +259,10 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
         start = start / n0 if n0 > 0 else None
 
     total = 0
-    work = 0.0  # the vector work of every step, charged by finish
-    best = None  # lowest (theta, vector, residual) breakdown candidate across restarts
-
-    def pick(theta, vec, res):
-        if best is not None and best[0] < theta:
-            return best
-        return theta, vec, res
-
+    work = 0.0  # the vector work of every step, charged on return
+    # the answer (theta, vector, residual): a breakdown candidate replaces it
+    # only when strictly lower, the final one unless strictly higher
+    answer = None
     rows = min(max_iter + 1, 32)
     basis = np.empty((rows, dim))
     for attempt in range(4):
@@ -282,46 +273,45 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
                 rng = np.random.default_rng(seed)
             v = rng.standard_normal(dim)
         basis[0] = v / np.linalg.norm(v)
-        k = 1  # basis rows in use
-        b = 0.0  # the last step's beta, which joins basis rows k - 2 and k - 1
+        k = 0  # basis rows in use, and steps taken in this attempt
+        b = 0.0  # the last step's beta, which joins basis rows k - 1 and k
         ritz = _LowestRitz()
-        broke = False
         while total < max_iter:
-            q = basis[k - 1]
+            q = basis[k]
             w = matvec(q)
             total += 1
             a = float(w @ q)
             # out of place: a matvec may return its input or shared state
             w = w - a * q
-            if k > 1:
-                w -= b * basis[k - 2]
+            if k:
+                w -= b * basis[k - 1]
+            k += 1
             vk = basis[:k]
             w -= vk.T @ (vk @ w)
             work += 4.0 * vk.size + 6.0 * dim
             theta, sk = ritz.add(a, b)
             b = float(np.linalg.norm(w))
             res = b * sk
-            # step past a start that is not an exact eigenvector
-            if res <= tol * max(1.0, abs(theta)) and (k > 1 or b <= 1e-13):
-                return finish(*pick(theta, vk.T @ ritz.vector(), res))
-            if b <= 1e-13:
-                # exact invariant subspace that misses the tolerance: keep
-                # the candidate and restart from a random direction
-                if best is None or theta < best[0]:
-                    best = (theta, vk.T @ ritz.vector(), res)
-                broke = True
+            # step past a start that is not an exact eigenvector; an exact
+            # invariant subspace that misses the tolerance is a candidate,
+            # and the iteration restarts from a random direction
+            done = res <= tol * max(1.0, abs(theta)) and (k > 1 or b <= 1e-13)
+            if done or b <= 1e-13:
                 break
             if k == len(basis):
                 rows = min(2 * k, max_iter + 1)
                 basis = np.resize(basis, (rows, dim))  # keeps the k rows in front
             np.divide(w, b, out=basis[k])
-            k += 1
-        if not broke:
-            # iteration budget exhausted; the last step's Ritz pair stands
-            if k > 1:
-                return finish(*pick(theta, basis[: k - 1].T @ ritz.vector(), res))
-            return finish(*best)
-    return finish(*best)
+        else:
+            done = True  # the budget ran out; the last step's Ritz pair stands
+        if k and (answer is None or (not answer[0] < theta if done else theta < answer[0])):
+            answer = (theta, basis[:k].T @ ritz.vector(), res)
+        if done:
+            break
+    theta, vec, res = answer
+    charge(ledger, "matvec", work)
+    conv = res <= tol * max(1.0, abs(theta))
+    return LanczosResult(float(theta), vec / np.linalg.norm(vec), total, conv, float(res))
 
 
 def _checked_eigh(a, ledger):

@@ -20,10 +20,10 @@ Each global iteration runs four steps:
    with the start's Rayleigh quotient as the energy before iteration 1;
 3. form the coarse problem over the span of the previous iterate plus
    all locally updated members, and minimize the Rayleigh quotient in
-   that span (a whitened dense eigenproblem of size at most d+1, with
-   an optional Krylov path that applies the operator to the exact sum
-   train of each combination, one ``mpo_inner`` per member, instead of
-   the assembled matrix).
+   that span: a whitened dense eigenproblem of size p <= d+1 (the span's
+   directions above :data:`COARSE_EPS`), its matrix taken from the
+   assembled reduced operator or, structured, from p applications of the
+   operator to exact sum trains, one ``mpo_inner`` per member.
    Every member differs from the family's shared cores only on a short
    window, so each row of the overlap and reduced operator matrices
    starts from the shared left environment at the row's window and closes
@@ -69,11 +69,11 @@ from __future__ import annotations
 import math
 import warnings
 
-# Seven names are bound here only because bench/tracer.py rebinds them by name
-# in this module's namespace: ThreadPoolExecutor, left_env, right_env, inner
-# and round_tt are imported but never called here, and fit_chain and
-# compress_two_site_fallback, set to None below the imports, are placeholders
-# that nothing calls.
+# Eight names are bound here only because bench/tracer.py rebinds them by name
+# in this module's namespace: ThreadPoolExecutor, left_env, right_env,
+# lanczos_lowest, inner and round_tt are imported but never called here, and
+# fit_chain and compress_two_site_fallback, set to None below the imports, are
+# placeholders that nothing calls.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 
@@ -90,7 +90,8 @@ from .dmrg import (
     warn_exhausted,
     warn_unconverged,
 )
-from .eigen import dense_lowest_eig, dense_sym_svd, lanczos_lowest
+from .eigen import dense_lowest_eig, dense_sym_svd
+from .eigen import lanczos_lowest  # noqa: F401
 from .ledger import CostLedger, charge
 from .mpo import (
     all_left_envs,
@@ -106,6 +107,7 @@ from .sums import orthogonal_sum_train, sum_train
 from .tt import (
     TensorTrain,
     check_integer,
+    clip_ranks,
     orthogonal_family,
     orthogonalize,
     overlap_step_flops,
@@ -125,6 +127,10 @@ compress_two_site_fallback = None
 # bonds, and directions at roundoff level have arbitrary singular vectors.
 ROUNDOFF_CUT = 64 * np.finfo(float).eps
 
+# Step 3 keeps the span's directions whose Gram eigenvalue exceeds this
+# fraction of the largest one.
+COARSE_EPS = 1e-10
+
 
 @dataclass(kw_only=True)
 class TwoLevelConfig(SolverConfig):
@@ -133,9 +139,10 @@ class TwoLevelConfig(SolverConfig):
 
     ``max_rank`` caps the compressed iterate; two-site local solves are
     also split at this rank before entering the coarse space.
-    ``max_iters`` caps the global iterations.  ``coarse_eps`` is the
-    relative cut of the coarse span, and ``structured_coarse`` selects the
-    Krylov coarse solve (see the module docstring, step 3).
+    ``max_iters`` caps the global iterations, and ``structured_coarse``
+    builds the coarse matrix from operator applications to sum trains
+    rather than from the assembled reduced operator (see the module
+    docstring, step 3).
     The shared ``svd_tol`` is the relative cut of the step-4 rounding in
     both modes, never below :data:`ROUNDOFF_CUT`.
     ``workers`` is accepted and validated for existing configurations
@@ -147,15 +154,12 @@ class TwoLevelConfig(SolverConfig):
     """
 
     max_iters: int = 200
-    coarse_eps: float = 1e-10
     structured_coarse: bool = False
     workers: int = 1
 
     def __post_init__(self):
         self.check("max_iters")
         check_integer("workers", self.workers)
-        if not 0 < self.coarse_eps < 1:
-            raise ValueError("coarse_eps must be in (0, 1)")
 
 
 @dataclass
@@ -178,7 +182,6 @@ class CoarseProblem:
 class CoarseSolution:
     coeffs: np.ndarray
     energy: float
-    iterations: int
 
 
 @dataclass
@@ -189,12 +192,10 @@ class IterationRecord:
     Columns: ``global_iter`` (1-based); ``energy``, the Rayleigh quotient
     of the compressed, normalized iterate; ``energy_error_vs_reference``,
     its distance to the reference energy (NaN without one); ``coarse_p``,
-    the kept coarse span size; ``coarse_iterations``, the Krylov coarse
-    solve's operator applications (0 on the direct path);
-    ``lanczos_iterations``, each local solve's operator applications;
-    ``coarse_energy``, the coarse minimum before compression;
-    ``min_update_energy``, the lowest Rayleigh quotient of an updated
-    member; ``prev_energy``, the energy before the iteration;
+    the kept coarse span size; ``lanczos_iterations``, each local solve's
+    operator applications; ``coarse_energy``, the coarse minimum before
+    compression; ``min_update_energy``, the lowest Rayleigh quotient of an
+    updated member; ``prev_energy``, the energy before the iteration;
     ``fit_residual``, the exact compression error; ``flops_seq``,
     ``flops_max_worker`` and ``cost_per_processor``, the ledger's
     cumulative sequential, largest per-task and critical-path flops (0
@@ -209,7 +210,6 @@ class IterationRecord:
     energy: float
     energy_error_vs_reference: float
     coarse_p: int
-    coarse_iterations: int
     lanczos_iterations: tuple
     coarse_energy: float
     min_update_energy: float
@@ -400,7 +400,7 @@ def _meeting_cut(joins, starts, step):
     return cut
 
 
-def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
+def assemble_coarse(family, updates, op, ledger=None, envs=None):
     """Step 3 assembly: overlap and reduced operator matrices over the
     span of the iterate and its updated members (:func:`span_members`).
 
@@ -536,17 +536,21 @@ def assemble_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
 
     sigma, basis = dense_sym_svd(s_hat, ledger=ledger)
     smax = sigma[0] if len(sigma) else 0.0
-    p = int(np.sum(sigma > eps * smax)) if smax > 0 else 0
+    p = int(np.sum(sigma > COARSE_EPS * smax)) if smax > 0 else 0
     return CoarseProblem(s_hat, a_hat, sigma, basis, p)
+
+
+def _lowest_whitened(w, h, ledger):
+    # the lowest eigenpair of the whitened matrix h = w^T A w, in member coefficients
+    h = 0.5 * (h + h.T)
+    lam, vec = dense_lowest_eig(h, ledger=ledger)
+    return CoarseSolution(coeffs=w @ vec, energy=float(lam))
 
 
 def solve_coarse(cp, ledger=None):
     """Step 3 solve, direct path: whitened dense eigenproblem."""
     w = cp.whitener()
-    h = w.T @ cp.a_hat @ w
-    h = 0.5 * (h + h.T)
-    lam, vec = dense_lowest_eig(h, ledger=ledger)
-    return CoarseSolution(coeffs=w @ vec, energy=float(lam), iterations=0)
+    return _lowest_whitened(w, w.T @ cp.a_hat @ w, ledger)
 
 
 def structured_apply(family, updates, op, ledger=None):
@@ -564,26 +568,14 @@ def structured_apply(family, updates, op, ledger=None):
     return apply_a
 
 
-def solve_coarse_structured(cp, apply_a, v0=None, seed=0, ledger=None):
-    """Step 3 solve, Krylov path: same whitened problem, but operator
-    applications go through ``apply_a`` (a structured evaluation of the
-    reduced operator on a coefficient vector) instead of an assembled
-    matrix, to a Lanczos tolerance of 1e-12.  The iteration count is
-    reported for the trace."""
+def solve_coarse_structured(cp, apply_a, ledger=None):
+    """Step 3 solve, structured path: the same whitened dense eigenproblem,
+    its matrix built from one ``apply_a`` call (a structured evaluation of
+    the reduced operator on a coefficient vector) per whitened direction
+    instead of from the assembled matrix."""
     w = cp.whitener()
-
-    def matvec(y):
-        return w.T @ apply_a(w @ y)
-
-    start = None
-    if v0 is not None:
-        start = np.sqrt(cp.sigma[: cp.p]) * (cp.basis[:, : cp.p].T @ v0)
-        if np.linalg.norm(start) == 0.0:
-            start = None
-    res = lanczos_lowest(matvec, cp.p, v0=start, tol=1e-12, seed=seed, ledger=ledger)
-    return CoarseSolution(
-        coeffs=w @ res.eigenvector, energy=float(res.eigenvalue), iterations=res.iterations
-    )
+    aw = np.column_stack([apply_a(col) for col in w.T])
+    return _lowest_whitened(w, w.T @ aw, ledger)
 
 
 def compress_one_site(family, updates, coeffs, max_rank, round_tol=0.0, ledger=None):
@@ -634,11 +626,13 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
         envs = shared_envs(family, op, ledger)
         return family, envs, family_energy(family, envs)
 
+    if init.ranks != clip_ranks(init.dims, init.ranks[1:-1]):
+        # a bond that one side cannot carry: the LQ sweep clips it from the right
+        init = orthogonalize(init, 0, ledger)
     state = orthogonalize(init, init.d - 1, ledger)
     state = tt_scale(state, 1.0 / float(np.linalg.norm(state.cores[-1])))
     trace = TwoLevelTrace()
     family, envs, energy = read(state)
-    prev_coeffs = None
     schedule = Schedule(config, op.dims)
 
     def flops_snapshot():
@@ -655,15 +649,12 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
         unconverged = sum(not r.converged for r in results)
         warn_unconverged(f"iteration {it}", unconverged, len(results))
 
-        cp = assemble_coarse(family, updates, op, eps=config.coarse_eps, ledger=ledger, envs=envs)
+        cp = assemble_coarse(family, updates, op, ledger=ledger, envs=envs)
         if config.structured_coarse:
             apply_a = structured_apply(family, updates, op, ledger)
-            sol = solve_coarse_structured(
-                cp, apply_a, v0=prev_coeffs, seed=config.seed, ledger=ledger
-            )
+            sol = solve_coarse_structured(cp, apply_a, ledger)
         else:
             sol = solve_coarse(cp, ledger=ledger)
-        prev_coeffs = sol.coeffs
 
         # Rayleigh quotients of the span members (matrix diagonals), not
         # the local eigenvalues: two-site updates are split at max_rank
@@ -709,7 +700,6 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
                     else math.nan
                 ),
                 coarse_p=cp.p,
-                coarse_iterations=sol.iterations,
                 lanczos_iterations=tuple(r.iterations for r in results),
                 coarse_energy=float(sol.energy),
                 min_update_energy=min_update_energy,

@@ -112,6 +112,84 @@ def test_unknown_key_and_section_rejected(tmp_path, capsys):
         assert "--workers" in capsys.readouterr().err
 
 
+def test_removed_coarse_eps_key_is_a_config_error(tmp_path, capsys):
+    # the coarse cut is the constant twolevel.COARSE_EPS
+    assert "coarse_eps" not in SCHEMA["run"]
+    cfg = write_config(tmp_path, "eps.ini", BASE + "coarse_eps = 1e-8\n")
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == "error: unknown key(s) ['coarse_eps'] in section [run]\n"
+
+
+@pytest.mark.parametrize(
+    "body, overrides, message",
+    [
+        (BASE.replace("kind = ising", "kind = potts"), [],
+         "unknown model kind 'potts'; pick one of ('ising', 'heisenberg', 'random')"),
+        (BASE + "reference = exact\n", [], "reference must be 'dense' or 'none'"),
+        ("[run]\nalgorithm dmrg2\n", [], "malformed config "),
+        (BASE, ["run.max_rank"], "override 'run.max_rank' is not of the form section.key=value"),
+        (BASE, ["max_rank=4"], "override 'max_rank=4' is not of the form section.key=value"),
+    ],
+    ids=["unknown-kind", "bad-reference", "malformed-ini", "override-without-value",
+         "override-without-section"],
+)
+def test_config_errors_exit_2_with_their_message(tmp_path, capsys, body, overrides, message):
+    cfg = write_config(tmp_path, "e.ini", body)
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main(["run", cfg, *sets]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_run_over_the_dense_cap_notes_it_and_runs_without_reference(tmp_path, capsys, monkeypatch):
+    body, out = with_outputs(tmp_path, "cap")
+    cfg = write_config(tmp_path, "cap.ini", body)
+    monkeypatch.setenv("TTDMRG_DENSE_CAP", "100")
+    assert main(["run", cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("note: no dense reference (dense tensor with 4096 entries "
+                                   "exceeds the cap of 100")
+    assert "reference       (none)" in captured.out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["reference_energy"] is None and summary["relative_error"] is None
+
+
+def test_compare_without_reference_measures_against_the_best_energy(tmp_path, capsys):
+    cfg_a = write_config(tmp_path, "na.ini", BASE + "reference = none\n")
+    cfg_b = write_config(
+        tmp_path, "nb.ini",
+        BASE.replace("algorithm = dmrg2", "algorithm = a2dmrg2") + "reference = none\n",
+    )
+    out = tmp_path / "none.csv"
+    assert main(["compare", cfg_a, cfg_b, "-o", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "no dense reference; errors relative to the best achieved energy\n"
+    )
+    last = out.read_text().splitlines()[-1].split(",")
+    # the run that reached the best energy reads exactly zero
+    assert min(float(last[1]), float(last[2])) == 0.0
+
+
+def test_compare_without_output_writes_the_csv_to_stdout(tmp_path, capsys):
+    cfg = write_config(tmp_path, "s.ini", BASE)
+    assert main(["compare", cfg, cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "errors relative to the dense reference\n"
+    rows = captured.out.splitlines()
+    assert rows[0] == "iteration,error_a,error_b,cpp_a,cpp_b,speedup"
+    assert float(rows[-1].split(",")[5]) == 1.0
+
+
+def test_ledger_report_on_a_missing_or_non_json_file(tmp_path, capsys):
+    absent = tmp_path / "absent.json"
+    assert main(["ledger-report", str(absent)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read ledger {absent}: ")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main(["ledger-report", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: ledger {bad} is not valid JSON: ")
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.ini")]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -393,7 +471,7 @@ def test_zero_tolerance_runs_as_the_library_does(tmp_path, capsys, key, algorith
 # a value other than the default and a2dmrg2 for every [run] key
 NON_DEFAULT_RUN = {
     "algorithm": "a2dmrg1", "max_rank": 5, "init_rank": 3, "eig_tol": 1e-7, "svd_tol": 1e-9,
-    "energy_tol": 1e-5, "coarse_eps": 1e-8, "max_iters": 7, "seed": 4,
+    "energy_tol": 1e-5, "max_iters": 7, "seed": 4,
     "structured_coarse": True, "reference": "none",
 }
 
@@ -423,8 +501,6 @@ LIBRARY_REJECTS = [
     (["run.eig_tol=-1"], lambda: TwoLevelConfig(eig_tol=-1.0)),
     (["run.energy_tol=nan"], lambda: TwoLevelConfig(energy_tol=float("nan"))),
     (["run.svd_tol=-1e-3"], lambda: SweepConfig(svd_tol=-1e-3)),
-    # dmrg2 does not read coarse_eps, yet it is checked
-    (["run.coarse_eps=1"], lambda: TwoLevelConfig(coarse_eps=1.0)),
     (["run.max_iters=0"], lambda: TwoLevelConfig(max_iters=0)),
     (["run.seed=-1"], lambda: random_tt((2,) * 6, 2, seed=-1)),
     (["model.sites=1"], lambda: ising_chain(1)),

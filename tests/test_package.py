@@ -1,6 +1,7 @@
 """The package's public names and its imports."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -68,6 +69,69 @@ def test_unused_import_check_sees_a_leftover_import():
     source = "from .tt import tt_add, tt_scale\nfrom .tt import inner  # noqa: F401\n"
     assert unused_imports(source + "x = tt_scale\n") == [(1, "tt_add")]
     assert unused_imports(source + "__all__ = ['tt_add']\nx = tt_scale\n") == []
+
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def tracer_rebinds():
+    """``(module, path)`` for every name bench/tracer.py rebinds, read from its
+    ``LAYER_NAMES`` and ``POOL_NAME`` tables."""
+    spec = importlib.util.spec_from_file_location("_tracer_tables", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {(module, path) for module, path, *_ in tracer.LAYER_NAMES} | {tracer.POOL_NAME}
+
+
+def placeholder_names(source):
+    """Names ``source`` binds for a tracer to rebind: every name an import
+    marked ``# noqa: F401`` binds, then every plain ``name = None`` at module
+    level or in a top-level class body (as ``Class.name``); annotated
+    fields do not count."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    found = [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "# noqa: F401" in lines[node.lineno - 1]
+        for alias in node.names
+    ]
+    scopes = [(tree.body, "")] + [
+        (node.body, f"{node.name}.") for node in tree.body if isinstance(node, ast.ClassDef)
+    ]
+    for body, prefix in scopes:
+        for node in body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant) \
+                    and node.value.value is None:
+                found += [prefix + t.id for t in node.targets if isinstance(t, ast.Name)]
+    return found
+
+
+def stray_placeholders(sources, rebound):
+    """Placeholders of the modules in ``sources`` (module name -> source
+    text), as ``(ttdmrg.module, name)``, that ``rebound`` does not list."""
+    return [
+        (f"ttdmrg.{module}", name) for module, source in sources.items()
+        for name in placeholder_names(source) if (f"ttdmrg.{module}", name) not in rebound
+    ]
+
+
+def test_every_placeholder_is_one_the_tracer_rebinds():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert placeholder_names(sources["twolevel"])
+    assert not stray_placeholders(sources, tracer_rebinds())
+
+
+def test_placeholder_check_sees_a_stray_import():
+    source = (
+        "from .tt import inner  # noqa: F401\nfrom .tt import tt_add  # noqa: F401\n"
+        "from .tt import tt_scale\nfit_chain = None\nlimit: int = None\n\n"
+        "class Chain:\n    member_train = None\n    rank: int = None\n\n"
+        "    def run(self):\n        state = None\n        return tt_scale(state)\n"
+    )
+    assert placeholder_names(source) == ["inner", "tt_add", "fit_chain", "Chain.member_train"]
+    rebound = {("ttdmrg.twolevel", name) for name in ("inner", "fit_chain", "Chain.member_train")}
+    assert stray_placeholders({"twolevel": source}, rebound) == [("ttdmrg.twolevel", "tt_add")]
 
 
 def names_read(nodes):

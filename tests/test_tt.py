@@ -180,6 +180,8 @@ def test_scale_and_add_match_dense():
         for a, b in ((train, op), (op, train)):
             with pytest.raises(ValueError, match="cannot add a"):
                 add(a, b)
+    with pytest.raises(ValueError, match=r"dimension mismatch: \(2, 2\) vs \(2, 3\)"):
+        tt.tt_add(train, random_chain(TensorTrain, (2, 3), 2, seed=9))
     x = random_tt((2, 2, 3), 2, seed=8)
     xo = tt.orthogonalize(x, 1)
     xs = tt.tt_scale(xo, 3.0)
@@ -230,6 +232,8 @@ def test_truncate_needs_a_right_orthogonal_train():
             tt.truncate(bad, max_ranks=2)
     y = tt.truncate(tt.orthogonalize(x, 0), max_ranks=2)
     assert y.center == x.d - 1 and max(y.ranks) <= 2
+    with pytest.raises(ValueError, match="need 3 rank caps, got 2"):
+        tt.truncate(tt.orthogonalize(x, 0), max_ranks=[2, 2])
 
 
 def test_truncate_keeps_owning_copies_of_the_kept_factors():
@@ -356,3 +360,17 @@ def test_orthogonal_family_requires_left_gauge():
         tt.orthogonal_family(x)
     with pytest.raises(ValueError):
         tt.orthogonal_family(tt.orthogonalize(x, 0))
+
+
+def test_clip_ranks_needs_one_rank_per_bond():
+    with pytest.raises(ValueError, match="need 3 interior ranks, got 2"):
+        tt.clip_ranks((2, 2, 2, 2), [2, 2])
+
+
+def test_orthogonal_family_refuses_a_bond_the_right_side_cannot_carry():
+    # bond 2 has rank 4, but the one site right of it holds only 2
+    rng = np.random.default_rng(24)
+    cores = [rng.standard_normal(shape) for shape in ((1, 2, 2), (2, 2, 4), (4, 2, 1))]
+    x = TensorTrain(cores, center=2)
+    with pytest.raises(ValueError, match="rank 4 at cut 2 is not representable from the right"):
+        tt.orthogonal_family(x)
