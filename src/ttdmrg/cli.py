@@ -35,12 +35,14 @@ Loading a file builds the run it describes: the operator, the seeded
 random start and the solver config of ``algorithm``.  So every value is
 range-checked once, by the library code that takes it, and a value it
 rejects is a configuration error (exit status 2) that carries the
-library's message.  The CLI itself checks only the choices that pick
-code: ``kind``, ``algorithm`` and ``reference``.  Every ``[run]`` key is
-checked whatever the algorithm.  ``eig_tol = 0`` (every local solve runs
-to its iteration budget) and ``energy_tol = 0`` (run to ``max_iters``)
-are accepted.  ``[model]`` keys that the chosen kind does not read are
-parsed, so they must have the right type, but not range-checked.
+library's message, as is a start the solver refuses (a ``dmrg1`` start
+below ``max_rank``, :func:`~ttdmrg.dmrg.check_start`).  The CLI itself
+checks only the choices that pick code: ``kind``, ``algorithm`` and
+``reference``.  Every ``[run]`` key is checked whatever the algorithm.
+``eig_tol = 0`` (every local solve runs to its iteration budget) and
+``energy_tol = 0`` (run to ``max_iters``) are accepted.  ``[model]``
+keys that the chosen kind does not read are parsed, so they must have
+the right type, but not range-checked.
 
 Subcommands: ``run`` executes one experiment, ``compare`` runs two
 configurations over the same model and the same ``reference`` and emits
@@ -65,7 +67,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dmrg import SweepConfig, run_dmrg
+from .dmrg import SweepConfig, check_start, run_dmrg
 from .io import tt_bytes
 from .ledger import CostLedger
 from .models import dense_ground_state, heisenberg_chain, ising_chain, random_symmetric_mpo
@@ -119,6 +121,7 @@ class ExperimentConfig:
             self.op = build_operator(model)
             self.init = random_tt(self.op.dims, run.init_rank, seed=run.seed)
             self.solver = solver_config(run)
+            check_start(self.init, self.op, self.solver)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
 

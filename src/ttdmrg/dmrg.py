@@ -17,10 +17,11 @@ environments) by design, since every local task reads one of each.
 Factorization outputs own exactly what they keep: the kept factor of a
 split is a copy, not a view that would pin the whole SVD factor.
 
-The one-site mode keeps bond dimensions fixed.  The two-site mode solves
-on a merged pair of sites and re-splits with a truncated SVD, so ranks
-can grow up to ``max_rank`` and the discarded singular value weight is
-recorded per micro-step.
+The one-site mode keeps bond dimensions fixed, so it refuses a start below
+``max_rank`` (:func:`check_start`), inside whose ranks it would converge.
+The two-site mode solves on a merged pair of sites and re-splits with a
+truncated SVD, so ranks can grow up to ``max_rank`` and the discarded
+singular value weight is recorded per micro-step.
 
 Both solvers share one run contract, stated once in this module:
 :class:`SolverConfig` declares and checks the knobs they share, and
@@ -51,8 +52,8 @@ from .mpo import (
     update_left_env,
     update_right_env,
 )
-from .tt import (TensorTrain, _rank_keep, check_cap, check_integer, check_tol, lq_step,
-                 orthogonalize, qr_step, svd_fixed)
+from .tt import (TensorTrain, _rank_keep, check_cap, check_integer, check_tol, clip_ranks,
+                 lq_step, orthogonalize, qr_step, svd_fixed)
 
 # Forcing term of inexact local solves: after the first half-sweep (or
 # two-level iteration) the local Lanczos tolerance follows this fraction of
@@ -60,16 +61,13 @@ from .tt import (TensorTrain, _rank_keep, check_cap, check_integer, check_tol, l
 EIG_FORCING = 0.1
 
 
-def forced_eig_tol(eig_tol, change, energy, dims, max_rank, prev_change, energy_tol):
+def forced_eig_tol(eig_tol, change, energy, prev_change, energy_tol):
     """Local Lanczos tolerance after a step that moved the energy by ``change``.
 
     Returns ``max(eig_tol, EIG_FORCING * change / |energy|)``, the forcing
     term of inexact Newton methods: far from the ground state, a tight
-    local solve buys nothing the next step keeps.  Returns ``eig_tol``
-    itself when ``max_rank`` reaches every bond's full separation rank of
-    the local spaces ``dims`` (truncation then loses nothing, exact solves
-    converge in a few steps and loose ones only add steps) and when
-    ``eig_tol == 0``, which pins every solve to its iteration budget.
+    local solve buys nothing the next step keeps.  :class:`Schedule`
+    decides once per run whether it applies.
 
     End game: when the changes contract (``change < prev_change``, the
     step before's change, None after the first step) and the next one,
@@ -83,11 +81,6 @@ def forced_eig_tol(eig_tol, change, energy, dims, max_rank, prev_change, energy_
     contraction ratio is at least ``EIG_FORCING`` the forcing term is
     already that tight, so it changes nothing there.
     """
-    full_rank = all(
-        min(math.prod(dims[:j]), math.prod(dims[j:])) <= max_rank for j in range(1, len(dims))
-    )
-    if full_rank or eig_tol == 0:
-        return eig_tol
     scale = max(abs(energy), 1e-12)
     forced = max(eig_tol, EIG_FORCING * change / scale)
     if (
@@ -162,16 +155,20 @@ class Schedule:
 
     ``eig_tol`` is the coming step's local Lanczos tolerance: the
     configured ``eig_tol`` for the first step, then, with ``forcing``,
-    :func:`forced_eig_tol` of the last energy change.  A step counts as
-    converged only if it was solved to at most ``max(eig_tol, energy_tol)``,
-    because a loose step can leave the energy where it was without being
-    converged.
+    :func:`forced_eig_tol` of the last energy change.  Forcing is off
+    when ``max_rank`` reaches every bond's full separation rank of the
+    local spaces ``dims`` (truncation then loses nothing, exact solves
+    converge in a few steps and loose ones only add steps) and when
+    ``eig_tol == 0``, which pins every solve to its iteration budget.  A
+    step counts as converged only if it was solved to at most
+    ``max(eig_tol, energy_tol)``, because a loose step can leave the
+    energy where it was without being converged.
     """
 
     def __init__(self, config, dims, forcing=True):
+        full_rank = clip_ranks(dims, config.max_rank) == clip_ranks(dims, math.prod(dims))
         self.config = config
-        self.dims = dims
-        self.forcing = forcing
+        self.forcing = forcing and not full_rank and config.eig_tol > 0
         self.eig_tol = config.eig_tol
         self._prev_change = None
 
@@ -189,17 +186,18 @@ class Schedule:
             return True
         if self.forcing:
             self.eig_tol = forced_eig_tol(
-                cfg.eig_tol, change, after, self.dims, cfg.max_rank, self._prev_change,
-                cfg.energy_tol,
+                cfg.eig_tol, change, after, self._prev_change, cfg.energy_tol
             )
         self._prev_change = change
         return False
 
 
-def check_start(init, op):
+def check_start(init, op, config=None):
     """Reject a start that cannot seed either solver: dimensions other
     than the operator's, fewer than two sites, a NaN or infinite entry in
-    a start or operator core, or zero norm."""
+    a start or operator core, or zero norm.  Under a one-site
+    :class:`SweepConfig`, which keeps the start's bonds, also reject a
+    bond below ``max_rank`` clipped to its cut (:func:`~ttdmrg.tt.clip_ranks`)."""
     if init.dims != op.dims:
         raise ValueError(f"state dims {init.dims} do not match operator dims {op.dims}")
     if init.d < 2:
@@ -209,6 +207,11 @@ def check_start(init, op):
             raise ValueError(f"{name} has non-finite entries")
     if init.norm() == 0.0:
         raise ValueError("initial state has zero norm")
+    if isinstance(config, SweepConfig) and config.mode == "one-site":
+        for j, (have, need) in enumerate(zip(init.ranks, clip_ranks(init.dims, config.max_rank))):
+            if have < need:
+                raise ValueError(f"one-site sweeps keep the start's bonds: bond {have} at cut {j} "
+                                 f"is below max_rank = {config.max_rank} clipped to the cut ({need})")
 
 
 def warn_unconverged(step, unconverged, solves):
@@ -258,8 +261,9 @@ def _csv_cell(value):
 @dataclass(kw_only=True)
 class SweepConfig(SolverConfig):
     """Knobs for :func:`run_dmrg`: the shared ones of :class:`SolverConfig`
-    (``max_rank`` caps the two-site splits, and local solves loosen only in
-    two-site mode), and these.
+    (``max_rank`` caps the two-site splits and, clipped to each cut, is the
+    least bond of a one-site start; local solves loosen only in two-site
+    mode), and these.
 
     Parameters
     ----------
@@ -413,7 +417,7 @@ def run_dmrg(init, op, config=None, ledger=None):
     """
     if config is None:
         config = SweepConfig()
-    check_start(init, op)
+    check_start(init, op, config)
     d = init.d
 
     state = orthogonalize(init, 0, ledger)

@@ -3,19 +3,11 @@
 Given the site-orthogonal configurations of a tensor (one
 :class:`~ttdmrg.tt.OrthogonalFamily`), a linear combination of the tensor
 and of members whose center core or center pair was replaced is an exact
-train (:func:`sum_train`), which the structured coarse solve applies the
-operator to.  The done rail carries the shared right-orthonormal suffix,
-the pending rail the shared left-orthonormal prefix, and each term crosses
-from the pending to the done rail through its replaced cores; a replaced
-pair adds a middle rail of its split bond.  :class:`OneSiteSumFamily` is
-the validated one-site form of the same sum.
-
-Step 4 of the two-level iteration truncates the same sum built
-right-orthogonal by :func:`orthogonal_sum_train`: the done rail is
-right-orthonormal already, so only the middle and pending rows are
-orthogonalized, against it, and the full LQ sweep that
-:func:`~ttdmrg.tt.round_tt` would run over the sum's doubled or tripled
-bonds is skipped.
+train of up to three rails per bond, built right-orthogonal by
+:func:`orthogonal_sum_train`, the package's one sum builder: step 4 of
+the two-level iteration truncates it, and the structured coarse solve
+applies the operator to it.  :class:`OneSiteSumFamily` is the validated
+one-site form of the same sum.
 
 ``TwoSiteChain`` is an inert name (``member_train = None``) that
 ``bench/tracer.py`` binds; the members of a replaced pair are built by
@@ -36,7 +28,7 @@ class OneSiteSumFamily:
     ``family`` holds the site-orthogonal configurations of ``x``;
     ``replacements[i]`` is the new center core for configuration ``i``
     and must match its shape.  Validated as the one-site updates of
-    :func:`sum_train` are.
+    :func:`orthogonal_sum_train` are.
     """
 
     def __init__(self, family, replacements, coeffs, prev_coeff=0.0):
@@ -48,10 +40,11 @@ class OneSiteSumFamily:
         self.prev_coeff = float(prev_coeff)
 
     def materialize(self):
-        """Exact block train of the sum (:func:`sum_train` at ``k = 1``);
-        interior ranks are twice the family's, whatever the coefficients are."""
+        """The sum as one right-orthogonal train (:func:`orthogonal_sum_train`
+        at ``k = 1``): center 0, bonds as :func:`~ttdmrg.tt.orthogonalize`
+        gives them, at most twice the family's."""
         updates = [(w,) for w in self.replacements]
-        return sum_train(self.family, updates, self.coeffs, self.prev_coeff)
+        return orthogonal_sum_train(self.family, updates, self.coeffs, self.prev_coeff)
 
 
 DONE, MID, PEND = range(3)  # the rails of a sum train's bond, in bond order
@@ -91,11 +84,10 @@ def _rails(family, updates, coeffs):
 
 def _blocks(family, updates, coeffs, prev_coeff, k, j):
     # the nonzero blocks (row rail, column rail, block) of the sum's core j
+    # off the done rail; its block family.right[j] (j > 0) goes unlisted
     d = family.d
     if j == 0:
         yield PEND, DONE, prev_coeff * family.centers[0]
-    else:
-        yield DONE, DONE, family.right[j]
     if j < d - k:
         yield PEND, PEND, family.left[j]
     if k == 1:
@@ -107,34 +99,23 @@ def _blocks(family, updates, coeffs, prev_coeff, k, j):
             yield MID, DONE, coeffs[j - 1] * updates[j - 1][1]
 
 
-def sum_train(family, updates, coeffs, prev_coeff=0.0):
-    """Exact train of ``prev_coeff * x + sum_i coeffs[i] * member_i``.
+def orthogonal_sum_train(family, updates, coeffs, prev_coeff=0.0, ledger=None):
+    """Exact train of ``prev_coeff * x + sum_i coeffs[i] * member_i``,
+    right-orthogonal (center 0).
 
     ``updates[i]`` holds the ``k`` cores (``k`` = 1 or 2) that member ``i``
     puts at sites ``i .. i+k-1``: the member is ``family.left[:i] +
-    list(updates[i]) + family.right[i+k:]``.  Up to three rails cross cut
-    ``j``.  The done rail (``family.right``) carries ``x`` and the members
-    that end left of the cut.  The middle rail, empty at ``k = 1``, carries
-    the pair of member ``j-1``, entering through its first core and leaving
-    through ``coeffs[j-1]`` times its second.  The pending rail
-    (``family.left``) carries the members that start right of the cut; it
-    exists at cut ``j`` iff ``j <= d - k``.  At ``k = 1`` member ``j``
-    crosses from the pending to the done rail through ``coeffs[j]`` times
-    its core, so interior bonds are ``2 r_j``; at ``k = 2`` the bond at cut
-    ``j`` is at most ``2 r_j + k_{j-1}``, with ``k_{j-1}`` the split bond.
-    """
-    k, cuts = _rails(family, updates, coeffs)
-    cores = []
-    for j, n in enumerate(family.dims):
-        g = np.zeros((cuts[j][PEND].stop, n, cuts[j + 1][PEND].stop))
-        for row, col, block in _blocks(family, updates, coeffs, prev_coeff, k, j):
-            g[cuts[j][row], :, cuts[j + 1][col]] += block
-        cores.append(g)
-    return TensorTrain(cores, center=0 if family.d == 1 else None)
-
-
-def orthogonal_sum_train(family, updates, coeffs, prev_coeff=0.0, ledger=None):
-    """The tensor of :func:`sum_train`, built right-orthogonal (center 0).
+    list(updates[i]) + family.right[i+k:]``.  Before orthogonalization up
+    to three rails cross cut ``j``.  The done rail (``family.right``)
+    carries ``x`` and the members that end left of the cut.  The middle
+    rail, empty at ``k = 1``, carries the pair of member ``j-1``, entering
+    through its first core and leaving through ``coeffs[j-1]`` times its
+    second.  The pending rail (``family.left``) carries the members that
+    start right of the cut; it exists at cut ``j`` iff ``j <= d - k``.  At
+    ``k = 1`` member ``j`` crosses from the pending to the done rail
+    through ``coeffs[j]`` times its core, so interior bonds are ``2 r_j``;
+    at ``k = 2`` the bond at cut ``j`` is at most ``2 r_j + k_{j-1}``, with
+    ``k_{j-1}`` the split bond.
 
     One right-to-left sweep orthogonalizes only the rows off the done rail:
     ``family.right`` is right-orthonormal already.  At cut ``j`` the carried
@@ -149,7 +130,7 @@ def orthogonal_sum_train(family, updates, coeffs, prev_coeff=0.0, ledger=None):
     bond right of it, near the right end only), the complement of
     ``family.right[j]`` is completed to an orthonormal basis instead, so
     every bond equals what :func:`~ttdmrg.tt.orthogonalize` gives the
-    :func:`sum_train` and the two trains agree to roundoff.  Products are
+    rail train and the two agree to roundoff.  Products are
     charged as ``"matmul"``, factorizations as ``"qr"``.
 
     The complement can be rank-deficient: under zero coefficients, or at
@@ -160,16 +141,13 @@ def orthogonal_sum_train(family, updates, coeffs, prev_coeff=0.0, ledger=None):
     right-orthonormality.
     """
     k, cuts = _rails(family, updates, coeffs)
-    dims = family.dims
     cores = [None] * family.d
     z = np.zeros((0, 1))  # [X, Y] at the right boundary: a done rail only
     for j in range(family.d - 1, -1, -1):
-        n = dims[j]
+        n = family.dims[j]
         r0, r1 = cuts[j][DONE].stop, cuts[j + 1][DONE].stop  # the ranks of x
         c = np.zeros((cuts[j][PEND].stop - r0, n, z.shape[1]))
         for row, col, block in _blocks(family, updates, coeffs, prev_coeff, k, j):
-            if row == DONE:
-                continue  # family.right[j], carried through F's identity
             rows = _shift(cuts[j][row], r0)
             if col == DONE:
                 c[rows, :, :r1] += block

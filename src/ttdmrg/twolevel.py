@@ -23,8 +23,8 @@ Each global iteration runs four steps:
    that span: a whitened dense eigenproblem of size p <= d+1 (the span's
    directions above :data:`COARSE_EPS`), its matrix taken from the
    assembled reduced operator or, structured, from p applications of the
-   operator to exact sum trains, one ``mpo_inner`` per member.
-   Every member differs from the family's shared cores only on a short
+   operator to the exact sum trains that step 4 truncates, one
+   ``mpo_inner`` per member.  Every member differs from the family's shared cores only on a short
    window, so each row of the overlap and reduced operator matrices
    starts from the shared left environment at the row's window and closes
    each later column against a right environment reused across rows (the
@@ -42,12 +42,12 @@ Each global iteration runs four steps:
 4. compress the coarse minimizer back to the working ranks: the
    combination of the local solves' k-site updates is one exact train
    (two rails at k = 1, three at k = 2, the middle one over the kept split
-   factors; :func:`~ttdmrg.sums.sum_train`), built right-orthogonal by
+   factors), built right-orthogonal by
    :func:`~ttdmrg.sums.orthogonal_sum_train`, which orthogonalizes only
    the rows off the right-orthonormal done rail, and truncated once by
-   the SVD sweep :func:`~ttdmrg.tt.truncate` (sequential).  This is
-   ``round_tt(sum_train(...))`` in exact arithmetic without its full LQ
-   sweep over the doubled or tripled bonds.
+   the SVD sweep :func:`~ttdmrg.tt.truncate` (sequential): in exact
+   arithmetic :func:`~ttdmrg.tt.round_tt` of the raw rail train without
+   its full LQ sweep over the doubled or tripled bonds.
    Truncation projects orthogonally, so ``fit_residual`` records the exact
    error ``sqrt(c^T S c - |x~|^2)`` of the truncated state ``x~``, whose
    norm is its last core's (the result is left-orthogonal).
@@ -103,7 +103,7 @@ from .mpo import (
     update_right_env,
 )
 from .mpo import left_env, right_env  # noqa: F401
-from .sums import orthogonal_sum_train, sum_train
+from .sums import orthogonal_sum_train
 from .tt import (
     TensorTrain,
     check_integer,
@@ -556,13 +556,13 @@ def solve_coarse(cp, ledger=None):
 def structured_apply(family, updates, op, ledger=None):
     """The reduced operator on a coefficient vector ``c`` without the
     assembled matrix: ``<member_k, A x(c)>`` for every member of
-    :func:`span_members`, where ``x(c)`` is the exact
-    :func:`~ttdmrg.sums.sum_train` of the span combination, charged as
-    ``"coarse"``."""
+    :func:`span_members`, where ``x(c)`` is the span combination built as
+    step 4 builds it (:func:`~ttdmrg.sums.orthogonal_sum_train`, charged
+    as ``"matmul"`` and ``"qr"``); the inner products charge ``"coarse"``."""
     members = span_members(family, updates)
 
     def apply_a(c):
-        total = sum_train(family, updates, c[1:], prev_coeff=c[0])
+        total = orthogonal_sum_train(family, updates, c[1:], c[0], ledger)
         return np.array([mpo_inner(m, op, total, ledger, "coarse") for m in members])
 
     return apply_a
@@ -581,9 +581,9 @@ def solve_coarse_structured(cp, apply_a, ledger=None):
 def compress_one_site(family, updates, coeffs, max_rank, round_tol=0.0, ledger=None):
     """Step 4: the exact sum of the ``k``-site updates, built right-orthogonal
     (:func:`~ttdmrg.sums.orthogonal_sum_train`), then truncated; equal to
-    ``round_tt(sum_train(...))`` in exact arithmetic.  ``coeffs[0]`` weighs
-    the iterate.  The relative cut is ``round_tol``, but never below
-    :data:`ROUNDOFF_CUT`."""
+    :func:`~ttdmrg.tt.round_tt` of the raw rail train in exact arithmetic.
+    ``coeffs[0]`` weighs the iterate.  The relative cut is ``round_tol``,
+    but never below :data:`ROUNDOFF_CUT`."""
     total = orthogonal_sum_train(family, updates, coeffs[1:], coeffs[0], ledger)
     return truncate(total, max_ranks=max_rank, tol=max(round_tol, ROUNDOFF_CUT), ledger=ledger)
 

@@ -21,11 +21,14 @@ preallocated array, which the library's version must match bitwise when
 both solve the tridiagonal with the package's step, and to roundoff when
 this one solves it with scipy's ``eigh_tridiagonal``;
 :func:`materialize_one_site_sum` and :func:`two_site_sum`, the one- and
-two-site sum builders as they were written before
-``ttdmrg.sums.sum_train`` replaced both, which it must match core by
-core; :func:`round_sum_oracle`, step 4 as it was computed
-before it orthogonalized the sum against its done rail: the library's
-``round_tt`` of the library's ``sum_train``; and :func:`add_and_round`,
+two-site sum builders as they were written before the library built its
+sums right-orthogonal, the raw rail trains that
+``ttdmrg.sums.orthogonal_sum_train`` must equal to roundoff (both
+checked against dense or ``tt_add`` sums of the members);
+:func:`rail_sum`, whichever of the two fits the updates;
+:func:`round_sum_oracle`, step 4 as it was computed before it
+orthogonalized the sum against its done rail: the library's ``round_tt``
+of :func:`rail_sum`; and :func:`add_and_round`,
 step 4 by the library's pairwise ``tt_add`` of the scaled members and one
 ``round_tt``, the two-site reference the package kept as
 ``compress_two_site_fallback``.
@@ -37,7 +40,6 @@ import scipy.linalg
 from ttdmrg.eigen import LanczosResult, _LowestRitz, dense_sym_svd
 from ttdmrg.ledger import CostLedger, charge, contract
 from ttdmrg.mpo import mpo_inner
-from ttdmrg.sums import sum_train
 from ttdmrg.tt import TensorTrain, inner, round_tt, tt_add, tt_scale
 from ttdmrg.twolevel import (
     CoarseProblem,
@@ -353,8 +355,8 @@ def materialize_one_site_sum(family, replacements, coeffs, prev_coeff):
 
 
 def two_site_sum(family, pairs, coeffs, prev_coeff=0.0):
-    """``ttdmrg.sums.two_site_sum`` as it was written before it grew into
-    ``sum_train``: exact three-rail train of ``prev_coeff * x + sum_i
+    """``ttdmrg.sums.two_site_sum`` as it was written before one builder
+    took both widths: exact three-rail train of ``prev_coeff * x + sum_i
     coeffs[i] * member_i`` over the split pairs ``(L_i, R_i)``."""
     d = family.d
     ranks = tuple(c.shape[0] for c in family.centers) + (1,)
@@ -387,12 +389,22 @@ def two_site_sum(family, pairs, coeffs, prev_coeff=0.0):
     return TensorTrain(cores, center=None)
 
 
+def rail_sum(family, updates, coeffs, prev_coeff=0.0):
+    """The raw rail train of ``prev_coeff * x + sum_i coeffs[i] * member_i``
+    for the one- or two-core ``updates`` of
+    ``ttdmrg.sums.orthogonal_sum_train``: :func:`materialize_one_site_sum`
+    or :func:`two_site_sum`."""
+    if len(updates[0]) == 1:
+        return materialize_one_site_sum(family, [c for c, in updates], coeffs, prev_coeff)
+    return two_site_sum(family, updates, coeffs, prev_coeff)
+
+
 def round_sum_oracle(family, updates, coeffs, max_rank, round_tol=0.0, ledger=None):
     """Step 4 with the signature of ``ttdmrg.twolevel.compress_one_site``:
-    the exact :func:`~ttdmrg.sums.sum_train` of the span combination
-    (``coeffs[0]`` weighs the iterate), orthogonalized by a full LQ sweep
-    and truncated, i.e. ``round_tt(sum_train(...))``."""
-    total = sum_train(family, updates, coeffs[1:], prev_coeff=coeffs[0])
+    the exact :func:`rail_sum` of the span combination (``coeffs[0]``
+    weighs the iterate), orthogonalized by a full LQ sweep and truncated,
+    i.e. ``round_tt(rail_sum(...))``."""
+    total = rail_sum(family, updates, coeffs[1:], coeffs[0])
     return round_tt(total, max_ranks=max_rank, tol=round_tol, ledger=ledger)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from ttdmrg import cli
 from ttdmrg.cli import SCHEMA, CliError, load_config, main
-from ttdmrg.dmrg import SweepConfig, run_dmrg
+from ttdmrg.dmrg import SweepConfig, check_start, run_dmrg
 from ttdmrg.io import load_tt, tt_bytes
 from ttdmrg.ledger import CostLedger
 from ttdmrg.models import (
@@ -527,6 +527,27 @@ def test_library_rejection_is_a_config_error(tmp_path, capsys, overrides, make):
         assert main([command, cfg, *sets]) == 2
         assert capsys.readouterr().err == f"error: {exc.value}\n"
     assert not out.exists()
+
+
+def test_one_site_start_below_the_cap_is_a_config_error(tmp_path, capsys):
+    # dmrg1 keeps its start's bonds: from the default init_rank = 2 under
+    # max_rank = 16 it reported converged at -4.9114, 4.5% above -5.1421
+    body = "[model]\nkind = heisenberg\nsites = 12\n[run]\nalgorithm = dmrg1\n" \
+        "max_rank = 16\nreference = none\n"
+    cfg = write_config(tmp_path, "h12.ini", body)
+    op = heisenberg_chain(12)
+    with pytest.raises(ValueError, match="cut 2") as exc:
+        check_start(random_tt(op.dims, 2, seed=0), op, SweepConfig(mode="one-site", max_rank=16))
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+    # two-site and two-level runs grow their ranks from the same start
+    for algorithm in ("dmrg2", "a2dmrg1", "a2dmrg2"):
+        load_config(cfg, [f"run.algorithm={algorithm}"])
+    assert main(["run", cfg, "--set", "run.init_rank=16"]) == 0
+    out = capsys.readouterr().out
+    assert "converged       True" in out
+    energy = float(out.split("final energy")[1].split()[0])
+    assert abs(energy + 5.142090573500789) <= 1e-7 * 5.2
 
 
 def test_model_keys_the_kind_does_not_read_are_not_range_checked(tmp_path):

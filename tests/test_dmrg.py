@@ -101,7 +101,8 @@ def track_environments(monkeypatch):
 
 
 def sweep_four_times(mode, d):
-    config = SweepConfig(mode=mode, max_rank=4, max_half_sweeps=4, energy_tol=0.0)
+    cap = 4 if mode == "two-site" else 2  # one-site sweeps keep the start's rank
+    config = SweepConfig(mode=mode, max_rank=cap, max_half_sweeps=4, energy_tol=0.0)
     run_dmrg(random_tt((2,) * d, 2, seed=d), heisenberg_chain(d), config)
 
 
@@ -232,10 +233,27 @@ def test_one_site_preserves_ranks():
     d = 5
     op = ising_chain(d)
     init = random_tt((2,) * d, (2, 3, 3, 2), seed=10)
-    config = SweepConfig(mode="one-site", max_half_sweeps=4, energy_tol=0.0)
+    config = SweepConfig(mode="one-site", max_rank=3, max_half_sweeps=4, energy_tol=0.0)
     with pytest.warns(RuntimeWarning, match="max_half_sweeps = 4 without"):
         state, _ = run_dmrg(init, op, config)
     assert state.ranks == orthogonalize(init, 0).ranks
+
+
+def test_one_site_sweeps_refuse_a_start_below_the_cap():
+    # a one-site sweep keeps its start's bonds, so from below the cap it
+    # would converge inside the start's ranks and report converged=True
+    op = heisenberg_chain(6)
+    init = random_tt(op.dims, (2, 4, 3, 4, 2), seed=0)  # cap 4 clips to 2, 4, 4, 4, 2
+    message = r"bond 3 at cut 3 is below max_rank = 4 clipped to the cut \(4\)"
+    with pytest.raises(ValueError, match=message):
+        run_dmrg(init, op, SweepConfig(mode="one-site", max_rank=4))
+    with pytest.raises(ValueError, match=message):
+        dmrg.check_start(init, op, SweepConfig(mode="one-site", max_rank=4))
+    # at or above the clipped cap, in two-site sweeps and in two-level runs it passes
+    dmrg.check_start(init, op, SweepConfig(mode="one-site", max_rank=3))
+    dmrg.check_start(init, op, SweepConfig(mode="two-site", max_rank=4))
+    dmrg.check_start(init, op, twolevel.TwoLevelConfig(mode="one-site", max_rank=4))
+    dmrg.check_start(init, op)
 
 
 def test_one_site_matmul_charges_are_the_gauge_shift_products():
@@ -325,7 +343,8 @@ def test_empty_traces_still_write_their_header():
 def test_unconverged_micro_steps_warn_once_per_half_sweep(mode):
     d = 6
     op = ising_chain(d)
-    config = SweepConfig(mode=mode, max_rank=8, eig_max_iter=2, max_half_sweeps=4)
+    cap = 8 if mode == "two-site" else 2  # one-site sweeps keep the start's rank
+    config = SweepConfig(mode=mode, max_rank=cap, eig_max_iter=2, max_half_sweeps=4)
     with pytest.warns(RuntimeWarning) as caught:
         _, trace = run_dmrg(random_tt(op.dims, 2, seed=11), op, config)
     expected = []
@@ -346,7 +365,8 @@ def test_unconverged_micro_steps_warn_once_per_half_sweep(mode):
 @pytest.mark.parametrize("mode", ["one-site", "two-site"])
 def test_exhausted_half_sweep_budget_warns_once(mode):
     op = heisenberg_chain(8)
-    config = SweepConfig(mode=mode, max_rank=6, max_half_sweeps=2)
+    cap = 6 if mode == "two-site" else 3  # one-site sweeps keep the start's rank
+    config = SweepConfig(mode=mode, max_rank=cap, max_half_sweeps=2)
     with pytest.warns(RuntimeWarning) as caught:
         _, trace = run_dmrg(random_tt(op.dims, 3, seed=7), op, config)
     assert len(trace.half_sweep_energies) == 2 and not trace.converged
@@ -361,9 +381,10 @@ def test_converged_micro_steps_do_not_warn(mode):
 
     d = 6
     op = ising_chain(d)
+    config = SweepConfig(mode=mode, max_rank=8 if mode == "two-site" else 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, trace = run_dmrg(random_tt(op.dims, 2, seed=11), op, SweepConfig(mode=mode, max_rank=8))
+        _, trace = run_dmrg(random_tt(op.dims, 2, seed=11), op, config)
     assert trace.converged
     assert all(m.lanczos_converged for m in trace.micro)
     assert all(m.lanczos_residual <= 1e-8 * max(1.0, abs(m.energy)) for m in trace.micro)
@@ -516,38 +537,45 @@ def test_inexact_sweeps_keep_the_energy_for_fewer_flops(model, d, monkeypatch):
 
 
 def test_end_game_clause_only_ever_lowers_the_forced_tolerance():
-    dims = (2,) * 12  # full separation rank 64
     forced = dmrg.forced_eig_tol
     rng = np.random.default_rng(5)
     for _ in range(500):
         eig_tol, energy_tol = 10.0 ** rng.uniform(-12, -4, size=2)
         change, prev_change = 10.0 ** rng.uniform(-14, 0, size=2)
         energy = -rng.uniform(0.1, 50.0)
-        old = forced(eig_tol, change, energy, dims, 16, None, energy_tol)
-        new = forced(eig_tol, change, energy, dims, 16, prev_change, energy_tol)
+        old = forced(eig_tol, change, energy, None, energy_tol)
+        new = forced(eig_tol, change, energy, prev_change, energy_tol)
         fires = change < prev_change and change**2 / prev_change <= energy_tol * abs(energy)
         assert eig_tol <= new <= old
         assert new == (min(old, max(eig_tol, energy_tol)) if fires else old)
 
 
 def test_end_game_clause_fires_only_on_a_contracting_predicted_convergence():
-    dims, energy = (2,) * 12, -5.0
+    energy = -5.0
     forced = dmrg.forced_eig_tol
     # forcing term 0.1 * 1e-4 / 5 = 2e-6 rel; predicted next change 1e-8 / 5 = 2e-9 rel
-    assert forced(1e-8, 1e-4, energy, dims, 16, None, 1e-8) == pytest.approx(2e-6)
-    assert forced(1e-8, 1e-4, energy, dims, 16, 1.0, 1e-8) == 1e-8
-    assert forced(1e-10, 1e-4, energy, dims, 16, 1.0, 1e-8) == 1e-8  # max(eig_tol, energy_tol)
+    assert forced(1e-8, 1e-4, energy, None, 1e-8) == pytest.approx(2e-6)
+    assert forced(1e-8, 1e-4, energy, 1.0, 1e-8) == 1e-8
+    assert forced(1e-10, 1e-4, energy, 1.0, 1e-8) == 1e-8  # max(eig_tol, energy_tol)
     # predicted change 2e-9 rel just misses energy_tol = 1e-9
-    assert forced(1e-8, 1e-4, energy, dims, 16, 1.0, 1e-9) == pytest.approx(2e-6)
+    assert forced(1e-8, 1e-4, energy, 1.0, 1e-9) == pytest.approx(2e-6)
     # growing or equal changes predict nothing
-    assert forced(1e-8, 1e-4, energy, dims, 16, 1e-4, 1e-3) == pytest.approx(2e-6)
-    assert forced(1e-8, 1e-4, energy, dims, 16, 1e-5, 1e-3) == pytest.approx(2e-6)
-    # inert without a previous change, at full separation rank and at eig_tol = 0
-    assert forced(1e-8, 1e-4, energy, dims, 16, None, 1e-3) == pytest.approx(2e-6)
-    assert forced(1e-8, 1e-4, energy, dims, 64, 1.0, 1e-3) == 1e-8
-    assert forced(0.0, 1e-4, energy, dims, 16, 1.0, 1e-3) == 0.0
+    assert forced(1e-8, 1e-4, energy, 1e-4, 1e-3) == pytest.approx(2e-6)
+    assert forced(1e-8, 1e-4, energy, 1e-5, 1e-3) == pytest.approx(2e-6)
+    # inert without a previous change
+    assert forced(1e-8, 1e-4, energy, None, 1e-3) == pytest.approx(2e-6)
     # a forcing term already tighter than the guard's tolerance stays
-    assert forced(1e-10, 1e-8, energy, dims, 16, 1.0, 1e-6) == pytest.approx(2e-10)
+    assert forced(1e-10, 1e-8, energy, 1.0, 1e-6) == pytest.approx(2e-10)
+    # the schedule applies it below full separation rank (64 at cut 6 of
+    # twelve sites), and never at full rank or at eig_tol = 0
+    dims = (2,) * 12
+    for max_rank, eig_tol, forcing in ((16, 1e-8, True), (64, 1e-8, False), (16, 0.0, False)):
+        cfg = SweepConfig(max_rank=max_rank, eig_tol=eig_tol, energy_tol=1e-3)
+        schedule = dmrg.Schedule(cfg, dims)
+        assert schedule.forcing == forcing
+        schedule.converged(energy - 1.0, energy - 1e-4, may_stop=False)
+        assert not schedule.converged(energy - 1e-4, energy, may_stop=False)
+        assert schedule.eig_tol == (pytest.approx(2e-6) if forcing else eig_tol)
 
 
 def test_end_game_clause_saves_the_confirming_half_sweep(monkeypatch):
@@ -563,7 +591,7 @@ def test_end_game_clause_saves_the_confirming_half_sweep(monkeypatch):
     assert len(trace.half_sweep_energies) == 5
     assert tols[-1] == max(cfg.eig_tol, cfg.energy_tol) < tols[-2]
     without = dmrg.forced_eig_tol
-    monkeypatch.setattr(dmrg, "forced_eig_tol", lambda *args: without(*args[:5], None, 0.0))
+    monkeypatch.setattr(dmrg, "forced_eig_tol", lambda *args: without(*args[:3], None, 0.0))
     _, plain = run_dmrg(init, op, cfg)
     assert len(plain.half_sweep_energies) == 6
     assert half_sweep_tols(plain)[4] > 1e-7
@@ -611,7 +639,7 @@ def test_schedule_step_that_may_not_stop_still_advances_the_tolerance():
     schedule = dmrg.Schedule(cfg, SCHEDULE_DIMS)
     assert not schedule.converged(-1.0, -1.0, may_stop=False)
     assert not schedule.converged(-1.0, -1.5, may_stop=False)
-    want = dmrg.forced_eig_tol(1e-8, 0.5, -1.5, SCHEDULE_DIMS, 2, 0.0, 1e-6)
+    want = dmrg.forced_eig_tol(1e-8, 0.5, -1.5, 0.0, 1e-6)
     assert schedule.eig_tol == want == pytest.approx(0.1 * 0.5 / 1.5)
 
 

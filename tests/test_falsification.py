@@ -26,9 +26,8 @@ INSTANCES = [(10, 2, 2, 1), (10, 2, 3, 2), (10, 2, 3, 3), (6, 3, 2, 4), (6, 3, 3
 # name -> (config, start rank)
 SOLVERS = {
     "dmrg2": (SweepConfig(mode="two-site", max_rank=CAP, energy_tol=ENERGY_TOL), 2),
-    # a one-site sweep never grows a rank, so it starts at the cap: from a
-    # lower start it can report convergence at a rank it cannot leave
-    # (ROADMAP item 18)
+    # a one-site sweep never grows a rank, so it starts at the cap; a lower
+    # start is refused (below)
     "dmrg1": (SweepConfig(mode="one-site", max_rank=CAP, energy_tol=ENERGY_TOL), CAP),
     "a2dmrg1": (TwoLevelConfig(mode="one-site", max_rank=CAP, energy_tol=ENERGY_TOL), 2),
     "a2dmrg2": (TwoLevelConfig(mode="two-site", max_rank=CAP, energy_tol=ENERGY_TOL), 2),
@@ -56,6 +55,10 @@ def final_energy(op, config, rank, seed):
 def test_converged_runs_end_near_the_ground_state(sites, n, rank, seed):
     op = random_symmetric_mpo(sites, n=n, rank=rank, seed=seed)
     e_ref, _ = dense_ground_state(op)
+    # from the others' rank-2 start a one-site sweep could report
+    # convergence at a rank it cannot leave, so it refuses that start
+    with pytest.raises(ValueError, match="one-site sweeps keep the start's bonds"):
+        run_dmrg(random_tt(op.dims, 2, seed=seed), op, SOLVERS["dmrg1"][0])
     runs = {}
     for name, (config, start_rank) in SOLVERS.items():
         energy, converged = final_energy(op, config, start_rank, seed)

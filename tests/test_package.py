@@ -2,15 +2,18 @@
 
 import ast
 import importlib.util
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import ttdmrg
-from ttdmrg import sums, twolevel
+from ttdmrg import dmrg, sums, twolevel
 
 SOURCES = sorted(Path(ttdmrg.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -390,3 +393,66 @@ def test_the_package_and_its_solves_load_no_scipy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# A backticked dotted name, with an optional call, and a Sphinx role.
+CITED = re.compile(r"`([A-Za-z_]\w*(?:\.\w+)+)(?:\([^`]*\))?`")
+ROLE = re.compile(r":(func|class|data|meth):`~?([\w.]+)`")
+MISSING = object()
+
+
+def resolves(scope, dotted):
+    """Whether ``dotted`` names an attribute or submodule reached from
+    ``scope`` one part at a time."""
+    for part in dotted.split("."):
+        found = getattr(scope, part, MISSING)
+        if found is MISSING and inspect.ismodule(scope):
+            try:
+                found = importlib.import_module(f"{scope.__name__}.{part}")
+            except ImportError:
+                pass
+        if found is MISSING:
+            return False
+        scope = found
+    return True
+
+
+def stale_citations(text, module):
+    """The package names ``text``, read in ``module``, cites that do not
+    resolve.  Cited are the backticked dotted names that start with
+    ``ttdmrg``, a package module or an exported name, and every
+    ``:func:``, ``:class:``, ``:data:`` and ``:meth:`` role.  A name resolves
+    in ``module`` or from the package (``ttdmrg.`` optional); a bare
+    ``:meth:`` also on any class of ``module``."""
+    heads = {"ttdmrg", *ttdmrg.__all__} | {path.stem for path in SOURCES}
+    cited = [(None, m.group(1)) for m in CITED.finditer(text)
+             if m.group(1).split(".")[0] in heads]
+    classes = [v for v in vars(module).values() if inspect.isclass(v)]
+    stale = []
+    for role, name in cited + ROLE.findall(text):
+        path = name.removeprefix("ttdmrg.")
+        if not (resolves(module, path) or resolves(ttdmrg, path) or (
+                role == "meth" and "." not in name and any(hasattr(c, name) for c in classes))):
+            stale.append(name)
+    return stale
+
+
+def test_every_name_the_docs_cite_exists():
+    found = {"README.md": stale_citations(README.read_text(), ttdmrg)}
+    for path in SOURCES:
+        module = importlib.import_module(f"ttdmrg.{path.stem}".removesuffix(".__init__"))
+        found[path.name] = stale_citations(path.read_text(), module)
+    assert not {name: stale for name, stale in found.items() if stale}
+
+
+def test_citation_check_sees_a_stale_name():
+    text = (
+        "`sums.sum_train(family, updates, coeffs)` and `ttdmrg.tt.truncate`, "
+        "`twolevel.fit_chain` (a placeholder bound to None), `SweepConfig.mode`, "
+        "`run.max_rank` (an INI key) and ``tt.tt_add``; :func:`round_tt`, "
+        ":func:`~ttdmrg.sums.sum_train`, :meth:`converged`, :meth:`shrink`, "
+        ":data:`~ttdmrg.twolevel.COARSE_EPS` and :class:`Missing`."
+    )
+    assert stale_citations(text, dmrg) == [
+        "sums.sum_train", "ttdmrg.sums.sum_train", "shrink", "Missing",
+    ]

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from ttdmrg import sums
 from ttdmrg.ledger import CostLedger
-from ttdmrg.sums import OneSiteSumFamily, orthogonal_sum_train, sum_train
+from ttdmrg.sums import OneSiteSumFamily, orthogonal_sum_train
 from ttdmrg.models import heisenberg_chain, ising_chain, random_symmetric_mpo
 from ttdmrg.tt import (
     TensorTrain,
@@ -54,14 +53,21 @@ def test_one_site_sum_matches_naive(dims, ranks, seed):
     prev = float(rng.standard_normal())
 
     total = OneSiteSumFamily(family, repl, coeffs, prev_coeff=prev).materialize()
+    raw = oracles.materialize_one_site_sum(family, repl, coeffs, prev)
 
     want = prev * oracles.tt_dense(family.config(0).cores)
     for i in range(family.d):
         want = want + coeffs[i] * one_site_member_dense(family, repl[i], i)
     np.testing.assert_allclose(total.to_dense(), want, atol=1e-12)
+    np.testing.assert_allclose(oracles.tt_dense(raw.cores), want, atol=1e-12)
 
+    # the raw train has bonds 2r; the materialized one is right-orthogonal,
+    # its bonds as orthogonalize gives them
     r = family_ranks(family)
-    assert total.ranks == (1,) + tuple(2 * r[j] for j in range(1, family.d)) + (1,)
+    assert raw.ranks == (1,) + tuple(2 * r[j] for j in range(1, family.d)) + (1,)
+    assert total.center == 0
+    assert total.ranks == orthogonalize(raw, 0).ranks
+    assert all(a <= b for a, b in zip(total.ranks, raw.ranks))
 
 
 def test_one_site_sum_single_site():
@@ -96,21 +102,23 @@ def test_two_site_sum_matches_pairwise_tt_add(d, model):
     coeffs = rng.standard_normal(d - 1)
     prev = float(rng.standard_normal())
 
-    total = sum_train(family, pairs, coeffs, prev_coeff=prev)
+    raw = oracles.two_site_sum(family, pairs, coeffs, prev_coeff=prev)
+    total = orthogonal_sum_train(family, pairs, coeffs, prev)
 
     acc = tt_scale(family.config(0), prev)
     for i, (left, right) in enumerate(pairs):
         cores = list(family.left[:i]) + [left, right] + list(family.right[i + 2 :])
         acc = tt_add(acc, tt_scale(TensorTrain(cores, center=i + 1), coeffs[i]))
     want = oracles.tt_dense(acc.cores)
-    got = oracles.tt_dense(total.cores)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for train in (raw, total):
+        got = oracles.tt_dense(train.cores)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     r = family_ranks(family)
     k = [left.shape[2] for left, _ in pairs]
     for j in range(1, d):
-        assert total.ranks[j] <= 2 * r[j] + k[j - 1]
-    assert total.ranks[d - 1] == r[d - 1] + k[d - 2]
+        assert total.ranks[j] <= raw.ranks[j] <= 2 * r[j] + k[j - 1]
+    assert raw.ranks[d - 1] == r[d - 1] + k[d - 2]
 
 
 def test_two_site_sum_validation():
@@ -120,21 +128,21 @@ def test_two_site_sum_validation():
         (rng.standard_normal((1, 2, 2)), rng.standard_normal((2, 2, 2))),
         (rng.standard_normal((2, 2, 3)), rng.standard_normal((3, 2, 1))),
     ]
-    sum_train(family, pairs, [1.0, 1.0])
+    orthogonal_sum_train(family, pairs, [1.0, 1.0])
     with pytest.raises(ValueError, match="update per window of 2"):
-        sum_train(family, pairs[:1], [1.0, 1.0])
+        orthogonal_sum_train(family, pairs[:1], [1.0, 1.0])
     with pytest.raises(ValueError, match="coefficient per"):
-        sum_train(family, pairs, [1.0])
+        orthogonal_sum_train(family, pairs, [1.0])
     with pytest.raises(ValueError, match="update 1 has shapes"):
-        sum_train(family, [pairs[0], (pairs[1][0], pairs[0][1])], [1.0, 1.0])
+        orthogonal_sum_train(family, [pairs[0], (pairs[1][0], pairs[0][1])], [1.0, 1.0])
     with pytest.raises(ValueError, match="one or two cores"):
-        sum_train(family, [pairs[0], pairs[1] + pairs[1][1:]], [1.0, 1.0])
+        orthogonal_sum_train(family, [pairs[0], pairs[1] + pairs[1][1:]], [1.0, 1.0])
     cores = [(c,) for c in family.centers]
-    sum_train(family, cores, [1.0] * 3)
+    orthogonal_sum_train(family, cores, [1.0] * 3)
     with pytest.raises(ValueError, match="update per window of 1"):
-        sum_train(family, cores[:2], [1.0] * 2)
+        orthogonal_sum_train(family, cores[:2], [1.0] * 2)
     with pytest.raises(ValueError, match="update 2 has shapes"):
-        sum_train(family, cores[:2] + [(np.zeros((2, 2, 2)),)], [1.0] * 3)
+        orthogonal_sum_train(family, cores[:2] + [(np.zeros((2, 2, 2)),)], [1.0] * 3)
 
 
 @pytest.mark.parametrize("axes", [2, 4])
@@ -152,42 +160,11 @@ def test_sum_builders_reject_an_update_core_without_three_axes(k, axes):
     bad = core.reshape(core.shape[0], -1) if axes == 2 else core[..., None]
     updates[1] = updates[1][:-1] + (bad,)
     coeffs = [1.0] * len(updates)
-    for build in (sum_train, orthogonal_sum_train):
-        with pytest.raises(ValueError, match=r"update 1 has shapes \["):
-            build(family, updates, coeffs)
+    with pytest.raises(ValueError, match=r"update 1 has shapes \["):
+        orthogonal_sum_train(family, updates, coeffs)
     if k == 1:
         with pytest.raises(ValueError, match=r"update 1 has shapes \["):
             OneSiteSumFamily(family, [c for c, in updates], coeffs)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 6, 9])
-@pytest.mark.parametrize("model", ["ising", "heisenberg", "random"])
-@pytest.mark.parametrize("prev_zero", [False, True])
-def test_sum_train_matches_builder_oracles_bitwise(d, model, prev_zero):
-    ops = {"ising": ising_chain, "heisenberg": heisenberg_chain,
-           "random": lambda d: random_symmetric_mpo(d, seed=d)}
-    op = ops[model](d)
-    family = make_family(op.dims, 3, seed=d)
-    rng = np.random.default_rng(d + 50)
-    prev = 0.0 if prev_zero else float(rng.standard_normal())
-
-    cores, _ = local_solves(family, op, "one-site", eig_tol=1e-10, seed=0)
-    coeffs = rng.standard_normal(d)
-    got = sum_train(family, cores, coeffs, prev_coeff=prev)
-    want = oracles.materialize_one_site_sum(family, [c for c, in cores], coeffs, prev)
-    assert got.ranks == want.ranks
-    assert all(np.array_equal(g, w) for g, w in zip(got.cores, want.cores))
-    total = OneSiteSumFamily(family, [c for c, in cores], coeffs, prev_coeff=prev)
-    assert all(np.array_equal(g, w) for g, w in zip(total.materialize().cores, want.cores))
-
-    cap = 3
-    pairs, _ = local_solves(family, op, "two-site", eig_tol=1e-10, max_rank=cap, seed=0)
-    assert min(left.shape[2] for left, _ in pairs) < cap
-    coeffs = rng.standard_normal(d - 1)
-    got = sum_train(family, pairs, coeffs, prev_coeff=prev)
-    want = oracles.two_site_sum(family, pairs, coeffs, prev_coeff=prev)
-    assert got.ranks == want.ranks
-    assert all(np.array_equal(g, w) for g, w in zip(got.cores, want.cores))
 
 
 def sum_case(k, dims, rank, seed, kind="generic"):
@@ -230,8 +207,8 @@ def dense_rel_err(got, want):
 @pytest.mark.parametrize("dims,rank", SUM_CASES)
 def test_orthogonal_sum_train_is_the_sum_right_orthogonal(k, dims, rank):
     family, updates, coeffs, prev = sum_case(k, dims, rank, seed=len(dims))
-    want = sum_train(family, updates, coeffs, prev_coeff=prev)
-    got = sums.orthogonal_sum_train(family, updates, coeffs, prev)
+    want = oracles.rail_sum(family, updates, coeffs, prev)
+    got = orthogonal_sum_train(family, updates, coeffs, prev)
     assert got.center == 0
     assert got.ranks == orthogonalize(want, 0).ranks
     if dims == (2, 3, 2, 3):
@@ -247,8 +224,8 @@ def test_orthogonal_sum_train_is_the_sum_right_orthogonal(k, dims, rank):
 def test_truncating_the_orthogonal_sum_costs_less_than_round_tt(k, dims, rank):
     family, updates, coeffs, prev = sum_case(k, dims, rank, seed=len(dims) + 1)
     want_led, got_led = CostLedger(), CostLedger()
-    want = round_tt(sum_train(family, updates, coeffs, prev_coeff=prev), 2, ledger=want_led)
-    total = sums.orthogonal_sum_train(family, updates, coeffs, prev, ledger=got_led)
+    want = round_tt(oracles.rail_sum(family, updates, coeffs, prev), 2, ledger=want_led)
+    total = orthogonal_sum_train(family, updates, coeffs, prev, ledger=got_led)
     got = truncate(total, 2, ledger=got_led)
     assert got.ranks == want.ranks
     assert dense_rel_err(got, want) <= 1e-12
@@ -265,9 +242,51 @@ def test_orthogonal_sum_train_stays_exact_on_degenerate_coefficients(k, kind, di
     # zero coefficients leave rank-deficient complements; their LQ rows
     # carry no weight, so the train is exact and truncates as round_tt does
     family, updates, coeffs, prev = sum_case(k, dims, rank, seed=len(dims) + 2, kind=kind)
-    want = sum_train(family, updates, coeffs, prev_coeff=prev)
-    got = sums.orthogonal_sum_train(family, updates, coeffs, prev)
+    want = oracles.rail_sum(family, updates, coeffs, prev)
+    got = orthogonal_sum_train(family, updates, coeffs, prev)
     assert dense_rel_err(got, want) <= 1e-13
     exact = max(separation_ranks(oracles.tt_dense(want.cores)))
     for cap in {exact, max(exact - 1, 1)}:
         assert dense_rel_err(truncate(got, cap), round_tt(want, cap)) <= 1e-12
+
+
+def assert_is_the_rail_sum(family, updates, coeffs, prev, want):
+    """``orthogonal_sum_train`` against the raw rail train ``want`` of a
+    builder oracle: its rows on the done rail are the oracle's bitwise
+    (``[family.right[j], 0]``), and the whole train is the oracle's,
+    right-orthogonalized, to roundoff."""
+    got = orthogonal_sum_train(family, updates, coeffs, prev)
+    assert got.ranks == orthogonalize(want, 0).ranks
+    assert dense_rel_err(got, want) <= 1e-13
+    for j in range(1, family.d):
+        done, bond = family.centers[j].shape[0], got.ranks[j + 1]
+        assert np.array_equal(got.cores[j][:done], want.cores[j][:done, :, :bond])
+        assert not np.any(want.cores[j][:done, :, bond:])
+    return got
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 9])
+@pytest.mark.parametrize("model", ["ising", "heisenberg", "random"])
+@pytest.mark.parametrize("prev_zero", [False, True])
+def test_sum_train_matches_builder_oracles_bitwise(d, model, prev_zero):
+    # the package's one sum train, on the updates local solves return
+    ops = {"ising": ising_chain, "heisenberg": heisenberg_chain,
+           "random": lambda d: random_symmetric_mpo(d, seed=d)}
+    op = ops[model](d)
+    family = make_family(op.dims, 3, seed=d)
+    rng = np.random.default_rng(d + 50)
+    prev = 0.0 if prev_zero else float(rng.standard_normal())
+
+    cores, _ = local_solves(family, op, "one-site", eig_tol=1e-10, seed=0)
+    coeffs = rng.standard_normal(d)
+    want = oracles.materialize_one_site_sum(family, [c for c, in cores], coeffs, prev)
+    got = assert_is_the_rail_sum(family, cores, coeffs, prev, want)
+    total = OneSiteSumFamily(family, [c for c, in cores], coeffs, prev_coeff=prev)
+    assert all(np.array_equal(g, w) for g, w in zip(total.materialize().cores, got.cores))
+
+    cap = 3
+    pairs, _ = local_solves(family, op, "two-site", eig_tol=1e-10, max_rank=cap, seed=0)
+    assert min(left.shape[2] for left, _ in pairs) < cap
+    coeffs = rng.standard_normal(d - 1)
+    want = oracles.two_site_sum(family, pairs, coeffs, prev_coeff=prev)
+    assert_is_the_rail_sum(family, pairs, coeffs, prev, want)

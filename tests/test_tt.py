@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from ttdmrg import mpo, tt
+from ttdmrg.dmrg import split_and_shift
 from ttdmrg.ledger import CostLedger, qr_flops, svd_flops
 from ttdmrg.mpo import MatrixProductOperator
 from ttdmrg.tt import TensorTrain, random_tt
@@ -203,6 +204,18 @@ def test_round_detects_padded_rank():
     y = tt.round_tt(padded, tol=1e-12)
     assert y.ranks == tuple(min(a, b) for a, b in zip(x.ranks, (1, 2, 2, 1)))
     assert np.allclose(y.to_dense(), 2 * x.to_dense(), atol=1e-11)
+
+
+def test_zero_trains_and_blocks_keep_one_bond():
+    # a cut whose singular values are all zero keeps one bond, not none
+    zero = tt.tt_scale(random_tt((2, 3, 2, 2), 3, seed=1), 0.0)
+    rounded = tt.round_tt(zero)
+    assert rounded.ranks == (1, 1, 1, 1, 1)
+    assert not np.any(rounded.to_dense())
+    left, right, discarded = split_and_shift(np.zeros((2, 2, 2, 2)), "LR")
+    assert left.shape == (2, 2, 1) and right.shape == (1, 2, 2)
+    assert discarded == 0.0
+    assert not np.any(right)
 
 
 def test_round_quasi_optimality_bound():
