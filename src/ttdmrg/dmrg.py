@@ -321,11 +321,12 @@ class SweepTrace:
         return records_csv(MicroRecord, self.micro)
 
 
-def _solve(local, v0, tol, max_iter, seed, ledger):
+def _solve(local, v0, tol, max_iter, seed, ledger, keep_start=False):
     # local: the (matvec, dim, shape) of mpo.local_matvec
     matvec, dim, shape = local
     res = lanczos_lowest(
-        matvec, dim, v0=v0.ravel(), tol=tol, max_iter=max_iter, seed=seed, ledger=ledger
+        matvec, dim, v0=v0.ravel(), tol=tol, max_iter=max_iter, seed=seed, ledger=ledger,
+        keep_start=keep_start,
     )
     return res.eigenvector.reshape(shape), res
 

@@ -46,6 +46,7 @@ class LanczosResult:
     iterations: int
     converged: bool
     residual_norm: float
+    start_image: np.ndarray | None = None
 
 
 # How far from symmetric a dense eigensolver's input may be, relative to its
@@ -207,7 +208,8 @@ class _LowestRitz:
         return -s if s[i] < 0 else s
 
 
-def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger=None):
+def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger=None,
+                   keep_start=False):
     """Lowest eigenpair of a symmetric operator given by ``matvec``.
 
     Runs a Lanczos iteration with full reorthogonalization, starting from
@@ -231,7 +233,15 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
     ``beta`` the norm of the next basis direction before normalization),
     taken on every exit: converged, budget exhausted, and each breakdown
     candidate.  Since the first Ritz value equals the Rayleigh quotient of
-    ``v0``, the returned eigenvalue never exceeds it.
+    ``v0``, the returned eigenvalue never exceeds it.  On every exit the
+    returned eigenvalue is the Rayleigh quotient of the returned vector, to
+    roundoff (the basis is fully reorthogonalized).
+
+    With ``keep_start``, ``start_image`` is the first operator application,
+    ``A q0`` for the normalized start ``q0`` (``v0 / |v0|``, or the seeded
+    random start): exact on every exit, restarts included, so ``<v0, A u>``
+    for any ``u`` is one dot product away.  Without it ``start_image`` is
+    None and the first application is not kept.
 
     The Krylov basis lives in the rows of one array, allocated once per call
     with ``min(max_iter + 1, 32)`` rows and doubled when full, and is shared
@@ -255,14 +265,14 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
             raise ValueError(f"start vector has length {start.shape[0]}, expected {dim}")
         if not np.isfinite(start).all():
             raise ValueError("start vector has non-finite entries")
-        n0 = np.linalg.norm(start)
+        n0 = sqrt(float(start @ start))
         start = start / n0 if n0 > 0 else None
 
     total = 0
     work = 0.0  # the vector work of every step, charged on return
     # the answer (theta, vector, residual): a breakdown candidate replaces it
     # only when strictly lower, the final one unless strictly higher
-    answer = None
+    answer = first = None
     rows = min(max_iter + 1, 32)
     basis = np.empty((rows, dim))
     for attempt in range(4):
@@ -272,13 +282,15 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
             if rng is None:
                 rng = np.random.default_rng(seed)
             v = rng.standard_normal(dim)
-        basis[0] = v / np.linalg.norm(v)
+        basis[0] = v / sqrt(float(v @ v))
         k = 0  # basis rows in use, and steps taken in this attempt
         b = 0.0  # the last step's beta, which joins basis rows k - 1 and k
         ritz = _LowestRitz()
         while total < max_iter:
             q = basis[k]
             w = matvec(q)
+            if keep_start and first is None:
+                first = w.copy()  # a matvec may return its input or shared state
             total += 1
             a = float(w @ q)
             # out of place: a matvec may return its input or shared state
@@ -290,7 +302,7 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
             w -= vk.T @ (vk @ w)
             work += 4.0 * vk.size + 6.0 * dim
             theta, sk = ritz.add(a, b)
-            b = float(np.linalg.norm(w))
+            b = sqrt(float(w @ w))
             res = b * sk
             # step past a start that is not an exact eigenvector; an exact
             # invariant subspace that misses the tolerance is a candidate,
@@ -311,7 +323,8 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
     theta, vec, res = answer
     charge(ledger, "matvec", work)
     conv = res <= tol * max(1.0, abs(theta))
-    return LanczosResult(float(theta), vec / np.linalg.norm(vec), total, conv, float(res))
+    return LanczosResult(float(theta), vec / sqrt(float(vec @ vec)), total, conv, float(res),
+                         first)
 
 
 def _checked_eigh(a, ledger):

@@ -10,9 +10,20 @@ column bond)``; the trivial boundary environment is ``ones((1, 1, 1))``.
 Environments of ``<bra | A | ket>`` contractions are built site by site.
 ``update_left_env`` / ``update_right_env`` extend an environment, or a
 stack of them along leading axes, by one site; they are the package's one
-environment step per direction, copy-free (ket first going left, bra
-first going right) and charged one count for both directions,
-:func:`env_step_flops`.  The ``all_*`` helpers sweep a whole train.
+environment step per direction, copy-free and charged one count for both
+directions, :func:`env_step_flops`.  Each step is two halves that charge
+nothing: going left the ket half :func:`open_left_env` (a GEMM against the
+ket and the operator core's matmul) and then the bra half
+:func:`close_left_env` (one GEMM); going right the mirror, the bra half
+:func:`open_right_env` and then the ket half :func:`close_right_env`.  The
+open half depends on the environment, the operator core and one of the
+two cores only, so steps that share those close one stored open half with
+different cores: :func:`open_left_sweep` / :func:`open_right_sweep` keep
+every step's open half next to the environments, and the coarse
+assembly's transfer pairs (an overlap transfer and an operator
+environment stepped together, charged ``"coarse"``) close them.
+``left_env`` / ``right_env`` build one environment from scratch and
+:func:`all_right_envs` sweeps a whole train.
 
 Projected operators on k adjacent sites are applied matrix-free through
 one copy-free kernel, ``apply_local``, which charges nothing;
@@ -27,7 +38,8 @@ import math
 import numpy as np
 
 from .ledger import charge, tensordot_flops
-from .tt import _check_dense_size, _CoreChain, inner, tt_add, tt_scale
+from .tt import (_check_dense_size, _CoreChain, inner, tt_add, tt_scale, update_left_overlap,
+                 update_right_overlap)
 
 
 class MatrixProductOperator(_CoreChain):
@@ -79,42 +91,72 @@ def env_step_flops(bra_core, op_core, ket_core):
     return 2.0 * n * (w * a * a2 * b2 + n * w * w2 * a * b2 + w2 * a * b * b2)
 
 
-def update_left_env(env, bra_core, op_core, ket_core, ledger=None, op_class="env_update"):
-    """Extend left environments ``(..., a, w, a')`` by one site.
-
-    Copy-free, ket first: one GEMM against the ket over the stack of
-    leading axes, one batched ``np.matmul`` of the permuted operator core,
-    and one broadcast ``np.matmul`` against the bra's transposed view;
-    charged :func:`env_step_flops` once per stacked environment."""
-    a, n, b = bra_core.shape
-    a2, _, b2 = ket_core.shape
-    w, _, _, w2 = op_core.shape
+def open_left_env(env, op_core, ket_core):
+    """The ket half of :func:`update_left_env`: one GEMM of left
+    environments ``(..., a, w, a')`` against the ket over the stack of
+    leading axes, then one batched ``np.matmul`` of the permuted operator
+    core; returns ``(..., a, n, w', b')`` and charges nothing."""
+    a, w, a2 = env.shape[-3:]
+    _, n, b2 = ket_core.shape
+    w2 = op_core.shape[3]
     lead = env.shape[:-3]
-    k = math.prod(lead)
-    charge(ledger, op_class, k * env_step_flops(bra_core, op_core, ket_core))
-    x = env.reshape(k * a * w, a2) @ ket_core.reshape(a2, n * b2)  # (K, a, w, n', b')
+    x = env.reshape(-1, a2) @ ket_core.reshape(a2, n * b2)  # (K, a, w, n', b')
     wp = op_core.transpose(1, 3, 0, 2).reshape(n * w2, w * n)
-    x = np.matmul(wp, x.reshape(k * a, w * n, b2))  # (K, a, n, w', b')
-    x = np.matmul(bra_core.reshape(a * n, b).T, x.reshape(k, a * n, w2 * b2))  # (K, b, w' b')
+    x = np.matmul(wp, x.reshape(-1, w * n, b2))  # (K, a, n, w', b')
+    return x.reshape(lead + (a, n, w2, b2))
+
+
+def close_left_env(half, bra_core):
+    """The bra half of :func:`update_left_env`: one broadcast ``np.matmul``
+    of :func:`open_left_env`'s ``(..., a, n, w', b')`` against the bra's
+    transposed view; returns ``(..., b, w', b')`` and charges nothing."""
+    a, n, b = bra_core.shape
+    lead, (w2, b2) = half.shape[:-4], half.shape[-2:]
+    x = np.matmul(bra_core.reshape(a * n, b).T, half.reshape(-1, a * n, w2 * b2))
     return x.reshape(lead + (b, w2, b2))
+
+
+def update_left_env(env, bra_core, op_core, ket_core, ledger=None, op_class="env_update"):
+    """Extend left environments ``(..., a, w, a')`` by one site: the ket
+    half :func:`open_left_env`, then the bra half :func:`close_left_env`;
+    charged :func:`env_step_flops` once per stacked environment."""
+    k = math.prod(env.shape[:-3])
+    charge(ledger, op_class, k * env_step_flops(bra_core, op_core, ket_core))
+    return close_left_env(open_left_env(env, op_core, ket_core), bra_core)
+
+
+def open_right_env(env, bra_core, op_core):
+    """The bra half of :func:`update_right_env`, the mirror of
+    :func:`open_left_env`: one broadcast ``np.matmul`` of right
+    environments ``(..., b, w', b')`` against the bra, then the permuted
+    operator core; returns ``(..., a, w, n', b')`` and charges nothing."""
+    a, n, b = bra_core.shape
+    w2, b2 = env.shape[-2:]
+    w = op_core.shape[0]
+    lead = env.shape[:-3]
+    x = np.matmul(bra_core.reshape(a * n, b), env.reshape(-1, b, w2 * b2))  # (K, a, n, w', b')
+    wp = op_core.transpose(0, 2, 1, 3).reshape(w * n, n * w2)
+    x = np.matmul(wp, x.reshape(-1, n * w2, b2))  # (K, a, w, n', b')
+    return x.reshape(lead + (a, w, n, b2))
+
+
+def close_right_env(half, ket_core):
+    """The ket half of :func:`update_right_env`: one GEMM of
+    :func:`open_right_env`'s ``(..., a, w, n', b')`` against the ket's
+    transposed view; returns ``(..., a, w, a')`` and charges nothing."""
+    a2, n, b2 = ket_core.shape
+    lead = half.shape[:-2]
+    x = half.reshape(-1, n * b2) @ ket_core.reshape(a2, n * b2).T
+    return x.reshape(lead + (a2,))
 
 
 def update_right_env(env, bra_core, op_core, ket_core, ledger=None, op_class="env_update"):
     """The mirror of :func:`update_left_env`, extending right environments
-    ``(..., b, w', b')`` leftward, bra first: one broadcast ``np.matmul``
-    over the stack, the permuted operator core, then one GEMM against the
-    ket's transposed view."""
-    a, n, b = bra_core.shape
-    a2, _, b2 = ket_core.shape
-    w, _, _, w2 = op_core.shape
-    lead = env.shape[:-3]
-    k = math.prod(lead)
+    ``(..., b, w', b')`` leftward: the bra half :func:`open_right_env`,
+    then the ket half :func:`close_right_env`."""
+    k = math.prod(env.shape[:-3])
     charge(ledger, op_class, k * env_step_flops(bra_core, op_core, ket_core))
-    x = np.matmul(bra_core.reshape(a * n, b), env.reshape(k, b, w2 * b2))  # (K, a, n, w', b')
-    wp = op_core.transpose(0, 2, 1, 3).reshape(w * n, n * w2)
-    x = np.matmul(wp, x.reshape(k * a, n * w2, b2))  # (K, a, w, n', b')
-    x = x.reshape(k * a * w, n * b2) @ ket_core.reshape(a2, n * b2).T  # (K, a, w, a')
-    return x.reshape(lead + (a, w, a2))
+    return close_right_env(open_right_env(env, bra_core, op_core), ket_core)
 
 
 def left_env(bra, op, ket, j, ledger=None, op_class="env_build"):
@@ -133,16 +175,6 @@ def right_env(bra, op, ket, j, ledger=None):
     return e
 
 
-def all_left_envs(bra, op, ket, ledger=None):
-    """List of d+1 left environments; entry ``j`` covers sites ``< j``."""
-    envs = [boundary_env()]
-    for s in range(bra.d):
-        envs.append(
-            update_left_env(envs[-1], bra.cores[s], op.cores[s], ket.cores[s], ledger, "env_build")
-        )
-    return envs
-
-
 def all_right_envs(bra, op, ket, ledger=None):
     """List of d+1 right environments; entry ``j`` covers sites ``>= j``."""
     envs = [boundary_env()] * (bra.d + 1)
@@ -151,6 +183,95 @@ def all_right_envs(bra, op, ket, ledger=None):
             envs[s + 1], bra.cores[s], op.cores[s], ket.cores[s], ledger, "env_build"
         )
     return envs
+
+
+def open_left_sweep(cores, op, ledger=None):
+    """The left environments of ``<x|A|x>`` over the core list ``cores``
+    (which may stop short of the chain's end) at cuts ``0 .. len(cores)``,
+    and each step's open half: ``(envs, halves)`` with ``halves[j]`` the
+    :func:`open_left_env` of ``envs[j]``.  Each step charges
+    :func:`env_step_flops` as ``"env_build"``."""
+    envs, halves = [boundary_env()], []
+    for s, c in enumerate(cores):
+        charge(ledger, "env_build", env_step_flops(c, op.cores[s], c))
+        halves.append(open_left_env(envs[s], op.cores[s], c))
+        envs.append(close_left_env(halves[s], c))
+    return envs, halves
+
+
+def open_right_sweep(cores, op, ledger=None):
+    """The mirror of :func:`open_left_sweep` over all of ``cores``: right
+    environments at cuts ``0 .. d`` and ``halves[j]``, the
+    :func:`open_right_env` of ``envs[j + 1]``."""
+    d = len(cores)
+    envs, halves = [boundary_env()] * (d + 1), [None] * d
+    for s in range(d - 1, -1, -1):
+        c = cores[s]
+        charge(ledger, "env_build", env_step_flops(c, op.cores[s], c))
+        halves[s] = open_right_env(envs[s + 1], c, op.cores[s])
+        envs[s] = close_right_env(halves[s], c)
+    return envs, halves
+
+
+# Transfer pairs: an overlap transfer and an operator environment stepped
+# together over one bra and one ket core, the coarse assembly's unit of work.
+# Every step charges "coarse"; stacked pairs carry a leading axis.
+
+
+def _extend_left(env, bra, op_core, ket, ledger):
+    # one site of a transfer pair (overlap, operator)
+    s, a = env
+    return (
+        update_left_overlap(s, bra, ket, ledger, "coarse"),
+        update_left_env(a, bra, op_core, ket, ledger, "coarse"),
+    )
+
+
+def _extend_right(env, bra, op_core, ket, ledger):
+    s, a = env
+    return (
+        update_right_overlap(s, bra, ket, ledger, "coarse"),
+        update_right_env(a, bra, op_core, ket, ledger, "coarse"),
+    )
+
+
+def _paired(env):
+    # an operator environment over orthonormal cores and its overlap transfer, the identity
+    return np.eye(len(env)), env
+
+
+def _close(left, right, ledger):
+    # <bra|ket> and <bra|A|ket> from a left and a right transfer at one cut
+    out = tuple(float(np.vdot(x, y)) for x, y in zip(left, right))
+    charge(ledger, "coarse", 2.0 * sum(x.size for x in left))
+    return out
+
+
+def _close_left(half, bra, ket, ledger):
+    # the step of the pair _paired(env) with `bra` and `ket`, from the open
+    # half of env's step with `ket`: one GEMM per matrix, since the overlap's
+    # open half is the ket itself (contiguous, in the layout the full step has)
+    ket = np.ascontiguousarray(ket)
+    a, n, b = bra.shape
+    charge(ledger, "coarse", 2.0 * n * a * b * ket.shape[2] * (half.shape[-2] + 1))
+    s_env = np.matmul(bra.reshape(a * n, b).T, ket.reshape(1, a * n, -1))[0]
+    return s_env, close_left_env(half, bra)
+
+
+def _close_right(half, bra, ket, ledger):
+    # the mirror, from the open half of a right step with `bra`
+    bra = np.ascontiguousarray(bra)
+    a, n, b = bra.shape
+    charge(ledger, "coarse", 2.0 * n * a * b * ket.shape[0] * (half.shape[-3] + 1))
+    return bra.reshape(a, n * b) @ ket.reshape(-1, n * b).T, close_right_env(half, ket)
+
+
+def _stacked(pairs, stack=None):
+    # transfer pairs stacked along a new leading axis, after those in `stack`
+    return tuple(
+        np.concatenate(([] if stack is None else [stack[i]]) + [p[i][None] for p in pairs])
+        for i in (0, 1)
+    )
 
 
 def mpo_inner(bra, op, ket, ledger=None, op_class="inner"):
@@ -223,14 +344,17 @@ def local_matvec(env_left, op_cores, env_right, ledger=None):
     (one or two) adjacent sites, plus its dimension and the block shape.
 
     The shapes are fixed, so :func:`local_matvec_flops` is counted once
-    here and every call charges it as ``"matvec"``."""
+    here and every call charges it as ``"matvec"``.  Each operator core is
+    laid out once here so that the permuted view :func:`apply_local` takes
+    of it is contiguous and reshapes without a copy."""
     shape = (env_left.shape[2],) + tuple(c.shape[2] for c in op_cores) + (env_right.shape[2],)
     # called through the per-width names, which bench/tracer.py spans
     apply = {1: apply_local_1site, 2: apply_local_2site}[len(op_cores)]
     flops = local_matvec_flops(env_left, op_cores, env_right, shape)
+    cores = [np.ascontiguousarray(c.transpose(1, 3, 0, 2)).transpose(2, 0, 3, 1) for c in op_cores]
 
     def matvec(x):
-        out = apply(env_left, *op_cores, env_right, x.reshape(shape)).ravel()
+        out = apply(env_left, *cores, env_right, x.reshape(shape)).ravel()
         charge(ledger, "matvec", flops)
         return out
 

@@ -23,22 +23,15 @@ Each global iteration runs four steps:
    that span: a whitened dense eigenproblem of size p <= d+1 (the span's
    directions above :data:`COARSE_EPS`), its matrix taken from the
    assembled reduced operator or, structured, from p applications of the
-   operator to the exact sum trains that step 4 truncates, one
-   ``mpo_inner`` per member.  Every member differs from the family's shared cores only on a short
-   window, so each row of the overlap and reduced operator matrices
-   starts from the shared left environment at the row's window and closes
-   each later column against a right environment reused across rows (the
-   overlaps over shared cores are identities, as they are orthonormal):
-   O(d^2) flops per iteration rather than O(d^3) for pairwise inner
-   products.  Between a row's window and a later column's both members
-   hold only shared cores, so the rows advance there rightward as one
-   stack and the columns leftward as another, and the two stacks meet at
-   one cut chosen from the window shapes: about d^2/4 shared-site steps
-   instead of the d^2/2 of rows alone, in O(d) calls per iteration, each
-   one call of the package's transfer steps over a stack axis.  Each
-   member is one task with one ledger, tagged ``gram{k}``, charged its
-   row's steps and closings and its column's leftward steps, in the same
-   per-task cost model;
+   operator to the exact sum trains that step 4 truncates.  The assembly
+   (:func:`assemble_coarse`) reuses what steps 1 and 2 hold: one-site, the
+   diagonal and the iterate's row come from each solve's Ritz pair and
+   first operator application; every member differs from the shared cores
+   only on a short window, so the other entries take O(d^2) transfer steps
+   rather than the O(d^3) of pairwise inner products, a step that leaves a
+   shared environment closes its stored open half, and the shared sites
+   between windows are crossed by two stacks, in O(d) calls.  Each member
+   is one task with one ledger, tagged ``gram{k}``;
 4. compress the coarse minimizer back to the working ranks: the
    combination of the local solves' k-site updates is one exact train
    (two rails at k = 1, three at k = 2, the middle one over the kept split
@@ -92,15 +85,20 @@ from .dmrg import (
 )
 from .eigen import dense_lowest_eig, dense_sym_svd
 from .eigen import lanczos_lowest  # noqa: F401
-from .ledger import CostLedger, charge
+from .ledger import CostLedger
 from .mpo import (
-    all_left_envs,
-    all_right_envs,
+    _close,
+    _close_left,
+    _close_right,
+    _extend_left,
+    _extend_right,
+    _paired,
+    _stacked,
     env_step_flops,
     local_matvec,
     mpo_inner,
-    update_left_env,
-    update_right_env,
+    open_left_sweep,
+    open_right_sweep,
 )
 from .mpo import left_env, right_env  # noqa: F401
 from .sums import orthogonal_sum_train
@@ -113,8 +111,6 @@ from .tt import (
     overlap_step_flops,
     truncate,
     tt_scale,
-    update_left_overlap,
-    update_right_overlap,
 )
 from .tt import inner, round_tt  # noqa: F401
 
@@ -242,48 +238,25 @@ class TwoLevelTrace:
 
 @dataclass
 class SharedEnvs:
-    """Operator environments of an orthogonal family's shared cores.
+    """Operator environments of an orthogonal family's shared cores, and
+    the open half of each step that built them.
 
-    Entry ``j`` of ``left`` covers sites ``< j`` of ``family.config(d -
-    1)``, the left-orthogonal iterate, and entry ``j`` of ``right`` covers
-    sites ``>= j`` of ``family.config(0)``, the right-orthogonal one; each
-    has shape ``(rank, operator bond, rank)``.  ``right[0]`` closes the
-    whole train: its one entry is ``<x|A|x>``.  The overlap transfers over
-    the same cores are identities, since the cores are left- or
-    right-orthonormal, so none is stored.
+    ``left[j]`` (``j < d``) covers sites ``< j`` of the left-orthogonal
+    ``family.config(d - 1)`` and ``right[j]`` sites ``>= j`` of the
+    right-orthogonal ``family.config(0)``, each ``(rank, operator bond,
+    rank)``; ``right[0]`` holds ``<x|A|x>``.  ``left_open[j]`` (``j < d -
+    1``) is :func:`~ttdmrg.mpo.open_left_env` of ``left[j]`` over
+    ``family.left[j]``, ``right_open[j]`` :func:`~ttdmrg.mpo.open_right_env`
+    of ``right[j + 1]`` over the right sweep's core: a window step that
+    leaves a shared environment closes one with its member's core.  The
+    overlap transfers over these orthonormal cores are identities, so none
+    is stored.
     """
 
     left: list
     right: list
-
-
-def _extend_left(env, bra, op_core, ket, ledger):
-    # one site of a transfer pair (overlap, operator), charged as "coarse"
-    s, a = env
-    return (
-        update_left_overlap(s, bra, ket, ledger, "coarse"),
-        update_left_env(a, bra, op_core, ket, ledger, "coarse"),
-    )
-
-
-def _extend_right(env, bra, op_core, ket, ledger):
-    s, a = env
-    return (
-        update_right_overlap(s, bra, ket, ledger, "coarse"),
-        update_right_env(a, bra, op_core, ket, ledger, "coarse"),
-    )
-
-
-def _paired(env):
-    # a shared operator environment and its overlap transfer, the identity
-    return np.eye(len(env)), env
-
-
-def _close(left, right, ledger):
-    # <bra|ket> and <bra|A|ket> from a left and a right transfer at one cut
-    out = tuple(float(np.vdot(x, y)) for x, y in zip(left, right))
-    charge(ledger, "coarse", 2.0 * sum(x.size for x in left))
-    return out
+    left_open: list
+    right_open: list
 
 
 def _merge(ledger, task_ledger, tag):
@@ -292,18 +265,21 @@ def _merge(ledger, task_ledger, tag):
 
 
 def shared_envs(family, op, ledger=None):
-    """The family's operator environments, one task per direction:
-    :func:`~ttdmrg.mpo.all_left_envs` over the left-orthogonal iterate and
-    :func:`~ttdmrg.mpo.all_right_envs` over the right-orthogonal one,
-    charged as ``"env_build"`` and merged under the worker tags
-    ``env:left`` and ``env:right``."""
-    envs = []
-    for sweep, x, tag in ((all_left_envs, family.config(family.d - 1), "env:left"),
-                          (all_right_envs, family.config(0), "env:right")):
+    """The family's operator environments and open halves
+    (:func:`~ttdmrg.mpo.open_left_sweep` over ``family.left`` to cut ``d -
+    1``, as no window reads cut ``d``, and
+    :func:`~ttdmrg.mpo.open_right_sweep` over ``family.config(0)``), one
+    task per direction, merged under the worker tags ``env:left`` and
+    ``env:right``."""
+    sweeps = []
+    right_cores = family.centers[:1] + family.right[1:]
+    for sweep, cores, tag in ((open_left_sweep, family.left[:-1], "env:left"),
+                              (open_right_sweep, right_cores, "env:right")):
         led = CostLedger()
-        envs.append(sweep(x, op, x, led))
+        sweeps.append(sweep(cores, op, led))
         _merge(ledger, led, tag)
-    return SharedEnvs(*envs)
+    (left, left_open), (right, right_open) = sweeps
+    return SharedEnvs(left, right, left_open, right_open)
 
 
 def family_energy(family, envs):
@@ -326,7 +302,8 @@ def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=Non
     block, truncated to ``max_rank`` with ``L_i`` left-orthonormal.  Task
     ``i`` reads its operator environments from the family's shared
     environments ``envs`` (built by :func:`shared_envs` when not given) and
-    its ledger is merged under ``solve:i``.
+    its ledger is merged under ``solve:i``.  A one-site result keeps its
+    solve's first application (``start_image``) for :func:`assemble_coarse`.
     """
     d = family.d
     if envs is None:
@@ -338,7 +315,7 @@ def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=Non
         led = CostLedger()
         v0 = _merge_cores([family.centers[i], *family.right[i + 1 : i + k]], led)
         local = local_matvec(envs.left[i], op.cores[i : i + k], envs.right[i + k], led)
-        update, res = _solve(local, v0, eig_tol, eig_max_iter, seed, led)
+        update, res = _solve(local, v0, eig_tol, eig_max_iter, seed, led, keep_start=k == 1)
         if k == 2:
             updates.append(split_and_shift(update, "LR", max_rank, 0.0, led)[:2])
         else:
@@ -348,18 +325,26 @@ def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=Non
     return updates, results
 
 
+def _windows(updates):
+    # the sites [a, b] outside which each member of span_members holds shared cores
+    return [(0, 0)] + [(i, i + len(u) - 1) for i, u in enumerate(updates)]
+
+
+def _member_cores(family, updates):
+    # each member's core list: the iterate's, then each update's between shared cores
+    return [[family.centers[0], *family.right[1:]]] + [
+        [*family.left[:i], *u, *family.right[i + len(u) :]] for i, u in enumerate(updates)
+    ]
+
+
 def span_members(family, updates):
     """The coarse span's members: the iterate ``family.config(0)``, then
     for each update ``u`` of width ``k`` at sites ``i .. i+k-1`` the train
     ``family.left[:i] + list(u) + family.right[i+k:]``, site-orthogonal at
     ``i + k - 1``; every member shares the family's cores outside its
     window."""
-    members = [family.config(0)]
-    for i, u in enumerate(updates):
-        k = len(u)
-        cores = list(family.left[:i]) + list(u) + list(family.right[i + k :])
-        members.append(TensorTrain(cores, center=i + k - 1))
-    return members
+    cores = _member_cores(family, updates)
+    return [TensorTrain(c, center=b) for c, (_, b) in zip(cores, _windows(updates))]
 
 
 def _sweep(env, bra, op, ket, start, stop, ledger):
@@ -368,15 +353,6 @@ def _sweep(env, bra, op, ket, start, stop, ledger):
     for s in range(start, stop):
         env = _extend_left(env, bra[s], op.cores[s], ket[s], ledger)
     return env
-
-
-def _stacked(pairs, stack=None):
-    """Transfer pairs ``(overlap, operator)`` stacked along a new leading
-    axis, after those already in ``stack``."""
-    return tuple(
-        np.concatenate(([] if stack is None else [stack[i]]) + [p[i][None] for p in pairs])
-        for i in (0, 1)
-    )
 
 
 def _meeting_cut(joins, starts, step):
@@ -400,46 +376,42 @@ def _meeting_cut(joins, starts, step):
     return cut
 
 
-def assemble_coarse(family, updates, op, ledger=None, envs=None):
+def assemble_coarse(family, updates, op, ledger=None, envs=None, solves=None):
     """Step 3 assembly: overlap and reduced operator matrices over the
     span of the iterate and its updated members (:func:`span_members`).
 
-    Each member is read as its window ``[a, b]`` plus the shared cores of
-    ``family``: the iterate holds ``family.centers[0]`` at ``[0, 0]``, and
-    member ``i + 1`` holds the ``k`` cores of ``updates[i]`` at
-    ``[i, i+k-1]``, so the windows start in member order.  Row ``k``,
-    part of member ``k``'s task ``gram{k}``, fills its diagonal and every
-    column ``l > k``.  It starts from the shared left environment at ``a_k`` and
-    advances with member ``k`` as bra and ``family.left`` as ket.  An
-    overlapping column is contracted across both windows and closed
-    against the shared right environment.  A column whose window starts
-    past ``b_k`` is closed against its own right environment
-    (``family.right`` as bra, member ``l`` as ket), built once from the
-    shared right environment (:func:`_paired`) and charged to ``gram{l}``.
+    Member ``k`` is its window ``[a_k, b_k]`` (:func:`_windows`) plus the
+    family's shared cores.  Row ``k`` fills its diagonal and every column
+    ``l > k``: from the shared left environment at ``a_k`` it advances with
+    member ``k`` as bra and ``family.left`` as ket, and closes an
+    overlapping column across both windows against the shared right
+    environment.  A column that starts past ``b_k`` is closed against its
+    own right environment (``family.right`` as bra), built once from the
+    shared one.  A row's first step with ket ``family.left[a_k]`` and a
+    column's first with bra ``family.right[b_l]`` close the stored open
+    half of that step (:class:`SharedEnvs`) with the member's core, one
+    GEMM per matrix.  Between the windows of such a closed pair both hold
+    shared cores, the same for every pair at a site, so the rows advance
+    there rightward as one stack and the columns leftward as another, to
+    one cut (:func:`_meeting_cut`), meeting each other in one GEMM per
+    matrix: about ``d^2/4`` shared-site steps in O(d) batched calls.
 
-    Between the windows of such a closed pair both members hold shared
-    cores, ``family.right`` in the row and ``family.left`` in the column,
-    the same for every pair at a site.  So the rows advance there
-    rightward as one stack and the closed columns leftward as another,
-    one :func:`_extend_left` or :func:`_extend_right` call per site over
-    the stack's leading axis, both to one cut ``c``
-    (:func:`_meeting_cut`): a row whose window ends before ``c`` joins the
-    left stack and meets every column that starts before ``c`` at that
-    column's start; a column that starts at or past ``c`` joins the right
-    stack and meets every row that ends at or past ``c`` just after that
-    row's window; at ``c`` the two stacks meet in one GEMM per matrix.
-    The shared sites are crossed about ``d^2/4`` times rather than the
-    ``d^2/2`` of rows alone, in O(d) batched calls.  Each member has one
-    ledger, merged under ``gram{k}``: its row's steps and closings and, for
-    a closed column, its window environment and leftward steps all charge
-    it; a step costs the same either way (:func:`~ttdmrg.tt.overlap_step_flops`
-    plus :func:`~ttdmrg.mpo.env_step_flops`).  ``envs`` are the family's
-    :func:`shared_envs`, built here when not given.
+    ``solves``, one-site :func:`local_solves` results, give row 0 and the
+    diagonal: member ``k``'s update is its solve's Ritz vector ``u`` at
+    site ``i = k - 1``, so ``S_kk = <u, u>``, ``A_kk = theta S_kk``,
+    ``S_0k = <C_i, u>`` and ``A_0k = |C_i| <A q0, u>`` from the solve's
+    ``start_image`` ``A q0`` (exact on every exit, unlike ``theta S_0k``);
+    ``S_00`` and ``A_00`` are what :func:`family_energy` reads.  Two-site
+    updates are split after their solve, so both are assembled there.
+
+    Each member has one ledger, merged under ``gram{k}``, charged its
+    entries, its row's steps and closings and its column's.  ``envs`` are
+    the family's :func:`shared_envs`, built here when not given.
     """
     if envs is None:
         envs = shared_envs(family, op, ledger)
-    members = [x.cores for x in span_members(family, updates)]
-    win = [(0, 0)] + [(i, i + len(u) - 1) for i, u in enumerate(updates)]
+    win = _windows(updates)
+    members = _member_cores(family, updates)
     m = len(members)
     # The windows start in member order and the iterate's ends at site 0,
     # so the closed columns are the members from 2 on.  Row k's closed
@@ -449,34 +421,52 @@ def assemble_coarse(family, updates, op, ledger=None, envs=None):
     closed = range(2, m)
 
     ledgers = [CostLedger() for _ in range(m)]  # member k's work, merged under gram{k}
+    s_hat = np.zeros((m, m))
+    a_hat = np.zeros((m, m))
+    if solves is not None:
+        c0 = family.centers[0]
+        s_hat[0, 0], a_hat[0, 0] = float(np.vdot(c0, c0)), float(envs.right[0][0, 0, 0])
+        for k, ((u,), res) in enumerate(zip(updates, solves), 1):
+            c = family.centers[k - 1]
+            s_hat[k, k] = s_kk = float(np.vdot(u, u))
+            a_hat[k, k] = res.eigenvalue * s_kk
+            s_hat[0, k] = s_hat[k, 0] = float(np.vdot(c, u))
+            a_hat[0, k] = a_hat[k, 0] = (math.sqrt(float(np.vdot(c, c)))
+                                         * float(np.vdot(res.start_image, u)))
+            ledgers[k].charge("coarse", 8.0 * u.size)
+
     column_envs = {}
     for l in closed:
         a, b = win[l]
-        env = _paired(envs.right[b + 1])
-        for s in range(b, a - 1, -1):
+        env = _close_right(envs.right_open[b], family.right[b], members[l][b], ledgers[l])
+        for s in range(b - 1, a - 1, -1):
             env = _extend_right(env, family.right[s], op.cores[s], members[l][s], ledgers[l])
         column_envs[l] = env
 
-    s_hat = np.zeros((m, m))
-    a_hat = np.zeros((m, m))
+    def leave(env, site, stop):
+        # row k's advance with ket family.left to cut `stop`; its first step
+        # off the shared pair at a_k closes the stored open half
+        if site == a < stop:
+            env, site = _close_left(envs.left_open[a], bra[a], family.left[a], led), a + 1
+        return _sweep(env, bra, op, family.left, site, stop, led)
+
+    skip = solves is not None  # row 0 and the diagonal come from the solves
     row_envs = {}  # rows with a closed column -> transfers just past the window
-    for k in range(m):
-        led = ledgers[k]
-        bra = members[k]
-        a, b = win[k]
+    for k in range(skip, m):
+        led, bra, (a, b) = ledgers[k], members[k], win[k]
         env, site = _paired(envs.left[a]), a
-        for l in range(k, m):
+        for l in range(k + skip, m):
             al, bl = win[l]
             if al > b:
                 break
-            env, site = _sweep(env, bra, op, family.left, site, al, led), al
+            env, site = leave(env, site, al), al
             end = max(b, bl)
             e = _sweep(env, bra, op, members[l], al, end + 1, led)
             s_kl, a_kl = _close(e, _paired(envs.right[end + 1]), led)
             s_hat[k, l] = s_hat[l, k] = s_kl
             a_hat[k, l] = a_hat[l, k] = a_kl
         if b < last:
-            row_envs[k] = _sweep(env, bra, op, family.left, site, b + 1, led)
+            row_envs[k] = leave(env, site, b + 1)
 
     def meet(rows, cols, left, right):
         # every row's transfers against every column's, one GEMM per matrix
@@ -649,7 +639,9 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
         unconverged = sum(not r.converged for r in results)
         warn_unconverged(f"iteration {it}", unconverged, len(results))
 
-        cp = assemble_coarse(family, updates, op, ledger=ledger, envs=envs)
+        solves = results if config.mode == "one-site" else None
+        cp = assemble_coarse(family, updates, op, ledger=ledger, envs=envs, solves=solves)
+        envs = None  # with their open halves, the environments serve steps 2 and 3 only
         if config.structured_coarse:
             apply_a = structured_apply(family, updates, op, ledger)
             sol = solve_coarse_structured(cp, apply_a, ledger)
@@ -689,6 +681,7 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
         state = tt_scale(state, 1.0 / norm)
 
         prev_energy = energy
+        family = None  # released before read builds the next one
         family, envs, energy = read(state)
         seq, maxw, cpp = flops_snapshot()
         trace.records.append(

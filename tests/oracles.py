@@ -9,7 +9,9 @@ transfers between entries as the row sweeps of
 coarse assembly's schedule with one row and one column at a time and no
 stacks, over the same ``(family, updates)`` and the windows of
 :func:`span_windows`, whose ledger the stacked assembly must reproduce
-exactly; :func:`tensordot_apply_local_1site`
+exactly, taking each step off a shared environment in full but charging it
+as the closing of a stored open half (:func:`full_step`,
+:func:`closing_flops`); :func:`tensordot_apply_local_1site`
 and :func:`tensordot_apply_local_2site`, the projected local operators as
 pairwise ``contract`` calls, each charged at its input shapes, whose ledger
 charges the library's in-place kernel must reproduce exactly;
@@ -105,6 +107,30 @@ def with_identity(env):
     return np.eye(env.shape[0]), env
 
 
+def closing_flops(side, bra, op_core, ket):
+    """What a step off a shared environment costs when it closes the
+    stored open half: only the closing GEMMs of the overlap and operator
+    steps, ``2n a b b' (w' + 1)`` going left (the bra side) and ``2n a a'
+    b' (w + 1)`` going right (the ket side), for bra ``(a, n, b)``,
+    operator ``(w, n, n, w')`` and ket ``(a', n, b')``."""
+    a, n, b = bra.shape
+    a2, _, b2 = ket.shape
+    w, w2 = op_core.shape[0], op_core.shape[3]
+    if side == "left":
+        return 2.0 * n * a * b * b2 * (w2 + 1)
+    return 2.0 * n * a * a2 * b2 * (w + 1)
+
+
+def full_step(side, env, bra, op_core, ket, ledger):
+    """A transfer-pair step from the shared environment ``env`` taken in
+    full from its identity-paired transfers, charged the closing count of
+    :func:`closing_flops` as ``"coarse"``: the library's stored half
+    closed with one core must equal it bitwise and charge the same."""
+    extend = _extend_left if side == "left" else _extend_right
+    charge(ledger, "coarse", closing_flops(side, bra, op_core, ket))
+    return extend(with_identity(env), bra, op_core, ket, None)
+
+
 def row_sweep_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
     """``ttdmrg.twolevel.assemble_coarse`` with one row and one column at a
     time and no stacks.  Overlap and reduced operator matrices over the
@@ -121,7 +147,9 @@ def row_sweep_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
     has its own right environment (``family.right`` as bra, member ``l``
     as ket), built once from the shared right environment at its window
     and extended leftward with ``family.left`` as ket down to the cut
-    ``c`` of :func:`meeting_cut`, all of it charged to ``gram{l}``.  Such a
+    ``c`` of :func:`meeting_cut`, all of it charged to ``gram{l}``.  A
+    row's first step with ket ``family.left`` and a column's first step
+    are taken in full but charged as closings (:func:`full_step`).  Such a
     closed pair meets at ``c``, or at the column's start when it lies
     before ``c``, or just past the row's window when that lies after ``c``;
     the row advances to that meeting cut.  ``envs`` are the family's
@@ -143,8 +171,9 @@ def row_sweep_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
     for l in closed:
         led = CostLedger()
         a, b = win[l]
-        env = with_identity(envs.right[b + 1])
-        for s in range(b, a - 1, -1):
+        env = full_step("right", envs.right[b + 1], family.right[b], op.cores[b],
+                        members[l].cores[b], led)
+        for s in range(b - 1, a - 1, -1):
             env = _extend_right(env, family.right[s], op.cores[s], members[l].cores[s], led)
         column_envs[l] = {a: env}
         for s in range(a - 1, cut - 1, -1):
@@ -163,7 +192,11 @@ def row_sweep_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
             al, bl = win[l]
             meet = min(max(b + 1, cut), al) if al > b else al
             while site < meet:
-                env = _extend_left(env, bra[site], op.cores[site], family.left[site], led)
+                if site == a:  # the first step off the shared environment
+                    env = full_step("left", envs.left[a], bra[a], op.cores[a], family.left[a],
+                                    led)
+                else:
+                    env = _extend_left(env, bra[site], op.cores[site], family.left[site], led)
                 site += 1
             if al > b:
                 s_kl, a_kl = _close(env, column_envs[l][meet], led)

@@ -14,14 +14,20 @@ import pytest
 
 import oracles
 from ttdmrg import dmrg, twolevel
+from ttdmrg import mpo as mpo_module
 from ttdmrg.dmrg import SweepConfig, micro_step, run_dmrg
 from ttdmrg.ledger import CostLedger
 from ttdmrg.models import dense_ground_state, heisenberg_chain, ising_chain, random_symmetric_mpo
 from ttdmrg.mpo import (
     MatrixProductOperator,
-    all_left_envs,
     all_right_envs,
+    close_left_env,
+    close_right_env,
     env_step_flops,
+    left_env,
+    local_matvec,
+    open_left_env,
+    open_right_env,
     rayleigh_quotient,
 )
 from ttdmrg.tt import (
@@ -295,6 +301,135 @@ def test_stacked_assembly_matches_oracle_when_split_ranks_differ():
 
 
 @pytest.mark.parametrize("mode", ["one-site", "two-site"])
+@pytest.mark.parametrize("solved", [False, True], ids=["random-updates", "solver-updates"])
+def test_closing_stored_halves_is_bitwise_the_full_step(mode, solved, monkeypatch):
+    # the assembly with each step off a shared environment taken in full
+    # (and charged as a closing) gives bitwise the same S and A and ledger
+    d = 20
+    op = ising_chain(d)
+    family = orthogonal_family(make_state(op.dims, 3, seed=51))
+    if solved:
+        updates, _ = local_solves(family, op, mode, eig_tol=1e-8, max_rank=4, seed=0)
+    else:
+        updates = random_updates(family, mode, seed=52)
+    envs = twolevel.shared_envs(family, op)
+    got_led, want_led = CostLedger(), CostLedger()
+    got = assemble_coarse(family, updates, op, ledger=got_led, envs=envs)
+    # the site of each stored half, to step from its environment in full
+    left_site = {id(h): s for s, h in enumerate(envs.left_open)}
+    right_site = {id(h): s for s, h in enumerate(envs.right_open)}
+
+    def full_left(half, bra, ket, led):
+        s = left_site[id(half)]
+        return oracles.full_step("left", envs.left[s], bra, op.cores[s], ket, led)
+
+    def full_right(half, bra, ket, led):
+        s = right_site[id(half)]
+        return oracles.full_step("right", envs.right[s + 1], bra, op.cores[s], ket, led)
+
+    monkeypatch.setattr(twolevel, "_close_left", full_left)
+    monkeypatch.setattr(twolevel, "_close_right", full_right)
+    want = assemble_coarse(family, updates, op, ledger=want_led, envs=envs)
+    assert np.array_equal(got.s_hat, want.s_hat)
+    assert np.array_equal(got.a_hat, want.a_hat)
+    assert got_led.report_json() == want_led.report_json()
+
+
+def excited_center_family(op, site, seed):
+    """A family whose center at ``site`` is, to roundoff, the top
+    eigenvector of its own projected operator: its local solve breaks down
+    at the first step."""
+    family = orthogonal_family(make_state(op.dims, 3, seed=seed))
+    envs = twolevel.shared_envs(family, op)
+    matvec, dim, shape = local_matvec(envs.left[site], op.cores[site : site + 1],
+                                      envs.right[site + 1])
+    h = np.column_stack([matvec(e) for e in np.eye(dim)])
+    top = np.linalg.eigh(0.5 * (h + h.T))[1][:, -1]
+    cores = list(family.left[:site]) + [top.reshape(shape)] + list(family.right[site + 1 :])
+    return orthogonal_family(orthogonalize(TensorTrain(cores, center=site), op.d - 1))
+
+
+@pytest.mark.parametrize("restart", [False, True], ids=["converged", "restarted"])
+def test_one_site_entries_from_the_solves_match_the_transfers(restart, monkeypatch):
+    # row 0 and the diagonal from each solve's Ritz pair and first
+    # application agree with the assembled ones.  Restarted: at site 2 the
+    # start is an excited eigenvector, so its solve breaks down, misses
+    # eig_tol = 0 and restarts from a random vector whose Krylov space does
+    # not hold the start; there A_0k = theta S_0k would be wrong
+    op = heisenberg_chain(6)
+    if restart:
+        family = excited_center_family(op, 2, seed=53)
+        tols = dict(eig_tol=0.0, eig_max_iter=6)
+    else:
+        family = orthogonal_family(make_state(op.dims, 3, seed=53))
+        tols = dict(eig_tol=1e-10)
+    draws = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    updates, results = local_solves(family, op, "one-site", seed=0, **tols)
+    assert bool(draws) == restart
+    got_led, want_led = CostLedger(), CostLedger()
+    got = assemble_coarse(family, updates, op, ledger=got_led, solves=results)
+    want = assemble_coarse(family, updates, op, ledger=want_led)
+    for g, w in ((got.s_hat, want.s_hat), (got.a_hat, want.a_hat)):
+        assert np.array_equal(g, g.T)
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+    shortcut = results[2].eigenvalue * want.s_hat[0, 3]
+    assert (abs(shortcut - want.a_hat[0, 3]) > 1e-6) == restart
+    # the entries charge their four dot products instead of the row and
+    # diagonal sweeps; the other columns are the same work
+    assert got_led.per_class_flops["coarse"] < want_led.per_class_flops["coarse"]
+    assert set(got_led.per_worker_flops) == set(want_led.per_worker_flops)
+
+
+def test_one_site_assembly_sweeps_no_window_and_reopens_no_shared_half(monkeypatch):
+    d = 9
+    op = heisenberg_chain(d)
+    family = orthogonal_family(make_state(op.dims, 3, seed=54))
+    envs = twolevel.shared_envs(family, op)
+    solved = local_solves(family, op, "one-site", eig_tol=1e-8, seed=0, envs=envs)
+    pairs = local_solves(family, op, "two-site", eig_tol=1e-8, max_rank=4, seed=0, envs=envs)[0]
+    steps, reopened = [], []
+
+    def counted(fn):
+        def wrapper(env, *args):
+            if env[0].ndim == 2:  # a single member's window step, not a stack's
+                steps.append(fn.__name__)
+            return fn(env, *args)
+        return wrapper
+
+    def shared(fn, side):
+        # an open half of a step the shared sweeps already took
+        def wrapper(env, core_a, core_b):
+            for s in range(d):
+                if side == "left" and s < d - 1 and env is envs.left[s] \
+                        and core_b is family.left[s]:
+                    reopened.append(("left", s))
+                if side == "right" and env is envs.right[s + 1] and core_a is family.right[s]:
+                    reopened.append(("right", s))
+            return fn(env, core_a, core_b)
+        return wrapper
+
+    for name in ("_extend_left", "_extend_right"):
+        monkeypatch.setattr(twolevel, name, counted(getattr(twolevel, name)))
+    monkeypatch.setattr(mpo_module, "open_left_env", shared(mpo_module.open_left_env, "left"))
+    monkeypatch.setattr(mpo_module, "open_right_env", shared(mpo_module.open_right_env, "right"))
+    # one-site from the solves: every window is one site, closed from the
+    # stored halves, and no diagonal or row 0 sweep runs
+    assemble_coarse(family, solved[0], op, envs=envs, solves=solved[1])
+    assert steps == [] and reopened == []
+    # assembled in full, the windows still step, but never off a shared half
+    for updates in (solved[0], pairs):
+        assemble_coarse(family, updates, op, envs=envs)
+        assert steps and reopened == []
+
+
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
 def test_coarse_assembly_calls_grow_linearly(mode, monkeypatch):
     calls = []
 
@@ -420,20 +555,40 @@ def test_assembly_with_identity_overlaps_matches_pairwise_oracle(case, mode):
 
 def test_shared_envs_are_the_package_sweeps_and_charge_no_overlap():
     op = heisenberg_chain(7)
+    d = op.d
     family = orthogonal_family(make_state(op.dims, 4, seed=47))
     led = CostLedger()
     envs = twolevel.shared_envs(family, op, led)
-    x_left, x_right = family.config(family.d - 1), family.config(0)
-    for got, want in ((envs.left, all_left_envs(x_left, op, x_left)),
-                      (envs.right, all_right_envs(x_right, op, x_right))):
-        assert len(got) == len(want) == family.d + 1
+    x_left, x_right = family.config(d - 1), family.config(0)
+    # the left sweep stops at cut d - 1: no window reads cut d
+    assert len(envs.left) == d and len(envs.right) == d + 1
+    want_left = [left_env(x_left, op, x_left, j) for j in range(d)]
+    for got, want in ((envs.left, want_left), (envs.right, all_right_envs(x_right, op, x_right))):
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
     # one operator step per site and direction, and nothing else
-    steps = {tag: sum(env_step_flops(c, w, c) for c, w in zip(x.cores, op.cores))
-             for tag, x in (("env:left", x_left), ("env:right", x_right))}
+    steps = {"env:left": sum(env_step_flops(c, w, c) for c, w in
+                             zip(x_left.cores[: d - 1], op.cores)),
+             "env:right": sum(env_step_flops(c, w, c) for c, w in zip(x_right.cores, op.cores))}
     assert led.per_worker_flops == steps
     assert led.per_class_flops == {"env_build": sum(steps.values())}
     assert led.sequential_flops == 0.0
+
+
+def test_shared_envs_keep_each_steps_open_half():
+    # closing a stored half with its own family core reproduces the shared
+    # environment bitwise; the halves are the package's own
+    op = random_symmetric_mpo(8, seed=48)
+    family = orthogonal_family(make_state(op.dims, 4, seed=49))
+    envs = twolevel.shared_envs(family, op)
+    x_right = family.config(0)
+    assert len(envs.left_open) == family.d - 1 and len(envs.right_open) == family.d
+    for j, half in enumerate(envs.left_open):
+        assert np.array_equal(half, open_left_env(envs.left[j], op.cores[j], family.left[j]))
+        assert np.array_equal(close_left_env(half, family.left[j]), envs.left[j + 1])
+    for j, half in enumerate(envs.right_open):
+        core = x_right.cores[j]
+        assert np.array_equal(half, open_right_env(envs.right[j + 1], core, op.cores[j]))
+        assert np.array_equal(close_right_env(half, core), envs.right[j])
 
 
 def test_overlap_matrix_symmetric_and_psd():

@@ -102,6 +102,35 @@ def test_lanczos_exact_invariant_start_is_accepted():
     assert res.converged and res.eigenvalue == 3.0
 
 
+@pytest.mark.parametrize(
+    "a, kwargs",
+    [
+        (random_sym(40, 2), dict(tol=1e-8, seed=3)),
+        (random_sym(50, 10), dict(tol=1e-14, max_iter=3, seed=11)),
+        (np.diag([1.0, 3.0]), dict(v0=np.array([3e-14, 1.0]), tol=1e-14, max_iter=10, seed=9)),
+        (np.diag([2.0, -1.0, 4.0, 0.5, 3.0]), dict(tol=0.0, max_iter=100, seed=25)),
+    ],
+    ids=["converged", "budget", "restart-after-breakdown", "all-restarts-break-down"],
+)
+def test_lanczos_keeps_its_first_application_on_request(a, kwargs):
+    # start_image is the first application A q0, whatever the exit; the
+    # eigenvalue is the Rayleigh quotient of the returned vector
+    inputs = []
+
+    def matvec(x):
+        inputs.append(x.copy())
+        return a @ x
+
+    res = lanczos_lowest(matvec, a.shape[0], keep_start=True, **kwargs)
+    assert np.array_equal(res.start_image, a @ inputs[0])
+    v = res.eigenvector
+    assert abs(v @ a @ v - res.eigenvalue) <= 1e-12 * max(1.0, abs(res.eigenvalue))
+    if "v0" in kwargs:
+        v0 = kwargs["v0"]
+        assert np.allclose(inputs[0], v0 / np.linalg.norm(v0), rtol=0, atol=1e-16)
+    assert lanczos_lowest(lambda x: a @ x, a.shape[0], **kwargs).start_image is None
+
+
 def test_lanczos_breakdown_restart_finds_lower_state():
     # a nearly invariant start makes the basis expansion collapse (beta in
     # the breakdown window) while the residual still misses the tolerance,

@@ -72,7 +72,9 @@ def test_env_updates_match_scratch_builds():
     op = random_mpo((2, 3, 2, 2), 3, seed=6)
     x = random_tt((2, 3, 2, 2), 3, seed=7)
     y = random_tt((2, 3, 2, 2), 2, seed=8)
-    lefts = mpo.all_left_envs(x, op, y)
+    lefts = [mpo.boundary_env()]
+    for s in range(x.d):
+        lefts.append(mpo.update_left_env(lefts[-1], x.cores[s], op.cores[s], y.cores[s]))
     rights = mpo.all_right_envs(x, op, y)
     for j in range(x.d + 1):
         assert np.allclose(lefts[j], mpo.left_env(x, op, y, j), atol=1e-12)
@@ -327,6 +329,48 @@ def test_transfer_steps_match_tensordot_and_charge_one_count(side, case, stack):
             assert_close(g[i], w)
             assert_close(g[i], s)
         assert one.total_flops() * k == led.total_flops()
+
+
+@pytest.mark.parametrize("stack", [(), (1,), (4,)], ids=["unstacked", "K1", "K4"])
+@pytest.mark.parametrize("case", sorted(TRANSFER_CASES))
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_an_environment_step_is_its_two_halves(side, case, stack, charges):
+    # the open half (ket going left, bra going right) and the closing half
+    # compose to the full step bitwise; the halves charge nothing
+    _, env, bra, op_core, ket = transfer_operands(case, side, stack, seed=24)
+    if side == "left":
+        half = mpo.open_left_env(env, op_core, ket)
+        got = mpo.close_left_env(half, bra)
+        want = mpo.update_left_env(env, bra, op_core, ket)
+        assert half.shape == stack + (bra.shape[0], 2, op_core.shape[3], ket.shape[2])
+    else:
+        half = mpo.open_right_env(env, bra, op_core)
+        got = mpo.close_right_env(half, ket)
+        want = mpo.update_right_env(env, bra, op_core, ket)
+        assert half.shape == stack + (bra.shape[0], op_core.shape[0], 2, ket.shape[2])
+    assert charges == []
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_local_matvec_lays_each_operator_core_out_once(k, monkeypatch):
+    # the per-call permuted view of a laid-out core reshapes without a copy,
+    # and the matvec is bitwise the kernel on the caller's cores
+    env_l, cores, env_r, v = kernel_operands("unequal-bonds", True, seed=25, sites=k)
+    seen = []
+    adapter = {1: "apply_local_1site", 2: "apply_local_2site"}[k]
+    kernel = getattr(mpo, adapter)
+
+    def spy(*args):
+        seen.append(args[1:1 + k])
+        return kernel(*args)
+
+    monkeypatch.setattr(mpo, adapter, spy)
+    matvec, _, _ = mpo.local_matvec(env_l, cores, env_r)
+    assert np.array_equal(matvec(v.ravel()), mpo.apply_local(env_l, cores, env_r, v).ravel())
+    for laid, core in zip(seen[0], cores):
+        assert np.array_equal(laid, core)
+        assert laid.transpose(1, 3, 0, 2).flags.c_contiguous
 
 
 @pytest.mark.parametrize("case", sorted(TRANSFER_CASES))
