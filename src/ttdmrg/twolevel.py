@@ -631,6 +631,7 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
         return ledger.sequential_flops, ledger.max_worker_flops(), ledger.cost_per_processor()
 
     for it in range(1, config.max_iters + 1):
+        updates = results = None  # the previous iteration's, released before the next solves
         updates, results = local_solves(
             family, op, config.mode, eig_tol=schedule.eig_tol,
             eig_max_iter=config.eig_max_iter, max_rank=config.max_rank,
@@ -639,8 +640,8 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
         unconverged = sum(not r.converged for r in results)
         warn_unconverged(f"iteration {it}", unconverged, len(results))
 
-        solves = results if config.mode == "one-site" else None
-        cp = assemble_coarse(family, updates, op, ledger=ledger, envs=envs, solves=solves)
+        cp = assemble_coarse(family, updates, op, ledger=ledger, envs=envs,
+                             solves=results if config.mode == "one-site" else None)
         envs = None  # with their open halves, the environments serve steps 2 and 3 only
         if config.structured_coarse:
             apply_a = structured_apply(family, updates, op, ledger)
