@@ -346,8 +346,12 @@ def micro_step(state, op, k, tol=1e-8, max_iter=None, seed=0, ledger=None):
     Environments are built from scratch, so this is the right entry
     point for isolated local solves.  Returns the optimal block of shape
     ``(r, n_i, ..., n_{i+k-1}, r')`` and the solver result; the caller
-    re-installs it (one site) or splits it (two sites).
+    re-installs it (one site) or splits it (two sites).  ``ValueError``
+    unless ``k`` is the integer 1 or 2.
     """
+    check_integer("k", k)
+    if k > 2:
+        raise ValueError(f"k must be 1 or 2, got {k}")
     i = state.center
     if i is None:
         raise ValueError("state must be site-orthogonal around the active site")

@@ -228,6 +228,8 @@ def clip_ranks(dims, ranks):
     for n in dims:
         check_integer("local dimensions", n)
     d = len(dims)
+    if not d:
+        raise ValueError("need at least one site")
     scalar = np.isscalar(ranks)
     requested = [ranks] if scalar else list(ranks)
     for r in requested:

@@ -24,14 +24,14 @@ Each global iteration runs four steps:
    directions above :data:`COARSE_EPS`), its matrix taken from the
    assembled reduced operator or, structured, from p applications of the
    operator to the exact sum trains that step 4 truncates.  The assembly
-   (:func:`assemble_coarse`) reuses what steps 1 and 2 hold: one-site, the
-   diagonal and the iterate's row come from each solve's Ritz pair and
-   first operator application; every member differs from the shared cores
-   only on a short window, so the other entries take O(d^2) transfer steps
-   rather than the O(d^3) of pairwise inner products, a step that leaves a
-   shared environment closes its stored open half, and the shared sites
-   between windows are crossed by two stacks, in O(d) calls.  Each member
-   is one task with one ledger, tagged ``gram{k}``;
+   (:func:`assemble_coarse`) reuses what steps 1 and 2 hold: the diagonal
+   and the iterate's row come from each solve (two-site, one local
+   application to the split update); every member differs from the shared
+   cores only on a short window, so the other entries take O(d^2)
+   transfer steps rather than the O(d^3) of pairwise inner products, a
+   step that leaves a shared environment closes its stored open half, and
+   the shared sites between windows are crossed by two stacks, in O(d)
+   calls.  Each member is one task with one ledger, tagged ``gram{k}``;
 4. compress the coarse minimizer back to the working ranks: the
    combination of the local solves' k-site updates is one exact train
    (two rails at k = 1, three at k = 2, the middle one over the kept split
@@ -156,6 +156,8 @@ class TwoLevelConfig(SolverConfig):
     def __post_init__(self):
         self.check("max_iters")
         check_integer("workers", self.workers)
+        if not isinstance(self.structured_coarse, bool):
+            raise ValueError(f"structured_coarse must be a bool, got {self.structured_coarse!r}")
 
 
 @dataclass
@@ -292,26 +294,22 @@ def family_energy(family, envs):
     return float(envs.right[0][0, 0, 0]) / float(np.vdot(c0, c0))
 
 
-def local_solves(family, op, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=None,
-                 seed=0, ledger=None, envs=None):
+def local_solves(family, op, envs, mode, eig_tol=1e-8, eig_max_iter=None, max_rank=None,
+                 seed=0, ledger=None):
     """Step 2: independent local eigensolves over a read-only family.
 
     Returns ``(updates, results)`` where update ``i`` is the tuple of the
     cores member ``i`` puts at its sites: the center core ``(C_i,)``
     one-site, and two-site the split factors ``(L_i, R_i)`` of the pair's
     block, truncated to ``max_rank`` with ``L_i`` left-orthonormal.  Task
-    ``i`` reads its operator environments from the family's shared
-    environments ``envs`` (built by :func:`shared_envs` when not given) and
-    its ledger is merged under ``solve:i``.  A one-site result keeps its
-    solve's first application (``start_image``) for :func:`assemble_coarse`.
+    ``i`` reads its operator environments from the family's
+    :func:`shared_envs` ``envs`` and its ledger is merged under
+    ``solve:i``.  A one-site result keeps its solve's first application
+    (``start_image``) for :func:`assemble_coarse`.
     """
-    d = family.d
-    if envs is None:
-        envs = shared_envs(family, op, ledger)
-
     k = 1 if mode == "one-site" else 2
     updates, results = [], []
-    for i in range(d - k + 1):
+    for i in range(family.d - k + 1):
         led = CostLedger()
         v0 = _merge_cores([family.centers[i], *family.right[i + 1 : i + k]], led)
         local = local_matvec(envs.left[i], op.cores[i : i + k], envs.right[i + k], led)
@@ -376,64 +374,66 @@ def _meeting_cut(joins, starts, step):
     return cut
 
 
-def assemble_coarse(family, updates, op, ledger=None, envs=None, solves=None):
+def assemble_coarse(family, updates, solves, op, envs, ledger=None):
     """Step 3 assembly: overlap and reduced operator matrices over the
     span of the iterate and its updated members (:func:`span_members`).
 
-    Member ``k`` is its window ``[a_k, b_k]`` (:func:`_windows`) plus the
-    family's shared cores.  Row ``k`` fills its diagonal and every column
-    ``l > k``: from the shared left environment at ``a_k`` it advances with
-    member ``k`` as bra and ``family.left`` as ket, and closes an
-    overlapping column across both windows against the shared right
-    environment.  A column that starts past ``b_k`` is closed against its
-    own right environment (``family.right`` as bra), built once from the
-    shared one.  A row's first step with ket ``family.left[a_k]`` and a
-    column's first with bra ``family.right[b_l]`` close the stored open
-    half of that step (:class:`SharedEnvs`) with the member's core, one
-    GEMM per matrix.  Between the windows of such a closed pair both hold
-    shared cores, the same for every pair at a site, so the rows advance
-    there rightward as one stack and the columns leftward as another, to
-    one cut (:func:`_meeting_cut`), meeting each other in one GEMM per
-    matrix: about ``d^2/4`` shared-site steps in O(d) batched calls.
-
-    ``solves``, one-site :func:`local_solves` results, give row 0 and the
-    diagonal: member ``k``'s update is its solve's Ritz vector ``u`` at
-    site ``i = k - 1``, so ``S_kk = <u, u>``, ``A_kk = theta S_kk``,
-    ``S_0k = <C_i, u>`` and ``A_0k = |C_i| <A q0, u>`` from the solve's
-    ``start_image`` ``A q0`` (exact on every exit, unlike ``theta S_0k``);
-    ``S_00`` and ``A_00`` are what :func:`family_energy` reads.  Two-site
-    updates are split after their solve, so both are assembled there.
-
-    Each member has one ledger, merged under ``gram{k}``, charged its
-    entries, its row's steps and closings and its column's.  ``envs`` are
-    the family's :func:`shared_envs`, built here when not given.
+    ``solves`` are the :func:`local_solves` results of ``updates`` and
+    ``envs`` the family's :func:`shared_envs`.  Member ``k`` is its window
+    ``[a_k, b_k]`` (:func:`_windows`) plus the family's shared cores.  Its
+    diagonal and its entry against the iterate come from its solve: with
+    ``u`` the merged update (two-site, the product of the split factors)
+    and ``v0`` the solve's start block, ``S_kk = <u, u>``, ``S_0k = <v0,
+    u>``, and one-site, where ``u`` is the Ritz vector, ``A_kk = theta
+    S_kk`` and ``A_0k = |v0| <A q0, u>`` from the ``start_image`` ``A q0``
+    (exact on every exit, unlike ``theta S_0k``); two-site the split
+    changed the block, so one local application gives ``A_kk = <u, A u>``
+    and ``A_0k = <v0, A u>``.  ``S_00`` and ``A_00`` are what
+    :func:`family_energy` reads.  The iterate is thus neither a row nor a
+    column, and every other row ``k`` fills its columns ``l > k``: it
+    closes the stored open half (:class:`SharedEnvs`) of the shared step
+    at ``a_k`` with its core, one GEMM per matrix, advances with member
+    ``k`` as bra and ``family.left`` as ket, and closes an overlapping
+    column (two-site, ``l = k + 1``) across both windows against the
+    shared right environment.  A column that starts past ``b_k`` is closed
+    against its own right environment (``family.right`` as bra), which
+    starts by closing the stored half at ``b_l`` with the member's core.
+    Between the windows of such a closed pair both hold shared cores, the
+    same for every pair at a site, so the rows advance there rightward as
+    one stack and the columns leftward as another, to one cut
+    (:func:`_meeting_cut`), meeting each other in one GEMM per matrix:
+    about ``d^2/4`` shared-site steps in O(d) batched calls.  Each member
+    has one ledger, merged under ``gram{k}``, charged its entries, its
+    row's steps and closings and its column's; the iterate's is empty.
     """
-    if envs is None:
-        envs = shared_envs(family, op, ledger)
     win = _windows(updates)
     members = _member_cores(family, updates)
-    m = len(members)
-    # The windows start in member order and the iterate's ends at site 0,
-    # so the closed columns are the members from 2 on.  Row k's closed
-    # columns are all l with a_l > b_k; the last of them starts at `last`,
+    m, width = len(members), len(updates[0])
+    # The windows start in member order, so row k's closed columns are all l
+    # with a_l > b_k, from width + 1 on; the last of them starts at `last`,
     # so every row that has one has that one.
     last = win[-1][0]
-    closed = range(2, m)
+    closed = range(width + 1, m)
 
     ledgers = [CostLedger() for _ in range(m)]  # member k's work, merged under gram{k}
     s_hat = np.zeros((m, m))
     a_hat = np.zeros((m, m))
-    if solves is not None:
-        c0 = family.centers[0]
-        s_hat[0, 0], a_hat[0, 0] = float(np.vdot(c0, c0)), float(envs.right[0][0, 0, 0])
-        for k, ((u,), res) in enumerate(zip(updates, solves), 1):
-            c = family.centers[k - 1]
-            s_hat[k, k] = s_kk = float(np.vdot(u, u))
+    c0 = family.centers[0]
+    s_hat[0, 0], a_hat[0, 0] = float(np.vdot(c0, c0)), float(envs.right[0][0, 0, 0])
+    for k, (update, res) in enumerate(zip(updates, solves), 1):
+        i, led = k - 1, ledgers[k]
+        v0 = _merge_cores([family.centers[i], *family.right[i + 1 : i + width]], led)
+        u = _merge_cores(update, led)
+        s_hat[k, k] = s_kk = float(np.vdot(u, u))
+        s_hat[0, k] = s_hat[k, 0] = float(np.vdot(v0, u))
+        if width == 1:
             a_hat[k, k] = res.eigenvalue * s_kk
-            s_hat[0, k] = s_hat[k, 0] = float(np.vdot(c, u))
-            a_hat[0, k] = a_hat[k, 0] = (math.sqrt(float(np.vdot(c, c)))
-                                         * float(np.vdot(res.start_image, u)))
-            ledgers[k].charge("coarse", 8.0 * u.size)
+            a_0k = math.sqrt(float(np.vdot(v0, v0))) * float(np.vdot(res.start_image, u))
+        else:
+            au = local_matvec(envs.left[i], op.cores[i : i + 2], envs.right[i + 2], led)[0](u)
+            a_hat[k, k], a_0k = float(np.vdot(u, au)), float(np.vdot(v0, au))
+        a_hat[0, k] = a_hat[k, 0] = a_0k
+        led.charge("coarse", 8.0 * u.size)
 
     column_envs = {}
     for l in closed:
@@ -443,30 +443,17 @@ def assemble_coarse(family, updates, op, ledger=None, envs=None, solves=None):
             env = _extend_right(env, family.right[s], op.cores[s], members[l][s], ledgers[l])
         column_envs[l] = env
 
-    def leave(env, site, stop):
-        # row k's advance with ket family.left to cut `stop`; its first step
-        # off the shared pair at a_k closes the stored open half
-        if site == a < stop:
-            env, site = _close_left(envs.left_open[a], bra[a], family.left[a], led), a + 1
-        return _sweep(env, bra, op, family.left, site, stop, led)
-
-    skip = solves is not None  # row 0 and the diagonal come from the solves
     row_envs = {}  # rows with a closed column -> transfers just past the window
-    for k in range(skip, m):
+    for k in range(1, m - 1):  # the rows with a later column, each starting at a closing
         led, bra, (a, b) = ledgers[k], members[k], win[k]
-        env, site = _paired(envs.left[a]), a
-        for l in range(k + skip, m):
-            al, bl = win[l]
-            if al > b:
-                break
-            env, site = leave(env, site, al), al
-            end = max(b, bl)
-            e = _sweep(env, bra, op, members[l], al, end + 1, led)
-            s_kl, a_kl = _close(e, _paired(envs.right[end + 1]), led)
-            s_hat[k, l] = s_hat[l, k] = s_kl
-            a_hat[k, l] = a_hat[l, k] = a_kl
+        env = _close_left(envs.left_open[a], bra[a], family.left[a], led)
+        if width == 2:  # column k + 1 overlaps the row on site b and ends at b + 1
+            e = _sweep(env, bra, op, members[k + 1], b, b + 2, led)
+            s_kl, a_kl = _close(e, _paired(envs.right[b + 2]), led)
+            s_hat[k, k + 1] = s_hat[k + 1, k] = s_kl
+            a_hat[k, k + 1] = a_hat[k + 1, k] = a_kl
         if b < last:
-            row_envs[k] = leave(env, site, b + 1)
+            row_envs[k] = _sweep(env, bra, op, family.left, a + 1, b + 1, led)
 
     def meet(rows, cols, left, right):
         # every row's transfers against every column's, one GEMM per matrix
@@ -488,13 +475,14 @@ def assemble_coarse(family, updates, op, ledger=None, envs=None, solves=None):
             starts.setdefault(win[l][0], []).append(l)
         # the row's bra, the operator and the column's ket at each gap site;
         # the stacks step uncharged and each member is charged its crossings
-        gap = {s: (family.right[s], op.cores[s], family.left[s]) for s in range(1, last)}
+        lo = min(joins)
+        gap = {s: (family.right[s], op.cores[s], family.left[s]) for s in range(lo, last)}
         step = {s: overlap_step_flops(bra, ket) + env_step_flops(bra, w, ket)
                 for s, (bra, w, ket) in gap.items()}
         cut = _meeting_cut(joins, starts, step)
 
         rows, left = [], None
-        for s in range(1, cut + 1):
+        for s in range(lo, cut + 1):
             if s in joins:
                 rows += joins[s]
                 left = _stacked([row_envs[k] for k in joins[s]], left)
@@ -633,15 +621,14 @@ def run_two_level(init, op, config=None, ledger=None, reference_energy=None):
     for it in range(1, config.max_iters + 1):
         updates = results = None  # the previous iteration's, released before the next solves
         updates, results = local_solves(
-            family, op, config.mode, eig_tol=schedule.eig_tol,
+            family, op, envs, config.mode, eig_tol=schedule.eig_tol,
             eig_max_iter=config.eig_max_iter, max_rank=config.max_rank,
-            seed=config.seed, ledger=ledger, envs=envs,
+            seed=config.seed, ledger=ledger,
         )
         unconverged = sum(not r.converged for r in results)
         warn_unconverged(f"iteration {it}", unconverged, len(results))
 
-        cp = assemble_coarse(family, updates, op, ledger=ledger, envs=envs,
-                             solves=results if config.mode == "one-site" else None)
+        cp = assemble_coarse(family, updates, results, op, envs, ledger)
         envs = None  # with their open halves, the environments serve steps 2 and 3 only
         if config.structured_coarse:
             apply_a = structured_apply(family, updates, op, ledger)

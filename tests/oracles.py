@@ -11,7 +11,10 @@ stacks, over the same ``(family, updates)`` and the windows of
 :func:`span_windows`, whose ledger the stacked assembly must reproduce
 exactly, taking each step off a shared environment in full but charging it
 as the closing of a stored open half (:func:`full_step`,
-:func:`closing_flops`); :func:`tensordot_apply_local_1site`
+:func:`closing_flops`), and the iterate's row and the diagonal from full
+inner products charged as the library charges its entries from the solves
+(:func:`solve_entry_flops`); :func:`solve_stand_ins`, the solve results an
+assembly of arbitrary updates reads; :func:`tensordot_apply_local_1site`
 and :func:`tensordot_apply_local_2site`, the projected local operators as
 pairwise ``contract`` calls, each charged at its input shapes, whose ledger
 charges the library's in-place kernel must reproduce exactly;
@@ -40,8 +43,8 @@ import numpy as np
 import scipy.linalg
 
 from ttdmrg.eigen import LanczosResult, _LowestRitz, dense_sym_svd
-from ttdmrg.ledger import CostLedger, charge, contract
-from ttdmrg.mpo import mpo_inner
+from ttdmrg.ledger import CostLedger, charge, contract, tensordot_flops
+from ttdmrg.mpo import local_matvec, local_matvec_flops, mpo_inner
 from ttdmrg.tt import TensorTrain, inner, round_tt, tt_add, tt_scale
 from ttdmrg.twolevel import (
     CoarseProblem,
@@ -49,7 +52,6 @@ from ttdmrg.twolevel import (
     _extend_left,
     _extend_right,
     _merge,
-    shared_envs,
     span_members,
 )
 
@@ -131,45 +133,106 @@ def full_step(side, env, bra, op_core, ket, ledger):
     return extend(with_identity(env), bra, op_core, ket, None)
 
 
-def row_sweep_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
+def solve_stand_ins(family, updates, op, envs):
+    """Stand-ins for the ``local_solves`` results of arbitrary ``updates``,
+    holding what ``assemble_coarse`` reads of a solve: the eigenvalue is
+    the merged update's local Rayleigh quotient and ``start_image`` the
+    local operator (over the shared environments ``envs``) applied to the
+    normalized start block ``q0``; so any update enters the span exactly."""
+    results = []
+    for i, update in enumerate(updates):
+        k = len(update)
+        matvec, _, _ = local_matvec(envs.left[i], op.cores[i : i + k], envs.right[i + k])
+        u = merge_block(update)
+        v0 = merge_block([family.centers[i], *family.right[i + 1 : i + k]])
+        uu, norm = float(np.vdot(u, u)), float(np.linalg.norm(v0))
+        theta = float(np.vdot(u, matvec(u.ravel()))) / uu if uu > 0 else 0.0
+        q0 = v0 / norm if norm > 0 else v0
+        results.append(LanczosResult(theta, u.ravel(), 0, True, 0.0,
+                                     start_image=matvec(q0.ravel())))
+    return results
+
+
+def merge_block(cores):
+    """The block ``(r, n_1, ..., n_k, r')`` of adjacent cores."""
+    block = cores[0]
+    for core in cores[1:]:
+        block = np.tensordot(block, core, axes=(block.ndim - 1, 0))
+    return block
+
+
+def solve_entry_flops(family, i, update, op, envs):
+    """What ``assemble_coarse`` charges the member of ``update`` (at sites
+    from ``i`` on) for its diagonal and its entry against the iterate, by
+    class: four dot products over the merged update as ``"coarse"``, and
+    at two sites the two merged blocks and one local operator application
+    as ``"matvec"``."""
+    u = merge_block(update)
+    flops = {"coarse": 8.0 * u.size}
+    if len(update) == 2:
+        c, r = family.centers[i], family.right[i + 1]
+        left, right = update
+        flops["matvec"] = (
+            tensordot_flops(c.shape, r.shape, r.shape[0])
+            + tensordot_flops(left.shape, right.shape, right.shape[0])
+            + local_matvec_flops(envs.left[i], op.cores[i : i + 2], envs.right[i + 2], u.shape)
+        )
+    return flops
+
+
+def row_sweep_coarse(family, updates, op, envs, eps=1e-10, ledger=None):
     """``ttdmrg.twolevel.assemble_coarse`` with one row and one column at a
     time and no stacks.  Overlap and reduced operator matrices over the
     span of the iterate and its updated members.
 
-    Each member is read as its window ``[a, b]`` (:func:`span_windows`)
-    plus the shared cores of ``family``.  Row ``k`` is one task, tagged
-    ``gram{k}``: it starts from the shared left environment at ``a_k``,
-    advances one site at a time with member ``k`` as bra and
-    ``family.left`` as ket, and fills its diagonal and every column ``l``
-    after ``k`` in window-start order (ties by index).  An overlapping
-    column is contracted across both windows and closed against the
-    shared right environment.  A column whose window starts past ``b_k``
-    has its own right environment (``family.right`` as bra, member ``l``
-    as ket), built once from the shared right environment at its window
-    and extended leftward with ``family.left`` as ket down to the cut
-    ``c`` of :func:`meeting_cut`, all of it charged to ``gram{l}``.  A
-    row's first step with ket ``family.left`` and a column's first step
-    are taken in full but charged as closings (:func:`full_step`).  Such a
-    closed pair meets at ``c``, or at the column's start when it lies
-    before ``c``, or just past the row's window when that lies after ``c``;
-    the row advances to that meeting cut.  ``envs`` are the family's
-    :func:`shared_envs`, built here when not given; they hold operator
-    environments only, and every shared one enters :func:`with_identity`.
+    The iterate's row and the diagonal are the entries the library takes
+    from the local solves: here they come from full inner products of the
+    members, as in :func:`pairwise_coarse`, and each updated member is
+    charged :func:`solve_entry_flops` for them.  Every other entry pairs two
+    updated members ``k < l``.  Each is read as its window ``[a, b]``
+    (:func:`span_windows`) plus the shared cores of ``family``.  Row ``k``
+    is one task, tagged ``gram{k}``: it starts from the shared left
+    environment at ``a_k``, advances one site at a time with member ``k``
+    as bra and ``family.left`` as ket, and fills every column ``l`` after
+    ``k`` in window-start order.  An overlapping column is contracted
+    across both windows and closed against the shared right environment.
+    A column whose window starts past ``b_k`` has its own right
+    environment (``family.right`` as bra, member ``l`` as ket), built once
+    from the shared right environment at its window and extended leftward
+    with ``family.left`` as ket down to the cut ``c`` of
+    :func:`meeting_cut`, all of it charged to ``gram{l}``.  A row's first
+    step with ket ``family.left`` and a column's first step are taken in
+    full but charged as closings (:func:`full_step`).  Such a closed pair
+    meets at ``c``, or at the column's start when it lies before ``c``, or
+    just past the row's window when that lies after ``c``; the row
+    advances to that meeting cut.  ``envs`` are the family's
+    :func:`~ttdmrg.twolevel.shared_envs`: they hold operator environments
+    only, and every shared one enters :func:`with_identity`.  The iterate
+    (``gram0``) charges nothing.
     """
-    if envs is None:
-        envs = shared_envs(family, op, ledger)
     members = span_members(family, updates)
     win = span_windows(updates)
     m = len(members)
-    order = sorted(range(m), key=lambda l: (win[l][0], l))
-    cols = {k: order[pos:] for pos, k in enumerate(order)}
-    pairs = [(k, l) for k in range(m) for l in cols[k] if win[l][0] > win[k][1]]
+    ledgers = [CostLedger() for _ in range(m)]
+    s_hat = np.zeros((m, m))
+    a_hat = np.zeros((m, m))
+    for k in range(m):
+        s_hat[0, k] = s_hat[k, 0] = inner(members[0], members[k])
+        a_hat[0, k] = a_hat[k, 0] = mpo_inner(members[0], op, members[k])
+        s_hat[k, k] = inner(members[k], members[k])
+        a_hat[k, k] = mpo_inner(members[k], op, members[k])
+    for k, update in enumerate(updates, 1):
+        for op_class, flops in solve_entry_flops(family, k - 1, update, op, envs).items():
+            ledgers[k].charge(op_class, flops)
+
+    cols = {k: list(range(k + 1, m)) for k in range(1, m)}  # windows start in member order
+    pairs = [(k, l) for k in cols for l in cols[k] if win[l][0] > win[k][1]]
     closed = sorted({l for _, l in pairs})
     cut = meeting_cut(family, op, win, {k for k, _ in pairs}, closed) if pairs else None
 
     column_envs = {}  # column -> {cut t: its right transfers covering sites >= t}
     for l in closed:
-        led = CostLedger()
+        led = ledgers[l]
         a, b = win[l]
         env = full_step("right", envs.right[b + 1], family.right[b], op.cores[b],
                         members[l].cores[b], led)
@@ -179,12 +242,9 @@ def row_sweep_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
         for s in range(a - 1, cut - 1, -1):
             env = _extend_right(env, family.right[s], op.cores[s], family.left[s], led)
             column_envs[l][s] = env
-        _merge(ledger, led, f"gram{l}")
 
-    s_hat = np.zeros((m, m))
-    a_hat = np.zeros((m, m))
-    for k in range(m):
-        led = CostLedger()
+    for k in cols:
+        led = ledgers[k]
         bra = members[k].cores
         a, b = win[k]
         env, site = with_identity(envs.left[a]), a
@@ -209,6 +269,7 @@ def row_sweep_coarse(family, updates, op, eps=1e-10, ledger=None, envs=None):
                 s_kl, a_kl = _close(e, with_identity(envs.right[end + 1]), led)
             s_hat[k, l] = s_hat[l, k] = s_kl
             a_hat[k, l] = a_hat[l, k] = a_kl
+    for k, led in enumerate(ledgers):
         _merge(ledger, led, f"gram{k}")
 
     sigma, basis = dense_sym_svd(s_hat, ledger=ledger)

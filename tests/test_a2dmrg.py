@@ -60,6 +60,21 @@ def make_state(dims, rank, seed=0):
     return orthogonalize(random_tt(dims, rank, seed=seed), center=len(dims) - 1)
 
 
+def solve_all(family, op, mode, ledger=None, **kwargs):
+    # step 2 over freshly built shared environments: (updates, results, envs)
+    envs = twolevel.shared_envs(family, op, ledger)
+    return (*local_solves(family, op, envs, mode, ledger=ledger, **kwargs), envs)
+
+
+def assemble(family, updates, op, ledger=None, solves=None):
+    # step 3 over freshly built shared environments, both charged to
+    # `ledger`; arbitrary updates enter with the oracle's solve stand-ins
+    envs = twolevel.shared_envs(family, op, ledger)
+    if solves is None:
+        solves = oracles.solve_stand_ins(family, updates, op, envs)
+    return assemble_coarse(family, updates, solves, op, envs, ledger)
+
+
 def merged(pair):
     left, right = pair
     return np.tensordot(left, right, axes=(2, 0))
@@ -85,7 +100,7 @@ def test_one_site_local_solves_match_isolated_micro_steps():
     d = 4
     op = random_symmetric_mpo(d, seed=1)
     family = orthogonal_family(make_state((2,) * d, 2, seed=2))
-    updates, results = local_solves(family, op, "one-site", eig_tol=1e-12, seed=0)
+    updates, results, _ = solve_all(family, op, "one-site", eig_tol=1e-12, seed=0)
     assert len(updates) == d
     for i in range(d):
         core, res = micro_step(family.config(i), op, 1, tol=1e-12, seed=0)
@@ -98,9 +113,7 @@ def test_two_site_local_solves_match_micro_steps_at_full_rank():
     d = 4
     op = random_symmetric_mpo(d, seed=3)
     family = orthogonal_family(make_state((2,) * d, 2, seed=4))
-    updates, results = local_solves(
-        family, op, "two-site", eig_tol=1e-12, max_rank=16, seed=0
-    )
+    updates, results, _ = solve_all(family, op, "two-site", eig_tol=1e-12, max_rank=16, seed=0)
     assert len(updates) == d - 1
     for i in range(d - 1):
         block, res = micro_step(family.config(i), op, 2, tol=1e-12, seed=0)
@@ -116,7 +129,7 @@ def test_two_site_local_solves_truncate_each_pair():
     d = 4
     op = random_symmetric_mpo(d, seed=5)
     family = orthogonal_family(make_state((2,) * d, 2, seed=6))
-    updates, _ = local_solves(family, op, "two-site", eig_tol=1e-12, max_rank=1, seed=0)
+    updates = solve_all(family, op, "two-site", eig_tol=1e-12, max_rank=1, seed=0)[0]
     for i, pair in enumerate(updates):
         assert pair[0].shape[2] == pair[1].shape[0] == 1
         block = merged(pair)
@@ -130,7 +143,7 @@ def test_local_solves_ledger_has_one_tag_per_task():
     op = random_symmetric_mpo(d, seed=7)
     family = orthogonal_family(make_state((2,) * d, 2, seed=8))
     led = CostLedger()
-    local_solves(family, op, "one-site", eig_tol=1e-10, seed=0, ledger=led)
+    solve_all(family, op, "one-site", eig_tol=1e-10, seed=0, ledger=led)
     assert sorted(led.per_worker_flops) == sorted(
         [f"solve:{i}" for i in range(d)] + ["env:left", "env:right"]
     )
@@ -142,10 +155,10 @@ def test_gram_and_reduced_operator_match_dense():
     d = 4
     op = random_symmetric_mpo(d, seed=9)
     family = orthogonal_family(make_state((2,) * d, 2, seed=10))
-    updates, _ = local_solves(family, op, "one-site", eig_tol=1e-12, seed=0)
+    updates, results, _ = solve_all(family, op, "one-site", eig_tol=1e-12, seed=0)
     members = span_members(family, updates)
     led = CostLedger()
-    cp = assemble_coarse(family, updates, op, ledger=led)
+    cp = assemble(family, updates, op, ledger=led, solves=results)
     vecs = [oracles.tt_dense(m.cores).ravel() for m in members]
     h = oracles.mpo_dense(op.cores)
     m = len(members)
@@ -181,7 +194,7 @@ def scaled_updates(updates, scales):
 
 
 def assert_matches_pairwise(family, updates, op):
-    cp = assemble_coarse(family, updates, op)
+    cp = assemble(family, updates, op)
     s_ref, a_ref = oracles.pairwise_coarse(span_members(family, updates), op)
     assert np.max(np.abs(cp.s_hat - s_ref)) <= 1e-12 * np.max(np.abs(s_ref))
     assert np.max(np.abs(cp.a_hat - a_ref)) <= 1e-12 * np.max(np.abs(a_ref))
@@ -208,7 +221,7 @@ def test_row_sweep_assembly_is_repeatable():
         runs = []
         for _ in range(2):
             led = CostLedger()
-            cp = assemble_coarse(family, updates, op, ledger=led)
+            cp = assemble(family, updates, op, ledger=led)
             runs.append((cp, led.report()))
         (cp1, r1), (cp2, r2) = runs
         assert np.array_equal(cp1.s_hat, cp2.s_hat)
@@ -240,7 +253,8 @@ def test_assembly_merges_one_ledger_per_member(mode):
     updates = random_updates(family, mode, seed=37)
     envs = twolevel.shared_envs(family, op)
     led = MergeLog()
-    assemble_coarse(family, updates, op, ledger=led, envs=envs)
+    assemble_coarse(family, updates, oracles.solve_stand_ins(family, updates, op, envs), op, envs,
+                    led)
     assert led.tags == [f"gram{k}" for k in range(len(updates) + 1)]
 
 
@@ -251,7 +265,7 @@ def test_coarse_assembly_flops_grow_quadratically(mode):
         family = orthogonal_family(make_state(op.dims, 4, seed=32))
         updates = random_updates(family, mode, seed=33)
         led = CostLedger()
-        assemble_coarse(family, updates, op, ledger=led)
+        assemble(family, updates, op, ledger=led)
         return led.per_class_flops["coarse"]
 
     # Pairwise assembly is cubic in d (a ratio near 8 here); row sweeps
@@ -261,14 +275,17 @@ def test_coarse_assembly_flops_grow_quadratically(mode):
 
 def assert_matches_row_sweeps(family, updates, op):
     # Entries to summation order, ledger byte for byte (tags and values).
+    envs = twolevel.shared_envs(family, op)
+    solves = oracles.solve_stand_ins(family, updates, op, envs)
     got_led, want_led = CostLedger(), CostLedger()
-    got = assemble_coarse(family, updates, op, ledger=got_led)
-    want = oracles.row_sweep_coarse(family, updates, op, ledger=want_led)
+    got = assemble_coarse(family, updates, solves, op, envs, got_led)
+    want = oracles.row_sweep_coarse(family, updates, op, envs, ledger=want_led)
     assert np.max(np.abs(got.s_hat - want.s_hat)) <= 1e-13 * np.max(np.abs(want.s_hat))
     assert np.max(np.abs(got.a_hat - want.a_hat)) <= 1e-13 * np.max(np.abs(want.a_hat))
     assert got_led.report_json() == want_led.report_json()
-    tags = {f"gram{k}" for k in range(len(updates) + 1)} | {"env:left", "env:right"}
-    assert set(got_led.per_worker_flops) == tags
+    assert set(got_led.per_worker_flops) == {f"gram{k}" for k in range(len(updates) + 1)}
+    # the iterate is neither a row nor a column
+    assert got_led.per_worker_flops["gram0"] == 0.0
 
 
 @pytest.mark.parametrize("d", [2, 3, 6, 9, 20])
@@ -281,9 +298,7 @@ def test_stacked_assembly_matches_row_sweep_oracle(d, mode, model):
     family = orthogonal_family(make_state(op.dims, 3, seed=d + 1))
     updates = random_updates(family, mode, seed=d + 2)
     win = oracles.span_windows(updates)
-    # member 0 and the first update tie on their window start, and the last
-    # row has no column starting past its window
-    assert win[0][0] == win[1][0] == 0
+    # the last row has no column starting past its window
     assert win[-1][1] >= max(a for a, _ in win)
     assert_matches_row_sweeps(family, updates, op)
 
@@ -295,7 +310,7 @@ def test_stacked_assembly_matches_oracle_when_split_ranks_differ():
     d = 7
     op = heisenberg_chain(d)
     family = orthogonal_family(make_state(op.dims, 2, seed=35))
-    pairs, _ = local_solves(family, op, "two-site", eig_tol=1e-10, max_rank=4, seed=0)
+    pairs = solve_all(family, op, "two-site", eig_tol=1e-10, max_rank=4, seed=0)[0]
     assert any(left.shape[2] != family.left[i].shape[2] for i, (left, _) in enumerate(pairs))
     assert_matches_row_sweeps(family, pairs, op)
 
@@ -308,13 +323,14 @@ def test_closing_stored_halves_is_bitwise_the_full_step(mode, solved, monkeypatc
     d = 20
     op = ising_chain(d)
     family = orthogonal_family(make_state(op.dims, 3, seed=51))
+    envs = twolevel.shared_envs(family, op)
     if solved:
-        updates, _ = local_solves(family, op, mode, eig_tol=1e-8, max_rank=4, seed=0)
+        updates, results = local_solves(family, op, envs, mode, eig_tol=1e-8, max_rank=4, seed=0)
     else:
         updates = random_updates(family, mode, seed=52)
-    envs = twolevel.shared_envs(family, op)
+        results = oracles.solve_stand_ins(family, updates, op, envs)
     got_led, want_led = CostLedger(), CostLedger()
-    got = assemble_coarse(family, updates, op, ledger=got_led, envs=envs)
+    got = assemble_coarse(family, updates, results, op, envs, got_led)
     # the site of each stored half, to step from its environment in full
     left_site = {id(h): s for s, h in enumerate(envs.left_open)}
     right_site = {id(h): s for s, h in enumerate(envs.right_open)}
@@ -329,7 +345,7 @@ def test_closing_stored_halves_is_bitwise_the_full_step(mode, solved, monkeypatc
 
     monkeypatch.setattr(twolevel, "_close_left", full_left)
     monkeypatch.setattr(twolevel, "_close_right", full_right)
-    want = assemble_coarse(family, updates, op, ledger=want_led, envs=envs)
+    want = assemble_coarse(family, updates, results, op, envs, want_led)
     assert np.array_equal(got.s_hat, want.s_hat)
     assert np.array_equal(got.a_hat, want.a_hat)
     assert got_led.report_json() == want_led.report_json()
@@ -352,7 +368,7 @@ def excited_center_family(op, site, seed):
 @pytest.mark.parametrize("restart", [False, True], ids=["converged", "restarted"])
 def test_one_site_entries_from_the_solves_match_the_transfers(restart, monkeypatch):
     # row 0 and the diagonal from each solve's Ritz pair and first
-    # application agree with the assembled ones.  Restarted: at site 2 the
+    # application agree with full inner products.  Restarted: at site 2 the
     # start is an excited eigenvector, so its solve breaks down, misses
     # eig_tol = 0 and restarts from a random vector whose Krylov space does
     # not hold the start; there A_0k = theta S_0k would be wrong
@@ -370,37 +386,77 @@ def test_one_site_entries_from_the_solves_match_the_transfers(restart, monkeypat
         draws.append(args)
         return default_rng(*args, **kwargs)
 
+    envs = twolevel.shared_envs(family, op)
     monkeypatch.setattr(np.random, "default_rng", counted)
-    updates, results = local_solves(family, op, "one-site", seed=0, **tols)
+    updates, results = local_solves(family, op, envs, "one-site", seed=0, **tols)
     assert bool(draws) == restart
-    got_led, want_led = CostLedger(), CostLedger()
-    got = assemble_coarse(family, updates, op, ledger=got_led, solves=results)
-    want = assemble_coarse(family, updates, op, ledger=want_led)
-    for g, w in ((got.s_hat, want.s_hat), (got.a_hat, want.a_hat)):
+    led = CostLedger()
+    got = assemble_coarse(family, updates, results, op, envs, led)
+    want = oracles.pairwise_coarse(span_members(family, updates), op)
+    for g, w in zip((got.s_hat, got.a_hat), want):
         assert np.array_equal(g, g.T)
         assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
-    shortcut = results[2].eigenvalue * want.s_hat[0, 3]
-    assert (abs(shortcut - want.a_hat[0, 3]) > 1e-6) == restart
-    # the entries charge their four dot products instead of the row and
-    # diagonal sweeps; the other columns are the same work
-    assert got_led.per_class_flops["coarse"] < want_led.per_class_flops["coarse"]
-    assert set(got_led.per_worker_flops) == set(want_led.per_worker_flops)
+    shortcut = results[2].eigenvalue * want[0][0, 3]
+    assert (abs(shortcut - want[1][0, 3]) > 1e-6) == restart
+    # the entries charge their four dot products; the iterate charges nothing
+    assert led.per_worker_flops["gram0"] == 0.0
+
+
+def test_two_site_entries_from_the_solves_match_pairwise_through_a_truncating_split():
+    # the split at max_rank = 2 truncates every block the solves return
+    # away from the chain's ends, so those updates are no Ritz vectors: the
+    # diagonal and row 0 come from one application of the local operator
+    # to the split update, and theta S_kk would miss A_kk
+    op = heisenberg_chain(8)
+    state = make_state(op.dims, 3, seed=55)
+    family = orthogonal_family(tt_scale(state, 1.0 / state.norm()))
+    updates, results, envs = solve_all(family, op, "two-site", eig_tol=1e-10, max_rank=2,
+                                       seed=0)
+    truncated = []
+    for k, ((left, right), res) in enumerate(zip(updates, results), 1):
+        r0, n1, _ = left.shape
+        _, n2, r3 = right.shape
+        block = res.eigenvector.reshape(r0 * n1, n2 * r3)
+        if np.sum(np.linalg.svd(block, compute_uv=False) > 1e-8) > left.shape[2]:
+            truncated.append(k)
+    assert truncated == list(range(2, op.d - 1))
+    led = CostLedger()
+    cp = assemble_coarse(family, updates, results, op, envs, led)
+    s_ref, a_ref = oracles.pairwise_coarse(span_members(family, updates), op)
+    assert np.max(np.abs(cp.s_hat - s_ref)) <= 1e-12 * np.max(np.abs(s_ref))
+    assert np.max(np.abs(cp.a_hat - a_ref)) <= 1e-12 * np.max(np.abs(a_ref))
+    for k in truncated:
+        shortcut = results[k - 1].eigenvalue * s_ref[k, k]
+        assert abs(shortcut - a_ref[k, k]) > 1e-6 * abs(a_ref[k, k])
+    # each member is charged its application and the two merged blocks
+    assert led.per_worker_flops["gram0"] == 0.0
+    assert led.per_class_flops["matvec"] == sum(
+        oracles.solve_entry_flops(family, i, u, op, envs)["matvec"] for i, u in enumerate(updates)
+    )
 
 
 def test_one_site_assembly_sweeps_no_window_and_reopens_no_shared_half(monkeypatch):
+    # at both widths no transfer step belongs to row 0 or to a diagonal: no
+    # step touches the iterate's center core, and none pairs an update core
+    # with itself; no open half of a shared step is recomputed
     d = 9
     op = heisenberg_chain(d)
     family = orthogonal_family(make_state(op.dims, 3, seed=54))
     envs = twolevel.shared_envs(family, op)
-    solved = local_solves(family, op, "one-site", eig_tol=1e-8, seed=0, envs=envs)
-    pairs = local_solves(family, op, "two-site", eig_tol=1e-8, max_rank=4, seed=0, envs=envs)[0]
-    steps, reopened = [], []
+    touched, window_steps, reopened = [], [], []
 
-    def counted(fn):
-        def wrapper(env, *args):
+    def extend(fn):
+        def wrapper(env, bra, op_core, ket, ledger):
+            touched.append((bra, ket))
             if env[0].ndim == 2:  # a single member's window step, not a stack's
-                steps.append(fn.__name__)
-            return fn(env, *args)
+                window_steps.append(fn.__name__)
+            return fn(env, bra, op_core, ket, ledger)
+        return wrapper
+
+    def close(fn):
+        def wrapper(half, bra, ket, ledger):
+            touched.append((bra, ket))
+            return fn(half, bra, ket, ledger)
         return wrapper
 
     def shared(fn, side):
@@ -416,17 +472,22 @@ def test_one_site_assembly_sweeps_no_window_and_reopens_no_shared_half(monkeypat
         return wrapper
 
     for name in ("_extend_left", "_extend_right"):
-        monkeypatch.setattr(twolevel, name, counted(getattr(twolevel, name)))
+        monkeypatch.setattr(twolevel, name, extend(getattr(twolevel, name)))
+    for name in ("_close_left", "_close_right"):
+        monkeypatch.setattr(twolevel, name, close(getattr(twolevel, name)))
     monkeypatch.setattr(mpo_module, "open_left_env", shared(mpo_module.open_left_env, "left"))
     monkeypatch.setattr(mpo_module, "open_right_env", shared(mpo_module.open_right_env, "right"))
-    # one-site from the solves: every window is one site, closed from the
-    # stored halves, and no diagonal or row 0 sweep runs
-    assemble_coarse(family, solved[0], op, envs=envs, solves=solved[1])
-    assert steps == [] and reopened == []
-    # assembled in full, the windows still step, but never off a shared half
-    for updates in (solved[0], pairs):
-        assemble_coarse(family, updates, op, envs=envs)
-        assert steps and reopened == []
+    for mode in ("one-site", "two-site"):
+        updates, results = local_solves(family, op, envs, mode, eig_tol=1e-8, max_rank=4, seed=0)
+        update_cores = {id(c) for u in updates for c in u}
+        touched.clear(), window_steps.clear()
+        assemble_coarse(family, updates, results, op, envs)
+        assert touched and reopened == []
+        assert not any(family.centers[0] is c for pair in touched for c in pair)
+        assert not any(bra is ket and id(bra) in update_cores for bra, ket in touched)
+        # one-site every window is one site, closed from the stored halves;
+        # two-site a row still steps across its overlapping column's window
+        assert bool(window_steps) == (mode == "two-site")
 
 
 @pytest.mark.parametrize("mode", ["one-site", "two-site"])
@@ -445,8 +506,9 @@ def test_coarse_assembly_calls_grow_linearly(mode, monkeypatch):
         family = orthogonal_family(make_state(op.dims, 4, seed=32))
         updates = random_updates(family, mode, seed=33)
         envs = twolevel.shared_envs(family, op)
+        solves = oracles.solve_stand_ins(family, updates, op, envs)
         calls.clear()
-        assemble_coarse(family, updates, op, envs=envs)
+        assemble_coarse(family, updates, solves, op, envs)
         return len(calls)
 
     for name in ("_extend_left", "_extend_right"):
@@ -465,9 +527,11 @@ def test_row_and_column_stacks_stay_on_their_side_of_the_cut(mode, monkeypatch):
     op = heisenberg_chain(d)
     family = orthogonal_family(make_state(op.dims, 4, seed=38))
     updates = random_updates(family, mode, seed=39)
-    win = oracles.span_windows(updates)
-    rows = [k for k, (_, b) in enumerate(win) if b < max(a for a, _ in win)]
-    closed = [l for l, (a, _) in enumerate(win) if a > min(b for _, b in win)]
+    # the iterate is neither a row nor a column
+    win = oracles.span_windows(updates)[1:]
+    rows = [k for k, (_, b) in enumerate(win, 1) if b < max(a for a, _ in win)]
+    closed = [l for l, (a, _) in enumerate(win, 1) if a > min(b for _, b in win)]
+    win = [(0, 0)] + win
     cut = oracles.meeting_cut(family, op, win, rows, closed)
 
     sites = {"_extend_left": [], "_extend_right": []}
@@ -487,7 +551,7 @@ def test_row_and_column_stacks_stay_on_their_side_of_the_cut(mode, monkeypatch):
 
     for name in sites:
         monkeypatch.setattr(twolevel, name, recorded(name))
-    assemble_coarse(family, updates, op)
+    assemble(family, updates, op)
     left, right = sites["_extend_left"], sites["_extend_right"]
     # the cut lies well inside the gap, and each site is crossed by one stack
     assert d // 4 < cut < 3 * d // 4
@@ -501,7 +565,7 @@ def test_local_solve_environments_grow_linearly():
         op = ising_chain(d)
         family = orthogonal_family(make_state(op.dims, 4, seed=34))
         led = CostLedger()
-        local_solves(family, op, "one-site", eig_max_iter=2, ledger=led)
+        solve_all(family, op, "one-site", eig_max_iter=2, ledger=led)
         return led.per_class_flops["env_build"]
 
     # Bulk sites all have the same shapes, so equal steps in d add equal work.
@@ -595,8 +659,8 @@ def test_overlap_matrix_symmetric_and_psd():
     d = 5
     op = random_symmetric_mpo(d, seed=11)
     family = orthogonal_family(make_state((2,) * d, 3, seed=12))
-    updates, _ = local_solves(family, op, "two-site", eig_tol=1e-10, max_rank=3, seed=0)
-    cp = assemble_coarse(family, updates, op)
+    updates, results, _ = solve_all(family, op, "two-site", eig_tol=1e-10, max_rank=3, seed=0)
+    cp = assemble(family, updates, op, solves=results)
     assert np.array_equal(cp.s_hat, cp.s_hat.T)
     assert np.array_equal(cp.a_hat, cp.a_hat.T)
     assert cp.sigma.min() >= -1e-10 * cp.sigma[0]
@@ -607,9 +671,9 @@ def test_solve_coarse_matches_dense_span_minimum():
     d = 4
     op = random_symmetric_mpo(d, seed=13)
     family = orthogonal_family(make_state((2,) * d, 2, seed=14))
-    updates, _ = local_solves(family, op, "one-site", eig_tol=1e-12, seed=0)
+    updates, results, _ = solve_all(family, op, "one-site", eig_tol=1e-12, seed=0)
     members = span_members(family, updates)
-    cp = assemble_coarse(family, updates, op)
+    cp = assemble(family, updates, op, solves=results)
     sol = solve_coarse(cp)
     e_ref, p_ref = dense_span_minimum(members, op)
     assert cp.p == p_ref
@@ -628,9 +692,9 @@ def test_coarse_minimum_descends_below_every_member():
     d = 5
     op = random_symmetric_mpo(d, seed=15)
     family = orthogonal_family(make_state((2,) * d, 2, seed=16))
-    updates, results = local_solves(family, op, "two-site", eig_tol=1e-12, max_rank=4, seed=0)
+    updates, results, _ = solve_all(family, op, "two-site", eig_tol=1e-12, max_rank=4, seed=0)
     members = span_members(family, updates)
-    cp = assemble_coarse(family, updates, op)
+    cp = assemble(family, updates, op, solves=results)
     sol = solve_coarse(cp)
     for member in members:
         assert sol.energy <= rayleigh_quotient(member, op) + 1e-10
@@ -641,10 +705,10 @@ def test_solve_coarse_invariant_under_member_rescaling():
     d = 4
     op = random_symmetric_mpo(d, seed=17)
     family = orthogonal_family(make_state((2,) * d, 2, seed=18))
-    updates, _ = local_solves(family, op, "one-site", eig_tol=1e-12, seed=0)
+    updates, results, _ = solve_all(family, op, "one-site", eig_tol=1e-12, seed=0)
     scaled = scaled_updates(updates, [0.25, 3.0, 40.0, 0.5])
-    e0 = solve_coarse(assemble_coarse(family, updates, op)).energy
-    e1 = solve_coarse(assemble_coarse(family, scaled, op)).energy
+    e0 = solve_coarse(assemble(family, updates, op, solves=results)).energy
+    e1 = solve_coarse(assemble(family, scaled, op)).energy
     assert abs(e0 - e1) <= 1e-9 * max(1.0, abs(e0))
 
 
@@ -653,8 +717,8 @@ def test_structured_coarse_matches_direct(mode):
     for d in (2, 3, 6, 9):
         op = random_symmetric_mpo(d, seed=19 + d)
         family = orthogonal_family(make_state((2,) * d, 2, seed=20 + d))
-        updates, _ = local_solves(family, op, mode, eig_tol=1e-12, max_rank=4, seed=0)
-        cp = assemble_coarse(family, updates, op)
+        updates, results, _ = solve_all(family, op, mode, eig_tol=1e-12, max_rank=4, seed=0)
+        cp = assemble(family, updates, op, solves=results)
         led = CostLedger()
         apply_a = structured_apply(family, updates, op, led)
         bound = 1e-13 * np.max(np.abs(cp.a_hat))
@@ -685,7 +749,7 @@ def test_degenerate_span_raises():
     # a zero iterate and zero updates span nothing
     zeros = [np.zeros((1, 2, 1)) for _ in range(d)]
     family = OrthogonalFamily(zeros, zeros, zeros)
-    cp = assemble_coarse(family, [(z,) for z in zeros], op)
+    cp = assemble(family, [(z,) for z in zeros], op)
     assert cp.p == 0
     with pytest.raises(ValueError, match="degenerate"):
         solve_coarse(cp)
@@ -695,7 +759,7 @@ def test_compress_one_site_exact_at_ample_rank():
     d = 4
     op = random_symmetric_mpo(d, seed=24)
     family = orthogonal_family(make_state((2,) * d, 2, seed=25))
-    updates, _ = local_solves(family, op, "one-site", eig_tol=1e-12, seed=0)
+    updates = solve_all(family, op, "one-site", eig_tol=1e-12, seed=0)[0]
     members = span_members(family, updates)
     coeffs = np.array([0.7, -0.3, 0.9, 0.2, -1.1])
     state = compress_one_site(family, updates, coeffs, max_rank=16)
@@ -719,7 +783,7 @@ def test_compress_two_site_exact_at_ample_rank():
     d = 4
     op = random_symmetric_mpo(d, seed=26)
     family = orthogonal_family(make_state((2,) * d, 2, seed=27))
-    updates, _ = local_solves(family, op, "two-site", eig_tol=1e-12, max_rank=4, seed=0)
+    updates = solve_all(family, op, "two-site", eig_tol=1e-12, max_rank=4, seed=0)[0]
     members = span_members(family, updates)
     coeffs = np.array([0.4, 1.2, -0.8, 0.5])
     state = compress_two_site(family, updates, coeffs, max_rank=8)
@@ -750,7 +814,7 @@ def test_compress_two_site_matches_fallback(d, cap, model):
     # reference must agree with the three-rail train to roundoff.
     op = ising_chain(d) if model == "ising" else heisenberg_chain(d)
     family = orthogonal_family(make_state(op.dims, 4, seed=d))
-    updates, _ = local_solves(family, op, "two-site", eig_tol=1e-10, max_rank=cap + 1, seed=0)
+    updates = solve_all(family, op, "two-site", eig_tol=1e-10, max_rank=cap + 1, seed=0)[0]
     members = span_members(family, updates)
     coeffs = np.random.default_rng(d).standard_normal(d)
     led = CostLedger()
@@ -1393,6 +1457,10 @@ def test_bad_inputs_rejected():
         dict(energy_tol=-1.0),
         dict(svd_tol=-0.1),
         dict(eig_max_iter=0),
+        # the string "false" is truthy: it ran the structured path
+        dict(structured_coarse="false"),
+        dict(structured_coarse=1),
+        dict(structured_coarse=None),
     ):
         with pytest.raises(ValueError):
             TwoLevelConfig(**bad)

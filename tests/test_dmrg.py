@@ -187,6 +187,14 @@ def test_micro_step_needs_gauge():
         micro_step(state, op, 2)
 
 
+@pytest.mark.parametrize("k", [0, 3, -1, True, 1.0])
+def test_micro_step_rejects_a_width_other_than_one_or_two(k):
+    op = ising_chain(4)
+    state = orthogonalize(random_tt(op.dims, 2, seed=0), 0)
+    with pytest.raises(ValueError, match="k must be"):
+        micro_step(state, op, k)
+
+
 def test_two_site_ising_reaches_exact_ground_state():
     d = 4
     op = ising_chain(d)

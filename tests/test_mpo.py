@@ -425,6 +425,6 @@ def test_solvers_call_the_kernel_by_its_width_name_once_per_matvec(monkeypatch, 
     assert calls == {want: calls["matvec"], "matvec": calls["matvec"]}
     calls.clear()
     family = tt.orthogonal_family(tt.orthogonalize(init, op.d - 1))
-    twolevel.local_solves(family, op, mode, max_rank=4)
+    twolevel.local_solves(family, op, twolevel.shared_envs(family, op), mode, max_rank=4)
     assert calls["matvec"] > 0
     assert calls == {want: calls["matvec"], "matvec": calls["matvec"]}

@@ -3,10 +3,12 @@
 import ast
 import importlib.util
 import inspect
+import io
 import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import ttdmrg
@@ -59,6 +61,43 @@ def unused_imports(source):
             if name not in read:
                 unused.append((node.lineno, name))
     return unused
+
+
+# Past this many tokens the parser's token array doubles, which raises the
+# compile peak of every import that compiles the module (with
+# PYTHONDONTWRITEBYTECODE=1 every import does): about 0.23 MB for twolevel.py
+# under tracemalloc, and 0.1-0.2 MiB of peak_rss_mib on a two-level run.
+TOKEN_LIMIT = 4096
+
+
+def parser_tokens(source):
+    """How many tokens the parser reads from ``source``: every token of
+    ``tokenize`` but comments and non-logical newlines."""
+    skip = {tokenize.COMMENT, tokenize.NL}
+    return sum(t.type not in skip for t in tokenize.generate_tokens(io.StringIO(source).readline))
+
+
+def over_token_limit(sources):
+    """The modules in ``sources`` (name -> source text) whose
+    :func:`parser_tokens` exceed :data:`TOKEN_LIMIT`, with their counts."""
+    counts = {name: parser_tokens(source) for name, source in sources.items()}
+    return {name: n for name, n in counts.items() if n > TOKEN_LIMIT}
+
+
+def test_every_module_stays_within_the_parser_token_block():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert 3000 < parser_tokens(sources["twolevel.py"]) <= TOKEN_LIMIT
+    assert over_token_limit(sources) == {}
+
+
+def test_token_guard_sees_a_module_past_the_block():
+    # NAME OP NUMBER NEWLINE ENDMARKER; the comments and blank lines are not read
+    assert parser_tokens("x = 1  # one\n\n# two\n") == 5
+    # if x : NEWLINE INDENT y = 1 NEWLINE DEDENT ENDMARKER
+    assert parser_tokens("if x:\n    y = 1\n") == 11
+    # four tokens a line (three on "-x") and the end marker
+    at, past = "x = 1\n" * 1023 + "-x\n", "x = 1\n" * 1024
+    assert over_token_limit({"at.py": at, "past.py": past}) == {"past.py": TOKEN_LIMIT + 1}
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -18,7 +18,7 @@ from ttdmrg.tt import (
     tt_add,
     tt_scale,
 )
-from ttdmrg.twolevel import local_solves
+from ttdmrg.twolevel import local_solves, shared_envs
 
 
 def make_family(dims, ranks, seed=0):
@@ -97,7 +97,8 @@ def test_one_site_sum_validation():
 def test_two_site_sum_matches_pairwise_tt_add(d, model):
     op = ising_chain(d) if model == "ising" else heisenberg_chain(d)
     family = make_family(op.dims, 3, seed=d)
-    pairs, _ = local_solves(family, op, "two-site", eig_tol=1e-10, max_rank=2, seed=0)
+    envs = shared_envs(family, op)
+    pairs, _ = local_solves(family, op, envs, "two-site", eig_tol=1e-10, max_rank=2, seed=0)
     rng = np.random.default_rng(d + 40)
     coeffs = rng.standard_normal(d - 1)
     prev = float(rng.standard_normal())
@@ -277,7 +278,8 @@ def test_sum_train_matches_builder_oracles_bitwise(d, model, prev_zero):
     rng = np.random.default_rng(d + 50)
     prev = 0.0 if prev_zero else float(rng.standard_normal())
 
-    cores, _ = local_solves(family, op, "one-site", eig_tol=1e-10, seed=0)
+    envs = shared_envs(family, op)
+    cores, _ = local_solves(family, op, envs, "one-site", eig_tol=1e-10, seed=0)
     coeffs = rng.standard_normal(d)
     want = oracles.materialize_one_site_sum(family, [c for c, in cores], coeffs, prev)
     got = assert_is_the_rail_sum(family, cores, coeffs, prev, want)
@@ -285,7 +287,7 @@ def test_sum_train_matches_builder_oracles_bitwise(d, model, prev_zero):
     assert all(np.array_equal(g, w) for g, w in zip(total.materialize().cores, got.cores))
 
     cap = 3
-    pairs, _ = local_solves(family, op, "two-site", eig_tol=1e-10, max_rank=cap, seed=0)
+    pairs, _ = local_solves(family, op, envs, "two-site", eig_tol=1e-10, max_rank=cap, seed=0)
     assert min(left.shape[2] for left, _ in pairs) < cap
     coeffs = rng.standard_normal(d - 1)
     want = oracles.two_site_sum(family, pairs, coeffs, prev_coeff=prev)

@@ -380,6 +380,13 @@ def test_clip_ranks_needs_one_rank_per_bond():
         tt.clip_ranks((2, 2, 2, 2), [2, 2])
 
 
+def test_clip_ranks_needs_a_site():
+    for build in (tt.clip_ranks, tt.random_tt):
+        for ranks in (2, []):
+            with pytest.raises(ValueError, match="need at least one site"):
+                build((), ranks)
+
+
 def test_orthogonal_family_refuses_a_bond_the_right_side_cannot_carry():
     # bond 2 has rank 4, but the one site right of it holds only 2
     rng = np.random.default_rng(24)
