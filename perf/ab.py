@@ -10,7 +10,10 @@ process's CPU time (``time.process_time``).  Each round gives two pairs of
 summed solve times, and it prints the median of the pair ratios B/A with a
 bootstrap 95% interval.  From the first round it prints, per start, the
 flops ratios B/A (ledger ``total_flops`` and ``cost_per_processor``), the
-iteration counts of A and B, and the relative energy difference.
+iteration counts of A and B, the relative energy difference, and whether
+the two runs agree exactly: ``ledger_equal`` (equal ``CostLedger.report()``)
+and ``energies_equal`` (equal energy sequences and final energies), so
+that a refactor's claim of bitwise equal results takes one command.
 
     python3 perf/ab.py --a ../parent --b .
     python3 perf/ab.py --a . --b . --workload a2dmrg1-heis-d16-r16-w2 --rounds 4
@@ -127,8 +130,9 @@ def sweep(side):
 
 
 def compare_starts(runs_a, runs_b):
-    """Per start: the flops ratios B/A, both iteration counts and the
-    relative energy difference of B from A."""
+    """Per start: the flops ratios B/A, both iteration counts, the
+    relative energy difference of B from A, and whether the ledger reports
+    and the energies (the sequence and the final one) are equal."""
     rows = []
     for k, ((ra, la), (rb, lb)) in enumerate(zip(runs_a, runs_b)):
         rows.append({
@@ -137,6 +141,8 @@ def compare_starts(runs_a, runs_b):
             "flops_cpp_ratio": lb.cost_per_processor() / la.cost_per_processor(),
             "iterations": [ra.iterations, rb.iterations],
             "energy_rel_diff": (rb.energy - ra.energy) / abs(ra.energy),
+            "ledger_equal": la.report() == lb.report(),
+            "energies_equal": ra.energies == rb.energies and ra.energy == rb.energy,
         })
     return rows
 
@@ -195,7 +201,9 @@ def main(argv=None):
                 print(f"  start {row['start']}: flops_total B/A {row['flops_total_ratio']:.6f}  "
                       f"flops_cpp B/A {row['flops_cpp_ratio']:.6f}  "
                       f"iterations {row['iterations'][0]}/{row['iterations'][1]}  "
-                      f"energy rel diff {row['energy_rel_diff']:.2e}")
+                      f"energy rel diff {row['energy_rel_diff']:.2e}  "
+                      f"ledger_equal {row['ledger_equal']}  "
+                      f"energies_equal {row['energies_equal']}")
             report["workloads"][f"{name} seed {seed}"] = {
                 "ratio_median": median, "ratio_low": lo, "ratio_high": hi,
                 "times_a": times_a, "times_b": times_b, "starts": starts,

@@ -36,7 +36,7 @@ from math import sqrt
 import numpy as np
 
 from .ledger import charge, eigh_flops
-from .tt import check_cap, check_tol, column_signs
+from .tt import check_cap, check_tol, column_signs, real_array
 
 
 @dataclass
@@ -247,8 +247,9 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
     with ``min(max_iter + 1, 32)`` rows and doubled when full, and is shared
     by the restarts; its vector work is charged once, as ``"matvec"``, on return.
     ``max_iter`` is None or an integer >= 1 and ``tol`` nonnegative, else
-    ``ValueError``.  So is a ``v0`` of the wrong length or with a NaN or
-    infinite entry; a zero ``v0`` falls back to the seeded random start.
+    ``ValueError``.  So is a complex ``v0``, or one of the wrong length or
+    with a NaN or infinite entry; a zero ``v0`` falls back to the seeded
+    random start.
     """
     if dim < 1:
         raise ValueError("operator dimension must be positive")
@@ -260,7 +261,7 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
 
     start = None
     if v0 is not None:
-        start = np.asarray(v0, dtype=float).ravel()
+        start = real_array("start vector", v0).ravel()
         if start.shape[0] != dim:
             raise ValueError(f"start vector has length {start.shape[0]}, expected {dim}")
         if not np.isfinite(start).all():
@@ -328,9 +329,9 @@ def lanczos_lowest(matvec, dim, v0=None, tol=1e-6, max_iter=None, seed=0, ledger
 
 
 def _checked_eigh(a, ledger):
-    """``np.linalg.eigh`` of a square, finite ``a``, symmetric to
+    """``np.linalg.eigh`` of a real, square, finite ``a``, symmetric to
     :data:`SYM_RTOL` relative to its largest entry; charged as ``"svd"``."""
-    a = np.asarray(a, dtype=float)
+    a = real_array("matrix", a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if not np.isfinite(a).all():

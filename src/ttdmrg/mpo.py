@@ -20,8 +20,7 @@ open half depends on the environment, the operator core and one of the
 two cores only, so steps that share those close one stored open half with
 different cores: :func:`open_left_sweep` / :func:`open_right_sweep` keep
 every step's open half next to the environments, and the coarse
-assembly's transfer pairs (an overlap transfer and an operator
-environment stepped together, charged ``"coarse"``) close them.
+assembly's transfer pairs (:mod:`ttdmrg.coarse`) close them.
 ``left_env`` / ``right_env`` build one environment from scratch and
 :func:`all_right_envs` sweeps a whole train.
 
@@ -38,8 +37,7 @@ import math
 import numpy as np
 
 from .ledger import charge, tensordot_flops
-from .tt import (_check_dense_size, _CoreChain, inner, tt_add, tt_scale, update_left_overlap,
-                 update_right_overlap)
+from .tt import _check_dense_size, _CoreChain, inner, tt_add, tt_scale
 
 
 class MatrixProductOperator(_CoreChain):
@@ -211,67 +209,6 @@ def open_right_sweep(cores, op, ledger=None):
         halves[s] = open_right_env(envs[s + 1], c, op.cores[s])
         envs[s] = close_right_env(halves[s], c)
     return envs, halves
-
-
-# Transfer pairs: an overlap transfer and an operator environment stepped
-# together over one bra and one ket core, the coarse assembly's unit of work.
-# Every step charges "coarse"; stacked pairs carry a leading axis.
-
-
-def _extend_left(env, bra, op_core, ket, ledger):
-    # one site of a transfer pair (overlap, operator)
-    s, a = env
-    return (
-        update_left_overlap(s, bra, ket, ledger, "coarse"),
-        update_left_env(a, bra, op_core, ket, ledger, "coarse"),
-    )
-
-
-def _extend_right(env, bra, op_core, ket, ledger):
-    s, a = env
-    return (
-        update_right_overlap(s, bra, ket, ledger, "coarse"),
-        update_right_env(a, bra, op_core, ket, ledger, "coarse"),
-    )
-
-
-def _paired(env):
-    # an operator environment over orthonormal cores and its overlap transfer, the identity
-    return np.eye(len(env)), env
-
-
-def _close(left, right, ledger):
-    # <bra|ket> and <bra|A|ket> from a left and a right transfer at one cut
-    out = tuple(float(np.vdot(x, y)) for x, y in zip(left, right))
-    charge(ledger, "coarse", 2.0 * sum(x.size for x in left))
-    return out
-
-
-def _close_left(half, bra, ket, ledger):
-    # the step of the pair _paired(env) with `bra` and `ket`, from the open
-    # half of env's step with `ket`: one GEMM per matrix, since the overlap's
-    # open half is the ket itself (contiguous, in the layout the full step has)
-    ket = np.ascontiguousarray(ket)
-    a, n, b = bra.shape
-    charge(ledger, "coarse", 2.0 * n * a * b * ket.shape[2] * (half.shape[-2] + 1))
-    s_env = np.matmul(bra.reshape(a * n, b).T, ket.reshape(1, a * n, -1))[0]
-    return s_env, close_left_env(half, bra)
-
-
-def _close_right(half, bra, ket, ledger):
-    # the mirror, from the open half of a right step with `bra`
-    bra = np.ascontiguousarray(bra)
-    a, n, b = bra.shape
-    charge(ledger, "coarse", 2.0 * n * a * b * ket.shape[0] * (half.shape[-3] + 1))
-    return bra.reshape(a, n * b) @ ket.reshape(-1, n * b).T, close_right_env(half, ket)
-
-
-def _stacked(pairs, stack=None):
-    # transfer pairs stacked along a new leading axis, after those in `stack`
-    return tuple(
-        np.concatenate(([] if stack is None else [stack[i]]) + [p[i][None] for p in pairs])
-        for i in (0, 1)
-    )
 
 
 def mpo_inner(bra, op, ket, ledger=None, op_class="inner"):

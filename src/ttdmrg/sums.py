@@ -11,7 +11,7 @@ one-site form of the same sum.
 
 ``TwoSiteChain`` is an inert name (``member_train = None``) that
 ``bench/tracer.py`` binds; the members of a replaced pair are built by
-:func:`~ttdmrg.twolevel.span_members`.
+:func:`~ttdmrg.coarse.span_members`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ledger import charge, contract, qr_flops
-from .tt import TensorTrain, column_signs, lq_fixed
+from .tt import TensorTrain, column_signs, lq_fixed, real_array
 
 
 class OneSiteSumFamily:
@@ -32,7 +32,7 @@ class OneSiteSumFamily:
     """
 
     def __init__(self, family, replacements, coeffs, prev_coeff=0.0):
-        replacements = tuple(np.asarray(w, dtype=float) for w in replacements)
+        replacements = tuple(real_array(f"replacement {i}", w) for i, w in enumerate(replacements))
         _rails(family, [(w,) for w in replacements], coeffs)
         self.family = family
         self.replacements = replacements

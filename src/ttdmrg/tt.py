@@ -74,6 +74,15 @@ def check_integer(name, value, least=1):
         raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}, got {value}")
 
 
+def real_array(name, x):
+    """``x`` as a float array; ``ValueError`` naming ``name`` if it is
+    complex, which a cast would silently replace by its real part."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError(f"{name} is complex; only real input is supported")
+    return x.astype(float, copy=False)
+
+
 def _check_center(center, d):
     """Reject a gauge center that is not a site index of a ``d``-site train."""
     check_integer("center", center, least=0)
@@ -128,19 +137,17 @@ class _CoreChain:
     """A chain of cores, each ``(rank[j], n_j, ..., rank[j+1])`` with
     ``legs`` local indices between its two bonds: one for a train, a row
     and a column for an operator.  The format is checked here, once for
-    both kinds: at least one core, real entries (a complex core is refused,
-    not cast), ``legs + 2`` axes per core, no empty local leg, no zero
+    both kinds: at least one core, real entries (a complex core is refused
+    by :func:`real_array`, not cast), ``legs + 2`` axes per core, no empty local leg, no zero
     bond, matching bonds and unit boundary ranks."""
 
     legs = 1
 
     def __init__(self, cores):
-        cores = tuple(np.asarray(c) for c in cores)
+        cores = tuple(real_array(f"core {j}", c) for j, c in enumerate(cores))
         if not cores:
             raise ValueError("need at least one core")
         for j, c in enumerate(cores):
-            if np.iscomplexobj(c):
-                raise ValueError(f"core {j} is complex; chains are real")
             if c.ndim != self.legs + 2:
                 raise ValueError(f"core {j} must have {self.legs + 2} axes, got {c.ndim}")
             if 0 in c.shape[1:-1]:
@@ -154,7 +161,7 @@ class _CoreChain:
                 )
         if cores[0].shape[0] != 1 or cores[-1].shape[-1] != 1:
             raise ValueError("boundary ranks must be 1")
-        self.cores = tuple(c.astype(float, copy=False) for c in cores)
+        self.cores = cores
 
     @property
     def d(self):
@@ -437,7 +444,7 @@ def separation_ranks(x):
     :data:`SEPARATION_RANK_RTOL` times the largest singular value of its
     unfolding; the all-zero tensor has rank 0 at every cut.
     """
-    x = np.asarray(x, dtype=float)
+    x = real_array("tensor", x)
     out = []
     left = 1
     for n in x.shape[:-1]:

@@ -23,15 +23,17 @@ Each global iteration runs four steps:
    that span: a whitened dense eigenproblem of size p <= d+1 (the span's
    directions above :data:`COARSE_EPS`), its matrix taken from the
    assembled reduced operator or, structured, from p applications of the
-   operator to the exact sum trains that step 4 truncates.  The assembly
-   (:func:`assemble_coarse`) reuses what steps 1 and 2 hold: the diagonal
-   and the iterate's row come from each solve (two-site, one local
-   application to the split update); every member differs from the shared
-   cores only on a short window, so the other entries take O(d^2)
-   transfer steps rather than the O(d^3) of pairwise inner products, a
-   step that leaves a shared environment closes its stored open half, and
-   the shared sites between windows are crossed by two stacks, in O(d)
-   calls.  Each member is one task with one ledger, tagged ``gram{k}``;
+   operator to the exact sum trains that step 4 truncates.  The matrices
+   are assembled in :mod:`ttdmrg.coarse`
+   (:func:`~ttdmrg.coarse.coarse_matrices`), which reuses what steps 1 and
+   2 hold: the diagonal and the iterate's row come from each solve, and
+   the other entries take O(d^2) transfer steps in O(d) calls rather than
+   the O(d^3) of pairwise inner products.  Each member is one task with
+   one ledger, tagged ``gram{k}``.  The Gram eigensolve, the cut and the
+   coarse solve stay here, in :func:`assemble_coarse` and
+   :func:`solve_coarse`, because ``bench/tracer.py`` spans their dense
+   eigensolves and the structured path's inner products by name in this
+   module;
 4. compress the coarse minimizer back to the working ranks: the
    combination of the local solves' k-site updates is one exact train
    (two rails at k = 1, three at k = 2, the middle one over the kept split
@@ -61,17 +63,11 @@ from __future__ import annotations
 
 import math
 import warnings
-
-# Eight names are bound here only because bench/tracer.py rebinds them by name
-# in this module's namespace: ThreadPoolExecutor, left_env, right_env,
-# lanczos_lowest, inner and round_tt are imported but never called here, and
-# fit_chain and compress_two_site_fallback, set to None below the imports, are
-# placeholders that nothing calls.
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coarse import coarse_matrices, span_members
 from .dmrg import (
     Schedule,
     SolverConfig,
@@ -84,37 +80,24 @@ from .dmrg import (
     warn_unconverged,
 )
 from .eigen import dense_lowest_eig, dense_sym_svd
-from .eigen import lanczos_lowest  # noqa: F401
 from .ledger import CostLedger
-from .mpo import (
-    _close,
-    _close_left,
-    _close_right,
-    _extend_left,
-    _extend_right,
-    _paired,
-    _stacked,
-    env_step_flops,
-    local_matvec,
-    mpo_inner,
-    open_left_sweep,
-    open_right_sweep,
-)
-from .mpo import left_env, right_env  # noqa: F401
+from .mpo import local_matvec, mpo_inner, open_left_sweep, open_right_sweep
 from .sums import orthogonal_sum_train
-from .tt import (
-    TensorTrain,
-    check_integer,
-    clip_ranks,
-    orthogonal_family,
-    orthogonalize,
-    overlap_step_flops,
-    truncate,
-    tt_scale,
-)
+from .tt import check_integer, clip_ranks, orthogonal_family, orthogonalize, truncate, tt_scale
+
+# Eight names are bound here only because bench/tracer.py rebinds them by name
+# in this module's namespace: ThreadPoolExecutor, lanczos_lowest, left_env,
+# right_env, inner and round_tt are imported but never called here, and
+# fit_chain and compress_two_site_fallback are placeholders that nothing
+# calls.  They come after the package's imports, so that coarse.py compiles
+# before concurrent.futures loads logging and queue (about 0.6 MB): with
+# PYTHONDONTWRITEBYTECODE=1 its compile peak would stack on them.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+
+from .eigen import lanczos_lowest  # noqa: F401
+from .mpo import left_env, right_env  # noqa: F401
 from .tt import inner, round_tt  # noqa: F401
 
-# bound for bench/tracer.py only; see the comment above the imports
 fit_chain = None
 compress_two_site_fallback = None
 
@@ -160,6 +143,10 @@ class TwoLevelConfig(SolverConfig):
             raise ValueError(f"structured_coarse must be a bool, got {self.structured_coarse!r}")
 
 
+# Step 3's cut and solves live here, not in coarse.py: bench/tracer.py spans
+# dense_sym_svd, dense_lowest_eig and mpo_inner by rebinding them in this
+# module, so called from another module eigen.dense_s and mpo.inner_s would
+# read 0.
 @dataclass
 class CoarseProblem:
     """Assembled second-level problem over the member span."""
@@ -323,192 +310,13 @@ def local_solves(family, op, envs, mode, eig_tol=1e-8, eig_max_iter=None, max_ra
     return updates, results
 
 
-def _windows(updates):
-    # the sites [a, b] outside which each member of span_members holds shared cores
-    return [(0, 0)] + [(i, i + len(u) - 1) for i, u in enumerate(updates)]
-
-
-def _member_cores(family, updates):
-    # each member's core list: the iterate's, then each update's between shared cores
-    return [[family.centers[0], *family.right[1:]]] + [
-        [*family.left[:i], *u, *family.right[i + len(u) :]] for i, u in enumerate(updates)
-    ]
-
-
-def span_members(family, updates):
-    """The coarse span's members: the iterate ``family.config(0)``, then
-    for each update ``u`` of width ``k`` at sites ``i .. i+k-1`` the train
-    ``family.left[:i] + list(u) + family.right[i+k:]``, site-orthogonal at
-    ``i + k - 1``; every member shares the family's cores outside its
-    window."""
-    cores = _member_cores(family, updates)
-    return [TensorTrain(c, center=b) for c, (_, b) in zip(cores, _windows(updates))]
-
-
-def _sweep(env, bra, op, ket, start, stop, ledger):
-    """Extend a left transfer pair across sites ``start .. stop - 1`` with
-    the core lists ``bra`` and ``ket``, charged as ``"coarse"``."""
-    for s in range(start, stop):
-        env = _extend_left(env, bra[s], op.cores[s], ket[s], ledger)
-    return env
-
-
-def _meeting_cut(joins, starts, step):
-    """The cut ``c`` where the row and column stacks of
-    :func:`assemble_coarse` meet.  ``joins`` maps a site to the rows that
-    join the row stack there and cross the sites ``[site, c)``, ``starts``
-    a site to the columns that start there and cross ``[c, site)``, and
-    ``step[s]`` is what one crossing of site ``s`` costs.  ``c`` minimizes
-    the sum, ties going to the smallest cut: moving the cut from ``c`` to
-    ``c + 1`` adds site ``c`` to every row joined by then and takes it off
-    every column that starts past it."""
-    cut = lo = min(joins)
-    cost = best = 0.0
-    joined, past = 0, sum(len(cols) for cols in starts.values())
-    for c in range(lo, max(starts)):
-        joined += len(joins.get(c, ()))
-        past -= len(starts.get(c, ()))
-        cost += step[c] * (joined - past)
-        if cost < best:
-            best, cut = cost, c + 1
-    return cut
-
-
 def assemble_coarse(family, updates, solves, op, envs, ledger=None):
-    """Step 3 assembly: overlap and reduced operator matrices over the
-    span of the iterate and its updated members (:func:`span_members`).
-
-    ``solves`` are the :func:`local_solves` results of ``updates`` and
-    ``envs`` the family's :func:`shared_envs`.  Member ``k`` is its window
-    ``[a_k, b_k]`` (:func:`_windows`) plus the family's shared cores.  Its
-    diagonal and its entry against the iterate come from its solve: with
-    ``u`` the merged update (two-site, the product of the split factors)
-    and ``v0`` the solve's start block, ``S_kk = <u, u>``, ``S_0k = <v0,
-    u>``, and one-site, where ``u`` is the Ritz vector, ``A_kk = theta
-    S_kk`` and ``A_0k = |v0| <A q0, u>`` from the ``start_image`` ``A q0``
-    (exact on every exit, unlike ``theta S_0k``); two-site the split
-    changed the block, so one local application gives ``A_kk = <u, A u>``
-    and ``A_0k = <v0, A u>``.  ``S_00`` and ``A_00`` are what
-    :func:`family_energy` reads.  The iterate is thus neither a row nor a
-    column, and every other row ``k`` fills its columns ``l > k``: it
-    closes the stored open half (:class:`SharedEnvs`) of the shared step
-    at ``a_k`` with its core, one GEMM per matrix, advances with member
-    ``k`` as bra and ``family.left`` as ket, and closes an overlapping
-    column (two-site, ``l = k + 1``) across both windows against the
-    shared right environment.  A column that starts past ``b_k`` is closed
-    against its own right environment (``family.right`` as bra), which
-    starts by closing the stored half at ``b_l`` with the member's core.
-    Between the windows of such a closed pair both hold shared cores, the
-    same for every pair at a site, so the rows advance there rightward as
-    one stack and the columns leftward as another, to one cut
-    (:func:`_meeting_cut`), meeting each other in one GEMM per matrix:
-    about ``d^2/4`` shared-site steps in O(d) batched calls.  Each member
-    has one ledger, merged under ``gram{k}``, charged its entries, its
-    row's steps and closings and its column's; the iterate's is empty.
-    """
-    win = _windows(updates)
-    members = _member_cores(family, updates)
-    m, width = len(members), len(updates[0])
-    # The windows start in member order, so row k's closed columns are all l
-    # with a_l > b_k, from width + 1 on; the last of them starts at `last`,
-    # so every row that has one has that one.
-    last = win[-1][0]
-    closed = range(width + 1, m)
-
-    ledgers = [CostLedger() for _ in range(m)]  # member k's work, merged under gram{k}
-    s_hat = np.zeros((m, m))
-    a_hat = np.zeros((m, m))
-    c0 = family.centers[0]
-    s_hat[0, 0], a_hat[0, 0] = float(np.vdot(c0, c0)), float(envs.right[0][0, 0, 0])
-    for k, (update, res) in enumerate(zip(updates, solves), 1):
-        i, led = k - 1, ledgers[k]
-        v0 = _merge_cores([family.centers[i], *family.right[i + 1 : i + width]], led)
-        u = _merge_cores(update, led)
-        s_hat[k, k] = s_kk = float(np.vdot(u, u))
-        s_hat[0, k] = s_hat[k, 0] = float(np.vdot(v0, u))
-        if width == 1:
-            a_hat[k, k] = res.eigenvalue * s_kk
-            a_0k = math.sqrt(float(np.vdot(v0, v0))) * float(np.vdot(res.start_image, u))
-        else:
-            au = local_matvec(envs.left[i], op.cores[i : i + 2], envs.right[i + 2], led)[0](u)
-            a_hat[k, k], a_0k = float(np.vdot(u, au)), float(np.vdot(v0, au))
-        a_hat[0, k] = a_hat[k, 0] = a_0k
-        led.charge("coarse", 8.0 * u.size)
-
-    column_envs = {}
-    for l in closed:
-        a, b = win[l]
-        env = _close_right(envs.right_open[b], family.right[b], members[l][b], ledgers[l])
-        for s in range(b - 1, a - 1, -1):
-            env = _extend_right(env, family.right[s], op.cores[s], members[l][s], ledgers[l])
-        column_envs[l] = env
-
-    row_envs = {}  # rows with a closed column -> transfers just past the window
-    for k in range(1, m - 1):  # the rows with a later column, each starting at a closing
-        led, bra, (a, b) = ledgers[k], members[k], win[k]
-        env = _close_left(envs.left_open[a], bra[a], family.left[a], led)
-        if width == 2:  # column k + 1 overlaps the row on site b and ends at b + 1
-            e = _sweep(env, bra, op, members[k + 1], b, b + 2, led)
-            s_kl, a_kl = _close(e, _paired(envs.right[b + 2]), led)
-            s_hat[k, k + 1] = s_hat[k + 1, k] = s_kl
-            a_hat[k, k + 1] = a_hat[k + 1, k] = a_kl
-        if b < last:
-            row_envs[k] = _sweep(env, bra, op, family.left, a + 1, b + 1, led)
-
-    def meet(rows, cols, left, right):
-        # every row's transfers against every column's, one GEMM per matrix
-        # (a single row or column may come unstacked); each row is charged its closings
-        r, c = np.array(rows), np.array(cols)
-        for out, x, y in ((s_hat, left[0], right[0]), (a_hat, left[1], right[1])):
-            block = x.reshape(len(rows), -1) @ y.reshape(len(cols), -1).T
-            out[r[:, None], c] = block
-            out[c[:, None], r] = block.T
-        flops = 2.0 * len(cols) * ((left[0].size + left[1].size) // len(rows))
-        for k in rows:
-            ledgers[k].charge("coarse", flops)
-
-    if closed:
-        joins, starts = {}, {}  # site -> rows joining there, closed columns starting there
-        for k in row_envs:
-            joins.setdefault(win[k][1] + 1, []).append(k)
-        for l in closed:
-            starts.setdefault(win[l][0], []).append(l)
-        # the row's bra, the operator and the column's ket at each gap site;
-        # the stacks step uncharged and each member is charged its crossings
-        lo = min(joins)
-        gap = {s: (family.right[s], op.cores[s], family.left[s]) for s in range(lo, last)}
-        step = {s: overlap_step_flops(bra, ket) + env_step_flops(bra, w, ket)
-                for s, (bra, w, ket) in gap.items()}
-        cut = _meeting_cut(joins, starts, step)
-
-        rows, left = [], None
-        for s in range(lo, cut + 1):
-            if s in joins:
-                rows += joins[s]
-                left = _stacked([row_envs[k] for k in joins[s]], left)
-            if s == cut:
-                break
-            if s in starts:
-                meet(rows, starts[s], left, _stacked([column_envs[l] for l in starts[s]]))
-            left = _extend_left(left, *gap[s], None)
-            for k in rows:
-                ledgers[k].charge("coarse", step[s])
-
-        cols, right = [], None
-        for t in range(last, cut - 1, -1):
-            if t in starts:
-                cols += starts[t]
-                right = _stacked([column_envs[l] for l in starts[t]], right)
-            if t == cut:
-                break
-            for k in joins.get(t, []):
-                meet([k], cols, row_envs[k], right)
-            s = t - 1
-            right = _extend_right(right, *gap[s], None)
-            for l in cols:
-                ledgers[l].charge("coarse", step[s])
-        meet(rows, cols, left, right)
-
+    """Step 3 assembly: :func:`~ttdmrg.coarse.coarse_matrices` over the
+    span of the iterate and its updated members, each member's ledger
+    merged under ``gram{k}``, and the span's Gram eigendecomposition, cut
+    at :data:`COARSE_EPS`.  ``solves`` are the :func:`local_solves`
+    results of ``updates`` and ``envs`` the family's :func:`shared_envs`."""
+    s_hat, a_hat, ledgers = coarse_matrices(family, updates, solves, op, envs)
     for k, led in enumerate(ledgers):
         _merge(ledger, led, f"gram{k}")
 
@@ -534,9 +342,10 @@ def solve_coarse(cp, ledger=None):
 def structured_apply(family, updates, op, ledger=None):
     """The reduced operator on a coefficient vector ``c`` without the
     assembled matrix: ``<member_k, A x(c)>`` for every member of
-    :func:`span_members`, where ``x(c)`` is the span combination built as
-    step 4 builds it (:func:`~ttdmrg.sums.orthogonal_sum_train`, charged
-    as ``"matmul"`` and ``"qr"``); the inner products charge ``"coarse"``."""
+    :func:`~ttdmrg.coarse.span_members`, where ``x(c)`` is the span
+    combination built as step 4 builds it
+    (:func:`~ttdmrg.sums.orthogonal_sum_train`, charged as ``"matmul"``
+    and ``"qr"``); the inner products charge ``"coarse"``."""
     members = span_members(family, updates)
 
     def apply_a(c):

@@ -5,7 +5,7 @@ the library's contraction routines, so agreement is meaningful.  The
 exceptions are :func:`pairwise_coarse`, which builds the coarse matrices from the
 library's full inner products, one pair of members at a time, sharing no
 transfers between entries as the row sweeps of
-``ttdmrg.twolevel.assemble_coarse`` do; :func:`row_sweep_coarse`, the
+``ttdmrg.coarse.coarse_matrices`` do; :func:`row_sweep_coarse`, the
 coarse assembly's schedule with one row and one column at a time and no
 stacks, over the same ``(family, updates)`` and the windows of
 :func:`span_windows`, whose ledger the stacked assembly must reproduce
@@ -46,14 +46,8 @@ from ttdmrg.eigen import LanczosResult, _LowestRitz, dense_sym_svd
 from ttdmrg.ledger import CostLedger, charge, contract, tensordot_flops
 from ttdmrg.mpo import local_matvec, local_matvec_flops, mpo_inner
 from ttdmrg.tt import TensorTrain, inner, round_tt, tt_add, tt_scale
-from ttdmrg.twolevel import (
-    CoarseProblem,
-    _close,
-    _extend_left,
-    _extend_right,
-    _merge,
-    span_members,
-)
+from ttdmrg.coarse import _close, _extend_left, _extend_right, span_members
+from ttdmrg.twolevel import CoarseProblem, _merge
 
 
 def pairwise_coarse(members, op):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ttdmrg import dmrg, twolevel
+from ttdmrg import coarse, dmrg, twolevel
 from ttdmrg import mpo as mpo_module
 from ttdmrg.dmrg import SweepConfig, micro_step, run_dmrg
 from ttdmrg.ledger import CostLedger
@@ -343,8 +343,8 @@ def test_closing_stored_halves_is_bitwise_the_full_step(mode, solved, monkeypatc
         s = right_site[id(half)]
         return oracles.full_step("right", envs.right[s + 1], bra, op.cores[s], ket, led)
 
-    monkeypatch.setattr(twolevel, "_close_left", full_left)
-    monkeypatch.setattr(twolevel, "_close_right", full_right)
+    monkeypatch.setattr(coarse, "_close_left", full_left)
+    monkeypatch.setattr(coarse, "_close_right", full_right)
     want = assemble_coarse(family, updates, results, op, envs, want_led)
     assert np.array_equal(got.s_hat, want.s_hat)
     assert np.array_equal(got.a_hat, want.a_hat)
@@ -472,9 +472,9 @@ def test_one_site_assembly_sweeps_no_window_and_reopens_no_shared_half(monkeypat
         return wrapper
 
     for name in ("_extend_left", "_extend_right"):
-        monkeypatch.setattr(twolevel, name, extend(getattr(twolevel, name)))
+        monkeypatch.setattr(coarse, name, extend(getattr(coarse, name)))
     for name in ("_close_left", "_close_right"):
-        monkeypatch.setattr(twolevel, name, close(getattr(twolevel, name)))
+        monkeypatch.setattr(coarse, name, close(getattr(coarse, name)))
     monkeypatch.setattr(mpo_module, "open_left_env", shared(mpo_module.open_left_env, "left"))
     monkeypatch.setattr(mpo_module, "open_right_env", shared(mpo_module.open_right_env, "right"))
     for mode in ("one-site", "two-site"):
@@ -512,7 +512,7 @@ def test_coarse_assembly_calls_grow_linearly(mode, monkeypatch):
         return len(calls)
 
     for name in ("_extend_left", "_extend_right"):
-        monkeypatch.setattr(twolevel, name, counted(getattr(twolevel, name)))
+        monkeypatch.setattr(coarse, name, counted(getattr(coarse, name)))
     # Row sweeps make O(d^2) transfer updates; the two stacks together
     # cross each shared site once, so equal steps in d add equal numbers of
     # calls.
@@ -537,7 +537,7 @@ def test_row_and_column_stacks_stay_on_their_side_of_the_cut(mode, monkeypatch):
     sites = {"_extend_left": [], "_extend_right": []}
 
     def recorded(name):
-        step = getattr(twolevel, name)
+        step = getattr(coarse, name)
 
         def wrapper(env, bra, op_core, ket, *args):
             if env[0].ndim == 3:
@@ -550,7 +550,7 @@ def test_row_and_column_stacks_stay_on_their_side_of_the_cut(mode, monkeypatch):
         return wrapper
 
     for name in sites:
-        monkeypatch.setattr(twolevel, name, recorded(name))
+        monkeypatch.setattr(coarse, name, recorded(name))
     assemble(family, updates, op)
     left, right = sites["_extend_left"], sites["_extend_right"]
     # the cut lies well inside the gap, and each site is crossed by one stack
@@ -1333,6 +1333,44 @@ def test_step4_runs_through_its_traced_names_once_per_iteration(mode, monkeypatc
         n = len(trace.records)
         name = "compress_one_site" if mode == "one-site" else "compress_two_site"
         assert counts == {name: n}
+
+
+@pytest.mark.parametrize("mode", ["one-site", "two-site"])
+def test_step3_runs_through_its_traced_names_once_per_iteration(mode, monkeypatch):
+    # bench/tracer.py times step 3 and its dense eigensolves and inner
+    # products by these names in twolevel's namespace; a call made from
+    # another module would report zero time
+    counts = {}
+
+    def count(name):
+        real = getattr(twolevel, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(twolevel, name, counted)
+
+    names = ("assemble_coarse", "dense_sym_svd", "dense_lowest_eig", "solve_coarse",
+             "solve_coarse_structured", "mpo_inner")
+    for name in names:
+        count(name)
+    op = ising_chain(6)
+    members = op.d + 1 if mode == "one-site" else op.d
+    for structured in (False, True):
+        counts.clear()
+        cfg = TwoLevelConfig(mode=mode, max_rank=3, max_iters=3, energy_tol=0.0,
+                             structured_coarse=structured)
+        with pytest.warns(RuntimeWarning, match="max_iters = 3 without"):
+            _, trace = run_two_level(random_tt(op.dims, 2, seed=1), op, cfg)
+        n = len(trace.records)
+        solve = "solve_coarse_structured" if structured else "solve_coarse"
+        want = {"assemble_coarse": n, "dense_sym_svd": n, "dense_lowest_eig": n, solve: n}
+        if structured:
+            # one <member, A x(c)> per member and whitened direction
+            want["mpo_inner"] = members * sum(r.coarse_p for r in trace.records)
+            assert want["mpo_inner"] == {"one-site": 147, "two-site": 108}[mode]
+        assert counts == want
 
 
 @pytest.mark.parametrize("mode, op, svd_tol", [

@@ -212,6 +212,14 @@ def test_lanczos_rejects_bad_knobs(kwargs, name):
         lanczos_lowest(lambda x: x, 3, **kwargs)
 
 
+def test_lanczos_rejects_a_complex_start():
+    # a cast would start from the real part e_0, an eigenvector, and report
+    # the eigenvalue 3 as converged; the lowest is 1
+    a = np.diag([3.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="start vector is complex"):
+        lanczos_lowest(lambda x: a @ x, 3, v0=np.array([1.0, 1j, 0.0]), tol=1e-10)
+
+
 def test_lanczos_accepts_a_zero_tolerance_and_numpy_budgets():
     a = np.diag([1.0, 2.0, 3.0])
     res = lanczos_lowest(lambda x: a @ x, 3, tol=0.0, max_iter=np.int64(2), seed=3)
@@ -243,6 +251,14 @@ def test_dense_eigensolvers_reject_malformed_matrices(solve):
     for bad in (np.ones((1, 2)), np.ones((2, 2, 2)), np.ones(3)):
         with pytest.raises(ValueError, match="square"):
             solve(bad)
+
+
+@pytest.mark.parametrize("solve", [dense_lowest_eig, dense_sym_svd])
+def test_dense_eigensolvers_refuse_complex_matrices(solve):
+    # [[1, i], [-i, 1]] is Hermitian with eigenvalues 2 and 0; its real part,
+    # the identity, has 1 and 1
+    with pytest.raises(ValueError, match="matrix is complex"):
+        solve(np.array([[1.0, 1j], [-1j, 1.0]]))
 
 
 def test_dense_sym_svd_orders_and_reconstructs():

@@ -86,7 +86,8 @@ def over_token_limit(sources):
 
 def test_every_module_stays_within_the_parser_token_block():
     sources = {path.name: path.read_text() for path in SOURCES}
-    assert 3000 < parser_tokens(sources["twolevel.py"]) <= TOKEN_LIMIT
+    # a floor on the largest module shows that the counter reads real source
+    assert 3000 < parser_tokens(sources["tt.py"]) <= TOKEN_LIMIT
     assert over_token_limit(sources) == {}
 
 
@@ -98,6 +99,48 @@ def test_token_guard_sees_a_module_past_the_block():
     # four tokens a line (three on "-x") and the end marker
     at, past = "x = 1\n" * 1023 + "-x\n", "x = 1\n" * 1024
     assert over_token_limit({"at.py": at, "past.py": past}) == {"past.py": TOKEN_LIMIT + 1}
+
+
+# The coarse assembly's transfer-pair helpers: coarse.py alone owns them.
+TRANSFER_PAIRS = {"_extend_left", "_extend_right", "_close_left", "_close_right", "_stacked"}
+
+
+def transfer_pair_holders(sources):
+    """The modules in ``sources`` (file name -> source text) other than
+    coarse.py that define, assign or import (under any alias) a name of
+    :data:`TRANSFER_PAIRS`, with those names."""
+    found = {}
+    for name, source in sources.items():
+        bound = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.add(node.id)
+        if name != "coarse.py" and bound & TRANSFER_PAIRS:
+            found[name] = sorted(bound & TRANSFER_PAIRS)
+    return found
+
+
+def test_only_coarse_holds_the_transfer_pairs():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    tree = ast.parse(sources["coarse.py"])
+    assert TRANSFER_PAIRS <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert transfer_pair_holders(sources) == {}
+
+
+def test_transfer_pair_guard_sees_a_stray_helper():
+    sources = {
+        "coarse.py": "def _stacked(p):\n    return p\n\ndef _close_left(h):\n    return h\n",
+        "mpo.py": "def _extend_left(e):\n    return e\n\n_close_right = None\n",
+        "twolevel.py": "from .coarse import _close_left, _stacked as stack, span_members\n",
+        "sums.py": "def _extend(e):\n    return e\n",
+    }
+    assert transfer_pair_holders(sources) == {
+        "mpo.py": ["_close_right", "_extend_left"], "twolevel.py": ["_close_left", "_stacked"],
+    }
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -1,9 +1,11 @@
-"""The ratio and interval arithmetic of perf/ab.py, without running a workload."""
+"""The ratio, interval and per-start arithmetic of perf/ab.py, without running a
+workload."""
 
 import importlib.util
 import statistics
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,3 +67,38 @@ def test_an_a_a_like_sample_contains_one_and_a_shift_does_not(ab):
     assert lo <= 1.0 <= hi
     _, lo, hi = ab.median_interval(ab.pair_ratios(times_a, faster))
     assert hi < 1.0
+
+
+class StubLedger:
+    def __init__(self, total, cpp, report):
+        self._total, self._cpp, self._report = total, cpp, report
+
+    def total_flops(self):
+        return self._total
+
+    def cost_per_processor(self):
+        return self._cpp
+
+    def report(self):
+        return dict(self._report)
+
+
+def test_compare_starts_reports_exact_agreement_per_start(ab):
+    def run(energies, energy, total, report):
+        result = SimpleNamespace(energy=energy, energies=energies, iterations=len(energies))
+        return result, StubLedger(total, total / 2, report)
+
+    rep = {"total_flops": 8.0, "per_class_flops": {"coarse": 3.0}}
+    runs_a = [run((-1.0, -2.0), -2.0, 8.0, rep)] * 4
+    runs_b = [
+        run((-1.0, -2.0), -2.0, 8.0, rep),  # bitwise the same
+        run((-1.0, -2.0), -2.0, 8.0, {**rep, "per_class_flops": {"coarse": 2.0}}),
+        run((-1.0, -2.0 + 1e-15), -2.0, 8.0, rep),  # one iterate's energy moved
+        run((-1.0, -2.0), -2.0 - 4e-16, 6.0, rep),  # the final energy moved
+    ]
+    rows = ab.compare_starts(runs_a, runs_b)
+    assert [r["start"] for r in rows] == [0, 1, 2, 3]
+    assert [r["ledger_equal"] for r in rows] == [True, False, True, True]
+    assert [r["energies_equal"] for r in rows] == [True, True, False, False]
+    assert rows[3]["flops_total_ratio"] == 0.75 and rows[3]["flops_cpp_ratio"] == 0.75
+    assert rows[0]["iterations"] == [2, 2] and rows[0]["energy_rel_diff"] == 0.0

@@ -92,6 +92,15 @@ def test_one_site_sum_validation():
         OneSiteSumFamily(family, bad, [1.0] * 3)
 
 
+def test_one_site_sum_refuses_a_complex_replacement():
+    # a cast would build the sum of the real parts
+    family = make_family((2, 2, 2), (2, 2), 0)
+    repl = list(random_replacements(family, 1))
+    repl[2] = repl[2] * (1.0 + 1j)
+    with pytest.raises(ValueError, match="replacement 2 is complex"):
+        OneSiteSumFamily(family, repl, [1.0] * 3)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 9])
 @pytest.mark.parametrize("model", ["ising", "heisenberg"])
 def test_two_site_sum_matches_pairwise_tt_add(d, model):

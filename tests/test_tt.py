@@ -292,6 +292,13 @@ def test_separation_ranks():
     assert tt.separation_ranks(rank1) == (1, 1)
 
 
+def test_separation_ranks_refuse_a_complex_tensor():
+    # [[1, i], [i, -1]] is the rank-one outer product of (1, i) with itself;
+    # its real part diag(1, -1) has rank 2
+    with pytest.raises(ValueError, match="tensor is complex"):
+        tt.separation_ranks(np.array([[1.0, 1j], [1j, -1.0]]))
+
+
 def test_random_tt_is_seeded_and_clipped():
     a = random_tt((2, 2, 2), 5, seed=16)
     b = random_tt((2, 2, 2), 5, seed=16)
